@@ -22,7 +22,13 @@ from .conormal import (
     conormal_matrix_violations,
     vector_to_matrix,
 )
-from .embedding import embedding_target, target_grass_index, tau_permutation, weight_map
+from .embedding import (
+    embed_point,
+    embedding_target,
+    origin_image,
+    target_grass_index,
+    weight_map,
+)
 from .equivariant import (
     apply_weight_map,
     double_schubert,
@@ -45,6 +51,7 @@ from .varieties import (
     grass_schubert_violation,
     locate_grass_cell,
     matrix_schubert_violation,
+    standard_sum_dims,
 )
 
 
@@ -52,7 +59,9 @@ def _emit(payload) -> None:
     print(json.dumps(payload, sort_keys=True))
 
 
-def _perm(text: str) -> PartialPermutation:
+def _perm(text: str | None) -> PartialPermutation:
+    if text is None:
+        raise InputError("missing partial permutation (pass --w)")
     return PartialPermutation.from_one_line(text)
 
 
@@ -127,13 +136,11 @@ def _cmd_embed(args, field: FieldSpec) -> int:
     data = covexillary_data(w)
     target = embedding_target(data)
     x = parse_point_file(args.matrix, "matrix", field)
-    from .embedding import embed_point
-    from .exactla import standard_subspace, subspace_sum
-
     point = embed_point(x, data)
+    dims = standard_sum_dims(point)
     per_condition = []
     for t, bound in target.conditions:
-        total = subspace_sum(point, standard_subspace(field, 2 * w.n, t)).dim
+        total = dims[t]
         per_condition.append({"t": t, "dim": total, "bound": bound, "ok": total <= bound})
     _emit(
         {
@@ -149,36 +156,24 @@ def _cmd_embed(args, field: FieldSpec) -> int:
 def _cmd_member(args, field: FieldSpec) -> int:
     if args.kind == "matrix":
         x = parse_point_file(args.point, "matrix", field)
-        w = _perm(args.index)
-        violation = matrix_schubert_violation(x, w)
-        payload = {
-            "member": violation is None,
-            "first_violation": None
-            if violation is None
-            else {"i": violation[0], "j": violation[1], "dim": violation[2], "bound": violation[3]},
-        }
+        violation = matrix_schubert_violation(x, _perm(args.index))
+        keys = ("i", "j", "dim", "bound")
     elif args.kind == "flag":
         flag = parse_point_file(args.point, "flag", field)
-        w = _perm(args.index)
-        violation = flag_schubert_violation(flag, w)
-        payload = {
-            "member": violation is None,
-            "first_violation": None
-            if violation is None
-            else {"i": violation[0], "j": violation[1], "dim": violation[2], "bound": violation[3]},
-        }
+        violation = flag_schubert_violation(flag, _perm(args.index))
+        keys = ("i", "j", "dim", "bound")
     else:
         subspace = parse_point_file(args.point, "grass", field)
         positions = _positions(args.index)
         idx = GrassIndex(subspace.dim, subspace.ambient, positions)
         violation = grass_schubert_violation(subspace, idx)
-        payload = {
+        keys = ("i", "dim", "bound")
+    _emit(
+        {
             "member": violation is None,
-            "first_violation": None
-            if violation is None
-            else {"i": violation[0], "dim": violation[1], "bound": violation[2]},
+            "first_violation": None if violation is None else dict(zip(keys, violation)),
         }
-    _emit(payload)
+    )
     return 0
 
 
@@ -213,16 +208,16 @@ def _cmd_conormal(args, field: FieldSpec) -> int:
         _emit({"member": not violations, "violations": violations})
         return 0
     # fiber
+    if args.kind == "grass":
+        raise InputError("no conormal fiber for the grass form; use matrix or flag")
     w = _perm(args.w)
     x = parse_point_file(args.point, "matrix", field)
     if args.kind == "matrix":
         fiber = conormal_fiber_matrix(x, w)
-        basis = [matrix_to_json(vector_to_matrix(field, v, w.n)) for v in fiber.vectors]
-        _emit({"dimension": fiber.dim, "basis": basis})
     else:
-        flag, fiber = conormal_fiber_flag(x, w)
-        basis = [matrix_to_json(vector_to_matrix(field, v, w.n)) for v in fiber.vectors]
-        _emit({"dimension": fiber.dim, "basis": basis})
+        _, fiber = conormal_fiber_flag(x, w)
+    basis = [matrix_to_json(vector_to_matrix(field, v, w.n)) for v in fiber.vectors]
+    _emit({"dimension": fiber.dim, "basis": basis})
     return 0
 
 
@@ -269,12 +264,8 @@ def _cmd_schubert(args, field: FieldSpec) -> int:
         return 0
     if args.action == "localize":
         data = covexillary_data(w)
-        target = embedding_target(data)
-        tau = tau_permutation(data)
-        v_hat = target_grass_index(target)
-        origin = GrassIndex(
-            w.n, 2 * w.n, tuple(sorted(tau(j) for j in range(1, w.n + 1)))
-        )
+        v_hat = target_grass_index(embedding_target(data))
+        origin = origin_image(data)
         localized = grass_restriction(v_hat, origin)
         _emit(
             {

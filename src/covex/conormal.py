@@ -4,8 +4,14 @@ Three coordinate forms are covered: pairs (x, y) of n x n matrices for the
 conormal variety of a matrix Schubert variety, Springer pairs (V, x) on the
 Grassmannian side, and Springer pairs (F, z) on the flag side.  The rank
 bounds all come from one table built out of the essential triples with the
-padding (p_0, q_0, r_0) = (0, 0, 0) and (p_m, q_m) = (n, n); every bound is
-the minimum of the two case formulas.
+padding (p_0, q_0, r_0) = (0, 0, 0) and (p_m, q_m, r_m) = (n, n, n); every
+bound is the minimum of the two case formulas.
+
+The matrix and Grassmannian forms read every rank off one southwest
+profile: the blocks M_ij of the big matrix M are the southwest blocks of
+tau M tau^-1 on rows t_j+1..2n and columns 1..t_i (tau is the interleaving
+permutation of the embedding), and the Grassmannian blocks are southwest
+blocks of x itself.
 
 The ground truth the predicates are calibrated against is the annihilator
 of the orbit tangent space under the trace pairing: over a cell point x the
@@ -18,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+from .embedding import tau_permutation
 from .errors import (
     CellMembershipError,
     DimensionMismatchError,
@@ -40,13 +47,10 @@ from .varieties import (
     in_flag_schubert,
     in_matrix_schubert_cell,
     locate_flag_cell,
+    matrix_schubert_violation,
+    southwest_profile,
+    standard_sum_dims,
 )
-
-# Terminal rank used at index m of the padded triples.  Calibration over all
-# covexillary partial permutations with n <= 4 (suite conormal-matrix) shows
-# the affected bounds never bind for either candidate value n or rank(w);
-# the full-rank value n is kept.
-TERMINAL_RANK_IS_N = True
 
 
 @dataclass(frozen=True)
@@ -98,13 +102,6 @@ class SpringerGrassPoint:
             raise InvariantError("V is not contained in ker(x)")
 
 
-def terminal_rank(data: CovexillaryData, rank_w: int | None = None) -> int:
-    """The r_m padding value; see TERMINAL_RANK_IS_N."""
-    if TERMINAL_RANK_IS_N or rank_w is None:
-        return data.n
-    return rank_w
-
-
 @dataclass(frozen=True)
 class ConormalBoundTable:
     """Rank bounds b(i, j) for the padded index pairs 0 <= j < i <= m."""
@@ -126,8 +123,13 @@ class ConormalBoundTable:
         return tuple((i, j) for i in range(1, m + 1) for j in range(i))
 
 
-def bound_table(data: CovexillaryData, rank_w: int | None = None) -> ConormalBoundTable:
-    return ConormalBoundTable(data, terminal_rank(data, rank_w))
+def bound_table(data: CovexillaryData) -> ConormalBoundTable:
+    """The bound table with terminal rank r_m = n.
+
+    Calibration over all covexillary partial permutations with n <= 4 shows
+    that the bounds affected by r_m never bind for r_m = rank(w) either.
+    """
+    return ConormalBoundTable(data, data.n)
 
 
 def big_matrix_M(pt: CotangentMatrixPoint) -> ExactMatrix:
@@ -141,35 +143,21 @@ def big_matrix_M(pt: CotangentMatrixPoint) -> ExactMatrix:
     return top.vstack(bottom)
 
 
-def _mij_rows_cols(data: CovexillaryData, i: int, j: int) -> tuple[list[int], list[int]]:
-    n = data.n
-    rows = list(range(data.q_at(j) + 1, n + 1)) + list(
-        range(n + data.p_at(j) + 1, 2 * n + 1)
-    )
-    cols = list(range(1, data.q_at(i) + 1)) + list(
-        range(n + 1, n + data.p_at(i) + 1)
-    )
-    return rows, cols
+def mij_ranks(M: ExactMatrix, data: CovexillaryData) -> dict[tuple[int, int], int]:
+    """rank M_ij for every pair 0 <= j < i <= m, from one southwest profile.
 
-
-def submatrix_Mij(
-    M: ExactMatrix, data: CovexillaryData, i: int, j: int
-) -> ExactMatrix:
-    """Rows {q_j+1..n, n+p_j+1..2n} and columns {1..q_i, n+1..n+p_i} of M."""
-    if not 0 <= j < i <= data.m:
-        raise IndexError(f"pair ({i},{j}) outside 0 <= j < i <= m")
-    rows, cols = _mij_rows_cols(data, i, j)
-    return M.submatrix(rows, cols)
-
-
-def _bound_satisfied(sub: ExactMatrix, bound: int) -> bool:
-    # A strictly negative bound is unsatisfiable on a nonempty submatrix,
-    # even a zero one; an empty submatrix passes vacuously.
-    if sub.rows == 0 or sub.cols == 0:
-        return True
-    if bound < 0:
-        return False
-    return sub.rank() <= bound
+    M_ij is M on rows {q_j+1..n, n+p_j+1..2n} and columns {1..q_i,
+    n+1..n+p_i}.  Conjugation by tau sends these index sets to t_j+1..2n and
+    1..t_i, so rank M_ij is the southwest rank of tau M tau^-1 there.
+    """
+    order = tau_permutation(data).inverse().image
+    profile = southwest_profile(M.submatrix(order, order))
+    m = data.m
+    return {
+        (i, j): profile[data.t_at(j)][data.t_at(i) - 1]
+        for i in range(1, m + 1)
+        for j in range(i)
+    }
 
 
 def in_conormal_matrix(pt: CotangentMatrixPoint, w: PartialPermutation) -> bool:
@@ -187,21 +175,18 @@ def conormal_matrix_violations(
     if pt.n != w.n:
         raise DimensionMismatchError("point size differs from permutation size")
     out: list[dict] = []
-    from .varieties import matrix_schubert_violation
-
     base = matrix_schubert_violation(pt.x, w)
     if base is not None:
         out.append({"kind": "schubert", "condition": base})
         if first_only:
             return out
-    table = bound_table(data, w.rank)
-    M = big_matrix_M(pt)
+    table = bound_table(data)
+    ranks = mij_ranks(big_matrix_M(pt), data)
     for i, j in table.pairs():
         bound = table.bound(i, j)
-        sub = submatrix_Mij(M, data, i, j)
-        if not _bound_satisfied(sub, bound):
+        if ranks[i, j] > bound:
             out.append(
-                {"kind": "rank", "i": i, "j": j, "rank": sub.rank(), "bound": bound}
+                {"kind": "rank", "i": i, "j": j, "rank": ranks[i, j], "bound": bound}
             )
             if first_only:
                 return out
@@ -279,18 +264,23 @@ def conormal_grass_violations(
 
     V must satisfy dim(V + E_{t'}) <= d + c for every condition, and x must
     satisfy dim(x E_{t'_i} / E_{t'_j}) <= min of the two case bounds over the
-    padded pairs, with padding (0, 0) and (N, N - d).
+    padded pairs, with padding (0, 0) and (N, N - d).  The rank of x E_{t'_i}
+    / E_{t'_j} is the southwest rank of x on rows t'_j+1..N and columns
+    1..t'_i; an empty block satisfies every bound.
     """
     V, x = pt.V, pt.x
     N, d = V.ambient, V.dim
-    field = V.field
+    if any(not 0 <= t <= N for t, _ in conditions):
+        raise DimensionMismatchError(f"condition positions must lie in 0..{N}")
     out: list[dict] = []
+    dims = standard_sum_dims(V)
     for t, c in conditions:
-        total = subspace_sum(V, standard_subspace(field, N, t)).dim
+        total = dims[t]
         if total > d + c:
             out.append({"kind": "schubert", "condition": (t, total, d + c)})
             if first_only:
                 return out
+    profile = southwest_profile(x)
     padded = [(0, 0)] + list(conditions) + [(N, N - d)]
     k1 = len(padded) - 1
     for i in range(1, k1 + 1):
@@ -299,11 +289,13 @@ def conormal_grass_violations(
             t_j, c_j = padded[j]
             t_im1, c_im1 = padded[i - 1]
             t_jp1, c_jp1 = padded[j + 1]
+            if t_j == N or t_i == 0:
+                continue
             bound = min((t_im1 - c_im1) - (t_j - c_j), c_i - c_jp1)
-            sub = x.submatrix(range(t_j + 1, N + 1), range(1, t_i + 1))
-            if not _bound_satisfied(sub, bound):
+            rank = profile[t_j][t_i - 1]
+            if rank > bound:
                 out.append(
-                    {"kind": "rank", "i": i, "j": j, "rank": sub.rank(), "bound": bound}
+                    {"kind": "rank", "i": i, "j": j, "rank": rank, "bound": bound}
                 )
                 if first_only:
                     return out
@@ -329,7 +321,7 @@ def conormal_flag_violations(
             return out
     field = flag.field
     n = w.n
-    table = bound_table(data, w.rank)
+    table = bound_table(data)
     for i, j in table.pairs():
         bound = table.bound(i, j)
         source = subspace_sum(

@@ -12,15 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DimensionMismatchError
-from .exactla import (
-    ExactMatrix,
-    Subspace,
-    coordinate_subspace,
-    standard_subspace,
-    subspace_sum,
-)
+from .exactla import ExactMatrix, Subspace, coordinate_subspace, subspace_sum
 from .permcore import CovexillaryData, PartialPermutation
-from .varieties import GrassIndex
+from .varieties import GrassIndex, standard_sum_dims
 
 
 def tau_permutation(data: CovexillaryData) -> PartialPermutation:
@@ -85,16 +79,22 @@ def embed_point(x: ExactMatrix, data: CovexillaryData) -> Subspace:
     return Subspace.column_span(permuted)
 
 
+def origin_image(data: CovexillaryData) -> GrassIndex:
+    """The coordinate point embed_point(0) = <e_tau(1), ..., e_tau(n)>."""
+    tau = tau_permutation(data)
+    n = data.n
+    return GrassIndex(n, 2 * n, tuple(sorted(tau(j) for j in range(1, n + 1))))
+
+
 def target_violation(
     subspace: Subspace, target: EmbeddingTarget
 ) -> tuple[int, int, int] | None:
     """First violated target condition (t_i, dim, bound), else None."""
-    field = subspace.field
-    N = 2 * target.n
-    if subspace.ambient != N:
+    if subspace.ambient != 2 * target.n:
         raise DimensionMismatchError("point does not live in Gr(n, 2n)")
+    dims = standard_sum_dims(subspace)
     for t_i, bound in target.conditions:
-        total = subspace_sum(subspace, standard_subspace(field, N, t_i)).dim
+        total = dims[t_i]
         if total > bound:
             return (t_i, total, bound)
     return None

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import InputError
+from .kl import CosetData
 from .permcore import PartialPermutation
 from .varieties import GrassIndex
 
@@ -328,18 +329,6 @@ def _compose(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(a[v - 1] for v in b)
 
 
-def _coset_min_rep(idx: GrassIndex) -> tuple[int, ...]:
-    chosen = list(idx.positions)
-    complement = [v for v in range(1, idx.N + 1) if v not in set(chosen)]
-    return tuple(chosen + complement)
-
-
-def _coset_max_rep(idx: GrassIndex) -> tuple[int, ...]:
-    chosen = list(idx.positions)
-    complement = [v for v in range(1, idx.N + 1) if v not in set(chosen)]
-    return tuple(chosen[::-1] + complement[::-1])
-
-
 def grass_restriction(
     v_idx: GrassIndex, point: GrassIndex, point_rep: str = "min"
 ) -> MultivariatePolynomial:
@@ -354,19 +343,13 @@ def grass_restriction(
         raise InputError("variety and point live in different Grassmannians")
     N = v_idx.N
     w0 = tuple(range(N, 0, -1))
-    class_perm = _compose(w0, _coset_max_rep(v_idx))
-    rep = _coset_min_rep(point) if point_rep == "min" else _coset_max_rep(point)
+    class_perm = _compose(w0, CosetData.from_index(v_idx).maximal)
+    point_coset = CosetData.from_index(point)
+    rep = point_coset.minimal if point_rep == "min" else point_coset.maximal
     point_perm = _compose(w0, rep)
     raw = schubert_class_restriction(N, class_perm, point_perm)
     reverse = {f"t{i}": f"t{N + 1 - i}" for i in range(1, N + 1)}
     return raw.rename(reverse)
-
-
-def localize_grass_class(
-    v_idx: GrassIndex, fixed_point: GrassIndex
-) -> MultivariatePolynomial:
-    """Equivariant restriction [Gr_v]|_point in t variables; 0 off the variety."""
-    return grass_restriction(v_idx, fixed_point)
 
 
 def apply_weight_map(
@@ -379,25 +362,6 @@ def apply_weight_map(
         for k, (sym, idx) in mapping.items()
     }
     return poly_t.substitute(ring, sub)
-
-
-def _convention_transform(poly: MultivariatePolynomial, n: int) -> MultivariatePolynomial:
-    renames: dict[str, str] = {}
-    for i in range(1, n + 1):
-        xs, ys = f"x{i}", f"y{i}"
-        xt = ys if CONVENTION_SWAP_XY else xs
-        yt = xs if CONVENTION_SWAP_XY else ys
-        if CONVENTION_REVERSE_X:
-            # reversal applies to the target alphabet of x_i
-            xt = xt[0] + str(n + 1 - int(xt[1:]))
-        if CONVENTION_REVERSE_Y:
-            yt = yt[0] + str(n + 1 - int(yt[1:]))
-        renames[xs] = xt
-        renames[ys] = yt
-    out = poly.rename(renames)
-    if CONVENTION_SIGN_BY_DEGREE:
-        out = out.sign_by_degree()
-    return out
 
 
 def _transform_with(
@@ -429,7 +393,7 @@ def calibrate_convention(n_values: tuple[int, ...] = (2, 3)) -> list[tuple[bool,
     permutation of the given sizes satisfies the multidegree identity.  Used
     by the test suite to pin the frozen constants as the unique survivor.
     """
-    from .embedding import embedding_target, target_grass_index, tau_permutation, weight_map
+    from .embedding import embedding_target, origin_image, target_grass_index, weight_map
     from .permcore import all_permutations, covexillary_data, is_covexillary
 
     fixtures = []
@@ -438,10 +402,10 @@ def calibrate_convention(n_values: tuple[int, ...] = (2, 3)) -> list[tuple[bool,
             if not is_covexillary(w):
                 continue
             data = covexillary_data(w)
-            tau = tau_permutation(data)
             v_hat = target_grass_index(embedding_target(data))
-            origin = GrassIndex(n, 2 * n, tuple(sorted(tau(j) for j in range(1, n + 1))))
-            in_xy = apply_weight_map(grass_restriction(v_hat, origin), weight_map(data), n)
+            in_xy = apply_weight_map(
+                grass_restriction(v_hat, origin_image(data)), weight_map(data), n
+            )
             lhs = double_schubert(PartialPermutation.longest(n).compose(w))
             fixtures.append((n, in_xy, lhs))
     survivors = []
@@ -475,20 +439,24 @@ def verify_multidegree(w: PartialPermutation) -> MultidegreeReport:
     image of the origin, pushed through the torus-weight dictionary and the
     frozen variable convention.
     """
-    from .embedding import embedding_target, target_grass_index, tau_permutation, weight_map
+    from .embedding import embedding_target, origin_image, target_grass_index, weight_map
     from .permcore import covexillary_data
 
     data = covexillary_data(w)
     if not w.is_full_rank:
         raise InputError("the multidegree identity is stated for permutations")
     n = w.n
-    target = embedding_target(data)
-    tau = tau_permutation(data)
-    v_hat = target_grass_index(target)
-    origin_image = GrassIndex(n, 2 * n, tuple(sorted(tau(j) for j in range(1, n + 1))))
-    localized = grass_restriction(v_hat, origin_image)
+    v_hat = target_grass_index(embedding_target(data))
+    localized = grass_restriction(v_hat, origin_image(data))
     in_xy = apply_weight_map(localized, weight_map(data), n)
-    rhs = _convention_transform(in_xy, n)
+    rhs = _transform_with(
+        in_xy,
+        n,
+        CONVENTION_SWAP_XY,
+        CONVENTION_REVERSE_X,
+        CONVENTION_REVERSE_Y,
+        CONVENTION_SIGN_BY_DEGREE,
+    )
     w0 = PartialPermutation.longest(n)
     lhs = double_schubert(w0.compose(w))
     return MultidegreeReport(w, lhs, rhs)

@@ -58,7 +58,7 @@ class FieldSpec:
         """Parse a CLI field designator: ``Q`` or ``p:<prime>``."""
         if text in ("Q", "q", "rational"):
             return FieldSpec.rational()
-        if text.startswith("p:"):
+        if text.startswith("p:") and text[2:].isdigit():
             return FieldSpec.prime(int(text[2:]))
         raise FieldError(f"cannot parse field {text!r} (use 'Q' or 'p:10007')")
 
@@ -272,6 +272,20 @@ class ExactMatrix:
             raise DimensionMismatchError(f"shape mismatch {self.shape} vs {other.shape}")
 
 
+def _minus_multiple(a: list, f: Scalar, b: Sequence, p: int | None) -> list:
+    """The row a - f * b, reduced mod p over F_p (p is None over Q)."""
+    if p is None:
+        return [x - f * y for x, y in zip(a, b)]
+    return [(x - f * y) % p for x, y in zip(a, b)]
+
+
+def _scaled(f: Scalar, b: Sequence, p: int | None) -> list:
+    """The row f * b, reduced mod p over F_p (p is None over Q)."""
+    if p is None:
+        return [f * y for y in b]
+    return [f * y % p for y in b]
+
+
 def _row_echelon(
     rows: list[list[Scalar]],
     field: FieldSpec,
@@ -288,49 +302,23 @@ def _row_echelon(
         return rows, []
     m, n = len(rows), len(rows[0])
     limit = n if pivot_limit is None else pivot_limit
+    p = field.p
     pivots: list[int] = []
     r = 0
-    if field.is_prime:
-        p = field.p
-        for c in range(limit):
-            sel = next((i for i in range(r, m) if rows[i][c]), None)
-            if sel is None:
-                continue
-            rows[r], rows[sel] = rows[sel], rows[r]
-            inv = pow(rows[r][c], -1, p)
-            rows[r] = [(v * inv) % p for v in rows[r]]
-            row_r = rows[r]
-            targets = range(m) if reduced else range(r + 1, m)
-            for i in targets:
-                if i == r:
-                    continue
-                factor = rows[i][c]
-                if factor:
-                    rows[i] = [(a - factor * b) % p for a, b in zip(rows[i], row_r)]
-            pivots.append(c)
-            r += 1
-            if r == m:
-                break
-    else:
-        for c in range(limit):
-            sel = next((i for i in range(r, m) if rows[i][c]), None)
-            if sel is None:
-                continue
-            rows[r], rows[sel] = rows[sel], rows[r]
-            inv = Fraction(1) / rows[r][c]
-            rows[r] = [v * inv for v in rows[r]]
-            row_r = rows[r]
-            targets = range(m) if reduced else range(r + 1, m)
-            for i in targets:
-                if i == r:
-                    continue
-                factor = rows[i][c]
-                if factor:
-                    rows[i] = [a - factor * b for a, b in zip(rows[i], row_r)]
-            pivots.append(c)
-            r += 1
-            if r == m:
-                break
+    for c in range(limit):
+        sel = next((i for i in range(r, m) if rows[i][c]), None)
+        if sel is None:
+            continue
+        rows[r], rows[sel] = rows[sel], rows[r]
+        row_r = rows[r] = _scaled(field.inv(rows[r][c]), rows[r], p)
+        targets = range(m) if reduced else range(r + 1, m)
+        for i in targets:
+            if i != r and rows[i][c]:
+                rows[i] = _minus_multiple(rows[i], rows[i][c], row_r, p)
+        pivots.append(c)
+        r += 1
+        if r == m:
+            break
     return rows, pivots
 
 

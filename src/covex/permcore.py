@@ -48,10 +48,11 @@ class PartialPermutation:
         if not text:
             raise InputError("empty permutation string")
         parts = text.split()
-        if len(parts) == 1 and len(parts[0]) > 1:
-            values = [int(ch) for ch in parts[0]]
-        else:
-            values = [int(tok) for tok in parts]
+        tokens = list(parts[0]) if len(parts) == 1 and len(parts[0]) > 1 else parts
+        try:
+            values = [int(tok) for tok in tokens]
+        except ValueError as exc:
+            raise InputError(f"bad permutation {text!r}: entries must be integers") from exc
         return PartialPermutation(len(values), tuple(values))
 
     @staticmethod

@@ -57,6 +57,9 @@ def matrix_from_json(field: FieldSpec, data: Any, where: str = "matrix") -> Exac
         rows, cols, entries = data["rows"], data["cols"], data["entries"]
     except KeyError as exc:
         raise InputError(f"{where}: missing field {exc}") from exc
+    for name, value, least in (("rows", rows, 1), ("cols", cols, 0)):
+        if isinstance(value, bool) or not isinstance(value, int) or value < least:
+            raise InputError(f"{where}: {name} must be an integer >= {least}")
     if not isinstance(entries, list) or len(entries) != rows:
         raise InputError(f"{where}: entries must be a list of {rows} rows")
     parsed = []

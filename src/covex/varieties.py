@@ -3,26 +3,29 @@ Schubert varieties, plus cell location.
 
 All the rank conditions here are of the "southwest" kind: the dimension
 dim(x E_j / E_{i-1}) equals the rank of the submatrix of x on rows i..n and
-columns 1..j, so one elimination pass per starting row yields the whole
-profile of a matrix.
+columns 1..j.  One bottom-up elimination pass yields the whole profile of a
+matrix, and every Schubert condition is an entry of it.  So is every
+Grassmannian condition: dim(V + E_t) = t + rank of rows t+1..N of a basis
+matrix of V.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import accumulate
+from typing import Iterable
 
 from .errors import DimensionMismatchError, InputError
 from .exactla import (
     ExactMatrix,
     FieldSpec,
     Subspace,
-    _row_echelon,
+    _minus_multiple,
+    _scaled,
     random_borel,
-    standard_subspace,
-    subspace_sum,
 )
-from .permcore import PartialPermutation, rank_matrix
+from .permcore import PartialPermutation, essential_set, rank_matrix
 
 
 @dataclass(frozen=True)
@@ -97,18 +100,55 @@ class GrassIndex:
 
 
 def southwest_profile(x: ExactMatrix) -> tuple[tuple[int, ...], ...]:
-    """All dim(x E_j / E_{i-1}) = rank of x[i.., ..j], as profile[i-1][j-1]."""
-    n_rows, n_cols = x.rows, x.cols
+    """All dim(x E_j / E_{i-1}) = rank of x[i.., ..j], as profile[i-1][j-1].
+
+    Rows go bottom-up into an echelon basis with distinct leftmost nonzero
+    columns (pivots); then rank x[i.., ..j] is the number of pivots <= j.
+    """
     field = x.field
+    p = field.p
+    n_cols = x.cols
+    basis: dict[int, list] = {}  # pivot column -> vector, 1 at the pivot
+    is_pivot = [0] * n_cols
     profile = []
-    for i in range(1, n_rows + 1):
-        rows = [list(r) for r in x.entries[i - 1 :]]
-        _, pivots = _row_echelon(rows, field)
-        # pivots are 0-based column indices of the echelon form; the rank of
-        # the first j columns is the number of pivots < j
-        ranks = tuple(sum(1 for p in pivots if p < j) for j in range(1, n_cols + 1))
-        profile.append(ranks)
+    for v in reversed(x.entries):
+        c = next((k for k, a in enumerate(v) if a), None)
+        while c in basis:
+            v = _minus_multiple(v, v[c], basis[c], p)
+            c = next((k for k in range(c + 1, n_cols) if v[k]), None)
+        if c is not None:
+            basis[c] = _scaled(field.inv(v[c]), v, p)
+            is_pivot[c] = 1
+        profile.append(tuple(accumulate(is_pivot)))
+    profile.reverse()
     return tuple(profile)
+
+
+def standard_sum_dims(subspace: Subspace) -> tuple[int, ...]:
+    """dim(V + E_t) = t + rank of rows t+1..N of V's basis, for t = 0..N."""
+    N, d = subspace.ambient, subspace.dim
+    if d == 0:
+        return tuple(range(N + 1))
+    profile = southwest_profile(subspace.basis_matrix())
+    return tuple(t + profile[t][d - 1] for t in range(N)) + (N,)
+
+
+def _first_excess(
+    profile: tuple[tuple[int, ...], ...], bounds: Iterable[tuple[int, int, int]]
+) -> tuple[int, int, int, int] | None:
+    """First (i, j, rank, bound) whose profile entry exceeds its bound."""
+    for i, j, bound in bounds:
+        got = profile[i - 1][j - 1]
+        if got > bound:
+            return (i, j, got, bound)
+    return None
+
+
+def _rank_matrix_bounds(w: PartialPermutation) -> Iterable[tuple[int, int, int]]:
+    rm = rank_matrix(w)
+    return (
+        (i, j, rm.entry(i, j)) for i in range(1, w.n + 1) for j in range(1, w.n + 1)
+    )
 
 
 def in_matrix_schubert(
@@ -123,22 +163,11 @@ def matrix_schubert_violation(
     """First violated condition (i, j, dim, bound), or None if x lies in g_w."""
     if x.shape != (w.n, w.n):
         raise DimensionMismatchError("matrix size differs from permutation size")
-    rm = rank_matrix(w)
     if essential_only:
-        from .permcore import essential_set
-
-        for cond in essential_set(w):
-            sub = x.submatrix(range(cond.row, w.n + 1), range(1, cond.col + 1))
-            got = sub.rank()
-            if got > cond.rank:
-                return (cond.row, cond.col, got, cond.rank)
-        return None
-    profile = southwest_profile(x)
-    for i in range(1, w.n + 1):
-        for j in range(1, w.n + 1):
-            if profile[i - 1][j - 1] > rm.entry(i, j):
-                return (i, j, profile[i - 1][j - 1], rm.entry(i, j))
-    return None
+        bounds = ((c.row, c.col, c.rank) for c in essential_set(w))
+    else:
+        bounds = _rank_matrix_bounds(w)
+    return _first_excess(southwest_profile(x), bounds)
 
 
 def in_matrix_schubert_cell(x: ExactMatrix, w: PartialPermutation) -> bool:
@@ -160,13 +189,7 @@ def flag_schubert_violation(
         raise InputError("flag Schubert membership requires a permutation")
     if flag.n != w.n:
         raise DimensionMismatchError("flag size differs from permutation size")
-    rm = rank_matrix(w)
-    profile = southwest_profile(flag.generator)
-    for i in range(1, w.n + 1):
-        for j in range(1, w.n + 1):
-            if profile[i - 1][j - 1] > rm.entry(i, j):
-                return (i, j, profile[i - 1][j - 1], rm.entry(i, j))
-    return None
+    return _first_excess(southwest_profile(flag.generator), _rank_matrix_bounds(w))
 
 
 def locate_flag_cell(flag: Flag) -> PartialPermutation:
@@ -204,11 +227,11 @@ def grass_schubert_violation(
         raise DimensionMismatchError("ambient dimension differs from N")
     if subspace.dim != idx.d:
         raise DimensionMismatchError(f"subspace dimension {subspace.dim} is not d={idx.d}")
-    field = subspace.field
+    dims = standard_sum_dims(subspace)
     targets = idx.redundancy_free() if minimal_only else range(1, idx.d + 1)
     for i in targets:
         u_i = idx.positions[i - 1]
-        total = subspace_sum(subspace, standard_subspace(field, idx.N, u_i)).dim
+        total = dims[u_i]
         bound = idx.d + u_i - i
         if total > bound:
             return (i, total, bound)
@@ -217,11 +240,8 @@ def grass_schubert_violation(
 
 def locate_grass_cell(subspace: Subspace) -> GrassIndex:
     """Positions j where dim(V + E_j) does not jump; V lies in that open cell."""
-    field = subspace.field
     N = subspace.ambient
-    dims = [subspace.dim]
-    for j in range(1, N + 1):
-        dims.append(subspace_sum(subspace, standard_subspace(field, N, j)).dim)
+    dims = standard_sum_dims(subspace)
     positions = tuple(j for j in range(1, N + 1) if dims[j] == dims[j - 1])
     return GrassIndex(subspace.dim, N, positions)
 

@@ -238,3 +238,39 @@ def test_suite_reports_are_deterministic():
         )
 
     assert render(7) == render(7)
+
+
+def assert_one_error_line(code, out, err):
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_cli_bad_compact_permutation(capsys):
+    assert_one_error_line(*run_cli(capsys, "ess", "2a43"))
+
+
+def test_cli_unparsable_field_modulus(capsys):
+    assert_one_error_line(*run_cli(capsys, "--field", "p:abc", "ess", "2143"))
+
+
+def test_cli_grass_fiber_is_an_input_error(capsys, tmp_path):
+    matrix = write_json(tmp_path, "x.json", matrix_to_json(ExactMatrix.identity(F, 4)))
+    code, out, err = run_cli(capsys, "conormal", "fiber", "grass", matrix, "--w", "2143")
+    assert_one_error_line(code, out, err)
+    assert "grass" in err
+
+
+def test_cli_conormal_matrix_requires_w(capsys, tmp_path):
+    zero = matrix_to_json(ExactMatrix.zeros(F, 2, 2))
+    point = write_json(tmp_path, "pt.json", {"x": zero, "y": zero})
+    assert_one_error_line(*run_cli(capsys, "conormal", "member", "matrix", point))
+
+
+def test_matrix_from_json_rejects_bad_shapes():
+    with pytest.raises(InputError, match="rows"):
+        matrix_from_json(F, {"rows": 0, "cols": 3, "entries": []})
+    with pytest.raises(InputError, match="cols"):
+        matrix_from_json(F, {"rows": 1, "cols": -1, "entries": [[]]})
+    # a basis with no columns is the zero subspace and stays valid
+    assert matrix_from_json(F, {"rows": 2, "cols": 0, "entries": [[], []]}).shape == (2, 0)

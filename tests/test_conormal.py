@@ -16,16 +16,21 @@ from covex.conormal import (
     in_conormal_flag,
     in_conormal_grass,
     in_conormal_matrix,
+    mij_ranks,
     push_graph,
     push_iota,
     springer_flag,
     springer_grass,
-    submatrix_Mij,
     tangent_orbit_rank,
     vector_to_matrix,
 )
 from covex.embedding import embed_point, tau_permutation
-from covex.errors import CellMembershipError, InvariantError, NotCovexillaryError
+from covex.errors import (
+    CellMembershipError,
+    DimensionMismatchError,
+    InvariantError,
+    NotCovexillaryError,
+)
 from covex.exactla import (
     ExactMatrix,
     FieldSpec,
@@ -53,6 +58,24 @@ def unit_matrix(n, i, j):
 
 def fiber_matrices(fiber, n):
     return [vector_to_matrix(F, v, n) for v in fiber.vectors]
+
+
+def mij_rows_cols(data, i, j):
+    """The explicit index sets of M_ij: rows {q_j+1..n, n+p_j+1..2n},
+    columns {1..q_i, n+1..n+p_i}."""
+    n = data.n
+    rows = list(range(data.q_at(j) + 1, n + 1)) + list(
+        range(n + data.p_at(j) + 1, 2 * n + 1)
+    )
+    cols = list(range(1, data.q_at(i) + 1)) + list(range(n + 1, n + data.p_at(i) + 1))
+    return rows, cols
+
+
+def submatrix_mij(m, data, i, j):
+    if not 0 <= j < i <= data.m:
+        raise IndexError(f"pair ({i},{j}) outside 0 <= j < i <= m")
+    rows, cols = mij_rows_cols(data, i, j)
+    return m.submatrix(rows, cols)
 
 
 def test_big_matrix_fixtures():
@@ -87,13 +110,38 @@ def test_submatrix_index_arithmetic():
     pt = CotangentMatrixPoint(w.matrix(F), unit_matrix(4, 1, 3))
     m = big_matrix_M(pt)
     # (m, 0) is all of M
-    assert submatrix_Mij(m, data, data.m, 0) == m
+    assert submatrix_mij(m, data, data.m, 0) == m
     # (1, 0): all rows, columns {1, 2, 5, 6}
-    sub = submatrix_Mij(m, data, 1, 0)
+    sub = submatrix_mij(m, data, 1, 0)
     assert sub.shape == (8, 4)
     assert sub == m.submatrix(range(1, 9), [1, 2, 5, 6])
     with pytest.raises(IndexError):
-        submatrix_Mij(m, data, 0, 0)
+        submatrix_mij(m, data, 0, 0)
+
+
+def test_mij_ranks_match_explicit_submatrices():
+    """The tau-conjugated profile gives rank M_ij for every pair.
+
+    Checked for every covexillary partial w with n <= 4 on a random point, a
+    cell point with a fiber covector, and a cell point with a random y.
+    """
+    rng = random.Random(13)
+    for n in (1, 2, 3, 4):
+        for w in all_partial_permutations(n):
+            if not is_covexillary(w):
+                continue
+            data = covexillary_data(w)
+            x = sample_cell_point(w, F, rng)
+            fiber = conormal_fiber_matrix(x, w)
+            ys = fiber_matrices(fiber, n)[-1:] + [random_matrix(F, n, n, rng)]
+            points = [(random_matrix(F, n, n, rng), random_matrix(F, n, n, rng))]
+            points += [(x, y) for y in ys]
+            for px, py in points:
+                m = big_matrix_M(CotangentMatrixPoint(px, py))
+                ranks = mij_ranks(m, data)
+                assert list(ranks) == list(bound_table(data).pairs())
+                for (i, j), got in ranks.items():
+                    assert got == submatrix_mij(m, data, i, j).rank()
 
 
 def test_bound_table_longest_element_forces_zero_section():
@@ -101,7 +149,7 @@ def test_bound_table_longest_element_forces_zero_section():
     for n in (2, 3):
         w0 = PartialPermutation.longest(n)
         data = covexillary_data(w0)
-        table = bound_table(data, n)
+        table = bound_table(data)
         assert table.pairs() == ((1, 0),)
         assert table.bound(1, 0) == 0
         x = sample_cell_point(w0, F, rng)
@@ -199,7 +247,7 @@ def test_terminal_rank_convention_never_binds():
             for y in fiber_matrices(fiber, n):
                 m = big_matrix_M(CotangentMatrixPoint(x, y))
                 for i, j in loose.pairs():
-                    got = submatrix_Mij(m, data, i, j).rank()
+                    got = submatrix_mij(m, data, i, j).rank()
                     assert got <= tight.bound(i, j) <= loose.bound(i, j)
 
 
@@ -215,10 +263,10 @@ def test_signed_and_unsigned_submatrices_have_equal_ranks():
             yx, xy = y @ x, x @ y
             unsigned = yx.hstack(y).vstack((x @ yx).hstack(xy))
             signed = (-yx).hstack(y).vstack((-(x @ yx)).hstack(xy))
-            for i, j in bound_table(data, w.rank).pairs():
+            for i, j in bound_table(data).pairs():
                 assert (
-                    submatrix_Mij(unsigned, data, i, j).rank()
-                    == submatrix_Mij(signed, data, i, j).rank()
+                    submatrix_mij(unsigned, data, i, j).rank()
+                    == submatrix_mij(signed, data, i, j).rank()
                 )
 
 
@@ -235,6 +283,13 @@ def test_grass_conormal_fixtures():
     # not a point of the Schubert variety at all
     off = coordinate_subspace(F, 4, [3, 4])
     assert not in_conormal_grass(SpringerGrassPoint(off, zero), conditions)
+
+
+def test_grass_conormal_rejects_positions_outside_the_ambient():
+    point = SpringerGrassPoint(coordinate_subspace(F, 4, [1, 3]), ExactMatrix.zeros(F, 4, 4))
+    for conditions in ([(5, 1)], [(-1, 0)]):
+        with pytest.raises(DimensionMismatchError):
+            in_conormal_grass(point, conditions)
 
 
 def test_springer_point_invariants():

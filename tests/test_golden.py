@@ -1,0 +1,48 @@
+"""Golden reports: suite stdout digests and exact CLI diagnostics.
+
+The digests and the expected CLI output were recorded from the reference
+implementation; any change to a verdict, a suite detail or a ``dim``/``rank``
+diagnostic shows up here as a mismatch.  The point files under ``golden/``
+are chosen so that every command hits at least one violation.
+"""
+
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
+
+from covex.cli import main
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
+
+# sha256 of `covex verify <suite> --nmax 3 --trials 2 --seed 0` stdout
+SUITE_DIGESTS = {
+    "embed-thm": "8f49a4befe434d64feb9163acebdbe8fcde36fd3a27b08226a3e9de91fbbeb38",
+    "rank-lemma": "162a43a59272a6739eef69ed912476750c72fdc26cbffddfcf4117243e2455a1",
+    "conormal-matrix": "ce0cbf8b832735d64f5599613a90bc095ad194a2060e8e3d3db2098b0c2b8297",
+    "conormal-flag": "2886ab7a869c2a310de550b5f7b87871f0225d0fed6c8d20183b1d3fbdbc9460",
+    "conormal-grass": "e4109c970decfa8581f4a358c958b369260582800f33cfa0b9f602518aaba838",
+    "diagram-chase": "212585c740b5757b8645b9b67044d8ff8ae458142e7560c1cfc436e3784aa1f7",
+    "kl-covex": "a41fd6a95cb1072ea9553fe3943d1dc0ce7456ea9ed57389a265b7f60d48f8f6",
+    "multidegree": "f49e862944de536dc216108c3a3486f2201a9805b998078f51e851c3a2d7ece9",
+}
+
+CLI_CASES = json.loads((GOLDEN_DIR / "cli_stdout.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("suite", sorted(SUITE_DIGESTS))
+def test_suite_report_digest(suite, capsys):
+    code = main(["verify", suite, "--nmax", "3", "--trials", "2", "--seed", "0"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == SUITE_DIGESTS[suite]
+
+
+@pytest.mark.parametrize("name", sorted(CLI_CASES))
+def test_cli_stdout(name, capsys, monkeypatch):
+    case = CLI_CASES[name]
+    monkeypatch.chdir(GOLDEN_DIR)
+    code = main(list(case["argv"]))
+    assert code == case["exit"]
+    assert capsys.readouterr().out == case["stdout"]
