@@ -3,14 +3,15 @@
 All primary output is JSON on stdout (one object, or JSON lines for suite
 reports); human-oriented summaries go to stderr.  Exit codes: 0 when the
 requested computation succeeded (membership verdicts count as success
-regardless of the boolean answer), 2 for input errors, 3 for verification
-failures.
+regardless of the boolean answer), 2 for input errors and for a reader that
+closes stdout early, 3 for verification failures.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import __version__
@@ -388,10 +389,28 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         field = FieldSpec.parse(args.field)
-        return args.func(args, field)
+        code = args.func(args, field)
+        sys.stdout.flush()
+        return code
     except CovexError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The reader closed stdout early (covex verify ... | head).  Point
+        # the descriptor at /dev/null so the flush at exit cannot fail again.
+        _silence_stdout()
+        print("error: output pipe closed", file=sys.stderr)
+        return 2
+
+
+def _silence_stdout() -> None:
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return  # an in-memory stream has no descriptor to redirect
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
 
 
 if __name__ == "__main__":

@@ -22,9 +22,9 @@ over a flag cell generator g it is {z : z and g^-1 z g strictly upper}.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Sequence
 
-from .embedding import tau_permutation
 from .errors import (
     CellMembershipError,
     DimensionMismatchError,
@@ -41,7 +41,12 @@ from .exactla import (
     subspace_intersect,
     subspace_sum,
 )
-from .permcore import CovexillaryData, PartialPermutation, covexillary_data
+from .permcore import (
+    ConormalBoundTable,
+    CovexillaryData,
+    PartialPermutation,
+    covexillary_data,
+)
 from .varieties import (
     Flag,
     in_flag_schubert,
@@ -102,27 +107,6 @@ class SpringerGrassPoint:
             raise InvariantError("V is not contained in ker(x)")
 
 
-@dataclass(frozen=True)
-class ConormalBoundTable:
-    """Rank bounds b(i, j) for the padded index pairs 0 <= j < i <= m."""
-
-    data: CovexillaryData
-    r_top: int
-
-    def r_at(self, i: int) -> int:
-        return self.r_top if i == self.data.m else self.data.r_at(i)
-
-    def bound(self, i: int, j: int) -> int:
-        d = self.data
-        case_rows = (d.q_at(i - 1) - self.r_at(i - 1)) - (d.q_at(j) - self.r_at(j))
-        case_cols = (d.p_at(i) + self.r_at(i)) - (d.p_at(j + 1) + self.r_at(j + 1))
-        return min(case_rows, case_cols)
-
-    def pairs(self) -> tuple[tuple[int, int], ...]:
-        m = self.data.m
-        return tuple((i, j) for i in range(1, m + 1) for j in range(i))
-
-
 def bound_table(data: CovexillaryData) -> ConormalBoundTable:
     """The bound table with terminal rank r_m = n.
 
@@ -143,21 +127,20 @@ def big_matrix_M(pt: CotangentMatrixPoint) -> ExactMatrix:
     return top.vstack(bottom)
 
 
-def mij_ranks(M: ExactMatrix, data: CovexillaryData) -> dict[tuple[int, int], int]:
-    """rank M_ij for every pair 0 <= j < i <= m, from one southwest profile.
+def tau_conjugated_M(pt: CotangentMatrixPoint, data: CovexillaryData) -> ExactMatrix:
+    """tau M tau^-1 for the big matrix M of pt.
 
-    M_ij is M on rows {q_j+1..n, n+p_j+1..2n} and columns {1..q_i,
-    n+1..n+p_i}.  Conjugation by tau sends these index sets to t_j+1..2n and
-    1..t_i, so rank M_ij is the southwest rank of tau M tau^-1 there.
+    It is assembled in tau order straight from the rows of yx, y, xyx and
+    xy, without materialising M.  Its southwest block on rows t_j+1..2n and
+    columns 1..t_i is M_ij, the block on rows {q_j+1..n, n+p_j+1..2n} and
+    columns {1..q_i, n+1..n+p_i} of M.
     """
-    order = tau_permutation(data).inverse().image
-    profile = southwest_profile(M.submatrix(order, order))
-    m = data.m
-    return {
-        (i, j): profile[data.t_at(j)][data.t_at(i) - 1]
-        for i in range(1, m + 1)
-        for j in range(i)
-    }
+    x, y = pt.x, pt.y
+    yx = y @ x
+    top = [a + b for a, b in zip(yx.entries, y.entries)]
+    bottom = [a + b for a, b in zip((x @ yx).entries, (x @ y).entries)]
+    in_order = itemgetter(*data.tau_order)
+    return ExactMatrix(x.field, tuple(map(in_order, in_order(top + bottom))))
 
 
 def in_conormal_matrix(pt: CotangentMatrixPoint, w: PartialPermutation) -> bool:
@@ -180,14 +163,11 @@ def conormal_matrix_violations(
         out.append({"kind": "schubert", "condition": base})
         if first_only:
             return out
-    table = bound_table(data)
-    ranks = mij_ranks(big_matrix_M(pt), data)
-    for i, j in table.pairs():
-        bound = table.bound(i, j)
-        if ranks[i, j] > bound:
-            out.append(
-                {"kind": "rank", "i": i, "j": j, "rank": ranks[i, j], "bound": bound}
-            )
+    profile = southwest_profile(tau_conjugated_M(pt, data))
+    for i, j, row, col, bound in data.conormal_checks:
+        rank = profile[row][col]
+        if rank > bound:
+            out.append({"kind": "rank", "i": i, "j": j, "rank": rank, "bound": bound})
             if first_only:
                 return out
     return out

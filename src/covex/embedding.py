@@ -20,21 +20,10 @@ from .varieties import GrassIndex, standard_sum_dims
 def tau_permutation(data: CovexillaryData) -> PartialPermutation:
     """The interleaving permutation of S_2n attached to covexillary data.
 
-    Block step i sends the basis vectors e_{q_{i-1}+1}..e_{q_i} and then
-    e_{n+p_{i-1}+1}..e_{n+p_i} to the next run of consecutive targets, so
-    the preimage of E_{t_i} is always <e_1..e_{q_i}, e_{n+1}..e_{n+p_i}>.
+    The preimage of E_{t_i} under it is <e_1..e_{q_i}, e_{n+1}..e_{n+p_i}>;
+    CovexillaryData.tau builds it once per instance of the data.
     """
-    n = data.n
-    image = [0] * (2 * n)
-    next_target = 1
-    for i in range(1, data.m + 1):
-        for j in range(data.q_at(i - 1) + 1, data.q_at(i) + 1):
-            image[j - 1] = next_target
-            next_target += 1
-        for j in range(n + data.p_at(i - 1) + 1, n + data.p_at(i) + 1):
-            image[j - 1] = next_target
-            next_target += 1
-    return PartialPermutation(2 * n, tuple(image))
+    return data.tau
 
 
 @dataclass(frozen=True)
@@ -73,10 +62,8 @@ def graph_embed(x: ExactMatrix) -> Subspace:
 
 def embed_point(x: ExactMatrix, data: CovexillaryData) -> Subspace:
     """tau applied to the graph of x; sends 0 to the coordinate point of tau."""
-    tau = tau_permutation(data)
     stacked = ExactMatrix.identity(x.field, x.rows).vstack(x)
-    permuted = tau.matrix(x.field) @ stacked
-    return Subspace.column_span(permuted)
+    return Subspace.column_span(tau_permutation(data).permute_rows(stacked))
 
 
 def origin_image(data: CovexillaryData) -> GrassIndex:

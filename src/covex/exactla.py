@@ -8,9 +8,12 @@ identical representations and can be compared with `==`.
 
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from itertools import accumulate
 from typing import Iterable, Sequence, Union
 
 from .errors import (
@@ -74,11 +77,15 @@ class FieldSpec:
 
     def coerce(self, value) -> Scalar:
         if self.is_prime:
+            if type(value) is int:
+                return value % self.p
             if isinstance(value, Fraction):
                 if value.denominator == 1:
                     return value.numerator % self.p
                 return (value.numerator * pow(value.denominator, -1, self.p)) % self.p
             return int(value) % self.p
+        if type(value) is Fraction:
+            return value
         return Fraction(value)
 
     def add(self, a: Scalar, b: Scalar) -> Scalar:
@@ -102,14 +109,37 @@ class FieldSpec:
         return self.mul(a, self.inv(b))
 
 
+# The first 13 primes.  As Miller-Rabin bases they decide primality exactly
+# for every n below 3.3 * 10^24 (Sorenson and Webster, 2015).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MAX_PRIME_MODULUS = 3_317_044_064_679_887_385_961_981
+
+
 def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin for n < MAX_PRIME_MODULUS."""
+    if n >= MAX_PRIME_MODULUS:
+        raise FieldError(
+            f"modulus {n} is too large: primality is decided only below {MAX_PRIME_MODULUS}"
+        )
     if n < 2:
         return False
-    i = 2
-    while i * i <= n:
-        if n % i == 0:
+    for a in _MR_BASES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        i += 1
     return True
 
 
@@ -129,8 +159,7 @@ class ExactMatrix:
     entries: tuple[tuple[Scalar, ...], ...]
 
     def __post_init__(self):
-        widths = {len(row) for row in self.entries}
-        if len(widths) > 1:
+        if len(set(map(len, self.entries))) > 1:
             raise DimensionMismatchError("ragged rows in matrix")
 
     @staticmethod
@@ -208,20 +237,16 @@ class ExactMatrix:
                 f"cannot multiply {self.shape} by {other.shape}"
             )
         f = self.field
+        mul = operator.mul
+        bt = list(zip(*other.entries))
+        # list comprehensions: a generator per row costs more than the sums
         if f.is_prime:
             p = f.p
-            bt = list(zip(*other.entries))
-            data = tuple(
-                tuple(sum(a * b for a, b in zip(row, col)) % p for col in bt)
-                for row in self.entries
-            )
-            return ExactMatrix(f, data)
-        bt = list(zip(*other.entries))
-        data = tuple(
-            tuple(sum((a * b for a, b in zip(row, col)), Fraction(0)) for col in bt)
-            for row in self.entries
-        )
-        return ExactMatrix(f, data)
+            data = [tuple([sum(map(mul, row, col)) % p for col in bt]) for row in self.entries]
+        else:
+            zero = Fraction(0)
+            data = [tuple([sum(map(mul, row, col), zero) for col in bt]) for row in self.entries]
+        return ExactMatrix(f, tuple(data))
 
     def scalar_mul(self, c) -> "ExactMatrix":
         f = self.field
@@ -253,7 +278,35 @@ class ExactMatrix:
         )
 
     def rank(self) -> int:
-        return len(_row_echelon([list(r) for r in self.entries], self.field)[1])
+        return len(_row_echelon(list(self.entries), self.field)[1])
+
+    @cached_property
+    def southwest_profile(self) -> tuple[tuple[int, ...], ...]:
+        """Every southwest rank, profile[i-1][j-1] = rank of rows i.., columns ..j.
+
+        Computed once per matrix.  Rows go bottom-up into an echelon basis
+        with distinct leftmost nonzero columns (pivots); then the rank of
+        rows i.., columns ..j is the number of pivots <= j.
+        """
+        field = self.field
+        p = field.p
+        n_cols = self.cols
+        basis: dict[int, list] = {}  # pivot column -> vector, 1 at the pivot
+        is_pivot = [0] * n_cols
+        profile = []
+        for v in reversed(self.entries):
+            for c in range(n_cols):
+                a = v[c]
+                if a:
+                    b = basis.get(c)
+                    if b is None:
+                        basis[c] = _scaled(field.inv(a), v, p)
+                        is_pivot[c] = 1
+                        break
+                    v = _minus_multiple(v, a, b, p)
+            profile.append(tuple(accumulate(is_pivot)))
+        profile.reverse()
+        return tuple(profile)
 
     def inverse(self) -> "ExactMatrix":
         if not self.is_square():
@@ -287,13 +340,14 @@ def _scaled(f: Scalar, b: Sequence, p: int | None) -> list:
 
 
 def _row_echelon(
-    rows: list[list[Scalar]],
+    rows: list[Sequence[Scalar]],
     field: FieldSpec,
     reduced: bool = False,
     pivot_limit: int | None = None,
-) -> tuple[list[list[Scalar]], list[int]]:
-    """In-place Gaussian elimination.
+) -> tuple[list[Sequence[Scalar]], list[int]]:
+    """Gaussian elimination on the list ``rows``.
 
+    Rows are replaced, never mutated in place, so they may be tuples.
     Returns the (reduced) row-echelon form and the list of 0-based pivot
     columns.  ``pivot_limit`` restricts pivot search to the first columns,
     which is how augmented systems are solved.
@@ -322,11 +376,6 @@ def _row_echelon(
     return rows, pivots
 
 
-def rank(matrix: ExactMatrix) -> int:
-    """Exact rank via Gaussian elimination."""
-    return matrix.rank()
-
-
 @dataclass(frozen=True)
 class Subspace:
     """A linear subspace stored by a canonical reduced-echelon basis.
@@ -348,9 +397,7 @@ class Subspace:
         for row in rows:
             if len(row) != ambient:
                 raise DimensionMismatchError("vector length differs from ambient dimension")
-        reduced, pivots = _row_echelon(rows, field, reduced=True)
-        basis = tuple(tuple(reduced[i]) for i in range(len(pivots)))
-        return Subspace(field, ambient, basis, tuple(pivots))
+        return _span_rows(field, ambient, rows)
 
     @staticmethod
     def zero(field: FieldSpec, ambient: int) -> "Subspace":
@@ -362,7 +409,7 @@ class Subspace:
 
     @staticmethod
     def column_span(matrix: ExactMatrix) -> "Subspace":
-        return Subspace.span(matrix.field, matrix.rows, zip(*matrix.entries))
+        return _span_rows(matrix.field, matrix.rows, zip(*matrix.entries))
 
     @property
     def dim(self) -> int:
@@ -376,17 +423,19 @@ class Subspace:
 
     def contains_vector(self, vector: Sequence) -> bool:
         f = self.field
-        v = [f.coerce(x) for x in vector]
-        for row, pivot in zip(self.vectors, self.pivots):
-            coeff = v[pivot]
-            if coeff:
-                v = [f.sub(a, f.mul(coeff, b)) for a, b in zip(v, row)]
-        zero = f.zero()
-        return all(x == zero for x in v)
+        return self._reduces_to_zero([f.coerce(x) for x in vector])
 
     def contains(self, other: "Subspace") -> bool:
         self._check_compatible(other)
-        return all(self.contains_vector(v) for v in other.vectors)
+        return all(self._reduces_to_zero(v) for v in other.vectors)
+
+    def _reduces_to_zero(self, v: Sequence[Scalar]) -> bool:
+        """Whether a vector of field elements lies in this subspace."""
+        p = self.field.p
+        for row, pivot in zip(self.vectors, self.pivots):
+            if v[pivot]:
+                v = _minus_multiple(v, v[pivot], row, p)
+        return not any(v)
 
     def apply(self, matrix: ExactMatrix) -> "Subspace":
         """Image of this subspace under the linear map ``matrix``."""
@@ -420,7 +469,14 @@ def standard_subspace(field: FieldSpec, ambient: int, j: int) -> Subspace:
 
 def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
     a._check_compatible(b)
-    return Subspace.span(a.field, a.ambient, a.vectors + b.vectors)
+    return _span_rows(a.field, a.ambient, a.vectors + b.vectors)
+
+
+def _span_rows(field: FieldSpec, ambient: int, rows: Iterable[Sequence[Scalar]]) -> Subspace:
+    """Span of vectors whose entries are already elements of the field."""
+    reduced, pivots = _row_echelon(list(rows), field, reduced=True)
+    basis = tuple(tuple(reduced[i]) for i in range(len(pivots)))
+    return Subspace(field, ambient, basis, tuple(pivots))
 
 
 def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:

@@ -16,9 +16,15 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
-from .errors import EssentialDataError, InputError, NotCovexillaryError
+from .errors import (
+    DimensionMismatchError,
+    EssentialDataError,
+    InputError,
+    NotCovexillaryError,
+)
 from .exactla import ExactMatrix, FieldSpec
 
 
@@ -124,6 +130,49 @@ class PartialPermutation:
             raise InputError("compose requires two permutations of equal size")
         return PartialPermutation(self.n, tuple(self.image[v - 1] for v in other.image))
 
+    def permute_rows(self, matrix: ExactMatrix) -> ExactMatrix:
+        """self.matrix(field) @ matrix, by moving row j of matrix to row self(j)."""
+        if matrix.rows != self.n:
+            raise DimensionMismatchError("matrix row count differs from permutation size")
+        zero_row = (matrix.field.zero(),) * matrix.cols
+        rows = [zero_row] * self.n
+        for r, c in self.dots():
+            rows[r - 1] = matrix.entries[c - 1]
+        return ExactMatrix(matrix.field, tuple(rows))
+
+    # Derived data, computed at most once per instance.  cached_property
+    # stores it in the instance __dict__, which the frozen dataclass's
+    # __eq__, __hash__, __repr__ and replace() never look at.
+
+    @cached_property
+    def _rank_matrix(self) -> "RankMatrix":
+        n = self.n
+        grid = [[0] * (n + 1) for _ in range(n + 2)]
+        for r, c in self.dots():
+            grid[r][c] = 1
+        # suffix sum over rows, prefix sum over columns
+        entries = [[0] * n for _ in range(n)]
+        for i in range(n, 0, -1):
+            acc = 0
+            for j in range(1, n + 1):
+                acc += grid[i][j]
+                entries[i - 1][j - 1] = acc + (entries[i][j - 1] if i < n else 0)
+        return RankMatrix(n, tuple(tuple(row) for row in entries))
+
+    @cached_property
+    def _covexillary(self) -> "CovexillaryData | tuple[tuple[int, int], tuple[int, int]]":
+        """The essential triples, or the two essential boxes that break the chain."""
+        conditions = essential_set(self)
+        for prev, cond in zip(conditions, conditions[1:]):
+            if cond.col < prev.col:
+                return ((prev.row, prev.col), (cond.row, cond.col))
+        return CovexillaryData(
+            self.n,
+            tuple(c.row - 1 for c in conditions),
+            tuple(c.col for c in conditions),
+            tuple(c.rank for c in conditions),
+        )
+
 
 @dataclass(frozen=True)
 class RankMatrix:
@@ -134,6 +183,15 @@ class RankMatrix:
 
     def entry(self, i: int, j: int) -> int:
         return self.entries[i - 1][j - 1]
+
+    @cached_property
+    def cells(self) -> tuple[tuple[int, int, int], ...]:
+        """(i, j, r(i, j)) for every box, row by row; built once per instance."""
+        return tuple(
+            (i, j, r)
+            for i, row in enumerate(self.entries, 1)
+            for j, r in enumerate(row, 1)
+        )
 
     def dominates(self, other: "RankMatrix") -> bool:
         return all(
@@ -151,19 +209,11 @@ class EssentialCondition:
 
 
 def rank_matrix(w: PartialPermutation) -> RankMatrix:
-    """Rank matrix of w: entry (i, j) counts dots in rows i..n, columns 1..j."""
-    n = w.n
-    grid = [[0] * (n + 1) for _ in range(n + 2)]
-    for r, c in w.dots():
-        grid[r][c] = 1
-    # suffix sum over rows, prefix sum over columns
-    entries = [[0] * n for _ in range(n)]
-    for i in range(n, 0, -1):
-        acc = 0
-        for j in range(1, n + 1):
-            acc += grid[i][j]
-            entries[i - 1][j - 1] = acc + (entries[i][j - 1] if i < n else 0)
-    return RankMatrix(n, tuple(tuple(row) for row in entries))
+    """Rank matrix of w: entry (i, j) counts dots in rows i..n, columns 1..j.
+
+    Computed once per instance of w.
+    """
+    return w._rank_matrix
 
 
 def _shaded_grid(w: PartialPermutation) -> list[list[bool]]:
@@ -314,26 +364,87 @@ class CovexillaryData:
             EssentialCondition(pi + 1, qi, ri) for pi, qi, ri in self.triples
         )
 
+    @cached_property
+    def tau(self) -> PartialPermutation:
+        """The interleaving permutation of S_2n, built once per instance.
+
+        Block step i sends the basis vectors e_{q_{i-1}+1}..e_{q_i} and then
+        e_{n+p_{i-1}+1}..e_{n+p_i} to the next run of consecutive targets, so
+        the preimage of E_{t_i} is always <e_1..e_{q_i}, e_{n+1}..e_{n+p_i}>.
+        """
+        n = self.n
+        image = [0] * (2 * n)
+        next_target = 1
+        for i in range(1, self.m + 1):
+            for j in range(self.q_at(i - 1) + 1, self.q_at(i) + 1):
+                image[j - 1] = next_target
+                next_target += 1
+            for j in range(n + self.p_at(i - 1) + 1, n + self.p_at(i) + 1):
+                image[j - 1] = next_target
+                next_target += 1
+        return PartialPermutation(2 * n, tuple(image))
+
+    @cached_property
+    def tau_order(self) -> tuple[int, ...]:
+        """tau^-1(1), ..., tau^-1(2n), 0-based.
+
+        Listing the rows and columns of a 2n x 2n matrix M in this order
+        gives tau M tau^-1.
+        """
+        return tuple(c - 1 for c in self.tau.inverse().image)
+
+    @cached_property
+    def conormal_checks(self) -> tuple[tuple[int, int, int, int, int], ...]:
+        """(i, j, t_j, t_i - 1, b(i, j)) for 0 <= j < i <= m.
+
+        rank M_ij is entry [t_j][t_i - 1] of the southwest profile of
+        tau M tau^-1, and b(i, j) is its bound in the conormal criterion,
+        with terminal rank r_m = n as in conormal.bound_table.
+        """
+        table = ConormalBoundTable(self, self.n)
+        return tuple(
+            (i, j, self.t_at(j), self.t_at(i) - 1, table.bound(i, j))
+            for i, j in table.pairs()
+        )
+
+
+@dataclass(frozen=True)
+class ConormalBoundTable:
+    """Rank bounds b(i, j) of the conormal criterion for 0 <= j < i <= m.
+
+    The bounds depend only on the essential triples and the terminal rank
+    r_m; each is the minimum of the two case formulas.
+    """
+
+    data: CovexillaryData
+    r_top: int
+
+    def r_at(self, i: int) -> int:
+        return self.r_top if i == self.data.m else self.data.r_at(i)
+
+    def bound(self, i: int, j: int) -> int:
+        d = self.data
+        case_rows = (d.q_at(i - 1) - self.r_at(i - 1)) - (d.q_at(j) - self.r_at(j))
+        case_cols = (d.p_at(i) + self.r_at(i)) - (d.p_at(j + 1) + self.r_at(j + 1))
+        return min(case_rows, case_cols)
+
+    def pairs(self) -> tuple[tuple[int, int], ...]:
+        m = self.data.m
+        return tuple((i, j) for i in range(1, m + 1) for j in range(i))
+
 
 def covexillary_data(w: PartialPermutation) -> CovexillaryData:
     """Essential triples of w, or NotCovexillaryError naming a violating pair.
 
     The essential boxes, read in (row, col) order, must have both rows and
     columns weakly increasing.  For permutations this succeeds exactly when
-    w avoids the pattern 3412.
+    w avoids the pattern 3412.  The answer is derived once per instance of
+    w; the error is raised afresh on every call.
     """
-    conditions = essential_set(w)
-    prev = None
-    for cond in conditions:
-        if prev is not None and cond.col < prev.col:
-            raise NotCovexillaryError((prev.row, prev.col), (cond.row, cond.col))
-        prev = cond
-    return CovexillaryData(
-        w.n,
-        tuple(c.row - 1 for c in conditions),
-        tuple(c.col for c in conditions),
-        tuple(c.rank for c in conditions),
-    )
+    found = w._covexillary
+    if isinstance(found, CovexillaryData):
+        return found
+    raise NotCovexillaryError(*found)
 
 
 def is_covexillary(w: PartialPermutation) -> bool:

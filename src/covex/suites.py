@@ -83,6 +83,9 @@ _DEFAULTS = {
 REJECTION_TRIALS = 200
 REJECTION_THRESHOLD = 0.95
 
+# kl-covex builds the KL table of S_2n; S_10 (3.6M permutations) does not fit.
+KL_COVEX_MAX_N = 4
+
 
 @dataclass(frozen=True)
 class SuiteConfig:
@@ -106,6 +109,11 @@ class SuiteConfig:
             raise InputError("n_max must be at least 1")
         if trials < 1:
             raise InputError("trials must be at least 1")
+        if self.suite == "kl-covex" and n_max > KL_COVEX_MAX_N:
+            raise InputError(
+                f"kl-covex needs the KL table of S_2n, out of reach beyond "
+                f"n_max {KL_COVEX_MAX_N} (S_10 has 3.6M permutations)"
+            )
         FieldSpec.prime(self.prime)  # validates primality
         return SuiteConfig(self.suite, n_max, trials, self.prime, self.seed)
 
@@ -425,12 +433,11 @@ def _suite_conormal_grass(config: SuiteConfig) -> list[Verdict]:
 
 
 def _chase_to_grass(
-    w: PartialPermutation, x: ExactMatrix, y: ExactMatrix, field: FieldSpec
+    w: PartialPermutation, x: ExactMatrix, y: ExactMatrix
 ) -> SpringerGrassPoint:
-    data = covexillary_data(w)
-    tau_mat = tau_permutation(data).matrix(field)
+    tau = tau_permutation(covexillary_data(w))
     h1, theta = push_graph(CotangentMatrixPoint(x, y))
-    return springer_grass(tau_mat @ h1, theta, w.n)
+    return springer_grass(tau.permute_rows(h1), theta, w.n)
 
 
 def _suite_diagram_chase(config: SuiteConfig) -> list[Verdict]:
@@ -450,7 +457,7 @@ def _suite_diagram_chase(config: SuiteConfig) -> list[Verdict]:
                 fiber = conormal_fiber_matrix(x, w)
                 for y in _fiber_elements(fiber, n, field, rng, extra=5):
                     samples += 1
-                    point = _chase_to_grass(w, x, y, field)
+                    point = _chase_to_grass(w, x, y)
                     square = point.x @ point.x
                     if not square.is_zero():
                         failures += 1
@@ -468,7 +475,7 @@ def _suite_diagram_chase(config: SuiteConfig) -> list[Verdict]:
                         if not in_conormal_matrix(matrix_point, w):
                             failures += 1
                             continue
-                        point = _chase_to_grass(w, matrix_point.x, matrix_point.y, field)
+                        point = _chase_to_grass(w, matrix_point.x, matrix_point.y)
                         if not in_conormal_grass(point, conditions):
                             failures += 1
             verdicts.append(

@@ -3,17 +3,17 @@ Schubert varieties, plus cell location.
 
 All the rank conditions here are of the "southwest" kind: the dimension
 dim(x E_j / E_{i-1}) equals the rank of the submatrix of x on rows i..n and
-columns 1..j.  One bottom-up elimination pass yields the whole profile of a
-matrix, and every Schubert condition is an entry of it.  So is every
-Grassmannian condition: dim(V + E_t) = t + rank of rows t+1..N of a basis
-matrix of V.
+columns 1..j.  One bottom-up elimination pass, made once per matrix,
+yields the whole profile, and every Schubert condition is an entry of it.
+So is every Grassmannian condition: dim(V + E_t) = t + rank of rows t+1..N
+of a basis matrix of V.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import accumulate
+from functools import cached_property
 from typing import Iterable
 
 from .errors import DimensionMismatchError, InputError
@@ -21,8 +21,6 @@ from .exactla import (
     ExactMatrix,
     FieldSpec,
     Subspace,
-    _minus_multiple,
-    _scaled,
     random_borel,
 )
 from .permcore import PartialPermutation, essential_set, rank_matrix
@@ -50,12 +48,19 @@ class Flag:
         return self.generator.field
 
     def subspace(self, i: int) -> Subspace:
-        """F_i = span of the first i generator columns (F_0 = 0)."""
+        """F_i = span of the first i generator columns (F_0 = 0), built once."""
         if not 0 <= i <= self.n:
             raise DimensionMismatchError(f"flag index {i} outside 0..{self.n}")
-        return Subspace.span(
-            self.field, self.n, [self.generator.column(j) for j in range(1, i + 1)]
-        )
+        memo = self._subspaces
+        if i not in memo:
+            first_columns = self.generator.submatrix(range(1, self.n + 1), range(1, i + 1))
+            memo[i] = Subspace.column_span(first_columns)
+        return memo[i]
+
+    @cached_property
+    def _subspaces(self) -> dict[int, Subspace]:
+        """F_i by i, filled in as subspace(i) asks for it."""
+        return {}
 
     def validate(self) -> None:
         if self.generator.rank() != self.n:
@@ -102,26 +107,10 @@ class GrassIndex:
 def southwest_profile(x: ExactMatrix) -> tuple[tuple[int, ...], ...]:
     """All dim(x E_j / E_{i-1}) = rank of x[i.., ..j], as profile[i-1][j-1].
 
-    Rows go bottom-up into an echelon basis with distinct leftmost nonzero
-    columns (pivots); then rank x[i.., ..j] is the number of pivots <= j.
+    The profile is computed once per matrix (ExactMatrix.southwest_profile),
+    so every predicate asked about the same x shares one elimination.
     """
-    field = x.field
-    p = field.p
-    n_cols = x.cols
-    basis: dict[int, list] = {}  # pivot column -> vector, 1 at the pivot
-    is_pivot = [0] * n_cols
-    profile = []
-    for v in reversed(x.entries):
-        c = next((k for k, a in enumerate(v) if a), None)
-        while c in basis:
-            v = _minus_multiple(v, v[c], basis[c], p)
-            c = next((k for k in range(c + 1, n_cols) if v[k]), None)
-        if c is not None:
-            basis[c] = _scaled(field.inv(v[c]), v, p)
-            is_pivot[c] = 1
-        profile.append(tuple(accumulate(is_pivot)))
-    profile.reverse()
-    return tuple(profile)
+    return x.southwest_profile
 
 
 def standard_sum_dims(subspace: Subspace) -> tuple[int, ...]:
@@ -144,13 +133,6 @@ def _first_excess(
     return None
 
 
-def _rank_matrix_bounds(w: PartialPermutation) -> Iterable[tuple[int, int, int]]:
-    rm = rank_matrix(w)
-    return (
-        (i, j, rm.entry(i, j)) for i in range(1, w.n + 1) for j in range(1, w.n + 1)
-    )
-
-
 def in_matrix_schubert(
     x: ExactMatrix, w: PartialPermutation, essential_only: bool = False
 ) -> bool:
@@ -166,7 +148,7 @@ def matrix_schubert_violation(
     if essential_only:
         bounds = ((c.row, c.col, c.rank) for c in essential_set(w))
     else:
-        bounds = _rank_matrix_bounds(w)
+        bounds = rank_matrix(w).cells
     return _first_excess(southwest_profile(x), bounds)
 
 
@@ -189,7 +171,7 @@ def flag_schubert_violation(
         raise InputError("flag Schubert membership requires a permutation")
     if flag.n != w.n:
         raise DimensionMismatchError("flag size differs from permutation size")
-    return _first_excess(southwest_profile(flag.generator), _rank_matrix_bounds(w))
+    return _first_excess(southwest_profile(flag.generator), rank_matrix(w).cells)
 
 
 def locate_flag_cell(flag: Flag) -> PartialPermutation:

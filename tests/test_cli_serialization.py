@@ -1,9 +1,15 @@
 """File formats, invariant-checking parsers, and the CLI surface."""
 
 import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
+from covex import kl
 from covex.cli import main
 from covex.errors import InputError, InvariantError
 from covex.exactla import ExactMatrix, FieldSpec, coordinate_subspace
@@ -274,3 +280,48 @@ def test_matrix_from_json_rejects_bad_shapes():
         matrix_from_json(F, {"rows": 1, "cols": -1, "entries": [[]]})
     # a basis with no columns is the zero subspace and stays valid
     assert matrix_from_json(F, {"rows": 2, "cols": 0, "entries": [[], []]}).shape == (2, 0)
+
+
+def test_cli_large_prime_modulus_is_fast(capsys):
+    # trial division used to hang on a 25-digit prime
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "--field", "p:1000000000000000000000007", "ess", "2143")
+    assert code == 0 and out
+    assert time.perf_counter() - start < 1.0
+
+
+def test_cli_modulus_beyond_the_primality_range(capsys):
+    code, out, err = run_cli(capsys, "--field", f"p:{2**89 - 1}", "ess", "2143")
+    assert_one_error_line(code, out, err)
+    assert "too large" in err
+
+
+def test_cli_kl_covex_refuses_n_max_5_before_building_a_table(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("an S_2n KL table was about to be built")
+
+    monkeypatch.setattr(kl.SymmetricGroupTable, "__init__", refuse)
+    code, out, err = run_cli(capsys, "verify", "kl-covex", "--nmax", "5")
+    assert_one_error_line(code, out, err)
+    assert "kl-covex" in err
+
+
+def test_cli_closed_stdout_pipe_exits_2_without_traceback():
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "covex.cli", "verify", "covex-equiv", "--nmax", "6"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()  # like `| head -1`: the reader goes away
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    code = proc.wait(timeout=60)
+    assert json.loads(first)["suite"] == "covex-equiv"
+    assert "Traceback" not in err
+    assert code == 2
+    assert [line for line in err.splitlines() if line.startswith("error:")] == [
+        "error: output pipe closed"
+    ]

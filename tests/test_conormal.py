@@ -1,6 +1,7 @@
 """Conormal predicates against the trace-pairing fiber oracles."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -13,15 +14,16 @@ from covex.conormal import (
     bound_table,
     conormal_fiber_flag,
     conormal_fiber_matrix,
+    conormal_matrix_violations,
     in_conormal_flag,
     in_conormal_grass,
     in_conormal_matrix,
-    mij_ranks,
     push_graph,
     push_iota,
     springer_flag,
     springer_grass,
     tangent_orbit_rank,
+    tau_conjugated_M,
     vector_to_matrix,
 )
 from covex.embedding import embed_point, tau_permutation
@@ -45,9 +47,15 @@ from covex.permcore import (
     covexillary_data,
     is_covexillary,
 )
-from covex.varieties import Flag, sample_cell_point
+from covex.varieties import (
+    Flag,
+    matrix_schubert_violation,
+    sample_cell_point,
+    southwest_profile,
+)
 
 F = FieldSpec.prime()
+Q = FieldSpec.rational()
 
 
 def unit_matrix(n, i, j):
@@ -76,6 +84,34 @@ def submatrix_mij(m, data, i, j):
         raise IndexError(f"pair ({i},{j}) outside 0 <= j < i <= m")
     rows, cols = mij_rows_cols(data, i, j)
     return m.submatrix(rows, cols)
+
+
+def mij_ranks(m, data):
+    """Reference: rank M_ij for every pair 0 <= j < i <= m, read off the
+    southwest profile of big_matrix_M conjugated by an explicit submatrix."""
+    order = tau_permutation(data).inverse().image
+    profile = southwest_profile(m.submatrix(order, order))
+    return {
+        (i, j): profile[data.t_at(j)][data.t_at(i) - 1]
+        for i in range(1, data.m + 1)
+        for j in range(i)
+    }
+
+
+def reference_violations(pt, w):
+    """conormal_matrix_violations spelled out from big_matrix_M and the bound table."""
+    data = covexillary_data(w)
+    out = []
+    base = matrix_schubert_violation(pt.x, w)
+    if base is not None:
+        out.append({"kind": "schubert", "condition": base})
+    table = bound_table(data)
+    ranks = mij_ranks(big_matrix_M(pt), data)
+    for i, j in table.pairs():
+        bound = table.bound(i, j)
+        if ranks[i, j] > bound:
+            out.append({"kind": "rank", "i": i, "j": j, "rank": ranks[i, j], "bound": bound})
+    return out
 
 
 def test_big_matrix_fixtures():
@@ -142,6 +178,53 @@ def test_mij_ranks_match_explicit_submatrices():
                 assert list(ranks) == list(bound_table(data).pairs())
                 for (i, j), got in ranks.items():
                     assert got == submatrix_mij(m, data, i, j).rank()
+
+
+def rational_matrix(rng, n):
+    return ExactMatrix.from_rows(
+        Q, [[Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)] for _ in range(n)]
+    )
+
+
+def test_tau_conjugated_M_is_the_conjugated_big_matrix():
+    """The directly built tau M tau^-1 equals M on the tau^-1 order, and the
+    predicate's diagnostics equal the ones read off M itself.
+
+    Every covexillary partial w with n <= 4, over F_10007 and Q, with the
+    zero covector, a fiber covector and random points.
+    """
+    rng = random.Random(29)
+    for n in (1, 2, 3, 4):
+        for w in all_partial_permutations(n):
+            if not is_covexillary(w):
+                continue
+            data = covexillary_data(w)
+            table = bound_table(data)
+            assert [(i, j, b) for i, j, _, _, b in data.conormal_checks] == [
+                (i, j, table.bound(i, j)) for i, j in table.pairs()
+            ]
+            order = tau_permutation(data).inverse().image
+            x = sample_cell_point(w, F, rng)
+            fiber = fiber_matrices(conormal_fiber_matrix(x, w), n)
+            points = [(x, ExactMatrix.zeros(F, n, n)), (x, random_matrix(F, n, n, rng))]
+            points += [(x, y) for y in fiber[-1:]]
+            points.append((random_matrix(F, n, n, rng), random_matrix(F, n, n, rng)))
+            xq = w.matrix(Q)
+            points += [(xq, ExactMatrix.zeros(Q, n, n)), (xq, rational_matrix(rng, n))]
+            points.append((rational_matrix(rng, n), rational_matrix(rng, n)))
+            for px, py in points:
+                pt = CotangentMatrixPoint(px, py)
+                m = big_matrix_M(pt)
+                direct = tau_conjugated_M(pt, data)
+                assert direct == m.submatrix(order, order)
+                assert southwest_profile(direct) == southwest_profile(m.submatrix(order, order))
+                ranks = mij_ranks(m, data)
+                for i, j, row, col, _ in data.conormal_checks:
+                    assert southwest_profile(direct)[row][col] == ranks[i, j]
+                expected = reference_violations(pt, w)
+                assert conormal_matrix_violations(pt, w) == expected
+                first = conormal_matrix_violations(pt, w, first_only=True)
+                assert first == expected[:1]
 
 
 def test_bound_table_longest_element_forces_zero_section():

@@ -2,9 +2,12 @@
 
 import random
 
+from hypothesis import given, settings, strategies as st
+
 from covex.exactla import (
     ExactMatrix,
     FieldSpec,
+    Subspace,
     coordinate_subspace,
     random_matrix,
     standard_subspace,
@@ -88,8 +91,6 @@ def test_graph_embed_fixtures():
         tuple(one if k in (i, n + i) else F.zero() for k in range(2 * n))
         for i in range(n)
     ]
-    from covex.exactla import Subspace
-
     assert diag == Subspace.span(F, 2 * n, expected)
 
 
@@ -205,3 +206,36 @@ def test_target_index_matches_located_cells():
 def test_target_index_fixture():
     data = covexillary_data(PartialPermutation.from_one_line("2143"))
     assert target_grass_index(embedding_target(data)).positions == (3, 4, 7, 8)
+
+
+COVEXILLARY_UP_TO_4 = [w for n in (1, 2, 3, 4) for w in _covexillary_partials(n)]
+
+
+@st.composite
+def embedding_inputs(draw):
+    w = draw(st.sampled_from(COVEXILLARY_UP_TO_4))
+    field = draw(st.sampled_from((F, FieldSpec.rational())))
+    if field.is_prime:
+        entry = st.integers(0, field.p - 1)
+    else:
+        entry = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+    rows = [[draw(entry) for _ in range(w.n)] for _ in range(w.n)]
+    return w, ExactMatrix.from_rows(field, rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(embedding_inputs())
+def test_embed_point_equals_the_permutation_matrix_product(inputs):
+    w, x = inputs
+    data = covexillary_data(w)
+    stacked = ExactMatrix.identity(x.field, w.n).vstack(x)
+    tau = tau_permutation(data)
+    assert tau.permute_rows(stacked) == tau.matrix(x.field) @ stacked
+    assert embed_point(x, data) == Subspace.column_span(tau.matrix(x.field) @ stacked)
+
+
+def test_permute_rows_of_a_partial_permutation_is_the_matrix_product():
+    rng = random.Random(31)
+    for w in all_partial_permutations(3):
+        m = random_matrix(F, 3, 4, rng)
+        assert w.permute_rows(m) == w.matrix(F) @ m

@@ -17,7 +17,6 @@ from covex.exactla import (
     kernel,
     random_borel,
     random_matrix,
-    rank,
     solve_linear,
     standard_subspace,
     subspace_intersect,
@@ -38,9 +37,9 @@ def test_field_parsing():
 
 
 def test_rank_trivia():
-    assert rank(ExactMatrix.zeros(F, 3, 5)) == 0
-    assert rank(ExactMatrix.identity(F, 4)) == 4
-    assert rank(ExactMatrix.identity(Q, 4)) == 4
+    assert ExactMatrix.zeros(F, 3, 5).rank() == 0
+    assert ExactMatrix.identity(F, 4).rank() == 4
+    assert ExactMatrix.identity(Q, 4).rank() == 4
 
 
 def test_rank_of_conormal_block_example():
@@ -49,7 +48,7 @@ def test_rank_of_conormal_block_example():
     m = ExactMatrix.from_rows(
         F, [row + row for row in e12] + [row + row for row in e12]
     )
-    assert rank(m) == 1
+    assert m.rank() == 1
 
 
 def _random_mat(rng, rows, cols):
@@ -60,12 +59,12 @@ def test_rank_invariances():
     rng = random.Random(5)
     for _ in range(40):
         a = _random_mat(rng, rng.randrange(1, 6), rng.randrange(1, 6))
-        assert rank(a) == rank(a.transpose())
+        assert a.rank() == a.transpose().rank()
         rows = list(range(1, a.rows + 1))
         cols = list(range(1, a.cols + 1))
         rng.shuffle(rows)
         rng.shuffle(cols)
-        assert rank(a.submatrix(rows, cols)) == rank(a)
+        assert a.submatrix(rows, cols).rank() == a.rank()
 
 
 def test_dim_quotient_fixtures():
@@ -114,15 +113,15 @@ def test_rank_kernel_dimension():
     rng = random.Random(23)
     for _ in range(30):
         a = _random_mat(rng, rng.randrange(1, 6), rng.randrange(1, 6))
-        assert rank(a) + kernel(a).dim == a.cols
-        assert image(a).dim == rank(a)
+        assert a.rank() + kernel(a).dim == a.cols
+        assert image(a).dim == a.rank()
 
 
 def test_generic_invertibility_frequency():
     rng = random.Random(404)
     trials = 1000
     invertible = sum(
-        1 for _ in range(trials) if rank(random_matrix(F, 8, 8, rng)) == 8
+        1 for _ in range(trials) if random_matrix(F, 8, 8, rng).rank() == 8
     )
     assert invertible / trials >= 0.99
 
@@ -131,7 +130,7 @@ def test_random_borel_properties():
     rng = random.Random(31)
     for n in (1, 3, 5):
         b = random_borel(F, n, rng)
-        assert rank(b) == n
+        assert b.rank() == n
         for i in range(1, n + 1):
             for j in range(1, i):
                 assert b.entry(i, j) == 0
@@ -179,3 +178,33 @@ def test_matmul_associativity(r, c, seed):
     b = _random_mat(rng, c, r)
     d = _random_mat(rng, r, c)
     assert (a @ b) @ d == a @ (b @ d)
+
+
+@pytest.mark.parametrize("p", [2, 3, 10007, 2**61 - 1, 10**24 + 7])
+def test_prime_moduli_are_accepted(p):
+    assert FieldSpec.prime(p).p == p
+
+
+@pytest.mark.parametrize(
+    "n",
+    [
+        0,
+        1,
+        561,  # Carmichael numbers
+        41041,
+        3215031751,  # strong pseudoprime to the bases 2, 3, 5 and 7
+        3825123056546413051,  # ... to the bases 2 through 23
+        318665857834031151167461,  # ... to the first 12 primes, 2 through 37
+        10007 * 10009,
+        (10**12 + 39) * (10**12 + 61),
+    ],
+)
+def test_composite_moduli_are_rejected(n):
+    with pytest.raises(FieldError, match="not prime"):
+        FieldSpec.prime(n)
+
+
+def test_moduli_beyond_the_deterministic_range_are_refused():
+    # 2^89 - 1 is prime, but above 3.3 * 10^24 the 13 bases do not decide it
+    with pytest.raises(FieldError, match="too large"):
+        FieldSpec.prime(2**89 - 1)
