@@ -307,23 +307,14 @@ def conormal_flag_violations(
         source = subspace_sum(
             flag.subspace(data.q_at(i)), standard_subspace(field, n, data.p_at(i))
         ).apply(z)
+        if bound < 0 and source.dim == 0:
+            continue
         quotient_by = subspace_intersect(
             flag.subspace(data.q_at(j)), standard_subspace(field, n, data.p_at(j))
         )
-        if bound < 0:
-            ok = source.dim == 0
-        else:
-            ok = dim_quotient(source, quotient_by) <= bound
-        if not ok:
-            out.append(
-                {
-                    "kind": "rank",
-                    "i": i,
-                    "j": j,
-                    "dim": dim_quotient(source, quotient_by),
-                    "bound": bound,
-                }
-            )
+        dim = dim_quotient(source, quotient_by)
+        if bound < 0 or dim > bound:
+            out.append({"kind": "rank", "i": i, "j": j, "dim": dim, "bound": bound})
             if first_only:
                 return out
     return out

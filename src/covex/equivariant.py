@@ -3,9 +3,14 @@ Grassmannian, and the multidegree comparison between the two.
 
 Polynomials are exact dense-in-monomials dictionaries over a named variable
 tuple, so equality is literal.  The localization of an equivariant Schubert
-class at a fixed point is computed by the reduced-subword sum over a fixed
-reduced word of the point, with the class and the point both translated by
-the longest element so that the sum runs in the codimension convention.
+class at a fixed point is Billey's reduced-subword sum (Duke 1999) over a
+fixed reduced word of the point, with the class and the point both
+translated by the longest element so that the sum runs in the codimension
+convention.  The sum is a backward recursion over (letter position, prefix),
+memoized per call, that takes a letter only while the prefix stays a left
+factor of the class in right weak order; each letter's root multiplies the
+sum over the suffixes once.  Variable renamings move exponents instead of
+multiplying.
 
 The variable dictionary relating the two sides of the multidegree identity
 is calibrated once on the small fixtures and frozen below: after mapping
@@ -122,13 +127,32 @@ class MultivariatePolynomial:
 
     def rename(self, permutation: dict[str, str]) -> "MultivariatePolynomial":
         """Relabel variables bijectively within the same ring."""
-        mapping = {
-            old: MultivariatePolynomial.variable(self.variables, new)
-            for old, new in permutation.items()
-        }
-        for name in self.variables:
-            mapping.setdefault(name, MultivariatePolynomial.variable(self.variables, name))
-        return self.substitute(self.variables, mapping)
+        images = {name: permutation.get(name, name) for name in self.variables}
+        return self._relabel(self.variables, images)
+
+    def _relabel(
+        self, target_variables: tuple[str, ...], images: dict[str, str]
+    ) -> "MultivariatePolynomial":
+        """Ring map sending each variable to a variable of the target ring.
+
+        Equal to ``substitute`` with variable images, but moves exponents
+        instead of multiplying once per variable occurrence.
+        """
+        slots = [
+            target_variables.index(images[name]) if name in images else None
+            for name in self.variables
+        ]
+        data: dict[tuple[int, ...], int] = {}
+        for exps, c in self.terms:
+            out = [0] * len(target_variables)
+            for name, slot, e in zip(self.variables, slots, exps):
+                if e:
+                    if slot is None:
+                        raise InputError(f"no image for variable {name}")
+                    out[slot] += e
+            key = tuple(out)
+            data[key] = data.get(key, 0) + c
+        return MultivariatePolynomial.make(target_variables, data)
 
     def sign_by_degree(self) -> "MultivariatePolynomial":
         return MultivariatePolynomial.make(
@@ -284,45 +308,52 @@ def schubert_class_restriction(
     subword multiplying to the class permutation contributes the product of
     the root at each chosen letter, the root being the prefix image of the
     simple root there.  All contributions are products of positive roots.
+
+    The sum is computed backward: suffix(pos, prefix) is the sum over the
+    ways to finish the subword from letter pos on, memoized per call.  A
+    letter is taken only when the product stays a left factor of class_perm
+    in right weak order, i.e. when it swaps values a < b that class_perm
+    holds in the order b before a; so a subword of the right length is
+    automatically a reduced word of class_perm.
     """
     ring = t_ring(N)
     word = _reduced_word(point_perm)
     target_len = _perm_length(class_perm)
-    # prefix permutations before each letter, and the root at each letter
-    roots: list[tuple[int, int]] = []
+    where = {value: k for k, value in enumerate(class_perm)}
+    # the root at each letter, the prefix image of its simple root
+    roots: list[MultivariatePolynomial] = []
     prefix = list(range(1, N + 1))
     for letter in word:
-        roots.append((prefix[letter - 1], prefix[letter]))
-        prefix[letter - 1], prefix[letter] = prefix[letter], prefix[letter - 1]
-    total = MultivariatePolynomial.zero(ring)
+        a, b = prefix[letter - 1], prefix[letter]
+        roots.append(MultivariatePolynomial.linear(ring, {f"t{a}": 1, f"t{b}": -1}))
+        prefix[letter - 1], prefix[letter] = b, a
     L = len(word)
+    zero = MultivariatePolynomial.zero(ring)
     one = MultivariatePolynomial.constant(ring, 1)
-    identity = tuple(range(1, N + 1))
+    memo: dict[tuple[int, tuple[int, ...]], MultivariatePolynomial] = {}
 
-    def dfs(pos: int, current: tuple[int, ...], count: int, acc: MultivariatePolynomial):
-        nonlocal total
+    def suffix(pos: int, current: tuple[int, ...], count: int) -> MultivariatePolynomial:
         if count == target_len:
-            if current == class_perm:
-                total = total + acc
-            return
+            return one
         if L - pos < target_len - count:
-            return
-        if pos == L:
-            return
-        # skip letter pos
-        dfs(pos + 1, current, count, acc)
-        # take letter pos when it lengthens the partial product
+            return zero
+        key = (pos, current)
+        cached = memo.get(key)
+        if cached is not None:
+            return cached
+        total = suffix(pos + 1, current, count)
         letter = word[pos]
-        nxt = list(current)
-        nxt[letter - 1], nxt[letter] = nxt[letter], nxt[letter - 1]
-        nxt_t = tuple(nxt)
-        if _perm_length(nxt_t) > _perm_length(current):
-            a, b = roots[pos]
-            root = MultivariatePolynomial.linear(ring, {f"t{a}": 1, f"t{b}": -1})
-            dfs(pos + 1, nxt_t, count + 1, acc * root)
+        a, b = current[letter - 1], current[letter]
+        if a < b and where[b] < where[a]:
+            nxt = list(current)
+            nxt[letter - 1], nxt[letter] = b, a
+            tail = suffix(pos + 1, tuple(nxt), count + 1)
+            if not tail.is_zero:
+                total = total + roots[pos] * tail
+        memo[key] = total
+        return total
 
-    dfs(0, identity, 0, one)
-    return total
+    return suffix(0, tuple(range(1, N + 1)), 0)
 
 
 def _compose(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
@@ -357,11 +388,8 @@ def apply_weight_map(
 ) -> MultivariatePolynomial:
     """Substitute t_k by the x/y variable given by the embedding's dictionary."""
     ring = xy_ring(n)
-    sub = {
-        f"t{k}": MultivariatePolynomial.variable(ring, f"{sym}{idx}")
-        for k, (sym, idx) in mapping.items()
-    }
-    return poly_t.substitute(ring, sub)
+    images = {f"t{k}": f"{sym}{idx}" for k, (sym, idx) in mapping.items()}
+    return poly_t._relabel(ring, images)
 
 
 def _transform_with(

@@ -8,7 +8,13 @@ The recursion on pairs (u, w) strips a right descent s of w:
 with v = ws, after u has been replaced by the minimal element of its
 descent class (P_{u,w} = P_{su,w} for sw < w, and P_{u,w} = P_{us,w} for
 ws < w, so the replacement is value-preserving and shrinks the memo).
-mu-lists per column are found with a vectorized Bruhat dominance sieve.
+
+The mu-list of v is restricted by descents (Kazhdan-Lusztig, "Representations
+of Coxeter groups and Hecke algebras", Invent. Math. 1979, (2.3.e)): when s
+is a left or right descent of v but not of z < v, mu(z, v) is nonzero only
+at the cover z = sv or z = vs, where it is 1.  Those covers are read off the
+multiplication tables; only the z that share every descent of v go through
+the vectorized Bruhat dominance sieve and the recursion.
 
 Grassmannian local Kazhdan-Lusztig polynomials use maximal-length coset
 representatives of S_d x S_{N-d} cosets, matching the convention in which
@@ -113,7 +119,8 @@ class SymmetricGroupTable:
 
     Indices follow lexicographic one-line order.  Rank matrices (southwest
     counts, flattened to N^2 bytes) give Bruhat order by dominance; the
-    whole-group dominance sieve is a single vectorized comparison.
+    mu-list sieve compares them only for the z that pass the length, parity
+    and descent masks.
     """
 
     def __init__(self, N: int):
@@ -222,20 +229,36 @@ class SymmetricGroupTable:
         return result
 
     def mu_list(self, v: int) -> list[tuple[int, int]]:
-        """All (z, mu(z, v)) with nonzero mu, via a dominance sieve over S_N."""
+        """All (z, mu(z, v)) with nonzero mu, sorted by z.
+
+        If s is a left (right) descent of v but not of z < v, then mu(z, v)
+        is nonzero only for z = sv (z = vs), where it is 1 (Kazhdan-Lusztig
+        1979, (2.3.e)).  Those covers are added directly; the dominance sieve
+        and the recursion run only on the z that share every descent of v.
+        """
         cached = self._mumemo.get(v)
         if cached is not None:
             return cached
-        lv = int(self.length[v])
-        mask = (self.rank_rows <= self.rank_rows[v]).all(axis=1)
-        mask &= self.length < lv
-        mask &= ((lv - self.length) % 2).astype(bool)
-        out: list[tuple[int, int]] = []
-        for z in np.flatnonzero(mask):
+        lengths = self.length
+        lv = int(lengths[v])
+        rdesc = self.right_descents(v)
+        ldesc = self.left_descents(v)
+        mus = {int(self.rmult[v, i]): 1 for i in rdesc}
+        mus.update((int(self.lmult[v, i - 1]), 1) for i in ldesc)
+        mask = lengths < lv
+        mask &= ((lv - lengths) % 2).astype(bool)
+        for i in rdesc:
+            mask &= lengths[self.rmult[:, i]] < lengths
+        for i in ldesc:
+            mask &= lengths[self.lmult[:, i - 1]] < lengths
+        candidates = np.flatnonzero(mask)
+        below = (self.rank_rows[candidates] <= self.rank_rows[v]).all(axis=1)
+        for z in candidates[below]:
             z = int(z)
-            mu = self.kl(z, v).coeff((lv - int(self.length[z]) - 1) // 2)
+            mu = self.kl(z, v).coeff((lv - int(lengths[z]) - 1) // 2)
             if mu:
-                out.append((z, mu))
+                mus[z] = mu
+        out = sorted(mus.items())
         self._mumemo[v] = out
         return out
 

@@ -1,5 +1,6 @@
 """Divided differences, localization anchors, and the multidegree identity."""
 
+import itertools
 import random
 
 from covex.equivariant import (
@@ -8,16 +9,25 @@ from covex.equivariant import (
     CONVENTION_SIGN_BY_DEGREE,
     CONVENTION_SWAP_XY,
     MultivariatePolynomial,
+    _reduced_word,
     apply_weight_map,
     calibrate_convention,
     divided_difference,
     double_schubert,
     grass_restriction,
+    schubert_class_restriction,
     t_ring,
     verify_multidegree,
     xy_ring,
 )
-from covex.embedding import embedding_target, target_grass_index, tau_permutation, weight_map
+from covex.embedding import (
+    embedding_target,
+    origin_image,
+    target_grass_index,
+    tau_permutation,
+    weight_map,
+)
+from covex.kl import CosetData
 from covex.permcore import (
     PartialPermutation,
     all_partial_permutations,
@@ -161,6 +171,33 @@ def test_localization_rep_independent():
     )
 
 
+def test_renaming_matches_substitution():
+    rng = random.Random(7)
+    ring = xy_ring(3)
+    for _ in range(20):
+        data = {}
+        for _ in range(6):
+            exps = tuple(rng.randrange(3) for _ in ring)
+            data[exps] = data.get(exps, 0) + rng.randrange(-4, 5)
+        f = MultivariatePolynomial.make(ring, data)
+        images = list(ring)
+        rng.shuffle(images)
+        permutation = dict(zip(ring, images))
+        as_ring_map = {
+            old: MultivariatePolynomial.variable(ring, new) for old, new in permutation.items()
+        }
+        assert f.rename(permutation) == f.substitute(ring, as_ring_map)
+        t_poly = MultivariatePolynomial.make(
+            t_ring(6), {exps[:6]: c for exps, c in f.terms}
+        )
+        weights = {k: (images[k - 1][0], int(images[k - 1][1:])) for k in range(1, 7)}
+        as_ring_map = {
+            f"t{k}": MultivariatePolynomial.variable(ring, f"{sym}{idx}")
+            for k, (sym, idx) in weights.items()
+        }
+        assert apply_weight_map(t_poly, weights, 3) == t_poly.substitute(ring, as_ring_map)
+
+
 def test_weight_map_substitution():
     data = covexillary_data(PartialPermutation.longest(2))
     ring = t_ring(4)
@@ -192,3 +229,94 @@ def test_verify_multidegree():
         for w in all_permutations(n):
             if is_covexillary(w):
                 assert verify_multidegree(w).matched
+
+
+def _perm_length(p):
+    return sum(a > b for a, b in itertools.combinations(p, 2))
+
+
+def billey_subword_sum(N, class_perm, point_perm):
+    """Independent oracle: Billey's formula (Duke 1999) by depth-first search.
+
+    Every subword of a reduced word of the point that is a reduced word of
+    the class contributes the product of its roots.  The search enumerates
+    all length-increasing subwords, checks the product at the end, and only
+    then multiplies the roots of a matching subword.
+    """
+    ring = t_ring(N)
+    word = _reduced_word(point_perm)
+    target_len = _perm_length(class_perm)
+    roots = []
+    prefix = list(range(1, N + 1))
+    for letter in word:
+        roots.append(lin(ring, {f"t{prefix[letter - 1]}": 1, f"t{prefix[letter]}": -1}))
+        prefix[letter - 1], prefix[letter] = prefix[letter], prefix[letter - 1]
+    total = MultivariatePolynomial.zero(ring)
+    L = len(word)
+
+    def dfs(pos, current, chosen):
+        nonlocal total
+        if len(chosen) == target_len:
+            if current == class_perm:
+                term = MultivariatePolynomial.constant(ring, 1)
+                for k in chosen:
+                    term = term * roots[k]
+                total = total + term
+            return
+        if L - pos < target_len - len(chosen):
+            return
+        dfs(pos + 1, current, chosen)
+        letter = word[pos]
+        nxt = list(current)
+        nxt[letter - 1], nxt[letter] = nxt[letter], nxt[letter - 1]
+        nxt = tuple(nxt)
+        if _perm_length(nxt) == len(chosen) + 1:  # the subword stays reduced
+            dfs(pos + 1, nxt, chosen + (pos,))
+
+    dfs(0, tuple(range(1, N + 1)), ())
+    return total
+
+
+def _class_and_point(v_idx, point, rep):
+    """The permutations grass_restriction hands to the subword sum."""
+    w0 = PartialPermutation.longest(v_idx.N)
+    coset = CosetData.from_index(point)
+    point_rep = coset.minimal if rep == "min" else coset.maximal
+    class_perm = w0.compose(PartialPermutation(v_idx.N, CosetData.from_index(v_idx).maximal))
+    return class_perm.image, w0.compose(PartialPermutation(v_idx.N, point_rep)).image
+
+
+def test_restriction_matches_billey_on_grassmannians():
+    for N in range(1, 7):
+        for d in range(N + 1):
+            indices = [
+                GrassIndex(d, N, positions)
+                for positions in itertools.combinations(range(1, N + 1), d)
+            ]
+            for v_idx in indices:
+                for point in indices:
+                    for rep in ("min", "max"):
+                        class_perm, point_perm = _class_and_point(v_idx, point, rep)
+                        assert schubert_class_restriction(
+                            N, class_perm, point_perm
+                        ) == billey_subword_sum(N, class_perm, point_perm)
+
+
+def test_restriction_matches_billey_at_origin_points():
+    for n in range(1, 5):
+        for w in all_permutations(n):
+            if not is_covexillary(w):
+                continue
+            data = covexillary_data(w)
+            v_hat = target_grass_index(embedding_target(data))
+            class_perm, point_perm = _class_and_point(v_hat, origin_image(data), "min")
+            assert schubert_class_restriction(
+                2 * n, class_perm, point_perm
+            ) == billey_subword_sum(2 * n, class_perm, point_perm)
+
+
+def test_verify_multidegree_s5_sample():
+    covexillary = [w for w in all_permutations(5) if is_covexillary(w)]
+    sample = random.Random(5).sample(covexillary, 16) + [PartialPermutation.longest(5)]
+    for w in sample:
+        assert verify_multidegree(w).matched

@@ -28,6 +28,12 @@ SUITE_DIGESTS = {
     "multidegree": "f49e862944de536dc216108c3a3486f2201a9805b998078f51e851c3a2d7ece9",
 }
 
+# sha256 of `covex verify <suite> --nmax 4` stdout, the acceptance scale
+SUITE_DIGESTS_NMAX4 = {
+    "kl-covex": "aeff27d3e3f10523b72349c660db22663f3b459d8ca7cd740a54354e4a3d9eb6",
+    "multidegree": "4335533c5a61a2f39587dda92fa40146a24ff301ad0522563137fe0e26365fe8",
+}
+
 CLI_CASES = json.loads((GOLDEN_DIR / "cli_stdout.json").read_text(encoding="utf-8"))
 
 
@@ -37,6 +43,14 @@ def test_suite_report_digest(suite, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == SUITE_DIGESTS[suite]
+
+
+@pytest.mark.parametrize("suite", sorted(SUITE_DIGESTS_NMAX4))
+def test_suite_report_digest_nmax4(suite, capsys):
+    code = main(["verify", suite, "--nmax", "4"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == SUITE_DIGESTS_NMAX4[suite]
 
 
 @pytest.mark.parametrize("name", sorted(CLI_CASES))

@@ -2,6 +2,8 @@
 
 import random
 
+import numpy as np
+
 from covex.kl import (
     CosetData,
     PolynomialQ,
@@ -166,6 +168,28 @@ def test_mu_list_matches_covers():
         for u in all_permutations(4):
             if bruhat_leq(u, w) and w.length() - u.length() == 1:
                 assert mu.get(table.index[u.image]) == 1
+
+
+def reference_mu_list(table, v):
+    """Independent oracle: sieve the whole group for z < v with odd length gap."""
+    lv = int(table.length[v])
+    mask = (table.rank_rows <= table.rank_rows[v]).all(axis=1)
+    mask &= table.length < lv
+    mask &= ((lv - table.length) % 2).astype(bool)
+    out = []
+    for z in np.flatnonzero(mask):
+        z = int(z)
+        mu = table.kl(z, v).coeff((lv - int(table.length[z]) - 1) // 2)
+        if mu:
+            out.append((z, mu))
+    return out
+
+
+def test_mu_list_matches_whole_group_sieve():
+    for size in (4, 5, 6):
+        table = symmetric_group_table(size)
+        for v in range(len(table.perms)):
+            assert sorted(table.mu_list(v)) == sorted(reference_mu_list(table, v))
 
 
 def test_coset_reps():
