@@ -8,10 +8,22 @@ padding (p_0, q_0, r_0) = (0, 0, 0) and (p_m, q_m, r_m) = (n, n, n); every
 bound is the minimum of the two case formulas.
 
 The matrix and Grassmannian forms read every rank off one southwest
-profile: the blocks M_ij of the big matrix M are the southwest blocks of
-tau M tau^-1 on rows t_j+1..2n and columns 1..t_i (tau is the interleaving
-permutation of the embedding), and the Grassmannian blocks are southwest
-blocks of x itself.
+profile.  The Grassmannian blocks are southwest blocks of x itself.  The
+blocks M_ij of the big matrix M = ((yx, y), (xyx, xy)) are the southwest
+blocks of tau M tau^-1 on rows t_j+1..2n and columns 1..t_i (tau is the
+interleaving permutation of the embedding), but that 2n x 2n matrix is
+never formed.  M factors as [I; x] y [x, I], so its rank is at most n,
+and a southwest block of A y B has the rank of A' y B', where A' holds the
+rows of A's row block that raise the rank bottom-up and B' the columns of
+B's column block that raise it left to right.  Taking the pivot rows H of
+all of tau[I; x] and the pivot columns G of all of [x, I]tau^-1 (n each),
+every M_ij is a southwest block of the n x n core N = H y G: its rows are
+the members of H after position t_j, its columns the members of G up to
+position t_i.  The pivots themselves come from the southwest profile of x
+(the span of the first t_i columns is x E_{q_i} + E_{p_i}), which the
+Schubert check has already computed, so N's profile is the only new
+elimination.  The unit rows of H and unit columns of G are copies; only
+the rows and columns of x in them cost dot products.
 
 The ground truth the predicates are calibrated against is the annihilator
 of the orbit tangent space under the trace pairing: over a cell point x the
@@ -22,7 +34,7 @@ over a flag cell generator g it is {z : z and g^-1 z g strictly upper}.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import itemgetter
+from operator import mul
 from typing import Sequence
 
 from .errors import (
@@ -37,9 +49,6 @@ from .exactla import (
     dim_quotient,
     image,
     kernel,
-    standard_subspace,
-    subspace_intersect,
-    subspace_sum,
 )
 from .permcore import (
     ConormalBoundTable,
@@ -127,20 +136,72 @@ def big_matrix_M(pt: CotangentMatrixPoint) -> ExactMatrix:
     return top.vstack(bottom)
 
 
-def tau_conjugated_M(pt: CotangentMatrixPoint, data: CovexillaryData) -> ExactMatrix:
-    """tau M tau^-1 for the big matrix M of pt.
+def core_pivots(
+    x: ExactMatrix, data: CovexillaryData
+) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    """The rows H of tau[I; x] and the columns G of [x, I]tau^-1 that raise the rank.
 
-    It is assembled in tau order straight from the rows of yx, y, xyx and
-    xy, without materialising M.  Its southwest block on rows t_j+1..2n and
-    columns 1..t_i is M_ij, the block on rows {q_j+1..n, n+p_j+1..2n} and
-    columns {1..q_i, n+1..n+p_i} of M.
+    Returns (rows, cols, rows_before, cols_through).  rows indexes the 2n
+    rows of [I; x] (k < n is the unit row e_{k+1}, k >= n is row k-n+1 of
+    x) and cols the 2n columns of [x, I] (k < n is column k+1 of x, k >= n
+    is the unit column e_{k-n+1}), both listed in tau order.  A row is in H
+    when it raises the rank of the rows below it in tau order, a column is
+    in G when it raises the rank of the columns before it; each has n
+    members.  rows_before[i] and cols_through[i] count the members among
+    the first t_i positions, for i = 0..m.
+
+    Everything is read off the southwest profile of x.  The rows after
+    position t_i span the unit rows past q_i plus the rows of x past p_i,
+    of dimension n - q_i + rank x[p_i+1.., ..q_i]; the first t_i columns
+    span x E_{q_i} + E_{p_i}, of dimension p_i + rank x[p_i+1.., ..q_i].
+    Inside block i, column c of x joins G exactly when the unit row e_c
+    stays out of H, and row s of x joins H exactly when e_s stays out of G.
     """
-    x, y = pt.x, pt.y
-    yx = y @ x
-    top = [a + b for a, b in zip(yx.entries, y.entries)]
-    bottom = [a + b for a, b in zip((x @ yx).entries, (x @ y).entries)]
-    in_order = itemgetter(*data.tau_order)
-    return ExactMatrix(x.field, tuple(map(in_order, in_order(top + bottom))))
+    n = data.n
+    # sw[p][q] = rank x[p+1.., ..q], zero on the empty blocks p = n and q = 0
+    sw = [(0,) + row for row in southwest_profile(x)]
+    sw.append((0,) * (n + 1))
+    ps, qs = (0,) + data.p + (n,), (0,) + data.q + (n,)
+    rows: list[int] = []
+    cols: list[int] = []
+    rows_before, cols_through = [0], [0]
+    for p0, q0, p1, q1 in zip(ps, qs, ps[1:], qs[1:]):
+        ranks = sw[p0]
+        for c in range(q0 + 1, q1 + 1):
+            (cols if ranks[c] > ranks[c - 1] else rows).append(c - 1)
+        for s in range(p0 + 1, p1 + 1):
+            (rows if sw[s - 1][q1] > sw[s][q1] else cols).append(n + s - 1)
+        rows_before.append(len(rows))
+        cols_through.append(len(cols))
+    return tuple(rows), tuple(cols), tuple(rows_before), tuple(cols_through)
+
+
+def core_matrix(
+    pt: CotangentMatrixPoint, rows: Sequence[int], cols: Sequence[int]
+) -> ExactMatrix:
+    """The n x n core N = H y G of M = [I; x] y [x, I] on the pivots of core_pivots.
+
+    A unit row of H picks a row of y and a unit column of G picks a column
+    of H y; only the rows and columns of x cost a dot product.
+    """
+    field = pt.x.field
+    n = pt.n
+    x, y = pt.x.entries, pt.y.entries
+    p, zero = field.p, field.zero()
+
+    def products(vectors, columns):
+        """Dot product of each vector with each column, one tuple per vector."""
+        if p is None:
+            return [tuple([sum(map(mul, v, c), zero) for c in columns]) for v in vectors]
+        return [tuple([sum(map(mul, v, c)) % p for c in columns]) for v in vectors]
+
+    x_times_y = iter(products([x[k - n] for k in rows if k >= n], tuple(zip(*y))))
+    hy = [next(x_times_y) if k >= n else y[k] for k in rows]
+    hy_cols = tuple(zip(*hy))
+    x_cols = tuple(zip(*x))
+    hy_times_x = iter(products([x_cols[k] for k in cols if k < n], hy))
+    core_cols = [next(hy_times_x) if k < n else hy_cols[k - n] for k in cols]
+    return ExactMatrix(field, tuple(zip(*core_cols)))
 
 
 def in_conormal_matrix(pt: CotangentMatrixPoint, w: PartialPermutation) -> bool:
@@ -152,10 +213,14 @@ def conormal_matrix_violations(
 ) -> list[dict]:
     """Violated conditions as diagnostics; empty list means membership.
 
+    rank M_ij is the southwest rank of the core N on the members of H after
+    position t_j and the members of G up to position t_i.
+
     Raises NotCovexillaryError when w is not covexillary.
     """
     data = covexillary_data(w)
-    if pt.n != w.n:
+    n = pt.n
+    if n != w.n:
         raise DimensionMismatchError("point size differs from permutation size")
     out: list[dict] = []
     base = matrix_schubert_violation(pt.x, w)
@@ -163,9 +228,11 @@ def conormal_matrix_violations(
         out.append({"kind": "schubert", "condition": base})
         if first_only:
             return out
-    profile = southwest_profile(tau_conjugated_M(pt, data))
-    for i, j, row, col, bound in data.conormal_checks:
-        rank = profile[row][col]
+    rows, cols, rows_before, cols_through = core_pivots(pt.x, data)
+    profile = southwest_profile(core_matrix(pt, rows, cols))
+    for i, j, _, _, bound in data.conormal_checks:
+        a, b = rows_before[j], cols_through[i]
+        rank = profile[a][b - 1] if a < n and b else 0
         if rank > bound:
             out.append({"kind": "rank", "i": i, "j": j, "rank": rank, "bound": bound})
             if first_only:
@@ -299,19 +366,11 @@ def conormal_flag_violations(
         out.append({"kind": "schubert"})
         if first_only:
             return out
-    field = flag.field
-    n = w.n
-    table = bound_table(data)
-    for i, j in table.pairs():
-        bound = table.bound(i, j)
-        source = subspace_sum(
-            flag.subspace(data.q_at(i)), standard_subspace(field, n, data.p_at(i))
-        ).apply(z)
+    for i, j, _, _, bound in data.conormal_checks:
+        source = flag.plus_standard(data.q_at(i), data.p_at(i)).apply(z)
         if bound < 0 and source.dim == 0:
             continue
-        quotient_by = subspace_intersect(
-            flag.subspace(data.q_at(j)), standard_subspace(field, n, data.p_at(j))
-        )
+        quotient_by = flag.meet_standard(data.q_at(j), data.p_at(j))
         dim = dim_quotient(source, quotient_by)
         if bound < 0 or dim > bound:
             out.append({"kind": "rank", "i": i, "j": j, "dim": dim, "bound": bound})

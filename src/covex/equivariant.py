@@ -195,58 +195,29 @@ def t_ring(N: int) -> tuple[str, ...]:
     return tuple(f"t{i}" for i in range(1, N + 1))
 
 
-def _swap_positions(exps: tuple[int, ...], i: int, j: int) -> tuple[int, ...]:
-    out = list(exps)
-    out[i], out[j] = out[j], out[i]
-    return tuple(out)
-
-
-def transpose_x(f: MultivariatePolynomial, n: int, i: int) -> MultivariatePolynomial:
-    """Apply the simple transposition s_i to the x-variables."""
-    a, b = i - 1, i  # positions of x_i, x_{i+1} in the xy ring
-    return MultivariatePolynomial.make(
-        f.variables, {_swap_positions(exps, a, b): c for exps, c in f.terms}
-    )
-
-
 def divided_difference(f: MultivariatePolynomial, n: int, i: int) -> MultivariatePolynomial:
-    """(f - s_i f) / (x_i - x_{i+1}), exact; the difference is always divisible."""
-    g = f - transpose_x(f, n, i)
-    return _divide_linear_difference(g, i - 1, i)
+    """(f - s_i f) / (x_i - x_{i+1}), term by term in closed form.
 
-
-def _divide_linear_difference(
-    g: MultivariatePolynomial, pos_a: int, pos_b: int
-) -> MultivariatePolynomial:
-    """Exact division by (v_a - v_b), raising if a remainder is left."""
-    data = g._dict()
-    quotient: dict[tuple[int, ...], int] = {}
-
-    def lead_key(exps: tuple[int, ...]) -> tuple:
-        return (exps[pos_a], exps)
-
-    while data:
-        exps = max(data, key=lead_key)
-        c = data.pop(exps)
-        if c == 0:
+    A term c x_i^a x_{i+1}^b m, with m free of x_i and x_{i+1}, goes to
+    c m sum_{k < a-b} x_i^(a-1-k) x_{i+1}^(b+k) when a > b, to the negative
+    of the mirrored sum when a < b, and to 0 when a = b.  The mirrored sum
+    has the same monomials, so both cases run over the exponent pairs
+    (lo + k, hi - 1 - k) with lo = min(a, b), hi = max(a, b).
+    """
+    pos_a, pos_b = i - 1, i  # positions of x_i, x_{i+1} in the xy ring
+    data: dict[tuple[int, ...], int] = {}
+    for exps, c in f.terms:
+        a, b = exps[pos_a], exps[pos_b]
+        if a == b:
             continue
-        if exps[pos_a] == 0:
-            raise ArithmeticError("polynomial is not divisible by the linear difference")
-        qexps = list(exps)
-        qexps[pos_a] -= 1
-        qexps = tuple(qexps)
-        quotient[qexps] = quotient.get(qexps, 0) + c
-        # subtract (v_a - v_b) * c * monomial(qexps)
-        data[exps] = data.get(exps, 0)  # the v_a part cancels by construction
-        bexps = list(qexps)
-        bexps[pos_b] += 1
-        bexps = tuple(bexps)
-        data[bexps] = data.get(bexps, 0) + c
-        if data.get(exps) == 0:
-            data.pop(exps)
-        if data.get(bexps) == 0:
-            data.pop(bexps)
-    return MultivariatePolynomial.make(g.variables, quotient)
+        if a < b:
+            a, b, c = b, a, -c
+        out = list(exps)
+        for k in range(a - b):
+            out[pos_a], out[pos_b] = b + k, a - 1 - k
+            key = tuple(out)
+            data[key] = data.get(key, 0) + c
+    return MultivariatePolynomial.make(f.variables, data)
 
 
 @lru_cache(maxsize=None)

@@ -22,6 +22,9 @@ from .exactla import (
     FieldSpec,
     Subspace,
     random_borel,
+    standard_subspace,
+    subspace_intersect,
+    subspace_sum,
 )
 from .permcore import PartialPermutation, essential_set, rank_matrix
 
@@ -57,9 +60,35 @@ class Flag:
             memo[i] = Subspace.column_span(first_columns)
         return memo[i]
 
+    def plus_standard(self, q: int, p: int) -> Subspace:
+        """F_q + E_p, built once per (q, p)."""
+        memo = self._sums
+        if (q, p) not in memo:
+            memo[q, p] = subspace_sum(self.subspace(q), standard_subspace(self.field, self.n, p))
+        return memo[q, p]
+
+    def meet_standard(self, q: int, p: int) -> Subspace:
+        """F_q intersected with E_p, built once per (q, p)."""
+        memo = self._meets
+        if (q, p) not in memo:
+            memo[q, p] = subspace_intersect(
+                self.subspace(q), standard_subspace(self.field, self.n, p)
+            )
+        return memo[q, p]
+
     @cached_property
     def _subspaces(self) -> dict[int, Subspace]:
         """F_i by i, filled in as subspace(i) asks for it."""
+        return {}
+
+    @cached_property
+    def _sums(self) -> dict[tuple[int, int], Subspace]:
+        """F_q + E_p by (q, p), filled in as plus_standard asks for it."""
+        return {}
+
+    @cached_property
+    def _meets(self) -> dict[tuple[int, int], Subspace]:
+        """F_q intersected with E_p by (q, p), filled in as meet_standard asks for it."""
         return {}
 
     def validate(self) -> None:

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from operator import itemgetter
 
 import pytest
 
@@ -15,6 +16,8 @@ from covex.conormal import (
     conormal_fiber_flag,
     conormal_fiber_matrix,
     conormal_matrix_violations,
+    core_matrix,
+    core_pivots,
     in_conormal_flag,
     in_conormal_grass,
     in_conormal_matrix,
@@ -23,7 +26,6 @@ from covex.conormal import (
     springer_flag,
     springer_grass,
     tangent_orbit_rank,
-    tau_conjugated_M,
     vector_to_matrix,
 )
 from covex.embedding import embed_point, tau_permutation
@@ -46,6 +48,7 @@ from covex.permcore import (
     all_permutations,
     covexillary_data,
     is_covexillary,
+    random_partial_permutation,
 )
 from covex.varieties import (
     Flag,
@@ -98,20 +101,35 @@ def mij_ranks(m, data):
     }
 
 
-def reference_violations(pt, w):
-    """conormal_matrix_violations spelled out from big_matrix_M and the bound table."""
+def tau_conjugated_M(pt, data):
+    """Reference: tau M tau^-1 assembled in tau order straight from the rows
+    of yx, y, xyx and xy, without materialising M."""
+    x, y = pt.x, pt.y
+    yx = y @ x
+    top = [a + b for a, b in zip(yx.entries, y.entries)]
+    bottom = [a + b for a, b in zip((x @ yx).entries, (x @ y).entries)]
+    in_order = itemgetter(*data.tau_order)
+    return ExactMatrix(x.field, tuple(map(in_order, in_order(top + bottom))))
+
+
+def diagnostics(x, w, ranks):
+    """conormal_matrix_violations spelled out from rank M_ij by pair and the bound table."""
     data = covexillary_data(w)
     out = []
-    base = matrix_schubert_violation(pt.x, w)
+    base = matrix_schubert_violation(x, w)
     if base is not None:
         out.append({"kind": "schubert", "condition": base})
     table = bound_table(data)
-    ranks = mij_ranks(big_matrix_M(pt), data)
     for i, j in table.pairs():
         bound = table.bound(i, j)
         if ranks[i, j] > bound:
             out.append({"kind": "rank", "i": i, "j": j, "rank": ranks[i, j], "bound": bound})
     return out
+
+
+def reference_violations(pt, w):
+    """The diagnostics read off big_matrix_M."""
+    return diagnostics(pt.x, w, mij_ranks(big_matrix_M(pt), covexillary_data(w)))
 
 
 def test_big_matrix_fixtures():
@@ -225,6 +243,91 @@ def test_tau_conjugated_M_is_the_conjugated_big_matrix():
                 assert conormal_matrix_violations(pt, w) == expected
                 first = conormal_matrix_violations(pt, w, first_only=True)
                 assert first == expected[:1]
+
+
+def matrix_of_rank(field, n, r, rng):
+    """An n x n matrix of rank exactly r: a product n x r by r x n, redrawn
+    until the rank is r (integer entries in -3..3 over Q)."""
+
+    def factor(rows, cols):
+        if field.is_prime:
+            return random_matrix(field, rows, cols, rng)
+        entries = [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(rows)]
+        return ExactMatrix.from_rows(field, entries)
+
+    while True:
+        x = factor(n, r) @ factor(r, n) if r else ExactMatrix.zeros(field, n, n)
+        if x.rank() == r:
+            return x
+
+
+def core_points(w, field, rng):
+    """(x, y) pairs for w: x of every rank 0..n and a cell point of w, each
+    with a random covector; the cell point also with the zero covector and,
+    over F_p, a fiber covector."""
+    n = w.n
+    if field.is_prime:
+        cell = sample_cell_point(w, field, rng)
+        random_y = lambda: random_matrix(field, n, n, rng)
+    else:
+        cell = w.matrix(field)
+        random_y = lambda: rational_matrix(rng, n)
+    xs = [matrix_of_rank(field, n, r, rng) for r in range(n + 1)] + [cell]
+    points = [(x, random_y()) for x in xs] + [(cell, ExactMatrix.zeros(field, n, n))]
+    if field.is_prime:
+        fiber = conormal_fiber_matrix(cell, w)
+        if fiber.dim:
+            points.append((cell, vector_to_matrix(field, fiber.vectors[-1], n)))
+    return points
+
+
+def check_core_against_references(w, field, rng):
+    data = covexillary_data(w)
+    n = w.n
+    for x, y in core_points(w, field, rng):
+        rows, cols, rows_before, cols_through = core_pivots(x, data)
+        assert len(rows) == len(cols) == n
+        assert len(set(rows)) == len(set(cols)) == n
+        assert len(rows_before) == len(cols_through) == data.m + 1
+        assert rows_before[-1] == cols_through[-1] == n
+        pt = CotangentMatrixPoint(x, y)
+        ranks = mij_ranks(big_matrix_M(pt), data)
+        profile = southwest_profile(core_matrix(pt, rows, cols))
+        for i, j, _, _, _ in data.conormal_checks:
+            a, b = rows_before[j], cols_through[i]
+            assert (profile[a][b - 1] if a < n and b else 0) == ranks[i, j]
+        expected = diagnostics(x, w, ranks)
+        assert conormal_matrix_violations(pt, w) == expected
+        assert conormal_matrix_violations(pt, w, first_only=True) == expected[:1]
+
+
+CORE_FIELDS = (FieldSpec.prime(2), FieldSpec.prime(5), F, Q)
+
+
+def test_core_ranks_match_big_matrix_for_n_up_to_4():
+    """The n x n core gives every rank M_ij of big_matrix_M, and the
+    diagnostics in full and first_only, for every covexillary partial w with
+    n <= 4, over F_2, F_5, F_10007 and Q.  (tau_conjugated_M, the second
+    oracle, is checked in test_tau_conjugated_M_is_the_conjugated_big_matrix.)"""
+    rng = random.Random(31)
+    for field in CORE_FIELDS:
+        for n in (1, 2, 3, 4):
+            for w in all_partial_permutations(n):
+                if is_covexillary(w):
+                    check_core_against_references(w, field, rng)
+
+
+def test_core_ranks_match_big_matrix_on_a_sample_at_n_5_and_6():
+    rng = random.Random(37)
+    for n, count in ((5, 6), (6, 3)):
+        drawn = 0
+        while drawn < count:
+            w = random_partial_permutation(n, rng)
+            if not is_covexillary(w):
+                continue
+            drawn += 1
+            for field in CORE_FIELDS:
+                check_core_against_references(w, field, rng)
 
 
 def test_bound_table_longest_element_forces_zero_section():

@@ -77,6 +77,73 @@ def test_divided_difference_properties():
         assert left == right
 
 
+def swap_x(f, i):
+    """s_i f: exchange the exponents of x_i and x_{i+1}."""
+    data = {}
+    for exps, c in f.terms:
+        out = list(exps)
+        out[i - 1], out[i] = out[i], out[i - 1]
+        data[tuple(out)] = c
+    return MultivariatePolynomial.make(f.variables, data)
+
+
+def divide_linear_difference(g, pos_a, pos_b):
+    """Reference: long division of g by (v_a - v_b), raising if a remainder is left.
+
+    Each step takes the remainder's largest term in the order (exponent of
+    v_a, exponents) and cancels it, which is quadratic in the number of
+    terms; the production divided difference maps each term to its closed
+    form instead.
+    """
+    data = g._dict()
+    quotient = {}
+
+    def lead_key(exps):
+        return (exps[pos_a], exps)
+
+    while data:
+        exps = max(data, key=lead_key)
+        c = data.pop(exps)
+        if c == 0:
+            continue
+        if exps[pos_a] == 0:
+            raise ArithmeticError("polynomial is not divisible by the linear difference")
+        qexps = list(exps)
+        qexps[pos_a] -= 1
+        qexps = tuple(qexps)
+        quotient[qexps] = quotient.get(qexps, 0) + c
+        # subtracting (v_a - v_b) c monomial(qexps) leaves + c v_b monomial(qexps)
+        bexps = list(qexps)
+        bexps[pos_b] += 1
+        bexps = tuple(bexps)
+        data[bexps] = data.get(bexps, 0) + c
+        if data[bexps] == 0:
+            data.pop(bexps)
+    return MultivariatePolynomial.make(g.variables, quotient)
+
+
+def test_divided_difference_matches_long_division():
+    """The closed form equals (f - s_i f) divided by x_i - x_{i+1} for every
+    double Schubert polynomial of S_5 and every i, and on random polynomials
+    with repeated, missing and unequal exponents."""
+    for w in all_permutations(5):
+        f = double_schubert(w)
+        for i in range(1, 5):
+            expected = divide_linear_difference(f - swap_x(f, i), i - 1, i)
+            assert divided_difference(f, 5, i) == expected
+    rng = random.Random(21)
+    ring = xy_ring(3)
+    for _ in range(200):
+        data = {}
+        for _ in range(rng.randrange(1, 6)):
+            exps = tuple(rng.randrange(5) for _ in range(6))
+            data[exps] = rng.randrange(-4, 5)
+        f = MultivariatePolynomial.make(ring, data)
+        for i in (1, 2):
+            expected = divide_linear_difference(f - swap_x(f, i), i - 1, i)
+            assert divided_difference(f, 3, i) == expected
+
+
 def test_single_schubert_stability():
     # killing the y alphabet and appending a fixed point leaves the polynomial alone
     for image in ((1, 2, 3), (2, 1, 3), (1, 3, 2), (3, 1, 2), (2, 3, 1), (3, 2, 1)):

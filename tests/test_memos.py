@@ -1,8 +1,9 @@
 """Derived data is computed once per instance and is invisible from outside.
 
 rank_matrix, covexillary_data, the tau data of CovexillaryData, the
-southwest profile of a matrix and the subspaces of a flag are stored on the
-frozen instance they belong to.  An instance that holds them must still
+southwest profile of a matrix, and the subspaces F_i, F_q + E_p and
+F_q intersected with E_p of a flag are stored on the frozen instance they
+belong to.  An instance that holds them must still
 compare, hash, print, replace and pickle exactly like a fresh one.
 """
 
@@ -13,7 +14,13 @@ import random
 import pytest
 
 from covex.errors import NotCovexillaryError
-from covex.exactla import FieldSpec, random_matrix
+from covex.exactla import (
+    FieldSpec,
+    random_matrix,
+    standard_subspace,
+    subspace_intersect,
+    subspace_sum,
+)
 from covex.permcore import PartialPermutation, covexillary_data, rank_matrix
 from covex.varieties import sample_flag, southwest_profile
 
@@ -72,6 +79,28 @@ def test_flag_subspace_memo_is_invisible():
     assert [fresh.subspace(i) for i in range(5)] == subspaces
     back = pickle.loads(pickle.dumps(flag))
     assert [back.subspace(i) for i in range(5)] == subspaces
+
+
+def test_flag_standard_memos_are_invisible():
+    flag = sample_flag(PartialPermutation.from_one_line("3142"), F, random.Random(5))
+    keys = [(q, p) for q in range(5) for p in range(5)]
+    sums = [flag.plus_standard(q, p) for q, p in keys]
+    meets = [flag.meet_standard(q, p) for q, p in keys]
+    assert all(flag.plus_standard(q, p) is s for (q, p), s in zip(keys, sums))
+    assert all(flag.meet_standard(q, p) is m for (q, p), m in zip(keys, meets))
+    assert {"_sums", "_meets"} <= set(vars(flag))
+    for (q, p), s, m in zip(keys, sums, meets):
+        e_p = standard_subspace(F, 4, p)
+        assert s == subspace_sum(flag.subspace(q), e_p)
+        assert m == subspace_intersect(flag.subspace(q), e_p)
+    fresh = dataclasses.replace(flag)
+    assert "_sums" not in vars(fresh) and "_meets" not in vars(fresh)
+    assert_like_fresh(flag, fresh)
+    assert [fresh.plus_standard(q, p) for q, p in keys] == sums
+    assert [fresh.meet_standard(q, p) for q, p in keys] == meets
+    back = pickle.loads(pickle.dumps(flag))
+    assert [back.plus_standard(q, p) for q, p in keys] == sums
+    assert [back.meet_standard(q, p) for q, p in keys] == meets
 
 
 def test_not_covexillary_is_raised_on_every_call():
