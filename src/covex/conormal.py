@@ -25,6 +25,13 @@ Schubert check has already computed, so N's profile is the only new
 elimination.  The unit rows of H and unit columns of G are copies; only
 the rows and columns of x in them cost dot products.
 
+The flag form is the matrix form pulled back along GL_n -> Mat_n.  For
+the flag F_q = g E_q, F_q + E_p = g(E_q + g^-1 E_p) and F_q meet E_p =
+g(E_q meet g^-1 E_p), so dim(z(F_{q_i} + E_{p_i}) / (F_{q_j} meet E_{p_j}))
+is rank M_ij at the matrix point (x, y) = (g, g^-1 z), which is
+push_iota(g, y) when (F, z) = springer_flag(g, y); and F is in the
+Schubert variety exactly when g is in the matrix Schubert variety.
+
 The ground truth the predicates are calibrated against is the annihilator
 of the orbit tangent space under the trace pairing: over a cell point x the
 conormal fiber is exactly {y : xy and yx strictly upper triangular}, and
@@ -34,19 +41,20 @@ over a flag cell generator g it is {z : z and g^-1 z g strictly upper}.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from operator import mul
 from typing import Sequence
 
 from .errors import (
     CellMembershipError,
     DimensionMismatchError,
+    InputError,
     InvariantError,
 )
 from .exactla import (
     ExactMatrix,
     FieldSpec,
     Subspace,
-    dim_quotient,
     image,
     kernel,
 )
@@ -58,7 +66,6 @@ from .permcore import (
 )
 from .varieties import (
     Flag,
-    in_flag_schubert,
     in_matrix_schubert_cell,
     locate_flag_cell,
     matrix_schubert_violation,
@@ -85,7 +92,13 @@ class CotangentMatrixPoint:
 
 @dataclass(frozen=True)
 class SpringerFlagPoint:
-    """A pair (F, z) with z F_i inside F_{i-1} for every i."""
+    """A pair (F, z) with z F_i inside F_{i-1} for every i.
+
+    With F_i = g E_i for the flag generator g, the condition says that
+    covector @ g = g^-1 z g is strictly upper triangular, and z F_i leaves
+    F_{i-1} first at the first column i of g^-1 z g with a nonzero entry on
+    or below the diagonal.
+    """
 
     flag: Flag
     z: ExactMatrix
@@ -94,10 +107,15 @@ class SpringerFlagPoint:
         n = self.flag.n
         if self.z.shape != (n, n):
             raise DimensionMismatchError("z size differs from flag size")
+        conjugate = (self.covector @ self.flag.generator).entries
         for i in range(1, n + 1):
-            moved = self.flag.subspace(i).apply(self.z)
-            if not self.flag.subspace(i - 1).contains(moved):
+            if any(row[i - 1] for row in conjugate[i - 1 :]):
                 raise InvariantError(f"z F_{i} is not contained in F_{i - 1}")
+
+    @cached_property
+    def covector(self) -> ExactMatrix:
+        """g^-1 z, computed once: (g, g^-1 z) is the matrix point of (F, z)."""
+        return self.flag.inverse @ self.z
 
 
 @dataclass(frozen=True)
@@ -230,7 +248,7 @@ def conormal_matrix_violations(
             return out
     rows, cols, rows_before, cols_through = core_pivots(pt.x, data)
     profile = southwest_profile(core_matrix(pt, rows, cols))
-    for i, j, _, _, bound in data.conormal_checks:
+    for i, j, bound in data.conormal_checks:
         a, b = rows_before[j], cols_through[i]
         rank = profile[a][b - 1] if a < n and b else 0
         if rank > bound:
@@ -356,27 +374,17 @@ def in_conormal_flag(pt: SpringerFlagPoint, w: PartialPermutation) -> bool:
 def conormal_flag_violations(
     pt: SpringerFlagPoint, w: PartialPermutation, first_only: bool = False
 ) -> list[dict]:
-    """Check (F, z) against the flag form of the conormal conditions."""
-    data = covexillary_data(w)
-    flag, z = pt.flag, pt.z
-    if flag.n != w.n:
+    """Check (F, z) as the matrix point (g, g^-1 z); see the module docstring.
+
+    The diagnostics are those of conormal_matrix_violations.
+    """
+    covexillary_data(w)  # NotCovexillaryError first, as for the other forms
+    if pt.flag.n != w.n:
         raise DimensionMismatchError("flag size differs from permutation size")
-    out: list[dict] = []
-    if not in_flag_schubert(flag, w):
-        out.append({"kind": "schubert"})
-        if first_only:
-            return out
-    for i, j, _, _, bound in data.conormal_checks:
-        source = flag.plus_standard(data.q_at(i), data.p_at(i)).apply(z)
-        if bound < 0 and source.dim == 0:
-            continue
-        quotient_by = flag.meet_standard(data.q_at(j), data.p_at(j))
-        dim = dim_quotient(source, quotient_by)
-        if bound < 0 or dim > bound:
-            out.append({"kind": "rank", "i": i, "j": j, "dim": dim, "bound": bound})
-            if first_only:
-                return out
-    return out
+    if not w.is_full_rank:
+        raise InputError("flag Schubert membership requires a permutation")
+    point = CotangentMatrixPoint(pt.flag.generator, pt.covector)
+    return conormal_matrix_violations(point, w, first_only)
 
 
 def conormal_fiber_flag(
@@ -393,7 +401,7 @@ def conormal_fiber_flag(
     if locate_flag_cell(flag) != w:
         raise CellMembershipError("the flag of g is not in the open cell of w")
     field = g.field
-    ginv = g.inverse()
+    ginv = flag.inverse
     zero = field.zero()
     rows = []
     for a in range(1, n + 1):
@@ -445,4 +453,5 @@ def springer_grass(g: ExactMatrix, u: ExactMatrix, d: int) -> SpringerGrassPoint
 
 def springer_flag(g: ExactMatrix, y: ExactMatrix) -> SpringerFlagPoint:
     """Springer coordinates on T*Fl: (g, y) -> (g E_bullet, g y g^-1)."""
-    return SpringerFlagPoint(Flag(g), g @ y @ g.inverse())
+    flag = Flag(g)
+    return SpringerFlagPoint(flag, g @ y @ flag.inverse)

@@ -248,11 +248,6 @@ class ExactMatrix:
             data = [tuple([sum(map(mul, row, col), zero) for col in bt]) for row in self.entries]
         return ExactMatrix(f, tuple(data))
 
-    def scalar_mul(self, c) -> "ExactMatrix":
-        f = self.field
-        c = f.coerce(c)
-        return ExactMatrix(f, tuple(tuple(f.mul(c, a) for a in row) for row in self.entries))
-
     def transpose(self) -> "ExactMatrix":
         return ExactMatrix(self.field, tuple(zip(*self.entries)))
 
@@ -524,36 +519,6 @@ def kernel(matrix: ExactMatrix) -> Subspace:
 def image(matrix: ExactMatrix) -> Subspace:
     """Column span."""
     return Subspace.column_span(matrix)
-
-
-@dataclass(frozen=True)
-class LinearSolution:
-    """Solution set of A x = b: one particular solution plus the kernel."""
-
-    particular: tuple[Scalar, ...] | None
-    homogeneous: Subspace
-
-    @property
-    def consistent(self) -> bool:
-        return self.particular is not None
-
-
-def solve_linear(matrix: ExactMatrix, rhs: Sequence) -> LinearSolution:
-    f = matrix.field
-    b = [f.coerce(v) for v in rhs]
-    if len(b) != matrix.rows:
-        raise DimensionMismatchError("right-hand side length mismatch")
-    n = matrix.cols
-    aug = [list(row) + [bv] for row, bv in zip(matrix.entries, b)]
-    reduced, pivots = _row_echelon(aug, f, reduced=True, pivot_limit=n)
-    zero = f.zero()
-    for i in range(len(pivots), matrix.rows):
-        if reduced[i][n] != zero:
-            return LinearSolution(None, kernel(matrix))
-    particular = [zero] * n
-    for row, pivot in zip(reduced, pivots):
-        particular[pivot] = row[n]
-    return LinearSolution(tuple(particular), kernel(matrix))
 
 
 def random_matrix(field: FieldSpec, rows: int, cols: int, rng: random.Random) -> ExactMatrix:

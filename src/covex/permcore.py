@@ -394,18 +394,14 @@ class CovexillaryData:
         return tuple(c - 1 for c in self.tau.inverse().image)
 
     @cached_property
-    def conormal_checks(self) -> tuple[tuple[int, int, int, int, int], ...]:
-        """(i, j, t_j, t_i - 1, b(i, j)) for 0 <= j < i <= m.
+    def conormal_checks(self) -> tuple[tuple[int, int, int], ...]:
+        """(i, j, b(i, j)) for 0 <= j < i <= m.
 
-        rank M_ij is entry [t_j][t_i - 1] of the southwest profile of
-        tau M tau^-1, and b(i, j) is its bound in the conormal criterion,
-        with terminal rank r_m = n as in conormal.bound_table.
+        b(i, j) is the bound on rank M_ij in the conormal criterion, with
+        terminal rank r_m = n as in conormal.bound_table.
         """
         table = ConormalBoundTable(self, self.n)
-        return tuple(
-            (i, j, self.t_at(j), self.t_at(i) - 1, table.bound(i, j))
-            for i, j in table.pairs()
-        )
+        return tuple((i, j, table.bound(i, j)) for i, j in table.pairs())
 
 
 @dataclass(frozen=True)

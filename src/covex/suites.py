@@ -338,7 +338,7 @@ def _suite_conormal_flag(config: SuiteConfig) -> list[Verdict]:
             reject_rate = None
             rejection_ok = True
             if fiber.dim < n * (n - 1) // 2:
-                ginv = g.inverse()
+                ginv = flag.inverse
                 rejections = 0
                 for _ in range(REJECTION_TRIALS):
                     upper = ExactMatrix.from_rows(

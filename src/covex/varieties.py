@@ -22,9 +22,6 @@ from .exactla import (
     FieldSpec,
     Subspace,
     random_borel,
-    standard_subspace,
-    subspace_intersect,
-    subspace_sum,
 )
 from .permcore import PartialPermutation, essential_set, rank_matrix
 
@@ -50,50 +47,10 @@ class Flag:
     def field(self) -> FieldSpec:
         return self.generator.field
 
-    def subspace(self, i: int) -> Subspace:
-        """F_i = span of the first i generator columns (F_0 = 0), built once."""
-        if not 0 <= i <= self.n:
-            raise DimensionMismatchError(f"flag index {i} outside 0..{self.n}")
-        memo = self._subspaces
-        if i not in memo:
-            first_columns = self.generator.submatrix(range(1, self.n + 1), range(1, i + 1))
-            memo[i] = Subspace.column_span(first_columns)
-        return memo[i]
-
-    def plus_standard(self, q: int, p: int) -> Subspace:
-        """F_q + E_p, built once per (q, p)."""
-        memo = self._sums
-        if (q, p) not in memo:
-            memo[q, p] = subspace_sum(self.subspace(q), standard_subspace(self.field, self.n, p))
-        return memo[q, p]
-
-    def meet_standard(self, q: int, p: int) -> Subspace:
-        """F_q intersected with E_p, built once per (q, p)."""
-        memo = self._meets
-        if (q, p) not in memo:
-            memo[q, p] = subspace_intersect(
-                self.subspace(q), standard_subspace(self.field, self.n, p)
-            )
-        return memo[q, p]
-
     @cached_property
-    def _subspaces(self) -> dict[int, Subspace]:
-        """F_i by i, filled in as subspace(i) asks for it."""
-        return {}
-
-    @cached_property
-    def _sums(self) -> dict[tuple[int, int], Subspace]:
-        """F_q + E_p by (q, p), filled in as plus_standard asks for it."""
-        return {}
-
-    @cached_property
-    def _meets(self) -> dict[tuple[int, int], Subspace]:
-        """F_q intersected with E_p by (q, p), filled in as meet_standard asks for it."""
-        return {}
-
-    def validate(self) -> None:
-        if self.generator.rank() != self.n:
-            raise InputError("flag generator is singular")
+    def inverse(self) -> ExactMatrix:
+        """The inverse of the generator, computed once; SingularMatrixError if singular."""
+        return self.generator.inverse()
 
 
 def standard_flag(field: FieldSpec, n: int) -> Flag:
@@ -198,9 +155,7 @@ def flag_schubert_violation(
     """First (i, j, dim, bound) with dim(F_j / E_{i-1}) > r_w(i, j), else None."""
     if not w.is_full_rank:
         raise InputError("flag Schubert membership requires a permutation")
-    if flag.n != w.n:
-        raise DimensionMismatchError("flag size differs from permutation size")
-    return _first_excess(southwest_profile(flag.generator), rank_matrix(w).cells)
+    return matrix_schubert_violation(flag.generator, w)
 
 
 def locate_flag_cell(flag: Flag) -> PartialPermutation:

@@ -2,6 +2,8 @@
 
 import random
 from fractions import Fraction
+from functools import lru_cache
+from itertools import product
 from operator import itemgetter
 
 import pytest
@@ -15,6 +17,7 @@ from covex.conormal import (
     bound_table,
     conormal_fiber_flag,
     conormal_fiber_matrix,
+    conormal_flag_violations,
     conormal_matrix_violations,
     core_matrix,
     core_pivots,
@@ -32,15 +35,21 @@ from covex.embedding import embed_point, tau_permutation
 from covex.errors import (
     CellMembershipError,
     DimensionMismatchError,
+    InputError,
     InvariantError,
     NotCovexillaryError,
+    SingularMatrixError,
 )
 from covex.exactla import (
     ExactMatrix,
     FieldSpec,
     Subspace,
     coordinate_subspace,
+    dim_quotient,
     random_matrix,
+    standard_subspace,
+    subspace_intersect,
+    subspace_sum,
 )
 from covex.permcore import (
     PartialPermutation,
@@ -49,11 +58,13 @@ from covex.permcore import (
     covexillary_data,
     is_covexillary,
     random_partial_permutation,
+    rank_matrix,
 )
 from covex.varieties import (
     Flag,
     matrix_schubert_violation,
     sample_cell_point,
+    sample_flag,
     southwest_profile,
 )
 
@@ -218,7 +229,7 @@ def test_tau_conjugated_M_is_the_conjugated_big_matrix():
                 continue
             data = covexillary_data(w)
             table = bound_table(data)
-            assert [(i, j, b) for i, j, _, _, b in data.conormal_checks] == [
+            assert list(data.conormal_checks) == [
                 (i, j, table.bound(i, j)) for i, j in table.pairs()
             ]
             order = tau_permutation(data).inverse().image
@@ -237,7 +248,8 @@ def test_tau_conjugated_M_is_the_conjugated_big_matrix():
                 assert direct == m.submatrix(order, order)
                 assert southwest_profile(direct) == southwest_profile(m.submatrix(order, order))
                 ranks = mij_ranks(m, data)
-                for i, j, row, col, _ in data.conormal_checks:
+                for i, j, _ in data.conormal_checks:
+                    row, col = data.t_at(j), data.t_at(i) - 1
                     assert southwest_profile(direct)[row][col] == ranks[i, j]
                 expected = reference_violations(pt, w)
                 assert conormal_matrix_violations(pt, w) == expected
@@ -293,7 +305,7 @@ def check_core_against_references(w, field, rng):
         pt = CotangentMatrixPoint(x, y)
         ranks = mij_ranks(big_matrix_M(pt), data)
         profile = southwest_profile(core_matrix(pt, rows, cols))
-        for i, j, _, _, _ in data.conormal_checks:
+        for i, j, _ in data.conormal_checks:
             a, b = rows_before[j], cols_through[i]
             assert (profile[a][b - 1] if a < n and b else 0) == ranks[i, j]
         expected = diagnostics(x, w, ranks)
@@ -533,6 +545,194 @@ def test_flag_fiber_fixtures():
         assert fiber.dim == 3 - w.length()
     with pytest.raises(CellMembershipError):
         conormal_fiber_flag(ExactMatrix.identity(F, 3), PartialPermutation.longest(3))
+
+
+def flag_subspaces(flag):
+    """F_0, ..., F_n as spans of the first generator columns."""
+    g, n = flag.generator, flag.n
+    rows = range(1, n + 1)
+    return [Subspace.column_span(g.submatrix(rows, range(1, i + 1))) for i in range(n + 1)]
+
+
+@lru_cache(maxsize=4)
+def subspace_dims(pt):
+    """dim(F_j / E_i) by (j, i), z(F_q + E_p) and F_q meet E_p by (q, p), and
+    a memo for dim(z(F_q + E_p) / (F_q' meet E_p')) by (q, p, q', p'): the
+    subspaces of one point, shared by every w."""
+    field, n, z = pt.flag.field, pt.flag.n, pt.z
+    spaces = flag_subspaces(pt.flag)
+    standard = [standard_subspace(field, n, p) for p in range(n + 1)]
+    pairs = [(q, p) for q in range(n + 1) for p in range(n + 1)]
+    moved = {(q, p): subspace_sum(spaces[q], standard[p]).apply(z) for q, p in pairs}
+    meets = {(q, p): subspace_intersect(spaces[q], standard[p]) for q, p in pairs}
+    schubert = {(j, i): dim_quotient(spaces[j], standard[i]) for j, i in pairs}
+    return schubert, moved, meets, {}
+
+
+def reference_flag_violations(pt, w, first_only=False):
+    """The flag diagnostics computed on subspaces, as (kind, i, j, dim, bound).
+
+    The Schubert entry is the first (i, j) with dim(F_j / E_{i-1}) > r_w(i, j);
+    the rank entries compare dim(z(F_{q_i} + E_{p_i}) / (F_{q_j} meet E_{p_j}))
+    with b(i, j), and a negative bound is met by a zero source.
+    """
+    data = covexillary_data(w)
+    schubert, moved, meets, quotients = subspace_dims(pt)
+    out = []
+    for i, j, bound in rank_matrix(w).cells:
+        got = schubert[j, i - 1]
+        if got > bound:
+            out.append(("schubert", i, j, got, bound))
+            break
+    for i, j, bound in data.conormal_checks:
+        source = (data.q_at(i), data.p_at(i))
+        if bound < 0 and moved[source].dim == 0:
+            continue
+        target = (data.q_at(j), data.p_at(j))
+        if source + target not in quotients:
+            quotients[source + target] = dim_quotient(moved[source], meets[target])
+        got = quotients[source + target]
+        if got > bound:
+            out.append(("rank", i, j, got, bound))
+    return out[:1] if first_only else out
+
+
+def diagnostic_tuples(violations):
+    return [
+        ("schubert", *v["condition"])
+        if v["kind"] == "schubert"
+        else ("rank", v["i"], v["j"], v["rank"], v["bound"])
+        for v in violations
+    ]
+
+
+def random_upper(field, n, rng, strict):
+    """A random upper triangular matrix, strictly upper or with a nonzero
+    diagonal; entries uniform over F_p, small fractions over Q."""
+
+    def scalar(nonzero):
+        if field.is_prime:
+            return rng.randrange(1 if nonzero else 0, field.p)
+        numerator = rng.choice([-3, -2, -1, 1, 2, 3]) if nonzero else rng.randint(-3, 3)
+        return Fraction(numerator, rng.randint(1, 3))
+
+    return ExactMatrix.from_rows(
+        field,
+        [
+            [scalar(False) if b > a else 0 if strict or b < a else scalar(True) for b in range(n)]
+            for a in range(n)
+        ],
+    )
+
+
+def cell_generator(u, field, rng):
+    """A generator of a flag in the open cell of u: b_l u b_r for random Borel b_l, b_r."""
+    if field.is_prime:
+        return sample_flag(u, field, rng).generator
+    b_l, b_r = (random_upper(field, u.n, rng, False) for _ in range(2))
+    return b_l @ u.matrix(field) @ b_r
+
+
+def test_flag_predicate_matches_subspace_reference():
+    """conormal_flag_violations equals the subspace computation, in full and
+    first_only, for every covexillary w with n <= 4 at flags from every cell
+    u, over F_2, F_3, F_10007 and Q, with the zero covector, a fiber
+    covector of u's cell and a random Springer covector g c g^-1."""
+    rng = random.Random(41)
+    for field in (FieldSpec.prime(2), FieldSpec.prime(3), F, Q):
+        for n in (1, 2, 3, 4):
+            ws = [w for w in all_permutations(n) if is_covexillary(w)]
+            for u in all_permutations(n):
+                g = cell_generator(u, field, rng)
+                flag, fiber = conormal_fiber_flag(g, u)
+                springer = g @ random_upper(field, n, rng, True) @ flag.inverse
+                zs = [ExactMatrix.zeros(field, n, n), springer]
+                if fiber.dim:
+                    zs.append(vector_to_matrix(field, fiber.vectors[-1], n))
+                for z in zs:
+                    pt = SpringerFlagPoint(flag, z)
+                    for w in ws:
+                        expected = reference_flag_violations(pt, w)
+                        assert diagnostic_tuples(conormal_flag_violations(pt, w)) == expected
+                        first = conormal_flag_violations(pt, w, first_only=True)
+                        assert diagnostic_tuples(first) == expected[:1]
+
+
+def test_flag_predicate_errors_keep_their_order():
+    flag = Flag(ExactMatrix.identity(F, 4))
+    pt = SpringerFlagPoint(flag, ExactMatrix.zeros(F, 4, 4))
+    with pytest.raises(NotCovexillaryError):
+        conormal_flag_violations(pt, PartialPermutation.from_one_line("34512"))
+    with pytest.raises(DimensionMismatchError, match="flag size differs"):
+        conormal_flag_violations(pt, PartialPermutation.from_one_line("21"))
+    with pytest.raises(InputError, match="requires a permutation"):
+        conormal_flag_violations(pt, PartialPermutation.from_one_line("0 1 3 0"))
+
+
+def reference_invariant_failure(flag, z):
+    """The first i with z F_i outside F_{i-1}, by subspace containment, or None."""
+    spaces = flag_subspaces(flag)
+    for i in range(1, flag.n + 1):
+        if not spaces[i - 1].contains(spaces[i].apply(z)):
+            return i
+    return None
+
+
+def invariant_failure(flag, z):
+    """The i named by SpringerFlagPoint's InvariantError, or None if it builds."""
+    try:
+        SpringerFlagPoint(flag, z)
+    except InvariantError as err:
+        message = str(err)
+        i = int(message.split()[1][2:])
+        assert message == f"z F_{i} is not contained in F_{i - 1}"
+        return i
+    return None
+
+
+def test_springer_flag_invariant_matches_containment_exhaustively():
+    """Every invertible g and every z for n <= 2 over F_2 and F_3."""
+    for field in (FieldSpec.prime(2), FieldSpec.prime(3)):
+        for n in (1, 2):
+            matrices = [
+                ExactMatrix.from_rows(field, [entries[a * n : (a + 1) * n] for a in range(n)])
+                for entries in product(range(field.p), repeat=n * n)
+            ]
+            for g in matrices:
+                if g.rank() < n:
+                    continue
+                flag = Flag(g)
+                for z in matrices:
+                    assert invariant_failure(flag, z) == reference_invariant_failure(flag, z)
+
+
+def test_springer_flag_invariant_matches_containment_on_samples():
+    """Seeded g for n = 3, 4 over F_2, F_3 and F_10007, with a random z, a
+    Springer z, and a Springer z with one entry added on or below the
+    diagonal of g^-1 z g so that the failure moves through every i."""
+    rng = random.Random(43)
+    for field in (FieldSpec.prime(2), FieldSpec.prime(3), F):
+        for n in (3, 4):
+            for _ in range(30):
+                g = random_matrix(field, n, n, rng)
+                if g.rank() < n:
+                    continue
+                flag = Flag(g)
+                upper = random_upper(field, n, rng, True)
+                col = rng.randrange(n)
+                bump = [[0] * n for _ in range(n)]
+                bump[rng.randrange(col, n)][col] = rng.randrange(1, field.p)
+                bumped = upper + ExactMatrix.from_rows(field, bump)
+                not_springer = g @ bumped @ flag.inverse
+                for z in (random_matrix(field, n, n, rng), g @ upper @ flag.inverse, not_springer):
+                    assert invariant_failure(flag, z) == reference_invariant_failure(flag, z)
+                assert invariant_failure(flag, not_springer) is not None
+
+
+def test_springer_flag_point_with_a_singular_generator_raises():
+    singular = Flag(ExactMatrix.from_rows(F, [[1, 2], [2, 4]]))
+    with pytest.raises(SingularMatrixError):
+        SpringerFlagPoint(singular, ExactMatrix.zeros(F, 2, 2))
 
 
 def test_push_iota():

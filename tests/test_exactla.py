@@ -17,7 +17,6 @@ from covex.exactla import (
     kernel,
     random_borel,
     random_matrix,
-    solve_linear,
     standard_subspace,
     subspace_intersect,
     subspace_sum,
@@ -149,17 +148,6 @@ def test_sampling_requires_prime_field():
         random_matrix(Q, 2, 2, rng)
     with pytest.raises(FieldError):
         random_borel(Q, 2, rng)
-
-
-def test_solve_linear():
-    a = ExactMatrix.from_rows(Q, [[1, 2], [2, 4]])
-    consistent = solve_linear(a, [1, 2])
-    assert consistent.consistent
-    x = consistent.particular
-    assert a @ ExactMatrix.from_rows(Q, [[x[0]], [x[1]]]) == ExactMatrix.from_rows(Q, [[1], [2]])
-    assert consistent.homogeneous.dim == 1
-    inconsistent = solve_linear(a, [1, 3])
-    assert not inconsistent.consistent
 
 
 def test_rational_exactness():

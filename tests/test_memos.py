@@ -1,10 +1,10 @@
 """Derived data is computed once per instance and is invisible from outside.
 
 rank_matrix, covexillary_data, the tau data of CovexillaryData, the
-southwest profile of a matrix, and the subspaces F_i, F_q + E_p and
-F_q intersected with E_p of a flag are stored on the frozen instance they
-belong to.  An instance that holds them must still
-compare, hash, print, replace and pickle exactly like a fresh one.
+southwest profile of a matrix, the inverse of a flag generator and the
+covector g^-1 z of a Springer flag point are stored on the frozen instance
+they belong to.  An instance that holds them must still compare, hash,
+print, replace and pickle exactly like a fresh one.
 """
 
 import dataclasses
@@ -13,14 +13,9 @@ import random
 
 import pytest
 
+from covex.conormal import SpringerFlagPoint
 from covex.errors import NotCovexillaryError
-from covex.exactla import (
-    FieldSpec,
-    random_matrix,
-    standard_subspace,
-    subspace_intersect,
-    subspace_sum,
-)
+from covex.exactla import ExactMatrix, FieldSpec, random_matrix
 from covex.permcore import PartialPermutation, covexillary_data, rank_matrix
 from covex.varieties import sample_flag, southwest_profile
 
@@ -70,37 +65,23 @@ def test_matrix_profile_memo_is_invisible():
     assert southwest_profile(fresh) == profile
 
 
-def test_flag_subspace_memo_is_invisible():
-    flag = sample_flag(PartialPermutation.from_one_line("2413"), F, random.Random(4))
-    subspaces = [flag.subspace(i) for i in range(5)]
-    assert all(flag.subspace(i) is s for i, s in enumerate(subspaces))
-    fresh = dataclasses.replace(flag)
-    assert_like_fresh(flag, fresh)
-    assert [fresh.subspace(i) for i in range(5)] == subspaces
-    back = pickle.loads(pickle.dumps(flag))
-    assert [back.subspace(i) for i in range(5)] == subspaces
-
-
-def test_flag_standard_memos_are_invisible():
+def test_flag_inverse_and_covector_memos_are_invisible():
     flag = sample_flag(PartialPermutation.from_one_line("3142"), F, random.Random(5))
-    keys = [(q, p) for q in range(5) for p in range(5)]
-    sums = [flag.plus_standard(q, p) for q, p in keys]
-    meets = [flag.meet_standard(q, p) for q, p in keys]
-    assert all(flag.plus_standard(q, p) is s for (q, p), s in zip(keys, sums))
-    assert all(flag.meet_standard(q, p) is m for (q, p), m in zip(keys, meets))
-    assert {"_sums", "_meets"} <= set(vars(flag))
-    for (q, p), s, m in zip(keys, sums, meets):
-        e_p = standard_subspace(F, 4, p)
-        assert s == subspace_sum(flag.subspace(q), e_p)
-        assert m == subspace_intersect(flag.subspace(q), e_p)
-    fresh = dataclasses.replace(flag)
-    assert "_sums" not in vars(fresh) and "_meets" not in vars(fresh)
-    assert_like_fresh(flag, fresh)
-    assert [fresh.plus_standard(q, p) for q, p in keys] == sums
-    assert [fresh.meet_standard(q, p) for q, p in keys] == meets
-    back = pickle.loads(pickle.dumps(flag))
-    assert [back.plus_standard(q, p) for q, p in keys] == sums
-    assert [back.meet_standard(q, p) for q, p in keys] == meets
+    inverse = flag.inverse
+    assert flag.inverse is inverse and "inverse" in vars(flag)
+    assert inverse @ flag.generator == ExactMatrix.identity(F, 4)
+    upper = ExactMatrix.from_rows(F, [[0, 1, 2, 3], [0, 0, 4, 5], [0, 0, 0, 6], [0, 0, 0, 0]])
+    point = SpringerFlagPoint(flag, flag.generator @ upper @ inverse)
+    covector = point.covector
+    assert point.covector is covector and covector == upper @ inverse
+    fresh_flag = dataclasses.replace(flag)
+    assert "inverse" not in vars(fresh_flag)
+    assert_like_fresh(flag, fresh_flag)
+    fresh = SpringerFlagPoint(fresh_flag, dataclasses.replace(point.z))
+    assert_like_fresh(point, fresh)
+    assert fresh_flag.inverse == inverse and fresh.covector == covector
+    back = pickle.loads(pickle.dumps(point))
+    assert back.flag.inverse == inverse and back.covector == covector
 
 
 def test_not_covexillary_is_raised_on_every_call():
