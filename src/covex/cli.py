@@ -10,6 +10,7 @@ closes stdout early, 3 for verification failures.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -384,9 +385,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    """The parser main uses, built on its first call and reused after.
+
+    Parsing leaves no state on an ArgumentParser, so one serves every call.
+    """
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _shared_parser().parse_args(argv)
     try:
         field = FieldSpec.parse(args.field)
         code = args.func(args, field)

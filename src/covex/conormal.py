@@ -59,7 +59,6 @@ from .exactla import (
     kernel,
 )
 from .permcore import (
-    ConormalBoundTable,
     CovexillaryData,
     PartialPermutation,
     covexillary_data,
@@ -134,26 +133,6 @@ class SpringerGrassPoint:
             raise InvariantError("V is not contained in ker(x)")
 
 
-def bound_table(data: CovexillaryData) -> ConormalBoundTable:
-    """The bound table with terminal rank r_m = n.
-
-    Calibration over all covexillary partial permutations with n <= 4 shows
-    that the bounds affected by r_m never bind for r_m = rank(w) either.
-    """
-    return ConormalBoundTable(data, data.n)
-
-
-def big_matrix_M(pt: CotangentMatrixPoint) -> ExactMatrix:
-    """The 2n x 2n block matrix ((yx, y), (xyx, xy))."""
-    x, y = pt.x, pt.y
-    yx = y @ x
-    xy = x @ y
-    xyx = x @ yx
-    top = yx.hstack(y)
-    bottom = xyx.hstack(xy)
-    return top.vstack(bottom)
-
-
 def core_pivots(
     x: ExactMatrix, data: CovexillaryData
 ) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
@@ -174,7 +153,14 @@ def core_pivots(
     span x E_{q_i} + E_{p_i}, of dimension p_i + rank x[p_i+1.., ..q_i].
     Inside block i, column c of x joins G exactly when the unit row e_c
     stays out of H, and row s of x joins H exactly when e_s stays out of G.
+
+    The answer depends on x and on (p, q) alone, and is kept in x's
+    core_pivot_memo: the suites test many covectors y over one x.
     """
+    key = (data.p, data.q)
+    found = x.core_pivot_memo.get(key)
+    if found is not None:
+        return found
     n = data.n
     # sw[p][q] = rank x[p+1.., ..q], zero on the empty blocks p = n and q = 0
     sw = [(0,) + row for row in southwest_profile(x)]
@@ -191,7 +177,10 @@ def core_pivots(
             (rows if sw[s - 1][q1] > sw[s][q1] else cols).append(n + s - 1)
         rows_before.append(len(rows))
         cols_through.append(len(cols))
-    return tuple(rows), tuple(cols), tuple(rows_before), tuple(cols_through)
+    found = x.core_pivot_memo[key] = (
+        tuple(rows), tuple(cols), tuple(rows_before), tuple(cols_through)
+    )
+    return found
 
 
 def core_matrix(
@@ -205,12 +194,12 @@ def core_matrix(
     field = pt.x.field
     n = pt.n
     x, y = pt.x.entries, pt.y.entries
-    p, zero = field.p, field.zero()
+    p, coerce = field.p, field.coerce
 
     def products(vectors, columns):
         """Dot product of each vector with each column, one tuple per vector."""
         if p is None:
-            return [tuple([sum(map(mul, v, c), zero) for c in columns]) for v in vectors]
+            return [tuple([coerce(sum(map(mul, v, c))) for c in columns]) for v in vectors]
         return [tuple([sum(map(mul, v, c)) % p for c in columns]) for v in vectors]
 
     x_times_y = iter(products([x[k - n] for k in rows if k >= n], tuple(zip(*y))))

@@ -1,9 +1,18 @@
 """Exact linear algebra over a prime field F_p or over the rationals.
 
-Everything here is exact: prime-field scalars are Python ints reduced mod p,
-rational scalars are `fractions.Fraction`.  No floating point anywhere.
-Subspaces are stored in reduced echelon form, so equal subspaces have
-identical representations and can be compared with `==`.
+Everything here is exact: prime-field scalars are Python ints reduced mod p.
+A rational scalar is a plain int when it is integral and a
+`fractions.Fraction` only when its denominator is not 1; `Fraction(3) == 3`
+and both hash alike, so the two forms never disagree under `==`.  No
+floating point anywhere.  Subspaces are stored in reduced echelon form, so
+equal subspaces have identical representations and can be compared with
+`==`.
+
+Elimination over Q is fraction-free: each row is scaled to coprime
+integers, a row is cleared against a pivot row r at column c as
+a * row - b * r with a : b = r[c] : row[c] in lowest terms, and every new
+row is divided by the gcd of its entries, so the integers stay small.  Only
+the reduced echelon form divides, once per pivot row at the end.
 """
 
 from __future__ import annotations
@@ -14,6 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
+from math import gcd, lcm
 from typing import Iterable, Sequence, Union
 
 from .errors import (
@@ -70,32 +80,31 @@ class FieldSpec:
         return self.kind == "prime"
 
     def zero(self) -> Scalar:
-        return 0 if self.is_prime else Fraction(0)
+        return 0
 
     def one(self) -> Scalar:
-        return 1 if self.is_prime else Fraction(1)
+        return 1
 
     def coerce(self, value) -> Scalar:
-        if self.is_prime:
-            if type(value) is int:
-                return value % self.p
-            if isinstance(value, Fraction):
-                if value.denominator == 1:
-                    return value.numerator % self.p
-                return (value.numerator * pow(value.denominator, -1, self.p)) % self.p
-            return int(value) % self.p
-        if type(value) is Fraction:
-            return value
-        return Fraction(value)
+        p = self.p
+        if type(value) is int:
+            return value if p is None else value % p
+        if p is None:
+            return _rational(value if type(value) is Fraction else Fraction(value))
+        if isinstance(value, Fraction):
+            if value.denominator == 1:
+                return value.numerator % p
+            return (value.numerator * pow(value.denominator, -1, p)) % p
+        return int(value) % p
 
     def add(self, a: Scalar, b: Scalar) -> Scalar:
-        return (a + b) % self.p if self.is_prime else a + b
+        return (a + b) % self.p if self.is_prime else _rational(a + b)
 
     def sub(self, a: Scalar, b: Scalar) -> Scalar:
-        return (a - b) % self.p if self.is_prime else a - b
+        return (a - b) % self.p if self.is_prime else _rational(a - b)
 
     def mul(self, a: Scalar, b: Scalar) -> Scalar:
-        return (a * b) % self.p if self.is_prime else a * b
+        return (a * b) % self.p if self.is_prime else _rational(a * b)
 
     def neg(self, a: Scalar) -> Scalar:
         return (-a) % self.p if self.is_prime else -a
@@ -103,10 +112,17 @@ class FieldSpec:
     def inv(self, a: Scalar) -> Scalar:
         if not a:
             raise ZeroDivisionError("inverse of zero field element")
-        return pow(a, -1, self.p) if self.is_prime else Fraction(1) / a
+        return pow(a, -1, self.p) if self.is_prime else _rational(1 / Fraction(a))
 
     def div(self, a: Scalar, b: Scalar) -> Scalar:
         return self.mul(a, self.inv(b))
+
+
+def _rational(value: Scalar) -> Scalar:
+    """A rational scalar in canonical form: an int when it is integral."""
+    if type(value) is int or value.denominator != 1:
+        return value
+    return value.numerator
 
 
 # The first 13 primes.  As Miller-Rabin bases they decide primality exactly
@@ -244,8 +260,7 @@ class ExactMatrix:
             p = f.p
             data = [tuple([sum(map(mul, row, col)) % p for col in bt]) for row in self.entries]
         else:
-            zero = Fraction(0)
-            data = [tuple([sum(map(mul, row, col), zero) for col in bt]) for row in self.entries]
+            data = [tuple([_rational(sum(map(mul, row, col))) for col in bt]) for row in self.entries]
         return ExactMatrix(f, tuple(data))
 
     def transpose(self) -> "ExactMatrix":
@@ -276,29 +291,38 @@ class ExactMatrix:
         return len(_row_echelon(list(self.entries), self.field)[1])
 
     @cached_property
+    def core_pivot_memo(self) -> dict:
+        """conormal.core_pivots of this matrix, keyed by the (p, q) of the data."""
+        return {}
+
+    @cached_property
     def southwest_profile(self) -> tuple[tuple[int, ...], ...]:
         """Every southwest rank, profile[i-1][j-1] = rank of rows i.., columns ..j.
 
         Computed once per matrix.  Rows go bottom-up into an echelon basis
         with distinct leftmost nonzero columns (pivots); then the rank of
-        rows i.., columns ..j is the number of pivots <= j.
+        rows i.., columns ..j is the number of pivots <= j.  Over Q the
+        rows are coprime integer multiples of the rows over F_p, which have
+        the same zero pattern.
         """
         field = self.field
         p = field.p
         n_cols = self.cols
-        basis: dict[int, list] = {}  # pivot column -> vector, 1 at the pivot
+        basis: dict[int, list] = {}  # pivot column -> vector, 1 at the pivot over F_p
         is_pivot = [0] * n_cols
         profile = []
         for v in reversed(self.entries):
+            if p is None:
+                v = _integer_row(v)
             for c in range(n_cols):
                 a = v[c]
                 if a:
                     b = basis.get(c)
                     if b is None:
-                        basis[c] = _scaled(field.inv(a), v, p)
+                        basis[c] = v if p is None else _scaled(field.inv(a), v, p)
                         is_pivot[c] = 1
                         break
-                    v = _minus_multiple(v, a, b, p)
+                    v = _cleared(v, c, b) if p is None else _minus_multiple(v, a, b, p)
             profile.append(tuple(accumulate(is_pivot)))
         profile.reverse()
         return tuple(profile)
@@ -320,18 +344,37 @@ class ExactMatrix:
             raise DimensionMismatchError(f"shape mismatch {self.shape} vs {other.shape}")
 
 
-def _minus_multiple(a: list, f: Scalar, b: Sequence, p: int | None) -> list:
-    """The row a - f * b, reduced mod p over F_p (p is None over Q)."""
-    if p is None:
-        return [x - f * y for x, y in zip(a, b)]
+def _minus_multiple(a: list, f: int, b: Sequence, p: int) -> list:
+    """The row a - f * b over F_p."""
     return [(x - f * y) % p for x, y in zip(a, b)]
 
 
-def _scaled(f: Scalar, b: Sequence, p: int | None) -> list:
-    """The row f * b, reduced mod p over F_p (p is None over Q)."""
-    if p is None:
-        return [f * y for y in b]
+def _scaled(f: int, b: Sequence, p: int) -> list:
+    """The row f * b over F_p."""
     return [f * y % p for y in b]
+
+
+def _integer_row(row: Sequence[Scalar]) -> Sequence[int]:
+    """A row of rationals scaled to integers with gcd 1, spanning the same line."""
+    denominators = [v.denominator for v in row if type(v) is not int]
+    if denominators:
+        scale = lcm(*denominators)
+        row = [v * scale if type(v) is int else v.numerator * (scale // v.denominator)
+               for v in row]
+    return _primitive(row)
+
+
+def _primitive(row: Sequence[int]) -> Sequence[int]:
+    """The integer row divided by the gcd of its entries."""
+    g = gcd(*row)
+    return [v // g for v in row] if g > 1 else row
+
+
+def _cleared(a: Sequence[int], c: int, b: Sequence[int]) -> Sequence[int]:
+    """The primitive integer row s * a - t * b with column c cleared (b[c] != 0)."""
+    g = gcd(b[c], a[c])
+    s, t = b[c] // g, a[c] // g
+    return _primitive([s * x - t * y for x, y in zip(a, b)])
 
 
 def _row_echelon(
@@ -345,10 +388,13 @@ def _row_echelon(
     Rows are replaced, never mutated in place, so they may be tuples.
     Returns the (reduced) row-echelon form and the list of 0-based pivot
     columns.  ``pivot_limit`` restricts pivot search to the first columns,
-    which is how augmented systems are solved.
+    which is how augmented systems are solved.  Over Q an unreduced form
+    keeps its integer rows; see the module docstring.
     """
     if not rows:
         return rows, []
+    if not field.is_prime:
+        return _row_echelon_rational(rows, reduced, pivot_limit)
     m, n = len(rows), len(rows[0])
     limit = n if pivot_limit is None else pivot_limit
     p = field.p
@@ -368,6 +414,36 @@ def _row_echelon(
         r += 1
         if r == m:
             break
+    return rows, pivots
+
+
+def _row_echelon_rational(
+    rows: list[Sequence[Scalar]], reduced: bool, pivot_limit: int | None
+) -> tuple[list[Sequence[Scalar]], list[int]]:
+    """_row_echelon over Q on integer rows; the pivots match the Fraction elimination."""
+    rows = [_integer_row(row) for row in rows]
+    m, n = len(rows), len(rows[0])
+    limit = n if pivot_limit is None else pivot_limit
+    pivots: list[int] = []
+    r = 0
+    for c in range(limit):
+        sel = next((i for i in range(r, m) if rows[i][c]), None)
+        if sel is None:
+            continue
+        rows[r], rows[sel] = rows[sel], rows[r]
+        row_r = rows[r]
+        targets = range(m) if reduced else range(r + 1, m)
+        for i in targets:
+            if i != r and rows[i][c]:
+                rows[i] = _cleared(rows[i], c, row_r)
+        pivots.append(c)
+        r += 1
+        if r == m:
+            break
+    if reduced:
+        for k, c in enumerate(pivots):
+            a = rows[k][c]
+            rows[k] = [v // a if v % a == 0 else Fraction(v, a) for v in rows[k]]
     return rows, pivots
 
 
@@ -427,9 +503,14 @@ class Subspace:
     def _reduces_to_zero(self, v: Sequence[Scalar]) -> bool:
         """Whether a vector of field elements lies in this subspace."""
         p = self.field.p
+        if p is None:
+            v = _integer_row(v)
         for row, pivot in zip(self.vectors, self.pivots):
             if v[pivot]:
-                v = _minus_multiple(v, v[pivot], row, p)
+                if p is None:
+                    v = _cleared(v, pivot, _integer_row(row))
+                else:
+                    v = _minus_multiple(v, v[pivot], row, p)
         return not any(v)
 
     def apply(self, matrix: ExactMatrix) -> "Subspace":
@@ -438,8 +519,10 @@ class Subspace:
             raise DimensionMismatchError("matrix does not act on this ambient space")
         if not self.vectors:
             return Subspace.zero(self.field, matrix.rows)
-        image_cols = matrix @ self.basis_matrix()
-        return Subspace.column_span(image_cols)
+        basis = self.vectors
+        if not self.field.is_prime:  # integer multiples span the same image
+            basis = [_integer_row(v) for v in basis]
+        return Subspace.column_span(matrix @ ExactMatrix(self.field, tuple(zip(*basis))))
 
     def _check_compatible(self, other: "Subspace") -> None:
         if self.ambient != other.ambient or self.field != other.field:

@@ -398,7 +398,9 @@ class CovexillaryData:
         """(i, j, b(i, j)) for 0 <= j < i <= m.
 
         b(i, j) is the bound on rank M_ij in the conormal criterion, with
-        terminal rank r_m = n as in conormal.bound_table.
+        terminal rank r_m = n.  Calibration over all covexillary partial
+        permutations with n <= 4 shows that the bounds affected by r_m never
+        bind for r_m = rank(w) either.
         """
         table = ConormalBoundTable(self, self.n)
         return tuple((i, j, table.bound(i, j)) for i, j in table.pairs())
@@ -456,30 +458,6 @@ def bruhat_leq(u: PartialPermutation, w: PartialPermutation) -> bool:
     if u.n != w.n:
         raise InputError("Bruhat comparison requires equal sizes")
     return rank_matrix(w).dominates(rank_matrix(u))
-
-
-def hat_permutation(w: PartialPermutation) -> PartialPermutation:
-    """The 2n x 2n permutation with bottom-left block w and aligned essential set.
-
-    The dots outside the bottom-left block sit in the top n rows and last n
-    columns, running from bottom-left to top-right: empty columns of w take
-    the highest-numbered free top rows in decreasing order, then the last n
-    columns take all remaining rows in decreasing order.  The essential set
-    of the result is the essential set of w shifted down by n rows.
-    """
-    n = w.n
-    image = [0] * (2 * n)
-    for r, c in w.dots():
-        image[c - 1] = n + r
-    empty_cols = [j for j in range(1, n + 1) if not w(j)]
-    top_rows = list(range(n, n - len(empty_cols), -1))
-    for col, row in zip(empty_cols, top_rows):
-        image[col - 1] = row
-    used = set(image)
-    remaining = sorted((r for r in range(1, 2 * n + 1) if r not in used), reverse=True)
-    for offset, row in enumerate(remaining):
-        image[n + offset] = row
-    return PartialPermutation(2 * n, tuple(image))
 
 
 def reconstruct_from_essential(

@@ -30,6 +30,8 @@ def scalar_to_json(value) -> Any:
 
 
 def scalar_from_json(field: FieldSpec, value) -> Any:
+    if type(value) is int:
+        return field.coerce(value)
     if isinstance(value, str):
         try:
             num, _, den = value.partition("/")
@@ -66,8 +68,8 @@ def matrix_from_json(field: FieldSpec, data: Any, where: str = "matrix") -> Exac
     for i, row in enumerate(entries, start=1):
         if not isinstance(row, list) or len(row) != cols:
             raise InputError(f"{where}: row {i} must have {cols} entries")
-        parsed.append([scalar_from_json(field, v) for v in row])
-    return ExactMatrix.from_rows(field, parsed)
+        parsed.append(tuple([scalar_from_json(field, v) for v in row]))
+    return ExactMatrix(field, tuple(parsed))
 
 
 def permutation_to_json(w: PartialPermutation) -> dict:

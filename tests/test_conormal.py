@@ -9,12 +9,9 @@ from operator import itemgetter
 import pytest
 
 from covex.conormal import (
-    ConormalBoundTable,
     CotangentMatrixPoint,
     SpringerFlagPoint,
     SpringerGrassPoint,
-    big_matrix_M,
-    bound_table,
     conormal_fiber_flag,
     conormal_fiber_matrix,
     conormal_flag_violations,
@@ -52,6 +49,8 @@ from covex.exactla import (
     subspace_sum,
 )
 from covex.permcore import (
+    ConormalBoundTable,
+    CovexillaryData,
     PartialPermutation,
     all_partial_permutations,
     all_permutations,
@@ -80,6 +79,22 @@ def unit_matrix(n, i, j):
 
 def fiber_matrices(fiber, n):
     return [vector_to_matrix(F, v, n) for v in fiber.vectors]
+
+
+def bound_table(data: CovexillaryData) -> ConormalBoundTable:
+    """The bound table with terminal rank r_m = n, as in data.conormal_checks."""
+    return ConormalBoundTable(data, data.n)
+
+
+def big_matrix_M(pt: CotangentMatrixPoint) -> ExactMatrix:
+    """The 2n x 2n block matrix ((yx, y), (xyx, xy))."""
+    x, y = pt.x, pt.y
+    yx = y @ x
+    xy = x @ y
+    xyx = x @ yx
+    top = yx.hstack(y)
+    bottom = xyx.hstack(xy)
+    return top.vstack(bottom)
 
 
 def mij_rows_cols(data, i, j):

@@ -1,9 +1,9 @@
 """Derived data is computed once per instance and is invisible from outside.
 
 rank_matrix, covexillary_data, the tau data of CovexillaryData, the
-southwest profile of a matrix, the inverse of a flag generator and the
-covector g^-1 z of a Springer flag point are stored on the frozen instance
-they belong to.  An instance that holds them must still compare, hash,
+southwest profile of a matrix and its conormal core pivots, the inverse of a
+flag generator and the covector g^-1 z of a Springer flag point are stored
+on the frozen instance they belong to.  An instance that holds them must still compare, hash,
 print, replace and pickle exactly like a fresh one.
 """
 
@@ -13,7 +13,7 @@ import random
 
 import pytest
 
-from covex.conormal import SpringerFlagPoint
+from covex.conormal import SpringerFlagPoint, core_pivots
 from covex.errors import NotCovexillaryError
 from covex.exactla import ExactMatrix, FieldSpec, random_matrix
 from covex.permcore import PartialPermutation, covexillary_data, rank_matrix
@@ -63,6 +63,22 @@ def test_matrix_profile_memo_is_invisible():
     assert "southwest_profile" not in vars(fresh)
     assert_like_fresh(x, fresh)
     assert southwest_profile(fresh) == profile
+
+
+def test_core_pivot_memo_is_invisible():
+    x = random_matrix(F, 4, 4, random.Random(4))
+    data = covexillary_data(PartialPermutation.from_one_line("0 3 1 0"))
+    other = covexillary_data(PartialPermutation.from_one_line("2143"))
+    pivots = core_pivots(x, data)
+    assert core_pivots(x, data) is pivots
+    assert core_pivots(x, other) is core_pivots(x, other)
+    assert set(x.core_pivot_memo) == {(data.p, data.q), (other.p, other.q)}
+    fresh = dataclasses.replace(x)
+    assert "core_pivot_memo" not in vars(fresh)
+    assert_like_fresh(x, fresh)
+    assert core_pivots(fresh, data) == pivots
+    assert core_pivots(fresh, other) == core_pivots(x, other) != pivots
+    assert core_pivots(pickle.loads(pickle.dumps(x)), data) == pivots
 
 
 def test_flag_inverse_and_covector_memos_are_invisible():

