@@ -37,7 +37,12 @@ from .exactla import (
     Subspace,
     random_matrix,
 )
-from .kl import PolynomialQ, covexillary_kl_check, kl_polynomial
+from .kl import (
+    PolynomialQ,
+    check_kl_covex_size,
+    covexillary_kl_check,
+    kl_polynomial,
+)
 from .permcore import (
     PartialPermutation,
     all_partial_permutations,
@@ -83,10 +88,6 @@ _DEFAULTS = {
 REJECTION_TRIALS = 200
 REJECTION_THRESHOLD = 0.95
 
-# kl-covex builds the KL table of S_2n; S_10 (3.6M permutations) does not fit.
-KL_COVEX_MAX_N = 4
-
-
 @dataclass(frozen=True)
 class SuiteConfig:
     """Knobs of a verification run; None picks the acceptance default."""
@@ -109,11 +110,8 @@ class SuiteConfig:
             raise InputError("n_max must be at least 1")
         if trials < 1:
             raise InputError("trials must be at least 1")
-        if self.suite == "kl-covex" and n_max > KL_COVEX_MAX_N:
-            raise InputError(
-                f"kl-covex needs the KL table of S_2n, out of reach beyond "
-                f"n_max {KL_COVEX_MAX_N} (S_10 has 3.6M permutations)"
-            )
+        if self.suite == "kl-covex":
+            check_kl_covex_size(n_max)
         FieldSpec.prime(self.prime)  # validates primality
         return SuiteConfig(self.suite, n_max, trials, self.prime, self.seed)
 

@@ -296,14 +296,59 @@ def test_cli_modulus_beyond_the_primality_range(capsys):
     assert "too large" in err
 
 
-def test_cli_kl_covex_refuses_n_max_5_before_building_a_table(capsys, monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("an S_2n KL table was about to be built")
+def _refuse_tables(monkeypatch, above=0):
+    """Make building an S_N KL table with N > above fail loudly."""
+    build = kl.SymmetricGroupTable.__init__
+
+    def refuse(self, N):
+        if N > above:
+            raise AssertionError(f"an S_{N} KL table was about to be built")
+        build(self, N)
 
     monkeypatch.setattr(kl.SymmetricGroupTable, "__init__", refuse)
-    code, out, err = run_cli(capsys, "verify", "kl-covex", "--nmax", "5")
+    monkeypatch.setattr(kl, "_TABLES", {})
+
+
+def test_cli_kl_covex_refuses_n_max_7_before_building_a_table(capsys, monkeypatch):
+    _refuse_tables(monkeypatch)
+    code, out, err = run_cli(capsys, "verify", "kl-covex", "--nmax", "7")
     assert_one_error_line(code, out, err)
     assert "kl-covex" in err
+
+
+def test_cli_kl_covex_check_refuses_n_7_before_building_a_table(capsys, monkeypatch):
+    _refuse_tables(monkeypatch)
+    code, out, err = run_cli(capsys, "kl", "covex-check", "2531476")
+    assert_one_error_line(code, out, err)
+    assert "kl-covex" in err
+
+
+def test_cli_kl_refuses_s_10_before_building_a_table(capsys, monkeypatch):
+    _refuse_tables(monkeypatch)
+    code, out, err = run_cli(
+        capsys, "kl", "1 2 3 4 5 6 7 8 9 10", "10 9 8 7 6 5 4 3 2 1"
+    )
+    assert_one_error_line(code, out, err)
+    assert "S_10" in err
+
+
+def test_cli_kl_covex_check_builds_only_the_flag_side_table(capsys, monkeypatch):
+    # the Grassmannian side runs on 5-subsets of 1..10, not inside S_10
+    _refuse_tables(monkeypatch, above=5)
+    code, out, err = run_cli(capsys, "kl", "covex-check", "25314")
+    lines = [json.loads(line) for line in out.splitlines()]
+    assert code == 0 and lines and all(line["matched"] for line in lines)
+    assert err == f"{len(lines)} pairs, 0 mismatches\n"
+
+
+def test_import_cli_leaves_numpy_unloaded():
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    probe = "import sys, covex.cli; print('numpy' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 def test_cli_closed_stdout_pipe_exits_2_without_traceback():

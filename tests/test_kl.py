@@ -1,14 +1,20 @@
 """Kazhdan-Lusztig recursion, cross-checked by R-polynomial inversion."""
 
+import functools
+import itertools
+import operator
+import os
 import random
 
-import numpy as np
+import pytest
 
+from covex import kl
 from covex.kl import (
     CosetData,
     PolynomialQ,
     covexillary_kl_check,
     grassmannian_kl,
+    grassmannian_table,
     kl_polynomial,
     symmetric_group_table,
 )
@@ -79,8 +85,8 @@ def _r_polynomial(table, u, w, memo):
     if key in memo:
         return memo[key]
     s = table.right_descents(w)[0]
-    ws = int(table.rmult[w, s])
-    us = int(table.rmult[u, s])
+    ws = table.rmul(w, s)
+    us = table.rmul(u, s)
     if table.length[us] < table.length[u]:
         result = _r_polynomial(table, us, ws, memo)
     else:
@@ -170,18 +176,26 @@ def test_mu_list_matches_covers():
                 assert mu.get(table.index[u.image]) == 1
 
 
+@functools.cache
+def _rank_rows(N):
+    """Southwest counts #{k <= j : p(k) >= i} of every p in S_N, lex order."""
+    return [
+        tuple(sum(v >= i for v in p[:j]) for i in range(1, N + 1) for j in range(1, N + 1))
+        for p in itertools.permutations(range(1, N + 1))
+    ]
+
+
 def reference_mu_list(table, v):
     """Independent oracle: sieve the whole group for z < v with odd length gap."""
-    lv = int(table.length[v])
-    mask = (table.rank_rows <= table.rank_rows[v]).all(axis=1)
-    mask &= table.length < lv
-    mask &= ((lv - table.length) % 2).astype(bool)
+    rows = _rank_rows(table.N)
+    lv = table.length[v]
     out = []
-    for z in np.flatnonzero(mask):
-        z = int(z)
-        mu = table.kl(z, v).coeff((lv - int(table.length[z]) - 1) // 2)
-        if mu:
-            out.append((z, mu))
+    for z in range(len(table.perms)):
+        lz = table.length[z]
+        if lz < lv and (lv - lz) % 2 and all(map(operator.le, rows[z], rows[v])):
+            mu = table.kl(z, v).coeff((lv - lz - 1) // 2)
+            if mu:
+                out.append((z, mu))
     return out
 
 
@@ -190,6 +204,22 @@ def test_mu_list_matches_whole_group_sieve():
         table = symmetric_group_table(size)
         for v in range(len(table.perms)):
             assert sorted(table.mu_list(v)) == sorted(reference_mu_list(table, v))
+
+
+def test_table_length_order_and_multiplication_match_permcore():
+    for size in (4, 5):
+        table = symmetric_group_table(size)
+        perms = [PartialPermutation(size, p) for p in table.perms]
+        for k, w in enumerate(perms):
+            assert table.length[k] == w.length()
+            for i in range(size - 1):
+                ws = perms[table.rmul(k, i)]
+                assert ws.length() - w.length() == (-1 if i in table.right_descents(k) else 1)
+            for i in range(1, size):
+                sw = perms[table.lmul(k, i)]
+                assert sw.length() - w.length() == (-1 if i in table.left_descents(k) else 1)
+            for j, u in enumerate(perms):
+                assert table.leq(j, k) == bruhat_leq(u, w)
 
 
 def test_coset_reps():
@@ -234,3 +264,38 @@ def test_u_hat_below_v_hat():
         v_hat = target_grass_index(embedding_target(covexillary_data(w)))
         for row in covexillary_kl_check(w):
             assert row.u_hat.leq(v_hat)
+
+
+# COVEX_KL_ORACLE_N=8 extends the sweep to N = 8 (12,870 pairs); CI runs it.
+ORACLE_N = int(os.environ.get("COVEX_KL_ORACLE_N", "7"))
+
+
+@pytest.mark.parametrize("N", range(ORACLE_N + 1))
+def test_grassmannian_kl_matches_coset_route(N):
+    """The d-subset recursion against P of the maximal coset representatives."""
+    for d in range(N + 1):
+        indices = [
+            GrassIndex(d, N, positions)
+            for positions in itertools.combinations(range(1, N + 1), d)
+        ]
+        reps = [CosetData.from_index(idx).maximal for idx in indices]
+        for x, x_rep in zip(indices, reps):
+            for y, y_rep in zip(indices, reps):
+                assert grassmannian_kl(x, y) == kl_polynomial(x_rep, y_rep), (x, y)
+
+
+def test_grassmannian_kl_builds_no_symmetric_group_table(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("an S_N table was built")
+
+    monkeypatch.setattr(kl.SymmetricGroupTable, "__init__", refuse)
+    monkeypatch.setattr(kl, "_TABLES", {})
+    monkeypatch.setattr(kl, "_GRASS_TABLES", {})
+    top = GrassIndex(5, 10, (6, 7, 8, 9, 10))
+    assert grassmannian_kl(GrassIndex(5, 10, (1, 2, 3, 4, 5)), top) == ONE
+    # the staircase (3, 2, 1) in Gr(3, 6) at its most singular point; the
+    # coset route P_{321654, 642531} gives the same 1 + 2q + q^2
+    assert grassmannian_kl(
+        GrassIndex(3, 6, (1, 2, 3)), GrassIndex(3, 6, (2, 4, 6))
+    ) == PolynomialQ((1, 2, 1))
+    assert grassmannian_table(10, 5) is grassmannian_table(10, 5)
