@@ -27,7 +27,7 @@ from .conormal import (
 from .embedding import (
     embed_point,
     embedding_target,
-    origin_image,
+    fixed_point_index,
     target_grass_index,
     weight_map,
 )
@@ -122,7 +122,7 @@ def _cmd_tau(args, field: FieldSpec) -> int:
     target = embedding_target(data)
     _emit(
         {
-            "tau": target.tau.one_line(),
+            "tau": data.tau.one_line(),
             "conditions": [{"t": t, "bound": b} for t, b in target.conditions],
             "grass_index": list(target_grass_index(target).positions),
             "weights": {
@@ -179,11 +179,9 @@ def _cmd_member(args, field: FieldSpec) -> int:
     return 0
 
 
-def _grass_conditions(args, field: FieldSpec) -> list[tuple[int, int]]:
+def _grass_conditions(args, field: FieldSpec) -> tuple[tuple[int, int], ...]:
     if args.w is not None:
-        data = covexillary_data(_perm(args.w))
-        target = embedding_target(data)
-        return [(t, bound - data.n) for t, bound in target.conditions]
+        return embedding_target(covexillary_data(_perm(args.w))).grass_conditions
     if args.conditions is None:
         raise InputError("provide --w or --conditions t:c,t:c for the grass form")
     out = []
@@ -193,7 +191,7 @@ def _grass_conditions(args, field: FieldSpec) -> list[tuple[int, int]]:
             out.append((int(t), int(c)))
         except ValueError as exc:
             raise InputError(f"bad condition {chunk!r}") from exc
-    return out
+    return tuple(out)
 
 
 def _cmd_conormal(args, field: FieldSpec) -> int:
@@ -267,7 +265,7 @@ def _cmd_schubert(args, field: FieldSpec) -> int:
     if args.action == "localize":
         data = covexillary_data(w)
         v_hat = target_grass_index(embedding_target(data))
-        origin = origin_image(data)
+        origin = fixed_point_index(PartialPermutation.zero(w.n), data)
         localized = grass_restriction(v_hat, origin)
         _emit(
             {

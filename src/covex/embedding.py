@@ -5,6 +5,9 @@ The map sends an n x n matrix x to the column span of the stacked matrix
 (I over x) inside Gr(n, 2n), then permutes coordinates by the block
 interleaving permutation built from the essential triples.  The image of
 the variety is cut out by the conditions dim(V + E_{t_i}) <= n + p_i + r_i.
+The map is torus-equivariant, so it sends the matrix of a partial
+permutation to a coordinate point, whose Schubert cell is read off tau
+(fixed_point_index).
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ def tau_permutation(data: CovexillaryData) -> PartialPermutation:
 
 @dataclass(frozen=True)
 class EmbeddingTarget:
-    """The image side of the embedding: tau plus the Grassmannian conditions.
+    """The image side of the embedding: the Grassmannian conditions.
 
     ``conditions`` lists the pairs (t_i, n + p_i + r_i) for i = 1..m-1; a
     subspace V of Gr(n, 2n) is in the target variety iff
@@ -36,12 +39,17 @@ class EmbeddingTarget:
     """
 
     data: CovexillaryData
-    tau: PartialPermutation
     conditions: tuple[tuple[int, int], ...]
 
     @property
     def n(self) -> int:
         return self.data.n
+
+    @property
+    def grass_conditions(self) -> tuple[tuple[int, int], ...]:
+        """The same conditions as pairs (t_i, p_i + r_i), the form that the
+        Grassmannian conormal criterion reads."""
+        return tuple((t, bound - self.n) for t, bound in self.conditions)
 
 
 def embedding_target(data: CovexillaryData) -> EmbeddingTarget:
@@ -49,7 +57,7 @@ def embedding_target(data: CovexillaryData) -> EmbeddingTarget:
         (data.t_at(i), data.n + data.p_at(i) + data.r_at(i))
         for i in range(1, data.m)
     )
-    return EmbeddingTarget(data, tau_permutation(data), conditions)
+    return EmbeddingTarget(data, conditions)
 
 
 def graph_embed(x: ExactMatrix) -> Subspace:
@@ -63,14 +71,24 @@ def graph_embed(x: ExactMatrix) -> Subspace:
 def embed_point(x: ExactMatrix, data: CovexillaryData) -> Subspace:
     """tau applied to the graph of x; sends 0 to the coordinate point of tau."""
     stacked = ExactMatrix.identity(x.field, x.rows).vstack(x)
-    return Subspace.column_span(tau_permutation(data).permute_rows(stacked))
+    return Subspace.column_span(data.tau.permute_rows(stacked))
 
 
-def origin_image(data: CovexillaryData) -> GrassIndex:
-    """The coordinate point embed_point(0) = <e_tau(1), ..., e_tau(n)>."""
-    tau = tau_permutation(data)
+def fixed_point_index(u: PartialPermutation, data: CovexillaryData) -> GrassIndex:
+    """The Schubert cell of the coordinate point embed_point(u's matrix).
+
+    Column j of tau (I over u) is e_tau(j) + e_tau(n+u(j)), or e_tau(j) when
+    u(j) = 0.  These columns have disjoint supports, so dim(V + E_t) stops
+    jumping exactly at the larger position of each support.
+    """
     n = data.n
-    return GrassIndex(n, 2 * n, tuple(sorted(tau(j) for j in range(1, n + 1))))
+    if u.n != n:
+        raise DimensionMismatchError("partial permutation size differs from n")
+    tau = data.tau
+    positions = sorted(
+        max(tau(j), tau(n + u(j))) if u(j) else tau(j) for j in range(1, n + 1)
+    )
+    return GrassIndex(n, 2 * n, tuple(positions))
 
 
 def target_violation(
@@ -134,7 +152,7 @@ def check_rank_lemma(
 
 def weight_map(data: CovexillaryData) -> dict[int, tuple[str, int]]:
     """Torus-weight dictionary: t_{tau(i)} -> y_i for i <= n, else x_{i-n}."""
-    tau = tau_permutation(data)
+    tau = data.tau
     n = data.n
     mapping: dict[int, tuple[str, int]] = {}
     for i in range(1, 2 * n + 1):

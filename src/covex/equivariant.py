@@ -13,12 +13,14 @@ sum over the suffixes once.  Variable renamings move exponents instead of
 multiplying.
 
 The variable dictionary relating the two sides of the multidegree identity
-is calibrated once on the small fixtures and frozen below: after mapping
-torus characters through the embedding's weight dictionary, exchange the x
-and y alphabets, reverse the index order of the (new) x alphabet, and
-negate each homogeneous component by its degree.  The n = 2 fixtures leave
-a two-element ambiguity which the n = 3 fixtures resolve uniquely; any
-residual mismatch after this transform is a genuine failure, not a
+is fixed: after mapping torus characters through the embedding's weight
+dictionary, rename x_i to y_{n+1-i} and y_i to x_i, then negate each
+homogeneous component of odd degree (sign_by_degree).  Of the 16
+conventions that exchange the alphabets or not, reverse either alphabet's
+indices or not, and sign by degree or not, it is the only one under which
+every covexillary permutation with n <= 3 satisfies the identity (the
+n = 2 fixtures alone leave two); tests/test_equivariant.py enumerates them.
+Any residual mismatch after this map is a genuine failure, not a
 convention artifact.
 """
 
@@ -31,13 +33,6 @@ from .errors import InputError
 from .kl import CosetData
 from .permcore import PartialPermutation
 from .varieties import GrassIndex
-
-# Frozen convention constants for the multidegree comparison; the unique
-# survivor of calibrate_convention over the n = 2 and n = 3 fixtures.
-CONVENTION_SWAP_XY = True
-CONVENTION_REVERSE_X = True
-CONVENTION_REVERSE_Y = False
-CONVENTION_SIGN_BY_DEGREE = True
 
 
 @dataclass(frozen=True)
@@ -331,24 +326,21 @@ def _compose(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(a[v - 1] for v in b)
 
 
-def grass_restriction(
-    v_idx: GrassIndex, point: GrassIndex, point_rep: str = "min"
-) -> MultivariatePolynomial:
+def grass_restriction(v_idx: GrassIndex, point: GrassIndex) -> MultivariatePolynomial:
     """Localization of the class of the Schubert variety Gr_v at a fixed point.
 
     Both data are pulled back to the full flag variety (maximal coset
-    representative for the variety, any representative for the point) and
-    translated by the longest element into the codimension convention; the
-    result is relabeled back, so it is a polynomial in t_1..t_N.
+    representative for the variety, minimal one for the point; any
+    representative of the point gives the same sum) and translated by the
+    longest element into the codimension convention; the result is
+    relabeled back, so it is a polynomial in t_1..t_N.
     """
     if (v_idx.d, v_idx.N) != (point.d, point.N):
         raise InputError("variety and point live in different Grassmannians")
     N = v_idx.N
     w0 = tuple(range(N, 0, -1))
     class_perm = _compose(w0, CosetData.from_index(v_idx).maximal)
-    point_coset = CosetData.from_index(point)
-    rep = point_coset.minimal if point_rep == "min" else point_coset.maximal
-    point_perm = _compose(w0, rep)
+    point_perm = _compose(w0, CosetData.from_index(point).minimal)
     raw = schubert_class_restriction(N, class_perm, point_perm)
     reverse = {f"t{i}": f"t{N + 1 - i}" for i in range(1, N + 1)}
     return raw.rename(reverse)
@@ -361,63 +353,6 @@ def apply_weight_map(
     ring = xy_ring(n)
     images = {f"t{k}": f"{sym}{idx}" for k, (sym, idx) in mapping.items()}
     return poly_t._relabel(ring, images)
-
-
-def _transform_with(
-    poly: MultivariatePolynomial,
-    n: int,
-    swap: bool,
-    revx: bool,
-    revy: bool,
-    sign_by_degree: bool,
-) -> MultivariatePolynomial:
-    renames: dict[str, str] = {}
-    for i in range(1, n + 1):
-        xt = (f"y{i}" if swap else f"x{i}")
-        yt = (f"x{i}" if swap else f"y{i}")
-        if revx:
-            xt = xt[0] + str(n + 1 - int(xt[1:]))
-        if revy:
-            yt = yt[0] + str(n + 1 - int(yt[1:]))
-        renames[f"x{i}"] = xt
-        renames[f"y{i}"] = yt
-    out = poly.rename(renames)
-    return out.sign_by_degree() if sign_by_degree else out
-
-
-def calibrate_convention(n_values: tuple[int, ...] = (2, 3)) -> list[tuple[bool, bool, bool, bool]]:
-    """Enumerate the 16 candidate variable conventions against small fixtures.
-
-    Returns the (swap, revx, revy, sign) tuples under which every covexillary
-    permutation of the given sizes satisfies the multidegree identity.  Used
-    by the test suite to pin the frozen constants as the unique survivor.
-    """
-    from .embedding import embedding_target, origin_image, target_grass_index, weight_map
-    from .permcore import all_permutations, covexillary_data, is_covexillary
-
-    fixtures = []
-    for n in n_values:
-        for w in all_permutations(n):
-            if not is_covexillary(w):
-                continue
-            data = covexillary_data(w)
-            v_hat = target_grass_index(embedding_target(data))
-            in_xy = apply_weight_map(
-                grass_restriction(v_hat, origin_image(data)), weight_map(data), n
-            )
-            lhs = double_schubert(PartialPermutation.longest(n).compose(w))
-            fixtures.append((n, in_xy, lhs))
-    survivors = []
-    for swap in (False, True):
-        for revx in (False, True):
-            for revy in (False, True):
-                for sign in (False, True):
-                    if all(
-                        _transform_with(rhs, n, swap, revx, revy, sign) == lhs
-                        for n, rhs, lhs in fixtures
-                    ):
-                        survivors.append((swap, revx, revy, sign))
-    return survivors
 
 
 @dataclass(frozen=True)
@@ -436,9 +371,9 @@ def verify_multidegree(w: PartialPermutation) -> MultidegreeReport:
 
     The right side is the restriction of the target Schubert class at the
     image of the origin, pushed through the torus-weight dictionary and the
-    frozen variable convention.
+    fixed variable convention of the module docstring.
     """
-    from .embedding import embedding_target, origin_image, target_grass_index, weight_map
+    from .embedding import embedding_target, fixed_point_index, target_grass_index, weight_map
     from .permcore import covexillary_data
 
     data = covexillary_data(w)
@@ -446,16 +381,11 @@ def verify_multidegree(w: PartialPermutation) -> MultidegreeReport:
         raise InputError("the multidegree identity is stated for permutations")
     n = w.n
     v_hat = target_grass_index(embedding_target(data))
-    localized = grass_restriction(v_hat, origin_image(data))
-    in_xy = apply_weight_map(localized, weight_map(data), n)
-    rhs = _transform_with(
-        in_xy,
-        n,
-        CONVENTION_SWAP_XY,
-        CONVENTION_REVERSE_X,
-        CONVENTION_REVERSE_Y,
-        CONVENTION_SIGN_BY_DEGREE,
-    )
+    origin = fixed_point_index(PartialPermutation.zero(n), data)
+    in_xy = apply_weight_map(grass_restriction(v_hat, origin), weight_map(data), n)
+    renames = {f"x{i}": f"y{n + 1 - i}" for i in range(1, n + 1)}
+    renames.update({f"y{i}": f"x{i}" for i in range(1, n + 1)})
+    rhs = in_xy.rename(renames).sign_by_degree()
     w0 = PartialPermutation.longest(n)
     lhs = double_schubert(w0.compose(w))
     return MultidegreeReport(w, lhs, rhs)

@@ -114,9 +114,6 @@ class FieldSpec:
             raise ZeroDivisionError("inverse of zero field element")
         return pow(a, -1, self.p) if self.is_prime else _rational(1 / Fraction(a))
 
-    def div(self, a: Scalar, b: Scalar) -> Scalar:
-        return self.mul(a, self.inv(b))
-
 
 def _rational(value: Scalar) -> Scalar:
     """A rational scalar in canonical form: an int when it is integral."""
@@ -157,10 +154,6 @@ def _is_prime(n: int) -> bool:
         else:
             return False
     return True
-
-
-QQ = FieldSpec.rational()
-FP = FieldSpec.prime()
 
 
 @dataclass(frozen=True)

@@ -33,9 +33,8 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import InputError
-from .exactla import FieldSpec
 from .permcore import PartialPermutation, covexillary_data
-from .varieties import GrassIndex, locate_grass_cell
+from .varieties import GrassIndex
 
 
 @dataclass(frozen=True)
@@ -489,11 +488,11 @@ def grassmannian_kl(u_idx: GrassIndex, v_idx: GrassIndex) -> PolynomialQ:
     return grassmannian_table(u_idx.N, u_idx.d).kl(u_idx.positions, v_idx.positions)
 
 
-# kl-covex sweeps every covexillary w in S_n and every u <= w.  At n = 6 that
-# is 648 cases in about 13 s; the 2,761 covexillary w of S_7 would take about
-# seven minutes, mostly in embed_point and locate_grass_cell.  `covex kl
-# covex-check` shares the limit.
-KL_COVEX_MAX_N = 6
+# kl-covex sweeps every covexillary w in S_n and every u <= w.  Through n = 7
+# that is 3,409 cases in about two minutes, mostly in the S_n and Gr(n, 2n)
+# KL recursions; S_8 adds 15,767 covexillary w, each over an interval of
+# S_8.  `covex kl covex-check` shares the limit.
+KL_COVEX_MAX_N = 7
 
 
 def check_kl_covex_size(n: int) -> None:
@@ -518,10 +517,10 @@ def covexillary_kl_check(w: PartialPermutation) -> list[KLCheckRow]:
     """Compare P_{u,w} with the Grassmannian KL polynomial through the embedding.
 
     For every u below w (in the order of the S_n table), the image point of
-    the u-matrix locates a cell of Gr(n, 2n); the local KL polynomial of the
-    target Schubert variety there must reproduce P_{u,w}.
+    the u-matrix is a torus-fixed point of Gr(n, 2n); the local KL polynomial
+    of the target Schubert variety there must reproduce P_{u,w}.
     """
-    from .embedding import embed_point, embedding_target, target_grass_index
+    from .embedding import embedding_target, fixed_point_index, target_grass_index
 
     check_kl_covex_size(w.n)
     data = covexillary_data(w)
@@ -529,7 +528,6 @@ def covexillary_kl_check(w: PartialPermutation) -> list[KLCheckRow]:
         raise InputError("the KL comparison runs over full permutations")
     target = embedding_target(data)
     v_hat = target_grass_index(target)
-    field = FieldSpec.prime()
     table = symmetric_group_table(w.n)
     top = table.index[w.image]
     rows = []
@@ -537,6 +535,6 @@ def covexillary_kl_check(w: PartialPermutation) -> list[KLCheckRow]:
         if not table.leq(k, top):
             continue
         u = PartialPermutation(w.n, image)
-        u_hat = locate_grass_cell(embed_point(u.matrix(field), data))
+        u_hat = fixed_point_index(u, data)
         rows.append(KLCheckRow(u, u_hat, table.kl(k, top), grassmannian_kl(u_hat, v_hat)))
     return rows

@@ -397,38 +397,27 @@ class CovexillaryData:
     def conormal_checks(self) -> tuple[tuple[int, int, int], ...]:
         """(i, j, b(i, j)) for 0 <= j < i <= m.
 
-        b(i, j) is the bound on rank M_ij in the conormal criterion, with
-        terminal rank r_m = n.  Calibration over all covexillary partial
-        permutations with n <= 4 shows that the bounds affected by r_m never
-        bind for r_m = rank(w) either.
+        b(i, j) bounds rank M_ij in the conormal criterion: the minimum of
+        the row case (q_{i-1} - r_{i-1}) - (q_j - r_j) and the column case
+        (p_i + r_i) - (p_{j+1} + r_{j+1}), with terminal rank r_m = n.
+        test_terminal_rank_convention_never_binds (tests/test_conormal.py)
+        pins that the bounds affected by r_m never bind for r_m = rank(w)
+        either, over every covexillary partial permutation with n <= 3.
         """
-        table = ConormalBoundTable(self, self.n)
-        return tuple((i, j, table.bound(i, j)) for i, j in table.pairs())
-
-
-@dataclass(frozen=True)
-class ConormalBoundTable:
-    """Rank bounds b(i, j) of the conormal criterion for 0 <= j < i <= m.
-
-    The bounds depend only on the essential triples and the terminal rank
-    r_m; each is the minimum of the two case formulas.
-    """
-
-    data: CovexillaryData
-    r_top: int
-
-    def r_at(self, i: int) -> int:
-        return self.r_top if i == self.data.m else self.data.r_at(i)
-
-    def bound(self, i: int, j: int) -> int:
-        d = self.data
-        case_rows = (d.q_at(i - 1) - self.r_at(i - 1)) - (d.q_at(j) - self.r_at(j))
-        case_cols = (d.p_at(i) + self.r_at(i)) - (d.p_at(j + 1) + self.r_at(j + 1))
-        return min(case_rows, case_cols)
-
-    def pairs(self) -> tuple[tuple[int, int], ...]:
-        m = self.data.m
-        return tuple((i, j) for i in range(1, m + 1) for j in range(i))
+        m = self.m
+        r = [self.r_at(i) for i in range(m)] + [self.n]
+        return tuple(
+            (
+                i,
+                j,
+                min(
+                    (self.q_at(i - 1) - r[i - 1]) - (self.q_at(j) - r[j]),
+                    (self.p_at(i) + r[i]) - (self.p_at(j + 1) + r[j + 1]),
+                ),
+            )
+            for i in range(1, m + 1)
+            for j in range(i)
+        )
 
 
 def covexillary_data(w: PartialPermutation) -> CovexillaryData:

@@ -15,10 +15,9 @@ from pathlib import Path
 from typing import Any
 
 from .conormal import CotangentMatrixPoint, SpringerFlagPoint, SpringerGrassPoint
-from .errors import CovexError, InputError
+from .errors import InputError
 from .exactla import ExactMatrix, FieldSpec, Subspace
-from .permcore import PartialPermutation
-from .varieties import Flag, GrassIndex
+from .varieties import Flag
 
 
 def scalar_to_json(value) -> Any:
@@ -72,19 +71,6 @@ def matrix_from_json(field: FieldSpec, data: Any, where: str = "matrix") -> Exac
     return ExactMatrix(field, tuple(parsed))
 
 
-def permutation_to_json(w: PartialPermutation) -> dict:
-    return {"n": w.n, "image": list(w.image)}
-
-
-def permutation_from_json(data: Any, where: str = "permutation") -> PartialPermutation:
-    if not isinstance(data, dict) or "n" not in data or "image" not in data:
-        raise InputError(f"{where}: expected an object with n and image")
-    try:
-        return PartialPermutation(int(data["n"]), tuple(int(v) for v in data["image"]))
-    except (TypeError, ValueError, CovexError) as exc:
-        raise InputError(f"{where}: {exc}") from exc
-
-
 def subspace_to_json(subspace: Subspace) -> dict:
     return {
         "ambient": subspace.ambient,
@@ -123,30 +109,13 @@ def flag_from_json(field: FieldSpec, data: Any, where: str = "flag") -> Flag:
     return flag
 
 
-def grass_index_to_json(idx: GrassIndex) -> dict:
-    return {"d": idx.d, "N": idx.N, "positions": list(idx.positions)}
-
-
-def grass_index_from_json(data: Any, where: str = "index") -> GrassIndex:
-    if not isinstance(data, dict):
-        raise InputError(f"{where}: expected an object with d, N, positions")
-    try:
-        return GrassIndex(
-            int(data["d"]), int(data["N"]), tuple(int(v) for v in data["positions"])
-        )
-    except (KeyError, TypeError, ValueError, CovexError) as exc:
-        raise InputError(f"{where}: {exc}") from exc
-
-
-POINT_KINDS = ("matrix", "flag", "grass", "cotangent", "springer-flag", "springer-grass", "perm")
+POINT_KINDS = ("matrix", "flag", "grass", "cotangent", "springer-flag", "springer-grass")
 
 
 def point_from_json(field: FieldSpec, kind: str, data: Any):
     """Build and validate a typed point from parsed JSON."""
     if kind == "matrix":
         return matrix_from_json(field, data)
-    if kind == "perm":
-        return permutation_from_json(data)
     if kind == "flag":
         return flag_from_json(field, data)
     if kind == "grass":

@@ -28,7 +28,7 @@ from .conormal import (
     tangent_orbit_rank,
     vector_to_matrix,
 )
-from .embedding import embed_point, embedding_target, tau_permutation, target_holds
+from .embedding import embed_point, embedding_target, target_holds
 from .errors import InputError
 from .exactla import (
     DEFAULT_PRIME,
@@ -394,8 +394,7 @@ def _suite_conormal_grass(config: SuiteConfig) -> list[Verdict]:
             case = f"n={n}/w={w.one_line()}"
             rng = _rng(config, case)
             data = covexillary_data(w)
-            target = embedding_target(data)
-            conditions = [(t, bound - n) for t, bound in target.conditions]
+            conditions = embedding_target(data).grass_conditions
             failures = 0
             # zero-section points over sampled cells of every u below w
             for u in all_partial_permutations(n):
@@ -433,7 +432,7 @@ def _suite_conormal_grass(config: SuiteConfig) -> list[Verdict]:
 def _chase_to_grass(
     w: PartialPermutation, x: ExactMatrix, y: ExactMatrix
 ) -> SpringerGrassPoint:
-    tau = tau_permutation(covexillary_data(w))
+    tau = covexillary_data(w).tau
     h1, theta = push_graph(CotangentMatrixPoint(x, y))
     return springer_grass(tau.permute_rows(h1), theta, w.n)
 
@@ -445,9 +444,7 @@ def _suite_diagram_chase(config: SuiteConfig) -> list[Verdict]:
         for w in _covexillary_partials(n):
             case = f"n={n}/w={w.one_line()}"
             rng = _rng(config, case)
-            data = covexillary_data(w)
-            target = embedding_target(data)
-            conditions = [(t, bound - n) for t, bound in target.conditions]
+            conditions = embedding_target(covexillary_data(w)).grass_conditions
             failures = 0
             samples = 0
             for _ in range(config.trials):

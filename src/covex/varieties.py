@@ -14,7 +14,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
 
 from .errors import DimensionMismatchError, InputError
 from .exactla import (
@@ -23,7 +22,7 @@ from .exactla import (
     Subspace,
     random_borel,
 )
-from .permcore import PartialPermutation, essential_set, rank_matrix
+from .permcore import PartialPermutation, rank_matrix
 
 
 @dataclass(frozen=True)
@@ -81,14 +80,6 @@ class GrassIndex:
             raise InputError("indices live in different Grassmannians")
         return all(a <= b for a, b in zip(self.positions, other.positions))
 
-    def redundancy_free(self) -> tuple[int, ...]:
-        """Positions i whose condition is not implied by condition i+1."""
-        keep = []
-        for i in range(1, self.d + 1):
-            if i == self.d or self.positions[i] != self.positions[i - 1] + 1:
-                keep.append(i)
-        return tuple(keep)
-
 
 def southwest_profile(x: ExactMatrix) -> tuple[tuple[int, ...], ...]:
     """All dim(x E_j / E_{i-1}) = rank of x[i.., ..j], as profile[i-1][j-1].
@@ -108,34 +99,22 @@ def standard_sum_dims(subspace: Subspace) -> tuple[int, ...]:
     return tuple(t + profile[t][d - 1] for t in range(N)) + (N,)
 
 
-def _first_excess(
-    profile: tuple[tuple[int, ...], ...], bounds: Iterable[tuple[int, int, int]]
-) -> tuple[int, int, int, int] | None:
-    """First (i, j, rank, bound) whose profile entry exceeds its bound."""
-    for i, j, bound in bounds:
-        got = profile[i - 1][j - 1]
-        if got > bound:
-            return (i, j, got, bound)
-    return None
-
-
-def in_matrix_schubert(
-    x: ExactMatrix, w: PartialPermutation, essential_only: bool = False
-) -> bool:
-    return matrix_schubert_violation(x, w, essential_only) is None
+def in_matrix_schubert(x: ExactMatrix, w: PartialPermutation) -> bool:
+    return matrix_schubert_violation(x, w) is None
 
 
 def matrix_schubert_violation(
-    x: ExactMatrix, w: PartialPermutation, essential_only: bool = False
+    x: ExactMatrix, w: PartialPermutation
 ) -> tuple[int, int, int, int] | None:
     """First violated condition (i, j, dim, bound), or None if x lies in g_w."""
     if x.shape != (w.n, w.n):
         raise DimensionMismatchError("matrix size differs from permutation size")
-    if essential_only:
-        bounds = ((c.row, c.col, c.rank) for c in essential_set(w))
-    else:
-        bounds = rank_matrix(w).cells
-    return _first_excess(southwest_profile(x), bounds)
+    profile = southwest_profile(x)
+    for i, j, bound in rank_matrix(w).cells:
+        got = profile[i - 1][j - 1]
+        if got > bound:
+            return (i, j, got, bound)
+    return None
 
 
 def in_matrix_schubert_cell(x: ExactMatrix, w: PartialPermutation) -> bool:
@@ -179,14 +158,12 @@ def locate_flag_cell(flag: Flag) -> PartialPermutation:
     return PartialPermutation(n, tuple(image))
 
 
-def in_grass_schubert(
-    subspace: Subspace, idx: GrassIndex, minimal_only: bool = False
-) -> bool:
-    return grass_schubert_violation(subspace, idx, minimal_only) is None
+def in_grass_schubert(subspace: Subspace, idx: GrassIndex) -> bool:
+    return grass_schubert_violation(subspace, idx) is None
 
 
 def grass_schubert_violation(
-    subspace: Subspace, idx: GrassIndex, minimal_only: bool = False
+    subspace: Subspace, idx: GrassIndex
 ) -> tuple[int, int, int] | None:
     """First violated condition (i, dim(V + E_{u_i}), bound), else None."""
     if subspace.ambient != idx.N:
@@ -194,8 +171,7 @@ def grass_schubert_violation(
     if subspace.dim != idx.d:
         raise DimensionMismatchError(f"subspace dimension {subspace.dim} is not d={idx.d}")
     dims = standard_sum_dims(subspace)
-    targets = idx.redundancy_free() if minimal_only else range(1, idx.d + 1)
-    for i in targets:
+    for i in range(1, idx.d + 1):
         u_i = idx.positions[i - 1]
         total = dims[u_i]
         bound = idx.d + u_i - i

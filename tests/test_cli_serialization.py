@@ -18,8 +18,6 @@ from covex.serialization import (
     matrix_from_json,
     matrix_to_json,
     parse_point_file,
-    permutation_from_json,
-    permutation_to_json,
     point_from_json,
     subspace_to_json,
 )
@@ -50,13 +48,6 @@ def test_matrix_errors():
         matrix_from_json(F, {"rows": 1, "cols": 1, "entries": [["x"]]})
     with pytest.raises(InputError, match="missing"):
         matrix_from_json(F, {"rows": 1, "entries": [[1]]})
-
-
-def test_permutation_roundtrip():
-    w = PartialPermutation.from_one_line("0 3 0 1")
-    assert permutation_from_json(permutation_to_json(w)) == w
-    with pytest.raises(InputError):
-        permutation_from_json({"n": 2, "image": [1, 1]})
 
 
 def test_flag_validation():
@@ -309,16 +300,16 @@ def _refuse_tables(monkeypatch, above=0):
     monkeypatch.setattr(kl, "_TABLES", {})
 
 
-def test_cli_kl_covex_refuses_n_max_7_before_building_a_table(capsys, monkeypatch):
+def test_cli_kl_covex_refuses_n_max_8_before_building_a_table(capsys, monkeypatch):
     _refuse_tables(monkeypatch)
-    code, out, err = run_cli(capsys, "verify", "kl-covex", "--nmax", "7")
+    code, out, err = run_cli(capsys, "verify", "kl-covex", "--nmax", "8")
     assert_one_error_line(code, out, err)
     assert "kl-covex" in err
 
 
-def test_cli_kl_covex_check_refuses_n_7_before_building_a_table(capsys, monkeypatch):
+def test_cli_kl_covex_check_refuses_n_8_before_building_a_table(capsys, monkeypatch):
     _refuse_tables(monkeypatch)
-    code, out, err = run_cli(capsys, "kl", "covex-check", "2531476")
+    code, out, err = run_cli(capsys, "kl", "covex-check", "25314768")
     assert_one_error_line(code, out, err)
     assert "kl-covex" in err
 

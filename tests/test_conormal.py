@@ -49,7 +49,6 @@ from covex.exactla import (
     subspace_sum,
 )
 from covex.permcore import (
-    ConormalBoundTable,
     CovexillaryData,
     PartialPermutation,
     all_partial_permutations,
@@ -79,6 +78,32 @@ def unit_matrix(n, i, j):
 
 def fiber_matrices(fiber, n):
     return [vector_to_matrix(F, v, n) for v in fiber.vectors]
+
+
+class ConormalBoundTable:
+    """Rank bounds b(i, j) of the conormal criterion for 0 <= j < i <= m.
+
+    The bounds depend only on the essential triples and the terminal rank
+    r_m; each is the minimum of the two case formulas.  The package fixes
+    r_m = n; this table also takes other values, to show they never bind.
+    """
+
+    def __init__(self, data: CovexillaryData, r_top: int):
+        self.data = data
+        self.r_top = r_top
+
+    def r_at(self, i: int) -> int:
+        return self.r_top if i == self.data.m else self.data.r_at(i)
+
+    def bound(self, i: int, j: int) -> int:
+        d = self.data
+        case_rows = (d.q_at(i - 1) - self.r_at(i - 1)) - (d.q_at(j) - self.r_at(j))
+        case_cols = (d.p_at(i) + self.r_at(i)) - (d.p_at(j + 1) + self.r_at(j + 1))
+        return min(case_rows, case_cols)
+
+    def pairs(self) -> tuple[tuple[int, int], ...]:
+        m = self.data.m
+        return tuple((i, j) for i in range(1, m + 1) for j in range(i))
 
 
 def bound_table(data: CovexillaryData) -> ConormalBoundTable:

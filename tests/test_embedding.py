@@ -2,8 +2,10 @@
 
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from covex.errors import DimensionMismatchError
 from covex.exactla import (
     ExactMatrix,
     FieldSpec,
@@ -16,6 +18,7 @@ from covex.embedding import (
     check_rank_lemma,
     embed_point,
     embedding_target,
+    fixed_point_index,
     graph_embed,
     target_grass_index,
     target_holds,
@@ -206,6 +209,37 @@ def test_target_index_matches_located_cells():
 def test_target_index_fixture():
     data = covexillary_data(PartialPermutation.from_one_line("2143"))
     assert target_grass_index(embedding_target(data)).positions == (3, 4, 7, 8)
+
+
+def test_fixed_point_index_matches_cell_location():
+    """The cell read off tau equals the one located by elimination.
+
+    Every covexillary partial w and every partial u with n <= 3, and every
+    covexillary w and every u in S_4.
+    """
+    pairs = [
+        (w, u)
+        for n in (1, 2, 3)
+        for w in _covexillary_partials(n)
+        for u in all_partial_permutations(n)
+    ]
+    pairs += [
+        (w, u) for w in all_permutations(4) if is_covexillary(w) for u in all_permutations(4)
+    ]
+    assert len(pairs) == 1175 + 552
+    for w, u in pairs:
+        data = covexillary_data(w)
+        located = locate_grass_cell(embed_point(u.matrix(F), data))
+        assert fixed_point_index(u, data) == located
+    with pytest.raises(DimensionMismatchError):
+        fixed_point_index(PartialPermutation.zero(2), covexillary_data(PartialPermutation.identity(3)))
+
+
+def test_fixed_point_index_of_w_is_the_target_index():
+    for n in range(1, 6):
+        for w in _covexillary_partials(n):
+            data = covexillary_data(w)
+            assert fixed_point_index(w, data) == target_grass_index(embedding_target(data))
 
 
 COVEXILLARY_UP_TO_4 = [w for n in (1, 2, 3, 4) for w in _covexillary_partials(n)]

@@ -4,14 +4,9 @@ import itertools
 import random
 
 from covex.equivariant import (
-    CONVENTION_REVERSE_X,
-    CONVENTION_REVERSE_Y,
-    CONVENTION_SIGN_BY_DEGREE,
-    CONVENTION_SWAP_XY,
     MultivariatePolynomial,
     _reduced_word,
     apply_weight_map,
-    calibrate_convention,
     divided_difference,
     double_schubert,
     grass_restriction,
@@ -22,7 +17,7 @@ from covex.equivariant import (
 )
 from covex.embedding import (
     embedding_target,
-    origin_image,
+    fixed_point_index,
     target_grass_index,
     tau_permutation,
     weight_map,
@@ -233,9 +228,11 @@ def test_localization_singular_fixture():
 def test_localization_rep_independent():
     divisor = GrassIndex(2, 4, (2, 4))
     point = GrassIndex(2, 4, (1, 3))
-    assert grass_restriction(divisor, point, "min") == grass_restriction(
-        divisor, point, "max"
-    )
+    # grass_restriction reads the minimal representative of the point
+    class_perm, point_perm = _class_and_point(divisor, point, "max")
+    reverse = {f"t{i}": f"t{5 - i}" for i in range(1, 5)}
+    at_max = schubert_class_restriction(4, class_perm, point_perm).rename(reverse)
+    assert grass_restriction(divisor, point) == at_max
 
 
 def test_renaming_matches_substitution():
@@ -273,13 +270,45 @@ def test_weight_map_substitution():
     assert mapped == lin(xy_ring(2), {"y1": 1, "x1": -1})
 
 
+def _transform_with(poly, n, swap, revx, revy, sign_by_degree):
+    renames = {}
+    for i in range(1, n + 1):
+        xt = f"y{i}" if swap else f"x{i}"
+        yt = f"x{i}" if swap else f"y{i}"
+        if revx:
+            xt = xt[0] + str(n + 1 - int(xt[1:]))
+        if revy:
+            yt = yt[0] + str(n + 1 - int(yt[1:]))
+        renames[f"x{i}"] = xt
+        renames[f"y{i}"] = yt
+    out = poly.rename(renames)
+    return out.sign_by_degree() if sign_by_degree else out
+
+
+def calibrate_convention(n_values):
+    """The (swap, revx, revy, sign) conventions, of all 16, under which every
+    covexillary permutation of the given sizes satisfies the identity."""
+    fixtures = []
+    for n in n_values:
+        for w in all_permutations(n):
+            if not is_covexillary(w):
+                continue
+            data = covexillary_data(w)
+            v_hat = target_grass_index(embedding_target(data))
+            origin = fixed_point_index(PartialPermutation.zero(n), data)
+            in_xy = apply_weight_map(grass_restriction(v_hat, origin), weight_map(data), n)
+            lhs = double_schubert(PartialPermutation.longest(n).compose(w))
+            fixtures.append((n, in_xy, lhs))
+    return [
+        convention
+        for convention in itertools.product((False, True), repeat=4)
+        if all(_transform_with(rhs, n, *convention) == lhs for n, rhs, lhs in fixtures)
+    ]
+
+
 def test_convention_is_the_unique_survivor():
-    frozen = (
-        CONVENTION_SWAP_XY,
-        CONVENTION_REVERSE_X,
-        CONVENTION_REVERSE_Y,
-        CONVENTION_SIGN_BY_DEGREE,
-    )
+    # verify_multidegree applies (swap, revx, revy, sign) = this convention
+    frozen = (True, True, False, True)
     survivors_small = calibrate_convention((2,))
     assert frozen in survivors_small
     assert len(survivors_small) == 2  # n = 2 alone cannot split the pair
@@ -376,7 +405,8 @@ def test_restriction_matches_billey_at_origin_points():
                 continue
             data = covexillary_data(w)
             v_hat = target_grass_index(embedding_target(data))
-            class_perm, point_perm = _class_and_point(v_hat, origin_image(data), "min")
+            origin = fixed_point_index(PartialPermutation.zero(n), data)
+            class_perm, point_perm = _class_and_point(v_hat, origin, "min")
             assert schubert_class_restriction(
                 2 * n, class_perm, point_perm
             ) == billey_subword_sum(2 * n, class_perm, point_perm)

@@ -17,6 +17,7 @@ from covex.permcore import (
     all_partial_permutations,
     all_permutations,
     bruhat_leq,
+    essential_set,
     rank_matrix,
 )
 from covex.varieties import (
@@ -32,6 +33,7 @@ from covex.varieties import (
     sample_flag,
     southwest_profile,
     standard_flag,
+    standard_sum_dims,
 )
 
 F = FieldSpec.prime()
@@ -57,14 +59,18 @@ def test_matrix_membership_size_check():
 
 
 def test_essential_only_agrees_with_full():
+    """The essential-set conditions alone cut out the matrix Schubert variety."""
     rng = random.Random(2)
     for n in (1, 2, 3):
         for w in all_partial_permutations(n):
+            essential = essential_set(w)
             for _ in range(25):
                 x = random_matrix(F, n, n, rng)
-                assert in_matrix_schubert(x, w) == in_matrix_schubert(
-                    x, w, essential_only=True
+                profile = southwest_profile(x)
+                essential_only = all(
+                    profile[c.row - 1][c.col - 1] <= c.rank for c in essential
                 )
+                assert in_matrix_schubert(x, w) == essential_only
 
 
 def test_flag_membership_fixtures():
@@ -87,7 +93,17 @@ def test_grass_membership_fixtures():
     assert idx.leq(top) and not top.leq(idx)
 
 
+def redundancy_free(idx):
+    """Positions i whose condition is not implied by condition i+1."""
+    return tuple(
+        i
+        for i in range(1, idx.d + 1)
+        if i == idx.d or idx.positions[i] != idx.positions[i - 1] + 1
+    )
+
+
 def test_grass_minimal_mode_agrees():
+    """The redundancy-free conditions alone cut out the Schubert variety."""
     rng = random.Random(4)
     for _ in range(40):
         vecs = [[rng.randrange(F.p) for _ in range(5)] for _ in range(2)]
@@ -95,7 +111,12 @@ def test_grass_minimal_mode_agrees():
         if v.dim != 2:
             continue
         idx = GrassIndex(2, 5, (2, 4))
-        assert in_grass_schubert(v, idx) == in_grass_schubert(v, idx, minimal_only=True)
+        dims = standard_sum_dims(v)
+        minimal_only = all(
+            dims[idx.positions[i - 1]] <= idx.d + idx.positions[i - 1] - i
+            for i in redundancy_free(idx)
+        )
+        assert in_grass_schubert(v, idx) == minimal_only
 
 
 def test_locate_flag_cell():
