@@ -262,14 +262,13 @@ def conormal_fiber_matrix(x: ExactMatrix, w: PartialPermutation) -> Subspace:
         raise CellMembershipError("x does not have the rank profile of the open cell")
     field = x.field
     rows = []
-    zero = field.zero()
     for a in range(1, n + 1):
         for b in range(1, a + 1):  # entries on or below the diagonal must vanish
-            row = [zero] * (n * n)
+            row = [0] * (n * n)
             for k in range(1, n + 1):
                 row[(k - 1) * n + (b - 1)] = x.entry(a, k)  # (xy)_{ab}
             rows.append(row)
-            row = [zero] * (n * n)
+            row = [0] * (n * n)
             for k in range(1, n + 1):
                 row[(a - 1) * n + (k - 1)] = x.entry(k, b)  # (yx)_{ab}
             rows.append(row)
@@ -288,15 +287,14 @@ def tangent_orbit_rank(x: ExactMatrix) -> int:
     """Rank of (u, v) -> u x + x v on pairs of upper-triangular matrices."""
     n = x.rows
     field = x.field
-    zero = field.zero()
     cols = []
     for a in range(1, n + 1):
         for b in range(a, n + 1):
-            col = [zero] * (n * n)
+            col = [0] * (n * n)
             for j in range(1, n + 1):  # (E_{ab} x)_{aj} = x_{bj}
                 col[(a - 1) * n + (j - 1)] = x.entry(b, j)
             cols.append(col)
-            col = [zero] * (n * n)
+            col = [0] * (n * n)
             for i in range(1, n + 1):  # (x E_{ab})_{ib} = x_{ia}
                 col[(i - 1) * n + (b - 1)] = x.entry(i, a)
             cols.append(col)
@@ -391,14 +389,13 @@ def conormal_fiber_flag(
         raise CellMembershipError("the flag of g is not in the open cell of w")
     field = g.field
     ginv = flag.inverse
-    zero = field.zero()
     rows = []
     for a in range(1, n + 1):
         for b in range(1, a + 1):
-            row = [zero] * (n * n)
-            row[(a - 1) * n + (b - 1)] = field.one()  # z_{ab} = 0
+            row = [0] * (n * n)
+            row[(a - 1) * n + (b - 1)] = 1  # z_{ab} = 0
             rows.append(row)
-            row = [zero] * (n * n)
+            row = [0] * (n * n)
             for k in range(1, n + 1):
                 for l in range(1, n + 1):  # (g^-1 z g)_{ab}
                     coeff = field.mul(ginv.entry(a, k), g.entry(l, b))

@@ -239,10 +239,14 @@ def double_schubert(w: PartialPermutation) -> MultivariatePolynomial:
     """The double Schubert polynomial of w in x_1..x_n, y_1..y_n.
 
     Defined by the product formula at the longest element and descending
-    divided differences in the x alphabet.
+    divided differences in the x alphabet.  Refused beyond n = 7: the
+    product at w0 has 484,912 terms at n = 7, and at n = 8 the expansion
+    exhausts memory.
     """
     if not w.is_full_rank:
         raise InputError("double Schubert polynomials need full permutations")
+    if w.n > 7:
+        raise InputError(f"double Schubert polynomials are limited to n <= 7; got n = {w.n}")
     return _double_schubert_cached(w.image)
 
 
@@ -380,12 +384,12 @@ def verify_multidegree(w: PartialPermutation) -> MultidegreeReport:
     if not w.is_full_rank:
         raise InputError("the multidegree identity is stated for permutations")
     n = w.n
+    w0 = PartialPermutation.longest(n)
+    lhs = double_schubert(w0.compose(w))  # first: it refuses n > 7 before any localization
     v_hat = target_grass_index(embedding_target(data))
     origin = fixed_point_index(PartialPermutation.zero(n), data)
     in_xy = apply_weight_map(grass_restriction(v_hat, origin), weight_map(data), n)
     renames = {f"x{i}": f"y{n + 1 - i}" for i in range(1, n + 1)}
     renames.update({f"y{i}": f"x{i}" for i in range(1, n + 1)})
     rhs = in_xy.rename(renames).sign_by_degree()
-    w0 = PartialPermutation.longest(n)
-    lhs = double_schubert(w0.compose(w))
     return MultidegreeReport(w, lhs, rhs)

@@ -8,11 +8,19 @@ floating point anywhere.  Subspaces are stored in reduced echelon form, so
 equal subspaces have identical representations and can be compared with
 `==`.
 
-Elimination over Q is fraction-free: each row is scaled to coprime
-integers, a row is cleared against a pivot row r at column c as
-a * row - b * r with a : b = r[c] : row[c] in lowest terms, and every new
-row is divided by the gcd of its entries, so the integers stay small.  Only
-the reduced echelon form divides, once per pivot row at the end.
+All elimination is one row insertion, `_insert`: a row is reduced against an
+echelon basis {pivot column: row} and whatever is left joins the basis at a
+new pivot.  A rank is the size of the basis once every row is in; the
+southwest profile inserts rows bottom-up and counts pivots; membership
+inserts into a copy of a subspace's basis and asks for no new pivot; spans,
+kernels and inverses back-substitute the basis to reduced echelon form
+(`_reduced`).  An inverse is the reduced form of [A | I], and A is singular
+exactly when a pivot lands in the identity half.
+
+Over Q the basis holds primitive integer rows: a row is cleared against a
+pivot row r at column c as a * row - b * r with a : b = r[c] : row[c] in
+lowest terms, and every new row is divided by the gcd of its entries, so the
+integers stay small.  Only the reduced echelon form divides, once per row.
 """
 
 from __future__ import annotations
@@ -79,12 +87,6 @@ class FieldSpec:
     def is_prime(self) -> bool:
         return self.kind == "prime"
 
-    def zero(self) -> Scalar:
-        return 0
-
-    def one(self) -> Scalar:
-        return 1
-
     def coerce(self, value) -> Scalar:
         p = self.p
         if type(value) is int:
@@ -94,6 +96,8 @@ class FieldSpec:
         if isinstance(value, Fraction):
             if value.denominator == 1:
                 return value.numerator % p
+            if value.denominator % p == 0:
+                raise FieldError(f"{value} has no image in F_{p}: p divides its denominator")
             return (value.numerator * pow(value.denominator, -1, p)) % p
         return int(value) % p
 
@@ -178,15 +182,11 @@ class ExactMatrix:
 
     @staticmethod
     def zeros(field: FieldSpec, rows: int, cols: int) -> "ExactMatrix":
-        z = field.zero()
-        return ExactMatrix(field, tuple(tuple(z for _ in range(cols)) for _ in range(rows)))
+        return ExactMatrix(field, tuple((0,) * cols for _ in range(rows)))
 
     @staticmethod
     def identity(field: FieldSpec, n: int) -> "ExactMatrix":
-        one, zero = field.one(), field.zero()
-        return ExactMatrix(
-            field, tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
-        )
+        return ExactMatrix(field, tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
 
     @property
     def rows(self) -> int:
@@ -208,8 +208,7 @@ class ExactMatrix:
         return tuple(row[j - 1] for row in self.entries)
 
     def is_zero(self) -> bool:
-        zero = self.field.zero()
-        return all(v == zero for row in self.entries for v in row)
+        return not any(v for row in self.entries for v in row)
 
     def is_square(self) -> bool:
         return self.rows == self.cols
@@ -281,7 +280,10 @@ class ExactMatrix:
         )
 
     def rank(self) -> int:
-        return len(_row_echelon(list(self.entries), self.field)[1])
+        basis, p = {}, self.field.p
+        for row in self.entries:
+            _insert(basis, row, p)
+        return len(basis)
 
     @cached_property
     def core_pivot_memo(self) -> dict:
@@ -292,30 +294,17 @@ class ExactMatrix:
     def southwest_profile(self) -> tuple[tuple[int, ...], ...]:
         """Every southwest rank, profile[i-1][j-1] = rank of rows i.., columns ..j.
 
-        Computed once per matrix.  Rows go bottom-up into an echelon basis
-        with distinct leftmost nonzero columns (pivots); then the rank of
-        rows i.., columns ..j is the number of pivots <= j.  Over Q the
-        rows are coprime integer multiples of the rows over F_p, which have
-        the same zero pattern.
+        Computed once per matrix.  Rows are inserted bottom-up into one
+        echelon basis; then the rank of rows i.., columns ..j is the number
+        of pivots <= j.
         """
-        field = self.field
-        p = field.p
-        n_cols = self.cols
-        basis: dict[int, list] = {}  # pivot column -> vector, 1 at the pivot over F_p
-        is_pivot = [0] * n_cols
+        basis, p = {}, self.field.p
+        is_pivot = [0] * self.cols
         profile = []
-        for v in reversed(self.entries):
-            if p is None:
-                v = _integer_row(v)
-            for c in range(n_cols):
-                a = v[c]
-                if a:
-                    b = basis.get(c)
-                    if b is None:
-                        basis[c] = v if p is None else _scaled(field.inv(a), v, p)
-                        is_pivot[c] = 1
-                        break
-                    v = _cleared(v, c, b) if p is None else _minus_multiple(v, a, b, p)
+        for row in reversed(self.entries):
+            c = _insert(basis, row, p)
+            if c is not None:
+                is_pivot[c] = 1
             profile.append(tuple(accumulate(is_pivot)))
         profile.reverse()
         return tuple(profile)
@@ -324,27 +313,82 @@ class ExactMatrix:
         if not self.is_square():
             raise DimensionMismatchError("inverse of a non-square matrix")
         n = self.rows
-        f = self.field
-        aug = [list(row) + list(ident_row) for row, ident_row in
-               zip(self.entries, ExactMatrix.identity(f, n).entries)]
-        reduced, pivots = _row_echelon(aug, f, reduced=True, pivot_limit=n)
-        if len(pivots) != n:
-            raise SingularMatrixError("matrix is singular")
-        return ExactMatrix(f, tuple(tuple(row[n:]) for row in reduced))
+        basis, p = {}, self.field.p
+        for i, row in enumerate(self.entries):
+            if _insert(basis, [*row, *(int(i == j) for j in range(n))], p) >= n:
+                raise SingularMatrixError("matrix is singular")
+        _, rows = _reduced(basis, p)
+        return ExactMatrix(self.field, tuple(row[n:] for row in rows))
 
     def _check_same_shape(self, other: "ExactMatrix") -> None:
         if self.shape != other.shape:
             raise DimensionMismatchError(f"shape mismatch {self.shape} vs {other.shape}")
 
 
-def _minus_multiple(a: list, f: int, b: Sequence, p: int) -> list:
-    """The row a - f * b over F_p."""
-    return [(x - f * y) % p for x, y in zip(a, b)]
+def _insert(basis: dict[int, Sequence[int]], row: Sequence[Scalar], p: int | None) -> int | None:
+    """Reduce ``row`` against an echelon basis and add what is left to it.
+
+    ``basis`` maps each pivot column (0-based) to the one basis row whose
+    leftmost nonzero entry lies there: scaled to 1 at the pivot over F_p, a
+    primitive integer row over Q (``p`` None).  The row is cleared at each
+    basis pivot it meets, left to right, and joins the basis at the first
+    nonzero column that has no basis row.  Returns that column, or None when
+    the row lies in the span of the basis.
+    """
+    if p is None:
+        row = _integer_row(row)
+    for c in range(len(row)):
+        a = row[c]
+        if a:
+            b = basis.get(c)
+            if b is None:
+                if p is not None:
+                    inv = pow(a, -1, p)
+                    row = [inv * y % p for y in row]
+                basis[c] = row
+                return c
+            row = _cleared(row, c, b, p)
+    return None
 
 
-def _scaled(f: int, b: Sequence, p: int) -> list:
-    """The row f * b over F_p."""
-    return [f * y % p for y in b]
+def _reduced(
+    basis: dict[int, Sequence[int]], p: int | None
+) -> tuple[tuple[int, ...], tuple[tuple[Scalar, ...], ...]]:
+    """The pivots and rows of the reduced echelon form of an echelon basis.
+
+    Back-substitution clears each pivot column from the rows of smaller
+    pivot, last pivot first; over Q each row is then divided by its pivot
+    entry, once.  The rows come in pivot order.  Consumes ``basis``.
+    """
+    pivots = sorted(basis)
+    for k in reversed(range(len(pivots))):
+        c = pivots[k]
+        for d in pivots[:k]:
+            if basis[d][c]:
+                basis[d] = _cleared(basis[d], c, basis[c], p)
+    rows = []
+    for c in pivots:
+        row = basis[c]
+        if p is None:
+            a = row[c]
+            row = [v // a if v % a == 0 else Fraction(v, a) for v in row]
+        rows.append(tuple(row))
+    return tuple(pivots), tuple(rows)
+
+
+def _cleared(a: Sequence[int], c: int, b: Sequence[int], p: int | None) -> list[int]:
+    """The row a with column c cleared against the basis row b (b[c] != 0).
+
+    Over F_p, b[c] is 1 and this is a - a[c] * b.  Over Q both rows are
+    integer and it is the primitive row s * a - t * b, s : t = b[c] : a[c]
+    in lowest terms.
+    """
+    if p is not None:
+        f = a[c]
+        return [(x - f * y) % p for x, y in zip(a, b)]
+    g = gcd(b[c], a[c])
+    s, t = b[c] // g, a[c] // g
+    return _primitive([s * x - t * y for x, y in zip(a, b)])
 
 
 def _integer_row(row: Sequence[Scalar]) -> Sequence[int]:
@@ -361,83 +405,6 @@ def _primitive(row: Sequence[int]) -> Sequence[int]:
     """The integer row divided by the gcd of its entries."""
     g = gcd(*row)
     return [v // g for v in row] if g > 1 else row
-
-
-def _cleared(a: Sequence[int], c: int, b: Sequence[int]) -> Sequence[int]:
-    """The primitive integer row s * a - t * b with column c cleared (b[c] != 0)."""
-    g = gcd(b[c], a[c])
-    s, t = b[c] // g, a[c] // g
-    return _primitive([s * x - t * y for x, y in zip(a, b)])
-
-
-def _row_echelon(
-    rows: list[Sequence[Scalar]],
-    field: FieldSpec,
-    reduced: bool = False,
-    pivot_limit: int | None = None,
-) -> tuple[list[Sequence[Scalar]], list[int]]:
-    """Gaussian elimination on the list ``rows``.
-
-    Rows are replaced, never mutated in place, so they may be tuples.
-    Returns the (reduced) row-echelon form and the list of 0-based pivot
-    columns.  ``pivot_limit`` restricts pivot search to the first columns,
-    which is how augmented systems are solved.  Over Q an unreduced form
-    keeps its integer rows; see the module docstring.
-    """
-    if not rows:
-        return rows, []
-    if not field.is_prime:
-        return _row_echelon_rational(rows, reduced, pivot_limit)
-    m, n = len(rows), len(rows[0])
-    limit = n if pivot_limit is None else pivot_limit
-    p = field.p
-    pivots: list[int] = []
-    r = 0
-    for c in range(limit):
-        sel = next((i for i in range(r, m) if rows[i][c]), None)
-        if sel is None:
-            continue
-        rows[r], rows[sel] = rows[sel], rows[r]
-        row_r = rows[r] = _scaled(field.inv(rows[r][c]), rows[r], p)
-        targets = range(m) if reduced else range(r + 1, m)
-        for i in targets:
-            if i != r and rows[i][c]:
-                rows[i] = _minus_multiple(rows[i], rows[i][c], row_r, p)
-        pivots.append(c)
-        r += 1
-        if r == m:
-            break
-    return rows, pivots
-
-
-def _row_echelon_rational(
-    rows: list[Sequence[Scalar]], reduced: bool, pivot_limit: int | None
-) -> tuple[list[Sequence[Scalar]], list[int]]:
-    """_row_echelon over Q on integer rows; the pivots match the Fraction elimination."""
-    rows = [_integer_row(row) for row in rows]
-    m, n = len(rows), len(rows[0])
-    limit = n if pivot_limit is None else pivot_limit
-    pivots: list[int] = []
-    r = 0
-    for c in range(limit):
-        sel = next((i for i in range(r, m) if rows[i][c]), None)
-        if sel is None:
-            continue
-        rows[r], rows[sel] = rows[sel], rows[r]
-        row_r = rows[r]
-        targets = range(m) if reduced else range(r + 1, m)
-        for i in targets:
-            if i != r and rows[i][c]:
-                rows[i] = _cleared(rows[i], c, row_r)
-        pivots.append(c)
-        r += 1
-        if r == m:
-            break
-    if reduced:
-        for k, c in enumerate(pivots):
-            a = rows[k][c]
-            rows[k] = [v // a if v % a == 0 else Fraction(v, a) for v in rows[k]]
-    return rows, pivots
 
 
 @dataclass(frozen=True)
@@ -479,32 +446,27 @@ class Subspace:
     def dim(self) -> int:
         return len(self.vectors)
 
+    @cached_property
     def basis_matrix(self) -> ExactMatrix:
-        """Basis vectors as the columns of an ambient x dim matrix."""
+        """Basis vectors as the columns of an ambient x dim matrix, built once."""
         if not self.vectors:
             return ExactMatrix.zeros(self.field, self.ambient, 0)
         return ExactMatrix(self.field, tuple(zip(*self.vectors)))
 
     def contains_vector(self, vector: Sequence) -> bool:
         f = self.field
-        return self._reduces_to_zero([f.coerce(x) for x in vector])
+        return _insert(self._basis(), [f.coerce(x) for x in vector], f.p) is None
 
     def contains(self, other: "Subspace") -> bool:
         self._check_compatible(other)
-        return all(self._reduces_to_zero(v) for v in other.vectors)
+        basis, p = self._basis(), self.field.p
+        return all(_insert(basis, v, p) is None for v in other.vectors)
 
-    def _reduces_to_zero(self, v: Sequence[Scalar]) -> bool:
-        """Whether a vector of field elements lies in this subspace."""
-        p = self.field.p
-        if p is None:
-            v = _integer_row(v)
-        for row, pivot in zip(self.vectors, self.pivots):
-            if v[pivot]:
-                if p is None:
-                    v = _cleared(v, pivot, _integer_row(row))
-                else:
-                    v = _minus_multiple(v, v[pivot], row, p)
-        return not any(v)
+    def _basis(self) -> dict[int, Sequence[int]]:
+        """A fresh echelon basis {pivot: row} of this subspace, as _insert takes it."""
+        if self.field.is_prime:
+            return dict(zip(self.pivots, self.vectors))
+        return {c: _integer_row(v) for c, v in zip(self.pivots, self.vectors)}
 
     def apply(self, matrix: ExactMatrix) -> "Subspace":
         """Image of this subspace under the linear map ``matrix``."""
@@ -512,10 +474,9 @@ class Subspace:
             raise DimensionMismatchError("matrix does not act on this ambient space")
         if not self.vectors:
             return Subspace.zero(self.field, matrix.rows)
-        basis = self.vectors
-        if not self.field.is_prime:  # integer multiples span the same image
-            basis = [_integer_row(v) for v in basis]
-        return Subspace.column_span(matrix @ ExactMatrix(self.field, tuple(zip(*basis))))
+        # over Q the echelon basis holds integer multiples: the same image, no Fractions
+        basis = ExactMatrix(self.field, tuple(zip(*self._basis().values())))
+        return Subspace.column_span(matrix @ basis)
 
     def _check_compatible(self, other: "Subspace") -> None:
         if self.ambient != other.ambient or self.field != other.field:
@@ -524,12 +485,11 @@ class Subspace:
 
 def coordinate_subspace(field: FieldSpec, ambient: int, indices: Iterable[int]) -> Subspace:
     """Span of the standard basis vectors e_i for the given 1-based indices."""
-    one, zero = field.one(), field.zero()
     vecs = []
     for i in indices:
         if not 1 <= i <= ambient:
             raise DimensionMismatchError(f"coordinate index {i} outside 1..{ambient}")
-        vecs.append(tuple(one if k == i - 1 else zero for k in range(ambient)))
+        vecs.append(tuple(int(k == i - 1) for k in range(ambient)))
     return Subspace.span(field, ambient, vecs)
 
 
@@ -545,9 +505,11 @@ def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
 
 def _span_rows(field: FieldSpec, ambient: int, rows: Iterable[Sequence[Scalar]]) -> Subspace:
     """Span of vectors whose entries are already elements of the field."""
-    reduced, pivots = _row_echelon(list(rows), field, reduced=True)
-    basis = tuple(tuple(reduced[i]) for i in range(len(pivots)))
-    return Subspace(field, ambient, basis, tuple(pivots))
+    basis, p = {}, field.p
+    for row in rows:
+        _insert(basis, row, p)
+    pivots, vectors = _reduced(basis, p)
+    return Subspace(field, ambient, vectors, pivots)
 
 
 def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
@@ -556,12 +518,12 @@ def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
     if a.dim == 0 or b.dim == 0:
         return Subspace.zero(a.field, a.ambient)
     f = a.field
-    glued = a.basis_matrix().hstack(b.basis_matrix().__neg__())
+    glued = a.basis_matrix.hstack(-b.basis_matrix)
     ker = kernel(glued)
     vectors = []
     for coeffs in ker.vectors:
         left = coeffs[: a.dim]
-        vec = [f.zero()] * a.ambient
+        vec = [0] * a.ambient
         for c, basis_vec in zip(left, a.vectors):
             if c:
                 vec = [f.add(x, f.mul(c, y)) for x, y in zip(vec, basis_vec)]
@@ -579,14 +541,12 @@ def kernel(matrix: ExactMatrix) -> Subspace:
     """Null space of the matrix as a subspace of the column-index space."""
     f = matrix.field
     n = matrix.cols
-    reduced, pivots = _row_echelon([list(r) for r in matrix.entries], f, reduced=True)
-    pivot_set = set(pivots)
-    free_cols = [c for c in range(n) if c not in pivot_set]
+    rows = _span_rows(f, n, matrix.entries)
     vectors = []
-    for free in free_cols:
-        vec = [f.zero()] * n
-        vec[free] = f.one()
-        for row, pivot in zip(reduced, pivots):
+    for free in sorted(set(range(n)) - set(rows.pivots)):
+        vec = [0] * n
+        vec[free] = 1
+        for row, pivot in zip(rows.vectors, rows.pivots):
             vec[pivot] = f.neg(row[free])
         vectors.append(vec)
     return Subspace.span(f, n, vectors)

@@ -91,10 +91,9 @@ class PartialPermutation:
         return self.image[j - 1]
 
     def matrix(self, field: FieldSpec) -> ExactMatrix:
-        one, zero = field.one(), field.zero()
-        rows = [[zero] * self.n for _ in range(self.n)]
+        rows = [[0] * self.n for _ in range(self.n)]
         for r, c in self.dots():
-            rows[r - 1][c - 1] = one
+            rows[r - 1][c - 1] = 1
         return ExactMatrix(field, tuple(tuple(row) for row in rows))
 
     def inverse(self) -> "PartialPermutation":
@@ -134,7 +133,7 @@ class PartialPermutation:
         """self.matrix(field) @ matrix, by moving row j of matrix to row self(j)."""
         if matrix.rows != self.n:
             raise DimensionMismatchError("matrix row count differs from permutation size")
-        zero_row = (matrix.field.zero(),) * matrix.cols
+        zero_row = (0,) * matrix.cols
         rows = [zero_row] * self.n
         for r, c in self.dots():
             rows[r - 1] = matrix.entries[c - 1]

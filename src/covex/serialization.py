@@ -74,7 +74,7 @@ def matrix_from_json(field: FieldSpec, data: Any, where: str = "matrix") -> Exac
 def subspace_to_json(subspace: Subspace) -> dict:
     return {
         "ambient": subspace.ambient,
-        "basis": matrix_to_json(subspace.basis_matrix()),
+        "basis": matrix_to_json(subspace.basis_matrix),
     }
 
 

@@ -112,6 +112,9 @@ class SuiteConfig:
             raise InputError("trials must be at least 1")
         if self.suite == "kl-covex":
             check_kl_covex_size(n_max)
+        if self.suite == "multidegree" and n_max > 6:
+            # about 2,760 expansions at n = 7, each up to minutes and gigabytes
+            raise InputError(f"multidegree is limited to n <= 6; got n = {n_max}")
         FieldSpec.prime(self.prime)  # validates primality
         return SuiteConfig(self.suite, n_max, trials, self.prime, self.seed)
 
@@ -372,10 +375,10 @@ def _springer_fiber_sample(
 ) -> ExactMatrix:
     """Uniform x with Im(x) in V and V in ker(x): x = B A P for random A."""
     N, d = V.ambient, V.dim
-    basis = V.basis_matrix()
+    basis = V.basis_matrix
     pivot_set = set(V.pivots)
     complement_cols = [
-        tuple(field.one() if k == c else field.zero() for k in range(N))
+        tuple(int(k == c) for k in range(N))
         for c in range(N)
         if c not in pivot_set
     ]

@@ -95,7 +95,7 @@ def standard_sum_dims(subspace: Subspace) -> tuple[int, ...]:
     N, d = subspace.ambient, subspace.dim
     if d == 0:
         return tuple(range(N + 1))
-    profile = southwest_profile(subspace.basis_matrix())
+    profile = southwest_profile(subspace.basis_matrix)
     return tuple(t + profile[t][d - 1] for t in range(N)) + (N,)
 
 

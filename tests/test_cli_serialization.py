@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from covex import kl
+from covex import equivariant, kl
 from covex.cli import main
 from covex.errors import InputError, InvariantError
 from covex.exactla import ExactMatrix, FieldSpec, coordinate_subspace
@@ -312,6 +312,33 @@ def test_cli_kl_covex_check_refuses_n_8_before_building_a_table(capsys, monkeypa
     code, out, err = run_cli(capsys, "kl", "covex-check", "25314768")
     assert_one_error_line(code, out, err)
     assert "kl-covex" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("schubert", "double", "87654321"),
+        ("schubert", "verify", "21345678"),
+        ("verify", "multidegree", "--nmax", "7"),
+    ],
+)
+def test_cli_refuses_double_schubert_beyond_n_7_before_expanding(capsys, monkeypatch, argv):
+    def refuse(image):
+        raise AssertionError(f"a double Schubert polynomial in S_{len(image)} was expanded")
+
+    monkeypatch.setattr(equivariant, "_double_schubert_cached", refuse)
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert_one_error_line(code, out, err)
+    assert "limited to n <=" in err
+    assert time.perf_counter() - start < 1.0
+
+
+def test_cli_fraction_with_denominator_divisible_by_p(capsys, tmp_path):
+    matrix = write_json(tmp_path, "x.json", {"rows": 1, "cols": 1, "entries": [["-3/7"]]})
+    code, out, err = run_cli(capsys, "--field", "p:7", "embed", "1", matrix)
+    assert_one_error_line(code, out, err)
+    assert "denominator" in err
 
 
 def test_cli_kl_refuses_s_10_before_building_a_table(capsys, monkeypatch):

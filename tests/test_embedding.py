@@ -89,9 +89,8 @@ def test_graph_embed_fixtures():
     assert graph_embed(zero) == standard_subspace(F, 2 * n, n)
     ident = ExactMatrix.identity(F, n)
     diag = graph_embed(ident)
-    one = F.one()
     expected = [
-        tuple(one if k in (i, n + i) else F.zero() for k in range(2 * n))
+        tuple(int(k in (i, n + i)) for k in range(2 * n))
         for i in range(n)
     ]
     assert diag == Subspace.span(F, 2 * n, expected)

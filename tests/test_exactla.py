@@ -96,7 +96,7 @@ def test_subspace_canonicity():
         v = Subspace.span(F, 5, vecs)
         # mix the generators by random invertible combinations
         mixer = random_borel(F, v.dim, rng)
-        mixed = (v.basis_matrix() @ mixer).transpose().entries
+        mixed = (v.basis_matrix @ mixer).transpose().entries
         assert Subspace.span(F, 5, mixed) == v
 
 

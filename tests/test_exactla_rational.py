@@ -1,13 +1,17 @@
-"""The fraction-free elimination over Q against Gaussian elimination on Fractions.
+"""Every elimination in exactla against textbook Gaussian elimination.
 
-``reference_row_echelon`` is the elimination the package used over Q before
-it went fraction-free: every pivot row is scaled by the inverse of its pivot
-and subtracted from the other rows in `fractions.Fraction` arithmetic.  The
-rank, the southwest profile, spans, kernels and inverses must agree with it,
-and every integral entry that comes back must be a plain int, so a silent
+``reference_row_echelon`` swaps rows and scales every pivot row by the
+inverse of its pivot, in `fractions.Fraction` arithmetic over Q (the
+elimination the package used over Q before it went fraction-free) and mod p
+over F_p.  The rank, the southwest profile, spans, kernels and inverses must
+agree with it, over Q and over F_2, F_5 and F_10007 on random matrices, and
+over every 3 x 3 matrix over F_2 and every 2 x 3 matrix over F_3.  Over Q
+every integral entry that comes back must be a plain int, so a silent
 fallback to Fraction scalars shows up here.
 """
 
+import itertools
+import os
 from fractions import Fraction
 
 import pytest
@@ -17,11 +21,15 @@ from covex.errors import SingularMatrixError
 from covex.exactla import ExactMatrix, FieldSpec, Subspace, kernel
 
 Q = FieldSpec.rational()
+FIELDS = (Q, FieldSpec.prime(2), FieldSpec.prime(5), FieldSpec.prime())
+EXAMPLES = 600  # about 150 per field
 
 
-def reference_row_echelon(rows, reduced=False, pivot_limit=None):
-    """Gaussian elimination over Q in Fraction arithmetic, unit pivots."""
-    rows = [[Fraction(v) for v in row] for row in rows]
+def reference_row_echelon(rows, field=Q, reduced=False, pivot_limit=None):
+    """Gaussian elimination with unit pivots, in Fractions over Q and mod p over F_p."""
+    p = field.p
+    norm = Fraction if p is None else (lambda v: v % p)
+    rows = [[norm(v) for v in row] for row in rows]
     if not rows:
         return rows, []
     m, n = len(rows), len(rows[0])
@@ -33,12 +41,12 @@ def reference_row_echelon(rows, reduced=False, pivot_limit=None):
         if sel is None:
             continue
         rows[r], rows[sel] = rows[sel], rows[r]
-        inv = 1 / rows[r][c]
-        row_r = rows[r] = [inv * v for v in rows[r]]
+        inv = 1 / rows[r][c] if p is None else pow(rows[r][c], -1, p)
+        row_r = rows[r] = [norm(inv * v) for v in rows[r]]
         for i in range(m) if reduced else range(r + 1, m):
             if i != r and rows[i][c]:
                 f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], row_r)]
+                rows[i] = [norm(a - f * b) for a, b in zip(rows[i], row_r)]
         pivots.append(c)
         r += 1
         if r == m:
@@ -46,36 +54,49 @@ def reference_row_echelon(rows, reduced=False, pivot_limit=None):
     return rows, pivots
 
 
-def reference_span(vectors):
+def reference_span(vectors, field=Q):
     """(vectors, pivots) of the reduced echelon basis of the span."""
-    reduced, pivots = reference_row_echelon(list(vectors), reduced=True)
+    reduced, pivots = reference_row_echelon(list(vectors), field, reduced=True)
     return tuple(tuple(reduced[i]) for i in range(len(pivots))), tuple(pivots)
 
 
 def reference_profile(x):
     profile = []
     for i in range(x.rows):
-        _, pivots = reference_row_echelon(x.entries[i:])
+        _, pivots = reference_row_echelon(x.entries[i:], x.field)
         profile.append(tuple(sum(1 for p in pivots if p < j) for j in range(1, x.cols + 1)))
     return tuple(profile)
 
 
 def reference_kernel(x):
-    reduced, pivots = reference_row_echelon(x.entries, reduced=True)
+    reduced, pivots = reference_row_echelon(x.entries, x.field, reduced=True)
     vectors = []
     for free in (c for c in range(x.cols) if c not in pivots):
-        vec = [Fraction(0)] * x.cols
-        vec[free] = Fraction(1)
+        vec = [0] * x.cols
+        vec[free] = 1
         for row, pivot in zip(reduced, pivots):
             vec[pivot] = -row[free]
         vectors.append(vec)
-    return reference_span(vectors)
+    return reference_span(vectors, x.field)
 
 
-def assert_canonical(values):
-    """Integral rationals are ints; a Fraction always has a denominator > 1."""
+def reference_inverse(x):
+    """The right half of the reduced form of [x | I], or None if x is singular."""
+    n = x.rows
+    augmented = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(x.entries)]
+    reduced, pivots = reference_row_echelon(augmented, x.field, reduced=True, pivot_limit=n)
+    if len(pivots) < n:
+        return None
+    return tuple(tuple(row[n:]) for row in reduced)
+
+
+def assert_canonical(values, field=Q):
+    """Integral rationals are ints and a Fraction has a denominator > 1; F_p holds 0..p-1."""
     for v in values:
-        assert type(v) is int or (type(v) is Fraction and v.denominator > 1), repr(v)
+        if field.is_prime:
+            assert type(v) is int and 0 <= v < field.p, repr(v)
+        else:
+            assert type(v) is int or (type(v) is Fraction and v.denominator > 1), repr(v)
 
 
 def entries_of(vectors):
@@ -90,8 +111,13 @@ rationals = st.one_of(
 
 
 @st.composite
-def rational_matrices(draw, max_rows=8, max_cols=16, square=False):
-    """Matrices over Q with zero rows, repeated rows and rows that are multiples."""
+def matrices(draw, max_rows=8, max_cols=16, square=False):
+    """Matrices over Q or F_p with zero rows, repeated rows and rows that are multiples."""
+    field = draw(st.sampled_from(FIELDS))
+    if field == Q:
+        scalars, factors = rationals, st.builds(Fraction, st.integers(-9, 9), st.integers(1, 7))
+    else:
+        scalars = factors = st.integers(0, field.p - 1)
     rows = draw(st.integers(1, max_rows))
     cols = rows if square else draw(st.integers(1, max_cols))
     entries = []
@@ -100,64 +126,100 @@ def rational_matrices(draw, max_rows=8, max_cols=16, square=False):
         if shape == "zero":
             row = [0] * cols
         elif shape == "fresh" or not entries:
-            row = [draw(rationals) for _ in range(cols)]
+            row = [draw(scalars) for _ in range(cols)]
         else:
             row = list(draw(st.sampled_from(entries)))
             if shape == "multiple":
-                f = draw(st.builds(Fraction, st.integers(-9, 9), st.integers(1, 7)))
+                f = draw(factors)
                 row = [f * v for v in row]
         entries.append(row)
-    return ExactMatrix.from_rows(Q, entries)
+    return ExactMatrix.from_rows(field, entries)
 
 
-@settings(max_examples=150, deadline=None)
-@given(rational_matrices())
+@settings(max_examples=EXAMPLES, deadline=None)
+@given(matrices())
 def test_rank_and_profile_match_fraction_elimination(x):
-    assert_canonical(entries_of(x.entries))
-    assert x.rank() == len(reference_row_echelon(x.entries)[1])
+    assert_canonical(entries_of(x.entries), x.field)
+    assert x.rank() == len(reference_row_echelon(x.entries, x.field)[1])
     assert x.southwest_profile == reference_profile(x)
 
 
-@settings(max_examples=150, deadline=None)
-@given(rational_matrices())
+@settings(max_examples=EXAMPLES, deadline=None)
+@given(matrices())
 def test_spans_match_fraction_elimination(x):
-    span = Subspace.span(Q, x.cols, x.entries)
-    assert (span.vectors, span.pivots) == reference_span(x.entries)
-    assert_canonical(entries_of(span.vectors))
+    span = Subspace.span(x.field, x.cols, x.entries)
+    assert (span.vectors, span.pivots) == reference_span(x.entries, x.field)
+    assert_canonical(entries_of(span.vectors), x.field)
     columns = Subspace.column_span(x)
-    assert (columns.vectors, columns.pivots) == reference_span(zip(*x.entries))
-    assert_canonical(entries_of(columns.vectors))
+    assert (columns.vectors, columns.pivots) == reference_span(zip(*x.entries), x.field)
+    assert_canonical(entries_of(columns.vectors), x.field)
 
 
-@settings(max_examples=150, deadline=None)
-@given(rational_matrices())
+@settings(max_examples=EXAMPLES, deadline=None)
+@given(matrices())
 def test_kernel_matches_fraction_elimination(x):
     ker = kernel(x)
     assert (ker.vectors, ker.pivots) == reference_kernel(x)
-    assert_canonical(entries_of(ker.vectors))
+    assert_canonical(entries_of(ker.vectors), x.field)
     assert ker.dim + x.rank() == x.cols
 
 
-@settings(max_examples=150, deadline=None)
-@given(rational_matrices(square=True))
+@settings(max_examples=EXAMPLES, deadline=None)
+@given(matrices(square=True))
 def test_inverse_matches_fraction_elimination(x):
-    n = x.rows
-    augmented = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(x.entries)]
-    reduced, pivots = reference_row_echelon(augmented, reduced=True, pivot_limit=n)
-    if len(pivots) < n:
+    expected = reference_inverse(x)
+    if expected is None:
         with pytest.raises(SingularMatrixError):
             x.inverse()
         return
     inverse = x.inverse()
-    assert inverse.entries == tuple(tuple(row[n:]) for row in reduced)
-    assert_canonical(entries_of(inverse.entries))
-    assert inverse @ x == ExactMatrix.identity(Q, n)
+    assert inverse.entries == expected
+    assert_canonical(entries_of(inverse.entries), x.field)
+    assert inverse @ x == ExactMatrix.identity(x.field, x.rows)
+
+
+# COVEX_F2_SWEEP_N=4 sweeps every 4 x 4 matrix over F_2 (65,536) instead; CI runs it.
+F2_SWEEP_N = int(os.environ.get("COVEX_F2_SWEEP_N", "3"))
+
+
+@pytest.mark.parametrize("p, m, n", [(2, F2_SWEEP_N, F2_SWEEP_N), (3, 2, 3)])
+def test_exhaustive_small_matrices_match_reference(p, m, n):
+    """Every m x n matrix over F_p, and every vector against its row span."""
+    field = FieldSpec.prime(p)
+    vectors = list(itertools.product(range(p), repeat=n))
+    for entries in itertools.product(vectors, repeat=m):
+        x = ExactMatrix(field, entries)
+        rank = len(reference_row_echelon(entries, field)[1])
+        assert x.rank() == rank
+        assert x.southwest_profile == reference_profile(x)
+        span = Subspace.span(field, n, entries)
+        assert (span.vectors, span.pivots) == reference_span(entries, field)
+        columns = Subspace.column_span(x)
+        assert (columns.vectors, columns.pivots) == reference_span(zip(*entries), field)
+        ker = kernel(x)
+        assert (ker.vectors, ker.pivots) == reference_kernel(x)
+        if m == n:
+            expected = reference_inverse(x)
+            if expected is None:
+                with pytest.raises(SingularMatrixError):
+                    x.inverse()
+            else:
+                assert x.inverse().entries == expected
+        # the row space by brute force: it has p^rank vectors, and a vector
+        # outside it makes the rank grow
+        row_space = {(0,) * n}
+        for row in entries:
+            row_space = {
+                tuple((a + c * b) % p for a, b in zip(s, row)) for s in row_space for c in range(p)
+            }
+        assert len(row_space) == p**rank
+        for v in vectors:
+            assert span.contains_vector(v) is (v in row_space)
 
 
 def test_scalars_are_ints_when_integral():
     assert type(Q.coerce(Fraction(6, 3))) is int and Q.coerce(Fraction(6, 3)) == 2
     assert type(Q.coerce(Fraction(1, 3))) is Fraction
-    assert type(Q.zero()) is int and type(Q.one()) is int
     assert type(Q.add(Fraction(1, 2), Fraction(1, 2))) is int
     assert type(Q.inv(Fraction(1, 4))) is int and Q.inv(Fraction(1, 4)) == 4
     half = ExactMatrix.from_rows(Q, [[Fraction(1, 2), 0], [0, 2]])

@@ -1,23 +1,27 @@
 """Derived data is computed once per instance and is invisible from outside.
 
 rank_matrix, covexillary_data, the tau data of CovexillaryData, the
-southwest profile of a matrix and its conormal core pivots, the inverse of a
-flag generator and the covector g^-1 z of a Springer flag point are stored
-on the frozen instance they belong to.  An instance that holds them must still compare, hash,
+southwest profile of a matrix and its conormal core pivots, the basis matrix
+of a subspace, the inverse of a flag generator and the covector g^-1 z of a
+Springer flag point are stored on the frozen instance they belong to.  An instance that holds them must still compare, hash,
 print, replace and pickle exactly like a fresh one.
 """
 
 import dataclasses
+import json
 import pickle
 import random
+from functools import cached_property
 
 import pytest
 
+from covex.cli import main
 from covex.conormal import SpringerFlagPoint, core_pivots
 from covex.errors import NotCovexillaryError
-from covex.exactla import ExactMatrix, FieldSpec, random_matrix
+from covex.exactla import ExactMatrix, FieldSpec, Subspace, random_matrix
 from covex.permcore import PartialPermutation, covexillary_data, rank_matrix
-from covex.varieties import sample_flag, southwest_profile
+from covex.serialization import matrix_to_json
+from covex.varieties import locate_grass_cell, sample_flag, southwest_profile, standard_sum_dims
 
 F = FieldSpec.prime()
 
@@ -79,6 +83,39 @@ def test_core_pivot_memo_is_invisible():
     assert core_pivots(fresh, data) == pivots
     assert core_pivots(fresh, other) == core_pivots(x, other) != pivots
     assert core_pivots(pickle.loads(pickle.dumps(x)), data) == pivots
+
+
+def test_subspace_basis_matrix_memo_is_invisible():
+    v = Subspace.span(F, 5, [(1, 2, 0, 3, 4), (0, 0, 1, 5, 6)])
+    basis = v.basis_matrix
+    assert v.basis_matrix is basis and basis.shape == (5, 2)
+    dims = standard_sum_dims(v)
+    assert "southwest_profile" in vars(basis)
+    assert locate_grass_cell(v).positions == (4, 5) and standard_sum_dims(v) == dims
+    fresh = dataclasses.replace(v)
+    assert "basis_matrix" not in vars(fresh)
+    assert_like_fresh(v, fresh)
+    assert fresh.basis_matrix == basis and standard_sum_dims(fresh) == dims
+    assert pickle.loads(pickle.dumps(v)).basis_matrix == basis
+
+
+def test_cli_embed_computes_one_southwest_profile(capsys, monkeypatch, tmp_path):
+    profiles = []
+    compute = vars(ExactMatrix)["southwest_profile"].func
+
+    def counted(self):
+        profiles.append(self.shape)
+        return compute(self)
+
+    memo = cached_property(counted)
+    memo.__set_name__(ExactMatrix, "southwest_profile")
+    monkeypatch.setattr(ExactMatrix, "southwest_profile", memo)
+    x = random_matrix(F, 4, 4, random.Random(6))
+    path = tmp_path / "x.json"
+    path.write_text(json.dumps(matrix_to_json(x)), encoding="utf-8")
+    assert main(["embed", "2143", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["conditions"]
+    assert profiles == [(8, 4)]
 
 
 def test_flag_inverse_and_covector_memos_are_invisible():
