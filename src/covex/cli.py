@@ -33,6 +33,7 @@ from .embedding import (
 )
 from .equivariant import (
     apply_weight_map,
+    check_multidegree_size,
     double_schubert,
     grass_restriction,
     verify_multidegree,
@@ -263,6 +264,7 @@ def _cmd_schubert(args, field: FieldSpec) -> int:
         )
         return 0
     if args.action == "localize":
+        check_multidegree_size(w.n)
         data = covexillary_data(w)
         v_hat = target_grass_index(embedding_target(data))
         origin = fixed_point_index(PartialPermutation.zero(w.n), data)

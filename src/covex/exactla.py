@@ -493,11 +493,6 @@ def coordinate_subspace(field: FieldSpec, ambient: int, indices: Iterable[int]) 
     return Subspace.span(field, ambient, vecs)
 
 
-def standard_subspace(field: FieldSpec, ambient: int, j: int) -> Subspace:
-    """E_j = span(e_1, ..., e_j).  E_0 is the zero subspace."""
-    return coordinate_subspace(field, ambient, range(1, j + 1))
-
-
 def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
     a._check_compatible(b)
     return _span_rows(a.field, a.ambient, a.vectors + b.vectors)
@@ -510,31 +505,6 @@ def _span_rows(field: FieldSpec, ambient: int, rows: Iterable[Sequence[Scalar]])
         _insert(basis, row, p)
     pivots, vectors = _reduced(basis, p)
     return Subspace(field, ambient, vectors, pivots)
-
-
-def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
-    """Intersection, computed from the kernel of the glued basis matrix."""
-    a._check_compatible(b)
-    if a.dim == 0 or b.dim == 0:
-        return Subspace.zero(a.field, a.ambient)
-    f = a.field
-    glued = a.basis_matrix.hstack(-b.basis_matrix)
-    ker = kernel(glued)
-    vectors = []
-    for coeffs in ker.vectors:
-        left = coeffs[: a.dim]
-        vec = [0] * a.ambient
-        for c, basis_vec in zip(left, a.vectors):
-            if c:
-                vec = [f.add(x, f.mul(c, y)) for x, y in zip(vec, basis_vec)]
-        vectors.append(vec)
-    return Subspace.span(f, a.ambient, vectors)
-
-
-def dim_quotient(v: Subspace, w: Subspace) -> int:
-    """Dimension of the image of V in ambient/W, i.e. dim(V+W) - dim(W)."""
-    v._check_compatible(w)
-    return subspace_sum(v, w).dim - w.dim
 
 
 def kernel(matrix: ExactMatrix) -> Subspace:

@@ -23,8 +23,8 @@ P_{x,y} of the maximal-length representatives x, y of the S_d x S_{N-d}
 cosets, matching the convention in which a Schubert variety indexed by w has
 dimension l(w).  The same recursion, with a left descent, runs directly on
 the d-subsets X, Y of 1..N (GrassmannianTable), so the Grassmannian side
-builds no S_N table; the maximal representatives (CosetData) under
-kl_polynomial are its test oracle.
+builds no S_N table and no coset representative; kl_polynomial of the
+maximal representatives is its test oracle (tests/test_kl.py).
 """
 
 from __future__ import annotations
@@ -323,29 +323,6 @@ def kl_polynomial(u, w) -> PolynomialQ:
         )
     table = symmetric_group_table(len(ut))
     return table.kl(table.index[ut], table.index[wt])
-
-
-@dataclass(frozen=True)
-class CosetData:
-    """Minimal and maximal length representatives of a parabolic coset.
-
-    The coset of S_d x S_{N-d} in S_N determined by a Grassmannian index:
-    the minimal representative lists the index positions increasingly and
-    then the complement increasingly; the maximal one reverses both runs.
-    """
-
-    N: int
-    d: int
-    minimal: tuple[int, ...]
-    maximal: tuple[int, ...]
-
-    @staticmethod
-    def from_index(idx: GrassIndex) -> "CosetData":
-        chosen = list(idx.positions)
-        complement = [v for v in range(1, idx.N + 1) if v not in set(chosen)]
-        minimal = tuple(chosen + complement)
-        maximal = tuple(chosen[::-1] + complement[::-1])
-        return CosetData(idx.N, idx.d, minimal, maximal)
 
 
 def _swap(subset: tuple[int, ...], i: int) -> tuple[int, ...]:

@@ -17,7 +17,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from .errors import (
     DimensionMismatchError,
@@ -251,30 +251,6 @@ def essential_set(w: PartialPermutation) -> tuple[EssentialCondition, ...]:
     ]
     essential.sort(key=lambda e: (e.row, e.col))
     return tuple(essential)
-
-
-def avoids_pattern(w: PartialPermutation, pattern: PartialPermutation) -> bool:
-    """True iff no index subsequence of w is order-isomorphic to the pattern.
-
-    Patterns longer than w are trivially avoided.  Both arguments must be
-    full-rank.
-    """
-    if not (w.is_full_rank and pattern.is_full_rank):
-        raise InputError("pattern avoidance is defined for permutations only")
-    k = pattern.n
-    if k > w.n:
-        return True
-    target = _relative_order(pattern.image)
-    for indices in itertools.combinations(range(w.n), k):
-        values = tuple(w.image[i] for i in indices)
-        if _relative_order(values) == target:
-            return False
-    return True
-
-
-def _relative_order(values: Sequence[int]) -> tuple[int, ...]:
-    ordered = sorted(values)
-    return tuple(ordered.index(v) + 1 for v in values)
 
 
 def avoids_3412(w: PartialPermutation) -> bool:

@@ -91,10 +91,6 @@ def subspace_from_json(field: FieldSpec, data: Any, where: str = "subspace") -> 
     return span
 
 
-def flag_to_json(flag: Flag) -> dict:
-    return {"n": flag.n, "generator": matrix_to_json(flag.generator)}
-
-
 def flag_from_json(field: FieldSpec, data: Any, where: str = "flag") -> Flag:
     if not isinstance(data, dict) or "generator" not in data:
         raise InputError(f"{where}: expected an object with a generator matrix")

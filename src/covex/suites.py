@@ -56,7 +56,7 @@ from .permcore import (
     reconstruct_from_essential,
 )
 from .varieties import in_matrix_schubert, sample_cell_point
-from .equivariant import verify_multidegree
+from .equivariant import check_multidegree_size, verify_multidegree
 
 SUITE_NAMES = (
     "covex-equiv",
@@ -112,9 +112,8 @@ class SuiteConfig:
             raise InputError("trials must be at least 1")
         if self.suite == "kl-covex":
             check_kl_covex_size(n_max)
-        if self.suite == "multidegree" and n_max > 6:
-            # about 2,760 expansions at n = 7, each up to minutes and gigabytes
-            raise InputError(f"multidegree is limited to n <= 6; got n = {n_max}")
+        if self.suite == "multidegree":
+            check_multidegree_size(n_max)
         FieldSpec.prime(self.prime)  # validates primality
         return SuiteConfig(self.suite, n_max, trials, self.prime, self.seed)
 

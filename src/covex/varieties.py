@@ -52,11 +52,6 @@ class Flag:
         return self.generator.inverse()
 
 
-def standard_flag(field: FieldSpec, n: int) -> Flag:
-    """The flag E_1 < E_2 < ... of coordinate subspaces."""
-    return Flag(ExactMatrix.identity(field, n))
-
-
 @dataclass(frozen=True)
 class GrassIndex:
     """A Schubert index for Gr(d, N): a strictly increasing d-sequence in 1..N."""

@@ -2,6 +2,7 @@
 
 import json
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -14,7 +15,6 @@ from covex.cli import main
 from covex.errors import InputError, InvariantError
 from covex.exactla import ExactMatrix, FieldSpec, coordinate_subspace
 from covex.serialization import (
-    flag_to_json,
     matrix_from_json,
     matrix_to_json,
     parse_point_file,
@@ -26,6 +26,10 @@ from covex.varieties import Flag
 
 F = FieldSpec.prime()
 Q = FieldSpec.rational()
+
+
+def flag_to_json(flag):
+    return {"n": flag.n, "generator": matrix_to_json(flag.generator)}
 
 
 def write_json(tmp_path, name, payload):
@@ -332,6 +336,27 @@ def test_cli_refuses_double_schubert_beyond_n_7_before_expanding(capsys, monkeyp
     assert_one_error_line(code, out, err)
     assert "limited to n <=" in err
     assert time.perf_counter() - start < 1.0
+
+
+def _cap_address_space():
+    # a regression would expand a 484,912-term polynomial; fail fast instead
+    resource.setrlimit(resource.RLIMIT_AS, (2_000_000_000, 2_000_000_000))
+
+
+@pytest.mark.parametrize("action", ["localize", "verify"])
+def test_cli_schubert_refuses_n_7_without_traceback(action):
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "covex.cli", "schubert", action, "1234567"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=30,
+        preexec_fn=_cap_address_space,
+    )
+    assert "Traceback" not in proc.stderr
+    assert_one_error_line(proc.returncode, proc.stdout, proc.stderr)
+    assert "multidegree is limited to n <= 6" in proc.stderr
 
 
 def test_cli_fraction_with_denominator_divisible_by_p(capsys, tmp_path):

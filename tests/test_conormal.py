@@ -42,10 +42,7 @@ from covex.exactla import (
     FieldSpec,
     Subspace,
     coordinate_subspace,
-    dim_quotient,
     random_matrix,
-    standard_subspace,
-    subspace_intersect,
     subspace_sum,
 )
 from covex.permcore import (
@@ -65,6 +62,7 @@ from covex.varieties import (
     sample_flag,
     southwest_profile,
 )
+from test_exactla import dim_quotient, standard_subspace, subspace_intersect
 
 F = FieldSpec.prime()
 Q = FieldSpec.rational()

@@ -12,7 +12,6 @@ from covex.exactla import (
     Subspace,
     coordinate_subspace,
     random_matrix,
-    standard_subspace,
 )
 from covex.embedding import (
     check_rank_lemma,
@@ -34,6 +33,7 @@ from covex.permcore import (
     is_covexillary,
 )
 from covex.varieties import in_matrix_schubert, locate_grass_cell, sample_cell_point
+from test_exactla import standard_subspace
 
 F = FieldSpec.prime()
 

@@ -5,12 +5,10 @@ import random
 
 from covex.equivariant import (
     MultivariatePolynomial,
-    _reduced_word,
     apply_weight_map,
     divided_difference,
     double_schubert,
     grass_restriction,
-    schubert_class_restriction,
     t_ring,
     verify_multidegree,
     xy_ring,
@@ -22,7 +20,6 @@ from covex.embedding import (
     tau_permutation,
     weight_map,
 )
-from covex.kl import CosetData
 from covex.permcore import (
     PartialPermutation,
     all_partial_permutations,
@@ -31,6 +28,7 @@ from covex.permcore import (
     is_covexillary,
 )
 from covex.varieties import GrassIndex
+from test_kl import CosetData
 
 
 def lin(ring, coeffs):
@@ -219,20 +217,19 @@ def test_localization_smooth_point_oracle():
 
 
 def test_localization_singular_fixture():
-    # Gr(3, 6) divisor at a singular fixed point: a two-term subword sum
+    # Gr(3, 6) divisor at a singular fixed point: two excited diagrams
     ring = t_ring(6)
     got = grass_restriction(GrassIndex(3, 6, (3, 5, 6)), GrassIndex(3, 6, (1, 2, 4)))
     assert got == lin(ring, {"t5": 1, "t6": 1, "t1": -1, "t2": -1})
 
 
 def test_localization_rep_independent():
+    # the oracle reads either coset representative of the point
     divisor = GrassIndex(2, 4, (2, 4))
     point = GrassIndex(2, 4, (1, 3))
-    # grass_restriction reads the minimal representative of the point
-    class_perm, point_perm = _class_and_point(divisor, point, "max")
-    reverse = {f"t{i}": f"t{5 - i}" for i in range(1, 5)}
-    at_max = schubert_class_restriction(4, class_perm, point_perm).rename(reverse)
-    assert grass_restriction(divisor, point) == at_max
+    at_min = billey_restriction(divisor, point, "min")
+    assert at_min == billey_restriction(divisor, point, "max")
+    assert grass_restriction(divisor, point) == at_min
 
 
 def test_renaming_matches_substitution():
@@ -331,6 +328,19 @@ def _perm_length(p):
     return sum(a > b for a, b in itertools.combinations(p, 2))
 
 
+def _reduced_word(p):
+    """A reduced word (letters are 1-based adjacent transposition indices)."""
+    word = []
+    cur = list(p)
+    while True:
+        i = next((k for k in range(len(cur) - 1) if cur[k] > cur[k + 1]), None)
+        if i is None:
+            break
+        cur[i], cur[i + 1] = cur[i + 1], cur[i]
+        word.append(i + 1)
+    return list(reversed(word))
+
+
 def billey_subword_sum(N, class_perm, point_perm):
     """Independent oracle: Billey's formula (Duke 1999) by depth-first search.
 
@@ -373,16 +383,26 @@ def billey_subword_sum(N, class_perm, point_perm):
     return total
 
 
-def _class_and_point(v_idx, point, rep):
-    """The permutations grass_restriction hands to the subword sum."""
-    w0 = PartialPermutation.longest(v_idx.N)
+def billey_restriction(v_idx, point, rep):
+    """The restriction of Gr_v at the point by the subword oracle.
+
+    The class is the maximal coset representative of v and the point either
+    representative of its coset, both translated by the longest element into
+    the codimension convention; the sum is relabeled t_i -> t_{N+1-i} back.
+    """
+    N = v_idx.N
+    w0 = PartialPermutation.longest(N)
     coset = CosetData.from_index(point)
     point_rep = coset.minimal if rep == "min" else coset.maximal
-    class_perm = w0.compose(PartialPermutation(v_idx.N, CosetData.from_index(v_idx).maximal))
-    return class_perm.image, w0.compose(PartialPermutation(v_idx.N, point_rep)).image
+    class_perm = w0.compose(PartialPermutation(N, CosetData.from_index(v_idx).maximal))
+    point_perm = w0.compose(PartialPermutation(N, point_rep))
+    reverse = {f"t{i}": f"t{N + 1 - i}" for i in range(1, N + 1)}
+    return billey_subword_sum(N, class_perm.image, point_perm.image).rename(reverse)
 
 
 def test_restriction_matches_billey_on_grassmannians():
+    """The excited-diagram sum equals the subword oracle on every pair of
+    the same Grassmannian with N <= 6, at both representatives of the point."""
     for N in range(1, 7):
         for d in range(N + 1):
             indices = [
@@ -391,11 +411,9 @@ def test_restriction_matches_billey_on_grassmannians():
             ]
             for v_idx in indices:
                 for point in indices:
+                    got = grass_restriction(v_idx, point)
                     for rep in ("min", "max"):
-                        class_perm, point_perm = _class_and_point(v_idx, point, rep)
-                        assert schubert_class_restriction(
-                            N, class_perm, point_perm
-                        ) == billey_subword_sum(N, class_perm, point_perm)
+                        assert got == billey_restriction(v_idx, point, rep), (v_idx, point, rep)
 
 
 def test_restriction_matches_billey_at_origin_points():
@@ -406,10 +424,7 @@ def test_restriction_matches_billey_at_origin_points():
             data = covexillary_data(w)
             v_hat = target_grass_index(embedding_target(data))
             origin = fixed_point_index(PartialPermutation.zero(n), data)
-            class_perm, point_perm = _class_and_point(v_hat, origin, "min")
-            assert schubert_class_restriction(
-                2 * n, class_perm, point_perm
-            ) == billey_subword_sum(2 * n, class_perm, point_perm)
+            assert grass_restriction(v_hat, origin) == billey_restriction(v_hat, origin, "min")
 
 
 def test_verify_multidegree_s5_sample():

@@ -12,18 +12,43 @@ from covex.exactla import (
     FieldSpec,
     Subspace,
     coordinate_subspace,
-    dim_quotient,
     image,
     kernel,
     random_borel,
     random_matrix,
-    standard_subspace,
-    subspace_intersect,
     subspace_sum,
 )
 
 F = FieldSpec.prime()
 Q = FieldSpec.rational()
+
+
+def standard_subspace(field, ambient, j):
+    """E_j = span(e_1, ..., e_j).  E_0 is the zero subspace."""
+    return coordinate_subspace(field, ambient, range(1, j + 1))
+
+
+def subspace_intersect(a, b):
+    """Intersection, computed from the kernel of the glued basis matrix."""
+    a._check_compatible(b)
+    if a.dim == 0 or b.dim == 0:
+        return Subspace.zero(a.field, a.ambient)
+    f = a.field
+    glued = a.basis_matrix.hstack(-b.basis_matrix)
+    vectors = []
+    for coeffs in kernel(glued).vectors:
+        vec = [0] * a.ambient
+        for c, basis_vec in zip(coeffs[: a.dim], a.vectors):
+            if c:
+                vec = [f.add(x, f.mul(c, y)) for x, y in zip(vec, basis_vec)]
+        vectors.append(vec)
+    return Subspace.span(f, a.ambient, vectors)
+
+
+def dim_quotient(v, w):
+    """Dimension of the image of V in ambient/W, i.e. dim(V+W) - dim(W)."""
+    v._check_compatible(w)
+    return subspace_sum(v, w).dim - w.dim
 
 
 def test_field_parsing():

@@ -5,12 +5,12 @@ import itertools
 import operator
 import os
 import random
+from dataclasses import dataclass
 
 import pytest
 
 from covex import kl
 from covex.kl import (
-    CosetData,
     PolynomialQ,
     covexillary_kl_check,
     grassmannian_kl,
@@ -27,6 +27,31 @@ from covex.permcore import (
 from covex.varieties import GrassIndex
 
 ONE = PolynomialQ.one()
+
+
+@dataclass(frozen=True)
+class CosetData:
+    """Minimal and maximal length representatives of a parabolic coset.
+
+    The coset of S_d x S_{N-d} in S_N determined by a Grassmannian index:
+    the minimal representative lists the index positions increasingly and
+    then the complement increasingly; the maximal one reverses both runs.
+    The coset route to Grassmannian KL polynomials and the Billey oracle of
+    tests/test_equivariant.py read them.
+    """
+
+    N: int
+    d: int
+    minimal: tuple[int, ...]
+    maximal: tuple[int, ...]
+
+    @staticmethod
+    def from_index(idx: GrassIndex) -> "CosetData":
+        chosen = list(idx.positions)
+        complement = [v for v in range(1, idx.N + 1) if v not in set(chosen)]
+        minimal = tuple(chosen + complement)
+        maximal = tuple(chosen[::-1] + complement[::-1])
+        return CosetData(idx.N, idx.d, minimal, maximal)
 
 
 def test_polynomial_arithmetic():

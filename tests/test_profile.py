@@ -13,10 +13,10 @@ from covex.exactla import (
     ExactMatrix,
     FieldSpec,
     Subspace,
-    standard_subspace,
     subspace_sum,
 )
 from covex.varieties import southwest_profile, standard_sum_dims
+from test_exactla import standard_subspace
 from test_exactla_rational import reference_profile
 
 FIELDS = (FieldSpec.prime(2), FieldSpec.prime(5), FieldSpec.prime(), FieldSpec.rational())

@@ -32,11 +32,15 @@ from covex.varieties import (
     sample_cell_point,
     sample_flag,
     southwest_profile,
-    standard_flag,
     standard_sum_dims,
 )
 
 F = FieldSpec.prime()
+
+
+def standard_flag(field, n):
+    """The flag E_1 < E_2 < ... of coordinate subspaces."""
+    return Flag(ExactMatrix.identity(field, n))
 
 
 def test_matrix_membership_fixtures():
