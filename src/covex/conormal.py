@@ -21,9 +21,11 @@ every M_ij is a southwest block of the n x n core N = H y G: its rows are
 the members of H after position t_j, its columns the members of G up to
 position t_i.  The pivots themselves come from the southwest profile of x
 (the span of the first t_i columns is x E_{q_i} + E_{p_i}), which the
-Schubert check has already computed, so N's profile is the only new
-elimination.  The unit rows of H and unit columns of G are copies; only
-the rows and columns of x in them cost dot products.
+Schubert check has already computed.  N itself is never formed either:
+its rows are built and eliminated bottom-up, one at a time, and each bound
+is read as soon as the elimination has passed its row cut, so membership
+stops at the first broken bound.  The unit rows of H and unit columns of G
+are copies; only the rows and columns of x in them cost dot products.
 
 The flag form is the matrix form pulled back along GL_n -> Mat_n.  For
 the flag F_q = g E_q, F_q + E_p = g(E_q + g^-1 E_p) and F_q meet E_p =
@@ -40,6 +42,7 @@ over a flag cell generator g it is {z : z and g^-1 z g strictly upper}.
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from functools import cached_property
 from operator import mul
@@ -55,6 +58,7 @@ from .exactla import (
     ExactMatrix,
     FieldSpec,
     Subspace,
+    _insert,
     image,
     kernel,
 )
@@ -183,36 +187,64 @@ def core_pivots(
     return found
 
 
-def core_matrix(
-    pt: CotangentMatrixPoint, rows: Sequence[int], cols: Sequence[int]
-) -> ExactMatrix:
-    """The n x n core N = H y G of M = [I; x] y [x, I] on the pivots of core_pivots.
+def _rank_violations(pt: CotangentMatrixPoint, data: CovexillaryData):
+    """Yield (k, rank) for each check k of data.conormal_checks that fails at pt.
 
-    A unit row of H picks a row of y and a unit column of G picks a column
-    of H y; only the rows and columns of x cost a dot product.
+    Check (i, j, bound) reads the southwest rank of the core N = H y G on
+    the rows from rows_before[j] down and the columns before cols_through[i]
+    (core_pivots).  N is never formed: its rows are built one at a time,
+    bottom-up, and go into one echelon basis, so once row a is in, the rank
+    of rows a.., columns ..b is the number of pivots before b.  A unit row
+    of H copies a row of y and a row of x costs one product with y; a unit
+    column of G picks an entry and a column of x costs one dot product.
+    rows_before grows with j, so the checks are read for j = m-1 down to 0,
+    each as soon as its rows are in, and a caller that stops at the first
+    failure builds no row above it.
     """
-    field = pt.x.field
     n = pt.n
+    rows, cols, rows_before, cols_through = core_pivots(pt.x, data)
+    checks = data.conormal_checks  # (i, j) for i = 1..m, j < i: (i, j) is at i(i-1)/2 + j
     x, y = pt.x.entries, pt.y.entries
-    p, coerce = field.p, field.coerce
-
-    def products(vectors, columns):
-        """Dot product of each vector with each column, one tuple per vector."""
-        if p is None:
-            return [tuple([coerce(sum(map(mul, v, c))) for c in columns]) for v in vectors]
-        return [tuple([sum(map(mul, v, c)) % p for c in columns]) for v in vectors]
-
-    x_times_y = iter(products([x[k - n] for k in rows if k >= n], tuple(zip(*y))))
-    hy = [next(x_times_y) if k >= n else y[k] for k in rows]
-    hy_cols = tuple(zip(*hy))
+    p, coerce = pt.x.field.p, pt.x.field.coerce
     x_cols = tuple(zip(*x))
-    hy_times_x = iter(products([x_cols[k] for k in cols if k < n], hy))
-    core_cols = [next(hy_times_x) if k < n else hy_cols[k - n] for k in cols]
-    return ExactMatrix(field, tuple(zip(*core_cols)))
+    y_cols = tuple(zip(*y))
+    basis: dict = {}
+    pivots: list[int] = []  # the pivot columns of basis, sorted
+    r = n
+    m = data.m
+    for j in reversed(range(m)):
+        while r > rows_before[j]:
+            r -= 1
+            k = rows[r]
+            if p is None:
+                hy = y[k] if k < n else [coerce(sum(map(mul, x[k - n], c))) for c in y_cols]
+                row = [coerce(sum(map(mul, hy, x_cols[c]))) if c < n else hy[c - n] for c in cols]
+            else:
+                hy = y[k] if k < n else [sum(map(mul, x[k - n], c)) % p for c in y_cols]
+                row = [sum(map(mul, hy, x_cols[c])) % p if c < n else hy[c - n] for c in cols]
+            c = _insert(basis, row, p)
+            if c is not None:
+                insort(pivots, c)
+        for i in range(j + 1, m + 1):
+            k = i * (i - 1) // 2 + j
+            rank = bisect_left(pivots, cols_through[i])
+            if rank > checks[k][2]:
+                yield k, rank
+
+
+def _matrix_data(pt: CotangentMatrixPoint, w: PartialPermutation) -> CovexillaryData:
+    data = covexillary_data(w)
+    if pt.n != w.n:
+        raise DimensionMismatchError("point size differs from permutation size")
+    return data
 
 
 def in_conormal_matrix(pt: CotangentMatrixPoint, w: PartialPermutation) -> bool:
-    return not conormal_matrix_violations(pt, w, first_only=True)
+    """Membership; stops at the first failed bound the elimination meets."""
+    data = _matrix_data(pt, w)
+    if matrix_schubert_violation(pt.x, w) is not None:
+        return False
+    return next(_rank_violations(pt, data), None) is None
 
 
 def conormal_matrix_violations(
@@ -220,31 +252,23 @@ def conormal_matrix_violations(
 ) -> list[dict]:
     """Violated conditions as diagnostics; empty list means membership.
 
-    rank M_ij is the southwest rank of the core N on the members of H after
-    position t_j and the members of G up to position t_i.
+    The Schubert violation comes first, then the failed rank bounds in the
+    order of data.conormal_checks; first_only keeps the first of them.
 
     Raises NotCovexillaryError when w is not covexillary.
     """
-    data = covexillary_data(w)
-    n = pt.n
-    if n != w.n:
-        raise DimensionMismatchError("point size differs from permutation size")
+    data = _matrix_data(pt, w)
     out: list[dict] = []
     base = matrix_schubert_violation(pt.x, w)
     if base is not None:
         out.append({"kind": "schubert", "condition": base})
         if first_only:
             return out
-    rows, cols, rows_before, cols_through = core_pivots(pt.x, data)
-    profile = southwest_profile(core_matrix(pt, rows, cols))
-    for i, j, bound in data.conormal_checks:
-        a, b = rows_before[j], cols_through[i]
-        rank = profile[a][b - 1] if a < n and b else 0
-        if rank > bound:
-            out.append({"kind": "rank", "i": i, "j": j, "rank": rank, "bound": bound})
-            if first_only:
-                return out
-    return out
+    checks = data.conormal_checks
+    for k, rank in sorted(_rank_violations(pt, data)):
+        i, j, bound = checks[k]
+        out.append({"kind": "rank", "i": i, "j": j, "rank": rank, "bound": bound})
+    return out[:1] if first_only else out
 
 
 def conormal_fiber_matrix(x: ExactMatrix, w: PartialPermutation) -> Subspace:
@@ -354,24 +378,25 @@ def conormal_grass_violations(
     return out
 
 
-def in_conormal_flag(pt: SpringerFlagPoint, w: PartialPermutation) -> bool:
-    return not conormal_flag_violations(pt, w, first_only=True)
-
-
-def conormal_flag_violations(
-    pt: SpringerFlagPoint, w: PartialPermutation, first_only: bool = False
-) -> list[dict]:
-    """Check (F, z) as the matrix point (g, g^-1 z); see the module docstring.
-
-    The diagnostics are those of conormal_matrix_violations.
-    """
+def _flag_matrix_point(pt: SpringerFlagPoint, w: PartialPermutation) -> CotangentMatrixPoint:
+    """The matrix point (g, g^-1 z) of (F, z); see the module docstring."""
     covexillary_data(w)  # NotCovexillaryError first, as for the other forms
     if pt.flag.n != w.n:
         raise DimensionMismatchError("flag size differs from permutation size")
     if not w.is_full_rank:
         raise InputError("flag Schubert membership requires a permutation")
-    point = CotangentMatrixPoint(pt.flag.generator, pt.covector)
-    return conormal_matrix_violations(point, w, first_only)
+    return CotangentMatrixPoint(pt.flag.generator, pt.covector)
+
+
+def in_conormal_flag(pt: SpringerFlagPoint, w: PartialPermutation) -> bool:
+    return in_conormal_matrix(_flag_matrix_point(pt, w), w)
+
+
+def conormal_flag_violations(
+    pt: SpringerFlagPoint, w: PartialPermutation, first_only: bool = False
+) -> list[dict]:
+    """Check (F, z) as the matrix point (g, g^-1 z), with the same diagnostics."""
+    return conormal_matrix_violations(_flag_matrix_point(pt, w), w, first_only)
 
 
 def conormal_fiber_flag(

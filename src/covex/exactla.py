@@ -255,9 +255,6 @@ class ExactMatrix:
             data = [tuple([_rational(sum(map(mul, row, col))) for col in bt]) for row in self.entries]
         return ExactMatrix(f, tuple(data))
 
-    def transpose(self) -> "ExactMatrix":
-        return ExactMatrix(self.field, tuple(zip(*self.entries)))
-
     def hstack(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.rows != other.rows:
             raise DimensionMismatchError("hstack row mismatch")
@@ -527,13 +524,32 @@ def image(matrix: ExactMatrix) -> Subspace:
     return Subspace.column_span(matrix)
 
 
+def _draws(rng: random.Random, bound: int, count: int) -> list[int]:
+    """count draws of rng.randrange(bound), made with the same getrandbits calls.
+
+    This is the rejection loop of Random.randrange (via _randbelow) without
+    its argument checks and call layers, so a seeded generator yields the
+    same numbers and ends in the same state.  tests/test_exactla.py pins the
+    equality on the running interpreter.
+    """
+    getrandbits = rng.getrandbits
+    k = bound.bit_length()
+    out = []
+    for _ in range(count):
+        r = getrandbits(k)
+        while r >= bound:
+            r = getrandbits(k)
+        out.append(r)
+    return out
+
+
 def random_matrix(field: FieldSpec, rows: int, cols: int, rng: random.Random) -> ExactMatrix:
-    """Uniform random matrix over F_p.  Sampling over Q is not supported."""
+    """Uniform random matrix over F_p, drawn row by row.  Sampling over Q is not supported."""
     if not field.is_prime:
         raise FieldError("random sampling requires a prime field")
-    p = field.p
+    entries = _draws(rng, field.p, rows * cols)
     return ExactMatrix(
-        field, tuple(tuple(rng.randrange(p) for _ in range(cols)) for _ in range(rows))
+        field, tuple(tuple(entries[i * cols : (i + 1) * cols]) for i in range(rows))
     )
 
 
@@ -541,16 +557,14 @@ def random_borel(field: FieldSpec, n: int, rng: random.Random) -> ExactMatrix:
     """Random invertible upper-triangular matrix over F_p.
 
     The diagonal is uniform over nonzero elements and the strict upper part
-    is uniform, so the result is always invertible.
+    is uniform, so the result is always invertible.  Each row draws its
+    diagonal entry, then the entries right of it.
     """
     if not field.is_prime:
         raise FieldError("random sampling requires a prime field")
     p = field.p
     rows = []
     for i in range(n):
-        row = [0] * n
-        row[i] = rng.randrange(1, p)
-        for j in range(i + 1, n):
-            row[j] = rng.randrange(p)
-        rows.append(tuple(row))
+        diagonal = 1 + _draws(rng, p - 1, 1)[0]
+        rows.append((0,) * i + (diagonal, *_draws(rng, p, n - i - 1)))
     return ExactMatrix(field, tuple(rows))

@@ -33,7 +33,7 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import InputError
-from .permcore import PartialPermutation, covexillary_data
+from .permcore import PartialPermutation, bruhat_leq, covexillary_data
 from .varieties import GrassIndex
 
 
@@ -311,17 +311,35 @@ def _as_tuple(w) -> tuple[int, ...]:
     return tuple(w)
 
 
+def _avoids_3412_and_4231(image: tuple[int, ...]) -> bool:
+    return not any(
+        c < d < a < b or d < b < c < a for a, b, c, d in itertools.combinations(image, 4)
+    )
+
+
 def kl_polynomial(u, w) -> PolynomialQ:
-    """P_{u,w}(q); the zero polynomial when u is not below w."""
+    """P_{u,w}(q); the zero polynomial when u is not below w.
+
+    Two cases build no table.  P_{u,w} is zero unless u <= w.  When w
+    avoids 3412 and 4231 the Schubert variety of w is smooth (Lakshmibai
+    and Sandhya, 1990), so P_{u,w} = 1 for every u <= w (Kazhdan and
+    Lusztig, 1979).  tests/test_kl.py checks both against the S_5 table.
+    """
     ut, wt = _as_tuple(u), _as_tuple(w)
-    if len(ut) != len(wt):
+    n = len(ut)
+    if len(wt) != n:
         raise InputError("permutations have different sizes")
-    if len(ut) > KL_MAX_N:
+    if n > KL_MAX_N:
         raise InputError(
-            f"Kazhdan-Lusztig polynomials need the table of S_{len(ut)}; "
+            f"Kazhdan-Lusztig polynomials need the table of S_{n}; "
             f"the largest that fits is S_{KL_MAX_N}"
         )
-    table = symmetric_group_table(len(ut))
+    # S_0 holds only the empty permutation, which PartialPermutation cannot hold
+    if n and not bruhat_leq(PartialPermutation(n, ut), PartialPermutation(n, wt)):
+        return _ZERO
+    if _avoids_3412_and_4231(wt):
+        return _ONE
+    table = symmetric_group_table(n)
     return table.kl(table.index[ut], table.index[wt])
 
 

@@ -360,15 +360,6 @@ class CovexillaryData:
         return PartialPermutation(2 * n, tuple(image))
 
     @cached_property
-    def tau_order(self) -> tuple[int, ...]:
-        """tau^-1(1), ..., tau^-1(2n), 0-based.
-
-        Listing the rows and columns of a 2n x 2n matrix M in this order
-        gives tau M tau^-1.
-        """
-        return tuple(c - 1 for c in self.tau.inverse().image)
-
-    @cached_property
     def conormal_checks(self) -> tuple[tuple[int, int, int], ...]:
         """(i, j, b(i, j)) for 0 <= j < i <= m.
 

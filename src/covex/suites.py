@@ -35,6 +35,7 @@ from .exactla import (
     ExactMatrix,
     FieldSpec,
     Subspace,
+    _draws,
     random_matrix,
 )
 from .kl import (
@@ -146,7 +147,7 @@ def _fiber_elements(
     points += [vector_to_matrix(field, v, n) for v in fiber.vectors]
     p = field.p
     for _ in range(extra if fiber.dim else 0):
-        coeffs = [rng.randrange(p) for _ in range(fiber.dim)]
+        coeffs = _draws(rng, p, fiber.dim)
         vec = [0] * (n * n)
         for c, basis_vec in zip(coeffs, fiber.vectors):
             if c:
@@ -341,12 +342,13 @@ def _suite_conormal_flag(config: SuiteConfig) -> list[Verdict]:
                 ginv = flag.inverse
                 rejections = 0
                 for _ in range(REJECTION_TRIALS):
-                    upper = ExactMatrix.from_rows(
+                    draws = iter(_draws(rng, field.p, n * (n - 1) // 2))
+                    upper = ExactMatrix(
                         field,
-                        [
-                            [rng.randrange(field.p) if j > i else 0 for j in range(n)]
+                        tuple(
+                            tuple(next(draws) if j > i else 0 for j in range(n))
                             for i in range(n)
-                        ],
+                        ),
                     )
                     z = g @ upper @ ginv
                     if not in_conormal_flag(SpringerFlagPoint(flag, z), w):

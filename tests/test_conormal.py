@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from operator import itemgetter
+from operator import itemgetter, mul
 
 import pytest
 
@@ -16,7 +16,6 @@ from covex.conormal import (
     conormal_fiber_matrix,
     conormal_flag_violations,
     conormal_matrix_violations,
-    core_matrix,
     core_pivots,
     in_conormal_flag,
     in_conormal_grass,
@@ -150,6 +149,12 @@ def mij_ranks(m, data):
     }
 
 
+def tau_order(data):
+    """tau^-1(1), ..., tau^-1(2n), 0-based: listing the rows and columns of a
+    2n x 2n matrix M in this order gives tau M tau^-1."""
+    return tuple(c - 1 for c in data.tau.inverse().image)
+
+
 def tau_conjugated_M(pt, data):
     """Reference: tau M tau^-1 assembled in tau order straight from the rows
     of yx, y, xyx and xy, without materialising M."""
@@ -157,7 +162,7 @@ def tau_conjugated_M(pt, data):
     yx = y @ x
     top = [a + b for a, b in zip(yx.entries, y.entries)]
     bottom = [a + b for a, b in zip((x @ yx).entries, (x @ y).entries)]
-    in_order = itemgetter(*data.tau_order)
+    in_order = itemgetter(*tau_order(data))
     return ExactMatrix(x.field, tuple(map(in_order, in_order(top + bottom))))
 
 
@@ -331,6 +336,29 @@ def core_points(w, field, rng):
     return points
 
 
+def core_matrix(pt, rows, cols):
+    """Reference: the whole n x n core N = H y G of M = [I; x] y [x, I] on the
+    pivots of core_pivots, which the predicate builds one row at a time.
+
+    A unit row of H picks a row of y and a unit column of G picks a column
+    of H y; only the rows and columns of x cost a dot product.
+    """
+    field = pt.x.field
+    n = pt.n
+    x, y = pt.x.entries, pt.y.entries
+
+    def products(vectors, columns):
+        return [tuple(field.coerce(sum(map(mul, v, c))) for c in columns) for v in vectors]
+
+    x_times_y = iter(products([x[k - n] for k in rows if k >= n], tuple(zip(*y))))
+    hy = [next(x_times_y) if k >= n else y[k] for k in rows]
+    hy_cols = tuple(zip(*hy))
+    x_cols = tuple(zip(*x))
+    hy_times_x = iter(products([x_cols[k] for k in cols if k < n], hy))
+    core_cols = [next(hy_times_x) if k < n else hy_cols[k - n] for k in cols]
+    return ExactMatrix(field, tuple(zip(*core_cols)))
+
+
 def check_core_against_references(w, field, rng):
     data = covexillary_data(w)
     n = w.n
@@ -349,6 +377,7 @@ def check_core_against_references(w, field, rng):
         expected = diagnostics(x, w, ranks)
         assert conormal_matrix_violations(pt, w) == expected
         assert conormal_matrix_violations(pt, w, first_only=True) == expected[:1]
+        assert in_conormal_matrix(pt, w) == (not expected)
 
 
 CORE_FIELDS = (FieldSpec.prime(2), FieldSpec.prime(5), F, Q)
@@ -694,6 +723,7 @@ def test_flag_predicate_matches_subspace_reference():
                         assert diagnostic_tuples(conormal_flag_violations(pt, w)) == expected
                         first = conormal_flag_violations(pt, w, first_only=True)
                         assert diagnostic_tuples(first) == expected[:1]
+                        assert in_conormal_flag(pt, w) == (not expected)
 
 
 def test_flag_predicate_errors_keep_their_order():

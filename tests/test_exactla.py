@@ -11,6 +11,8 @@ from covex.exactla import (
     ExactMatrix,
     FieldSpec,
     Subspace,
+    _draws,
+    _is_prime,
     coordinate_subspace,
     image,
     kernel,
@@ -21,6 +23,10 @@ from covex.exactla import (
 
 F = FieldSpec.prime()
 Q = FieldSpec.rational()
+
+
+def transpose(a):
+    return ExactMatrix(a.field, tuple(zip(*a.entries)))
 
 
 def standard_subspace(field, ambient, j):
@@ -83,7 +89,7 @@ def test_rank_invariances():
     rng = random.Random(5)
     for _ in range(40):
         a = _random_mat(rng, rng.randrange(1, 6), rng.randrange(1, 6))
-        assert a.rank() == a.transpose().rank()
+        assert a.rank() == transpose(a).rank()
         rows = list(range(1, a.rows + 1))
         cols = list(range(1, a.cols + 1))
         rng.shuffle(rows)
@@ -121,7 +127,7 @@ def test_subspace_canonicity():
         v = Subspace.span(F, 5, vecs)
         # mix the generators by random invertible combinations
         mixer = random_borel(F, v.dim, rng)
-        mixed = (v.basis_matrix @ mixer).transpose().entries
+        mixed = transpose(v.basis_matrix @ mixer).entries
         assert Subspace.span(F, 5, mixed) == v
 
 
@@ -165,6 +171,45 @@ def test_random_borel_properties():
                 assert prod.entry(i, j) == 0
     # determinism under a fixed seed
     assert random_borel(F, 4, random.Random(9)) == random_borel(F, 4, random.Random(9))
+
+
+# 2^61 - 1 is a Mersenne prime and 2^64 + 13 the first prime above 2^64
+DRAW_BOUNDS = (1, 2, 3, 10006, 10007, 2**61 - 1, 2**64 + 13)
+
+
+def test_draws_reproduce_randrange():
+    """_draws(rng, b, k) is [rng.randrange(b) for _ in range(k)] and leaves the
+    generator in the same state; 1 + a draw below b - 1 is randrange(1, b), the
+    Borel diagonal.  If a Python release changes randrange, this fails first."""
+    assert all(_is_prime(b) for b in DRAW_BOUNDS[4:])
+    for seed in range(5):
+        for b in DRAW_BOUNDS:
+            ours, theirs = random.Random(seed), random.Random(seed)
+            assert _draws(ours, b, 40) == [theirs.randrange(b) for _ in range(40)]
+            if b > 1:
+                diagonal = [1 + v for v in _draws(ours, b - 1, 10)]
+                assert diagonal == [theirs.randrange(1, b) for _ in range(10)]
+            assert ours.getstate() == theirs.getstate()
+
+
+def test_samplers_reproduce_randrange():
+    """random_matrix and random_borel draw exactly what randrange drew, in
+    row-major order, the Borel diagonal before the entries right of it."""
+    for seed in range(5):
+        for field in (FieldSpec.prime(2), FieldSpec.prime(3), F):
+            p = field.p
+            ours, theirs = random.Random(seed), random.Random(seed)
+            for rows, cols in ((3, 4), (1, 1), (2, 0)):
+                expected = [[theirs.randrange(p) for _ in range(cols)] for _ in range(rows)]
+                assert random_matrix(field, rows, cols, ours) == ExactMatrix.from_rows(field, expected)
+            for n in (1, 4):
+                expected = [
+                    [theirs.randrange(1, p) if j == i else theirs.randrange(p) if j > i else 0
+                     for j in range(n)]
+                    for i in range(n)
+                ]
+                assert random_borel(field, n, ours) == ExactMatrix.from_rows(field, expected)
+            assert ours.getstate() == theirs.getstate()
 
 
 def test_sampling_requires_prime_field():

@@ -10,6 +10,7 @@ from dataclasses import dataclass
 import pytest
 
 from covex import kl
+from covex.cli import main
 from covex.kl import (
     PolynomialQ,
     covexillary_kl_check,
@@ -62,6 +63,32 @@ def test_polynomial_arithmetic():
     assert p.shift(2).coeffs == (0, 0, 1, 1)
     assert p(1) == 2 and p(3) == 4
     assert PolynomialQ.from_coeffs([1, 0, 0]) == ONE
+
+
+def test_smooth_and_incomparable_pairs_need_no_table(monkeypatch, capsys):
+    """kl_polynomial equals the S_5 table on every pair, and answers without a
+    table when u is not below w or when w is smooth.  Smoothness is read off
+    the table itself, as P_{e,w} = 1."""
+    table = symmetric_group_table(5)
+    e = table.index[(1, 2, 3, 4, 5)]
+    shortcut = []
+    for wi, w in enumerate(table.perms):
+        smooth = table.kl(e, wi) == ONE
+        for ui, u in enumerate(table.perms):
+            assert kl_polynomial(u, w) == table.kl(ui, wi), (u, w)
+            if smooth or not table.leq(ui, wi):
+                shortcut.append((u, w, table.kl(ui, wi)))
+    assert sum(1 for wi in range(120) if table.kl(e, wi) == ONE) == 88  # smooth in S_5
+
+    def refuse(self, N):
+        raise AssertionError(f"an S_{N} table was built")
+
+    monkeypatch.setattr(kl.SymmetricGroupTable, "__init__", refuse)
+    monkeypatch.setattr(kl, "_TABLES", {})
+    for u, w, expected in shortcut:
+        assert kl_polynomial(u, w) == expected
+    assert main(["kl", "123456789", "987654321"]) == 0
+    assert capsys.readouterr().out == '{"coefficients": [1], "text": "1"}\n'
 
 
 def test_reflexivity_and_incomparability():

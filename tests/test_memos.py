@@ -51,12 +51,12 @@ def test_permutation_memos_are_invisible():
 
 def test_covexillary_data_memos_are_invisible():
     data = covexillary_data(PartialPermutation.from_one_line("2143"))
-    tau, order, checks = data.tau, data.tau_order, data.conormal_checks
+    tau, checks = data.tau, data.conormal_checks
     assert data.tau is tau and data.conormal_checks is checks
     fresh = dataclasses.replace(covexillary_data(PartialPermutation.from_one_line("2143")))
     assert "tau" not in vars(fresh)
     assert_like_fresh(data, fresh)
-    assert (fresh.tau, fresh.tau_order, fresh.conormal_checks) == (tau, order, checks)
+    assert (fresh.tau, fresh.conormal_checks) == (tau, checks)
 
 
 def test_matrix_profile_memo_is_invisible():
