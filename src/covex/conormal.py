@@ -3,9 +3,9 @@
 Three coordinate forms are covered: pairs (x, y) of n x n matrices for the
 conormal variety of a matrix Schubert variety, Springer pairs (V, x) on the
 Grassmannian side, and Springer pairs (F, z) on the flag side.  The rank
-bounds all come from one table built out of the essential triples with the
-padding (p_0, q_0, r_0) = (0, 0, 0) and (p_m, q_m, r_m) = (n, n, n); every
-bound is the minimum of the two case formulas.
+bounds all come from one table, permcore.conormal_bounds: the Grassmannian
+form reads it on its own conditions, and the matrix form on the pairs
+(t_i, p_i + r_i) that the embedding pulls back (CovexillaryData.conormal_checks).
 
 The matrix and Grassmannian forms read every rank off one southwest
 profile.  The Grassmannian blocks are southwest blocks of x itself.  The
@@ -65,6 +65,7 @@ from .exactla import (
 from .permcore import (
     CovexillaryData,
     PartialPermutation,
+    conormal_bounds,
     covexillary_data,
 )
 from .varieties import (
@@ -339,8 +340,8 @@ def conormal_grass_violations(
     """Check (V, x) against a condition list [(t'_i, c_i)] for Gr_u.
 
     V must satisfy dim(V + E_{t'}) <= d + c for every condition, and x must
-    satisfy dim(x E_{t'_i} / E_{t'_j}) <= min of the two case bounds over the
-    padded pairs, with padding (0, 0) and (N, N - d).  The rank of x E_{t'_i}
+    satisfy dim(x E_{t'_i} / E_{t'_j}) <= b(i, j) of permcore.conormal_bounds,
+    the table the matrix form reads too.  The rank of x E_{t'_i}
     / E_{t'_j} is the southwest rank of x on rows t'_j+1..N and columns
     1..t'_i; an empty block satisfies every bound.
     """
@@ -357,24 +358,15 @@ def conormal_grass_violations(
             if first_only:
                 return out
     profile = southwest_profile(x)
-    padded = [(0, 0)] + list(conditions) + [(N, N - d)]
-    k1 = len(padded) - 1
-    for i in range(1, k1 + 1):
-        for j in range(i):
-            t_i, c_i = padded[i]
-            t_j, c_j = padded[j]
-            t_im1, c_im1 = padded[i - 1]
-            t_jp1, c_jp1 = padded[j + 1]
-            if t_j == N or t_i == 0:
-                continue
-            bound = min((t_im1 - c_im1) - (t_j - c_j), c_i - c_jp1)
-            rank = profile[t_j][t_i - 1]
-            if rank > bound:
-                out.append(
-                    {"kind": "rank", "i": i, "j": j, "rank": rank, "bound": bound}
-                )
-                if first_only:
-                    return out
+    ts = [0, *(t for t, _ in conditions), N]
+    for i, j, bound in conormal_bounds(conditions, N, d):
+        if ts[j] == N or ts[i] == 0:
+            continue
+        rank = profile[ts[j]][ts[i] - 1]
+        if rank > bound:
+            out.append({"kind": "rank", "i": i, "j": j, "rank": rank, "bound": bound})
+            if first_only:
+                return out
     return out
 
 
@@ -404,33 +396,21 @@ def conormal_fiber_flag(
 ) -> tuple[Flag, Subspace]:
     """Flag-side conormal fiber over a cell generator g.
 
-    Solves {z : z strictly upper and g^-1 z g strictly upper}; each solution
-    pairs with the flag generated by g as a Springer flag point.  The flag of
-    g must lie in the open cell of w.
+    The fiber {z : z and g^-1 z g strictly upper} is g times the matrix
+    fiber {y : gy and yg strictly upper} at x = g; each solution pairs with
+    the flag generated by g as a Springer flag point.  The flag of g must
+    lie in the open cell of w.
     """
     n = w.n
     flag = Flag(g)
     if locate_flag_cell(flag) != w:
         raise CellMembershipError("the flag of g is not in the open cell of w")
     field = g.field
-    ginv = flag.inverse
-    rows = []
-    for a in range(1, n + 1):
-        for b in range(1, a + 1):
-            row = [0] * (n * n)
-            row[(a - 1) * n + (b - 1)] = 1  # z_{ab} = 0
-            rows.append(row)
-            row = [0] * (n * n)
-            for k in range(1, n + 1):
-                for l in range(1, n + 1):  # (g^-1 z g)_{ab}
-                    coeff = field.mul(ginv.entry(a, k), g.entry(l, b))
-                    if coeff:
-                        row[(k - 1) * n + (l - 1)] = field.add(
-                            row[(k - 1) * n + (l - 1)], coeff
-                        )
-            rows.append(row)
-    system = ExactMatrix(field, tuple(tuple(r) for r in rows))
-    return flag, kernel(system)
+    moved = (
+        [e for row in (g @ vector_to_matrix(field, v, n)).entries for e in row]
+        for v in conormal_fiber_matrix(g, w).vectors
+    )
+    return flag, Subspace.span(field, n * n, moved)
 
 
 def push_iota(g: ExactMatrix, y: ExactMatrix) -> CotangentMatrixPoint:

@@ -49,14 +49,11 @@ class EmbeddingTarget:
     def grass_conditions(self) -> tuple[tuple[int, int], ...]:
         """The same conditions as pairs (t_i, p_i + r_i), the form that the
         Grassmannian conormal criterion reads."""
-        return tuple((t, bound - self.n) for t, bound in self.conditions)
+        return self.data.grass_conditions
 
 
 def embedding_target(data: CovexillaryData) -> EmbeddingTarget:
-    conditions = tuple(
-        (data.t_at(i), data.n + data.p_at(i) + data.r_at(i))
-        for i in range(1, data.m)
-    )
+    conditions = tuple((t, data.n + c) for t, c in data.grass_conditions)
     return EmbeddingTarget(data, conditions)
 
 

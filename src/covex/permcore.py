@@ -17,7 +17,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     DimensionMismatchError,
@@ -276,8 +276,8 @@ def avoids_3412(w: PartialPermutation) -> bool:
 class CovexillaryData:
     """Essential-set triples (p_i, q_i, r_i) of a covexillary partial permutation.
 
-    There are m-1 triples; by convention p_m = q_m = n and t_i = p_i + q_i.
-    Padding entry (p_0, q_0, r_0) = (0, 0, 0) is supplied by accessors.
+    There are m-1 triples and t_i = p_i + q_i.  The accessors supply the
+    padding (p_0, q_0, r_0) = (0, 0, 0) and (p_m, q_m, r_m) = (n, n, 0).
     """
 
     n: int
@@ -320,11 +320,9 @@ class CovexillaryData:
         return self.q[i - 1]
 
     def r_at(self, i: int) -> int:
-        """r_i for 0 <= i <= m-1; the terminal r_m is a conormal-side convention."""
-        if i == 0:
+        """r_i with the padding r_0 = r_m = 0: the rank of an empty block."""
+        if i == 0 or i == self.m:
             return 0
-        if i >= self.m:
-            raise IndexError("terminal rank is not part of the essential data")
         return self.r[i - 1]
 
     def t_at(self, i: int) -> int:
@@ -360,30 +358,37 @@ class CovexillaryData:
         return PartialPermutation(2 * n, tuple(image))
 
     @cached_property
-    def conormal_checks(self) -> tuple[tuple[int, int, int], ...]:
-        """(i, j, b(i, j)) for 0 <= j < i <= m.
-
-        b(i, j) bounds rank M_ij in the conormal criterion: the minimum of
-        the row case (q_{i-1} - r_{i-1}) - (q_j - r_j) and the column case
-        (p_i + r_i) - (p_{j+1} + r_{j+1}), with terminal rank r_m = n.
-        test_terminal_rank_convention_never_binds (tests/test_conormal.py)
-        pins that the bounds affected by r_m never bind for r_m = rank(w)
-        either, over every covexillary partial permutation with n <= 3.
-        """
-        m = self.m
-        r = [self.r_at(i) for i in range(m)] + [self.n]
+    def grass_conditions(self) -> tuple[tuple[int, int], ...]:
+        """The pairs (t_i, p_i + r_i) for i = 1..m-1: the embedding target in Gr(n, 2n)."""
         return tuple(
-            (
-                i,
-                j,
-                min(
-                    (self.q_at(i - 1) - r[i - 1]) - (self.q_at(j) - r[j]),
-                    (self.p_at(i) + r[i]) - (self.p_at(j + 1) + r[j + 1]),
-                ),
-            )
-            for i in range(1, m + 1)
-            for j in range(i)
+            (self.t_at(i), self.p_at(i) + self.r_at(i)) for i in range(1, self.m)
         )
+
+    @cached_property
+    def conormal_checks(self) -> tuple[tuple[int, int, int], ...]:
+        """(i, j, b(i, j)) for 0 <= j < i <= m: conormal_bounds of grass_conditions."""
+        return conormal_bounds(self.grass_conditions, 2 * self.n, self.n)
+
+
+def conormal_bounds(
+    conditions: Sequence[tuple[int, int]], N: int, d: int
+) -> tuple[tuple[int, int, int], ...]:
+    """(i, j, b(i, j)) for 0 <= j < i <= k+1 over k conditions (t_i, c_i) of Gr(d, N).
+
+    The conditions are padded with (t_0, c_0) = (0, 0) and (t_{k+1}, c_{k+1})
+    = (N, N - d).  b(i, j) bounds dim(x E_{t_i} / E_{t_j}) in the conormal
+    criterion: the minimum of the row case (t_{i-1} - c_{i-1}) - (t_j - c_j)
+    and the column case c_i - c_{j+1}.  Under t = p + q and c = p + r the
+    cases read (q_{i-1} - r_{i-1}) - (q_j - r_j) and (p_i + r_i) - (p_{j+1} +
+    r_{j+1}), and the padding reads (p, q, r) = (n, n, 0) when N = 2n, d = n.
+    """
+    t = [0, *(pos for pos, _ in conditions), N]
+    c = [0, *(codim for _, codim in conditions), N - d]
+    return tuple(
+        (i, j, min((t[i - 1] - c[i - 1]) - (t[j] - c[j]), c[i] - c[j + 1]))
+        for i in range(1, len(t))
+        for j in range(i)
+    )
 
 
 def covexillary_data(w: PartialPermutation) -> CovexillaryData:

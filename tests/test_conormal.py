@@ -1,9 +1,11 @@
 """Conormal predicates against the trace-pairing fiber oracles."""
 
+import os
 import random
+from collections import defaultdict
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import combinations_with_replacement, product
 from operator import itemgetter, mul
 
 import pytest
@@ -27,7 +29,7 @@ from covex.conormal import (
     tangent_orbit_rank,
     vector_to_matrix,
 )
-from covex.embedding import embed_point, tau_permutation
+from covex.embedding import embed_point, embedding_target, tau_permutation
 from covex.errors import (
     CellMembershipError,
     DimensionMismatchError,
@@ -41,6 +43,7 @@ from covex.exactla import (
     FieldSpec,
     Subspace,
     coordinate_subspace,
+    kernel,
     random_matrix,
     subspace_sum,
 )
@@ -49,11 +52,13 @@ from covex.permcore import (
     PartialPermutation,
     all_partial_permutations,
     all_permutations,
+    bruhat_leq,
     covexillary_data,
     is_covexillary,
     random_partial_permutation,
     rank_matrix,
 )
+from covex.suites import _chase_to_grass
 from covex.varieties import (
     Flag,
     matrix_schubert_violation,
@@ -80,22 +85,24 @@ def fiber_matrices(fiber, n):
 class ConormalBoundTable:
     """Rank bounds b(i, j) of the conormal criterion for 0 <= j < i <= m.
 
-    The bounds depend only on the essential triples and the terminal rank
-    r_m; each is the minimum of the two case formulas.  The package fixes
-    r_m = n; this table also takes other values, to show they never bind.
+    The bounds are computed from the essential triples padded with
+    (p_0, q_0, r_0) = (0, 0, 0) and (p_m, q_m, r_m) = (n, n, 0), the rank of
+    the empty block x[n+1.., ..n]; each is the minimum of the two case
+    formulas.  The package computes the same table from the pairs (t, c)
+    of the embedding (permcore.conormal_bounds).
     """
 
-    def __init__(self, data: CovexillaryData, r_top: int):
+    def __init__(self, data: CovexillaryData):
         self.data = data
-        self.r_top = r_top
-
-    def r_at(self, i: int) -> int:
-        return self.r_top if i == self.data.m else self.data.r_at(i)
+        n = data.n
+        self.p = (0, *data.p, n)
+        self.q = (0, *data.q, n)
+        self.r = (0, *data.r, 0)
 
     def bound(self, i: int, j: int) -> int:
-        d = self.data
-        case_rows = (d.q_at(i - 1) - self.r_at(i - 1)) - (d.q_at(j) - self.r_at(j))
-        case_cols = (d.p_at(i) + self.r_at(i)) - (d.p_at(j + 1) + self.r_at(j + 1))
+        p, q, r = self.p, self.q, self.r
+        case_rows = (q[i - 1] - r[i - 1]) - (q[j] - r[j])
+        case_cols = (p[i] + r[i]) - (p[j + 1] + r[j + 1])
         return min(case_rows, case_cols)
 
     def pairs(self) -> tuple[tuple[int, int], ...]:
@@ -104,8 +111,8 @@ class ConormalBoundTable:
 
 
 def bound_table(data: CovexillaryData) -> ConormalBoundTable:
-    """The bound table with terminal rank r_m = n, as in data.conormal_checks."""
-    return ConormalBoundTable(data, data.n)
+    """The bound table with terminal rank r_m = 0, as in data.conormal_checks."""
+    return ConormalBoundTable(data)
 
 
 def big_matrix_M(pt: CotangentMatrixPoint) -> ExactMatrix:
@@ -479,41 +486,187 @@ def test_fiber_dimension_equals_orbit_corank():
 
 
 def test_oracle_soundness_small():
+    """Every oracle fiber point over a cell point is accepted, and each of its
+    blocks M_ij meets the reference bound with terminal rank r_m = 0."""
     rng = random.Random(4)
     for n in (1, 2, 3):
         for w in all_partial_permutations(n):
             if not is_covexillary(w):
                 continue
+            data = covexillary_data(w)
+            table = bound_table(data)
             for _ in range(3):
                 x = sample_cell_point(w, F, rng)
                 fiber = conormal_fiber_matrix(x, w)
                 for y in fiber_matrices(fiber, n):
                     assert in_conormal_matrix(CotangentMatrixPoint(x, y), w)
+                    m = big_matrix_M(CotangentMatrixPoint(x, y))
+                    for i, j in table.pairs():
+                        assert submatrix_mij(m, data, i, j).rank() <= table.bound(i, j)
 
 
-def test_terminal_rank_convention_never_binds():
-    """Calibration record for the terminal padding rank.
+def all_matrices(field, n):
+    """Every n x n matrix over the prime field, in a fixed order."""
+    return [
+        ExactMatrix.from_rows(field, [entries[a * n : (a + 1) * n] for a in range(n)])
+        for entries in product(range(field.p), repeat=n * n)
+    ]
 
-    Both candidate values (the matrix size and the rank of w) make the
-    predicate accept every oracle fiber point for rank-deficient w; wherever
-    the two bound tables differ, the looser case formula already dominates,
-    so the frozen choice r_m = n is not load-bearing.
-    """
-    rng = random.Random(12)
-    for n in (2, 3):
+
+def combination(field, basis, coeffs, n):
+    """The n x n matrix sum of coeffs[k] * basis[k] over the prime field."""
+    flat = [sum(map(mul, coeffs, col)) % field.p for col in zip(*basis)] or [0] * (n * n)
+    return vector_to_matrix(field, flat, n)
+
+
+def chased_accepts(w, x, y):
+    """The Grassmannian criterion at the cotangent chase of (x, y)."""
+    conditions = embedding_target(covexillary_data(w)).grass_conditions
+    return in_conormal_grass(_chase_to_grass(w, x, y), conditions)
+
+
+def test_boundary_point_of_310_accepts_only_the_chased_covectors():
+    """Regression: at w = 3 1 0 and x = E_11, a point of the boundary orbit of
+    u = 1 0 0, the terminal padding r_m of n made the matrix criterion accept
+    all 3^6 covectors over F_3 of the conormal space of that orbit, a second
+    n^2-dimensional component.  With r_m = 0 it accepts the 105 that the
+    chased Grassmannian criterion accepts."""
+    field = FieldSpec.prime(3)
+    w, u = PartialPermutation.from_one_line("3 1 0"), PartialPermutation.from_one_line("1 0 0")
+    x = u.matrix(field)
+    basis = conormal_fiber_matrix(x, u).vectors
+    ys = [combination(field, basis, coeffs, 3) for coeffs in product(range(3), repeat=len(basis))]
+    assert len(set(ys)) == 729
+    matrix = [y for y in ys if in_conormal_matrix(CotangentMatrixPoint(x, y), w)]
+    chased = [y for y in ys if chased_accepts(w, x, y)]
+    assert len(matrix) == len(chased) == 105
+    assert matrix == chased
+
+
+# COVEX_AGREEMENT_SWEEP_N=3 adds n = 3 over F_2 (197,120 points); CI runs it.
+AGREEMENT_SWEEP_N = int(os.environ.get("COVEX_AGREEMENT_SWEEP_N", "2"))
+
+
+@pytest.mark.parametrize(
+    "p, n_max", [(2, max(2, AGREEMENT_SWEEP_N)), (3, 2)], ids=["F2", "F3"]
+)
+def test_matrix_and_chased_criteria_agree_at_boundary_fixed_points(p, n_max):
+    """in_conormal_matrix and the chased Grassmannian criterion give the same
+    verdict at every covector y over every boundary torus-fixed point u < w,
+    for every covexillary partial w with n <= n_max."""
+    field = FieldSpec.prime(p)
+    for n in range(1, n_max + 1):
+        ys = all_matrices(field, n)
         for w in all_partial_permutations(n):
-            if not is_covexillary(w) or w.is_full_rank:
+            if not is_covexillary(w):
                 continue
-            data = covexillary_data(w)
-            loose = ConormalBoundTable(data, n)
-            tight = ConormalBoundTable(data, w.rank)
-            x = sample_cell_point(w, F, rng)
-            fiber = conormal_fiber_matrix(x, w)
-            for y in fiber_matrices(fiber, n):
-                m = big_matrix_M(CotangentMatrixPoint(x, y))
-                for i, j in loose.pairs():
-                    got = submatrix_mij(m, data, i, j).rank()
-                    assert got <= tight.bound(i, j) <= loose.bound(i, j)
+            for u in all_partial_permutations(n):
+                if u == w or not bruhat_leq(u, w):
+                    continue
+                x = u.matrix(field)
+                for y in ys:
+                    verdict = in_conormal_matrix(CotangentMatrixPoint(x, y), w)
+                    assert verdict == chased_accepts(w, x, y), (w, u, y)
+
+
+def generic_fiber_point(x, w, rng):
+    """(x, y) with y a random combination of the oracle fiber basis at x."""
+    basis = conormal_fiber_matrix(x, w).vectors
+    coeffs = [rng.randrange(x.field.p) for _ in basis]
+    return CotangentMatrixPoint(x, combination(x.field, basis, coeffs, w.n))
+
+
+def monomials_by_weight(n):
+    """The monomials of degree <= 2 in the 2n^2 coordinates of (x, y), grouped
+    by torus weight, as tuples of coordinate indices (x row-major, then y).
+
+    (a, b) in T x T acts by x -> a x b^-1 and y -> b y a^-1, so x_ij has
+    weight e_i - f_j and y_ij has weight f_i - e_j.  The conormal variety is
+    stable under this action, so its ideal is spanned by weight vectors and
+    the interpolation splits into one small kernel per weight.
+    """
+
+    def weight(k):
+        vec = [0] * (2 * n)
+        i, j = divmod(k % (n * n), n)
+        if k < n * n:
+            vec[i], vec[n + j] = 1, -1
+        else:
+            vec[n + i], vec[j] = 1, -1
+        return vec
+
+    coords = range(2 * n * n)
+    blocks = defaultdict(list)
+    for monomial in [(), *((k,) for k in coords), *combinations_with_replacement(coords, 2)]:
+        total = [sum(parts) for parts in zip([0] * (2 * n), *map(weight, monomial))]
+        blocks[tuple(total)].append(monomial)
+    return list(blocks.values())
+
+
+def coordinates(pt):
+    """The 2n^2 coordinates of (x, y): x row-major, then y."""
+    return [e for row in pt.x.entries + pt.y.entries for e in row]
+
+
+def monomial_values(monomials, coords):
+    values = []
+    for monomial in monomials:
+        value = 1
+        for k in monomial:
+            value = value * coords[k] % F.p
+        values.append(value)
+    return values
+
+
+def interpolated_equations(w, rng):
+    """The degree <= 2 equations of the conormal variety of w over F_10007:
+    per weight block, the kernel of the monomial values at twice as many
+    open-cell points (x, y) as there are monomials, with x = b_l w b_r and
+    y generic in the oracle fiber at x."""
+    blocks = monomials_by_weight(w.n)
+    count = 2 * sum(map(len, blocks))
+    points = [
+        coordinates(generic_fiber_point(sample_cell_point(w, F, rng), w, rng))
+        for _ in range(count)
+    ]
+    equations = []
+    for monomials in blocks:
+        values = ExactMatrix(F, tuple(tuple(monomial_values(monomials, c)) for c in points))
+        equations += [(monomials, coeffs) for coeffs in kernel(values).vectors]
+    return equations
+
+
+def breaks_an_equation(equations, pt):
+    coords = coordinates(pt)
+    return any(
+        sum(map(mul, coeffs, monomial_values(monomials, coords))) % F.p
+        for monomials, coeffs in equations
+    )
+
+
+@pytest.mark.parametrize(
+    "w, u, count", [("3 1 0", "1 0 0", 72), ("4213", "2 1 0 4", 303)], ids=["310", "4213"]
+)
+def test_interpolated_equations_reject_the_boundary_conormal(w, u, count):
+    """Interpolation audit, independent of the rank criterion: generic points
+    of the conormal bundle of the boundary orbit O_u, u < w, are rejected,
+    while the zero section over O_u and fresh open-cell points are accepted;
+    every accepted point satisfies every interpolated equation.  Too few
+    interpolation points would show as more than count equations."""
+    rng = random.Random(47)
+    w, u = PartialPermutation.from_one_line(w), PartialPermutation.from_one_line(u)
+    equations = interpolated_equations(w, rng)
+    assert len(equations) == count
+    zero = ExactMatrix.zeros(F, w.n, w.n)
+    for _ in range(20):
+        boundary = generic_fiber_point(sample_cell_point(u, F, rng), u, rng)
+        assert breaks_an_equation(equations, boundary)
+        assert not in_conormal_matrix(boundary, w)
+        section = CotangentMatrixPoint(boundary.x, zero)
+        cell = generic_fiber_point(sample_cell_point(w, F, rng), w, rng)
+        for pt in (section, cell):
+            assert in_conormal_matrix(pt, w)
+            assert not breaks_an_equation(equations, pt)
 
 
 def test_signed_and_unsigned_submatrices_have_equal_ranks():
@@ -612,6 +765,42 @@ def test_flag_fiber_fixtures():
         assert fiber.dim == 3 - w.length()
     with pytest.raises(CellMembershipError):
         conormal_fiber_flag(ExactMatrix.identity(F, 3), PartialPermutation.longest(3))
+
+
+def reference_flag_fiber(g):
+    """Oracle: {z : z and g^-1 z g strictly upper} as the kernel of its
+    n^2 x n^2 linear system in the entries of z."""
+    field, n = g.field, g.rows
+    ginv = g.inverse()
+    rows = []
+    for a in range(1, n + 1):
+        for b in range(1, a + 1):
+            row = [0] * (n * n)
+            row[(a - 1) * n + (b - 1)] = 1  # z_{ab} = 0
+            rows.append(row)
+            row = [0] * (n * n)
+            for k in range(1, n + 1):
+                for l in range(1, n + 1):  # (g^-1 z g)_{ab}
+                    coeff = field.mul(ginv.entry(a, k), g.entry(l, b))
+                    if coeff:
+                        row[(k - 1) * n + (l - 1)] = field.add(row[(k - 1) * n + (l - 1)], coeff)
+            rows.append(row)
+    return kernel(ExactMatrix(field, tuple(tuple(r) for r in rows)))
+
+
+def test_flag_fiber_matches_the_linear_system():
+    """conormal_fiber_flag, the g-translate of the matrix fiber at g, equals
+    the linear-system oracle at a cell generator of every covexillary w in
+    S_n: n <= 5 over F_2, F_3 and F_10007, n <= 4 over Q."""
+    rng = random.Random(53)
+    for field, n_max in ((FieldSpec.prime(2), 5), (FieldSpec.prime(3), 5), (F, 5), (Q, 4)):
+        for n in range(1, n_max + 1):
+            for w in all_permutations(n):
+                if is_covexillary(w):
+                    g = cell_generator(w, field, rng)
+                    flag, fiber = conormal_fiber_flag(g, w)
+                    assert flag == Flag(g)
+                    assert fiber == reference_flag_fiber(g)
 
 
 def flag_subspaces(flag):
@@ -762,10 +951,7 @@ def test_springer_flag_invariant_matches_containment_exhaustively():
     """Every invertible g and every z for n <= 2 over F_2 and F_3."""
     for field in (FieldSpec.prime(2), FieldSpec.prime(3)):
         for n in (1, 2):
-            matrices = [
-                ExactMatrix.from_rows(field, [entries[a * n : (a + 1) * n] for a in range(n)])
-                for entries in product(range(field.p), repeat=n * n)
-            ]
+            matrices = all_matrices(field, n)
             for g in matrices:
                 if g.rank() < n:
                     continue

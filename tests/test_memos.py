@@ -51,12 +51,12 @@ def test_permutation_memos_are_invisible():
 
 def test_covexillary_data_memos_are_invisible():
     data = covexillary_data(PartialPermutation.from_one_line("2143"))
-    tau, checks = data.tau, data.conormal_checks
-    assert data.tau is tau and data.conormal_checks is checks
+    tau, pairs, checks = data.tau, data.grass_conditions, data.conormal_checks
+    assert data.tau is tau and data.grass_conditions is pairs and data.conormal_checks is checks
     fresh = dataclasses.replace(covexillary_data(PartialPermutation.from_one_line("2143")))
     assert "tau" not in vars(fresh)
     assert_like_fresh(data, fresh)
-    assert (fresh.tau, fresh.conormal_checks) == (tau, checks)
+    assert (fresh.tau, fresh.grass_conditions, fresh.conormal_checks) == (tau, pairs, checks)
 
 
 def test_matrix_profile_memo_is_invisible():
