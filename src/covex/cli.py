@@ -25,8 +25,8 @@ from .conormal import (
     vector_to_matrix,
 )
 from .embedding import (
+    check_target_space,
     embed_point,
-    embedding_target,
     fixed_point_index,
     target_grass_index,
     weight_map,
@@ -51,10 +51,10 @@ from .suites import SuiteConfig, run_suite
 from .varieties import (
     GrassIndex,
     flag_schubert_violation,
+    grass_condition_checks,
     grass_schubert_violation,
     locate_grass_cell,
     matrix_schubert_violation,
-    standard_sum_dims,
 )
 
 
@@ -120,12 +120,11 @@ def _cmd_covex(args, field: FieldSpec) -> int:
 def _cmd_tau(args, field: FieldSpec) -> int:
     w = _perm(args.perm)
     data = covexillary_data(w)
-    target = embedding_target(data)
     _emit(
         {
             "tau": data.tau.one_line(),
-            "conditions": [{"t": t, "bound": b} for t, b in target.conditions],
-            "grass_index": list(target_grass_index(target).positions),
+            "conditions": [{"t": t, "bound": data.n + c} for t, c in data.grass_conditions],
+            "grass_index": list(target_grass_index(data).positions),
             "weights": {
                 str(k): f"{sym}{idx}" for k, (sym, idx) in sorted(weight_map(data).items())
             },
@@ -137,14 +136,12 @@ def _cmd_tau(args, field: FieldSpec) -> int:
 def _cmd_embed(args, field: FieldSpec) -> int:
     w = _perm(args.perm)
     data = covexillary_data(w)
-    target = embedding_target(data)
     x = parse_point_file(args.matrix, "matrix", field)
     point = embed_point(x, data)
-    dims = standard_sum_dims(point)
-    per_condition = []
-    for t, bound in target.conditions:
-        total = dims[t]
-        per_condition.append({"t": t, "dim": total, "bound": bound, "ok": total <= bound})
+    per_condition = [
+        dict(zip(("t", "dim", "bound", "ok"), check))
+        for check in grass_condition_checks(point, data.grass_conditions)
+    ]
     _emit(
         {
             "image_basis": subspace_to_json(point),
@@ -180,9 +177,11 @@ def _cmd_member(args, field: FieldSpec) -> int:
     return 0
 
 
-def _grass_conditions(args, field: FieldSpec) -> tuple[tuple[int, int], ...]:
+def _grass_conditions(args, point) -> tuple[tuple[int, int], ...]:
     if args.w is not None:
-        return embedding_target(covexillary_data(_perm(args.w))).grass_conditions
+        data = covexillary_data(_perm(args.w))
+        check_target_space(point.V, data)
+        return data.grass_conditions
     if args.conditions is None:
         raise InputError("provide --w or --conditions t:c,t:c for the grass form")
     out = []
@@ -205,7 +204,7 @@ def _cmd_conormal(args, field: FieldSpec) -> int:
             violations = conormal_flag_violations(point, _perm(args.w))
         else:
             point = parse_point_file(args.point, "springer-grass", field)
-            violations = conormal_grass_violations(point, _grass_conditions(args, field))
+            violations = conormal_grass_violations(point, _grass_conditions(args, point))
         _emit({"member": not violations, "violations": violations})
         return 0
     # fiber
@@ -266,7 +265,7 @@ def _cmd_schubert(args, field: FieldSpec) -> int:
     if args.action == "localize":
         check_multidegree_size(w.n)
         data = covexillary_data(w)
-        v_hat = target_grass_index(embedding_target(data))
+        v_hat = target_grass_index(data)
         origin = fixed_point_index(PartialPermutation.zero(w.n), data)
         localized = grass_restriction(v_hat, origin)
         _emit(

@@ -70,11 +70,11 @@ from .permcore import (
 )
 from .varieties import (
     Flag,
+    grass_condition_checks,
     in_matrix_schubert_cell,
     locate_flag_cell,
     matrix_schubert_violation,
     southwest_profile,
-    standard_sum_dims,
 )
 
 
@@ -339,22 +339,20 @@ def conormal_grass_violations(
 ) -> list[dict]:
     """Check (V, x) against a condition list [(t'_i, c_i)] for Gr_u.
 
-    V must satisfy dim(V + E_{t'}) <= d + c for every condition, and x must
-    satisfy dim(x E_{t'_i} / E_{t'_j}) <= b(i, j) of permcore.conormal_bounds,
-    the table the matrix form reads too.  The rank of x E_{t'_i}
-    / E_{t'_j} is the southwest rank of x on rows t'_j+1..N and columns
-    1..t'_i; an empty block satisfies every bound.
+    V must satisfy dim(V + E_{t'}) <= d + c for every condition, as
+    varieties.grass_condition_checks reads it, and x must satisfy
+    dim(x E_{t'_i} / E_{t'_j}) <= b(i, j) of permcore.conormal_bounds, the
+    table the matrix form reads too.  The rank of x E_{t'_i} / E_{t'_j} is
+    the southwest rank of x on rows t'_j+1..N and columns 1..t'_i; an empty
+    block satisfies every bound.  Positions outside 0..N raise
+    DimensionMismatchError.
     """
     V, x = pt.V, pt.x
     N, d = V.ambient, V.dim
-    if any(not 0 <= t <= N for t, _ in conditions):
-        raise DimensionMismatchError(f"condition positions must lie in 0..{N}")
     out: list[dict] = []
-    dims = standard_sum_dims(V)
-    for t, c in conditions:
-        total = dims[t]
-        if total > d + c:
-            out.append({"kind": "schubert", "condition": (t, total, d + c)})
+    for t, total, bound, ok in grass_condition_checks(V, conditions):
+        if not ok:
+            out.append({"kind": "schubert", "condition": (t, total, bound)})
             if first_only:
                 return out
     profile = southwest_profile(x)
@@ -416,30 +414,6 @@ def conormal_fiber_flag(
 def push_iota(g: ExactMatrix, y: ExactMatrix) -> CotangentMatrixPoint:
     """Cotangent transport along the inclusion of GL_n: (g, y) -> (g, y g^-1)."""
     return CotangentMatrixPoint(g, y @ g.inverse())
-
-
-def push_graph(pt: CotangentMatrixPoint) -> tuple[ExactMatrix, ExactMatrix]:
-    """Cotangent transport along the graph embedding.
-
-    Returns the pair (h1(x), theta(y)) with h1(x) = ((I, 0), (x, I)) and
-    theta(y) = ((0, y), (0, 0)), both of size 2n.
-    """
-    n = pt.n
-    field = pt.x.field
-    ident = ExactMatrix.identity(field, n)
-    zero = ExactMatrix.zeros(field, n, n)
-    h1 = ident.hstack(zero).vstack(pt.x.hstack(ident))
-    theta = zero.hstack(pt.y).vstack(zero.hstack(zero))
-    return h1, theta
-
-
-def springer_grass(g: ExactMatrix, u: ExactMatrix, d: int) -> SpringerGrassPoint:
-    """Springer coordinates on T*Gr(d, N): (g, u) -> (g E_d, g u g^-1)."""
-    V = Subspace.span(
-        g.field, g.rows, [g.column(j) for j in range(1, d + 1)]
-    )
-    x = g @ u @ g.inverse()
-    return SpringerGrassPoint(V, x)
 
 
 def springer_flag(g: ExactMatrix, y: ExactMatrix) -> SpringerFlagPoint:

@@ -4,20 +4,21 @@ Grassmannian Schubert variety.
 The map sends an n x n matrix x to the column span of the stacked matrix
 (I over x) inside Gr(n, 2n), then permutes coordinates by the block
 interleaving permutation built from the essential triples.  The image of
-the variety is cut out by the conditions dim(V + E_{t_i}) <= n + p_i + r_i.
-The map is torus-equivariant, so it sends the matrix of a partial
-permutation to a coordinate point, whose Schubert cell is read off tau
-(fixed_point_index).
+the variety is an open piece of one Grassmannian Schubert variety, cut out
+by dim(V + E_{t_i}) <= n + p_i + r_i.  That target has one encoding, the
+pairs (t_i, p_i + r_i) of CovexillaryData.grass_conditions, which
+varieties.grass_condition_checks reads like any other condition list; its
+increasing-sequence form is target_grass_index.  The map is
+torus-equivariant, so it sends the matrix of a partial permutation to a
+coordinate point, whose Schubert cell is read off tau (fixed_point_index).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import DimensionMismatchError
 from .exactla import ExactMatrix, Subspace, coordinate_subspace, subspace_sum
 from .permcore import CovexillaryData, PartialPermutation
-from .varieties import GrassIndex, standard_sum_dims
+from .varieties import GrassIndex, grass_condition_checks
 
 
 def tau_permutation(data: CovexillaryData) -> PartialPermutation:
@@ -29,32 +30,12 @@ def tau_permutation(data: CovexillaryData) -> PartialPermutation:
     return data.tau
 
 
-@dataclass(frozen=True)
-class EmbeddingTarget:
-    """The image side of the embedding: the Grassmannian conditions.
+def embedding_target(data: CovexillaryData) -> CovexillaryData:
+    """The embedding target: the data itself, whose grass_conditions cut it out.
 
-    ``conditions`` lists the pairs (t_i, n + p_i + r_i) for i = 1..m-1; a
-    subspace V of Gr(n, 2n) is in the target variety iff
-    dim(V + E_{t_i}) <= n + p_i + r_i for all of them.
+    perfbench/queries.py still reads the target through this name.
     """
-
-    data: CovexillaryData
-    conditions: tuple[tuple[int, int], ...]
-
-    @property
-    def n(self) -> int:
-        return self.data.n
-
-    @property
-    def grass_conditions(self) -> tuple[tuple[int, int], ...]:
-        """The same conditions as pairs (t_i, p_i + r_i), the form that the
-        Grassmannian conormal criterion reads."""
-        return self.data.grass_conditions
-
-
-def embedding_target(data: CovexillaryData) -> EmbeddingTarget:
-    conditions = tuple((t, data.n + c) for t, c in data.grass_conditions)
-    return EmbeddingTarget(data, conditions)
+    return data
 
 
 def graph_embed(x: ExactMatrix) -> Subspace:
@@ -88,42 +69,44 @@ def fixed_point_index(u: PartialPermutation, data: CovexillaryData) -> GrassInde
     return GrassIndex(n, 2 * n, tuple(positions))
 
 
-def target_violation(
-    subspace: Subspace, target: EmbeddingTarget
-) -> tuple[int, int, int] | None:
-    """First violated target condition (t_i, dim, bound), else None."""
-    if subspace.ambient != 2 * target.n:
+def check_target_space(subspace: Subspace, data: CovexillaryData) -> None:
+    """DimensionMismatchError unless the subspace is a point of Gr(n, 2n)."""
+    if (subspace.ambient, subspace.dim) != (2 * data.n, data.n):
         raise DimensionMismatchError("point does not live in Gr(n, 2n)")
-    dims = standard_sum_dims(subspace)
-    for t_i, bound in target.conditions:
-        total = dims[t_i]
-        if total > bound:
-            return (t_i, total, bound)
+
+
+def target_violation(
+    subspace: Subspace, data: CovexillaryData
+) -> tuple[int, int, int] | None:
+    """First violated target condition (t_i, dim, n + p_i + r_i), else None."""
+    check_target_space(subspace, data)
+    for t, total, bound, ok in grass_condition_checks(subspace, data.grass_conditions):
+        if not ok:
+            return (t, total, bound)
     return None
 
 
-def target_holds(subspace: Subspace, target: EmbeddingTarget) -> bool:
-    return target_violation(subspace, target) is None
+def target_holds(subspace: Subspace, data: CovexillaryData) -> bool:
+    return target_violation(subspace, data) is None
 
 
-def target_grass_index(target: EmbeddingTarget) -> GrassIndex:
-    """The increasing d-sequence cutting out the same Schubert variety.
+def target_grass_index(data: CovexillaryData) -> GrassIndex:
+    """The increasing n-sequence cutting out the target Schubert variety.
 
-    Each condition (t, n + p + r) pins position q - r of the sequence to at
-    most t; the sequence is the componentwise-largest one obeying the pins.
-    This derived conversion is validated against cell location of sampled
-    maximal points.
+    Each condition (t, p + r) pins position t - c = q - r of the sequence
+    to at most t; the sequence is the componentwise-largest one obeying the
+    pins.  This derived conversion is validated against cell location of
+    sampled maximal points.
     """
-    n = target.n
-    N = 2 * n
+    n = data.n
     positions = [n + i for i in range(1, n + 1)]
-    for t_i, bound in target.conditions:
-        a = t_i - (bound - n)  # = q_i - r_i
+    for t, c in data.grass_conditions:
+        a = t - c
         if a >= 1:
-            positions[a - 1] = min(positions[a - 1], t_i)
+            positions[a - 1] = min(positions[a - 1], t)
     for i in range(n - 2, -1, -1):
         positions[i] = min(positions[i], positions[i + 1] - 1)
-    return GrassIndex(n, N, tuple(positions))
+    return GrassIndex(n, 2 * n, tuple(positions))
 
 
 def check_rank_lemma(

@@ -332,7 +332,7 @@ def verify_multidegree(w: PartialPermutation) -> MultidegreeReport:
     image of the origin, pushed through the torus-weight dictionary and the
     fixed variable convention of the module docstring.
     """
-    from .embedding import embedding_target, fixed_point_index, target_grass_index, weight_map
+    from .embedding import fixed_point_index, target_grass_index, weight_map
     from .permcore import covexillary_data
 
     check_multidegree_size(w.n)
@@ -342,7 +342,7 @@ def verify_multidegree(w: PartialPermutation) -> MultidegreeReport:
     n = w.n
     w0 = PartialPermutation.longest(n)
     lhs = double_schubert(w0.compose(w))
-    v_hat = target_grass_index(embedding_target(data))
+    v_hat = target_grass_index(data)
     origin = fixed_point_index(PartialPermutation.zero(n), data)
     in_xy = apply_weight_map(grass_restriction(v_hat, origin), weight_map(data), n)
     renames = {f"x{i}": f"y{n + 1 - i}" for i in range(1, n + 1)}

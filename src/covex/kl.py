@@ -515,14 +515,13 @@ def covexillary_kl_check(w: PartialPermutation) -> list[KLCheckRow]:
     the u-matrix is a torus-fixed point of Gr(n, 2n); the local KL polynomial
     of the target Schubert variety there must reproduce P_{u,w}.
     """
-    from .embedding import embedding_target, fixed_point_index, target_grass_index
+    from .embedding import fixed_point_index, target_grass_index
 
     check_kl_covex_size(w.n)
     data = covexillary_data(w)
     if not w.is_full_rank:
         raise InputError("the KL comparison runs over full permutations")
-    target = embedding_target(data)
-    v_hat = target_grass_index(target)
+    v_hat = target_grass_index(data)
     table = symmetric_group_table(w.n)
     top = table.index[w.image]
     rows = []

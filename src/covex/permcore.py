@@ -332,11 +332,6 @@ class CovexillaryData:
     def triples(self) -> tuple[tuple[int, int, int], ...]:
         return tuple(zip(self.p, self.q, self.r))
 
-    def conditions(self) -> tuple[EssentialCondition, ...]:
-        return tuple(
-            EssentialCondition(pi + 1, qi, ri) for pi, qi, ri in self.triples
-        )
-
     @cached_property
     def tau(self) -> PartialPermutation:
         """The interleaving permutation of S_2n, built once per instance.

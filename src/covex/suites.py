@@ -22,13 +22,11 @@ from .conormal import (
     in_conormal_flag,
     in_conormal_grass,
     in_conormal_matrix,
-    push_graph,
     push_iota,
-    springer_grass,
     tangent_orbit_rank,
     vector_to_matrix,
 )
-from .embedding import embed_point, embedding_target, target_holds
+from .embedding import embed_point, target_holds
 from .errors import InputError
 from .exactla import (
     DEFAULT_PRIME,
@@ -207,13 +205,12 @@ def _suite_embed_thm(config: SuiteConfig) -> list[Verdict]:
             case = f"n={n}/w={w.one_line()}"
             rng = _rng(config, case)
             data = covexillary_data(w)
-            target = embedding_target(data)
             mismatches = 0
             positives = 0
             for _ in range(config.trials):
                 x = random_matrix(field, n, n, rng)
                 inside = in_matrix_schubert(x, w)
-                on_target = target_holds(embed_point(x, data), target)
+                on_target = target_holds(embed_point(x, data), data)
                 if inside != on_target:
                     mismatches += 1
                 positives += inside
@@ -223,7 +220,7 @@ def _suite_embed_thm(config: SuiteConfig) -> list[Verdict]:
                 x = sample_cell_point(u, field, rng)
                 if not (
                     in_matrix_schubert(x, w)
-                    and target_holds(embed_point(x, data), target)
+                    and target_holds(embed_point(x, data), data)
                 ):
                     mismatches += 1
                 positives += 1
@@ -398,7 +395,7 @@ def _suite_conormal_grass(config: SuiteConfig) -> list[Verdict]:
             case = f"n={n}/w={w.one_line()}"
             rng = _rng(config, case)
             data = covexillary_data(w)
-            conditions = embedding_target(data).grass_conditions
+            conditions = data.grass_conditions
             failures = 0
             # zero-section points over sampled cells of every u below w
             for u in all_partial_permutations(n):
@@ -436,9 +433,19 @@ def _suite_conormal_grass(config: SuiteConfig) -> list[Verdict]:
 def _chase_to_grass(
     w: PartialPermutation, x: ExactMatrix, y: ExactMatrix
 ) -> SpringerGrassPoint:
-    tau = covexillary_data(w).tau
-    h1, theta = push_graph(CotangentMatrixPoint(x, y))
-    return springer_grass(tau.permute_rows(h1), theta, w.n)
+    """The cotangent point (x, y) pushed along the embedding into T*Gr(n, 2n).
+
+    With h1 = ((I, 0), (x, I)) and theta = ((0, y), (0, 0)), the point is
+    (tau h1 E_n, tau M' tau^-1) for M' = h1 theta h1^-1, which is
+    ((-yx, y), (-xyx, xy)).  tau h1 E_n is embed_point(x), and conjugating
+    by the permutation tau moves entry (a, b) of M' to (tau(a), tau(b)).
+    """
+    data = covexillary_data(w)
+    yx, xy = y @ x, x @ y
+    m = (-yx).hstack(y).vstack((-(xy @ x)).hstack(xy)).entries
+    back = [k - 1 for k in data.tau.inverse().image]
+    moved = ExactMatrix(x.field, tuple(tuple(m[a][b] for b in back) for a in back))
+    return SpringerGrassPoint(embed_point(x, data), moved)
 
 
 def _suite_diagram_chase(config: SuiteConfig) -> list[Verdict]:
@@ -448,7 +455,7 @@ def _suite_diagram_chase(config: SuiteConfig) -> list[Verdict]:
         for w in _covexillary_partials(n):
             case = f"n={n}/w={w.one_line()}"
             rng = _rng(config, case)
-            conditions = embedding_target(covexillary_data(w)).grass_conditions
+            conditions = covexillary_data(w).grass_conditions
             failures = 0
             samples = 0
             for _ in range(config.trials):

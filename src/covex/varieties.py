@@ -14,6 +14,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Sequence
 
 from .errors import DimensionMismatchError, InputError
 from .exactla import (
@@ -160,19 +161,39 @@ def in_grass_schubert(subspace: Subspace, idx: GrassIndex) -> bool:
 def grass_schubert_violation(
     subspace: Subspace, idx: GrassIndex
 ) -> tuple[int, int, int] | None:
-    """First violated condition (i, dim(V + E_{u_i}), bound), else None."""
+    """First violated condition (i, dim(V + E_{u_i}), bound), else None.
+
+    The index u is the condition list (u_i, u_i - i) of grass_condition_checks.
+    """
     if subspace.ambient != idx.N:
         raise DimensionMismatchError("ambient dimension differs from N")
     if subspace.dim != idx.d:
         raise DimensionMismatchError(f"subspace dimension {subspace.dim} is not d={idx.d}")
+    conditions = [(u_i, u_i - i) for i, u_i in enumerate(idx.positions, 1)]
+    checks = grass_condition_checks(subspace, conditions)
+    return next(
+        ((i, total, bound) for i, (_, total, bound, ok) in enumerate(checks, 1) if not ok),
+        None,
+    )
+
+
+def grass_condition_checks(
+    subspace: Subspace, conditions: Sequence[tuple[int, int]]
+) -> tuple[tuple[int, int, int, bool], ...]:
+    """(t, dim(V + E_t), d + c, whether dim <= d + c) for each condition (t, c).
+
+    A condition (t, c) on Gr(d, N) says that V meets E_t in dimension at
+    least t - c.  Every Grassmannian Schubert condition of the package, the
+    embedding target's included, is compared with its bound here and only here.
+    """
+    N, d = subspace.ambient, subspace.dim
     dims = standard_sum_dims(subspace)
-    for i in range(1, idx.d + 1):
-        u_i = idx.positions[i - 1]
-        total = dims[u_i]
-        bound = idx.d + u_i - i
-        if total > bound:
-            return (i, total, bound)
-    return None
+    checks = []
+    for t, c in conditions:
+        if not 0 <= t <= N:
+            raise DimensionMismatchError(f"condition positions must lie in 0..{N}")
+        checks.append((t, dims[t], d + c, dims[t] <= d + c))
+    return tuple(checks)
 
 
 def locate_grass_cell(subspace: Subspace) -> GrassIndex:

@@ -262,6 +262,26 @@ def test_cli_grass_fiber_is_an_input_error(capsys, tmp_path):
     assert "grass" in err
 
 
+def test_cli_grass_conormal_with_w_requires_a_point_of_gr_n_2n(capsys, tmp_path):
+    """V = E_2 in F^4 is a point of Gr(2, 4); --w of size n asks for Gr(n, 2n)."""
+    zero = {"rows": 4, "cols": 4, "entries": [[0] * 4] * 4}
+    point = write_json(
+        tmp_path, "gp.json", {"V": subspace_to_json(coordinate_subspace(F, 4, [1, 2])), "x": zero}
+    )
+    for w in ("0", "0 1 0"):
+        code, out, err = run_cli(capsys, "conormal", "member", "grass", point, "--w", w)
+        assert_one_error_line(code, out, err)
+        assert "does not live in Gr(n, 2n)" in err
+    # at n = 2, E_2 is the image of the zero matrix, on the zero section
+    code, out, _ = run_cli(capsys, "conormal", "member", "grass", point, "--w", "0 1")
+    assert code == 0 and json.loads(out)["member"] is True
+    code, out, _ = run_cli(capsys, "conormal", "member", "grass", point, "--conditions", "2:0")
+    assert code == 0 and json.loads(out)["member"] is True
+    code, out, err = run_cli(capsys, "conormal", "member", "grass", point, "--conditions", "5:0")
+    assert_one_error_line(code, out, err)
+    assert "0..4" in err
+
+
 def test_cli_conormal_matrix_requires_w(capsys, tmp_path):
     zero = matrix_to_json(ExactMatrix.zeros(F, 2, 2))
     point = write_json(tmp_path, "pt.json", {"x": zero, "y": zero})

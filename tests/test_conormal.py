@@ -22,14 +22,12 @@ from covex.conormal import (
     in_conormal_flag,
     in_conormal_grass,
     in_conormal_matrix,
-    push_graph,
     push_iota,
     springer_flag,
-    springer_grass,
     tangent_orbit_rank,
     vector_to_matrix,
 )
-from covex.embedding import embed_point, embedding_target, tau_permutation
+from covex.embedding import embed_point, tau_permutation
 from covex.errors import (
     CellMembershipError,
     DimensionMismatchError,
@@ -521,7 +519,7 @@ def combination(field, basis, coeffs, n):
 
 def chased_accepts(w, x, y):
     """The Grassmannian criterion at the cotangent chase of (x, y)."""
-    conditions = embedding_target(covexillary_data(w)).grass_conditions
+    conditions = covexillary_data(w).grass_conditions
     return in_conormal_grass(_chase_to_grass(w, x, y), conditions)
 
 
@@ -1000,6 +998,27 @@ def test_push_iota():
     assert point.y @ g == y
 
 
+def push_graph(pt: CotangentMatrixPoint) -> tuple[ExactMatrix, ExactMatrix]:
+    """Cotangent transport along the graph embedding, the oracle of the chase.
+
+    Returns the pair (h1(x), theta(y)) with h1(x) = ((I, 0), (x, I)) and
+    theta(y) = ((0, y), (0, 0)), both of size 2n.
+    """
+    n = pt.n
+    field = pt.x.field
+    ident = ExactMatrix.identity(field, n)
+    zero = ExactMatrix.zeros(field, n, n)
+    h1 = ident.hstack(zero).vstack(pt.x.hstack(ident))
+    theta = zero.hstack(pt.y).vstack(zero.hstack(zero))
+    return h1, theta
+
+
+def springer_grass(g: ExactMatrix, u: ExactMatrix, d: int) -> SpringerGrassPoint:
+    """Springer coordinates on T*Gr(d, N): (g, u) -> (g E_d, g u g^-1)."""
+    V = Subspace.span(g.field, g.rows, [g.column(j) for j in range(1, d + 1)])
+    return SpringerGrassPoint(V, g @ u @ g.inverse())
+
+
 def test_push_graph():
     rng = random.Random(8)
     n = 3
@@ -1030,6 +1049,23 @@ def test_springer_consistency_identity():
         assert point.x == tau_mat @ signed @ tau_mat.inverse()
         assert point.V == embed_point(x, data)
         assert (point.x @ point.x).is_zero()
+
+
+def test_chase_equals_the_springer_coordinates_of_the_pushed_graph():
+    """_chase_to_grass places h1 theta h1^-1 by tau and spans embed_point(x);
+    the generic route inverts tau h1 and spans its first n columns."""
+    rng = random.Random(30)
+    cases = [w for n in (1, 2, 3, 4) for w in all_partial_permutations(n) if is_covexillary(w)]
+    assert len(cases) == 225
+    for field in (F, FieldSpec.prime(2), Q):
+        for w in cases:
+            tau_mat = tau_permutation(covexillary_data(w)).matrix(field)
+            if field.is_prime:
+                x, y = random_matrix(field, w.n, w.n, rng), random_matrix(field, w.n, w.n, rng)
+            else:
+                x, y = rational_matrix(rng, w.n), rational_matrix(rng, w.n)
+            h1, theta = push_graph(CotangentMatrixPoint(x, y))
+            assert _chase_to_grass(w, x, y) == springer_grass(tau_mat @ h1, theta, w.n)
 
 
 def test_springer_forms():

@@ -1,6 +1,7 @@
 """The interleaving permutation, graph embedding, and target conditions."""
 
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +12,7 @@ from covex.exactla import (
     FieldSpec,
     Subspace,
     coordinate_subspace,
+    random_borel,
     random_matrix,
 )
 from covex.embedding import (
@@ -32,7 +34,12 @@ from covex.permcore import (
     covexillary_data,
     is_covexillary,
 )
-from covex.varieties import in_matrix_schubert, locate_grass_cell, sample_cell_point
+from covex.varieties import (
+    in_grass_schubert,
+    in_matrix_schubert,
+    locate_grass_cell,
+    sample_cell_point,
+)
 from test_exactla import standard_subspace
 
 F = FieldSpec.prime()
@@ -119,10 +126,9 @@ def test_embedding_theorem_randomized():
     for n in (1, 2, 3):
         for w in _covexillary_partials(n):
             data = covexillary_data(w)
-            target = embedding_target(data)
             for _ in range(40):
                 x = random_matrix(F, n, n, rng)
-                assert in_matrix_schubert(x, w) == target_holds(embed_point(x, data), target)
+                assert in_matrix_schubert(x, w) == target_holds(embed_point(x, data), data)
 
 
 def test_negative_control_rejects_random_matrices():
@@ -130,11 +136,10 @@ def test_negative_control_rejects_random_matrices():
     for wstr in ("1 2 3", "2 1 3", "0 1 2"):
         w = PartialPermutation.from_one_line(wstr)
         data = covexillary_data(w)
-        target = embedding_target(data)
         rejected = sum(
             1
             for _ in range(50)
-            if not target_holds(embed_point(random_matrix(F, w.n, w.n, rng), data), target)
+            if not target_holds(embed_point(random_matrix(F, w.n, w.n, rng), data), data)
         )
         assert rejected >= 45
 
@@ -144,11 +149,10 @@ def test_bruhat_monotone_through_embedding():
     for n in (2, 3):
         for w in _covexillary_partials(n):
             data = covexillary_data(w)
-            target = embedding_target(data)
             for u in all_partial_permutations(n):
                 if bruhat_leq(u, w):
                     x = sample_cell_point(u, F, rng)
-                    assert target_holds(embed_point(x, data), target)
+                    assert target_holds(embed_point(x, data), data)
 
 
 def test_check_rank_lemma():
@@ -198,16 +202,42 @@ def test_target_index_matches_located_cells():
     for n in (1, 2, 3):
         for w in _covexillary_partials(n):
             data = covexillary_data(w)
-            target = embedding_target(data)
-            derived = target_grass_index(target)
+            derived = target_grass_index(data)
             for _ in range(3):
                 point = embed_point(sample_cell_point(w, F, rng), data)
                 assert locate_grass_cell(point) == derived
 
 
+def test_target_conditions_cut_out_the_target_index_at_every_cell():
+    """For every covexillary partial w with n <= 3, at a Borel translate of
+    every coordinate point of Gr(n, 2n), the target conditions hold exactly
+    when the point lies in the Schubert variety of target_grass_index."""
+    rng = random.Random(18)
+    checks = 0
+    for n in (1, 2, 3):
+        for w in _covexillary_partials(n):
+            data = covexillary_data(w)
+            v_hat = target_grass_index(data)
+            for cell in combinations(range(1, 2 * n + 1), n):
+                point = coordinate_subspace(F, 2 * n, cell).apply(random_borel(F, 2 * n, rng))
+                assert target_holds(point, data) == in_grass_schubert(point, v_hat)
+                checks += 1
+    assert checks == 706
+
+
+def test_target_space_is_gr_n_2n():
+    data = covexillary_data(PartialPermutation.from_one_line("0 1"))
+    assert target_holds(standard_subspace(F, 4, 2), data)
+    for point in (standard_subspace(F, 4, 1), standard_subspace(F, 6, 2)):
+        with pytest.raises(DimensionMismatchError, match="Gr\\(n, 2n\\)"):
+            target_holds(point, data)
+    # the name perfbench/queries.py reads the target through
+    assert embedding_target(data) is data
+
+
 def test_target_index_fixture():
     data = covexillary_data(PartialPermutation.from_one_line("2143"))
-    assert target_grass_index(embedding_target(data)).positions == (3, 4, 7, 8)
+    assert target_grass_index(data).positions == (3, 4, 7, 8)
 
 
 def test_fixed_point_index_matches_cell_location():
@@ -238,7 +268,7 @@ def test_fixed_point_index_of_w_is_the_target_index():
     for n in range(1, 6):
         for w in _covexillary_partials(n):
             data = covexillary_data(w)
-            assert fixed_point_index(w, data) == target_grass_index(embedding_target(data))
+            assert fixed_point_index(w, data) == target_grass_index(data)
 
 
 COVEXILLARY_UP_TO_4 = [w for n in (1, 2, 3, 4) for w in _covexillary_partials(n)]

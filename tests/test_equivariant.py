@@ -14,7 +14,6 @@ from covex.equivariant import (
     xy_ring,
 )
 from covex.embedding import (
-    embedding_target,
     fixed_point_index,
     target_grass_index,
     tau_permutation,
@@ -197,7 +196,7 @@ def test_localization_smooth_point_oracle():
             if any(r != 0 for r in data.r):
                 continue
             tau = tau_permutation(data)
-            v_hat = target_grass_index(embedding_target(data))
+            v_hat = target_grass_index(data)
             origin = GrassIndex(n, 2 * n, tuple(sorted(tau(j) for j in range(1, n + 1))))
             ring = t_ring(2 * n)
             forced = sorted(
@@ -291,7 +290,7 @@ def calibrate_convention(n_values):
             if not is_covexillary(w):
                 continue
             data = covexillary_data(w)
-            v_hat = target_grass_index(embedding_target(data))
+            v_hat = target_grass_index(data)
             origin = fixed_point_index(PartialPermutation.zero(n), data)
             in_xy = apply_weight_map(grass_restriction(v_hat, origin), weight_map(data), n)
             lhs = double_schubert(PartialPermutation.longest(n).compose(w))
@@ -422,7 +421,7 @@ def test_restriction_matches_billey_at_origin_points():
             if not is_covexillary(w):
                 continue
             data = covexillary_data(w)
-            v_hat = target_grass_index(embedding_target(data))
+            v_hat = target_grass_index(data)
             origin = fixed_point_index(PartialPermutation.zero(n), data)
             assert grass_restriction(v_hat, origin) == billey_restriction(v_hat, origin, "min")
 

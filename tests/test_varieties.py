@@ -1,6 +1,7 @@
 """Schubert membership predicates, cell location, and orbit sampling."""
 
 import random
+from itertools import combinations
 
 import pytest
 
@@ -10,6 +11,7 @@ from covex.exactla import (
     FieldSpec,
     Subspace,
     coordinate_subspace,
+    random_borel,
     random_matrix,
 )
 from covex.permcore import (
@@ -23,6 +25,7 @@ from covex.permcore import (
 from covex.varieties import (
     Flag,
     GrassIndex,
+    grass_condition_checks,
     in_flag_schubert,
     in_grass_schubert,
     in_matrix_schubert,
@@ -97,6 +100,42 @@ def test_grass_membership_fixtures():
     assert idx.leq(top) and not top.leq(idx)
 
 
+def test_grass_condition_checks_fixture():
+    v = coordinate_subspace(F, 4, [1, 3])
+    assert grass_condition_checks(v, [(0, 0), (2, 1), (2, 0), (4, 2)]) == (
+        (0, 2, 2, True),
+        (2, 3, 3, True),
+        (2, 3, 2, False),
+        (4, 4, 4, True),
+    )
+    for conditions in ([(5, 1)], [(-1, 0)]):
+        with pytest.raises(DimensionMismatchError, match="0..4"):
+            grass_condition_checks(v, conditions)
+
+
+def test_grass_membership_is_the_bruhat_order_of_located_cells():
+    """For all d-subsets S, T of 1..N with N <= 6, at two Borel translates V
+    of E_S over F_7: V lies in the cell S, and in the Schubert variety of T
+    exactly when S <= T componentwise."""
+    field = FieldSpec.prime(7)
+    rng = random.Random(41)
+    checks = 0
+    for N in range(1, 7):
+        for d in range(N + 1):
+            cells = [GrassIndex(d, N, s) for s in combinations(range(1, N + 1), d)]
+            for cell in cells:
+                for _ in range(2):
+                    v = coordinate_subspace(field, N, cell.positions).apply(
+                        random_borel(field, N, rng)
+                    )
+                    located = locate_grass_cell(v)
+                    assert located == cell
+                    for other in cells:
+                        assert in_grass_schubert(v, other) == located.leq(other)
+                        checks += 1
+    assert checks == 2548
+
+
 def redundancy_free(idx):
     """Positions i whose condition is not implied by condition i+1."""
     return tuple(
@@ -148,8 +187,6 @@ def test_locate_grass_cell():
     assert locate_grass_cell(coordinate_subspace(F, 4, [2, 4])).positions == (2, 4)
     rng = random.Random(7)
     # invariance under upper-triangular translation
-    from covex.exactla import random_borel
-
     v = Subspace.span(F, 4, [(1, 0, 2, 0), (0, 1, 0, 5)])
     base = locate_grass_cell(v).positions
     for _ in range(10):
