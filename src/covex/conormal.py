@@ -59,7 +59,7 @@ from .exactla import (
     FieldSpec,
     Subspace,
     _insert,
-    image,
+    _rational,
     kernel,
 )
 from .permcore import (
@@ -72,7 +72,6 @@ from .varieties import (
     Flag,
     grass_condition_checks,
     in_matrix_schubert_cell,
-    locate_flag_cell,
     matrix_schubert_violation,
     southwest_profile,
 )
@@ -132,7 +131,7 @@ class SpringerGrassPoint:
     def __post_init__(self):
         if self.x.shape != (self.V.ambient, self.V.ambient):
             raise DimensionMismatchError("x size differs from ambient dimension")
-        if not self.V.contains(image(self.x)):
+        if not self.V.contains(Subspace.column_span(self.x)):
             raise InvariantError("Im(x) is not contained in V")
         if not self.V.apply(self.x).dim == 0:
             raise InvariantError("V is not contained in ker(x)")
@@ -206,7 +205,7 @@ def _rank_violations(pt: CotangentMatrixPoint, data: CovexillaryData):
     rows, cols, rows_before, cols_through = core_pivots(pt.x, data)
     checks = data.conormal_checks  # (i, j) for i = 1..m, j < i: (i, j) is at i(i-1)/2 + j
     x, y = pt.x.entries, pt.y.entries
-    p, coerce = pt.x.field.p, pt.x.field.coerce
+    p = pt.x.field.p
     x_cols = tuple(zip(*x))
     y_cols = tuple(zip(*y))
     basis: dict = {}
@@ -218,8 +217,8 @@ def _rank_violations(pt: CotangentMatrixPoint, data: CovexillaryData):
             r -= 1
             k = rows[r]
             if p is None:
-                hy = y[k] if k < n else [coerce(sum(map(mul, x[k - n], c))) for c in y_cols]
-                row = [coerce(sum(map(mul, hy, x_cols[c]))) if c < n else hy[c - n] for c in cols]
+                hy = y[k] if k < n else [_rational(sum(map(mul, x[k - n], c))) for c in y_cols]
+                row = [_rational(sum(map(mul, hy, x_cols[c]))) if c < n else hy[c - n] for c in cols]
             else:
                 hy = y[k] if k < n else [sum(map(mul, x[k - n], c)) % p for c in y_cols]
                 row = [sum(map(mul, hy, x_cols[c])) % p if c < n else hy[c - n] for c in cols]
@@ -248,13 +247,11 @@ def in_conormal_matrix(pt: CotangentMatrixPoint, w: PartialPermutation) -> bool:
     return next(_rank_violations(pt, data), None) is None
 
 
-def conormal_matrix_violations(
-    pt: CotangentMatrixPoint, w: PartialPermutation, first_only: bool = False
-) -> list[dict]:
+def conormal_matrix_violations(pt: CotangentMatrixPoint, w: PartialPermutation) -> list[dict]:
     """Violated conditions as diagnostics; empty list means membership.
 
     The Schubert violation comes first, then the failed rank bounds in the
-    order of data.conormal_checks; first_only keeps the first of them.
+    order of data.conormal_checks.
 
     Raises NotCovexillaryError when w is not covexillary.
     """
@@ -263,13 +260,11 @@ def conormal_matrix_violations(
     base = matrix_schubert_violation(pt.x, w)
     if base is not None:
         out.append({"kind": "schubert", "condition": base})
-        if first_only:
-            return out
     checks = data.conormal_checks
     for k, rank in sorted(_rank_violations(pt, data)):
         i, j, bound = checks[k]
         out.append({"kind": "rank", "i": i, "j": j, "rank": rank, "bound": bound})
-    return out[:1] if first_only else out
+    return out
 
 
 def conormal_fiber_matrix(x: ExactMatrix, w: PartialPermutation) -> Subspace:
@@ -326,35 +321,23 @@ def tangent_orbit_rank(x: ExactMatrix) -> int:
     return ExactMatrix(field, tuple(zip(*cols))).rank()
 
 
-def in_conormal_grass(
-    pt: SpringerGrassPoint, conditions: Sequence[tuple[int, int]]
-) -> bool:
-    return not conormal_grass_violations(pt, conditions, first_only=True)
-
-
-def conormal_grass_violations(
-    pt: SpringerGrassPoint,
-    conditions: Sequence[tuple[int, int]],
-    first_only: bool = False,
-) -> list[dict]:
-    """Check (V, x) against a condition list [(t'_i, c_i)] for Gr_u.
+def _grass_violations(pt: SpringerGrassPoint, conditions: Sequence[tuple[int, int]]):
+    """Yield each violated condition of (V, x) for the list [(t'_i, c_i)] of Gr_u.
 
     V must satisfy dim(V + E_{t'}) <= d + c for every condition, as
     varieties.grass_condition_checks reads it, and x must satisfy
     dim(x E_{t'_i} / E_{t'_j}) <= b(i, j) of permcore.conormal_bounds, the
     table the matrix form reads too.  The rank of x E_{t'_i} / E_{t'_j} is
     the southwest rank of x on rows t'_j+1..N and columns 1..t'_i; an empty
-    block satisfies every bound.  Positions outside 0..N raise
-    DimensionMismatchError.
+    block satisfies every bound.  The Schubert violations come first, in
+    the order of the conditions, then the rank violations in the order of
+    the table.  Positions outside 0..N raise DimensionMismatchError.
     """
     V, x = pt.V, pt.x
     N, d = V.ambient, V.dim
-    out: list[dict] = []
     for t, total, bound, ok in grass_condition_checks(V, conditions):
         if not ok:
-            out.append({"kind": "schubert", "condition": (t, total, bound)})
-            if first_only:
-                return out
+            yield {"kind": "schubert", "condition": (t, total, bound)}
     profile = southwest_profile(x)
     ts = [0, *(t for t, _ in conditions), N]
     for i, j, bound in conormal_bounds(conditions, N, d):
@@ -362,10 +345,21 @@ def conormal_grass_violations(
             continue
         rank = profile[ts[j]][ts[i] - 1]
         if rank > bound:
-            out.append({"kind": "rank", "i": i, "j": j, "rank": rank, "bound": bound})
-            if first_only:
-                return out
-    return out
+            yield {"kind": "rank", "i": i, "j": j, "rank": rank, "bound": bound}
+
+
+def in_conormal_grass(
+    pt: SpringerGrassPoint, conditions: Sequence[tuple[int, int]]
+) -> bool:
+    """Membership; stops at the first violated condition."""
+    return next(_grass_violations(pt, conditions), None) is None
+
+
+def conormal_grass_violations(
+    pt: SpringerGrassPoint, conditions: Sequence[tuple[int, int]]
+) -> list[dict]:
+    """Every violated condition as a diagnostic; empty list means membership."""
+    return list(_grass_violations(pt, conditions))
 
 
 def _flag_matrix_point(pt: SpringerFlagPoint, w: PartialPermutation) -> CotangentMatrixPoint:
@@ -382,11 +376,9 @@ def in_conormal_flag(pt: SpringerFlagPoint, w: PartialPermutation) -> bool:
     return in_conormal_matrix(_flag_matrix_point(pt, w), w)
 
 
-def conormal_flag_violations(
-    pt: SpringerFlagPoint, w: PartialPermutation, first_only: bool = False
-) -> list[dict]:
+def conormal_flag_violations(pt: SpringerFlagPoint, w: PartialPermutation) -> list[dict]:
     """Check (F, z) as the matrix point (g, g^-1 z), with the same diagnostics."""
-    return conormal_matrix_violations(_flag_matrix_point(pt, w), w, first_only)
+    return conormal_matrix_violations(_flag_matrix_point(pt, w), w)
 
 
 def conormal_fiber_flag(
@@ -396,19 +388,19 @@ def conormal_fiber_flag(
 
     The fiber {z : z and g^-1 z g strictly upper} is g times the matrix
     fiber {y : gy and yg strictly upper} at x = g; each solution pairs with
-    the flag generated by g as a Springer flag point.  The flag of g must
-    lie in the open cell of w.
+    the flag generated by g as a Springer flag point.  w must be a
+    permutation and g must lie in its open cell, so g is invertible: the
+    cell fixes the rank of g at r_w(1, n) = n.
     """
+    if not w.is_full_rank:
+        raise InputError("flag Schubert membership requires a permutation")
     n = w.n
-    flag = Flag(g)
-    if locate_flag_cell(flag) != w:
-        raise CellMembershipError("the flag of g is not in the open cell of w")
     field = g.field
     moved = (
         [e for row in (g @ vector_to_matrix(field, v, n)).entries for e in row]
         for v in conormal_fiber_matrix(g, w).vectors
     )
-    return flag, Subspace.span(field, n * n, moved)
+    return Flag(g), Subspace.span(field, n * n, moved)
 
 
 def push_iota(g: ExactMatrix, y: ExactMatrix) -> CotangentMatrixPoint:

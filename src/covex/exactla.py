@@ -47,32 +47,27 @@ DEFAULT_PRIME = 10007
 
 @dataclass(frozen=True)
 class FieldSpec:
-    """A coefficient field: either F_p for a prime p, or the rationals.
+    """A coefficient field: F_p for a prime p, or the rationals when p is None.
 
     The default prime 10007 is large enough that random matrices behave
     generically in all the randomized sweeps.
     """
 
-    kind: str  # "prime" or "rational"
-    p: int | None = None
+    p: int | None
 
     def __post_init__(self):
-        if self.kind == "prime":
-            if self.p is None or self.p < 2 or not _is_prime(self.p):
-                raise FieldError(f"modulus {self.p} is not prime")
-        elif self.kind == "rational":
-            if self.p is not None:
-                raise FieldError("rational field takes no modulus")
-        else:
-            raise FieldError(f"unknown field kind {self.kind!r}")
+        if self.p is not None and (self.p < 2 or not _is_prime(self.p)):
+            raise FieldError(f"modulus {self.p} is not prime")
 
     @staticmethod
     def prime(p: int = DEFAULT_PRIME) -> "FieldSpec":
-        return FieldSpec("prime", p)
+        if p is None:
+            raise FieldError("modulus None is not prime")
+        return FieldSpec(p)
 
     @staticmethod
     def rational() -> "FieldSpec":
-        return FieldSpec("rational")
+        return FieldSpec(None)
 
     @staticmethod
     def parse(text: str) -> "FieldSpec":
@@ -85,7 +80,7 @@ class FieldSpec:
 
     @property
     def is_prime(self) -> bool:
-        return self.kind == "prime"
+        return self.p is not None
 
     def coerce(self, value) -> Scalar:
         p = self.p
@@ -100,23 +95,6 @@ class FieldSpec:
                 raise FieldError(f"{value} has no image in F_{p}: p divides its denominator")
             return (value.numerator * pow(value.denominator, -1, p)) % p
         return int(value) % p
-
-    def add(self, a: Scalar, b: Scalar) -> Scalar:
-        return (a + b) % self.p if self.is_prime else _rational(a + b)
-
-    def sub(self, a: Scalar, b: Scalar) -> Scalar:
-        return (a - b) % self.p if self.is_prime else _rational(a - b)
-
-    def mul(self, a: Scalar, b: Scalar) -> Scalar:
-        return (a * b) % self.p if self.is_prime else _rational(a * b)
-
-    def neg(self, a: Scalar) -> Scalar:
-        return (-a) % self.p if self.is_prime else -a
-
-    def inv(self, a: Scalar) -> Scalar:
-        if not a:
-            raise ZeroDivisionError("inverse of zero field element")
-        return pow(a, -1, self.p) if self.is_prime else _rational(1 / Fraction(a))
 
 
 def _rational(value: Scalar) -> Scalar:
@@ -214,30 +192,25 @@ class ExactMatrix:
         return self.rows == self.cols
 
     def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
-        self._check_same_shape(other)
-        f = self.field
-        return ExactMatrix(
-            f,
-            tuple(
-                tuple(f.add(a, b) for a, b in zip(ra, rb))
-                for ra, rb in zip(self.entries, other.entries)
-            ),
-        )
+        return self._entrywise(operator.add, other)
 
     def __sub__(self, other: "ExactMatrix") -> "ExactMatrix":
-        self._check_same_shape(other)
-        f = self.field
-        return ExactMatrix(
-            f,
-            tuple(
-                tuple(f.sub(a, b) for a, b in zip(ra, rb))
-                for ra, rb in zip(self.entries, other.entries)
-            ),
-        )
+        return self._entrywise(operator.sub, other)
 
     def __neg__(self) -> "ExactMatrix":
-        f = self.field
-        return ExactMatrix(f, tuple(tuple(f.neg(a) for a in row) for row in self.entries))
+        return self._entrywise(operator.neg)
+
+    def _entrywise(self, op, *others: "ExactMatrix") -> "ExactMatrix":
+        """op applied entry by entry to this matrix and others of its shape."""
+        for other in others:
+            self._check_same_shape(other)
+        p = self.field.p
+        rows = zip(self.entries, *(other.entries for other in others))
+        if p is None:
+            data = tuple(tuple(_rational(op(*vs)) for vs in zip(*rs)) for rs in rows)
+        else:
+            data = tuple(tuple(op(*vs) % p for vs in zip(*rs)) for rs in rows)
+        return ExactMatrix(self.field, data)
 
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.cols != other.rows:
@@ -514,14 +487,9 @@ def kernel(matrix: ExactMatrix) -> Subspace:
         vec = [0] * n
         vec[free] = 1
         for row, pivot in zip(rows.vectors, rows.pivots):
-            vec[pivot] = f.neg(row[free])
+            vec[pivot] = -row[free]
         vectors.append(vec)
     return Subspace.span(f, n, vectors)
-
-
-def image(matrix: ExactMatrix) -> Subspace:
-    """Column span."""
-    return Subspace.column_span(matrix)
 
 
 def _draws(rng: random.Random, bound: int, count: int) -> list[int]:

@@ -78,10 +78,6 @@ class PartialPermutation:
     def is_full_rank(self) -> bool:
         return all(self.image)
 
-    @property
-    def rank(self) -> int:
-        return sum(1 for v in self.image if v)
-
     def dots(self) -> tuple[tuple[int, int], ...]:
         """Positions (row, col) of the nonzero entries, by column."""
         return tuple((v, j + 1) for j, v in enumerate(self.image) if v)
@@ -104,12 +100,6 @@ class PartialPermutation:
 
     def one_line(self) -> str:
         return " ".join(str(v) for v in self.image)
-
-    def compact(self) -> str:
-        """Digit string like "2143"; only valid when n <= 9."""
-        if self.n > 9:
-            raise InputError("compact notation requires n <= 9")
-        return "".join(str(v) for v in self.image)
 
     def length(self) -> int:
         """Number of inversions (full-rank only)."""

@@ -288,6 +288,23 @@ def test_cli_conormal_matrix_requires_w(capsys, tmp_path):
     assert_one_error_line(*run_cli(capsys, "conormal", "member", "matrix", point))
 
 
+def test_cli_flag_fiber_requires_a_permutation_and_a_cell_point(capsys, tmp_path):
+    """A partial --w or a singular G has no flag fiber: exit 2, one error line."""
+    cases = [
+        ([[0, 0], [0, 0]], "0 0", "requires a permutation"),
+        ([[0, 0], [1, 0]], "2 0", "requires a permutation"),
+        ([[0, 0], [1, 0]], "2 1", "open cell"),
+    ]
+    for entries, w, message in cases:
+        g = write_json(tmp_path, "g.json", matrix_to_json(ExactMatrix.from_rows(F, entries)))
+        code, out, err = run_cli(capsys, "conormal", "fiber", "flag", g, "--w", w)
+        assert_one_error_line(code, out, err)
+        assert message in err
+    g = write_json(tmp_path, "g.json", matrix_to_json(ExactMatrix.from_rows(F, [[0, 1], [1, 0]])))
+    code, out, _ = run_cli(capsys, "conormal", "fiber", "flag", g, "--w", "2 1")
+    assert code == 0 and json.loads(out)["dimension"] == 0
+
+
 def test_matrix_from_json_rejects_bad_shapes():
     with pytest.raises(InputError, match="rows"):
         matrix_from_json(F, {"rows": 0, "cols": 3, "entries": []})

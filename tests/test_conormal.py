@@ -17,6 +17,7 @@ from covex.conormal import (
     conormal_fiber_flag,
     conormal_fiber_matrix,
     conormal_flag_violations,
+    conormal_grass_violations,
     conormal_matrix_violations,
     core_pivots,
     in_conormal_flag,
@@ -56,7 +57,7 @@ from covex.permcore import (
     random_partial_permutation,
     rank_matrix,
 )
-from covex.suites import _chase_to_grass
+from covex.suites import _chase_to_grass, _springer_fiber_sample
 from covex.varieties import (
     Flag,
     matrix_schubert_violation,
@@ -301,8 +302,7 @@ def test_tau_conjugated_M_is_the_conjugated_big_matrix():
                     assert southwest_profile(direct)[row][col] == ranks[i, j]
                 expected = reference_violations(pt, w)
                 assert conormal_matrix_violations(pt, w) == expected
-                first = conormal_matrix_violations(pt, w, first_only=True)
-                assert first == expected[:1]
+                assert in_conormal_matrix(pt, w) == (not expected)
 
 
 def matrix_of_rank(field, n, r, rng):
@@ -381,7 +381,6 @@ def check_core_against_references(w, field, rng):
             assert (profile[a][b - 1] if a < n and b else 0) == ranks[i, j]
         expected = diagnostics(x, w, ranks)
         assert conormal_matrix_violations(pt, w) == expected
-        assert conormal_matrix_violations(pt, w, first_only=True) == expected[:1]
         assert in_conormal_matrix(pt, w) == (not expected)
 
 
@@ -390,7 +389,7 @@ CORE_FIELDS = (FieldSpec.prime(2), FieldSpec.prime(5), F, Q)
 
 def test_core_ranks_match_big_matrix_for_n_up_to_4():
     """The n x n core gives every rank M_ij of big_matrix_M, and the
-    diagnostics in full and first_only, for every covexillary partial w with
+    diagnostics and the verdict, for every covexillary partial w with
     n <= 4, over F_2, F_5, F_10007 and Q.  (tau_conjugated_M, the second
     oracle, is checked in test_tau_conjugated_M_is_the_conjugated_big_matrix.)"""
     rng = random.Random(31)
@@ -701,6 +700,38 @@ def test_grass_conormal_fixtures():
     assert not in_conormal_grass(SpringerGrassPoint(off, zero), conditions)
 
 
+def test_grass_verdict_is_the_empty_violation_list():
+    """in_conormal_grass, which stops at the first violation, agrees with the
+    full list of conormal_grass_violations at zero-section points over every
+    cell, chased fiber and random covectors, and random Springer points, for
+    every covexillary partial w with n <= 3 over F_3."""
+    field = FieldSpec.prime(3)
+    rng = random.Random(67)
+    verdicts = set()
+    for n in (1, 2, 3):
+        for w in all_partial_permutations(n):
+            if not is_covexillary(w):
+                continue
+            data = covexillary_data(w)
+            conditions = data.grass_conditions
+            points = []
+            for u in all_partial_permutations(n):
+                V = embed_point(sample_cell_point(u, field, rng), data)
+                points.append(SpringerGrassPoint(V, ExactMatrix.zeros(field, 2 * n, 2 * n)))
+                points.append(SpringerGrassPoint(V, _springer_fiber_sample(V, field, rng)))
+            x = sample_cell_point(w, field, rng)
+            ys = [vector_to_matrix(field, v, n) for v in conormal_fiber_matrix(x, w).vectors]
+            ys += [random_matrix(field, n, n, rng) for _ in range(3)]
+            points += [_chase_to_grass(w, x, y) for y in ys]
+            for pt in points:
+                violations = conormal_grass_violations(pt, conditions)
+                assert in_conormal_grass(pt, conditions) == (not violations)
+                kinds = [v["kind"] for v in violations]
+                assert kinds == sorted(kinds, key=("schubert", "rank").index)
+                verdicts.add(tuple(dict.fromkeys(kinds)))
+    assert verdicts == {(), ("rank",), ("schubert",), ("schubert", "rank")}
+
+
 def test_grass_conormal_rejects_positions_outside_the_ambient():
     point = SpringerGrassPoint(coordinate_subspace(F, 4, [1, 3]), ExactMatrix.zeros(F, 4, 4))
     for conditions in ([(5, 1)], [(-1, 0)]):
@@ -765,6 +796,17 @@ def test_flag_fiber_fixtures():
         conormal_fiber_flag(ExactMatrix.identity(F, 3), PartialPermutation.longest(3))
 
 
+def test_flag_fiber_refuses_partial_permutations_and_singular_generators():
+    singular = ExactMatrix.from_rows(F, [[0, 0], [1, 0]])
+    for g, w in ((ExactMatrix.zeros(F, 2, 2), "0 0"), (singular, "2 0")):
+        with pytest.raises(InputError, match="requires a permutation"):
+            conormal_fiber_flag(g, PartialPermutation.from_one_line(w))
+    # for a permutation w the open cell has rank n, so no singular g lies in it
+    for w in all_permutations(2):
+        with pytest.raises(CellMembershipError):
+            conormal_fiber_flag(singular, w)
+
+
 def reference_flag_fiber(g):
     """Oracle: {z : z and g^-1 z g strictly upper} as the kernel of its
     n^2 x n^2 linear system in the entries of z."""
@@ -779,11 +821,9 @@ def reference_flag_fiber(g):
             row = [0] * (n * n)
             for k in range(1, n + 1):
                 for l in range(1, n + 1):  # (g^-1 z g)_{ab}
-                    coeff = field.mul(ginv.entry(a, k), g.entry(l, b))
-                    if coeff:
-                        row[(k - 1) * n + (l - 1)] = field.add(row[(k - 1) * n + (l - 1)], coeff)
+                    row[(k - 1) * n + (l - 1)] += ginv.entry(a, k) * g.entry(l, b)
             rows.append(row)
-    return kernel(ExactMatrix(field, tuple(tuple(r) for r in rows)))
+    return kernel(ExactMatrix.from_rows(field, rows))
 
 
 def test_flag_fiber_matches_the_linear_system():
@@ -823,7 +863,7 @@ def subspace_dims(pt):
     return schubert, moved, meets, {}
 
 
-def reference_flag_violations(pt, w, first_only=False):
+def reference_flag_violations(pt, w):
     """The flag diagnostics computed on subspaces, as (kind, i, j, dim, bound).
 
     The Schubert entry is the first (i, j) with dim(F_j / E_{i-1}) > r_w(i, j);
@@ -848,7 +888,7 @@ def reference_flag_violations(pt, w, first_only=False):
         got = quotients[source + target]
         if got > bound:
             out.append(("rank", i, j, got, bound))
-    return out[:1] if first_only else out
+    return out
 
 
 def diagnostic_tuples(violations):
@@ -888,10 +928,11 @@ def cell_generator(u, field, rng):
 
 
 def test_flag_predicate_matches_subspace_reference():
-    """conormal_flag_violations equals the subspace computation, in full and
-    first_only, for every covexillary w with n <= 4 at flags from every cell
-    u, over F_2, F_3, F_10007 and Q, with the zero covector, a fiber
-    covector of u's cell and a random Springer covector g c g^-1."""
+    """conormal_flag_violations equals the subspace computation, and
+    in_conormal_flag its verdict, for every covexillary w with n <= 4 at
+    flags from every cell u, over F_2, F_3, F_10007 and Q, with the zero
+    covector, a fiber covector of u's cell and a random Springer covector
+    g c g^-1."""
     rng = random.Random(41)
     for field in (FieldSpec.prime(2), FieldSpec.prime(3), F, Q):
         for n in (1, 2, 3, 4):
@@ -908,8 +949,6 @@ def test_flag_predicate_matches_subspace_reference():
                     for w in ws:
                         expected = reference_flag_violations(pt, w)
                         assert diagnostic_tuples(conormal_flag_violations(pt, w)) == expected
-                        first = conormal_flag_violations(pt, w, first_only=True)
-                        assert diagnostic_tuples(first) == expected[:1]
                         assert in_conormal_flag(pt, w) == (not expected)
 
 

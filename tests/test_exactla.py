@@ -1,5 +1,6 @@
 """Exact linear algebra: ranks, subspace lattice identities, canonicity."""
 
+import pickle
 import random
 from fractions import Fraction
 
@@ -14,7 +15,6 @@ from covex.exactla import (
     _draws,
     _is_prime,
     coordinate_subspace,
-    image,
     kernel,
     random_borel,
     random_matrix,
@@ -46,9 +46,9 @@ def subspace_intersect(a, b):
         vec = [0] * a.ambient
         for c, basis_vec in zip(coeffs[: a.dim], a.vectors):
             if c:
-                vec = [f.add(x, f.mul(c, y)) for x, y in zip(vec, basis_vec)]
+                vec = [x + c * y for x, y in zip(vec, basis_vec)]
         vectors.append(vec)
-    return Subspace.span(f, a.ambient, vectors)
+    return Subspace.span(f, a.ambient, vectors)  # span reduces the entries into the field
 
 
 def dim_quotient(v, w):
@@ -64,6 +64,23 @@ def test_field_parsing():
         FieldSpec.parse("p:10008")
     with pytest.raises(FieldError):
         FieldSpec.parse("float")
+
+
+def test_a_field_is_its_modulus():
+    from covex.suites import SuiteConfig
+
+    assert F == FieldSpec(10007) and Q == FieldSpec(None)
+    assert FieldSpec.prime(7) != Q and FieldSpec.prime(7).p == 7 and Q.p is None
+    assert F.is_prime and not Q.is_prime
+    for p in (None, 1, 561):
+        with pytest.raises(FieldError, match="not prime"):
+            FieldSpec.prime(p)
+    # a suite never runs over Q by accident
+    with pytest.raises(FieldError):
+        SuiteConfig("embed-thm", prime=None).resolved()
+    for field in (F, Q, FieldSpec.prime(2)):
+        back = pickle.loads(pickle.dumps(field))
+        assert back == field and hash(back) == hash(field)
 
 
 def test_rank_trivia():
@@ -116,7 +133,7 @@ def test_subspace_trivia():
     assert subspace_intersect(standard_subspace(F, 5, 3), standard_subspace(F, 5, 2)) == standard_subspace(F, 5, 2)
     a = ExactMatrix.from_rows(F, [[7]])
     assert kernel(a).dim == 0
-    assert image(a).dim == 1
+    assert Subspace.column_span(a).dim == 1
 
 
 def test_subspace_canonicity():
@@ -144,7 +161,7 @@ def test_rank_kernel_dimension():
     for _ in range(30):
         a = _random_mat(rng, rng.randrange(1, 6), rng.randrange(1, 6))
         assert a.rank() + kernel(a).dim == a.cols
-        assert image(a).dim == a.rank()
+        assert Subspace.column_span(a).dim == a.rank()
 
 
 def test_generic_invertibility_frequency():

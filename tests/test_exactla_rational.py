@@ -220,7 +220,9 @@ def test_exhaustive_small_matrices_match_reference(p, m, n):
 def test_scalars_are_ints_when_integral():
     assert type(Q.coerce(Fraction(6, 3))) is int and Q.coerce(Fraction(6, 3)) == 2
     assert type(Q.coerce(Fraction(1, 3))) is Fraction
-    assert type(Q.add(Fraction(1, 2), Fraction(1, 2))) is int
-    assert type(Q.inv(Fraction(1, 4))) is int and Q.inv(Fraction(1, 4)) == 4
+    halves = ExactMatrix.from_rows(Q, [[Fraction(1, 2), Fraction(-1, 3)]])
+    assert (halves + halves).entries == ((1, Fraction(-2, 3)),)
+    for m in (halves + halves, halves - halves, -(halves + halves)):
+        assert_canonical(entries_of(m.entries))
     half = ExactMatrix.from_rows(Q, [[Fraction(1, 2), 0], [0, 2]])
     assert_canonical(entries_of((half @ half.inverse()).entries))
