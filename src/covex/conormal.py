@@ -45,6 +45,7 @@ from __future__ import annotations
 from bisect import bisect_left, insort
 from dataclasses import dataclass
 from functools import cached_property
+from math import lcm
 from operator import mul
 from typing import Sequence
 
@@ -123,17 +124,41 @@ class SpringerFlagPoint:
 
 @dataclass(frozen=True)
 class SpringerGrassPoint:
-    """A pair (V, x) with Im(x) inside V inside ker(x); in particular x^2 = 0."""
+    """A pair (V, x) with Im(x) inside V inside ker(x); in particular x^2 = 0.
+
+    Both containments are matrix products, no elimination.  Let C hold V's
+    echelon rows c_k (V._basis(): integer rows over Q), each scaled so that
+    its pivot entry is L, the lcm of the pivot entries (L = 1 over F_p).
+    A vector v lies in V iff L v = sum_k v[pivot_k] c_k, so Im(x) is inside
+    V iff L x = C^T x[pivots]; the pivot rows agree by construction, so
+    only the others are compared.  V is inside ker(x) iff x C^T = 0; once
+    x = C^T x[pivots] / L, and C^T has independent columns, that is
+    x[pivots] C^T = 0.
+    """
 
     V: Subspace
     x: ExactMatrix
 
     def __post_init__(self):
-        if self.x.shape != (self.V.ambient, self.V.ambient):
+        V, x = self.V, self.x
+        N = V.ambient
+        if x.shape != (N, N):
             raise DimensionMismatchError("x size differs from ambient dimension")
-        if not self.V.contains(Subspace.column_span(self.x)):
-            raise InvariantError("Im(x) is not contained in V")
-        if not self.V.apply(self.x).dim == 0:
+        if not V.vectors:
+            if not x.is_zero():
+                raise InvariantError("Im(x) is not contained in V")
+            return
+        field, basis = x.field, V._basis()
+        scale = lcm(*(row[c] for c, row in basis.items()))
+        c_cols = tuple(zip(*([scale // row[c] * v for v in row] for c, row in basis.items())))
+        at_pivots = ExactMatrix(field, tuple(x.entries[c] for c in basis))
+        free = [a for a in range(N) if a not in basis]
+        if free:
+            spanned = ExactMatrix(field, tuple(c_cols[a] for a in free)) @ at_pivots
+            scaled = tuple(tuple(_rational(scale * v) for v in x.entries[a]) for a in free)
+            if spanned.entries != scaled:
+                raise InvariantError("Im(x) is not contained in V")
+        if not (at_pivots @ ExactMatrix(field, c_cols)).is_zero():
             raise InvariantError("V is not contained in ker(x)")
 
 
@@ -206,8 +231,8 @@ def _rank_violations(pt: CotangentMatrixPoint, data: CovexillaryData):
     checks = data.conormal_checks  # (i, j) for i = 1..m, j < i: (i, j) is at i(i-1)/2 + j
     x, y = pt.x.entries, pt.y.entries
     p = pt.x.field.p
-    x_cols = tuple(zip(*x))
-    y_cols = tuple(zip(*y))
+    x_cols = pt.x.columns
+    y_cols = None  # read only when H holds a row of x
     basis: dict = {}
     pivots: list[int] = []  # the pivot columns of basis, sorted
     r = n
@@ -216,6 +241,8 @@ def _rank_violations(pt: CotangentMatrixPoint, data: CovexillaryData):
         while r > rows_before[j]:
             r -= 1
             k = rows[r]
+            if k >= n and y_cols is None:
+                y_cols = tuple(zip(*y))
             if p is None:
                 hy = y[k] if k < n else [_rational(sum(map(mul, x[k - n], c))) for c in y_cols]
                 row = [_rational(sum(map(mul, hy, x_cols[c]))) if c < n else hy[c - n] for c in cols]

@@ -15,8 +15,10 @@ coordinate point, whose Schubert cell is read off tau (fixed_point_index).
 
 from __future__ import annotations
 
+from operator import itemgetter
+
 from .errors import DimensionMismatchError
-from .exactla import ExactMatrix, Subspace, coordinate_subspace, subspace_sum
+from .exactla import ExactMatrix, Subspace, _span_rows, coordinate_subspace, subspace_sum
 from .permcore import CovexillaryData, PartialPermutation
 from .varieties import GrassIndex, grass_condition_checks
 
@@ -47,9 +49,21 @@ def graph_embed(x: ExactMatrix) -> Subspace:
 
 
 def embed_point(x: ExactMatrix, data: CovexillaryData) -> Subspace:
-    """tau applied to the graph of x; sends 0 to the coordinate point of tau."""
-    stacked = ExactMatrix.identity(x.field, x.rows).vstack(x)
-    return Subspace.column_span(data.tau.permute_rows(stacked))
+    """tau applied to the graph of x; sends 0 to the coordinate point of tau.
+
+    Column j of tau (I over x) is e_j stacked on column j of x, read in
+    the order data.tau_order; the n columns are spanned as they are built.
+    """
+    n = data.n
+    if x.shape != (n, n):
+        raise DimensionMismatchError("matrix size differs from n")
+    in_tau_order = itemgetter(*data.tau_order)
+    zeros = (0,) * n
+    columns = (
+        in_tau_order(zeros[:j] + (1,) + zeros[j + 1 :] + column)
+        for j, column in enumerate(zip(*x.entries))
+    )
+    return _span_rows(x.field, 2 * n, columns)
 
 
 def fixed_point_index(u: PartialPermutation, data: CovexillaryData) -> GrassIndex:

@@ -176,7 +176,8 @@ class ExactMatrix:
 
     @property
     def shape(self) -> tuple[int, int]:
-        return (self.rows, self.cols)
+        entries = self.entries
+        return (len(entries), len(entries[0]) if entries else 0)
 
     def entry(self, i: int, j: int) -> Scalar:
         """Entry in row i, column j (1-based)."""
@@ -254,6 +255,11 @@ class ExactMatrix:
         for row in self.entries:
             _insert(basis, row, p)
         return len(basis)
+
+    @cached_property
+    def columns(self) -> tuple[tuple[Scalar, ...], ...]:
+        """The columns as tuples, built once per matrix."""
+        return tuple(zip(*self.entries))
 
     @cached_property
     def core_pivot_memo(self) -> dict:
@@ -405,10 +411,6 @@ class Subspace:
         return Subspace(field, ambient, (), ())
 
     @staticmethod
-    def full(field: FieldSpec, ambient: int) -> "Subspace":
-        return Subspace.span(field, ambient, ExactMatrix.identity(field, ambient).entries)
-
-    @staticmethod
     def column_span(matrix: ExactMatrix) -> "Subspace":
         return _span_rows(matrix.field, matrix.rows, zip(*matrix.entries))
 
@@ -526,13 +528,25 @@ def random_borel(field: FieldSpec, n: int, rng: random.Random) -> ExactMatrix:
 
     The diagonal is uniform over nonzero elements and the strict upper part
     is uniform, so the result is always invertible.  Each row draws its
-    diagonal entry, then the entries right of it.
+    diagonal entry, then the entries right of it, with the getrandbits calls
+    of _draws (1 + a draw below p - 1, then draws below p).
     """
     if not field.is_prime:
         raise FieldError("random sampling requires a prime field")
     p = field.p
+    getrandbits = rng.getrandbits
+    k_diagonal, k_upper = (p - 1).bit_length(), p.bit_length()
     rows = []
     for i in range(n):
-        diagonal = 1 + _draws(rng, p - 1, 1)[0]
-        rows.append((0,) * i + (diagonal, *_draws(rng, p, n - i - 1)))
+        r = getrandbits(k_diagonal)
+        while r >= p - 1:
+            r = getrandbits(k_diagonal)
+        row = [0] * i
+        row.append(1 + r)
+        for _ in range(n - i - 1):
+            r = getrandbits(k_upper)
+            while r >= p:
+                r = getrandbits(k_upper)
+            row.append(r)
+        rows.append(tuple(row))
     return ExactMatrix(field, tuple(rows))

@@ -17,10 +17,10 @@ import itertools
 import random
 from dataclasses import dataclass
 from functools import cached_property
+from operator import ge
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
-    DimensionMismatchError,
     EssentialDataError,
     InputError,
     NotCovexillaryError,
@@ -119,16 +119,6 @@ class PartialPermutation:
             raise InputError("compose requires two permutations of equal size")
         return PartialPermutation(self.n, tuple(self.image[v - 1] for v in other.image))
 
-    def permute_rows(self, matrix: ExactMatrix) -> ExactMatrix:
-        """self.matrix(field) @ matrix, by moving row j of matrix to row self(j)."""
-        if matrix.rows != self.n:
-            raise DimensionMismatchError("matrix row count differs from permutation size")
-        zero_row = (0,) * matrix.cols
-        rows = [zero_row] * self.n
-        for r, c in self.dots():
-            rows[r - 1] = matrix.entries[c - 1]
-        return ExactMatrix(matrix.field, tuple(rows))
-
     # Derived data, computed at most once per instance.  cached_property
     # stores it in the instance __dict__, which the frozen dataclass's
     # __eq__, __hash__, __repr__ and replace() never look at.
@@ -183,9 +173,8 @@ class RankMatrix:
         )
 
     def dominates(self, other: "RankMatrix") -> bool:
-        return all(
-            a >= b for ra, rb in zip(self.entries, other.entries) for a, b in zip(ra, rb)
-        )
+        flat = itertools.chain.from_iterable
+        return all(map(ge, flat(self.entries), flat(other.entries)))
 
 
 @dataclass(frozen=True)
@@ -318,10 +307,6 @@ class CovexillaryData:
     def t_at(self, i: int) -> int:
         return self.p_at(i) + self.q_at(i)
 
-    @property
-    def triples(self) -> tuple[tuple[int, int, int], ...]:
-        return tuple(zip(self.p, self.q, self.r))
-
     @cached_property
     def tau(self) -> PartialPermutation:
         """The interleaving permutation of S_2n, built once per instance.
@@ -341,6 +326,15 @@ class CovexillaryData:
                 image[j - 1] = next_target
                 next_target += 1
         return PartialPermutation(2 * n, tuple(image))
+
+    @cached_property
+    def tau_order(self) -> tuple[int, ...]:
+        """tau^-1(t) - 1 for t = 1..2n, built once per instance.
+
+        Reading a vector's entries in this order applies tau to it: the
+        entry at index k moves to position tau(k + 1).
+        """
+        return tuple(k - 1 for k in self.tau.inverse().image)
 
     @cached_property
     def grass_conditions(self) -> tuple[tuple[int, int], ...]:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field as dataclass_field
+from operator import itemgetter
 
 from .conormal import (
     CotangentMatrixPoint,
@@ -43,6 +44,7 @@ from .kl import (
     kl_polynomial,
 )
 from .permcore import (
+    CovexillaryData,
     PartialPermutation,
     all_partial_permutations,
     all_permutations,
@@ -87,6 +89,12 @@ _DEFAULTS = {
 REJECTION_TRIALS = 200
 REJECTION_THRESHOLD = 0.95
 
+# Suites that walk every partial permutation of each size up to n_max.
+# There are sum_k C(n, k)^2 k! of them: 130,922 at n = 7, 1.44 M at n = 8
+# and 17.6 M at n = 9, so these suites stop at n = 7.
+PARTIAL_ENUMERATION_SUITES = ("embed-thm", "conormal-matrix", "conormal-grass", "diagram-chase")
+PARTIAL_ENUMERATION_MAX_N = 7
+
 @dataclass(frozen=True)
 class SuiteConfig:
     """Knobs of a verification run; None picks the acceptance default."""
@@ -109,6 +117,10 @@ class SuiteConfig:
             raise InputError("n_max must be at least 1")
         if trials < 1:
             raise InputError("trials must be at least 1")
+        if self.suite in PARTIAL_ENUMERATION_SUITES and n_max > PARTIAL_ENUMERATION_MAX_N:
+            raise InputError(
+                f"{self.suite} is limited to n <= {PARTIAL_ENUMERATION_MAX_N}; got n = {n_max}"
+            )
         if self.suite == "kl-covex":
             check_kl_covex_size(n_max)
         if self.suite == "multidegree":
@@ -140,9 +152,17 @@ def _covexillary_partials(n: int):
 def _fiber_elements(
     fiber: Subspace, n: int, field: FieldSpec, rng: random.Random, extra: int
 ) -> list[ExactMatrix]:
+    """The zero covector, the fiber's basis and extra random combinations of it.
+
+    Every vector is already reduced mod p, so it is cut into rows as it is.
+    """
+
+    def unflatten(vec):
+        return ExactMatrix(field, tuple(tuple(vec[i * n : (i + 1) * n]) for i in range(n)))
+
     # the zero covector (zero section) is always a valid member
     points = [ExactMatrix.zeros(field, n, n)]
-    points += [vector_to_matrix(field, v, n) for v in fiber.vectors]
+    points += [unflatten(v) for v in fiber.vectors]
     p = field.p
     for _ in range(extra if fiber.dim else 0):
         coeffs = _draws(rng, p, fiber.dim)
@@ -150,7 +170,7 @@ def _fiber_elements(
         for c, basis_vec in zip(coeffs, fiber.vectors):
             if c:
                 vec = [(a + c * b) % p for a, b in zip(vec, basis_vec)]
-        points.append(vector_to_matrix(field, vec, n))
+        points.append(unflatten(vec))
     return points
 
 
@@ -434,21 +454,28 @@ def _suite_conormal_grass(config: SuiteConfig) -> list[Verdict]:
 
 
 def _chase_to_grass(
-    w: PartialPermutation, x: ExactMatrix, y: ExactMatrix
+    data: CovexillaryData, V: Subspace, x: ExactMatrix, y: ExactMatrix
 ) -> SpringerGrassPoint:
     """The cotangent point (x, y) pushed along the embedding into T*Gr(n, 2n).
 
     With h1 = ((I, 0), (x, I)) and theta = ((0, y), (0, 0)), the point is
     (tau h1 E_n, tau M' tau^-1) for M' = h1 theta h1^-1, which is
-    ((-yx, y), (-xyx, xy)).  tau h1 E_n is embed_point(x), and conjugating
-    by the permutation tau moves entry (a, b) of M' to (tau(a), tau(b)).
+    ((-yx, y), (-xyx, xy)).  tau h1 E_n is V = embed_point(x, data), which
+    the caller computes once per x.  Conjugating by the permutation tau
+    moves entry (a, b) of M' to (tau(a), tau(b)), so row a of the result is
+    row tau^-1(a) of M' read in data.tau_order.
     """
-    data = covexillary_data(w)
-    yx, xy = y @ x, x @ y
-    m = (-yx).hstack(y).vstack((-(xy @ x)).hstack(xy)).entries
-    back = [k - 1 for k in data.tau.inverse().image]
-    moved = ExactMatrix(x.field, tuple(tuple(m[a][b] for b in back) for a in back))
-    return SpringerGrassPoint(embed_point(x, data), moved)
+    p = x.field.p
+    yx, xy = (y @ x).entries, x @ y
+    xyx = (xy @ x).entries
+    if p is None:
+        negated = [[-v for v in row] for row in yx + xyx]
+    else:
+        negated = [[-v % p for v in row] for row in yx + xyx]
+    right = y.entries + xy.entries
+    in_tau_order = itemgetter(*data.tau_order)
+    moved = tuple(in_tau_order(negated[k] + list(right[k])) for k in data.tau_order)
+    return SpringerGrassPoint(V, ExactMatrix(x.field, moved))
 
 
 def _suite_diagram_chase(config: SuiteConfig) -> list[Verdict]:
@@ -458,21 +485,24 @@ def _suite_diagram_chase(config: SuiteConfig) -> list[Verdict]:
         for w in _covexillary_partials(n):
             case = f"n={n}/w={w.one_line()}"
             rng = _rng(config, case)
-            conditions = covexillary_data(w).grass_conditions
+            data = covexillary_data(w)
+            conditions = data.grass_conditions
             failures = 0
             samples = 0
             for _ in range(config.trials):
                 x = sample_cell_point(w, field, rng)
+                V = embed_point(x, data)
                 fiber = conormal_fiber_matrix(x, w)
                 for y in _fiber_elements(fiber, n, field, rng, extra=5):
                     samples += 1
-                    point = _chase_to_grass(w, x, y)
+                    point = _chase_to_grass(data, V, x, y)
                     if not in_conormal_grass(point, conditions):
                         failures += 1
             if w.is_full_rank:
                 for _ in range(config.trials):
                     g = sample_cell_point(w, field, rng)
                     ginv = g.inverse()
+                    V = embed_point(g, data)
                     _, zfiber = conormal_fiber_flag(g, w)
                     for zvec in zfiber.vectors:
                         samples += 1
@@ -481,7 +511,7 @@ def _suite_diagram_chase(config: SuiteConfig) -> list[Verdict]:
                         if not in_conormal_matrix(matrix_point, w):
                             failures += 1
                             continue
-                        point = _chase_to_grass(w, matrix_point.x, matrix_point.y)
+                        point = _chase_to_grass(data, V, matrix_point.x, matrix_point.y)
                         if not in_conormal_grass(point, conditions):
                             failures += 1
             verdicts.append(

@@ -14,6 +14,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
+from operator import le
 from typing import Sequence
 
 from .errors import DimensionMismatchError, InputError
@@ -106,11 +108,13 @@ def matrix_schubert_violation(
     if x.shape != (w.n, w.n):
         raise DimensionMismatchError("matrix size differs from permutation size")
     profile = southwest_profile(x)
-    for i, j, bound in rank_matrix(w).cells:
+    ranks = rank_matrix(w)
+    if all(map(le, chain.from_iterable(profile), chain.from_iterable(ranks.entries))):
+        return None
+    for i, j, bound in ranks.cells:
         got = profile[i - 1][j - 1]
         if got > bound:
             return (i, j, got, bound)
-    return None
 
 
 def in_matrix_schubert_cell(x: ExactMatrix, w: PartialPermutation) -> bool:
@@ -207,14 +211,14 @@ def locate_grass_cell(subspace: Subspace) -> GrassIndex:
 def sample_cell_point(
     w: PartialPermutation, field: FieldSpec, rng: random.Random
 ) -> ExactMatrix:
-    """A random point b_l w b_r of the open B x B orbit of w over F_p."""
+    """A random point b_l w b_r of the open B x B orbit of w over F_p.
+
+    b_l w is a column gather of b_l: its column j is column w(j) of b_l, or
+    zero when w(j) = 0.
+    """
     b_l = random_borel(field, w.n, rng)
     b_r = random_borel(field, w.n, rng)
-    return b_l @ w.matrix(field) @ b_r
-
-
-def sample_flag(w: PartialPermutation, field: FieldSpec, rng: random.Random) -> Flag:
-    """A random flag in the open Schubert cell of the permutation w."""
-    if not w.is_full_rank:
-        raise InputError("flag sampling requires a permutation")
-    return Flag(sample_cell_point(w, field, rng))
+    gathered = tuple(
+        tuple(row[v - 1] if v else 0 for v in w.image) for row in b_l.entries
+    )
+    return ExactMatrix(field, gathered) @ b_r

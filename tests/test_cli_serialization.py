@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from covex import equivariant, kl
+from covex import equivariant, kl, suites
 from covex.cli import main
 from covex.errors import InputError, InvariantError
 from covex.exactla import ExactMatrix, FieldSpec, coordinate_subspace
@@ -373,6 +373,22 @@ def test_cli_refuses_double_schubert_beyond_n_7_before_expanding(capsys, monkeyp
     assert_one_error_line(code, out, err)
     assert "limited to n <=" in err
     assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("suite", ["embed-thm", "conormal-matrix", "conormal-grass", "diagram-chase"])
+def test_cli_refuses_partial_permutation_enumeration_beyond_n_7(capsys, monkeypatch, suite):
+    """1.44 M partial permutations at n = 8: refused before any is made."""
+
+    def refuse(n):
+        raise AssertionError(f"the partial permutations of size {n} were enumerated")
+
+    monkeypatch.setattr(suites, "all_partial_permutations", refuse)
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "verify", suite, "--nmax", "8")
+    assert_one_error_line(code, out, err)
+    assert f"{suite} is limited to n <= 7; got n = 8" in err
+    assert time.perf_counter() - start < 1.0
+    assert suites.SuiteConfig(suite, n_max=7).resolved().n_max == 7
 
 
 def _cap_address_space():

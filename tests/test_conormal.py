@@ -62,10 +62,10 @@ from covex.varieties import (
     Flag,
     matrix_schubert_violation,
     sample_cell_point,
-    sample_flag,
     southwest_profile,
 )
 from test_exactla import dim_quotient, standard_subspace, subspace_intersect
+from test_varieties import sample_flag
 
 F = FieldSpec.prime()
 Q = FieldSpec.rational()
@@ -516,10 +516,16 @@ def combination(field, basis, coeffs, n):
     return vector_to_matrix(field, flat, n)
 
 
+def chase(w, x, y):
+    """_chase_to_grass at (x, y), with V = embed_point(x) as the suite passes it."""
+    data = covexillary_data(w)
+    return _chase_to_grass(data, embed_point(x, data), x, y)
+
+
 def chased_accepts(w, x, y):
     """The Grassmannian criterion at the cotangent chase of (x, y)."""
     conditions = covexillary_data(w).grass_conditions
-    return in_conormal_grass(_chase_to_grass(w, x, y), conditions)
+    return in_conormal_grass(chase(w, x, y), conditions)
 
 
 def test_boundary_point_of_310_accepts_only_the_chased_covectors():
@@ -722,7 +728,7 @@ def test_grass_verdict_is_the_empty_violation_list():
             x = sample_cell_point(w, field, rng)
             ys = [vector_to_matrix(field, v, n) for v in conormal_fiber_matrix(x, w).vectors]
             ys += [random_matrix(field, n, n, rng) for _ in range(3)]
-            points += [_chase_to_grass(w, x, y) for y in ys]
+            points += [chase(w, x, y) for y in ys]
             for pt in points:
                 violations = conormal_grass_violations(pt, conditions)
                 assert in_conormal_grass(pt, conditions) == (not violations)
@@ -749,6 +755,112 @@ def test_springer_point_invariants():
     with pytest.raises(InvariantError) as err:
         SpringerFlagPoint(flag, unit_matrix(3, 2, 1))  # z F_1 reaches e2, not F_0
     assert "F_1" in str(err.value)
+
+
+def elimination_springer_check(V, x):
+    """The message of the first containment of Im(x) in V in ker(x) that x
+    breaks, or None, by elimination: span Im(x) and insert it into V, then
+    span the image of V under x."""
+    if not V.contains(Subspace.column_span(x)):
+        return "Im(x) is not contained in V"
+    if V.apply(x).dim != 0:
+        return "V is not contained in ker(x)"
+    return None
+
+
+def springer_message(V, x):
+    """The InvariantError message of SpringerGrassPoint(V, x), or None."""
+    try:
+        SpringerGrassPoint(V, x)
+    except InvariantError as err:
+        return str(err)
+    return None
+
+
+def springer_test_points(V, field, rng):
+    """Matrices x to try at V: zero, Springer points, and points that break
+    exactly one containment, or both.
+
+    The rows e_c - sum_k b_k[c] e_(pivot k), c not a pivot, vanish on V (b_k
+    is V's reduced echelon basis), and e_c is not in V.  So (e_c + v) phi,
+    v in V and phi such a row, kills V but has its image outside V; b_k psi
+    with psi = e_(pivot k) plus such rows has its image in V but does not
+    kill b_k; and B A P (P the matrix of those rows) is a Springer point.
+    """
+    N, d = V.ambient, V.dim
+
+    def scalar():
+        return rng.randrange(field.p) if field.is_prime else Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+
+    def outer(u, v):
+        return ExactMatrix.from_rows(field, [[a * b for b in v] for a in u])
+
+    def unit(c):
+        return [int(k == c) for k in range(N)]
+
+    def plus(u, v, c=1):
+        return [a + c * b for a, b in zip(u, v)]
+
+    def in_V():
+        vec = [0] * N
+        for b in V.vectors:
+            vec = plus(vec, b, scalar())
+        return vec
+
+    free = [c for c in range(N) if c not in V.pivots]
+    annihilator = []
+    for c in free:
+        row = unit(c)
+        for k, b in zip(V.pivots, V.vectors):
+            row[k] = -b[c]
+        annihilator.append(row)
+    points = [ExactMatrix.zeros(field, N, N), random_matrix_over(field, N, rng)]
+    for _ in range(2):
+        a = [[scalar() for _ in free] for _ in range(d)]
+        x = [[0] * N for _ in range(N)]
+        for k, b in enumerate(V.vectors):
+            for f, phi in enumerate(annihilator):
+                x = [plus(row, phi, b[i] * a[k][f]) for i, row in enumerate(x)]
+        points.append(ExactMatrix.from_rows(field, x))
+    for c in free:
+        phi = annihilator[rng.randrange(len(annihilator))]
+        points.append(outer(plus(unit(c), in_V()), phi))  # image leaves V only
+        for k, b in zip(V.pivots, V.vectors):
+            psi = unit(k)
+            for row in annihilator:
+                psi = plus(psi, row, scalar())
+            points.append(outer(b, psi))  # V leaves ker(x) only
+            points.append(outer(unit(c), unit(k)))  # both
+    return points
+
+
+def random_matrix_over(field, n, rng):
+    return random_matrix(field, n, n, rng) if field.is_prime else rational_matrix(rng, n)
+
+
+def test_springer_containments_are_two_products():
+    """SpringerGrassPoint checks Im(x) in V in ker(x) with two products; it
+    raises exactly what the elimination check finds first, over F_10007, F_3
+    and Q, at V the image of a point of every covexillary partial w with
+    n <= 3, at V = 0 and V = F^N."""
+    rng = random.Random(71)
+    seen = defaultdict(int)
+    for field in (F, FieldSpec.prime(3), Q):
+        for n in (1, 2, 3):
+            N = 2 * n
+            spaces = [Subspace.zero(field, N), standard_subspace(field, N, N)]
+            for w in all_partial_permutations(n):
+                if is_covexillary(w):
+                    x = sample_cell_point(w, field, rng) if field.is_prime else rational_matrix(rng, n)
+                    spaces.append(embed_point(x, covexillary_data(w)))
+            for V in spaces:
+                for x in springer_test_points(V, field, rng):
+                    expected = elimination_springer_check(V, x)
+                    assert springer_message(V, x) == expected, (field, V, x)
+                    seen[field, expected] += 1
+    for field in (F, FieldSpec.prime(3), Q):
+        for message in (None, "Im(x) is not contained in V", "V is not contained in ker(x)"):
+            assert seen[field, message] >= 10, (field, message)
 
 
 def test_flag_conormal_fixtures():
@@ -1104,7 +1216,7 @@ def test_chase_equals_the_springer_coordinates_of_the_pushed_graph():
             else:
                 x, y = rational_matrix(rng, w.n), rational_matrix(rng, w.n)
             h1, theta = push_graph(CotangentMatrixPoint(x, y))
-            assert _chase_to_grass(w, x, y) == springer_grass(tau_mat @ h1, theta, w.n)
+            assert chase(w, x, y) == springer_grass(tau_mat @ h1, theta, w.n)
 
 
 def test_springer_forms():

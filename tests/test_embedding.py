@@ -1,6 +1,7 @@
 """The interleaving permutation, graph embedding, and target conditions."""
 
 import random
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -47,6 +48,21 @@ F = FieldSpec.prime()
 
 def _covexillary_partials(n):
     return [w for w in all_partial_permutations(n) if is_covexillary(w)]
+
+
+def permute_rows(w, matrix):
+    """w.matrix(field) @ matrix, by moving row j of matrix to row w(j)."""
+    assert matrix.rows == w.n
+    rows = [(0,) * matrix.cols] * w.n
+    for r, c in w.dots():
+        rows[r - 1] = matrix.entries[c - 1]
+    return ExactMatrix(matrix.field, tuple(rows))
+
+
+def reference_embed_point(x, data):
+    """The column span of tau (I over x), with tau applied as a row move."""
+    stacked = ExactMatrix.identity(x.field, x.rows).vstack(x)
+    return Subspace.column_span(permute_rows(data.tau, stacked))
 
 
 def test_tau_fixtures():
@@ -293,12 +309,41 @@ def test_embed_point_equals_the_permutation_matrix_product(inputs):
     data = covexillary_data(w)
     stacked = ExactMatrix.identity(x.field, w.n).vstack(x)
     tau = tau_permutation(data)
-    assert tau.permute_rows(stacked) == tau.matrix(x.field) @ stacked
+    assert permute_rows(tau, stacked) == tau.matrix(x.field) @ stacked
     assert embed_point(x, data) == Subspace.column_span(tau.matrix(x.field) @ stacked)
+
+
+def test_embed_point_matches_the_stacked_construction():
+    """embed_point reads the columns of tau (I over x) off x in tau order; the
+    reference stacks I over x, moves its rows by tau and spans the columns.
+    Every covexillary partial w with n <= 4, over F_p and Q, at x = 0, at the
+    matrix of w, at a cell point and at random points."""
+    rng = random.Random(43)
+    Q = FieldSpec.rational()
+    cases = [w for n in (1, 2, 3, 4) for w in _covexillary_partials(n)]
+    assert len(cases) == 225
+    for w in cases:
+        n, data = w.n, covexillary_data(w)
+        points = [ExactMatrix.zeros(F, n, n), w.matrix(F), sample_cell_point(w, F, rng)]
+        points += [random_matrix(F, n, n, rng) for _ in range(2)]
+        points += [ExactMatrix.zeros(Q, n, n), w.matrix(Q)]
+        points += [
+            ExactMatrix.from_rows(
+                Q, [[Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n)]
+                    for _ in range(n)]
+            )
+            for _ in range(2)
+        ]
+        for x in points:
+            assert embed_point(x, data) == reference_embed_point(x, data)
+    data = covexillary_data(PartialPermutation.from_one_line("2143"))
+    for shape in ((4, 3), (3, 3), (5, 5)):
+        with pytest.raises(DimensionMismatchError):
+            embed_point(ExactMatrix.zeros(F, *shape), data)
 
 
 def test_permute_rows_of_a_partial_permutation_is_the_matrix_product():
     rng = random.Random(31)
     for w in all_partial_permutations(3):
         m = random_matrix(F, 3, 4, rng)
-        assert w.permute_rows(m) == w.matrix(F) @ m
+        assert permute_rows(w, m) == w.matrix(F) @ m

@@ -1,7 +1,7 @@
 """Derived data is computed once per instance and is invisible from outside.
 
 rank_matrix, covexillary_data, the tau data of CovexillaryData, the
-southwest profile of a matrix and its conormal core pivots, the basis matrix
+southwest profile of a matrix, its columns and its conormal core pivots, the basis matrix
 of a subspace, the inverse of a flag generator and the covector g^-1 z of a
 Springer flag point are stored on the frozen instance they belong to.  An instance that holds them must still compare, hash,
 print, replace and pickle exactly like a fresh one.
@@ -21,7 +21,8 @@ from covex.errors import NotCovexillaryError
 from covex.exactla import ExactMatrix, FieldSpec, Subspace, random_matrix
 from covex.permcore import PartialPermutation, covexillary_data, rank_matrix
 from covex.serialization import matrix_to_json
-from covex.varieties import locate_grass_cell, sample_flag, southwest_profile, standard_sum_dims
+from covex.varieties import locate_grass_cell, southwest_profile, standard_sum_dims
+from test_varieties import sample_flag
 
 F = FieldSpec.prime()
 
@@ -52,11 +53,14 @@ def test_permutation_memos_are_invisible():
 def test_covexillary_data_memos_are_invisible():
     data = covexillary_data(PartialPermutation.from_one_line("2143"))
     tau, pairs, checks = data.tau, data.grass_conditions, data.conormal_checks
+    order = data.tau_order
     assert data.tau is tau and data.grass_conditions is pairs and data.conormal_checks is checks
+    assert data.tau_order is order and order == tuple(k - 1 for k in tau.inverse().image)
     fresh = dataclasses.replace(covexillary_data(PartialPermutation.from_one_line("2143")))
-    assert "tau" not in vars(fresh)
+    assert "tau" not in vars(fresh) and "tau_order" not in vars(fresh)
     assert_like_fresh(data, fresh)
     assert (fresh.tau, fresh.grass_conditions, fresh.conormal_checks) == (tau, pairs, checks)
+    assert fresh.tau_order == order
 
 
 def test_matrix_profile_memo_is_invisible():
@@ -67,6 +71,17 @@ def test_matrix_profile_memo_is_invisible():
     assert "southwest_profile" not in vars(fresh)
     assert_like_fresh(x, fresh)
     assert southwest_profile(fresh) == profile
+
+
+def test_matrix_columns_memo_is_invisible():
+    x = random_matrix(F, 3, 4, random.Random(8))
+    columns = x.columns
+    assert x.columns is columns and columns == tuple(x.column(j) for j in range(1, 5))
+    fresh = dataclasses.replace(x)
+    assert "columns" not in vars(fresh)
+    assert_like_fresh(x, fresh)
+    assert fresh.columns == columns
+    assert pickle.loads(pickle.dumps(x)).columns == columns
 
 
 def test_core_pivot_memo_is_invisible():

@@ -25,6 +25,11 @@ from covex.permcore import (
 )
 
 
+def triples(data: CovexillaryData) -> tuple[tuple[int, int, int], ...]:
+    """The essential triples (p_i, q_i, r_i), without the padding."""
+    return tuple(zip(data.p, data.q, data.r))
+
+
 def oracle_diagram(w: PartialPermutation) -> set[tuple[int, int]]:
     """Shade-and-scan straight from the definition, box by box."""
     n = w.n
@@ -151,7 +156,7 @@ def test_avoids_3412_matches_generic_scan(image):
 
 def test_covexillary_data_fixtures():
     data = covexillary_data(PartialPermutation.from_one_line("2143"))
-    assert (data.m, data.triples, data.t_at(1)) == (2, ((2, 2, 0),), 4)
+    assert (data.m, triples(data), data.t_at(1)) == (2, ((2, 2, 0),), 4)
     # padding (p, q, r) = (0, 0, 0) at 0 and (n, n, 0) at m
     assert [(data.p_at(i), data.q_at(i), data.r_at(i)) for i in (0, 2)] == [(0, 0, 0), (4, 4, 0)]
     assert data.grass_conditions == ((4, 2),)

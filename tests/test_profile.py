@@ -75,7 +75,7 @@ def subspaces(draw, max_ambient=7):
     if kind == "zero":
         return Subspace.zero(field, N)
     if kind == "full":
-        return Subspace.full(field, N)
+        return standard_subspace(field, N, N)
     d = draw(st.integers(0, N))
     vectors = [[draw(scalars(field)) for _ in range(N)] for _ in range(d)]
     return Subspace.span(field, N, vectors)

@@ -33,12 +33,17 @@ from covex.varieties import (
     locate_flag_cell,
     locate_grass_cell,
     sample_cell_point,
-    sample_flag,
     southwest_profile,
     standard_sum_dims,
 )
 
 F = FieldSpec.prime()
+
+
+def sample_flag(w, field, rng):
+    """A random flag in the open Schubert cell of the permutation w."""
+    assert w.is_full_rank
+    return Flag(sample_cell_point(w, field, rng))
 
 
 def standard_flag(field, n):
@@ -210,6 +215,21 @@ def test_sample_cell_point():
         x = sample_cell_point(w, F, rng)
         assert in_matrix_schubert_cell(x, w)
         assert southwest_profile(x) == rank_matrix(w).entries
+
+
+def test_sample_cell_point_is_the_borel_product():
+    """sample_cell_point gathers the columns of b_l by w and multiplies by b_r
+    once: the same matrix as b_l @ w.matrix @ b_r drawn from a twin generator,
+    which ends in the same state."""
+    for field in (FieldSpec.prime(2), FieldSpec.prime(3), F):
+        for n in (1, 2, 3, 4):
+            for k, w in enumerate(all_partial_permutations(n)):
+                rng, twin = random.Random(k), random.Random(k)
+                x = sample_cell_point(w, field, rng)
+                b_l = random_borel(field, n, twin)
+                b_r = random_borel(field, n, twin)
+                assert x == b_l @ w.matrix(field) @ b_r
+                assert rng.getstate() == twin.getstate()
 
 
 def test_bruhat_monotone_sampling():
