@@ -324,10 +324,12 @@ def conormal_fiber_matrix(x: ExactMatrix, w: PartialPermutation) -> Subspace:
 
 
 def vector_to_matrix(field: FieldSpec, vec: Sequence, n: int) -> ExactMatrix:
-    """Unflatten a length-n^2 vector (row-major) into an n x n matrix."""
-    return ExactMatrix.from_rows(
-        field, [vec[i * n : (i + 1) * n] for i in range(n)]
-    )
+    """Unflatten a length-n^2 vector (row-major) into an n x n matrix.
+
+    The entries must already be field elements (reduced mod p, or canonical
+    rationals over Q), as the vectors of a Subspace are; they are not coerced.
+    """
+    return ExactMatrix(field, tuple(tuple(vec[i * n : (i + 1) * n]) for i in range(n)))
 
 
 def tangent_orbit_rank(x: ExactMatrix) -> int:

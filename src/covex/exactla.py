@@ -528,25 +528,13 @@ def random_borel(field: FieldSpec, n: int, rng: random.Random) -> ExactMatrix:
 
     The diagonal is uniform over nonzero elements and the strict upper part
     is uniform, so the result is always invertible.  Each row draws its
-    diagonal entry, then the entries right of it, with the getrandbits calls
-    of _draws (1 + a draw below p - 1, then draws below p).
+    diagonal entry, then the entries right of it.
     """
     if not field.is_prime:
         raise FieldError("random sampling requires a prime field")
     p = field.p
-    getrandbits = rng.getrandbits
-    k_diagonal, k_upper = (p - 1).bit_length(), p.bit_length()
     rows = []
     for i in range(n):
-        r = getrandbits(k_diagonal)
-        while r >= p - 1:
-            r = getrandbits(k_diagonal)
-        row = [0] * i
-        row.append(1 + r)
-        for _ in range(n - i - 1):
-            r = getrandbits(k_upper)
-            while r >= p:
-                r = getrandbits(k_upper)
-            row.append(r)
-        rows.append(tuple(row))
+        diagonal = 1 + _draws(rng, p - 1, 1)[0]
+        rows.append((0,) * i + (diagonal, *_draws(rng, p, n - i - 1)))
     return ExactMatrix(field, tuple(rows))

@@ -17,7 +17,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from operator import ge
+from operator import le
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -172,9 +172,13 @@ class RankMatrix:
             for j, r in enumerate(row, 1)
         )
 
-    def dominates(self, other: "RankMatrix") -> bool:
+    def bounds(self, ranks: Sequence[Sequence[int]]) -> bool:
+        """True iff every entry of ranks (an n x n table) is at most this one's."""
         flat = itertools.chain.from_iterable
-        return all(map(ge, flat(self.entries), flat(other.entries)))
+        return all(map(le, flat(ranks), flat(self.entries)))
+
+    def dominates(self, other: "RankMatrix") -> bool:
+        return self.bounds(other.entries)
 
 
 @dataclass(frozen=True)

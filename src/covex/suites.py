@@ -28,7 +28,7 @@ from .conormal import (
     vector_to_matrix,
 )
 from .embedding import embed_point, target_holds
-from .errors import InputError
+from .errors import DimensionMismatchError, InputError
 from .exactla import (
     DEFAULT_PRIME,
     ExactMatrix,
@@ -152,17 +152,10 @@ def _covexillary_partials(n: int):
 def _fiber_elements(
     fiber: Subspace, n: int, field: FieldSpec, rng: random.Random, extra: int
 ) -> list[ExactMatrix]:
-    """The zero covector, the fiber's basis and extra random combinations of it.
-
-    Every vector is already reduced mod p, so it is cut into rows as it is.
-    """
-
-    def unflatten(vec):
-        return ExactMatrix(field, tuple(tuple(vec[i * n : (i + 1) * n]) for i in range(n)))
-
+    """The zero covector, the fiber's basis and extra random combinations of it."""
     # the zero covector (zero section) is always a valid member
     points = [ExactMatrix.zeros(field, n, n)]
-    points += [unflatten(v) for v in fiber.vectors]
+    points += [vector_to_matrix(field, v, n) for v in fiber.vectors]
     p = field.p
     for _ in range(extra if fiber.dim else 0):
         coeffs = _draws(rng, p, fiber.dim)
@@ -170,7 +163,7 @@ def _fiber_elements(
         for c, basis_vec in zip(coeffs, fiber.vectors):
             if c:
                 vec = [(a + c * b) % p for a, b in zip(vec, basis_vec)]
-        points.append(unflatten(vec))
+        points.append(vector_to_matrix(field, vec, n))
     return points
 
 
@@ -464,7 +457,14 @@ def _chase_to_grass(
     the caller computes once per x.  Conjugating by the permutation tau
     moves entry (a, b) of M' to (tau(a), tau(b)), so row a of the result is
     row tau^-1(a) of M' read in data.tau_order.
+
+    V must be embed_point(x, data).  It is passed in, not recomputed, and
+    SpringerGrassPoint checks only the two containments, so the V of another
+    x could give a valid point with a wrong verdict.  Only its dimension n
+    is checked here.
     """
+    if V.dim != data.n:
+        raise DimensionMismatchError("V is not an n-dimensional subspace of k^2n")
     p = x.field.p
     yx, xy = (y @ x).entries, x @ y
     xyx = (xy @ x).entries

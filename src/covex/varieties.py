@@ -14,8 +14,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
-from operator import le
 from typing import Sequence
 
 from .errors import DimensionMismatchError, InputError
@@ -109,7 +107,7 @@ def matrix_schubert_violation(
         raise DimensionMismatchError("matrix size differs from permutation size")
     profile = southwest_profile(x)
     ranks = rank_matrix(w)
-    if all(map(le, chain.from_iterable(profile), chain.from_iterable(ranks.entries))):
+    if ranks.bounds(profile):
         return None
     for i, j, bound in ranks.cells:
         got = profile[i - 1][j - 1]

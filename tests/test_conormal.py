@@ -1219,6 +1219,17 @@ def test_chase_equals_the_springer_coordinates_of_the_pushed_graph():
             assert chase(w, x, y) == springer_grass(tau_mat @ h1, theta, w.n)
 
 
+def test_chase_refuses_a_subspace_that_is_not_n_dimensional():
+    """_chase_to_grass takes V = embed_point(x) from its caller; a V of the
+    wrong dimension is refused rather than checked as a Springer point."""
+    w = PartialPermutation.from_one_line("21")
+    data = covexillary_data(w)
+    x = ExactMatrix.zeros(F, 2, 2)
+    short = Subspace.span(F, 4, [embed_point(x, data).vectors[0]])
+    with pytest.raises(DimensionMismatchError, match="n-dimensional"):
+        _chase_to_grass(data, short, x, x)
+
+
 def test_springer_forms():
     rng = random.Random(10)
     n = 3
