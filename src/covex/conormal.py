@@ -61,6 +61,7 @@ from .exactla import (
     Subspace,
     _insert,
     _rational,
+    _span_rows,
     kernel,
 )
 from .permcore import (
@@ -111,9 +112,12 @@ class SpringerFlagPoint:
         n = self.flag.n
         if self.z.shape != (n, n):
             raise DimensionMismatchError("z size differs from flag size")
-        conjugate = (self.covector @ self.flag.generator).entries
-        for i in range(1, n + 1):
-            if any(row[i - 1] for row in conjugate[i - 1 :]):
+        # only the entries on and below the diagonal of covector @ g, column by column
+        p = self.z.field.p
+        covector = self.covector.entries
+        for i, col in enumerate(self.flag.generator.columns, 1):
+            dots = (sum(map(mul, row, col)) for row in covector[i - 1 :])
+            if any(dots) if p is None else any(v % p for v in dots):
                 raise InvariantError(f"z F_{i} is not contained in F_{i - 1}")
 
     @cached_property
@@ -246,9 +250,9 @@ def _rank_violations(pt: CotangentMatrixPoint, data: CovexillaryData):
             if p is None:
                 hy = y[k] if k < n else [_rational(sum(map(mul, x[k - n], c))) for c in y_cols]
                 row = [_rational(sum(map(mul, hy, x_cols[c]))) if c < n else hy[c - n] for c in cols]
-            else:
-                hy = y[k] if k < n else [sum(map(mul, x[k - n], c)) % p for c in y_cols]
-                row = [sum(map(mul, hy, x_cols[c])) % p if c < n else hy[c - n] for c in cols]
+            else:  # unreduced: _insert reduces what it reads
+                hy = y[k] if k < n else [sum(map(mul, x[k - n], c)) for c in y_cols]
+                row = [sum(map(mul, hy, x_cols[c])) if c < n else hy[c - n] for c in cols]
             c = _insert(basis, row, p)
             if c is not None:
                 insort(pivots, c)
@@ -307,20 +311,17 @@ def conormal_fiber_matrix(x: ExactMatrix, w: PartialPermutation) -> Subspace:
         raise DimensionMismatchError("matrix size differs from permutation size")
     if not in_matrix_schubert_cell(x, w):
         raise CellMembershipError("x does not have the rank profile of the open cell")
-    field = x.field
+    xs = x.entries
     rows = []
-    for a in range(1, n + 1):
-        for b in range(1, a + 1):  # entries on or below the diagonal must vanish
+    for a in range(n):
+        for b in range(a + 1):  # entries on or below the diagonal must vanish
             row = [0] * (n * n)
-            for k in range(1, n + 1):
-                row[(k - 1) * n + (b - 1)] = x.entry(a, k)  # (xy)_{ab}
-            rows.append(row)
+            row[b :: n] = xs[a]  # (xy)_{ab} = sum_k x_{ak} y_{kb}
+            rows.append(tuple(row))
             row = [0] * (n * n)
-            for k in range(1, n + 1):
-                row[(a - 1) * n + (k - 1)] = x.entry(k, b)  # (yx)_{ab}
-            rows.append(row)
-    system = ExactMatrix(field, tuple(tuple(r) for r in rows))
-    return kernel(system)
+            row[a * n : (a + 1) * n] = [xs[k][b] for k in range(n)]  # (yx)_{ab}
+            rows.append(tuple(row))
+    return kernel(ExactMatrix(x.field, tuple(rows)))
 
 
 def vector_to_matrix(field: FieldSpec, vec: Sequence, n: int) -> ExactMatrix:
@@ -335,19 +336,17 @@ def vector_to_matrix(field: FieldSpec, vec: Sequence, n: int) -> ExactMatrix:
 def tangent_orbit_rank(x: ExactMatrix) -> int:
     """Rank of (u, v) -> u x + x v on pairs of upper-triangular matrices."""
     n = x.rows
-    field = x.field
+    xs = x.entries
     cols = []
-    for a in range(1, n + 1):
-        for b in range(a, n + 1):
+    for a in range(n):
+        for b in range(a, n):
             col = [0] * (n * n)
-            for j in range(1, n + 1):  # (E_{ab} x)_{aj} = x_{bj}
-                col[(a - 1) * n + (j - 1)] = x.entry(b, j)
-            cols.append(col)
+            col[a * n : (a + 1) * n] = xs[b]  # (E_{ab} x)_{aj} = x_{bj}
+            cols.append(tuple(col))
             col = [0] * (n * n)
-            for i in range(1, n + 1):  # (x E_{ab})_{ib} = x_{ia}
-                col[(i - 1) * n + (b - 1)] = x.entry(i, a)
-            cols.append(col)
-    return ExactMatrix(field, tuple(zip(*cols))).rank()
+            col[b :: n] = [row[a] for row in xs]  # (x E_{ab})_{ib} = x_{ia}
+            cols.append(tuple(col))
+    return ExactMatrix(x.field, tuple(zip(*cols))).rank()
 
 
 def _grass_violations(pt: SpringerGrassPoint, conditions: Sequence[tuple[int, int]]):
@@ -429,7 +428,7 @@ def conormal_fiber_flag(
         [e for row in (g @ vector_to_matrix(field, v, n)).entries for e in row]
         for v in conormal_fiber_matrix(g, w).vectors
     )
-    return Flag(g), Subspace.span(field, n * n, moved)
+    return Flag(g), _span_rows(field, n * n, moved)
 
 
 def push_iota(g: ExactMatrix, y: ExactMatrix) -> CotangentMatrixPoint:

@@ -17,6 +17,13 @@ kernels and inverses back-substitute the basis to reduced echelon form
 (`_reduced`).  An inverse is the reduced form of [A | I], and A is singular
 exactly when a pivot lands in the identity half.
 
+Over F_p the insertion reduces only what it reads.  A row may come in with
+unreduced integers; each entry is taken mod p where the scan reads it as a
+pivot candidate, a clearing subtracts a multiple of a basis row without
+reducing the rest, and the row is reduced and scaled to 1 at its pivot only
+when it joins the basis.  So stored rows are canonical, and a caller may
+hand in sums of products without reducing them first.
+
 Over Q the basis holds primitive integer rows: a row is cleared against a
 pivot row r at column c as a * row - b * r with a : b = r[c] : row[c] in
 lowest terms, and every new row is divided by the gcd of its entries, so the
@@ -218,6 +225,11 @@ class ExactMatrix:
             raise DimensionMismatchError(
                 f"cannot multiply {self.shape} by {other.shape}"
             )
+        if not other.entries:
+            # a matrix with no rows cannot hold its column count
+            raise DimensionMismatchError(
+                f"cannot multiply {self.shape} by {other.shape}: the inner dimension is 0"
+            )
         f = self.field
         mul = operator.mul
         bt = list(zip(*other.entries))
@@ -305,25 +317,36 @@ def _insert(basis: dict[int, Sequence[int]], row: Sequence[Scalar], p: int | Non
     """Reduce ``row`` against an echelon basis and add what is left to it.
 
     ``basis`` maps each pivot column (0-based) to the one basis row whose
-    leftmost nonzero entry lies there: scaled to 1 at the pivot over F_p, a
-    primitive integer row over Q (``p`` None).  The row is cleared at each
-    basis pivot it meets, left to right, and joins the basis at the first
-    nonzero column that has no basis row.  Returns that column, or None when
-    the row lies in the span of the basis.
+    leftmost nonzero entry lies there: scaled to 1 at the pivot, with every
+    entry in 0..p-1, over F_p; a primitive integer row over Q (``p`` None).
+    The row is cleared at each basis pivot it meets, left to right, and
+    joins the basis at the first nonzero column that has no basis row.
+    Returns that column, or None when the row lies in the span of the basis.
+
+    Over F_p the row may hold any integers, reduced or not.  An entry is
+    reduced mod p only when the scan reads it, and a clearing x - a * y
+    leaves the other entries unreduced; the row is reduced, and scaled to 1
+    at its pivot, only when it joins the basis.
     """
     if p is None:
         row = _integer_row(row)
+        for c in range(len(row)):
+            if row[c]:
+                b = basis.get(c)
+                if b is None:
+                    basis[c] = row
+                    return c
+                row = _cleared(row, c, b, p)
+        return None
     for c in range(len(row)):
-        a = row[c]
+        a = row[c] % p
         if a:
             b = basis.get(c)
             if b is None:
-                if p is not None:
-                    inv = pow(a, -1, p)
-                    row = [inv * y % p for y in row]
-                basis[c] = row
+                inv = pow(a, -1, p)
+                basis[c] = row = [inv * y % p for y in row]
                 return c
-            row = _cleared(row, c, b, p)
+            row = [x - a * y for x, y in zip(row, b)]
     return None
 
 
@@ -425,6 +448,26 @@ class Subspace:
             return ExactMatrix.zeros(self.field, self.ambient, 0)
         return ExactMatrix(self.field, tuple(zip(*self.vectors)))
 
+    @cached_property
+    def sum_dims(self) -> tuple[int, ...]:
+        """dim(V + E_t) for t = 0..ambient, computed once per subspace.
+
+        The basis vectors go into one elimination reversed, so each pivot is
+        the last nonzero entry of a vector of V.  Then dim(V meet E_t) is the
+        number of those pivots at positions before t, and dim(V + E_t) is
+        t + dim V minus that number.
+        """
+        N, p = self.ambient, self.field.p
+        basis: dict = {}
+        for v in self.vectors:
+            _insert(basis, v[::-1], p)
+        # the pivot at reversed column c is position N-1-c: it lies in E_t once t >= N-c
+        meets = [0] * (N + 1)
+        for c in basis:
+            meets[N - c] += 1
+        d = len(basis)
+        return tuple(t + d - k for t, k in enumerate(accumulate(meets)))
+
     def contains_vector(self, vector: Sequence) -> bool:
         f = self.field
         return _insert(self._basis(), [f.coerce(x) for x in vector], f.p) is None
@@ -489,9 +532,9 @@ def kernel(matrix: ExactMatrix) -> Subspace:
         vec = [0] * n
         vec[free] = 1
         for row, pivot in zip(rows.vectors, rows.pivots):
-            vec[pivot] = -row[free]
+            vec[pivot] = -row[free]  # unreduced over F_p: _span_rows reduces it
         vectors.append(vec)
-    return Subspace.span(f, n, vectors)
+    return _span_rows(f, n, vectors)
 
 
 def _draws(rng: random.Random, bound: int, count: int) -> list[int]:

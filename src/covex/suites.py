@@ -387,9 +387,11 @@ def _springer_fiber_sample(
     B holds V's reduced echelon basis b_k as columns and P maps F^N onto the
     coordinates along the non-pivot unit vectors e_c, modulo V.  Each b_k
     is 1 at its own pivot and 0 at the others, so row c of P is e_c minus
-    b_k[c] at the pivot of each b_k.
+    b_k[c] at the pivot of each b_k.  When V is 0 or F^N the only such x is 0.
     """
     N, d = V.ambient, V.dim
+    if d in (0, N):
+        return ExactMatrix.zeros(field, N, N)
     p = field.p
     projector = []
     for c in range(N):
@@ -399,7 +401,7 @@ def _springer_fiber_sample(
             for k, b in zip(V.pivots, V.vectors):
                 row[k] = -b[c] % p
             projector.append(tuple(row))
-    coeffs = random_matrix(field, d, N - d, rng) if N > d else ExactMatrix.zeros(field, d, 0)
+    coeffs = random_matrix(field, d, N - d, rng)
     return V.basis_matrix @ coeffs @ ExactMatrix(field, tuple(projector))
 
 

@@ -5,8 +5,10 @@ All the rank conditions here are of the "southwest" kind: the dimension
 dim(x E_j / E_{i-1}) equals the rank of the submatrix of x on rows i..n and
 columns 1..j.  One bottom-up elimination pass, made once per matrix,
 yields the whole profile, and every Schubert condition is an entry of it.
-So is every Grassmannian condition: dim(V + E_t) = t + rank of rows t+1..N
-of a basis matrix of V.
+Every Grassmannian condition reads dim(V + E_t), which one elimination of
+V's basis vectors, reversed, gives for all t at once: each pivot is then
+the last nonzero entry of a vector of V, and dim(V meet E_t) counts the
+pivots before position t.
 """
 
 from __future__ import annotations
@@ -87,12 +89,12 @@ def southwest_profile(x: ExactMatrix) -> tuple[tuple[int, ...], ...]:
 
 
 def standard_sum_dims(subspace: Subspace) -> tuple[int, ...]:
-    """dim(V + E_t) = t + rank of rows t+1..N of V's basis, for t = 0..N."""
-    N, d = subspace.ambient, subspace.dim
-    if d == 0:
-        return tuple(range(N + 1))
-    profile = southwest_profile(subspace.basis_matrix)
-    return tuple(t + profile[t][d - 1] for t in range(N)) + (N,)
+    """dim(V + E_t) for t = 0..N, from V's trailing pivots (Subspace.sum_dims).
+
+    Computed once per subspace, so every condition asked about the same V
+    shares one elimination.
+    """
+    return subspace.sum_dims
 
 
 def in_matrix_schubert(x: ExactMatrix, w: PartialPermutation) -> bool:

@@ -745,6 +745,17 @@ def test_grass_conormal_rejects_positions_outside_the_ambient():
             in_conormal_grass(point, conditions)
 
 
+def test_springer_fiber_sample_at_zero_and_the_whole_space_is_the_zero_matrix():
+    """Im(x) in V in ker(x) leaves only x = 0 when V is 0 or F^N; the sampler
+    returns that N x N matrix, a valid Springer point."""
+    field = FieldSpec.prime(7)
+    for N in (1, 4):
+        for V in (coordinate_subspace(field, N, range(1, N + 1)), Subspace.zero(field, N)):
+            x = _springer_fiber_sample(V, field, random.Random(3))
+            assert x.shape == (N, N) and x.is_zero()
+            assert in_conormal_grass(SpringerGrassPoint(V, x), [])
+
+
 def test_springer_point_invariants():
     v = coordinate_subspace(F, 4, [1, 3])
     with pytest.raises(InvariantError):
@@ -1130,6 +1141,48 @@ def test_springer_flag_invariant_matches_containment_on_samples():
                 for z in (random_matrix(field, n, n, rng), g @ upper @ flag.inverse, not_springer):
                     assert invariant_failure(flag, z) == reference_invariant_failure(flag, z)
                 assert invariant_failure(flag, not_springer) is not None
+
+
+def product_invariant_failure(flag, z):
+    """The first column i of the full product g^-1 z g with a nonzero entry
+    on or below the diagonal, or None."""
+    conjugate = (flag.inverse @ z @ flag.generator).entries
+    return next(
+        (i for i in range(1, flag.n + 1) if any(row[i - 1] for row in conjugate[i - 1 :])),
+        None,
+    )
+
+
+def test_springer_flag_lower_triangle_matches_the_full_product():
+    """SpringerFlagPoint computes only the entries of g^-1 z g on and below
+    the diagonal.  It names the same i as the full product, with the same
+    message, at Springer points bumped at every (r, i) with r >= i (and,
+    half the time, at a later column too), at Springer points and at random
+    z, over F_2, F_3, F_10007 and Q for n <= 4."""
+    rng = random.Random(47)
+    for field in (FieldSpec.prime(2), FieldSpec.prime(3), F, Q):
+        for n in (1, 2, 3, 4):
+            for _ in range(3):
+                g = random_matrix_over(field, n, rng)
+                while g.rank() < n:
+                    g = random_matrix_over(field, n, rng)
+                flag = Flag(g)
+                upper = random_upper(field, n, rng, True)
+                zs = [g @ upper @ flag.inverse, random_matrix_over(field, n, rng)]
+                for i in range(1, n + 1):
+                    for r in range(i, n + 1):
+                        bump = [[0] * n for _ in range(n)]
+                        bump[r - 1][i - 1] = 1
+                        if i < n and rng.random() < 0.5:
+                            col = rng.randint(i + 1, n)
+                            bump[rng.randint(col, n) - 1][col - 1] = 1
+                        bumped = upper + ExactMatrix.from_rows(field, bump)
+                        z = g @ bumped @ flag.inverse
+                        assert product_invariant_failure(flag, z) == i
+                        zs.append(z)
+                for z in zs:
+                    assert invariant_failure(flag, z) == product_invariant_failure(flag, z)
+                assert invariant_failure(flag, zs[0]) is None
 
 
 def test_springer_flag_point_with_a_singular_generator_raises():

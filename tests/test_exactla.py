@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from covex.errors import FieldError, SingularMatrixError
+from covex.errors import DimensionMismatchError, FieldError, SingularMatrixError
 from covex.exactla import (
     ExactMatrix,
     FieldSpec,
@@ -253,6 +253,17 @@ def test_matmul_associativity(r, c, seed):
     b = _random_mat(rng, c, r)
     d = _random_mat(rng, r, c)
     assert (a @ b) @ d == a @ (b @ d)
+
+
+def test_products_over_an_empty_inner_dimension_are_refused():
+    """A matrix with no rows cannot hold its column count, so a product over
+    an inner dimension 0 has no shape to give; it is refused, not misshapen."""
+    for field in (FieldSpec.prime(7), Q):
+        with pytest.raises(DimensionMismatchError, match="inner dimension is 0"):
+            ExactMatrix.zeros(field, 3, 0) @ ExactMatrix.zeros(field, 0, 4)
+        with pytest.raises(DimensionMismatchError):
+            ExactMatrix.zeros(field, 0, 3) @ ExactMatrix.zeros(field, 3, 4)
+        assert (ExactMatrix.zeros(field, 3, 1) @ ExactMatrix.zeros(field, 1, 4)).shape == (3, 4)
 
 
 @pytest.mark.parametrize("p", [2, 3, 10007, 2**61 - 1, 10**24 + 7])

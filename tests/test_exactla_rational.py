@@ -7,7 +7,10 @@ over F_p.  The rank, the southwest profile, spans, kernels and inverses must
 agree with it, over Q and over F_2, F_5 and F_10007 on random matrices, and
 over every 3 x 3 matrix over F_2 and every 2 x 3 matrix over F_3.  Over Q
 every integral entry that comes back must be a plain int, so a silent
-fallback to Fraction scalars shows up here.
+fallback to Fraction scalars shows up here.  Over F_p the row insertion
+takes unreduced integers; rows shifted by multiples of p, negative ones
+included, must give the same pivots, the same canonical basis and the
+reference rank and profile.
 """
 
 import itertools
@@ -18,7 +21,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from covex.errors import SingularMatrixError
-from covex.exactla import ExactMatrix, FieldSpec, Subspace, kernel
+from covex.exactla import ExactMatrix, FieldSpec, Subspace, _insert, kernel
 
 Q = FieldSpec.rational()
 FIELDS = (Q, FieldSpec.prime(2), FieldSpec.prime(5), FieldSpec.prime())
@@ -226,3 +229,52 @@ def test_scalars_are_ints_when_integral():
         assert_canonical(entries_of(m.entries))
     half = ExactMatrix.from_rows(Q, [[Fraction(1, 2), 0], [0, 2]])
     assert_canonical(entries_of((half @ half.inverse()).entries))
+
+
+UNREDUCED_FIELDS = tuple(FieldSpec.prime(p) for p in (2, 3, 10007, 10**24 + 7))
+
+
+@st.composite
+def shifted_matrices(draw, max_rows=6, max_cols=8):
+    """(x, shifted): a matrix over F_p with zero, repeated and multiple rows,
+    and the same matrix plus p times a random integer matrix, which may be
+    negative and may carry entries far beyond p."""
+    field = draw(st.sampled_from(UNREDUCED_FIELDS))
+    p = field.p
+    scalars = st.integers(0, p - 1)
+    rows = draw(st.integers(1, max_rows))
+    cols = draw(st.integers(1, max_cols))
+    entries = []
+    for _ in range(rows):
+        shape = draw(st.sampled_from(["fresh", "fresh", "zero", "repeat", "multiple"]))
+        if shape == "zero":
+            row = [0] * cols
+        elif shape == "fresh" or not entries:
+            row = [draw(scalars) for _ in range(cols)]
+        else:
+            row = list(draw(st.sampled_from(entries)))
+            if shape == "multiple":
+                f = draw(scalars)
+                row = [f * v % p for v in row]
+        entries.append(row)
+    multipliers = st.one_of(st.integers(-3, 3), st.integers(-(p**2), p**2))
+    shifted = [[v + p * draw(multipliers) for v in row] for row in entries]
+    x = ExactMatrix(field, tuple(map(tuple, entries)))
+    return x, ExactMatrix(field, tuple(map(tuple, shifted)))
+
+
+@settings(max_examples=EXAMPLES, deadline=None)
+@given(shifted_matrices())
+def test_insertion_of_unreduced_rows_over_fp(pair):
+    x, shifted = pair
+    p = x.field.p
+    for order in (list, lambda rows: list(reversed(rows))):
+        reduced_basis, shifted_basis = {}, {}
+        for row, unreduced in zip(order(x.entries), order(shifted.entries)):
+            pivot = _insert(reduced_basis, row, p)
+            assert _insert(shifted_basis, unreduced, p) == pivot
+            assert shifted_basis == reduced_basis
+            for c, stored in shifted_basis.items():
+                assert stored[c] == 1 and all(0 <= v < p for v in stored)
+    assert shifted.rank() == x.rank() == len(reference_row_echelon(x.entries, x.field)[1])
+    assert shifted.southwest_profile == x.southwest_profile == reference_profile(x)

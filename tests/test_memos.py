@@ -2,7 +2,7 @@
 
 rank_matrix, covexillary_data, the tau data of CovexillaryData, the
 southwest profile of a matrix, its columns and its conormal core pivots, the basis matrix
-of a subspace, the inverse of a flag generator and the covector g^-1 z of a
+and the dimensions dim(V + E_t) of a subspace, the inverse of a flag generator and the covector g^-1 z of a
 Springer flag point are stored on the frozen instance they belong to.  An instance that holds them must still compare, hash,
 print, replace and pickle exactly like a fresh one.
 """
@@ -18,7 +18,14 @@ import pytest
 from covex.cli import main
 from covex.conormal import SpringerFlagPoint, core_pivots
 from covex.errors import NotCovexillaryError
-from covex.exactla import ExactMatrix, FieldSpec, Subspace, random_matrix
+from covex.exactla import (
+    ExactMatrix,
+    FieldSpec,
+    Subspace,
+    coordinate_subspace,
+    random_matrix,
+    subspace_sum,
+)
 from covex.permcore import PartialPermutation, covexillary_data, rank_matrix
 from covex.serialization import matrix_to_json
 from covex.varieties import locate_grass_cell, southwest_profile, standard_sum_dims
@@ -105,32 +112,64 @@ def test_subspace_basis_matrix_memo_is_invisible():
     basis = v.basis_matrix
     assert v.basis_matrix is basis and basis.shape == (5, 2)
     dims = standard_sum_dims(v)
-    assert "southwest_profile" in vars(basis)
-    assert locate_grass_cell(v).positions == (4, 5) and standard_sum_dims(v) == dims
+    assert dims is v.sum_dims and "sum_dims" in vars(v)
+    assert "southwest_profile" not in vars(basis)
+    assert locate_grass_cell(v).positions == (4, 5) and standard_sum_dims(v) is dims
     fresh = dataclasses.replace(v)
-    assert "basis_matrix" not in vars(fresh)
+    assert "basis_matrix" not in vars(fresh) and "sum_dims" not in vars(fresh)
     assert_like_fresh(v, fresh)
     assert fresh.basis_matrix == basis and standard_sum_dims(fresh) == dims
-    assert pickle.loads(pickle.dumps(v)).basis_matrix == basis
+    back = pickle.loads(pickle.dumps(v))
+    assert back.basis_matrix == basis and back.sum_dims == dims
 
 
-def test_cli_embed_computes_one_southwest_profile(capsys, monkeypatch, tmp_path):
-    profiles = []
-    compute = vars(ExactMatrix)["southwest_profile"].func
+@pytest.mark.parametrize("field", [F, FieldSpec.prime(2), FieldSpec.rational()])
+def test_subspace_sum_dims_memo_is_invisible(field):
+    """sum_dims equals dim(V + E_t) by subspace sums, for V = 0, V = F^N and
+    a proper V, and an instance holding it behaves like a fresh one."""
+    N = 5
+    spaces = [
+        Subspace.zero(field, N),
+        coordinate_subspace(field, N, range(1, N + 1)),
+        Subspace.span(field, N, [(1, 2, 0, 3, 4), (0, 0, 1, 5, 6), (1, 1, 1, 1, 0)]),
+    ]
+    for v in spaces:
+        dims = v.sum_dims
+        assert v.sum_dims is dims and "sum_dims" in vars(v)
+        expected = tuple(
+            subspace_sum(v, coordinate_subspace(field, N, range(1, t + 1))).dim
+            for t in range(N + 1)
+        )
+        assert dims == expected
+        fresh = dataclasses.replace(v)
+        assert "sum_dims" not in vars(fresh)
+        assert_like_fresh(v, fresh)
+        assert fresh.sum_dims == dims
+        assert pickle.loads(pickle.dumps(v)).sum_dims == dims
+    assert spaces[0].sum_dims == tuple(range(N + 1))
+    assert spaces[1].sum_dims == (N,) * (N + 1)
 
-    def counted(self):
-        profiles.append(self.shape)
-        return compute(self)
 
-    memo = cached_property(counted)
-    memo.__set_name__(ExactMatrix, "southwest_profile")
-    monkeypatch.setattr(ExactMatrix, "southwest_profile", memo)
+def test_cli_embed_computes_one_sum_dims(capsys, monkeypatch, tmp_path):
+    """covex embed eliminates its embedded subspace once for every target
+    condition, and computes no southwest profile at all."""
+    computed = []
+    for cls, name in ((Subspace, "sum_dims"), (ExactMatrix, "southwest_profile")):
+        compute = vars(cls)[name].func
+
+        def counted(self, compute=compute, name=name):
+            computed.append((name, self.ambient if name == "sum_dims" else self.shape))
+            return compute(self)
+
+        memo = cached_property(counted)
+        memo.__set_name__(cls, name)
+        monkeypatch.setattr(cls, name, memo)
     x = random_matrix(F, 4, 4, random.Random(6))
     path = tmp_path / "x.json"
     path.write_text(json.dumps(matrix_to_json(x)), encoding="utf-8")
     assert main(["embed", "2143", str(path)]) == 0
     assert json.loads(capsys.readouterr().out)["conditions"]
-    assert profiles == [(8, 4)]
+    assert computed == [("sum_dims", 8)]
 
 
 def test_flag_inverse_and_covector_memos_are_invisible():
