@@ -247,12 +247,9 @@ def _rank_violations(pt: CotangentMatrixPoint, data: CovexillaryData):
             k = rows[r]
             if k >= n and y_cols is None:
                 y_cols = tuple(zip(*y))
-            if p is None:
-                hy = y[k] if k < n else [_rational(sum(map(mul, x[k - n], c))) for c in y_cols]
-                row = [_rational(sum(map(mul, hy, x_cols[c]))) if c < n else hy[c - n] for c in cols]
-            else:  # unreduced: _insert reduces what it reads
-                hy = y[k] if k < n else [sum(map(mul, x[k - n], c)) for c in y_cols]
-                row = [sum(map(mul, hy, x_cols[c])) if c < n else hy[c - n] for c in cols]
+            # unreduced: _insert reduces mod p, or scales to integers over Q
+            hy = y[k] if k < n else [sum(map(mul, x[k - n], c)) for c in y_cols]
+            row = [sum(map(mul, hy, x_cols[c])) if c < n else hy[c - n] for c in cols]
             c = _insert(basis, row, p)
             if c is not None:
                 insort(pivots, c)

@@ -278,15 +278,16 @@ def apply_weight_map(
     return poly_t._relabel(ring, images)
 
 
-def check_multidegree_size(n: int) -> None:
-    """Refuse a multidegree computation beyond n = 6.
+# At n = 7 the localization of 1234567 alone has 484,912 terms, about
+# 45 MB as printed by `covex schubert localize`, and the multidegree suite
+# would run 2,761 cases.  `covex schubert` shares the limit.
+MULTIDEGREE_MAX_N = 6
 
-    At n = 7 the localization of 1234567 alone has 484,912 terms, about
-    45 MB as printed by `covex schubert localize`, and the multidegree suite
-    would run 2,761 cases.
-    """
-    if n > 6:
-        raise InputError(f"multidegree is limited to n <= 6; got n = {n}")
+
+def check_multidegree_size(n: int) -> None:
+    """Refuse a multidegree computation beyond n = MULTIDEGREE_MAX_N."""
+    if n > MULTIDEGREE_MAX_N:
+        raise InputError(f"multidegree is limited to n <= {MULTIDEGREE_MAX_N}; got n = {n}")
 
 
 @dataclass(frozen=True)

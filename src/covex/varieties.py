@@ -83,18 +83,11 @@ def southwest_profile(x: ExactMatrix) -> tuple[tuple[int, ...], ...]:
     """All dim(x E_j / E_{i-1}) = rank of x[i.., ..j], as profile[i-1][j-1].
 
     The profile is computed once per matrix (ExactMatrix.southwest_profile),
-    so every predicate asked about the same x shares one elimination.
+    so every predicate asked about the same x shares one elimination.  This
+    pass-through stays because the benchmark tracer times it by name, as the
+    varieties.southwest_profile group.
     """
     return x.southwest_profile
-
-
-def standard_sum_dims(subspace: Subspace) -> tuple[int, ...]:
-    """dim(V + E_t) for t = 0..N, from V's trailing pivots (Subspace.sum_dims).
-
-    Computed once per subspace, so every condition asked about the same V
-    shares one elimination.
-    """
-    return subspace.sum_dims
 
 
 def in_matrix_schubert(x: ExactMatrix, w: PartialPermutation) -> bool:
@@ -191,7 +184,7 @@ def grass_condition_checks(
     embedding target's included, is compared with its bound here and only here.
     """
     N, d = subspace.ambient, subspace.dim
-    dims = standard_sum_dims(subspace)
+    dims = subspace.sum_dims
     checks = []
     for t, c in conditions:
         if not 0 <= t <= N:
@@ -203,7 +196,7 @@ def grass_condition_checks(
 def locate_grass_cell(subspace: Subspace) -> GrassIndex:
     """Positions j where dim(V + E_j) does not jump; V lies in that open cell."""
     N = subspace.ambient
-    dims = standard_sum_dims(subspace)
+    dims = subspace.sum_dims
     positions = tuple(j for j in range(1, N + 1) if dims[j] == dims[j - 1])
     return GrassIndex(subspace.dim, N, positions)
 

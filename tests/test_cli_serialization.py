@@ -375,20 +375,39 @@ def test_cli_refuses_double_schubert_beyond_n_7_before_expanding(capsys, monkeyp
     assert time.perf_counter() - start < 1.0
 
 
-@pytest.mark.parametrize("suite", ["embed-thm", "conormal-matrix", "conormal-grass", "diagram-chase"])
+# the largest --nmax each suite accepts
+SUITE_LIMITS = {
+    "covex-equiv": 9,
+    "el-roundtrip": 20,
+    "embed-thm": 7,
+    "rank-lemma": 8,
+    "conormal-matrix": 7,
+    "conormal-flag": 7,
+    "conormal-grass": 7,
+    "diagram-chase": 7,
+    "kl-covex": 7,
+    "multidegree": 6,
+}
+
+
+@pytest.mark.parametrize("suite", list(SUITE_LIMITS))
 def test_cli_refuses_partial_permutation_enumeration_beyond_n_7(capsys, monkeypatch, suite):
-    """1.44 M partial permutations at n = 8: refused before any is made."""
+    """Every suite refuses --nmax past its limit before it enumerates or draws
+    anything (1.44 M partial permutations at n = 8), and accepts its limit."""
 
-    def refuse(n):
-        raise AssertionError(f"the partial permutations of size {n} were enumerated")
+    def refuse(n, *_):
+        raise AssertionError(f"{suite} started its cases (argument {n!r})")
 
-    monkeypatch.setattr(suites, "all_partial_permutations", refuse)
+    for name in ("all_partial_permutations", "all_permutations", "_rng"):
+        monkeypatch.setattr(suites, name, refuse)
+    limit = SUITE_LIMITS[suite]
     start = time.perf_counter()
-    code, out, err = run_cli(capsys, "verify", suite, "--nmax", "8")
+    code, out, err = run_cli(capsys, "verify", suite, "--nmax", str(limit + 1))
     assert_one_error_line(code, out, err)
-    assert f"{suite} is limited to n <= 7; got n = 8" in err
+    assert "Traceback" not in err
+    assert f"{suite} is limited to n <= {limit}; got n = {limit + 1}" in err
     assert time.perf_counter() - start < 1.0
-    assert suites.SuiteConfig(suite, n_max=7).resolved().n_max == 7
+    assert suites.SuiteConfig(suite, n_max=limit).resolved().n_max == limit
 
 
 def _cap_address_space():

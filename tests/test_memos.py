@@ -28,7 +28,7 @@ from covex.exactla import (
 )
 from covex.permcore import PartialPermutation, covexillary_data, rank_matrix
 from covex.serialization import matrix_to_json
-from covex.varieties import locate_grass_cell, southwest_profile, standard_sum_dims
+from covex.varieties import locate_grass_cell, southwest_profile
 from test_varieties import sample_flag
 
 F = FieldSpec.prime()
@@ -111,14 +111,14 @@ def test_subspace_basis_matrix_memo_is_invisible():
     v = Subspace.span(F, 5, [(1, 2, 0, 3, 4), (0, 0, 1, 5, 6)])
     basis = v.basis_matrix
     assert v.basis_matrix is basis and basis.shape == (5, 2)
-    dims = standard_sum_dims(v)
-    assert dims is v.sum_dims and "sum_dims" in vars(v)
+    dims = v.sum_dims
+    assert v.sum_dims is dims and "sum_dims" in vars(v)
     assert "southwest_profile" not in vars(basis)
-    assert locate_grass_cell(v).positions == (4, 5) and standard_sum_dims(v) is dims
+    assert locate_grass_cell(v).positions == (4, 5) and v.sum_dims is dims
     fresh = dataclasses.replace(v)
     assert "basis_matrix" not in vars(fresh) and "sum_dims" not in vars(fresh)
     assert_like_fresh(v, fresh)
-    assert fresh.basis_matrix == basis and standard_sum_dims(fresh) == dims
+    assert fresh.basis_matrix == basis and fresh.sum_dims == dims
     back = pickle.loads(pickle.dumps(v))
     assert back.basis_matrix == basis and back.sum_dims == dims
 

@@ -15,7 +15,7 @@ from covex.exactla import (
     Subspace,
     subspace_sum,
 )
-from covex.varieties import southwest_profile, standard_sum_dims
+from covex.varieties import southwest_profile
 from test_exactla import standard_subspace
 from test_exactla_rational import reference_profile
 
@@ -88,4 +88,4 @@ def test_standard_sum_dims_matches_subspace_sum(v):
     expected = tuple(
         subspace_sum(v, standard_subspace(v.field, N, t)).dim for t in range(N + 1)
     )
-    assert standard_sum_dims(v) == expected
+    assert v.sum_dims == expected

@@ -34,7 +34,6 @@ from covex.varieties import (
     locate_grass_cell,
     sample_cell_point,
     southwest_profile,
-    standard_sum_dims,
 )
 
 F = FieldSpec.prime()
@@ -159,7 +158,7 @@ def test_grass_minimal_mode_agrees():
         if v.dim != 2:
             continue
         idx = GrassIndex(2, 5, (2, 4))
-        dims = standard_sum_dims(v)
+        dims = v.sum_dims
         minimal_only = all(
             dims[idx.positions[i - 1]] <= idx.d + idx.positions[i - 1] - i
             for i in redundancy_free(idx)
