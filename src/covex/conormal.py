@@ -26,6 +26,10 @@ its rows are built and eliminated bottom-up, one at a time, and each bound
 is read as soon as the elimination has passed its row cut, so membership
 stops at the first broken bound.  The unit rows of H and unit columns of G
 are copies; only the rows and columns of x in them cost dot products.
+What depends on x alone (its size, its Schubert check and the pivots H
+and G) is fixed work done once per x: conormal_matrix_members checks a
+batch of covectors y over one x and runs only the elimination for each y,
+and in_conormal_matrix is its one-covector case.
 
 The flag form is the matrix form pulled back along GL_n -> Mat_n.  For
 the flag F_q = g E_q, F_q + E_p = g(E_q + g^-1 E_p) and F_q meet E_p =
@@ -187,8 +191,11 @@ def core_pivots(
     Inside block i, column c of x joins G exactly when the unit row e_c
     stays out of H, and row s of x joins H exactly when e_s stays out of G.
 
-    The answer depends on x and on (p, q) alone, and is kept in x's
-    core_pivot_memo: the suites test many covectors y over one x.
+    The answer depends on x and on (p, q) alone, so it is computed once per
+    x and kept in x's core_pivot_memo: the elimination of every covector
+    over one x reads it from there, whether the covectors come as one batch
+    (conormal_matrix_members) or one point at a time (the flag points of
+    one generator).
     """
     key = (data.p, data.q)
     found = x.core_pivot_memo.get(key)
@@ -216,11 +223,12 @@ def core_pivots(
     return found
 
 
-def _rank_violations(pt: CotangentMatrixPoint, data: CovexillaryData):
-    """Yield (k, rank) for each check k of data.conormal_checks that fails at pt.
+def _core_violations(x: ExactMatrix, data: CovexillaryData, y_rows):
+    """Yield (k, rank) for each check k of data.conormal_checks that fails at (x, y).
 
-    Check (i, j, bound) reads the southwest rank of the core N = H y G on
-    the rows from rows_before[j] down and the columns before cols_through[i]
+    y is given by its rows, y_rows, and must be n x n like x.  Check
+    (i, j, bound) reads the southwest rank of the core N = H y G on the rows
+    from rows_before[j] down and the columns before cols_through[i]
     (core_pivots).  N is never formed: its rows are built one at a time,
     bottom-up, and go into one echelon basis, so once row a is in, the rank
     of rows a.., columns ..b is the number of pivots before b.  A unit row
@@ -230,12 +238,11 @@ def _rank_violations(pt: CotangentMatrixPoint, data: CovexillaryData):
     each as soon as its rows are in, and a caller that stops at the first
     failure builds no row above it.
     """
-    n = pt.n
-    rows, cols, rows_before, cols_through = core_pivots(pt.x, data)
+    n = data.n
+    rows, cols, rows_before, cols_through = core_pivots(x, data)
     checks = data.conormal_checks  # (i, j) for i = 1..m, j < i: (i, j) is at i(i-1)/2 + j
-    x, y = pt.x.entries, pt.y.entries
-    p = pt.x.field.p
-    x_cols = pt.x.columns
+    p = x.field.p
+    x_rows, x_cols = x.entries, x.columns
     y_cols = None  # read only when H holds a row of x
     basis: dict = {}
     pivots: list[int] = []  # the pivot columns of basis, sorted
@@ -246,9 +253,9 @@ def _rank_violations(pt: CotangentMatrixPoint, data: CovexillaryData):
             r -= 1
             k = rows[r]
             if k >= n and y_cols is None:
-                y_cols = tuple(zip(*y))
+                y_cols = tuple(zip(*y_rows))
             # unreduced: _insert reduces mod p, or scales to integers over Q
-            hy = y[k] if k < n else [sum(map(mul, x[k - n], c)) for c in y_cols]
+            hy = y_rows[k] if k < n else [sum(map(mul, x_rows[k - n], c)) for c in y_cols]
             row = [sum(map(mul, hy, x_cols[c])) if c < n else hy[c - n] for c in cols]
             c = _insert(basis, row, p)
             if c is not None:
@@ -260,19 +267,36 @@ def _rank_violations(pt: CotangentMatrixPoint, data: CovexillaryData):
                 yield k, rank
 
 
-def _matrix_data(pt: CotangentMatrixPoint, w: PartialPermutation) -> CovexillaryData:
+def _matrix_data(x: ExactMatrix, w: PartialPermutation) -> CovexillaryData:
     data = covexillary_data(w)
-    if pt.n != w.n:
+    if x.shape != (w.n, w.n):
         raise DimensionMismatchError("point size differs from permutation size")
     return data
 
 
+def conormal_matrix_members(
+    x: ExactMatrix, w: PartialPermutation, ys: Sequence[ExactMatrix]
+) -> list[bool]:
+    """Membership of (x, y) for each covector y of ys, in order.
+
+    What depends on x alone runs once: the size check, covexillary_data(w)
+    and the Schubert check, and core_pivots is computed once and then read
+    from x's memo.  If x is outside the matrix Schubert variety every
+    verdict is False; otherwise only the elimination of _core_violations
+    runs per y, stopping at the first failed bound.  Each y must have x's
+    shape, as CotangentMatrixPoint requires.
+    """
+    data = _matrix_data(x, w)
+    if any(y.shape != (data.n, data.n) for y in ys):
+        raise DimensionMismatchError("x and y must be square of equal size")
+    if matrix_schubert_violation(x, w) is not None:
+        return [False] * len(ys)
+    return [next(_core_violations(x, data, y.entries), None) is None for y in ys]
+
+
 def in_conormal_matrix(pt: CotangentMatrixPoint, w: PartialPermutation) -> bool:
     """Membership; stops at the first failed bound the elimination meets."""
-    data = _matrix_data(pt, w)
-    if matrix_schubert_violation(pt.x, w) is not None:
-        return False
-    return next(_rank_violations(pt, data), None) is None
+    return conormal_matrix_members(pt.x, w, (pt.y,))[0]
 
 
 def conormal_matrix_violations(pt: CotangentMatrixPoint, w: PartialPermutation) -> list[dict]:
@@ -283,13 +307,13 @@ def conormal_matrix_violations(pt: CotangentMatrixPoint, w: PartialPermutation) 
 
     Raises NotCovexillaryError when w is not covexillary.
     """
-    data = _matrix_data(pt, w)
+    data = _matrix_data(pt.x, w)
     out: list[dict] = []
     base = matrix_schubert_violation(pt.x, w)
     if base is not None:
         out.append({"kind": "schubert", "condition": base})
     checks = data.conormal_checks
-    for k, rank in sorted(_rank_violations(pt, data)):
+    for k, rank in sorted(_core_violations(pt.x, data, pt.y.entries)):
         i, j, bound = checks[k]
         out.append({"kind": "rank", "i": i, "j": j, "rank": rank, "bound": bound})
     return out

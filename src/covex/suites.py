@@ -8,9 +8,14 @@ refuses anything larger before a case runs.  A runner yields
 verdicts sorted by case identifier; verdicts are plain data so reports
 serialize to stable JSON lines.  The suites that sweep covexillary ``w``
 share one case loop, ``_covexillary_cases``, and the three conormal
-calibrations one rejection estimate, ``_rejection``.  All randomness is
-drawn from per-case generators seeded by (seed, suite, case), so reports
-are byte-identical across reruns and independent of execution order.
+calibrations one rejection estimate, ``_rejection``, which reads the
+membership verdicts of the random covectors.  The matrix and flag
+calibrations draw all their covectors in one ``_draws`` call (the same
+numbers, in the same order, as one draw per covector) and check them over
+the sampled point with one ``conormal_matrix_members`` call, so the
+point's fixed work runs once.  All randomness is drawn from per-case
+generators seeded by (seed, suite, case), so reports are byte-identical
+across reruns and independent of execution order.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ from .conormal import (
     SpringerGrassPoint,
     conormal_fiber_flag,
     conormal_fiber_matrix,
+    conormal_matrix_members,
     conormal_matrix_violations,
     in_conormal_flag,
     in_conormal_grass,
@@ -127,17 +133,17 @@ def _covexillary_cases(
                 yield n, w, f"n={n}/w={w.one_line()}"
 
 
-def _rejection(
-    applies: bool, trials: int, rejects: Callable[[], bool]
-) -> tuple[float | None, bool]:
-    """(rate, rate >= REJECTION_THRESHOLD) over trials calls of rejects.
+def _rejection(members: list[bool] | None) -> tuple[float | None, bool]:
+    """(rate, rate >= REJECTION_THRESHOLD), rate the share of False verdicts.
 
+    members holds the membership verdicts of the random covectors drawn.
     Where the fiber is the whole space every covector is valid and there is
-    nothing to reject: then applies is False and the estimate is (None, True).
+    nothing to reject: then the caller draws nothing, passes None and the
+    estimate is (None, True).
     """
-    if not applies:
+    if members is None:
         return None, True
-    rate = sum(1 for _ in range(trials) if rejects()) / trials
+    rate = members.count(False) / len(members)
     return rate, rate >= REJECTION_THRESHOLD
 
 
@@ -245,21 +251,24 @@ def _suite_conormal_matrix(config: SuiteConfig) -> Iterator[Case]:
             fiber_dim = fiber.dim
             if fiber.dim != n * n - tangent_orbit_rank(x):
                 dim_mismatches += 1
-            for y in _fiber_elements(fiber, n, field, rng, extra=20):
-                violations = conormal_matrix_violations(CotangentMatrixPoint(x, y), w)
-                if violations:
-                    rejected_valid += 1
-                    if first_failure is None:
-                        first_failure = violations[0]
+            ys = _fiber_elements(fiber, n, field, rng, extra=20)
+            rejected = [y for y, ok in zip(ys, conormal_matrix_members(x, w, ys)) if not ok]
+            rejected_valid += len(rejected)
+            if rejected and first_failure is None:
+                point = CotangentMatrixPoint(x, rejected[0])
+                first_failure = conormal_matrix_violations(point, w)[0]
         x = sample_cell_point(w, field, rng)
         fiber = conormal_fiber_matrix(x, w)
-        reject_rate, rejection_ok = _rejection(
-            fiber.dim < n * n,
-            REJECTION_TRIALS,
-            lambda: not in_conormal_matrix(
-                CotangentMatrixPoint(x, random_matrix(field, n, n, rng)), w
-            ),
-        )
+        members = None
+        if fiber.dim < n * n:
+            # the draws of REJECTION_TRIALS random_matrix calls, made in one call
+            draws = _draws(rng, field.p, REJECTION_TRIALS * n * n)
+            ys = [
+                vector_to_matrix(field, draws[t * n * n : (t + 1) * n * n], n)
+                for t in range(REJECTION_TRIALS)
+            ]
+            members = conormal_matrix_members(x, w, ys)
+        reject_rate, rejection_ok = _rejection(members)
         yield case, rejected_valid == 0 and dim_mismatches == 0 and rejection_ok, {
             "rejected_valid": rejected_valid,
             "dim_mismatches": dim_mismatches,
@@ -286,18 +295,20 @@ def _suite_conormal_flag(config: SuiteConfig) -> Iterator[Case]:
                     rejected_valid += 1
         g = sample_cell_point(w, field, rng)
         flag, fiber = conormal_fiber_flag(g, w)
-
-        def rejects() -> bool:
-            draws = iter(_draws(rng, field.p, n * (n - 1) // 2))
-            upper = ExactMatrix(
-                field,
-                tuple(tuple(next(draws) if j > i else 0 for j in range(n)) for i in range(n)),
-            )
-            return not in_conormal_flag(SpringerFlagPoint(flag, g @ upper @ flag.inverse), w)
-
-        reject_rate, rejection_ok = _rejection(
-            fiber.dim < n * (n - 1) // 2, REJECTION_TRIALS, rejects
-        )
+        members = None
+        if fiber.dim < n * (n - 1) // 2:
+            # z = g U g^-1 for a random strictly upper U; (F, z) is the matrix
+            # point (g, g^-1 z) = (g, U g^-1), so neither z nor g^-1 z is formed
+            draws = iter(_draws(rng, field.p, REJECTION_TRIALS * (n * (n - 1) // 2)))
+            uppers = [
+                ExactMatrix(
+                    field,
+                    tuple(tuple(next(draws) if j > i else 0 for j in range(n)) for i in range(n)),
+                )
+                for _ in range(REJECTION_TRIALS)
+            ]
+            members = conormal_matrix_members(g, w, [u @ flag.inverse for u in uppers])
+        reject_rate, rejection_ok = _rejection(members)
         yield case, rejected_valid == 0 and dim_mismatches == 0 and rejection_ok, {
             "rejected_valid": rejected_valid,
             "dim_mismatches": dim_mismatches,
@@ -334,13 +345,16 @@ def _springer_fiber_sample(
 
 def _suite_conormal_grass(config: SuiteConfig) -> Iterator[Case]:
     field = _field(config)
+    below: dict[int, list[PartialPermutation]] = {}
     for n, w, case in _covexillary_cases(all_partial_permutations, config.n_max):
+        if n not in below:
+            below = {n: list(all_partial_permutations(n))}
         rng = _rng(config, case)
         data = covexillary_data(w)
         conditions = data.grass_conditions
         failures = 0
         # zero-section points over sampled cells of every u below w
-        for u in all_partial_permutations(n):
+        for u in below[n]:
             if not bruhat_leq(u, w):
                 continue
             V = embed_point(sample_cell_point(u, field, rng), data)
@@ -351,13 +365,15 @@ def _suite_conormal_grass(config: SuiteConfig) -> Iterator[Case]:
         x = sample_cell_point(w, field, rng)
         V = embed_point(x, data)
         fiber = conormal_fiber_matrix(x, w)
-        reject_rate, rejection_ok = _rejection(
-            fiber.dim < n * n,
-            config.trials,
-            lambda: not in_conormal_grass(
-                SpringerGrassPoint(V, _springer_fiber_sample(V, field, rng)), conditions
-            ),
-        )
+        members = None
+        if fiber.dim < n * n:
+            members = [
+                in_conormal_grass(
+                    SpringerGrassPoint(V, _springer_fiber_sample(V, field, rng)), conditions
+                )
+                for _ in range(config.trials)
+            ]
+        reject_rate, rejection_ok = _rejection(members)
         yield case, failures == 0 and rejection_ok, {
             "zero_section_failures": failures,
             "reject_rate": reject_rate,

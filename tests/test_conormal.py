@@ -18,6 +18,7 @@ from covex.conormal import (
     conormal_fiber_matrix,
     conormal_flag_violations,
     conormal_grass_violations,
+    conormal_matrix_members,
     conormal_matrix_violations,
     core_pivots,
     in_conormal_flag,
@@ -1319,3 +1320,91 @@ def test_rejection_power_sample():
         if not in_conormal_matrix(CotangentMatrixPoint(x, random_matrix(F, 4, 4, rng)), w)
     )
     assert rejected >= 57
+
+
+BIG_PRIME = FieldSpec.prime(10**24 + 7)
+MEMBER_FIELDS = (FieldSpec.prime(2), FieldSpec.prime(3), F, BIG_PRIME, Q)
+
+
+def member_batch(w, field, rng):
+    """(x, ys) over field: x in the open cell of w, ys the zero covector,
+    fiber covectors (over F_p) and random covectors (hand-built fractions
+    over Q)."""
+    n = w.n
+    if field.is_prime:
+        x = sample_cell_point(w, field, rng)
+        ys = [vector_to_matrix(field, v, n) for v in conormal_fiber_matrix(x, w).vectors]
+        ys += [random_matrix(field, n, n, rng) for _ in range(3)]
+    else:
+        x = w.matrix(field)
+        half = [[Fraction(1, 2) if b > a else 0 for b in range(n)] for a in range(n)]
+        ys = [rational_matrix(rng, n) for _ in range(3)] + [ExactMatrix.from_rows(field, half)]
+    return x, [ExactMatrix.zeros(field, n, n), *ys]
+
+
+def test_matrix_members_are_the_per_point_verdicts():
+    """conormal_matrix_members(x, w, ys) is in_conormal_matrix at each (x, y),
+    for every covexillary w with n <= 4 over F_2, F_3, F_10007, F_(10^24+7)
+    and Q, at a cell point of w and at a random x, which often lies outside
+    the matrix Schubert variety."""
+    rng = random.Random(53)
+    for field in MEMBER_FIELDS:
+        for n in (1, 2, 3, 4):
+            for w in all_partial_permutations(n):
+                if not is_covexillary(w):
+                    continue
+                x, ys = member_batch(w, field, rng)
+                other = rational_matrix(rng, n) if field is Q else random_matrix(field, n, n, rng)
+                for point in (x, other):
+                    expected = [in_conormal_matrix(CotangentMatrixPoint(point, y), w) for y in ys]
+                    assert conormal_matrix_members(point, w, ys) == expected
+
+
+def test_matrix_members_outside_the_schubert_variety_empty_batches_and_sizes():
+    w = PartialPermutation.identity(4)
+    x = PartialPermutation.longest(4).matrix(F)
+    assert matrix_schubert_violation(x, w) is not None
+    y = random_matrix(F, 4, 4, random.Random(5))
+    ys = [ExactMatrix.zeros(F, 4, 4), unit_matrix(4, 1, 2), y]
+    assert conormal_matrix_members(x, w, ys) == [False] * 3
+    assert conormal_matrix_members(x, w, []) == []
+    assert conormal_matrix_members(w.matrix(F), w, ()) == []
+    small = ExactMatrix.zeros(F, 3, 3)
+    with pytest.raises(DimensionMismatchError, match="point size differs") as per_point:
+        in_conormal_matrix(CotangentMatrixPoint(small, small), w)
+    for batch in ([], [small], ys):
+        with pytest.raises(DimensionMismatchError) as batched:
+            conormal_matrix_members(small, w, batch)
+        assert str(batched.value) == str(per_point.value)
+    with pytest.raises(DimensionMismatchError):
+        conormal_matrix_members(ExactMatrix.zeros(F, 4, 3), w, [])
+    # a covector of the wrong size raises as CotangentMatrixPoint does, even
+    # when x alone already decides every verdict
+    for point in (x, w.matrix(F)):
+        with pytest.raises(DimensionMismatchError, match="square of equal size"):
+            conormal_matrix_members(point, w, [ys[0], small])
+    with pytest.raises(NotCovexillaryError):
+        conormal_matrix_members(x, PartialPermutation.from_one_line("3412"), [])
+
+
+def test_flag_rejection_covectors_are_the_flag_points():
+    """The flag calibration checks z = g U g^-1 for a strictly upper U as the
+    matrix point (g, U g^-1): U g^-1 is the covector of the Springer point
+    (F, g U g^-1), and the batched verdicts over g are in_conormal_flag at
+    each of those points, for every covexillary w with n <= 4, at flags from
+    the cell of w and from every other cell u of S_n."""
+    rng = random.Random(59)
+    for field in (FieldSpec.prime(2), FieldSpec.prime(3), F, Q):
+        for n in (1, 2, 3, 4):
+            ws = [w for w in all_permutations(n) if is_covexillary(w)]
+            for u in all_permutations(n):
+                g = cell_generator(u, field, rng)
+                flag = Flag(g)
+                uppers = [random_upper(field, n, rng, True) for _ in range(3)]
+                covectors = [upper @ flag.inverse for upper in uppers]
+                points = [SpringerFlagPoint(flag, g @ upper @ flag.inverse) for upper in uppers]
+                for covector, pt in zip(covectors, points):
+                    assert covector.entries == pt.covector.entries
+                for w in ws:
+                    expected = [in_conormal_flag(pt, w) for pt in points]
+                    assert conormal_matrix_members(g, w, covectors) == expected

@@ -229,6 +229,33 @@ def test_samplers_reproduce_randrange():
             assert ours.getstate() == theirs.getstate()
 
 
+def test_one_batch_of_draws_is_the_successive_draws():
+    """_draws(rng, p, T k) cut into T blocks of k is T successive _draws of k,
+    and leaves the generator in the same state: the conormal rejection
+    estimates draw their T covectors in one call.  k = n^2 blocks are the
+    random_matrix draws and k = n(n-1)/2 the strictly upper triangular ones."""
+    trials = 7
+    for seed in range(4):
+        for field in (FieldSpec.prime(2), FieldSpec.prime(3), F, FieldSpec.prime(10**24 + 7)):
+            p = field.p
+            for n in (1, 2, 3, 4):
+                for k in (n * n, n * (n - 1) // 2):
+                    ours, theirs = random.Random(seed), random.Random(seed)
+                    batch = _draws(ours, p, trials * k)
+                    blocks = [batch[t * k : (t + 1) * k] for t in range(trials)]
+                    assert blocks == [_draws(theirs, p, k) for _ in range(trials)]
+                    assert ours.getstate() == theirs.getstate()
+                ours, theirs = random.Random(seed), random.Random(seed)
+                batch = _draws(ours, p, trials * n * n)
+                blocks = [batch[t * n * n : (t + 1) * n * n] for t in range(trials)]
+                matrices = [
+                    ExactMatrix(field, tuple(tuple(b[i * n : (i + 1) * n]) for i in range(n)))
+                    for b in blocks
+                ]
+                assert matrices == [random_matrix(field, n, n, theirs) for _ in range(trials)]
+                assert ours.getstate() == theirs.getstate()
+
+
 def test_sampling_requires_prime_field():
     rng = random.Random(0)
     with pytest.raises(FieldError):
