@@ -76,9 +76,9 @@ def fixed_point_index(u: PartialPermutation, data: CovexillaryData) -> GrassInde
     n = data.n
     if u.n != n:
         raise DimensionMismatchError("partial permutation size differs from n")
-    tau = data.tau
+    tau = data.tau.image
     positions = sorted(
-        max(tau(j), tau(n + u(j))) if u(j) else tau(j) for j in range(1, n + 1)
+        max(tau[j], tau[n + v - 1]) if v else tau[j] for j, v in enumerate(u.image)
     )
     return GrassIndex(n, 2 * n, tuple(positions))
 

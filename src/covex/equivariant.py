@@ -25,8 +25,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
+from .embedding import fixed_point_index, target_grass_index, weight_map
 from .errors import InputError
-from .permcore import PartialPermutation
+from .permcore import PartialPermutation, covexillary_data
 from .varieties import GrassIndex
 
 
@@ -308,9 +309,6 @@ def verify_multidegree(w: PartialPermutation) -> MultidegreeReport:
     image of the origin, pushed through the torus-weight dictionary and the
     fixed variable convention of the module docstring.
     """
-    from .embedding import fixed_point_index, target_grass_index, weight_map
-    from .permcore import covexillary_data
-
     check_multidegree_size(w.n)
     data = covexillary_data(w)
     if not w.is_full_rank:

@@ -32,6 +32,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
+from .embedding import fixed_point_index, target_grass_index
 from .errors import InputError
 from .permcore import PartialPermutation, bruhat_leq, covexillary_data
 from .varieties import GrassIndex
@@ -124,9 +125,13 @@ class SymmetricGroupTable:
     the digit sum of k in the factorial base (its Lehmer code).  Bruhat order
     is dominance of rank matrices, r(i, j) = #{k <= j : w(k) >= i}; each one
     is packed into an int with a guard bit per entry, so a single subtraction
-    compares all N^2 entries.  The permutations are grouped by their (right,
-    left) descent sets, each group sorted by length, and the mu-list sieve
-    scans only the groups that hold every descent of v.
+    compares all N^2 entries.  Descents are computed once, here, and stored
+    per index as bitmasks: bit i of rdes[k] is set when rmul(k, i) is
+    shorter (positions i and i+1, from 0, are inverted), bit i-1 of ldes[k]
+    when lmul(k, i) is (the value i+1 stands left of i).  Canonicalization,
+    the recursion and the mu-lists read only these masks.  The permutations
+    are grouped by their (rdes, ldes) pair, each group sorted by length, and
+    the mu-list sieve scans only the groups that hold every descent of v.
     """
 
     def __init__(self, N: int):
@@ -145,7 +150,7 @@ class SymmetricGroupTable:
             column.append(column[-1] | 1 << width * v)
         self.guard = sum(1 << width * f + width - 1 for f in range(N * N))
         step = width * N
-        ranks = []
+        ranks, rdes_list, ldes_list = [], [], []
         classes: dict[tuple[int, int], list[int]] = {}
         for k, p in enumerate(perms):
             acc = packed = shift = rdes = ldes = 0
@@ -162,8 +167,12 @@ class SymmetricGroupTable:
                 seen |= 1 << v
                 prev = v
             ranks.append(packed)
+            rdes_list.append(rdes)
+            ldes_list.append(ldes)
             classes.setdefault((rdes, ldes), []).append(k)
         self.packed_ranks = ranks
+        self.rdes = rdes_list
+        self.ldes = ldes_list
         for members in classes.values():
             members.sort(key=lengths.__getitem__)
         self._classes = classes
@@ -185,36 +194,19 @@ class SymmetricGroupTable:
 
     def lmul(self, w: int, i: int) -> int:
         """Index of s_i w: the values i and i+1 swapped."""
-        swap = {i: i + 1, i + 1: i}
-        return self.index[tuple(swap.get(v, v) for v in self.perms[w])]
-
-    def right_descents(self, w: int) -> list[int]:
-        row = self.perms[w]
-        return [i for i in range(self.N - 1) if row[i] > row[i + 1]]
-
-    def left_descents(self, w: int) -> list[int]:
-        row = self.perms[w]
-        pos = {v: k for k, v in enumerate(row)}
-        return [i for i in range(1, self.N) if pos[i + 1] < pos[i]]
+        return self.index[_swap(self.perms[w], i)]
 
     def _canonical_u(self, u: int, w: int) -> int:
-        """Minimal element of the descent class of u relative to w."""
-        rdesc = self.right_descents(w)
-        ldesc = self.left_descents(w)
-        changed = True
-        while changed:
-            changed = False
-            for i in rdesc:
-                row = self.perms[u]
-                if row[i] > row[i + 1]:
-                    u = self.rmul(u, i)
-                    changed = True
-            for i in ldesc:
-                row = self.perms[u]
-                if row.index(i + 1) < row.index(i):
-                    u = self.lmul(u, i)
-                    changed = True
-        return u
+        """Minimal element of W_I u W_J, I and J the left and right descents of w."""
+        rdes, ldes = self.rdes, self.ldes
+        rw, lw = rdes[w], ldes[w]
+        while True:
+            if r := rdes[u] & rw:
+                u = self.rmul(u, (r & -r).bit_length() - 1)
+            elif l := ldes[u] & lw:
+                u = self.lmul(u, (l & -l).bit_length())
+            else:
+                return u
 
     def kl(self, u: int, w: int) -> PolynomialQ:
         if not self.leq(u, w):
@@ -230,16 +222,14 @@ class SymmetricGroupTable:
         cached = self._pmemo.get(key)
         if cached is not None:
             return cached
-        s = self.right_descents(w)[0]
+        rdes = self.rdes
+        s = (rdes[w] & -rdes[w]).bit_length() - 1
         v = self.rmul(w, s)
         us = self.rmul(u, s)  # us > u after canonicalization
         result = self.kl(us, v).shift(1) + self.kl(u, v)
         lw, lu = lengths[w], lengths[u]
         for z, mu in self.mu_list(v):
-            if lengths[z] < lu:
-                continue
-            row = self.perms[z]
-            if row[s] < row[s + 1]:  # zs > z
+            if lengths[z] < lu or not rdes[z] >> s & 1:  # below l(u), or zs > z
                 continue
             if not self.leq(u, z):
                 continue
@@ -264,12 +254,9 @@ class SymmetricGroupTable:
             return cached
         lengths, ranks = self.length, self.packed_ranks
         lv = lengths[v]
-        rdesc = self.right_descents(v)
-        ldesc = self.left_descents(v)
-        mus = {self.rmul(v, i): 1 for i in rdesc}
-        mus.update((self.lmul(v, i), 1) for i in ldesc)
-        rmask = sum(1 << i for i in rdesc)
-        lmask = sum(1 << i - 1 for i in ldesc)
+        rmask, lmask = self.rdes[v], self.ldes[v]
+        mus = {self.rmul(v, i): 1 for i in range(self.N - 1) if rmask >> i & 1}
+        mus.update((self.lmul(v, i + 1), 1) for i in range(self.N - 1) if lmask >> i & 1)
         guard = self.guard
         top = ranks[v] + guard
         for (rdes, ldes), members in self._classes.items():
@@ -343,12 +330,13 @@ def kl_polynomial(u, w) -> PolynomialQ:
     return table.kl(table.index[ut], table.index[wt])
 
 
-def _swap(subset: tuple[int, ...], i: int) -> tuple[int, ...]:
-    """s_i on a d-subset: the values i and i+1 trade places."""
-    if (i in subset) == (i + 1 in subset):
-        return subset
-    swap = {i: i + 1, i + 1: i}
-    return tuple(swap.get(v, v) for v in subset)
+def _swap(values: tuple[int, ...], i: int) -> tuple[int, ...]:
+    """s_i on values: i and i+1 trade places.
+
+    On a permutation this is s_i w.  A d-subset stays increasing when it
+    holds exactly one of i and i+1; otherwise s_i fixes its coset.
+    """
+    return tuple(i + 1 if v == i else i if v == i + 1 else v for v in values)
 
 
 def _ascents(subset: tuple[int, ...]) -> int:
@@ -376,7 +364,9 @@ class GrassmannianTable:
 
     As in S_N (KL 1979, (2.3.e)), the mu-list of V holds the covers s_i V with
     mu = 1 and sieves only the Z that share every left descent of V, that is,
-    the Z that an s_i moves up only where it moves V up.
+    the Z that an s_i moves up only where it moves V up.  Each subset's
+    ascents (bit i: s_i moves it up) are one bitmask, stored with it in
+    subsets; the sieve compares masks, and X is lowered on its own bitmask.
     """
 
     def __init__(self, N: int, d: int):
@@ -391,18 +381,16 @@ class GrassmannianTable:
 
     @staticmethod
     def _canonical(x: tuple[int, ...], y: tuple[int, ...]) -> tuple[int, ...]:
-        """Lowest X' with P_{X',Y} = P_{X,Y}, along the s_i that fix or lower Y."""
-        up = _ascents(y)
-        changed = True
-        while changed:
-            changed = False
-            for v in x:
-                i = v - 1
-                if i and i not in x and not up >> i & 1:
-                    x = _swap(x, i)
-                    changed = True
-                    break
-        return x
+        """Lowest X' with P_{X',Y} = P_{X,Y}, along the s_i that fix or lower Y.
+
+        On the bitmask of X, every value v with v-1 outside X and s_{v-1} not
+        moving Y up steps down at once; no two such v are adjacent.
+        """
+        stay = _ascents(y) << 1 | 2  # v = 1, or s_{v-1} moves Y up
+        bits = sum(1 << v for v in x)
+        while moving := bits & ~(bits << 1) & ~stay:
+            bits ^= moving | moving >> 1
+        return tuple(v for v in range(bits.bit_length()) if bits >> v & 1)
 
     def kl(self, x: tuple[int, ...], y: tuple[int, ...]) -> PolynomialQ:
         if x == y:
@@ -423,12 +411,11 @@ class GrassmannianTable:
             return cached
         i = next(v - 1 for v in y if v > 1 and v - 1 not in y)
         v = _swap(y, i)
-        sx = _swap(x, i)
-        if sx == x:
+        if (i in x) == (i + 1 in x):  # s_i fixes the coset of X
             low = self.kl(x, v)
             result = low + low.shift(1)
         else:
-            result = self.kl(sx, v).shift(1) + self.kl(x, v)
+            result = self.kl(_swap(x, i), v).shift(1) + self.kl(x, v)
         for z, mu in self.mu_list(v):
             lz = sum(z)
             if lz < lx or (i in z and i + 1 not in z):
@@ -484,9 +471,9 @@ def grassmannian_kl(u_idx: GrassIndex, v_idx: GrassIndex) -> PolynomialQ:
 
 
 # kl-covex sweeps every covexillary w in S_n and every u <= w.  Through n = 7
-# that is 3,409 cases in about two minutes, mostly in the S_n and Gr(n, 2n)
-# KL recursions; S_8 adds 15,767 covexillary w, each over an interval of
-# S_8.  `covex kl covex-check` shares the limit.
+# that is 3,409 cases in about 45 s on a 2-core Xeon, mostly in the S_n and
+# Gr(n, 2n) KL recursions; S_8 adds 15,767 covexillary w, each over an
+# interval of S_8.  `covex kl covex-check` shares the limit.
 KL_COVEX_MAX_N = 7
 
 
@@ -515,8 +502,6 @@ def covexillary_kl_check(w: PartialPermutation) -> list[KLCheckRow]:
     the u-matrix is a torus-fixed point of Gr(n, 2n); the local KL polynomial
     of the target Schubert variety there must reproduce P_{u,w}.
     """
-    from .embedding import fixed_point_index, target_grass_index
-
     check_kl_covex_size(w.n)
     data = covexillary_data(w)
     if not w.is_full_rank:

@@ -41,7 +41,7 @@ from .conormal import (
     tangent_orbit_rank,
     vector_to_matrix,
 )
-from .embedding import embed_point, target_holds
+from .embedding import check_rank_lemma, embed_point, target_holds
 from .errors import DimensionMismatchError, InputError
 from .exactla import (
     DEFAULT_PRIME,
@@ -220,8 +220,6 @@ def _suite_embed_thm(config: SuiteConfig) -> Iterator[Case]:
 
 
 def _suite_rank_lemma(config: SuiteConfig) -> Iterator[Case]:
-    from .embedding import check_rank_lemma
-
     field = _field(config)
     for n in range(1, config.n_max + 1):
         for p in range(n + 1):

@@ -128,6 +128,18 @@ def test_classical_s4_values():
     assert nontrivial == 6
 
 
+def _right_descents(table, w):
+    """The i (from 0) with w(i) > w(i+1), read off the one-line tuple."""
+    row = table.perms[w]
+    return [i for i in range(table.N - 1) if row[i] > row[i + 1]]
+
+
+def _left_descents(table, w):
+    """The i (from 1) whose i+1 stands left of i in the one-line tuple."""
+    row = table.perms[w]
+    return [i for i in range(1, table.N) if row.index(i + 1) < row.index(i)]
+
+
 def _r_polynomial(table, u, w, memo):
     if u == w:
         return (1,)
@@ -136,7 +148,7 @@ def _r_polynomial(table, u, w, memo):
     key = (u, w)
     if key in memo:
         return memo[key]
-    s = table.right_descents(w)[0]
+    s = _right_descents(table, w)[0]
     ws = table.rmul(w, s)
     us = table.rmul(u, s)
     if table.length[us] < table.length[u]:
@@ -264,14 +276,86 @@ def test_table_length_order_and_multiplication_match_permcore():
         perms = [PartialPermutation(size, p) for p in table.perms]
         for k, w in enumerate(perms):
             assert table.length[k] == w.length()
+            right, left = _right_descents(table, k), _left_descents(table, k)
+            assert table.rdes[k] == sum(1 << i for i in right)
+            assert table.ldes[k] == sum(1 << i - 1 for i in left)
             for i in range(size - 1):
                 ws = perms[table.rmul(k, i)]
-                assert ws.length() - w.length() == (-1 if i in table.right_descents(k) else 1)
+                assert ws.length() - w.length() == (-1 if i in right else 1)
             for i in range(1, size):
                 sw = perms[table.lmul(k, i)]
-                assert sw.length() - w.length() == (-1 if i in table.left_descents(k) else 1)
+                assert sw.length() - w.length() == (-1 if i in left else 1)
             for j, u in enumerate(perms):
                 assert table.leq(j, k) == bruhat_leq(u, w)
+
+
+def _double_coset_minima(table, left, right):
+    """Map each index to the shortest element of W_I u W_J, found by walking.
+
+    I = left (s_i swaps the values i and i+1), J = right (s_i swaps the
+    positions i and i+1, from 0); each double coset is walked once on the
+    one-line tuples and its shortest element must be unique.
+    """
+    minima = {}
+    for start in range(len(table.perms)):
+        if start in minima:
+            continue
+        seen, frontier = {table.perms[start]}, [table.perms[start]]
+        while frontier:
+            p = frontier.pop()
+            moves = [p[:i] + (p[i + 1], p[i]) + p[i + 2 :] for i in right]
+            moves += [
+                tuple(i + 1 if v == i else i if v == i + 1 else v for v in p) for i in left
+            ]
+            for q in moves:
+                if q not in seen:
+                    seen.add(q)
+                    frontier.append(q)
+        members = [table.index[p] for p in seen]
+        shortest = min(table.length[z] for z in members)
+        (low,) = [z for z in members if table.length[z] == shortest]
+        for z in members:
+            minima[z] = low
+    return minima
+
+
+@pytest.mark.parametrize("size", (4, 5))
+def test_canonical_u_is_the_shortest_element_of_the_double_coset(size):
+    table = symmetric_group_table(size)
+    minima = {}
+    for w in range(len(table.perms)):
+        key = (tuple(_left_descents(table, w)), tuple(_right_descents(table, w)))
+        if key not in minima:
+            minima[key] = _double_coset_minima(table, *key)
+        for u in range(len(table.perms)):
+            assert table._canonical_u(u, w) == minima[key][u], (u, w)
+
+
+def _canonical_by_single_swaps(x, y):
+    """The one-swap-at-a-time lowering of X, kept as the oracle of the bitmask walk:
+    the first v in X with v-1 >= 1 outside X, where s_{v-1} does not move Y up
+    (v-1 in Y and v not), steps down to v-1, until no v does."""
+    up = {i for i in y if i + 1 not in y}
+    changed = True
+    while changed:
+        changed = False
+        for v in x:
+            i = v - 1
+            if i and i not in x and i not in up:
+                x = tuple(sorted(set(x) - {v} | {i}))
+                changed = True
+                break
+    return x
+
+
+def test_grassmannian_canonical_matches_single_swaps():
+    for N in range(9):
+        for d in range(N + 1):
+            subsets = list(itertools.combinations(range(1, N + 1), d))
+            for x in subsets:
+                for y in subsets:
+                    expected = _canonical_by_single_swaps(x, y)
+                    assert kl.GrassmannianTable._canonical(x, y) == expected, (x, y)
 
 
 def test_coset_reps():
