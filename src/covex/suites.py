@@ -13,9 +13,13 @@ membership verdicts of the random covectors.  The matrix and flag
 calibrations draw all their covectors in one ``_draws`` call (the same
 numbers, in the same order, as one draw per covector) and check them over
 the sampled point with one ``conormal_matrix_members`` call, so the
-point's fixed work runs once.  All randomness is drawn from per-case
-generators seeded by (seed, suite, case), so reports are byte-identical
-across reruns and independent of execution order.
+point's fixed work runs once.  embed-thm draws one point of each B x B
+orbit O_u per size n, from a generator seeded by (seed, suite, n, u), and
+checks every covexillary w of that size against the same points; the w
+with one tau order share each point's embedding, made once per tau class.
+All other randomness is drawn from per-case generators seeded by (seed,
+suite, case), so reports are byte-identical across reruns and independent
+of execution order.
 """
 
 from __future__ import annotations
@@ -189,34 +193,55 @@ def _suite_el_roundtrip(config: SuiteConfig) -> Iterator[Case]:
         yield case, not failures, {"trials": config.trials, "failures": failures[:5]}
 
 
+def _orbit_points(config: SuiteConfig, n: int) -> list[tuple[PartialPermutation, ExactMatrix]]:
+    """One point of every B x B orbit O_u of n x n matrices, u a partial permutation.
+
+    Each point is drawn from a generator seeded by (seed, suite, n, u); the
+    case ids are n=.../w=..., so no case generator shares the seed.
+    """
+    field = _field(config)
+    return [
+        (u, sample_cell_point(u, field, _rng(config, f"n={n}/u={u.one_line()}")))
+        for u in all_partial_permutations(n)
+    ]
+
+
 def _suite_embed_thm(config: SuiteConfig) -> Iterator[Case]:
     field = _field(config)
-    below: dict[int, list[PartialPermutation]] = {}
-    for n, w, case in _covexillary_cases(all_partial_permutations, config.n_max):
-        if n not in below:
-            below = {n: list(all_partial_permutations(n))}
-        rng = _rng(config, case)
-        data = covexillary_data(w)
-        mismatches = 0
-        positives = 0
-        for _ in range(config.trials):
-            x = random_matrix(field, n, n, rng)
-            inside = in_matrix_schubert(x, w)
-            on_target = target_holds(embed_point(x, data), data)
-            if inside != on_target:
-                mismatches += 1
-            positives += inside
-        for u in below[n]:
-            if not bruhat_leq(u, w):
-                continue
-            x = sample_cell_point(u, field, rng)
-            if not (
-                in_matrix_schubert(x, w)
-                and target_holds(embed_point(x, data), data)
-            ):
-                mismatches += 1
-            positives += 1
-        yield case, mismatches == 0, {"mismatches": mismatches, "positives": positives}
+    for n in range(1, config.n_max + 1):
+        # one point per orbit, shared by every w of this size; its southwest
+        # profile is eliminated once.  embed_point reads w only through n and
+        # tau_order, so the w of one tau class share each point's embedding
+        # (and its sum_dims): it is made the first time some w of the class
+        # lies above u and dropped when the class is done.
+        points = _orbit_points(config, n)
+        classes: dict[tuple[int, ...], list[tuple[PartialPermutation, str]]] = {}
+        for _, w, case in _covexillary_cases(all_partial_permutations, n, start=n):
+            classes.setdefault(covexillary_data(w).tau_order, []).append((w, case))
+        for members in classes.values():
+            embedded: dict[int, Subspace] = {}
+            for w, case in members:
+                rng = _rng(config, case)
+                data = covexillary_data(w)
+                mismatches = 0
+                positives = 0
+                for _ in range(config.trials):
+                    x = random_matrix(field, n, n, rng)
+                    inside = in_matrix_schubert(x, w)
+                    on_target = target_holds(embed_point(x, data), data)
+                    if inside != on_target:
+                        mismatches += 1
+                    positives += inside
+                for k, (u, x) in enumerate(points):
+                    if not bruhat_leq(u, w):
+                        continue
+                    V = embedded.get(k)
+                    if V is None:
+                        V = embedded[k] = embed_point(x, data)
+                    if not (in_matrix_schubert(x, w) and target_holds(V, data)):
+                        mismatches += 1
+                    positives += 1
+                yield case, mismatches == 0, {"mismatches": mismatches, "positives": positives}
 
 
 def _suite_rank_lemma(config: SuiteConfig) -> Iterator[Case]:
@@ -488,7 +513,10 @@ class _Suite(NamedTuple):
 # at n = 9.  covex-equiv keeps a verdict for each of the n! permutations
 # (38 s and 178 MB at n = 9 on a 2-core Xeon); conormal-flag walks S_n as
 # kl-covex does, and S_8 holds 15,767 covexillary w; el-roundtrip and
-# rank-lemma take 35-40 s at their limits.
+# rank-lemma take 35-40 s at their limits.  embed-thm compares every orbit
+# with every covexillary w of a size: --trials 1 took 486 s and 128 MB at
+# n = 6 on the same machine, and n = 7 (6.5 G pairs against 97 M) is out
+# of reach.
 _SUITES: dict[str, _Suite] = {
     "covex-equiv": _Suite(_suite_covex_equiv, 7, 1, 9),
     "el-roundtrip": _Suite(_suite_el_roundtrip, 6, 1000, 20),

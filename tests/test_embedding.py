@@ -35,9 +35,11 @@ from covex.permcore import (
     covexillary_data,
     is_covexillary,
 )
+from covex.suites import SuiteConfig, _orbit_points
 from covex.varieties import (
     in_grass_schubert,
     in_matrix_schubert,
+    in_matrix_schubert_cell,
     locate_grass_cell,
     sample_cell_point,
 )
@@ -347,3 +349,33 @@ def test_permute_rows_of_a_partial_permutation_is_the_matrix_product():
     for w in all_partial_permutations(3):
         m = random_matrix(F, 3, 4, rng)
         assert permute_rows(w, m) == w.matrix(F) @ m
+
+
+def test_shared_orbit_points_lie_in_their_open_cells():
+    """embed-thm checks every w of a size against one point of each orbit O_u."""
+    config = SuiteConfig("embed-thm", seed=1)
+    for n in (1, 2, 3, 4):
+        points = _orbit_points(config, n)
+        assert [u for u, _ in points] == list(all_partial_permutations(n))
+        for u, x in points:
+            assert in_matrix_schubert_cell(x, u)
+
+
+def test_embedding_depends_on_w_only_through_its_tau_class():
+    """embed-thm embeds each orbit point once for all w with one tau_order."""
+    rng = random.Random(23)
+    for n in (1, 2, 3, 4):
+        classes = {}
+        for w in _covexillary_partials(n):
+            data = covexillary_data(w)
+            classes.setdefault(data.tau_order, []).append(data)
+        for members in classes.values():
+            x = random_matrix(F, n, n, rng)
+            first = embed_point(x, members[0])
+            for data in members[1:]:
+                assert embed_point(x, data) == first
+
+
+@pytest.mark.parametrize("n, count", [(1, 1), (2, 2), (3, 6), (4, 20), (5, 70)])
+def test_number_of_tau_classes(n, count):
+    assert len({covexillary_data(w).tau_order for w in _covexillary_partials(n)}) == count

@@ -34,6 +34,9 @@ SUITE_DIGESTS_NMAX4 = {
     "multidegree": "4335533c5a61a2f39587dda92fa40146a24ff301ad0522563137fe0e26365fe8",
 }
 
+# seed -> the file of calibrate-scale digests recorded at that seed
+CALIBRATE_DIGESTS = {1: "calibrate_digests.txt", 2: "calibrate_digests_seed2.txt"}
+
 CLI_CASES = json.loads((GOLDEN_DIR / "cli_stdout.json").read_text(encoding="utf-8"))
 
 
@@ -51,6 +54,24 @@ def test_suite_report_digest_nmax4(suite, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == SUITE_DIGESTS_NMAX4[suite]
+
+
+def _recorded(name, suite):
+    """(n_max, sha256) of the suite's line in a calibrate digest file."""
+    for line in (GOLDEN_DIR / name).read_text(encoding="utf-8").splitlines():
+        fields = line.split()
+        if fields and fields[0] == suite:
+            return fields[1], fields[2]
+    raise LookupError(f"{suite} has no line in {name}")
+
+
+@pytest.mark.parametrize("seed", sorted(CALIBRATE_DIGESTS))
+def test_embed_thm_report_matches_the_calibrate_digest(seed, capsys):
+    n_max, digest = _recorded(CALIBRATE_DIGESTS[seed], "embed-thm")
+    code = main(["verify", "embed-thm", "--nmax", n_max, "--trials", "1", "--seed", str(seed)])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
 @pytest.mark.parametrize("name", sorted(CLI_CASES))

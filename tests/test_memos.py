@@ -15,6 +15,7 @@ from functools import cached_property
 
 import pytest
 
+from covex import suites
 from covex.cli import main
 from covex.conormal import SpringerFlagPoint, core_pivots
 from covex.errors import NotCovexillaryError
@@ -26,7 +27,14 @@ from covex.exactla import (
     random_matrix,
     subspace_sum,
 )
-from covex.permcore import PartialPermutation, covexillary_data, rank_matrix
+from covex.permcore import (
+    PartialPermutation,
+    all_partial_permutations,
+    bruhat_leq,
+    covexillary_data,
+    is_covexillary,
+    rank_matrix,
+)
 from covex.serialization import matrix_to_json
 from covex.varieties import locate_grass_cell, southwest_profile
 from test_varieties import sample_flag
@@ -201,3 +209,32 @@ def test_not_covexillary_is_raised_on_every_call():
     assert errors[0] is not errors[1]
     assert (errors[0].first, errors[0].second) == (errors[1].first, errors[1].second)
     assert_like_fresh(w, PartialPermutation(4, (3, 4, 1, 2)))
+
+
+def test_embed_thm_samples_each_orbit_once(monkeypatch):
+    """embed-thm draws one point per partial u and embeds it once per tau class."""
+    counts = {"sample": 0, "embed": 0}
+
+    def counted(key, call):
+        def wrapper(*args):
+            counts[key] += 1
+            return call(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(suites, "sample_cell_point", counted("sample", suites.sample_cell_point))
+    monkeypatch.setattr(suites, "embed_point", counted("embed", suites.embed_point))
+    suites.run_suite(suites.SuiteConfig("embed-thm", n_max=3, trials=1))
+    assert counts["sample"] == 2 + 7 + 34
+    # one embedding per random x, and one per u below some w of each tau class
+    expected = 0
+    for n in (1, 2, 3):
+        partials = list(all_partial_permutations(n))
+        classes = {}
+        for w in partials:
+            if is_covexillary(w):
+                expected += 1
+                classes.setdefault(covexillary_data(w).tau_order, []).append(w)
+        for members in classes.values():
+            expected += sum(any(bruhat_leq(u, w) for w in members) for u in partials)
+    assert counts["embed"] == expected
