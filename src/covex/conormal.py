@@ -35,7 +35,7 @@ The flag form is the matrix form pulled back along GL_n -> Mat_n.  For
 the flag F_q = g E_q, F_q + E_p = g(E_q + g^-1 E_p) and F_q meet E_p =
 g(E_q meet g^-1 E_p), so dim(z(F_{q_i} + E_{p_i}) / (F_{q_j} meet E_{p_j}))
 is rank M_ij at the matrix point (x, y) = (g, g^-1 z), which is
-push_iota(g, y) when (F, z) = springer_flag(g, y); and F is in the
+push_iota(g, y) when (F, z) = (g E_bullet, g y g^-1); and F is in the
 Schubert variety exactly when g is in the matrix Schubert variety.
 
 The ground truth the predicates are calibrated against is the annihilator
@@ -455,9 +455,3 @@ def conormal_fiber_flag(
 def push_iota(g: ExactMatrix, y: ExactMatrix) -> CotangentMatrixPoint:
     """Cotangent transport along the inclusion of GL_n: (g, y) -> (g, y g^-1)."""
     return CotangentMatrixPoint(g, y @ g.inverse())
-
-
-def springer_flag(g: ExactMatrix, y: ExactMatrix) -> SpringerFlagPoint:
-    """Springer coordinates on T*Fl: (g, y) -> (g E_bullet, g y g^-1)."""
-    flag = Flag(g)
-    return SpringerFlagPoint(flag, g @ y @ flag.inverse)

@@ -1,6 +1,7 @@
 """Kazhdan-Lusztig polynomials via the standard C'-basis recursion.
 
-The recursion on pairs (u, w) strips a right descent s of w:
+One recursion (_KLTable.kl) serves S_N and the Grassmannians.  On a pair
+(u, w) it strips a descent s of w:
 
     P_{u,w} = q P_{us,v} + P_{u,v}
               - sum_{u <= z < v, zs < z} mu(z, v) q^{(l(w)-l(z))/2} P_{u,z}
@@ -8,23 +9,24 @@ The recursion on pairs (u, w) strips a right descent s of w:
 with v = ws, after u has been replaced by the minimal element of its
 descent class (P_{u,w} = P_{su,w} for sw < w, and P_{u,w} = P_{us,w} for
 ws < w, so the replacement is value-preserving and shrinks the memo).
-
 The mu-list of v is restricted by descents (Kazhdan-Lusztig, "Representations
 of Coxeter groups and Hecke algebras", Invent. Math. 1979, (2.3.e)): when s
-is a left or right descent of v but not of z < v, mu(z, v) is nonzero only
-at the cover z = sv or z = vs, where it is 1.  Those covers are one
-transposition away; only the z that share every descent of v go through the
-Bruhat dominance sieve and the recursion.
+is a descent of v but not of z < v, mu(z, v) is nonzero only at the cover
+of v along s, where it is 1.  Only the z that share every descent of v go
+through the Bruhat dominance sieve and the recursion.
 
-Grassmannian local Kazhdan-Lusztig polynomials are parabolic KL polynomials
-(Deodhar, "On some geometric aspects of Bruhat orderings II: the parabolic
-analogue of Kazhdan-Lusztig polynomials", J. Algebra 1987): P^Gr_{X,Y} is
-P_{x,y} of the maximal-length representatives x, y of the S_d x S_{N-d}
-cosets, matching the convention in which a Schubert variety indexed by w has
-dimension l(w).  The same recursion, with a left descent, runs directly on
-the d-subsets X, Y of 1..N (GrassmannianTable), so the Grassmannian side
-builds no S_N table and no coset representative; kl_polynomial of the
-maximal representatives is its test oracle (tests/test_kl.py).
+Each table (a _KLTable) supplies only the descent class walk, the descents
+that move an element down and the step along one.  SymmetricGroupTable
+holds S_N.  GrassmannianTable holds the d-subsets of 1..N: Grassmannian
+local KL polynomials are parabolic KL polynomials (Deodhar, "On some
+geometric aspects of Bruhat orderings II: the parabolic analogue of
+Kazhdan-Lusztig polynomials", J. Algebra 1987), P^Gr_{X,Y} = P_{x,y} of the
+maximal-length representatives x, y of the S_d x S_{N-d} cosets, matching
+the convention in which a Schubert variety indexed by w has dimension l(w).
+The Grassmannian side builds no S_N table.  tests/test_kl.py checks the
+recursion against R-polynomial inversion, on S_N and on Gr(d, N) at the
+maximal representatives, and the Grassmannian table against kl_polynomial
+of those representatives.
 """
 
 from __future__ import annotations
@@ -91,9 +93,6 @@ class PolynomialQ:
             return self
         return PolynomialQ((0,) * k + self.coeffs)
 
-    def __call__(self, value: int) -> int:
-        return sum(c * value**i for i, c in enumerate(self.coeffs))
-
     def __str__(self) -> str:
         if self.is_zero:
             return "0"
@@ -118,7 +117,111 @@ _ZERO = PolynomialQ.zero()
 _ONE = PolynomialQ.one()
 
 
-class SymmetricGroupTable:
+class _KLTable:
+    """The KL recursion and its memos on an indexed table of a Coxeter group.
+
+    Per index k a table stores length[k]; packed[k], a vector of small
+    counts with a guard bit per entry, such that a <= b in Bruhat order
+    exactly when every entry of packed[a] is at most that of packed[b], so
+    leq is one subtraction; and des[k], the bitmask of the simple
+    reflections that do not move k up.  The elements of each des class are
+    grouped and sorted by length for the mu-list sieve.  A table supplies
+    _canonical(u, w), _down(w) (the reflections that move w down; the
+    recursion strips the lowest) and _move(u, i) (u moved by reflection i).
+    """
+
+    def __init__(self, length: list[int], packed: list[int], guard: int, des: list[int]):
+        self.length = length
+        self.packed = packed
+        self.guard = guard
+        self.des = des
+        classes: dict[int, list[int]] = {}
+        for k, mask in enumerate(des):
+            classes.setdefault(mask, []).append(k)
+        for members in classes.values():
+            members.sort(key=length.__getitem__)
+        self._classes = classes
+        self._pmemo: dict[tuple[int, int], PolynomialQ] = {}
+        self._mumemo: dict[int, list[tuple[int, int]]] = {}
+
+    def leq(self, a: int, b: int) -> bool:
+        if a == b:
+            return True
+        if self.length[a] >= self.length[b]:
+            return False
+        guard = self.guard
+        return (self.packed[b] + guard - self.packed[a]) & guard == guard
+
+    def _covers(self, v: int) -> list[int]:
+        """The elements one reflection below v; mu(z, v) = 1 at each."""
+        down = self._down(v)
+        return [self._move(v, i) for i in range(down.bit_length()) if down >> i & 1]
+
+    def kl(self, u: int, w: int) -> PolynomialQ:
+        if not self.leq(u, w):
+            return _ZERO
+        lengths = self.length
+        if lengths[w] - lengths[u] <= 2:
+            return _ONE
+        u = self._canonical(u, w)
+        lu, lw = lengths[u], lengths[w]
+        gap = lw - lu
+        if gap <= 2:
+            return _ONE
+        key = (u, w)
+        cached = self._pmemo.get(key)
+        if cached is not None:
+            return cached
+        down = self._down(w)
+        s = (down & -down).bit_length() - 1
+        v = self._move(w, s)
+        # after canonicalization us > u, or us = u where s fixes u's coset
+        result = self.kl(self._move(u, s), v).shift(1) + self.kl(u, v)
+        des = self.des
+        for z, mu in self.mu_list(v):
+            if lengths[z] < lu or not des[z] >> s & 1:  # below l(u), or s moves z up
+                continue
+            if not self.leq(u, z):
+                continue
+            result = result - self.kl(u, z).scale(mu).shift((lw - lengths[z]) // 2)
+        if result.degree > (gap - 1) // 2:
+            raise AssertionError(f"KL degree bound violated at indices ({u}, {w})")
+        self._pmemo[key] = result
+        return result
+
+    def mu_list(self, v: int) -> list[tuple[int, int]]:
+        """All (z, mu(z, v)) with nonzero mu, sorted by z.
+
+        If a reflection moves z < v up but not v, then mu(z, v) is nonzero
+        only where z is v moved down by it, and there it is 1 (Kazhdan-Lusztig
+        1979, (2.3.e)).  Those covers are added directly; the dominance sieve
+        and the recursion run only on the z whose des holds all of des[v].
+        """
+        cached = self._mumemo.get(v)
+        if cached is not None:
+            return cached
+        lengths, packed, guard = self.length, self.packed, self.guard
+        lv = lengths[v]
+        mask = self.des[v]
+        mus = dict.fromkeys(self._covers(v), 1)
+        top = packed[v] + guard
+        for des, members in self._classes.items():
+            if des & mask != mask:
+                continue
+            for z in members:
+                lz = lengths[z]
+                if lz >= lv:
+                    break
+                if (lv - lz) & 1 and (top - packed[z]) & guard == guard:
+                    mu = self.kl(z, v).coeff((lv - lz - 1) // 2)
+                    if mu:
+                        mus[z] = mu
+        out = sorted(mus.items())
+        self._mumemo[v] = out
+        return out
+
+
+class SymmetricGroupTable(_KLTable):
     """Precomputed S_N data keyed by permutation index.
 
     Indices follow lexicographic one-line order, so the length of index k is
@@ -126,12 +229,10 @@ class SymmetricGroupTable:
     is dominance of rank matrices, r(i, j) = #{k <= j : w(k) >= i}; each one
     is packed into an int with a guard bit per entry, so a single subtraction
     compares all N^2 entries.  Descents are computed once, here, and stored
-    per index as bitmasks: bit i of rdes[k] is set when rmul(k, i) is
-    shorter (positions i and i+1, from 0, are inverted), bit i-1 of ldes[k]
-    when lmul(k, i) is (the value i+1 stands left of i).  Canonicalization,
-    the recursion and the mu-lists read only these masks.  The permutations
-    are grouped by their (rdes, ldes) pair, each group sorted by length, and
-    the mu-list sieve scans only the groups that hold every descent of v.
+    per index as one bitmask: bit i of des[k] is set when rmul(k, i) is
+    shorter (positions i and i+1, from 0, are inverted), bit N+i-1 when
+    lmul(k, i) is (the value i+1 stands left of i).  Every descent moves k
+    down, and the recursion strips the lowest, a right descent.
     """
 
     def __init__(self, N: int):
@@ -142,17 +243,14 @@ class SymmetricGroupTable:
         lengths = [0]
         for size in range(2, N + 1):
             lengths = [c + rest for c in range(size) for rest in lengths]
-        self.length = lengths
         width = N.bit_length() + 1
         # adding column[v] counts the value v in the rows i = 1..v of a column
         column = [0]
         for v in range(N):
             column.append(column[-1] | 1 << width * v)
-        self.guard = sum(1 << width * f + width - 1 for f in range(N * N))
         step = width * N
-        ranks, rdes_list, ldes_list = [], [], []
-        classes: dict[tuple[int, int], list[int]] = {}
-        for k, p in enumerate(perms):
+        ranks, des = [], []
+        for p in perms:
             acc = packed = shift = rdes = ldes = 0
             seen = 1  # bit v: the value v has been placed (0 counts as placed)
             prev = 0
@@ -167,25 +265,14 @@ class SymmetricGroupTable:
                 seen |= 1 << v
                 prev = v
             ranks.append(packed)
-            rdes_list.append(rdes)
-            ldes_list.append(ldes)
-            classes.setdefault((rdes, ldes), []).append(k)
-        self.packed_ranks = ranks
-        self.rdes = rdes_list
-        self.ldes = ldes_list
-        for members in classes.values():
-            members.sort(key=lengths.__getitem__)
-        self._classes = classes
-        self._pmemo: dict[tuple[int, int], PolynomialQ] = {}
-        self._mumemo: dict[int, list[tuple[int, int]]] = {}
+            des.append(rdes | ldes << N)
+        guard = sum(1 << width * f + width - 1 for f in range(N * N))
+        super().__init__(lengths, ranks, guard, des)
 
-    def leq(self, a: int, b: int) -> bool:
-        if a == b:
-            return True
-        if self.length[a] >= self.length[b]:
-            return False
-        guard = self.guard
-        return (self.packed_ranks[b] + guard - self.packed_ranks[a]) & guard == guard
+    # bound in this class's own body: perfbench/tracer.py wraps them from its
+    # __dict__, so its kl counters see S_N calls and not GrassmannianTable's
+    kl = _KLTable.kl
+    mu_list = _KLTable.mu_list
 
     def rmul(self, w: int, i: int) -> int:
         """Index of w s_i: the positions i and i+1 (counted from 0) swapped."""
@@ -194,85 +281,22 @@ class SymmetricGroupTable:
 
     def lmul(self, w: int, i: int) -> int:
         """Index of s_i w: the values i and i+1 swapped."""
-        return self.index[_swap(self.perms[w], i)]
+        p = self.perms[w]
+        return self.index[tuple(i + 1 if v == i else i if v == i + 1 else v for v in p)]
 
-    def _canonical_u(self, u: int, w: int) -> int:
+    def _down(self, w: int) -> int:
+        return self.des[w]
+
+    def _move(self, u: int, i: int) -> int:
+        """u moved by the reflection at bit i of des: rmul below N, lmul above."""
+        return self.rmul(u, i) if i < self.N else self.lmul(u, i - self.N + 1)
+
+    def _canonical(self, u: int, w: int) -> int:
         """Minimal element of W_I u W_J, I and J the left and right descents of w."""
-        rdes, ldes = self.rdes, self.ldes
-        rw, lw = rdes[w], ldes[w]
-        while True:
-            if r := rdes[u] & rw:
-                u = self.rmul(u, (r & -r).bit_length() - 1)
-            elif l := ldes[u] & lw:
-                u = self.lmul(u, (l & -l).bit_length())
-            else:
-                return u
-
-    def kl(self, u: int, w: int) -> PolynomialQ:
-        if not self.leq(u, w):
-            return _ZERO
-        lengths = self.length
-        if lengths[w] - lengths[u] <= 2:
-            return _ONE
-        u = self._canonical_u(u, w)
-        gap = lengths[w] - lengths[u]
-        if gap <= 2:
-            return _ONE
-        key = (u, w)
-        cached = self._pmemo.get(key)
-        if cached is not None:
-            return cached
-        rdes = self.rdes
-        s = (rdes[w] & -rdes[w]).bit_length() - 1
-        v = self.rmul(w, s)
-        us = self.rmul(u, s)  # us > u after canonicalization
-        result = self.kl(us, v).shift(1) + self.kl(u, v)
-        lw, lu = lengths[w], lengths[u]
-        for z, mu in self.mu_list(v):
-            if lengths[z] < lu or not rdes[z] >> s & 1:  # below l(u), or zs > z
-                continue
-            if not self.leq(u, z):
-                continue
-            result = result - self.kl(u, z).scale(mu).shift((lw - lengths[z]) // 2)
-        if result.degree > (gap - 1) // 2:
-            raise AssertionError(
-                f"KL degree bound violated at ({self.perms[u]}, {self.perms[w]})"
-            )
-        self._pmemo[key] = result
-        return result
-
-    def mu_list(self, v: int) -> list[tuple[int, int]]:
-        """All (z, mu(z, v)) with nonzero mu, sorted by z.
-
-        If s is a left (right) descent of v but not of z < v, then mu(z, v)
-        is nonzero only for z = sv (z = vs), where it is 1 (Kazhdan-Lusztig
-        1979, (2.3.e)).  Those covers are added directly; the dominance sieve
-        and the recursion run only on the z that share every descent of v.
-        """
-        cached = self._mumemo.get(v)
-        if cached is not None:
-            return cached
-        lengths, ranks = self.length, self.packed_ranks
-        lv = lengths[v]
-        rmask, lmask = self.rdes[v], self.ldes[v]
-        mus = {self.rmul(v, i): 1 for i in range(self.N - 1) if rmask >> i & 1}
-        mus.update((self.lmul(v, i + 1), 1) for i in range(self.N - 1) if lmask >> i & 1)
-        guard = self.guard
-        top = ranks[v] + guard
-        for (rdes, ldes), members in self._classes.items():
-            if rdes & rmask != rmask or ldes & lmask != lmask:
-                continue
-            for z in members:
-                lz = lengths[z]
-                if lz >= lv:
-                    break
-                if (lv - lz) & 1 and (top - ranks[z]) & guard == guard:
-                    mu = self.kl(z, v).coeff((lv - lz - 1) // 2)
-                    if mu:
-                        mus[z] = mu
-        out = sorted(mus.items())
-        self._mumemo[v] = out
-        return out
+        des, dw = self.des, self.des[w]
+        while shared := des[u] & dw:
+            u = self._move(u, (shared & -shared).bit_length() - 1)
+        return u
 
 
 _TABLES: dict[int, SymmetricGroupTable] = {}
@@ -330,122 +354,70 @@ def kl_polynomial(u, w) -> PolynomialQ:
     return table.kl(table.index[ut], table.index[wt])
 
 
-def _swap(values: tuple[int, ...], i: int) -> tuple[int, ...]:
-    """s_i on values: i and i+1 trade places.
-
-    On a permutation this is s_i w.  A d-subset stays increasing when it
-    holds exactly one of i and i+1; otherwise s_i fixes its coset.
-    """
-    return tuple(i + 1 if v == i else i if v == i + 1 else v for v in values)
-
-
-def _ascents(subset: tuple[int, ...]) -> int:
-    """Bitmask of the i with i in the subset and i+1 not: s_i moves it up."""
-    bits = sum(1 << v for v in subset)
-    return bits & ~(bits >> 1)
-
-
-class GrassmannianTable:
+class GrassmannianTable(_KLTable):
     """Parabolic KL polynomials on the d-subsets of 1..N (Deodhar 1987).
 
     A d-subset X names the coset of S_d x S_{N-d} whose maximal representative
     lists X decreasingly and then its complement decreasingly; P_{X,Y} is the
-    KL polynomial of those representatives.  Length is sum(X) up to a
-    constant, and the order is componentwise (GrassIndex.leq).  s_i swaps the
-    values i and i+1: it moves X down when i+1 is in X and i is not, and fixes
-    the coset when both or neither are (then s_i x < x).  Every such s_i is a
-    left descent of the representative, so, as in S_N, P_{X,Y} = P_{s_i X,Y}
-    for every s_i that does not move Y up, and X is first lowered along them.
-    For the smallest i that moves Y down to V = s_i Y:
+    KL polynomial of those representatives.  Each subset is stored once, as
+    the bitmask subsets[k] with bit v set for v in X.  Its length is
+    sum(X) - d(d+1)/2, and the order is componentwise (GrassIndex.leq):
+    X <= Y exactly when #{x in X : x > t} <= #{y in Y : y > t} for every t,
+    so packed[k] holds those counts for t = 0..N-1.  s_i swaps the values i
+    and i+1: it moves X down when i+1 is in X and i is not, moves it up when
+    i is in X and i+1 is not, and fixes the coset when both or neither are
+    (then s_i x < x).  Bit i of des[k] is set when s_i does not move X up.
+    Every such s_i is a left descent of the representative, so, as in S_N,
+    P_{X,Y} = P_{s_i X,Y} for every s_i that does not move Y up, and X is
+    first lowered along them.  For the smallest i that moves Y down to
+    V = s_i Y, with s_i X = X where s_i fixes the coset of X:
 
-        P_{X,Y} = (1 + q) P_{X,V}          if s_i fixes the coset of X
-                  q P_{s_i X,V} + P_{X,V}  otherwise (s_i X > X)
-                  - sum_{X <= Z < V, s_i Z <= Z} mu(Z, V) q^{(l(Y)-l(Z))/2} P_{X,Z}.
+        P_{X,Y} = q P_{s_i X,V} + P_{X,V}
+                  - sum_{X <= Z < V, s_i Z <= Z} mu(Z, V) q^{(l(Y)-l(Z))/2} P_{X,Z},
 
-    As in S_N (KL 1979, (2.3.e)), the mu-list of V holds the covers s_i V with
-    mu = 1 and sieves only the Z that share every left descent of V, that is,
-    the Z that an s_i moves up only where it moves V up.  Each subset's
-    ascents (bit i: s_i moves it up) are one bitmask, stored with it in
-    subsets; the sieve compares masks, and X is lowered on its own bitmask.
+    whose first two terms are (1 + q) P_{X,V} when s_i fixes the coset of X.
     """
 
     def __init__(self, N: int, d: int):
         self.N = N
         self.d = d
-        self.subsets = sorted(
-            (sum(z), _ascents(z), z)
-            for z in itertools.combinations(range(1, N + 1), d)
-        )
-        self._pmemo: dict[tuple[tuple[int, ...], tuple[int, ...]], PolynomialQ] = {}
-        self._mumemo: dict[tuple[int, ...], list[tuple[tuple[int, ...], int]]] = {}
+        subsets = [sum(1 << v for v in z) for z in itertools.combinations(range(1, N + 1), d)]
+        self.subsets = subsets
+        self.index = {bits: k for k, bits in enumerate(subsets)}
+        width = d.bit_length() + 1
+        lengths, packed, des = [], [], []
+        reflections = (1 << N) - 1 & ~1  # bits 1..N-1: s_1, ..., s_{N-1}
+        for bits in subsets:
+            above = [(bits >> t + 1).bit_count() for t in range(N)]  # #{x in X : x > t}
+            lengths.append(sum(above) - d * (d + 1) // 2)
+            packed.append(sum(c << width * t for t, c in enumerate(above)))
+            des.append(reflections & ~(bits & ~(bits >> 1)))
+        guard = sum(1 << width * t + width - 1 for t in range(N))
+        super().__init__(lengths, packed, guard, des)
 
-    @staticmethod
-    def _canonical(x: tuple[int, ...], y: tuple[int, ...]) -> tuple[int, ...]:
+    def _down(self, y: int) -> int:
+        """Bit i: i+1 is in Y and i is not, so s_i moves Y down."""
+        bits = self.subsets[y]
+        return bits >> 1 & ~bits & ~1
+
+    def _move(self, x: int, i: int) -> int:
+        """s_i X, or X itself where s_i fixes its coset."""
+        bits = self.subsets[x]
+        if (bits >> i ^ bits >> i + 1) & 1:
+            return self.index[bits ^ 3 << i]
+        return x
+
+    def _canonical(self, x: int, y: int) -> int:
         """Lowest X' with P_{X',Y} = P_{X,Y}, along the s_i that fix or lower Y.
 
         On the bitmask of X, every value v with v-1 outside X and s_{v-1} not
         moving Y up steps down at once; no two such v are adjacent.
         """
-        stay = _ascents(y) << 1 | 2  # v = 1, or s_{v-1} moves Y up
-        bits = sum(1 << v for v in x)
-        while moving := bits & ~(bits << 1) & ~stay:
+        bits = self.subsets[x]
+        lower = self.des[y] << 1  # bit v: s_{v-1} does not move Y up
+        while moving := bits & ~(bits << 1) & lower:
             bits ^= moving | moving >> 1
-        return tuple(v for v in range(bits.bit_length()) if bits >> v & 1)
-
-    def kl(self, x: tuple[int, ...], y: tuple[int, ...]) -> PolynomialQ:
-        if x == y:
-            return _ONE
-        if not all(a <= b for a, b in zip(x, y)):
-            return _ZERO
-        ly = sum(y)
-        if ly - sum(x) <= 2:
-            return _ONE
-        x = self._canonical(x, y)
-        lx = sum(x)
-        gap = ly - lx
-        if gap <= 2:
-            return _ONE
-        key = (x, y)
-        cached = self._pmemo.get(key)
-        if cached is not None:
-            return cached
-        i = next(v - 1 for v in y if v > 1 and v - 1 not in y)
-        v = _swap(y, i)
-        if (i in x) == (i + 1 in x):  # s_i fixes the coset of X
-            low = self.kl(x, v)
-            result = low + low.shift(1)
-        else:
-            result = self.kl(_swap(x, i), v).shift(1) + self.kl(x, v)
-        for z, mu in self.mu_list(v):
-            lz = sum(z)
-            if lz < lx or (i in z and i + 1 not in z):
-                continue
-            if not all(a <= b for a, b in zip(x, z)):
-                continue
-            result = result - self.kl(x, z).scale(mu).shift((ly - lz) // 2)
-        if result.degree > (gap - 1) // 2:
-            raise AssertionError(f"KL degree bound violated at ({x}, {y})")
-        self._pmemo[key] = result
-        return result
-
-    def mu_list(self, v: tuple[int, ...]) -> list[tuple[tuple[int, ...], int]]:
-        """All (Z, mu(Z, V)) with nonzero mu, sorted by Z."""
-        cached = self._mumemo.get(v)
-        if cached is not None:
-            return cached
-        lv = sum(v)
-        up = _ascents(v)
-        mus = {_swap(v, i - 1): 1 for i in v if i > 1 and i - 1 not in v}
-        for lz, ups, z in self.subsets:
-            if lz >= lv:
-                break
-            if (lv - lz) & 1 and ups & ~up == 0 and all(a <= b for a, b in zip(z, v)):
-                mu = self.kl(z, v).coeff((lv - lz - 1) // 2)
-                if mu:
-                    mus[z] = mu
-        out = sorted(mus.items())
-        self._mumemo[v] = out
-        return out
+        return self.index[bits]
 
 
 _GRASS_TABLES: dict[tuple[int, int], GrassmannianTable] = {}
@@ -463,11 +435,14 @@ def grassmannian_kl(u_idx: GrassIndex, v_idx: GrassIndex) -> PolynomialQ:
     """Local KL polynomial of Gr_{v} at the fixed point of u.
 
     Computed on the d-subsets of 1..N (GrassmannianTable); the zero
-    polynomial when the indices are incomparable.
+    polynomial when the indices are incomparable.  Indices of different
+    Grassmannians raise InputError (GrassIndex.leq).
     """
     if not u_idx.leq(v_idx):
-        return PolynomialQ.zero()
-    return grassmannian_table(u_idx.N, u_idx.d).kl(u_idx.positions, v_idx.positions)
+        return _ZERO
+    table = grassmannian_table(u_idx.N, u_idx.d)
+    x, y = (table.index[sum(1 << v for v in idx.positions)] for idx in (u_idx, v_idx))
+    return table.kl(x, y)
 
 
 # kl-covex sweeps every covexillary w in S_n and every u <= w.  Through n = 7

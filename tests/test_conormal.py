@@ -25,7 +25,6 @@ from covex.conormal import (
     in_conormal_grass,
     in_conormal_matrix,
     push_iota,
-    springer_flag,
     tangent_orbit_rank,
     vector_to_matrix,
 )
@@ -191,6 +190,12 @@ def diagnostics(x, w, ranks):
 def reference_violations(pt, w):
     """The diagnostics read off big_matrix_M."""
     return diagnostics(pt.x, w, mij_ranks(big_matrix_M(pt), covexillary_data(w)))
+
+
+def springer_flag(g, y):
+    """Springer coordinates on T*Fl: (g, y) -> (g E_bullet, g y g^-1)."""
+    flag = Flag(g)
+    return SpringerFlagPoint(flag, g @ y @ flag.inverse)
 
 
 def test_big_matrix_fixtures():
