@@ -230,8 +230,8 @@ def _cmd_kl(args, field: FieldSpec) -> int:
         for row in rows:
             _emit(
                 {
-                    "u": row.u.one_line(),
-                    "u_hat": list(row.u_hat.positions),
+                    "u": PartialPermutation(w.n, row.u).one_line(),
+                    "u_hat": list(row.u_hat),
                     "flag_poly": str(row.flag_poly),
                     "grass_poly": str(row.grass_poly),
                     "matched": row.matched,

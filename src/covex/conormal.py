@@ -190,17 +190,9 @@ def core_pivots(
     span x E_{q_i} + E_{p_i}, of dimension p_i + rank x[p_i+1.., ..q_i].
     Inside block i, column c of x joins G exactly when the unit row e_c
     stays out of H, and row s of x joins H exactly when e_s stays out of G.
-
-    The answer depends on x and on (p, q) alone, so it is computed once per
-    x and kept in x's core_pivot_memo: the elimination of every covector
-    over one x reads it from there, whether the covectors come as one batch
-    (conormal_matrix_members) or one point at a time (the flag points of
-    one generator).
+    The answer depends on x and on (p, q) alone, so a batch of covectors
+    over one x shares one call (conormal_matrix_members).
     """
-    key = (data.p, data.q)
-    found = x.core_pivot_memo.get(key)
-    if found is not None:
-        return found
     n = data.n
     # sw[p][q] = rank x[p+1.., ..q], zero on the empty blocks p = n and q = 0
     sw = [(0,) + row for row in southwest_profile(x)]
@@ -217,29 +209,27 @@ def core_pivots(
             (rows if sw[s - 1][q1] > sw[s][q1] else cols).append(n + s - 1)
         rows_before.append(len(rows))
         cols_through.append(len(cols))
-    found = x.core_pivot_memo[key] = (
-        tuple(rows), tuple(cols), tuple(rows_before), tuple(cols_through)
-    )
-    return found
+    return tuple(rows), tuple(cols), tuple(rows_before), tuple(cols_through)
 
 
-def _core_violations(x: ExactMatrix, data: CovexillaryData, y_rows):
+def _core_violations(x: ExactMatrix, data: CovexillaryData, core, y_rows):
     """Yield (k, rank) for each check k of data.conormal_checks that fails at (x, y).
 
     y is given by its rows, y_rows, and must be n x n like x.  Check
     (i, j, bound) reads the southwest rank of the core N = H y G on the rows
-    from rows_before[j] down and the columns before cols_through[i]
-    (core_pivots).  N is never formed: its rows are built one at a time,
-    bottom-up, and go into one echelon basis, so once row a is in, the rank
-    of rows a.., columns ..b is the number of pivots before b.  A unit row
-    of H copies a row of y and a row of x costs one product with y; a unit
-    column of G picks an entry and a column of x costs one dot product.
+    from rows_before[j] down and the columns before cols_through[i]; core
+    is core_pivots(x, data).  N is never formed: its rows are built one at
+    a time, bottom-up, and go into one echelon basis, so once row a is in,
+    the rank of rows a.., columns ..b is the number of pivots before b.  A
+    unit row of H copies a row of y and a row of x costs one product with
+    y; a unit column of G picks an entry and a column of x costs one dot
+    product.
     rows_before grows with j, so the checks are read for j = m-1 down to 0,
     each as soon as its rows are in, and a caller that stops at the first
     failure builds no row above it.
     """
     n = data.n
-    rows, cols, rows_before, cols_through = core_pivots(x, data)
+    rows, cols, rows_before, cols_through = core
     checks = data.conormal_checks  # (i, j) for i = 1..m, j < i: (i, j) is at i(i-1)/2 + j
     p = x.field.p
     x_rows, x_cols = x.entries, x.columns
@@ -279,19 +269,19 @@ def conormal_matrix_members(
 ) -> list[bool]:
     """Membership of (x, y) for each covector y of ys, in order.
 
-    What depends on x alone runs once: the size check, covexillary_data(w)
-    and the Schubert check, and core_pivots is computed once and then read
-    from x's memo.  If x is outside the matrix Schubert variety every
-    verdict is False; otherwise only the elimination of _core_violations
-    runs per y, stopping at the first failed bound.  Each y must have x's
-    shape, as CotangentMatrixPoint requires.
+    What depends on x alone runs once: the size check, covexillary_data(w),
+    the Schubert check and core_pivots.  If x is outside the matrix
+    Schubert variety every verdict is False; otherwise only the elimination
+    of _core_violations runs per y, stopping at the first failed bound.
+    Each y must have x's shape, as CotangentMatrixPoint requires.
     """
     data = _matrix_data(x, w)
     if any(y.shape != (data.n, data.n) for y in ys):
         raise DimensionMismatchError("x and y must be square of equal size")
     if matrix_schubert_violation(x, w) is not None:
         return [False] * len(ys)
-    return [next(_core_violations(x, data, y.entries), None) is None for y in ys]
+    core = core_pivots(x, data)
+    return [next(_core_violations(x, data, core, y.entries), None) is None for y in ys]
 
 
 def in_conormal_matrix(pt: CotangentMatrixPoint, w: PartialPermutation) -> bool:
@@ -313,7 +303,7 @@ def conormal_matrix_violations(pt: CotangentMatrixPoint, w: PartialPermutation) 
     if base is not None:
         out.append({"kind": "schubert", "condition": base})
     checks = data.conormal_checks
-    for k, rank in sorted(_core_violations(pt.x, data, pt.y.entries)):
+    for k, rank in sorted(_core_violations(pt.x, data, core_pivots(pt.x, data), pt.y.entries)):
         i, j, bound = checks[k]
         out.append({"kind": "rank", "i": i, "j": j, "rank": rank, "bound": bound})
     return out

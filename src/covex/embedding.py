@@ -10,12 +10,13 @@ pairs (t_i, p_i + r_i) of CovexillaryData.grass_conditions, which
 varieties.grass_condition_checks reads like any other condition list; its
 increasing-sequence form is target_grass_index.  The map is
 torus-equivariant, so it sends the matrix of a partial permutation to a
-coordinate point, whose Schubert cell is read off tau (fixed_point_index).
+coordinate point, whose Schubert cell is read off tau (fixed_point_bits,
+fixed_point_index).
 """
 
 from __future__ import annotations
 
-from operator import itemgetter
+from operator import getitem, itemgetter
 
 from .errors import DimensionMismatchError
 from .exactla import ExactMatrix, Subspace, _span_rows, coordinate_subspace, subspace_sum
@@ -66,21 +67,35 @@ def embed_point(x: ExactMatrix, data: CovexillaryData) -> Subspace:
     return _span_rows(x.field, 2 * n, columns)
 
 
-def fixed_point_index(u: PartialPermutation, data: CovexillaryData) -> GrassIndex:
-    """The Schubert cell of the coordinate point embed_point(u's matrix).
+def fixed_point_bits(data: CovexillaryData) -> tuple[tuple[int, ...], ...]:
+    """The Schubert cell of the coordinate point embed_point(u's matrix), column by column.
 
     Column j of tau (I over u) is e_tau(j) + e_tau(n+u(j)), or e_tau(j) when
     u(j) = 0.  These columns have disjoint supports, so dim(V + E_t) stops
-    jumping exactly at the larger position of each support.
+    jumping exactly at the larger position t of each support.  bits[j-1][v]
+    is 1 << t for column j when u(j) = v; no two columns share a bit, so the
+    cell of u is the bitmask sum(map(getitem, bits, u.image)).
     """
+    n = data.n
+    tau = data.tau.image
+    return tuple(
+        tuple(1 << (max(tau[j], tau[n + v - 1]) if v else tau[j]) for v in range(n + 1))
+        for j in range(n)
+    )
+
+
+def mask_positions(mask: int) -> tuple[int, ...]:
+    """The set bits of mask, increasing."""
+    return tuple([t for t in range(mask.bit_length()) if mask >> t & 1])
+
+
+def fixed_point_index(u: PartialPermutation, data: CovexillaryData) -> GrassIndex:
+    """The Schubert cell of the coordinate point embed_point(u's matrix) (fixed_point_bits)."""
     n = data.n
     if u.n != n:
         raise DimensionMismatchError("partial permutation size differs from n")
-    tau = data.tau.image
-    positions = sorted(
-        max(tau[j], tau[n + v - 1]) if v else tau[j] for j, v in enumerate(u.image)
-    )
-    return GrassIndex(n, 2 * n, tuple(positions))
+    mask = sum(map(getitem, fixed_point_bits(data), u.image))
+    return GrassIndex(n, 2 * n, mask_positions(mask))
 
 
 def check_target_space(subspace: Subspace, data: CovexillaryData) -> None:

@@ -274,11 +274,6 @@ class ExactMatrix:
         return tuple(zip(*self.entries))
 
     @cached_property
-    def core_pivot_memo(self) -> dict:
-        """conormal.core_pivots of this matrix, keyed by the (p, q) of the data."""
-        return {}
-
-    @cached_property
     def southwest_profile(self) -> tuple[tuple[int, ...], ...]:
         """Every southwest rank, profile[i-1][j-1] = rank of rows i.., columns ..j.
 

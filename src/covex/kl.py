@@ -33,11 +33,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import getitem
 
-from .embedding import fixed_point_index, target_grass_index
+from .embedding import fixed_point_bits, mask_positions, target_grass_index
 from .errors import InputError
 from .permcore import PartialPermutation, bruhat_leq, covexillary_data
-from .varieties import GrassIndex
 
 
 @dataclass(frozen=True)
@@ -250,6 +250,7 @@ class SymmetricGroupTable(_KLTable):
             column.append(column[-1] | 1 << width * v)
         step = width * N
         ranks, des = [], []
+        shared: dict[int, int] = {}  # one int object per distinct descent mask
         for p in perms:
             acc = packed = shift = rdes = ldes = 0
             seen = 1  # bit v: the value v has been placed (0 counts as placed)
@@ -265,7 +266,8 @@ class SymmetricGroupTable(_KLTable):
                 seen |= 1 << v
                 prev = v
             ranks.append(packed)
-            des.append(rdes | ldes << N)
+            mask = rdes | ldes << N
+            des.append(shared.setdefault(mask, mask))
         guard = sum(1 << width * f + width - 1 for f in range(N * N))
         super().__init__(lengths, ranks, guard, des)
 
@@ -282,7 +284,9 @@ class SymmetricGroupTable(_KLTable):
     def lmul(self, w: int, i: int) -> int:
         """Index of s_i w: the values i and i+1 swapped."""
         p = self.perms[w]
-        return self.index[tuple(i + 1 if v == i else i if v == i + 1 else v for v in p)]
+        q = list(p)
+        q[p.index(i)], q[p.index(i + 1)] = i + 1, i
+        return self.index[tuple(q)]
 
     def _down(self, w: int) -> int:
         return self.des[w]
@@ -431,24 +435,10 @@ def grassmannian_table(N: int, d: int) -> GrassmannianTable:
     return table
 
 
-def grassmannian_kl(u_idx: GrassIndex, v_idx: GrassIndex) -> PolynomialQ:
-    """Local KL polynomial of Gr_{v} at the fixed point of u.
-
-    Computed on the d-subsets of 1..N (GrassmannianTable); the zero
-    polynomial when the indices are incomparable.  Indices of different
-    Grassmannians raise InputError (GrassIndex.leq).
-    """
-    if not u_idx.leq(v_idx):
-        return _ZERO
-    table = grassmannian_table(u_idx.N, u_idx.d)
-    x, y = (table.index[sum(1 << v for v in idx.positions)] for idx in (u_idx, v_idx))
-    return table.kl(x, y)
-
-
 # kl-covex sweeps every covexillary w in S_n and every u <= w.  Through n = 7
-# that is 3,409 cases in about 45 s on a 2-core Xeon, mostly in the S_n and
-# Gr(n, 2n) KL recursions; S_8 adds 15,767 covexillary w, each over an
-# interval of S_8.  `covex kl covex-check` shares the limit.
+# that is 3,409 cases in about 25 s on a 2-core Xeon (n = 6: 0.7 s), mostly in
+# the S_n and Gr(n, 2n) KL recursions; S_8 adds 15,767 covexillary w, each
+# over an interval of S_8.  `covex kl covex-check` shares the limit.
 KL_COVEX_MAX_N = 7
 
 
@@ -460,8 +450,8 @@ def check_kl_covex_size(n: int) -> None:
 
 @dataclass(frozen=True)
 class KLCheckRow:
-    u: PartialPermutation
-    u_hat: GrassIndex
+    u: tuple[int, ...]  # one-line image
+    u_hat: tuple[int, ...]  # the positions of its fixed point in Gr(n, 2n)
     flag_poly: PolynomialQ
     grass_poly: PolynomialQ
 
@@ -475,20 +465,24 @@ def covexillary_kl_check(w: PartialPermutation) -> list[KLCheckRow]:
 
     For every u below w (in the order of the S_n table), the image point of
     the u-matrix is a torus-fixed point of Gr(n, 2n); the local KL polynomial
-    of the target Schubert variety there must reproduce P_{u,w}.
+    of the target Schubert variety there must reproduce P_{u,w}.  Each u
+    goes from its S_n index to its Gr(n, 2n) index through the bitmask of
+    fixed_point_bits, and both tables run on indices.
     """
     check_kl_covex_size(w.n)
     data = covexillary_data(w)
     if not w.is_full_rank:
         raise InputError("the KL comparison runs over full permutations")
-    v_hat = target_grass_index(data)
     table = symmetric_group_table(w.n)
+    grass = grassmannian_table(2 * w.n, w.n)
     top = table.index[w.image]
+    target = grass.index[sum(1 << t for t in target_grass_index(data).positions)]
+    bits = fixed_point_bits(data)
     rows = []
     for k, image in enumerate(table.perms):
         if not table.leq(k, top):
             continue
-        u = PartialPermutation(w.n, image)
-        u_hat = fixed_point_index(u, data)
-        rows.append(KLCheckRow(u, u_hat, table.kl(k, top), grassmannian_kl(u_hat, v_hat)))
+        mask = sum(map(getitem, bits, image))
+        grass_poly = grass.kl(grass.index[mask], target)
+        rows.append(KLCheckRow(image, mask_positions(mask), table.kl(k, top), grass_poly))
     return rows

@@ -476,16 +476,21 @@ def _suite_kl_covex(config: SuiteConfig) -> Iterator[Case]:
         PartialPermutation.identity(4), PartialPermutation.from_one_line("3412")
     )
     yield "smoke/P(1234,3412)", smoke == PolynomialQ((1, 1)), {"value": str(smoke)}
+    one = PolynomialQ.one()
     # the report has no n = 1 case
     for _, w, case in _covexillary_cases(all_permutations, config.n_max, start=2):
         rows = covexillary_kl_check(w)
         bad = [r for r in rows if not r.matched]
-        nontrivial = sum(1 for r in rows if r.flag_poly != PolynomialQ.one())
+        nontrivial = sum(1 for r in rows if r.flag_poly != one)
         yield case, not bad, {
             "pairs": len(rows),
             "nontrivial": nontrivial,
             "mismatches": [
-                {"u": r.u.one_line(), "flag": str(r.flag_poly), "grass": str(r.grass_poly)}
+                {
+                    "u": PartialPermutation(w.n, r.u).one_line(),
+                    "flag": str(r.flag_poly),
+                    "grass": str(r.grass_poly),
+                }
                 for r in bad[:3]
             ],
         }

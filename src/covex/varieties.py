@@ -117,10 +117,6 @@ def in_matrix_schubert_cell(x: ExactMatrix, w: PartialPermutation) -> bool:
     return southwest_profile(x) == rank_matrix(w).entries
 
 
-def in_flag_schubert(flag: Flag, w: PartialPermutation) -> bool:
-    return flag_schubert_violation(flag, w) is None
-
-
 def flag_schubert_violation(
     flag: Flag, w: PartialPermutation
 ) -> tuple[int, int, int, int] | None:
@@ -128,31 +124,6 @@ def flag_schubert_violation(
     if not w.is_full_rank:
         raise InputError("flag Schubert membership requires a permutation")
     return matrix_schubert_violation(flag.generator, w)
-
-
-def locate_flag_cell(flag: Flag) -> PartialPermutation:
-    """The unique permutation whose open cell contains the flag.
-
-    Read off from the jump pattern of dim(F_j / E_{i-1}).
-    """
-    n = flag.n
-    profile = southwest_profile(flag.generator)
-
-    def prof(i: int, j: int) -> int:
-        if i == n + 1 or j == 0:
-            return 0
-        return profile[i - 1][j - 1]
-
-    image = [0] * n
-    for j in range(1, n + 1):
-        for i in range(1, n + 1):
-            if prof(i, j) - prof(i, j - 1) - prof(i + 1, j) + prof(i + 1, j - 1) == 1:
-                image[j - 1] = i
-    return PartialPermutation(n, tuple(image))
-
-
-def in_grass_schubert(subspace: Subspace, idx: GrassIndex) -> bool:
-    return grass_schubert_violation(subspace, idx) is None
 
 
 def grass_schubert_violation(

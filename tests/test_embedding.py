@@ -37,13 +37,13 @@ from covex.permcore import (
 )
 from covex.suites import SuiteConfig, _orbit_points
 from covex.varieties import (
-    in_grass_schubert,
     in_matrix_schubert,
     in_matrix_schubert_cell,
     locate_grass_cell,
     sample_cell_point,
 )
 from test_exactla import standard_subspace
+from test_varieties import in_grass_schubert
 
 F = FieldSpec.prime()
 

@@ -5,17 +5,18 @@ import itertools
 import operator
 import os
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import pytest
 
-from covex import kl
+from covex import kl, suites
 from covex.cli import main
+from covex.embedding import embed_point, fixed_point_index, target_grass_index
 from covex.errors import InputError
+from covex.exactla import FieldSpec
 from covex.kl import (
     PolynomialQ,
     covexillary_kl_check,
-    grassmannian_kl,
     grassmannian_table,
     kl_polynomial,
     symmetric_group_table,
@@ -24,9 +25,10 @@ from covex.permcore import (
     PartialPermutation,
     all_permutations,
     bruhat_leq,
+    covexillary_data,
     is_covexillary,
 )
-from covex.varieties import GrassIndex
+from covex.varieties import GrassIndex, locate_grass_cell
 
 ONE = PolynomialQ.one()
 
@@ -353,6 +355,17 @@ def _bitmask(subset):
     return sum(1 << v for v in subset)
 
 
+def grassmannian_kl(u_idx: GrassIndex, v_idx: GrassIndex) -> PolynomialQ:
+    """The GrassIndex route to the local KL polynomial of Gr_v at the fixed
+    point of u: zero on incomparable indices, InputError (GrassIndex.leq) on
+    indices of different Grassmannians, else GrassmannianTable.kl at the
+    bitmasks of the positions."""
+    if not u_idx.leq(v_idx):
+        return PolynomialQ.zero()
+    table = grassmannian_table(u_idx.N, u_idx.d)
+    return table.kl(table.index[_bitmask(u_idx.positions)], table.index[_bitmask(v_idx.positions)])
+
+
 def test_grassmannian_canonical_matches_single_swaps():
     for N in range(9):
         for d in range(N + 1):
@@ -458,16 +471,28 @@ def test_covexillary_check_s3():
                 assert row.flag_poly == ONE
 
 
-def test_u_hat_below_v_hat():
-    from covex.embedding import target_grass_index
-    from covex.permcore import covexillary_data
+def test_kl_covex_report_names_a_mismatch_in_one_line(monkeypatch):
+    """A row whose polynomials differ fails its case, and the report names u
+    in one-line notation with both polynomials."""
 
+    def spoiled(w):
+        rows = covexillary_kl_check(w)
+        return [replace(rows[0], grass_poly=PolynomialQ.zero())] + rows[1:]
+
+    monkeypatch.setattr(suites, "covexillary_kl_check", spoiled)
+    verdicts = suites.run_suite(suites.SuiteConfig("kl-covex", n_max=2))
+    case = next(v for v in verdicts if v.case != "smoke/P(1234,3412)")
+    assert not case.passed
+    assert case.details["mismatches"][0] == {"u": "1 2", "flag": "1", "grass": "0"}
+
+
+def test_u_hat_below_v_hat():
     for w in all_permutations(3):
         if not is_covexillary(w):
             continue
         v_hat = target_grass_index(covexillary_data(w))
         for row in covexillary_kl_check(w):
-            assert row.u_hat.leq(v_hat)
+            assert GrassIndex(3, 6, row.u_hat).leq(v_hat)
 
 
 # COVEX_KL_ORACLE_N=8 extends the sweep to N = 8 (12,870 pairs); CI runs it.
@@ -486,6 +511,30 @@ def test_grassmannian_kl_matches_coset_route(N):
         for x, x_rep in zip(indices, reps):
             for y, y_rep in zip(indices, reps):
                 assert grassmannian_kl(x, y) == kl_polynomial(x_rep, y_rep), (x, y)
+
+
+@pytest.mark.parametrize("n", range(1, ORACLE_N - 1))
+def test_covexillary_kl_check_matches_the_index_route(n):
+    """Each row of covexillary_kl_check, read on table indices and the
+    bitmasks of fixed_point_bits, against the validated objects: the fixed
+    point of PartialPermutation(n, u), which must also be the cell that
+    elimination locates for the embedded u-matrix, the GrassIndex route at
+    it and kl_polynomial(u, w)."""
+    field = FieldSpec.prime()
+    for w in all_permutations(n):
+        if not is_covexillary(w):
+            continue
+        data = covexillary_data(w)
+        v_hat = target_grass_index(data)
+        rows = covexillary_kl_check(w)
+        assert [row.u for row in rows] == [u.image for u in all_permutations(n) if bruhat_leq(u, w)]
+        for row in rows:
+            u = PartialPermutation(n, row.u)
+            u_hat = fixed_point_index(u, data)
+            assert row.u_hat == u_hat.positions, (w, u)
+            assert u_hat == locate_grass_cell(embed_point(u.matrix(field), data)), (w, u)
+            assert row.grass_poly == grassmannian_kl(u_hat, v_hat), (w, u)
+            assert row.flag_poly == kl_polynomial(u, w), (w, u)
 
 
 @pytest.mark.parametrize("N", range(ORACLE_N - 1))
@@ -508,6 +557,14 @@ def test_grassmannian_kl_refuses_indices_of_different_grassmannians():
         for u, v in ((small, other), (other, small)):
             with pytest.raises(InputError):
                 grassmannian_kl(u, v)
+
+
+def test_equal_descent_masks_are_one_object():
+    table = symmetric_group_table(5)
+    shared = {}
+    for mask in table.des:
+        assert shared.setdefault(mask, mask) is mask
+    assert max(shared) > 256  # beyond the ints Python caches itself
 
 
 def test_symmetric_group_table_binds_the_traced_methods_itself():

@@ -1,10 +1,11 @@
 """Derived data is computed once per instance and is invisible from outside.
 
 rank_matrix, covexillary_data, the tau data of CovexillaryData, the
-southwest profile of a matrix, its columns and its conormal core pivots, the basis matrix
-and the dimensions dim(V + E_t) of a subspace, the inverse of a flag generator and the covector g^-1 z of a
-Springer flag point are stored on the frozen instance they belong to.  An instance that holds them must still compare, hash,
-print, replace and pickle exactly like a fresh one.
+southwest profile of a matrix and its columns, the basis matrix and the
+dimensions dim(V + E_t) of a subspace, the inverse of a flag generator and
+the covector g^-1 z of a Springer flag point are stored on the frozen
+instance they belong to.  An instance that holds them must still compare,
+hash, print, replace and pickle exactly like a fresh one.
 """
 
 import dataclasses
@@ -15,9 +16,14 @@ from functools import cached_property
 
 import pytest
 
-from covex import suites
+from covex import conormal, suites
 from covex.cli import main
-from covex.conormal import SpringerFlagPoint, core_pivots
+from covex.conormal import (
+    CotangentMatrixPoint,
+    SpringerFlagPoint,
+    conormal_matrix_violations,
+    core_pivots,
+)
 from covex.errors import NotCovexillaryError
 from covex.exactla import (
     ExactMatrix,
@@ -36,7 +42,7 @@ from covex.permcore import (
     rank_matrix,
 )
 from covex.serialization import matrix_to_json
-from covex.varieties import locate_grass_cell, southwest_profile
+from covex.varieties import locate_grass_cell, sample_cell_point, southwest_profile
 from test_varieties import sample_flag
 
 F = FieldSpec.prime()
@@ -99,20 +105,24 @@ def test_matrix_columns_memo_is_invisible():
     assert pickle.loads(pickle.dumps(x)).columns == columns
 
 
-def test_core_pivot_memo_is_invisible():
-    x = random_matrix(F, 4, 4, random.Random(4))
-    data = covexillary_data(PartialPermutation.from_one_line("0 3 1 0"))
-    other = covexillary_data(PartialPermutation.from_one_line("2143"))
-    pivots = core_pivots(x, data)
-    assert core_pivots(x, data) is pivots
-    assert core_pivots(x, other) is core_pivots(x, other)
-    assert set(x.core_pivot_memo) == {(data.p, data.q), (other.p, other.q)}
-    fresh = dataclasses.replace(x)
-    assert "core_pivot_memo" not in vars(fresh)
-    assert_like_fresh(x, fresh)
-    assert core_pivots(fresh, data) == pivots
-    assert core_pivots(fresh, other) == core_pivots(x, other) != pivots
-    assert core_pivots(pickle.loads(pickle.dumps(x)), data) == pivots
+def test_one_batch_computes_the_core_pivots_once(monkeypatch):
+    """conormal_matrix_members computes core_pivots once for its x; the
+    elimination of every covector of the batch reads that one result."""
+    w = PartialPermutation.from_one_line("0 3 1 0")
+    rng = random.Random(4)
+    x = sample_cell_point(w, F, rng)
+    ys = [ExactMatrix.zeros(F, 4, 4)] + [random_matrix(F, 4, 4, rng) for _ in range(4)]
+    expected = [not conormal_matrix_violations(CotangentMatrixPoint(x, y), w) for y in ys]
+    assert expected[0] and not all(expected)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return core_pivots(*args)
+
+    monkeypatch.setattr(conormal, "core_pivots", counted)
+    assert conormal.conormal_matrix_members(x, w, ys) == expected
+    assert calls == [(x, covexillary_data(w))]
 
 
 def test_subspace_basis_matrix_memo_is_invisible():

@@ -25,18 +25,44 @@ from covex.permcore import (
 from covex.varieties import (
     Flag,
     GrassIndex,
+    flag_schubert_violation,
     grass_condition_checks,
-    in_flag_schubert,
-    in_grass_schubert,
+    grass_schubert_violation,
     in_matrix_schubert,
     in_matrix_schubert_cell,
-    locate_flag_cell,
     locate_grass_cell,
     sample_cell_point,
     southwest_profile,
 )
 
 F = FieldSpec.prime()
+
+
+def in_flag_schubert(flag, w):
+    return flag_schubert_violation(flag, w) is None
+
+
+def in_grass_schubert(subspace, idx):
+    return grass_schubert_violation(subspace, idx) is None
+
+
+def locate_flag_cell(flag):
+    """The unique permutation whose open cell contains the flag, read off
+    the jump pattern of dim(F_j / E_{i-1})."""
+    n = flag.n
+    profile = southwest_profile(flag.generator)
+
+    def prof(i, j):
+        if i == n + 1 or j == 0:
+            return 0
+        return profile[i - 1][j - 1]
+
+    image = [0] * n
+    for j in range(1, n + 1):
+        for i in range(1, n + 1):
+            if prof(i, j) - prof(i, j - 1) - prof(i + 1, j) + prof(i + 1, j - 1) == 1:
+                image[j - 1] = i
+    return PartialPermutation(n, tuple(image))
 
 
 def sample_flag(w, field, rng):
