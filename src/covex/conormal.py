@@ -24,12 +24,13 @@ position t_i.  The pivots themselves come from the southwest profile of x
 Schubert check has already computed.  N itself is never formed either:
 its rows are built and eliminated bottom-up, one at a time, and each bound
 is read as soon as the elimination has passed its row cut, so membership
-stops at the first broken bound.  The unit rows of H and unit columns of G
-are copies; only the rows and columns of x in them cost dot products.
-What depends on x alone (its size, its Schubert check and the pivots H
-and G) is fixed work done once per x: conormal_matrix_members checks a
-batch of covectors y over one x and runs only the elimination for each y,
-and in_conormal_matrix is its one-covector case.
+stops at the first broken bound.  A unit row of H copies a row of y; only
+a row of x in H costs a product with y.  What depends on x alone (its
+size, its Schubert check, the pivots, and the plan of which rows enter
+before which checks, with G held as n columns) is built once per x:
+conormal_matrix_members checks a batch of covectors over one x, each
+given by its n rows, and runs only the elimination for each;
+in_conormal_matrix and the diagnostics pass y.entries.
 
 The flag form is the matrix form pulled back along GL_n -> Mat_n.  For
 the flag F_q = g E_q, F_q + E_p = g(E_q + g^-1 E_p) and F_q meet E_p =
@@ -49,7 +50,6 @@ from __future__ import annotations
 from bisect import bisect_left, insort
 from dataclasses import dataclass
 from functools import cached_property
-from math import lcm
 from operator import mul
 from typing import Sequence
 
@@ -141,7 +141,8 @@ class SpringerGrassPoint:
     V iff L x = C^T x[pivots]; the pivot rows agree by construction, so
     only the others are compared.  V is inside ker(x) iff x C^T = 0; once
     x = C^T x[pivots] / L, and C^T has independent columns, that is
-    x[pivots] C^T = 0.
+    x[pivots] C^T = 0.  The V side is V.containment, built once per
+    subspace, so only the two products with x run per point.
     """
 
     V: Subspace
@@ -156,17 +157,13 @@ class SpringerGrassPoint:
             if not x.is_zero():
                 raise InvariantError("Im(x) is not contained in V")
             return
-        field, basis = x.field, V._basis()
-        scale = lcm(*(row[c] for c, row in basis.items()))
-        c_cols = tuple(zip(*([scale // row[c] * v for v in row] for c, row in basis.items())))
-        at_pivots = ExactMatrix(field, tuple(x.entries[c] for c in basis))
-        free = [a for a in range(N) if a not in basis]
+        pivots, scale, free, spans, kills = V.containment
+        at_pivots = ExactMatrix(x.field, tuple(x.entries[c] for c in pivots))
         if free:
-            spanned = ExactMatrix(field, tuple(c_cols[a] for a in free)) @ at_pivots
             scaled = tuple(tuple(_rational(scale * v) for v in x.entries[a]) for a in free)
-            if spanned.entries != scaled:
+            if (spans @ at_pivots).entries != scaled:
                 raise InvariantError("Im(x) is not contained in V")
-        if not (at_pivots @ ExactMatrix(field, c_cols)).is_zero():
+        if not (at_pivots @ kills).is_zero():
             raise InvariantError("V is not contained in ker(x)")
 
 
@@ -190,8 +187,7 @@ def core_pivots(
     span x E_{q_i} + E_{p_i}, of dimension p_i + rank x[p_i+1.., ..q_i].
     Inside block i, column c of x joins G exactly when the unit row e_c
     stays out of H, and row s of x joins H exactly when e_s stays out of G.
-    The answer depends on x and on (p, q) alone, so a batch of covectors
-    over one x shares one call (conormal_matrix_members).
+    The answer depends on x and on (p, q) alone (see _core_plan).
     """
     n = data.n
     # sw[p][q] = rank x[p+1.., ..q], zero on the empty blocks p = n and q = 0
@@ -212,48 +208,59 @@ def core_pivots(
     return tuple(rows), tuple(cols), tuple(rows_before), tuple(cols_through)
 
 
-def _core_violations(x: ExactMatrix, data: CovexillaryData, core, y_rows):
-    """Yield (k, rank) for each check k of data.conormal_checks that fails at (x, y).
+def _core_plan(x: ExactMatrix, data: CovexillaryData):
+    """The part of _core_violations that x fixes: (p, G, steps), built once per x.
 
-    y is given by its rows, y_rows, and must be n x n like x.  Check
-    (i, j, bound) reads the southwest rank of the core N = H y G on the rows
-    from rows_before[j] down and the columns before cols_through[i]; core
-    is core_pivots(x, data).  N is never formed: its rows are built one at
-    a time, bottom-up, and go into one echelon basis, so once row a is in,
-    the rank of rows a.., columns ..b is the number of pivots before b.  A
-    unit row of H copies a row of y and a row of x costs one product with
-    y; a unit column of G picks an entry and a column of x costs one dot
-    product.
-    rows_before grows with j, so the checks are read for j = m-1 down to 0,
-    each as soon as its rows are in, and a caller that stops at the first
-    failure builds no row above it.
+    G holds the n core columns, unit columns included.  For j = m-1 down to
+    0, steps holds the rows of H that enter before the checks of j, as
+    (k, None) for the unit row e_{k+1} or (k, row of x), and those checks,
+    as (position in data.conormal_checks, cols_through[i], bound).
     """
     n = data.n
-    rows, cols, rows_before, cols_through = core
-    checks = data.conormal_checks  # (i, j) for i = 1..m, j < i: (i, j) is at i(i-1)/2 + j
-    p = x.field.p
-    x_rows, x_cols = x.entries, x.columns
+    rows, cols, rows_before, cols_through = core_pivots(x, data)
+    G = [x.columns[c] if c < n else tuple(int(c - n == a) for a in range(n)) for c in cols]
+    reads: list[list] = [[] for _ in range(data.m)]
+    for k, (i, j, bound) in enumerate(data.conormal_checks):
+        reads[j].append((k, cols_through[i], bound))
+    steps = []
+    for j in reversed(range(data.m)):
+        adds = reversed(rows[rows_before[j] : rows_before[j + 1]])
+        steps.append(([(k, x.entries[k - n] if k >= n else None) for k in adds], reads[j]))
+    return x.field.p, G, steps
+
+
+def _core_violations(plan, y_rows):
+    """Yield (k, rank) for each check k of data.conormal_checks that fails at (x, y).
+
+    plan is _core_plan(x, data) and y_rows holds the n rows of y.  Check
+    (i, j, bound) reads the southwest rank of the core N = H y G on the rows
+    from rows_before[j] down and the columns before cols_through[i].  N is
+    never formed: its rows are built one at a time, bottom-up, and go into
+    one echelon basis, so once row a is in, the rank of rows a.., columns
+    ..b is the number of pivots before b.  A row of H y is a row of y or a
+    row of x times y, and its row of N is n dot products with G.  The
+    checks of j are read as soon as its rows are in, so a caller that stops
+    at the first failure builds no row above it.
+    """
+    p, G, steps = plan
     y_cols = None  # read only when H holds a row of x
     basis: dict = {}
     pivots: list[int] = []  # the pivot columns of basis, sorted
-    r = n
-    m = data.m
-    for j in reversed(range(m)):
-        while r > rows_before[j]:
-            r -= 1
-            k = rows[r]
-            if k >= n and y_cols is None:
-                y_cols = tuple(zip(*y_rows))
+    for adds, reads in steps:
+        for k, x_row in adds:
+            if x_row is None:
+                hy = y_rows[k]
+            else:
+                if y_cols is None:
+                    y_cols = tuple(zip(*y_rows))
+                hy = [sum(map(mul, x_row, c)) for c in y_cols]
             # unreduced: _insert reduces mod p, or scales to integers over Q
-            hy = y_rows[k] if k < n else [sum(map(mul, x_rows[k - n], c)) for c in y_cols]
-            row = [sum(map(mul, hy, x_cols[c])) if c < n else hy[c - n] for c in cols]
-            c = _insert(basis, row, p)
+            c = _insert(basis, [sum(map(mul, hy, g)) for g in G], p)
             if c is not None:
                 insort(pivots, c)
-        for i in range(j + 1, m + 1):
-            k = i * (i - 1) // 2 + j
-            rank = bisect_left(pivots, cols_through[i])
-            if rank > checks[k][2]:
+        for k, cut, bound in reads:
+            rank = bisect_left(pivots, cut)
+            if rank > bound:
                 yield k, rank
 
 
@@ -265,28 +272,30 @@ def _matrix_data(x: ExactMatrix, w: PartialPermutation) -> CovexillaryData:
 
 
 def conormal_matrix_members(
-    x: ExactMatrix, w: PartialPermutation, ys: Sequence[ExactMatrix]
+    x: ExactMatrix, w: PartialPermutation, ys: Sequence[Sequence[Sequence]]
 ) -> list[bool]:
     """Membership of (x, y) for each covector y of ys, in order.
 
-    What depends on x alone runs once: the size check, covexillary_data(w),
-    the Schubert check and core_pivots.  If x is outside the matrix
-    Schubert variety every verdict is False; otherwise only the elimination
-    of _core_violations runs per y, stopping at the first failed bound.
-    Each y must have x's shape, as CotangentMatrixPoint requires.
+    Each y is its n rows of n entries in x's field (y.entries, or rows cut
+    from draws); a ragged or wrong-size y raises DimensionMismatchError.
+    What depends on x alone runs once: covexillary_data(w), the Schubert
+    check and the core plan.  If x is outside the matrix Schubert variety
+    every verdict is False; otherwise only the elimination of
+    _core_violations runs per y, stopping at the first failed bound.
     """
     data = _matrix_data(x, w)
-    if any(y.shape != (data.n, data.n) for y in ys):
+    n = data.n
+    if any(len(y) != n for y in ys) or {len(row) for y in ys for row in y} - {n}:
         raise DimensionMismatchError("x and y must be square of equal size")
     if matrix_schubert_violation(x, w) is not None:
         return [False] * len(ys)
-    core = core_pivots(x, data)
-    return [next(_core_violations(x, data, core, y.entries), None) is None for y in ys]
+    plan = _core_plan(x, data)
+    return [next(_core_violations(plan, y), None) is None for y in ys]
 
 
 def in_conormal_matrix(pt: CotangentMatrixPoint, w: PartialPermutation) -> bool:
     """Membership; stops at the first failed bound the elimination meets."""
-    return conormal_matrix_members(pt.x, w, (pt.y,))[0]
+    return conormal_matrix_members(pt.x, w, (pt.y.entries,))[0]
 
 
 def conormal_matrix_violations(pt: CotangentMatrixPoint, w: PartialPermutation) -> list[dict]:
@@ -303,7 +312,7 @@ def conormal_matrix_violations(pt: CotangentMatrixPoint, w: PartialPermutation) 
     if base is not None:
         out.append({"kind": "schubert", "condition": base})
     checks = data.conormal_checks
-    for k, rank in sorted(_core_violations(pt.x, data, core_pivots(pt.x, data), pt.y.entries)):
+    for k, rank in sorted(_core_violations(_core_plan(pt.x, data), pt.y.entries)):
         i, j, bound = checks[k]
         out.append({"kind": "rank", "i": i, "j": j, "rank": rank, "bound": bound})
     return out

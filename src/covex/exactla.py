@@ -463,6 +463,16 @@ class Subspace:
         d = len(basis)
         return tuple(t + d - k for t, k in enumerate(accumulate(meets)))
 
+    @cached_property
+    def containment(self) -> tuple:
+        """(pivots, L, free, C^T on the free rows or None, C^T): see SpringerGrassPoint."""
+        basis = self._basis()
+        scale = lcm(*(row[c] for c, row in basis.items()))
+        c_cols = tuple(zip(*([scale // row[c] * v for v in row] for c, row in basis.items())))
+        free = tuple(a for a in range(self.ambient) if a not in basis)
+        spans = ExactMatrix(self.field, tuple(c_cols[a] for a in free)) if free else None
+        return tuple(basis), scale, free, spans, ExactMatrix(self.field, c_cols)
+
     def contains_vector(self, vector: Sequence) -> bool:
         f = self.field
         return _insert(self._basis(), [f.coerce(x) for x in vector], f.p) is None

@@ -34,6 +34,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from operator import getitem
+from typing import NamedTuple
 
 from .embedding import fixed_point_bits, mask_positions, target_grass_index
 from .errors import InputError
@@ -448,8 +449,9 @@ def check_kl_covex_size(n: int) -> None:
         raise InputError(f"kl-covex is limited to n <= {KL_COVEX_MAX_N}; got n = {n}")
 
 
-@dataclass(frozen=True)
-class KLCheckRow:
+class KLCheckRow(NamedTuple):
+    """One pair u <= w of covexillary_kl_check; a tuple, as kl-covex builds millions."""
+
     u: tuple[int, ...]  # one-line image
     u_hat: tuple[int, ...]  # the positions of its fixed point in Gr(n, 2n)
     flag_poly: PolynomialQ

@@ -177,8 +177,18 @@ class RankMatrix:
         flat = itertools.chain.from_iterable
         return all(map(le, flat(ranks), flat(self.entries)))
 
+    @cached_property
+    def _packed(self) -> tuple[int, int]:
+        """(packed, guard): the entries in one int, n.bit_length() bits and a guard bit each."""
+        width = self.n.bit_length() + 1
+        flat = itertools.chain.from_iterable(self.entries)
+        guard = sum(1 << width * f + width - 1 for f in range(self.n * self.n))
+        return sum(v << width * f for f, v in enumerate(flat)), guard
+
     def dominates(self, other: "RankMatrix") -> bool:
-        return self.bounds(other.entries)
+        """No entry of other exceeds this one's: every guard bit survives, as in kl's leq."""
+        packed, guard = self._packed
+        return (packed + guard - other._packed[0]) & guard == guard
 
 
 @dataclass(frozen=True)

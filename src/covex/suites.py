@@ -27,7 +27,7 @@ from __future__ import annotations
 import random
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
-from operator import itemgetter
+from operator import itemgetter, mul
 from typing import NamedTuple
 
 from .conormal import (
@@ -159,14 +159,26 @@ def _fiber_elements(
     points = [ExactMatrix.zeros(field, n, n)]
     points += [vector_to_matrix(field, v, n) for v in fiber.vectors]
     p = field.p
+    columns = tuple(zip(*fiber.vectors))  # each entry of a combination is one dot product
     for _ in range(extra if fiber.dim else 0):
         coeffs = _draws(rng, p, fiber.dim)
-        vec = [0] * (n * n)
-        for c, basis_vec in zip(coeffs, fiber.vectors):
-            if c:
-                vec = [(a + c * b) % p for a, b in zip(vec, basis_vec)]
+        vec = [sum(map(mul, coeffs, col)) % p for col in columns]
         points.append(vector_to_matrix(field, vec, n))
     return points
+
+
+def _flag_rejection_covectors(inverse: ExactMatrix, draws: list[int], count: int) -> list:
+    """(U @ inverse).entries for count strictly upper U over F_p, drawn row by row."""
+    n, p = inverse.rows, inverse.field.p
+    size = n * (n - 1) // 2
+    # row i of U g^-1 combines the rows of g^-1 after i with the n-1-i draws
+    # from offset i(2n-1-i)/2 of its U: one dot product per column
+    cuts = [(i * (2 * n - 1 - i) // 2, n - 1 - i, [c[i + 1 :] for c in inverse.columns])
+            for i in range(n)]
+    return [
+        [[sum(map(mul, draws[t + a : t + a + k], c)) % p for c in cols] for a, k, cols in cuts]
+        for t in range(0, count * size, size)
+    ]
 
 
 def _suite_covex_equiv(config: SuiteConfig) -> Iterator[Case]:
@@ -275,7 +287,8 @@ def _suite_conormal_matrix(config: SuiteConfig) -> Iterator[Case]:
             if fiber.dim != n * n - tangent_orbit_rank(x):
                 dim_mismatches += 1
             ys = _fiber_elements(fiber, n, field, rng, extra=20)
-            rejected = [y for y, ok in zip(ys, conormal_matrix_members(x, w, ys)) if not ok]
+            members = conormal_matrix_members(x, w, [y.entries for y in ys])
+            rejected = [y for y, ok in zip(ys, members) if not ok]
             rejected_valid += len(rejected)
             if rejected and first_failure is None:
                 point = CotangentMatrixPoint(x, rejected[0])
@@ -284,11 +297,11 @@ def _suite_conormal_matrix(config: SuiteConfig) -> Iterator[Case]:
         fiber = conormal_fiber_matrix(x, w)
         members = None
         if fiber.dim < n * n:
-            # the draws of REJECTION_TRIALS random_matrix calls, made in one call
+            # the draws of REJECTION_TRIALS random_matrix calls in one call, cut into rows
             draws = _draws(rng, field.p, REJECTION_TRIALS * n * n)
             ys = [
-                vector_to_matrix(field, draws[t * n * n : (t + 1) * n * n], n)
-                for t in range(REJECTION_TRIALS)
+                [draws[a : a + n] for a in range(t, t + n * n, n)]
+                for t in range(0, REJECTION_TRIALS * n * n, n * n)
             ]
             members = conormal_matrix_members(x, w, ys)
         reject_rate, rejection_ok = _rejection(members)
@@ -322,15 +335,9 @@ def _suite_conormal_flag(config: SuiteConfig) -> Iterator[Case]:
         if fiber.dim < n * (n - 1) // 2:
             # z = g U g^-1 for a random strictly upper U; (F, z) is the matrix
             # point (g, g^-1 z) = (g, U g^-1), so neither z nor g^-1 z is formed
-            draws = iter(_draws(rng, field.p, REJECTION_TRIALS * (n * (n - 1) // 2)))
-            uppers = [
-                ExactMatrix(
-                    field,
-                    tuple(tuple(next(draws) if j > i else 0 for j in range(n)) for i in range(n)),
-                )
-                for _ in range(REJECTION_TRIALS)
-            ]
-            members = conormal_matrix_members(g, w, [u @ flag.inverse for u in uppers])
+            draws = _draws(rng, field.p, REJECTION_TRIALS * (n * (n - 1) // 2))
+            ys = _flag_rejection_covectors(flag.inverse, draws, REJECTION_TRIALS)
+            members = conormal_matrix_members(g, w, ys)
         reject_rate, rejection_ok = _rejection(members)
         yield case, rejected_valid == 0 and dim_mismatches == 0 and rejection_ok, {
             "rejected_valid": rejected_valid,

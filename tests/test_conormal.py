@@ -41,6 +41,7 @@ from covex.exactla import (
     ExactMatrix,
     FieldSpec,
     Subspace,
+    _draws,
     coordinate_subspace,
     kernel,
     random_matrix,
@@ -57,7 +58,12 @@ from covex.permcore import (
     random_partial_permutation,
     rank_matrix,
 )
-from covex.suites import _chase_to_grass, _springer_fiber_sample
+from covex.suites import (
+    _chase_to_grass,
+    _fiber_elements,
+    _flag_rejection_covectors,
+    _springer_fiber_sample,
+)
 from covex.varieties import (
     Flag,
     matrix_schubert_violation,
@@ -1362,7 +1368,7 @@ def test_matrix_members_are_the_per_point_verdicts():
                 other = rational_matrix(rng, n) if field is Q else random_matrix(field, n, n, rng)
                 for point in (x, other):
                     expected = [in_conormal_matrix(CotangentMatrixPoint(point, y), w) for y in ys]
-                    assert conormal_matrix_members(point, w, ys) == expected
+                    assert conormal_matrix_members(point, w, [y.entries for y in ys]) == expected
 
 
 def test_matrix_members_outside_the_schubert_variety_empty_batches_and_sizes():
@@ -1371,13 +1377,13 @@ def test_matrix_members_outside_the_schubert_variety_empty_batches_and_sizes():
     assert matrix_schubert_violation(x, w) is not None
     y = random_matrix(F, 4, 4, random.Random(5))
     ys = [ExactMatrix.zeros(F, 4, 4), unit_matrix(4, 1, 2), y]
-    assert conormal_matrix_members(x, w, ys) == [False] * 3
+    assert conormal_matrix_members(x, w, [y.entries for y in ys]) == [False] * 3
     assert conormal_matrix_members(x, w, []) == []
     assert conormal_matrix_members(w.matrix(F), w, ()) == []
     small = ExactMatrix.zeros(F, 3, 3)
     with pytest.raises(DimensionMismatchError, match="point size differs") as per_point:
         in_conormal_matrix(CotangentMatrixPoint(small, small), w)
-    for batch in ([], [small], ys):
+    for batch in ([], [small.entries], [y.entries for y in ys]):
         with pytest.raises(DimensionMismatchError) as batched:
             conormal_matrix_members(small, w, batch)
         assert str(batched.value) == str(per_point.value)
@@ -1387,7 +1393,7 @@ def test_matrix_members_outside_the_schubert_variety_empty_batches_and_sizes():
     # when x alone already decides every verdict
     for point in (x, w.matrix(F)):
         with pytest.raises(DimensionMismatchError, match="square of equal size"):
-            conormal_matrix_members(point, w, [ys[0], small])
+            conormal_matrix_members(point, w, [ys[0].entries, small.entries])
     with pytest.raises(NotCovexillaryError):
         conormal_matrix_members(x, PartialPermutation.from_one_line("3412"), [])
 
@@ -1412,4 +1418,118 @@ def test_flag_rejection_covectors_are_the_flag_points():
                     assert covector.entries == pt.covector.entries
                 for w in ws:
                     expected = [in_conormal_flag(pt, w) for pt in points]
-                    assert conormal_matrix_members(g, w, covectors) == expected
+                    assert conormal_matrix_members(g, w, [c.entries for c in covectors]) == expected
+
+
+def test_matrix_members_take_covectors_as_rows():
+    """A covector given as rows, lists cut from draws as the rejection
+    estimate cuts them or the tuples of ExactMatrix.entries, gets the verdict
+    of in_conormal_matrix at the matrix point, on fiber and random covectors
+    of every covexillary w with n <= 4 over F_3, F_10007 and F_(10^24+7)."""
+    rng = random.Random(61)
+    verdicts = set()
+    for field in (FieldSpec.prime(3), F, BIG_PRIME):
+        for n in (1, 2, 3, 4):
+            for w in all_partial_permutations(n):
+                if not is_covexillary(w):
+                    continue
+                x, ys = member_batch(w, field, rng)
+                size = n * n
+                draws = _draws(rng, field.p, 4 * size)
+                cut = [
+                    [draws[a : a + n] for a in range(t, t + size, n)]
+                    for t in range(0, 4 * size, size)
+                ]
+                as_rows = [y.entries for y in ys] + cut
+                ys += [ExactMatrix(field, tuple(map(tuple, rows))) for rows in cut]
+                expected = [in_conormal_matrix(CotangentMatrixPoint(x, y), w) for y in ys]
+                assert conormal_matrix_members(x, w, as_rows) == expected
+                as_lists = [list(map(list, y.entries)) for y in ys]
+                assert conormal_matrix_members(x, w, as_lists) == expected
+                verdicts.update(expected)
+    assert verdicts == {True, False}
+
+
+def test_matrix_members_refuse_ragged_and_wrong_size_rows():
+    """Rows of the wrong number or length raise DimensionMismatchError, on
+    and off the matrix Schubert variety, before any verdict."""
+    w = PartialPermutation.from_one_line("2143")
+    good = [[0] * 4 for _ in range(4)]
+    bad = [
+        [[0] * 4 for _ in range(3)],
+        [[0] * 4 for _ in range(5)],
+        [[0] * 4, [0] * 4, [0] * 3, [0] * 4],
+        [[0] * 4, [0] * 5, [0] * 4, [0] * 4],
+        [],
+    ]
+    for x in (w.matrix(F), PartialPermutation.identity(4).matrix(F)):
+        zero = CotangentMatrixPoint(x, ExactMatrix.zeros(F, 4, 4))
+        assert conormal_matrix_members(x, w, [good]) == [in_conormal_matrix(zero, w)]
+        for rows in bad:
+            with pytest.raises(DimensionMismatchError, match="square of equal size"):
+                conormal_matrix_members(x, w, [good, rows])
+
+
+def old_upper_times_inverse(field, inverse, draws, count):
+    """The flag rejection covectors as first computed: each strictly upper U
+    built as a matrix from the draws, row by row, then U @ g^-1."""
+    n = inverse.rows
+    it = iter(draws)
+    uppers = [
+        ExactMatrix(
+            field, tuple(tuple(next(it) if j > i else 0 for j in range(n)) for i in range(n))
+        )
+        for _ in range(count)
+    ]
+    return [(u @ inverse).entries for u in uppers]
+
+
+def test_flag_rejection_rows_are_the_products_with_the_inverse():
+    """The rows conormal-flag builds from its draws are (U @ g^-1).entries
+    for the same draws, for n <= 5 over F_2, F_3, F_10007 and F_(10^24+7)."""
+    rng = random.Random(67)
+    for field in (FieldSpec.prime(2), FieldSpec.prime(3), F, BIG_PRIME):
+        for n in (2, 3, 4, 5):
+            for _ in range(3):
+                u = PartialPermutation(n, tuple(rng.sample(range(1, n + 1), n)))
+                inverse = Flag(cell_generator(u, field, rng)).inverse
+                count = 7
+                draws = _draws(rng, field.p, count * (n * (n - 1) // 2))
+                rows = _flag_rejection_covectors(inverse, draws, count)
+                expected = old_upper_times_inverse(field, inverse, draws, count)
+                assert [tuple(map(tuple, y)) for y in rows] == expected
+
+
+def old_fiber_elements(fiber, n, field, rng, extra):
+    """_fiber_elements as first written: each combination accumulated basis
+    vector by basis vector, reduced mod p after every step."""
+    points = [ExactMatrix.zeros(field, n, n)]
+    points += [vector_to_matrix(field, v, n) for v in fiber.vectors]
+    p = field.p
+    for _ in range(extra if fiber.dim else 0):
+        coeffs = _draws(rng, p, fiber.dim)
+        vec = [0] * (n * n)
+        for c, basis_vec in zip(coeffs, fiber.vectors):
+            if c:
+                vec = [(a + c * b) % p for a, b in zip(vec, basis_vec)]
+        points.append(vector_to_matrix(field, vec, n))
+    return points
+
+
+def test_fiber_elements_match_the_accumulating_loop():
+    """The dot-product combinations of _fiber_elements equal the old
+    accumulate-mod-p loop, and leave the generator in the same state, for
+    the fiber at a cell point of every covexillary w with n <= 4 over F_2,
+    F_3, F_10007 and F_(10^24+7)."""
+    rng = random.Random(73)
+    for field in (FieldSpec.prime(2), FieldSpec.prime(3), F, BIG_PRIME):
+        for n in (1, 2, 3, 4):
+            for w in all_partial_permutations(n):
+                if not is_covexillary(w):
+                    continue
+                fiber = conormal_fiber_matrix(sample_cell_point(w, field, rng), w)
+                seed = rng.random()
+                new_rng, old_rng = random.Random(seed), random.Random(seed)
+                got = _fiber_elements(fiber, n, field, new_rng, extra=4)
+                assert got == old_fiber_elements(fiber, n, field, old_rng, extra=4)
+                assert new_rng.getstate() == old_rng.getstate()

@@ -5,7 +5,7 @@ import itertools
 import operator
 import os
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import pytest
 
@@ -477,7 +477,7 @@ def test_kl_covex_report_names_a_mismatch_in_one_line(monkeypatch):
 
     def spoiled(w):
         rows = covexillary_kl_check(w)
-        return [replace(rows[0], grass_poly=PolynomialQ.zero())] + rows[1:]
+        return [rows[0]._replace(grass_poly=PolynomialQ.zero())] + rows[1:]
 
     monkeypatch.setattr(suites, "covexillary_kl_check", spoiled)
     verdicts = suites.run_suite(suites.SuiteConfig("kl-covex", n_max=2))

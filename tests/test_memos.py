@@ -1,10 +1,10 @@
 """Derived data is computed once per instance and is invisible from outside.
 
 rank_matrix, covexillary_data, the tau data of CovexillaryData, the
-southwest profile of a matrix and its columns, the basis matrix and the
-dimensions dim(V + E_t) of a subspace, the inverse of a flag generator and
-the covector g^-1 z of a Springer flag point are stored on the frozen
-instance they belong to.  An instance that holds them must still compare,
+southwest profile of a matrix and its columns, the basis matrix, the
+dimensions dim(V + E_t) and the containment data of a subspace, the
+inverse of a flag generator and the covector g^-1 z of a Springer flag
+point are stored on the frozen instance they belong to.  An instance that holds them must still compare,
 hash, print, replace and pickle exactly like a fresh one.
 """
 
@@ -18,6 +18,7 @@ import pytest
 
 from covex import conormal, suites
 from covex.cli import main
+from covex.embedding import embed_point
 from covex.conormal import (
     CotangentMatrixPoint,
     SpringerFlagPoint,
@@ -120,9 +121,58 @@ def test_one_batch_computes_the_core_pivots_once(monkeypatch):
         calls.append(args)
         return core_pivots(*args)
 
+    plans = []
+
+    def planned(*args):
+        plans.append(args)
+        return plan(*args)
+
+    plan = conormal._core_plan
     monkeypatch.setattr(conormal, "core_pivots", counted)
-    assert conormal.conormal_matrix_members(x, w, ys) == expected
-    assert calls == [(x, covexillary_data(w))]
+    monkeypatch.setattr(conormal, "_core_plan", planned)
+    assert conormal.conormal_matrix_members(x, w, [y.entries for y in ys]) == expected
+    assert calls == plans == [(x, covexillary_data(w))]
+
+
+def test_one_subspace_builds_its_containment_data_once(monkeypatch):
+    """SpringerGrassPoint reads V's side of the containment checks off
+    V.containment, built once however many points share V; only the two
+    products with x run per point, and a V holding it is like a fresh one."""
+    built = []
+    compute = vars(Subspace)["containment"].func
+
+    def counted(self):
+        built.append(self)
+        return compute(self)
+
+    memo = cached_property(counted)
+    memo.__set_name__(Subspace, "containment")
+    monkeypatch.setattr(Subspace, "containment", memo)
+    w = PartialPermutation.from_one_line("2143")
+    data = covexillary_data(w)
+    rng = random.Random(12)
+    x = sample_cell_point(w, F, rng)
+    V = embed_point(x, data)
+    fiber = conormal.conormal_fiber_matrix(x, w)
+    ys = suites._fiber_elements(fiber, 4, F, rng, extra=5)
+    products = []
+    matmul = ExactMatrix.__matmul__
+
+    def counted_matmul(self, other):
+        products.append(other.shape)
+        return matmul(self, other)
+
+    monkeypatch.setattr(ExactMatrix, "__matmul__", counted_matmul)
+    points = [suites._chase_to_grass(data, V, x, y) for y in ys]
+    assert len(points) >= 5 and built == [V]
+    products.clear()
+    for point in points:
+        conormal.SpringerGrassPoint(V, point.x)
+    assert built == [V] and len(products) == 2 * len(points)
+    fresh = dataclasses.replace(V)
+    assert "containment" in vars(V) and "containment" not in vars(fresh)
+    assert_like_fresh(V, fresh)
+    assert fresh.containment == V.containment
 
 
 def test_subspace_basis_matrix_memo_is_invisible():

@@ -11,6 +11,7 @@ from covex.permcore import (
     CovexillaryData,
     EssentialCondition,
     PartialPermutation,
+    RankMatrix,
     all_partial_permutations,
     all_permutations,
     avoids_3412,
@@ -186,6 +187,67 @@ def test_bruhat_fixtures():
     assert not bruhat_leq(
         PartialPermutation.from_one_line("321"), PartialPermutation.from_one_line("312")
     )
+
+
+def entrywise_dominates(big: RankMatrix, small: RankMatrix) -> bool:
+    """The reference comparison: every entry of small is at most big's."""
+    return all(b >= a for rb, ra in zip(big.entries, small.entries) for b, a in zip(rb, ra))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_packed_dominance_is_entrywise_on_every_pair(n):
+    """RankMatrix.dominates (one guarded subtraction) is RankMatrix.bounds
+    and the entrywise reference on every pair of partial permutations of
+    size n, and bruhat_leq reads it."""
+    perms = list(all_partial_permutations(n))
+    ranks = [rank_matrix(w) for w in perms]
+    seen = set()
+    for u, ru in zip(perms, ranks):
+        for w, rw in zip(perms, ranks):
+            expected = entrywise_dominates(rw, ru)
+            assert rw.dominates(ru) == rw.bounds(ru.entries) == expected, (u, w)
+            assert bruhat_leq(u, w) == expected
+            seen.add(expected)
+    assert seen == {True, False}
+
+
+@pytest.mark.parametrize("n", [7, 8])
+def test_packed_dominance_holds_where_entries_reach_n(n):
+    """At the suite limits the entries of a rank matrix reach n: the packed
+    comparison still equals the entrywise one on tables with every entry in
+    0..n, including a gap of n at a single box in each direction, and on
+    rank matrices of random partial permutations and their sub-patterns."""
+    rng = random.Random(n)
+    boxes = n * n
+
+    def table(values):
+        return RankMatrix(n, tuple(tuple(values[i * n : (i + 1) * n]) for i in range(n)))
+
+    pairs = [(table([n] * boxes), table([0] * boxes)), (table([n] * boxes), table([n] * boxes))]
+    for f in range(boxes):
+        for low, high in ((0, n), (n - 1, n), (n, n - 1)):
+            a, b = [n] * boxes, [n] * boxes
+            a[f], b[f] = high, low
+            pairs.append((table(a), table(b)))
+            pairs.append((table(b), table(a)))
+    for _ in range(300):
+        values = [rng.randint(0, n) for _ in range(boxes)]
+        bumped = [min(n, max(0, v + rng.choice((-1, 0, 0, 1)))) for v in values]
+        pairs.append((table(values), table(bumped)))
+    for _ in range(300):
+        w = random_partial_permutation(n, rng)
+        u = PartialPermutation(n, tuple(v if rng.random() < 0.8 else 0 for v in w.image))
+        pairs.append((rank_matrix(w), rank_matrix(u)))
+        pairs.append((rank_matrix(u), rank_matrix(w)))
+    full = rank_matrix(PartialPermutation.longest(n))
+    assert full.entry(1, n) == n
+    pairs.append((full, rank_matrix(PartialPermutation.identity(n))))
+    outcomes = []
+    for big, small in pairs:
+        expected = entrywise_dominates(big, small)
+        assert big.dominates(small) == big.bounds(small.entries) == expected
+        outcomes.append(expected)
+    assert outcomes.count(True) >= 100 and outcomes.count(False) >= 100
 
 
 def hat_permutation(w: PartialPermutation) -> PartialPermutation:
