@@ -93,6 +93,7 @@ class CotangentMatrixPoint:
     def __post_init__(self):
         if self.x.shape != self.y.shape or not self.x.is_square():
             raise DimensionMismatchError("x and y must be square of equal size")
+        self.x.field.check_same(self.y.field)
 
     @property
     def n(self) -> int:
@@ -116,6 +117,7 @@ class SpringerFlagPoint:
         n = self.flag.n
         if self.z.shape != (n, n):
             raise DimensionMismatchError("z size differs from flag size")
+        self.flag.field.check_same(self.z.field)
         # only the entries on and below the diagonal of covector @ g, column by column
         p = self.z.field.p
         covector = self.covector.entries
@@ -153,6 +155,7 @@ class SpringerGrassPoint:
         N = V.ambient
         if x.shape != (N, N):
             raise DimensionMismatchError("x size differs from ambient dimension")
+        V.field.check_same(x.field)
         if not V.vectors:
             if not x.is_zero():
                 raise InvariantError("Im(x) is not contained in V")

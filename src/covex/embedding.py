@@ -19,7 +19,7 @@ from __future__ import annotations
 from operator import getitem, itemgetter
 
 from .errors import DimensionMismatchError
-from .exactla import ExactMatrix, Subspace, _span_rows, coordinate_subspace, subspace_sum
+from .exactla import ExactMatrix, Subspace, _span_rows
 from .permcore import CovexillaryData, PartialPermutation
 from .varieties import GrassIndex, grass_condition_checks
 
@@ -39,14 +39,6 @@ def embedding_target(data: CovexillaryData) -> CovexillaryData:
     perfbench/queries.py still reads the target through this name.
     """
     return data
-
-
-def graph_embed(x: ExactMatrix) -> Subspace:
-    """Column span of (I over x): the graph of x as a point of Gr(n, 2n)."""
-    if not x.is_square():
-        raise DimensionMismatchError("graph embedding requires a square matrix")
-    stacked = ExactMatrix.identity(x.field, x.rows).vstack(x)
-    return Subspace.column_span(stacked)
 
 
 def embed_point(x: ExactMatrix, data: CovexillaryData) -> Subspace:
@@ -136,27 +128,6 @@ def target_grass_index(data: CovexillaryData) -> GrassIndex:
     for i in range(n - 2, -1, -1):
         positions[i] = min(positions[i], positions[i + 1] - 1)
     return GrassIndex(n, 2 * n, tuple(positions))
-
-
-def check_rank_lemma(
-    x: ExactMatrix, p: int, q: int, r: int
-) -> tuple[bool, bool]:
-    """The two sides of the one-condition rank equivalence.
-
-    Returns (dim(x E_q / E_p) <= r, dim(h(x) + V) <= n + p + r) with
-    V = <e_1..e_q, e_{n+1}..e_{n+p}>.  The lemma says they always agree.
-    """
-    n = x.rows
-    if not (0 <= p <= n and 0 <= q <= n):
-        raise DimensionMismatchError("p and q must lie in 0..n")
-    left_rank = x.submatrix(range(p + 1, n + 1), range(1, q + 1)).rank() if q else 0
-    left = left_rank <= r
-    field = x.field
-    v = coordinate_subspace(
-        field, 2 * n, list(range(1, q + 1)) + list(range(n + 1, n + p + 1))
-    )
-    right = subspace_sum(graph_embed(x), v).dim <= n + p + r
-    return (left, right)
 
 
 def weight_map(data: CovexillaryData) -> dict[int, tuple[str, int]]:

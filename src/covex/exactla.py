@@ -89,6 +89,14 @@ class FieldSpec:
     def is_prime(self) -> bool:
         return self.p is not None
 
+    def __str__(self) -> str:
+        return "Q" if self.p is None else f"F_{self.p}"
+
+    def check_same(self, other: "FieldSpec") -> None:
+        """FieldError unless other is this field: no operation mixes two fields."""
+        if other != self:
+            raise FieldError(f"operands over different fields: {self} and {other}")
+
     def coerce(self, value) -> Scalar:
         p = self.p
         if type(value) is int:
@@ -212,6 +220,7 @@ class ExactMatrix:
         """op applied entry by entry to this matrix and others of its shape."""
         for other in others:
             self._check_same_shape(other)
+            self.field.check_same(other.field)
         p = self.field.p
         rows = zip(self.entries, *(other.entries for other in others))
         if p is None:
@@ -231,6 +240,7 @@ class ExactMatrix:
                 f"cannot multiply {self.shape} by {other.shape}: the inner dimension is 0"
             )
         f = self.field
+        f.check_same(other.field)
         mul = operator.mul
         bt = list(zip(*other.entries))
         # list comprehensions: a generator per row costs more than the sums
@@ -244,6 +254,7 @@ class ExactMatrix:
     def hstack(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.rows != other.rows:
             raise DimensionMismatchError("hstack row mismatch")
+        self.field.check_same(other.field)
         return ExactMatrix(
             self.field, tuple(ra + rb for ra, rb in zip(self.entries, other.entries))
         )
@@ -251,6 +262,7 @@ class ExactMatrix:
     def vstack(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.cols != other.cols:
             raise DimensionMismatchError("vstack column mismatch")
+        self.field.check_same(other.field)
         return ExactMatrix(self.field, self.entries + other.entries)
 
     def submatrix(self, row_indices: Sequence[int], col_indices: Sequence[int]) -> "ExactMatrix":

@@ -13,13 +13,17 @@ membership verdicts of the random covectors.  The matrix and flag
 calibrations draw all their covectors in one ``_draws`` call (the same
 numbers, in the same order, as one draw per covector) and check them over
 the sampled point with one ``conormal_matrix_members`` call, so the
-point's fixed work runs once.  embed-thm draws one point of each B x B
-orbit O_u per size n, from a generator seeded by (seed, suite, n, u), and
-checks every covexillary w of that size against the same points; the w
-with one tau order share each point's embedding, made once per tau class.
-All other randomness is drawn from per-case generators seeded by (seed,
-suite, case), so reports are byte-identical across reruns and independent
-of execution order.
+point's fixed work runs once.
+
+embed-thm and rank-lemma draw nothing and ignore ``trials``.  Their
+statements are invariant under the B x B action x -> b_l x b_r, and the
+orbit O_u of a partial permutation u holds u's 0/1 matrix, so each checks
+every partial u of each size at that matrix: a proof for the size, over
+every field.  embed-thm and the zero-section loop of conormal-grass embed
+each representative once per tau class (``_embedded_classes``).  All
+randomness is drawn from per-case generators seeded by (seed, suite,
+case), so reports are byte-identical across reruns and independent of
+execution order.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from __future__ import annotations
 import random
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
-from operator import itemgetter, mul
+from operator import itemgetter, mul, ne
 from typing import NamedTuple
 
 from .conormal import (
@@ -45,7 +49,7 @@ from .conormal import (
     tangent_orbit_rank,
     vector_to_matrix,
 )
-from .embedding import check_rank_lemma, embed_point, target_holds
+from .embedding import embed_point, target_holds
 from .errors import DimensionMismatchError, InputError
 from .exactla import (
     DEFAULT_PRIME,
@@ -53,6 +57,7 @@ from .exactla import (
     FieldSpec,
     Subspace,
     _draws,
+    _insert,
     random_matrix,
 )
 from .kl import (
@@ -72,9 +77,10 @@ from .permcore import (
     essential_set,
     is_covexillary,
     random_partial_permutation,
+    rank_matrix,
     reconstruct_from_essential,
 )
-from .varieties import in_matrix_schubert, sample_cell_point
+from .varieties import sample_cell_point
 from .equivariant import MULTIDEGREE_MAX_N, verify_multidegree
 
 REJECTION_TRIALS = 200
@@ -205,71 +211,71 @@ def _suite_el_roundtrip(config: SuiteConfig) -> Iterator[Case]:
         yield case, not failures, {"trials": config.trials, "failures": failures[:5]}
 
 
-def _orbit_points(config: SuiteConfig, n: int) -> list[tuple[PartialPermutation, ExactMatrix]]:
-    """One point of every B x B orbit O_u of n x n matrices, u a partial permutation.
+def _embedded_classes(field: FieldSpec, n: int) -> Iterator[tuple[list, list]]:
+    """Per tau class of size n: its covexillary (w, case id) and every partial u with V_u.
 
-    Each point is drawn from a generator seeded by (seed, suite, n, u); the
-    case ids are n=.../w=..., so no case generator shares the seed.
+    V_u is the embedding of u's 0/1 matrix, the coordinate point of the B x B
+    orbit O_u.  embed_point reads w only through n and tau_order, so V_u is
+    made once per class and shared by its w.
     """
-    field = _field(config)
-    return [
-        (u, sample_cell_point(u, field, _rng(config, f"n={n}/u={u.one_line()}")))
-        for u in all_partial_permutations(n)
-    ]
+    matrices = [(u, u.matrix(field)) for u in all_partial_permutations(n)]
+    classes: dict[tuple[int, ...], list[tuple[PartialPermutation, str]]] = {}
+    for _, w, case in _covexillary_cases(all_partial_permutations, n, start=n):
+        classes.setdefault(covexillary_data(w).tau_order, []).append((w, case))
+    for cases in classes.values():
+        data = covexillary_data(cases[0][0])
+        yield cases, [(u, embed_point(x, data)) for u, x in matrices]
 
 
 def _suite_embed_thm(config: SuiteConfig) -> Iterator[Case]:
+    # x -> b_l x b_r keeps embed_point(x) in its Schubert cell; X_w is a
+    # union of orbits O_u and the target a union of cells, so the theorem
+    # holds on all of Mat_n iff it holds at every 0/1 representative u
     field = _field(config)
     for n in range(1, config.n_max + 1):
-        # one point per orbit, shared by every w of this size; its southwest
-        # profile is eliminated once.  embed_point reads w only through n and
-        # tau_order, so the w of one tau class share each point's embedding
-        # (and its sum_dims): it is made the first time some w of the class
-        # lies above u and dropped when the class is done.
-        points = _orbit_points(config, n)
-        classes: dict[tuple[int, ...], list[tuple[PartialPermutation, str]]] = {}
-        for _, w, case in _covexillary_cases(all_partial_permutations, n, start=n):
-            classes.setdefault(covexillary_data(w).tau_order, []).append((w, case))
-        for members in classes.values():
-            embedded: dict[int, Subspace] = {}
-            for w, case in members:
-                rng = _rng(config, case)
+        for cases, embedded in _embedded_classes(field, n):
+            for w, case in cases:
                 data = covexillary_data(w)
-                mismatches = 0
-                positives = 0
-                for _ in range(config.trials):
-                    x = random_matrix(field, n, n, rng)
-                    inside = in_matrix_schubert(x, w)
-                    on_target = target_holds(embed_point(x, data), data)
-                    if inside != on_target:
-                        mismatches += 1
-                    positives += inside
-                for k, (u, x) in enumerate(points):
-                    if not bruhat_leq(u, w):
-                        continue
-                    V = embedded.get(k)
-                    if V is None:
-                        V = embedded[k] = embed_point(x, data)
-                    if not (in_matrix_schubert(x, w) and target_holds(V, data)):
-                        mismatches += 1
-                    positives += 1
-                yield case, mismatches == 0, {"mismatches": mismatches, "positives": positives}
+                inside = [bruhat_leq(u, w) for u, _ in embedded]
+                mismatches = sum(map(ne, inside, [target_holds(V, data) for _, V in embedded]))
+                positives = sum(inside)
+                yield case, mismatches == 0, {
+                    "mismatches": mismatches,
+                    "positives": positives,
+                    "negatives": len(embedded) - positives,
+                }
 
 
 def _suite_rank_lemma(config: SuiteConfig) -> Iterator[Case]:
+    """dim(graph(u) + <e_1..e_q, e_{n+1}..e_{n+p}>) = n + p + r_u(p+1, q) at every u.
+
+    The subspace is stable under diag(b_r^-1, b_l), so the equality at u's
+    0/1 matrix holds on all of O_u; as an equality it covers every bound r.
+    """
     field = _field(config)
+    prime = field.p
     for n in range(1, config.n_max + 1):
-        for p in range(n + 1):
-            for q in range(n + 1):
-                for r in range(n + 1):
-                    case = f"n={n}/p={p}/q={q}/r={r}"
-                    rng = _rng(config, case)
-                    bad = 0
-                    for _ in range(config.trials):
-                        x = random_matrix(field, n, n, rng)
-                        left, right = check_rank_lemma(x, p, q, r)
-                        bad += left != right
-                    yield case, bad == 0, {"disagreements": bad}
+        unit = [tuple(int(k == i) for k in range(2 * n)) for i in range(2 * n)]
+        disagreements = [[0] * (n + 1) for _ in range(n + 1)]
+        for u in all_partial_permutations(n):
+            ranks = rank_matrix(u).entries
+            # graph(u), then e_{n+1}..e_{n+p}, then e_1..e_n in one echelon
+            # basis: its dimension after e_q is the sum for (p, q)
+            graph_and_e: dict = {}
+            for j, column in enumerate(u.matrix(field).columns):
+                _insert(graph_and_e, unit[j][:n] + column, prime)
+            for p in range(n + 1):
+                if p:
+                    _insert(graph_and_e, unit[n + p - 1], prime)
+                basis = dict(graph_and_e)
+                for q in range(n + 1):
+                    if q:
+                        _insert(basis, unit[q - 1], prime)
+                    r = ranks[p][q - 1] if p < n and q else 0
+                    disagreements[p][q] += len(basis) != n + p + r
+        for p, row in enumerate(disagreements):
+            for q, bad in enumerate(row):
+                yield f"n={n}/p={p}/q={q}", bad == 0, {"disagreements": bad}
 
 
 def _suite_conormal_matrix(config: SuiteConfig) -> Iterator[Case]:
@@ -375,39 +381,37 @@ def _springer_fiber_sample(
 
 def _suite_conormal_grass(config: SuiteConfig) -> Iterator[Case]:
     field = _field(config)
-    below: dict[int, list[PartialPermutation]] = {}
-    for n, w, case in _covexillary_cases(all_partial_permutations, config.n_max):
-        if n not in below:
-            below = {n: list(all_partial_permutations(n))}
-        rng = _rng(config, case)
-        data = covexillary_data(w)
-        conditions = data.grass_conditions
-        failures = 0
-        # zero-section points over sampled cells of every u below w
-        for u in below[n]:
-            if not bruhat_leq(u, w):
-                continue
-            V = embed_point(sample_cell_point(u, field, rng), data)
-            zero = ExactMatrix.zeros(field, 2 * n, 2 * n)
-            if not in_conormal_grass(SpringerGrassPoint(V, zero), conditions):
-                failures += 1
-        # rejection power over the Springer fiber at a generic cell image
-        x = sample_cell_point(w, field, rng)
-        V = embed_point(x, data)
-        fiber = conormal_fiber_matrix(x, w)
-        members = None
-        if fiber.dim < n * n:
-            members = [
-                in_conormal_grass(
-                    SpringerGrassPoint(V, _springer_fiber_sample(V, field, rng)), conditions
+    for n in range(1, config.n_max + 1):
+        zero = ExactMatrix.zeros(field, 2 * n, 2 * n)
+        for cases, embedded in _embedded_classes(field, n):
+            for w, case in cases:
+                rng = _rng(config, case)
+                data = covexillary_data(w)
+                conditions = data.grass_conditions
+                # zero-section points at the representative of every u below w
+                failures = sum(
+                    not in_conormal_grass(SpringerGrassPoint(V, zero), conditions)
+                    for u, V in embedded
+                    if bruhat_leq(u, w)
                 )
-                for _ in range(config.trials)
-            ]
-        reject_rate, rejection_ok = _rejection(members)
-        yield case, failures == 0 and rejection_ok, {
-            "zero_section_failures": failures,
-            "reject_rate": reject_rate,
-        }
+                # rejection power over the Springer fiber at a generic cell image
+                x = sample_cell_point(w, field, rng)
+                V = embed_point(x, data)
+                fiber = conormal_fiber_matrix(x, w)
+                members = None
+                if fiber.dim < n * n:
+                    members = [
+                        in_conormal_grass(
+                            SpringerGrassPoint(V, _springer_fiber_sample(V, field, rng)),
+                            conditions,
+                        )
+                        for _ in range(config.trials)
+                    ]
+                reject_rate, rejection_ok = _rejection(members)
+                yield case, failures == 0 and rejection_ok, {
+                    "zero_section_failures": failures,
+                    "reject_rate": reject_rate,
+                }
 
 
 def _chase_to_grass(
@@ -519,21 +523,20 @@ class _Suite(NamedTuple):
     limit: int  # the largest n_max accepted
 
 
-# The limits keep every run bounded in time and memory.  The four suites
+# The limits keep every run bounded in time and memory.  The five suites
 # that walk every partial permutation of each size stop at n = 7: there are
 # sum_k C(n, k)^2 k! of them, 130,922 at n = 7, 1.44 M at n = 8 and 17.6 M
 # at n = 9.  covex-equiv keeps a verdict for each of the n! permutations
 # (38 s and 178 MB at n = 9 on a 2-core Xeon); conormal-flag walks S_n as
-# kl-covex does, and S_8 holds 15,767 covexillary w; el-roundtrip and
-# rank-lemma take 35-40 s at their limits.  embed-thm compares every orbit
-# with every covexillary w of a size: --trials 1 took 486 s and 128 MB at
-# n = 6 on the same machine, and n = 7 (6.5 G pairs against 97 M) is out
-# of reach.
+# kl-covex does, and S_8 holds 15,767 covexillary w; el-roundtrip takes
+# 35-40 s at its limit and rank-lemma about 50 s.  embed-thm compares every
+# orbit with every covexillary w of a size: 97 M pairs took 484 s and 105 MB
+# at n = 6, and n = 7 (6.5 G pairs) is out of reach.
 _SUITES: dict[str, _Suite] = {
     "covex-equiv": _Suite(_suite_covex_equiv, 7, 1, 9),
     "el-roundtrip": _Suite(_suite_el_roundtrip, 6, 1000, 20),
-    "embed-thm": _Suite(_suite_embed_thm, 4, 200, 7),
-    "rank-lemma": _Suite(_suite_rank_lemma, 4, 50, 8),
+    "embed-thm": _Suite(_suite_embed_thm, 4, 1, 7),
+    "rank-lemma": _Suite(_suite_rank_lemma, 4, 1, 7),
     "conormal-matrix": _Suite(_suite_conormal_matrix, 4, 20, 7),
     "conormal-flag": _Suite(_suite_conormal_flag, 4, 20, 7),
     "conormal-grass": _Suite(_suite_conormal_grass, 3, 30, 7),

@@ -380,7 +380,7 @@ SUITE_LIMITS = {
     "covex-equiv": 9,
     "el-roundtrip": 20,
     "embed-thm": 7,
-    "rank-lemma": 8,
+    "rank-lemma": 7,
     "conormal-matrix": 7,
     "conormal-flag": 7,
     "conormal-grass": 7,

@@ -32,6 +32,7 @@ from covex.embedding import embed_point, tau_permutation
 from covex.errors import (
     CellMembershipError,
     DimensionMismatchError,
+    FieldError,
     InputError,
     InvariantError,
     NotCovexillaryError,
@@ -75,6 +76,20 @@ from test_varieties import sample_flag
 
 F = FieldSpec.prime()
 Q = FieldSpec.rational()
+
+
+@pytest.mark.parametrize(
+    "left, right", [(FieldSpec.prime(3), FieldSpec.prime(5)), (F, Q), (Q, FieldSpec.prime(3))]
+)
+def test_points_refuse_parts_over_different_fields(left, right):
+    """A cotangent or Springer point gets no verdict when its parts mix fields."""
+    zero = ExactMatrix.zeros(right, 2, 2)
+    with pytest.raises(FieldError, match="different fields"):
+        CotangentMatrixPoint(ExactMatrix.identity(left, 2), zero)
+    with pytest.raises(FieldError, match="different fields"):
+        SpringerFlagPoint(Flag(ExactMatrix.identity(left, 2)), zero)
+    with pytest.raises(FieldError, match="different fields"):
+        SpringerGrassPoint(coordinate_subspace(left, 2, [1]), zero)
 
 
 def unit_matrix(n, i, j):

@@ -15,13 +15,12 @@ from covex.exactla import (
     coordinate_subspace,
     random_borel,
     random_matrix,
+    subspace_sum,
 )
 from covex.embedding import (
-    check_rank_lemma,
     embed_point,
     embedding_target,
     fixed_point_index,
-    graph_embed,
     target_grass_index,
     target_holds,
     tau_permutation,
@@ -34,8 +33,8 @@ from covex.permcore import (
     bruhat_leq,
     covexillary_data,
     is_covexillary,
+    rank_matrix,
 )
-from covex.suites import SuiteConfig, _orbit_points
 from covex.varieties import (
     in_matrix_schubert,
     in_matrix_schubert_cell,
@@ -59,6 +58,11 @@ def permute_rows(w, matrix):
     for r, c in w.dots():
         rows[r - 1] = matrix.entries[c - 1]
     return ExactMatrix(matrix.field, tuple(rows))
+
+
+def graph_embed(x):
+    """Column span of (I over x): the graph of x as a point of Gr(n, 2n)."""
+    return Subspace.column_span(ExactMatrix.identity(x.field, x.rows).vstack(x))
 
 
 def reference_embed_point(x, data):
@@ -173,23 +177,36 @@ def test_bruhat_monotone_through_embedding():
                     assert target_holds(embed_point(x, data), data)
 
 
+def rank_lemma_sides(x, p, q, r):
+    """(dim(x E_q / E_p) <= r, dim(graph(x) + V) <= n + p + r), V = <e_1..e_q, e_{n+1}..e_{n+p}>.
+
+    The one-condition rank lemma says the two always agree.  rank-lemma checks
+    the equality form at every partial permutation; this checks it at any x.
+    """
+    n = x.rows
+    left = (x.submatrix(range(p + 1, n + 1), range(1, q + 1)).rank() if q else 0) <= r
+    indices = list(range(1, q + 1)) + list(range(n + 1, n + p + 1))
+    v = coordinate_subspace(x.field, 2 * n, indices)
+    return left, subspace_sum(graph_embed(x), v).dim <= n + p + r
+
+
 def test_check_rank_lemma():
     rng = random.Random(16)
     zero = ExactMatrix.zeros(F, 3, 3)
     for p in range(4):
         for q in range(4):
             for r in range(4):
-                assert check_rank_lemma(zero, p, q, r) == (True, True)
+                assert rank_lemma_sides(zero, p, q, r) == (True, True)
     one_by_one = ExactMatrix.from_rows(F, [[4]])
-    assert check_rank_lemma(one_by_one, 0, 1, 0) == (False, False)
-    assert check_rank_lemma(ExactMatrix.zeros(F, 1, 1), 0, 1, 0) == (True, True)
+    assert rank_lemma_sides(one_by_one, 0, 1, 0) == (False, False)
+    assert rank_lemma_sides(ExactMatrix.zeros(F, 1, 1), 0, 1, 0) == (True, True)
     for n in (1, 2, 3):
         for p in range(n + 1):
             for q in range(n + 1):
                 for r in range(n + 1):
                     for _ in range(8):
                         x = random_matrix(F, n, n, rng)
-                        left, right = check_rank_lemma(x, p, q, r)
+                        left, right = rank_lemma_sides(x, p, q, r)
                         assert left == right
 
 
@@ -351,14 +368,25 @@ def test_permute_rows_of_a_partial_permutation_is_the_matrix_product():
         assert permute_rows(w, m) == w.matrix(F) @ m
 
 
-def test_shared_orbit_points_lie_in_their_open_cells():
-    """embed-thm checks every w of a size against one point of each orbit O_u."""
-    config = SuiteConfig("embed-thm", seed=1)
+def test_orbit_points_embed_into_the_cell_of_their_representative():
+    """The reduction embed-thm rests on: x -> b_l x b_r keeps x in O_u and
+    embed_point(x) in the Schubert cell of u's 0/1 matrix.  So the target,
+    a union of cells, holds on all of O_u iff it holds at u.  Every tau class
+    and every partial u with n <= 4, over F_101."""
+    field = FieldSpec.prime(101)
+    rng = random.Random(27)
+    checks = 0
     for n in (1, 2, 3, 4):
-        points = _orbit_points(config, n)
-        assert [u for u, _ in points] == list(all_partial_permutations(n))
-        for u, x in points:
-            assert in_matrix_schubert_cell(x, u)
+        classes = {covexillary_data(w).tau_order: covexillary_data(w)
+                   for w in _covexillary_partials(n)}
+        for u in all_partial_permutations(n):
+            assert u.matrix(F).southwest_profile == rank_matrix(u).entries
+            for data in classes.values():
+                x = sample_cell_point(u, field, rng)
+                assert in_matrix_schubert_cell(x, u)
+                assert locate_grass_cell(embed_point(x, data)) == fixed_point_index(u, data)
+                checks += 1
+    assert checks == 2 + 2 * 7 + 6 * 34 + 20 * 209
 
 
 def test_embedding_depends_on_w_only_through_its_tau_class():

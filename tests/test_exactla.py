@@ -57,6 +57,31 @@ def dim_quotient(v, w):
     return subspace_sum(v, w).dim - w.dim
 
 
+MIXED_FIELDS = [(FieldSpec.prime(3), FieldSpec.prime(5)), (F, Q), (Q, FieldSpec.prime(3))]
+
+
+@pytest.mark.parametrize("left, right", MIXED_FIELDS)
+@pytest.mark.parametrize(
+    "operation",
+    [
+        lambda a, b: a @ b,
+        lambda a, b: a + b,
+        lambda a, b: a - b,
+        lambda a, b: a.hstack(b),
+        lambda a, b: a.vstack(b),
+    ],
+    ids=["matmul", "add", "sub", "hstack", "vstack"],
+)
+def test_matrix_operations_refuse_operands_over_different_fields(operation, left, right):
+    a = ExactMatrix.from_rows(left, [[1, 1], [0, 1]])
+    b = ExactMatrix.from_rows(right, [[4, 0], [0, 4]])
+    with pytest.raises(FieldError, match="different fields"):
+        operation(a, b)
+    with pytest.raises(FieldError, match="different fields"):
+        operation(b, a)
+    assert operation(a, ExactMatrix.from_rows(left, [[4, 0], [0, 4]])).field == left
+
+
 def test_field_parsing():
     assert FieldSpec.parse("Q") == Q
     assert FieldSpec.parse("p:10007") == F

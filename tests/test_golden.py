@@ -12,14 +12,15 @@ from pathlib import Path
 
 import pytest
 
+from covex import suites
 from covex.cli import main
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
 # sha256 of `covex verify <suite> --nmax 3 --trials 2 --seed 0` stdout
 SUITE_DIGESTS = {
-    "embed-thm": "8f49a4befe434d64feb9163acebdbe8fcde36fd3a27b08226a3e9de91fbbeb38",
-    "rank-lemma": "162a43a59272a6739eef69ed912476750c72fdc26cbffddfcf4117243e2455a1",
+    "embed-thm": "950cbb35e634a01ffe9c4a14eca0d6c34f0193c565c6289bf6119519ae84093c",
+    "rank-lemma": "3ce4b8d1562ec549af5fc004f9c3b645cbb401ac2ca0fe2dadeacd8f34f17121",
     "conormal-matrix": "ce0cbf8b832735d64f5599613a90bc095ad194a2060e8e3d3db2098b0c2b8297",
     "conormal-flag": "2886ab7a869c2a310de550b5f7b87871f0225d0fed6c8d20183b1d3fbdbc9460",
     "conormal-grass": "e4109c970decfa8581f4a358c958b369260582800f33cfa0b9f602518aaba838",
@@ -72,6 +73,21 @@ def test_embed_thm_report_matches_the_calibrate_digest(seed, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+@pytest.mark.parametrize("suite", ["embed-thm", "rank-lemma"])
+def test_orbit_representative_suites_draw_nothing(suite, capsys, monkeypatch):
+    """embed-thm and rank-lemma check every orbit at its 0/1 representative:
+    no generator is made, and the report is the same at every seed and trials."""
+    reports = []
+    for argv in (["--seed", "0", "--trials", "2"], ["--seed", "9", "--trials", "1"]):
+        assert main(["verify", suite, "--nmax", "3", *argv]) == 0
+        reports.append(capsys.readouterr().out)
+    monkeypatch.setattr(suites, "_rng", None)
+    assert main(["verify", suite, "--nmax", "3"]) == 0
+    reports.append(capsys.readouterr().out)
+    assert reports[0] == reports[1] == reports[2]
+    assert hashlib.sha256(reports[0].encode("utf-8")).hexdigest() == SUITE_DIGESTS[suite]
 
 
 @pytest.mark.parametrize("name", sorted(CLI_CASES))

@@ -37,7 +37,6 @@ from covex.exactla import (
 from covex.permcore import (
     PartialPermutation,
     all_partial_permutations,
-    bruhat_leq,
     covexillary_data,
     is_covexillary,
     rank_matrix,
@@ -272,8 +271,10 @@ def test_not_covexillary_is_raised_on_every_call():
 
 
 def test_embed_thm_samples_each_orbit_once(monkeypatch):
-    """embed-thm draws one point per partial u and embeds it once per tau class."""
-    counts = {"sample": 0, "embed": 0}
+    """embed-thm reads each orbit once, at u's 0/1 matrix: it draws nothing and
+    embeds every partial u once per tau class of each size."""
+    counts = {"sample": 0, "random": 0, "rng": 0}
+    embedded = {}
 
     def counted(key, call):
         def wrapper(*args):
@@ -282,19 +283,18 @@ def test_embed_thm_samples_each_orbit_once(monkeypatch):
 
         return wrapper
 
-    monkeypatch.setattr(suites, "sample_cell_point", counted("sample", suites.sample_cell_point))
-    monkeypatch.setattr(suites, "embed_point", counted("embed", suites.embed_point))
-    suites.run_suite(suites.SuiteConfig("embed-thm", n_max=3, trials=1))
-    assert counts["sample"] == 2 + 7 + 34
-    # one embedding per random x, and one per u below some w of each tau class
-    expected = 0
-    for n in (1, 2, 3):
+    def embed(x, data):
+        embedded[x.rows] = embedded.get(x.rows, 0) + 1
+        return embed_point(x, data)
+
+    for key, name in (("sample", "sample_cell_point"), ("random", "random_matrix"), ("rng", "_rng")):
+        monkeypatch.setattr(suites, name, counted(key, getattr(suites, name)))
+    monkeypatch.setattr(suites, "embed_point", embed)
+    suites.run_suite(suites.SuiteConfig("embed-thm", n_max=4, trials=3))
+    assert counts == {"sample": 0, "random": 0, "rng": 0}
+    expected = {}
+    for n in (1, 2, 3, 4):
         partials = list(all_partial_permutations(n))
-        classes = {}
-        for w in partials:
-            if is_covexillary(w):
-                expected += 1
-                classes.setdefault(covexillary_data(w).tau_order, []).append(w)
-        for members in classes.values():
-            expected += sum(any(bruhat_leq(u, w) for w in members) for u in partials)
-    assert counts["embed"] == expected
+        classes = {covexillary_data(w).tau_order for w in partials if is_covexillary(w)}
+        expected[n] = len(partials) * len(classes)
+    assert embedded == expected == {1: 2, 2: 14, 3: 204, 4: 4180}
