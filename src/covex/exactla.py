@@ -511,7 +511,8 @@ class Subspace:
         return Subspace.column_span(matrix @ basis)
 
     def _check_compatible(self, other: "Subspace") -> None:
-        if self.ambient != other.ambient or self.field != other.field:
+        self.field.check_same(other.field)
+        if self.ambient != other.ambient:
             raise DimensionMismatchError("subspaces live in different ambient spaces")
 
 

@@ -18,7 +18,7 @@ import random
 from dataclasses import dataclass
 from functools import cached_property
 from operator import le
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import (
     EssentialDataError,
@@ -413,6 +413,43 @@ def bruhat_leq(u: PartialPermutation, w: PartialPermutation) -> bool:
     if u.n != w.n:
         raise InputError("Bruhat comparison requires equal sizes")
     return rank_matrix(w).dominates(rank_matrix(u))
+
+
+def packed_bruhat(
+    us: Sequence[PartialPermutation],
+) -> tuple[range, Callable[[PartialPermutation], int]]:
+    """(lanes, below): u <= w for every u of us at once, one lane per u.
+
+    Box by box, one int holds r_u(i, j) of every u in lanes of
+    n.bit_length() + 1 bits, as in RankMatrix._packed, so one guarded
+    subtraction from r_w(i, j) spread over every lane tests that box for
+    all u.  below(w) ANDs the boxes and keeps the guard bits: bit lanes[k]
+    of it is set iff u_k <= w.  Every u and w has size n.
+    """
+    n = us[0].n
+    if any(u.n != n for u in us):
+        raise InputError("Bruhat comparison requires equal sizes")
+    width = n.bit_length() + 1
+    lanes = range(width - 1, width * len(us), width)
+    # every int is built from its binary digits, lane 0 the lowest
+    digits = [format(r, f"0{width}b") for r in range(n + 1)]
+    guard = int(format(1 << width - 1, "b") * len(us), 2)
+    spread = [r * (guard >> width - 1) + guard for r in range(n + 1)]
+    flat = itertools.chain.from_iterable
+    boxes = [
+        int("".join(map(digits.__getitem__, reversed(box))), 2)
+        for box in zip(*(tuple(flat(rank_matrix(u).entries)) for u in us))
+    ]
+
+    def below(w: PartialPermutation) -> int:
+        if w.n != n:
+            raise InputError("Bruhat comparison requires equal sizes")
+        acc = guard
+        for r, box in zip(flat(rank_matrix(w).entries), boxes):
+            acc &= spread[r] - box
+        return acc & guard
+
+    return lanes, below
 
 
 def reconstruct_from_essential(

@@ -19,8 +19,10 @@ embed-thm and rank-lemma draw nothing and ignore ``trials``.  Their
 statements are invariant under the B x B action x -> b_l x b_r, and the
 orbit O_u of a partial permutation u holds u's 0/1 matrix, so each checks
 every partial u of each size at that matrix: a proof for the size, over
-every field.  embed-thm and the zero-section loop of conormal-grass embed
-each representative once per tau class (``_embedded_classes``).  All
+every field.  embed-thm and the zero-section loop of conormal-grass read
+each u's Schubert cell off tau and embed one u per cell and tau class;
+the u <= w of every u come from one packed comparison per w, and the
+verdicts are popcounts of lane masks (``_orbit_cells``).  All
 randomness is drawn from per-case generators seeded by (seed, suite,
 case), so reports are byte-identical across reruns and independent of
 execution order.
@@ -31,7 +33,7 @@ from __future__ import annotations
 import random
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
-from operator import itemgetter, mul, ne
+from operator import getitem, itemgetter, mul
 from typing import NamedTuple
 
 from .conormal import (
@@ -49,7 +51,7 @@ from .conormal import (
     tangent_orbit_rank,
     vector_to_matrix,
 )
-from .embedding import embed_point, target_holds
+from .embedding import embed_point, fixed_point_bits, target_holds
 from .errors import DimensionMismatchError, InputError
 from .exactla import (
     DEFAULT_PRIME,
@@ -72,15 +74,15 @@ from .permcore import (
     all_partial_permutations,
     all_permutations,
     avoids_3412,
-    bruhat_leq,
     covexillary_data,
     essential_set,
     is_covexillary,
+    packed_bruhat,
     random_partial_permutation,
     rank_matrix,
     reconstruct_from_essential,
 )
-from .varieties import sample_cell_point
+from .varieties import Flag, sample_cell_point
 from .equivariant import MULTIDEGREE_MAX_N, verify_multidegree
 
 REJECTION_TRIALS = 200
@@ -211,20 +213,39 @@ def _suite_el_roundtrip(config: SuiteConfig) -> Iterator[Case]:
         yield case, not failures, {"trials": config.trials, "failures": failures[:5]}
 
 
-def _embedded_classes(field: FieldSpec, n: int) -> Iterator[tuple[list, list]]:
-    """Per tau class of size n: its covexillary (w, case id) and every partial u with V_u.
+def _orbit_cells(
+    field: FieldSpec, partials: list[PartialPermutation]
+) -> Iterator[tuple[Iterator, list]]:
+    """Per tau class of the size of partials: its w and the Schubert cells of its orbits.
 
-    V_u is the embedding of u's 0/1 matrix, the coordinate point of the B x B
-    orbit O_u.  embed_point reads w only through n and tau_order, so V_u is
-    made once per class and shared by its w.
+    The iterator gives (w, case id, inside) for each covexillary w of the
+    class, inside the mask of the u <= w in the lanes of packed_bruhat.  The
+    list holds (V, lanes) for each cell met by the coordinate points of the
+    orbits O_u: V embeds the 0/1 matrix of the first u in the cell, and
+    lanes is the mask of every u in it.  The cell of u is read off tau
+    (fixed_point_bits), so one elimination serves each cell, and embed_point
+    reads w only through n and tau_order, so the cells serve every w of the
+    class.
     """
-    matrices = [(u, u.matrix(field)) for u in all_partial_permutations(n)]
+    n = partials[0].n
+    positions, below = packed_bruhat(partials)
     classes: dict[tuple[int, ...], list[tuple[PartialPermutation, str]]] = {}
-    for _, w, case in _covexillary_cases(all_partial_permutations, n, start=n):
+    for _, w, case in _covexillary_cases(lambda _: partials, n, start=n):
         classes.setdefault(covexillary_data(w).tau_order, []).append((w, case))
     for cases in classes.values():
         data = covexillary_data(cases[0][0])
-        yield cases, [(u, embed_point(x, data)) for u, x in matrices]
+        bits = fixed_point_bits(data)
+        lanes: dict[int, int] = {}
+        first: dict[int, PartialPermutation] = {}
+        for u, position in zip(partials, positions):
+            cell = sum(map(getitem, bits, u.image))
+            if cell in lanes:
+                lanes[cell] |= 1 << position
+            else:
+                lanes[cell] = 1 << position
+                first[cell] = u
+        cells = [(embed_point(u.matrix(field), data), lanes[cell]) for cell, u in first.items()]
+        yield ((w, case, below(w)) for w, case in cases), cells
 
 
 def _suite_embed_thm(config: SuiteConfig) -> Iterator[Case]:
@@ -233,16 +254,20 @@ def _suite_embed_thm(config: SuiteConfig) -> Iterator[Case]:
     # holds on all of Mat_n iff it holds at every 0/1 representative u
     field = _field(config)
     for n in range(1, config.n_max + 1):
-        for cases, embedded in _embedded_classes(field, n):
-            for w, case in cases:
+        partials = list(all_partial_permutations(n))
+        for cases, cells in _orbit_cells(field, partials):
+            for w, case, inside in cases:
                 data = covexillary_data(w)
-                inside = [bruhat_leq(u, w) for u, _ in embedded]
-                mismatches = sum(map(ne, inside, [target_holds(V, data) for _, V in embedded]))
-                positives = sum(inside)
+                holds = 0
+                for V, lanes in cells:
+                    if target_holds(V, data):
+                        holds |= lanes
+                mismatches = (inside ^ holds).bit_count()
+                positives = inside.bit_count()
                 yield case, mismatches == 0, {
                     "mismatches": mismatches,
                     "positives": positives,
-                    "negatives": len(embedded) - positives,
+                    "negatives": len(partials) - positives,
                 }
 
 
@@ -299,10 +324,9 @@ def _suite_conormal_matrix(config: SuiteConfig) -> Iterator[Case]:
             if rejected and first_failure is None:
                 point = CotangentMatrixPoint(x, rejected[0])
                 first_failure = conormal_matrix_violations(point, w)[0]
-        x = sample_cell_point(w, field, rng)
-        fiber = conormal_fiber_matrix(x, w)
         members = None
-        if fiber.dim < n * n:
+        if fiber_dim < n * n:
+            x = sample_cell_point(w, field, rng)
             # the draws of REJECTION_TRIALS random_matrix calls in one call, cut into rows
             draws = _draws(rng, field.p, REJECTION_TRIALS * n * n)
             ys = [
@@ -335,14 +359,13 @@ def _suite_conormal_flag(config: SuiteConfig) -> Iterator[Case]:
             for z in _fiber_elements(fiber, n, field, rng, extra=20):
                 if not in_conormal_flag(SpringerFlagPoint(flag, z), w):
                     rejected_valid += 1
-        g = sample_cell_point(w, field, rng)
-        flag, fiber = conormal_fiber_flag(g, w)
         members = None
-        if fiber.dim < n * (n - 1) // 2:
+        if expected_dim < n * (n - 1) // 2:
             # z = g U g^-1 for a random strictly upper U; (F, z) is the matrix
             # point (g, g^-1 z) = (g, U g^-1), so neither z nor g^-1 z is formed
+            g = sample_cell_point(w, field, rng)
             draws = _draws(rng, field.p, REJECTION_TRIALS * (n * (n - 1) // 2))
-            ys = _flag_rejection_covectors(flag.inverse, draws, REJECTION_TRIALS)
+            ys = _flag_rejection_covectors(Flag(g).inverse, draws, REJECTION_TRIALS)
             members = conormal_matrix_members(g, w, ys)
         reject_rate, rejection_ok = _rejection(members)
         yield case, rejected_valid == 0 and dim_mismatches == 0 and rejection_ok, {
@@ -383,23 +406,25 @@ def _suite_conormal_grass(config: SuiteConfig) -> Iterator[Case]:
     field = _field(config)
     for n in range(1, config.n_max + 1):
         zero = ExactMatrix.zeros(field, 2 * n, 2 * n)
-        for cases, embedded in _embedded_classes(field, n):
-            for w, case in cases:
+        for cases, cells in _orbit_cells(field, list(all_partial_permutations(n))):
+            # the zero-section point at each cell; its verdict reads V only
+            # through dim(V + E_t), which the cell fixes
+            points = [(SpringerGrassPoint(V, zero), lanes) for V, lanes in cells]
+            for w, case, inside in cases:
                 rng = _rng(config, case)
                 data = covexillary_data(w)
                 conditions = data.grass_conditions
-                # zero-section points at the representative of every u below w
-                failures = sum(
-                    not in_conormal_grass(SpringerGrassPoint(V, zero), conditions)
-                    for u, V in embedded
-                    if bruhat_leq(u, w)
-                )
-                # rejection power over the Springer fiber at a generic cell image
-                x = sample_cell_point(w, field, rng)
-                V = embed_point(x, data)
-                fiber = conormal_fiber_matrix(x, w)
+                failing = 0
+                for point, lanes in points:
+                    if lanes & inside and not in_conormal_grass(point, conditions):
+                        failing |= lanes
+                failures = (failing & inside).bit_count()
+                # rejection power over the Springer fiber at a generic cell
+                # image; the fiber is everything exactly when w has no dot
                 members = None
-                if fiber.dim < n * n:
+                if any(w.image):
+                    x = sample_cell_point(w, field, rng)
+                    V = embed_point(x, data)
                     members = [
                         in_conormal_grass(
                             SpringerGrassPoint(V, _springer_fiber_sample(V, field, rng)),
@@ -530,8 +555,9 @@ class _Suite(NamedTuple):
 # (38 s and 178 MB at n = 9 on a 2-core Xeon); conormal-flag walks S_n as
 # kl-covex does, and S_8 holds 15,767 covexillary w; el-roundtrip takes
 # 35-40 s at its limit and rank-lemma about 50 s.  embed-thm compares every
-# orbit with every covexillary w of a size: 97 M pairs took 484 s and 105 MB
-# at n = 6, and n = 7 (6.5 G pairs) is out of reach.
+# orbit with every covexillary w of a size, cell by cell: the 97 M pairs of
+# n = 6 take about 30 s and 54 MB, and n = 7 (6.5 G pairs, 49,626 w against
+# up to 3,432 cells each) is out of reach.
 _SUITES: dict[str, _Suite] = {
     "covex-equiv": _Suite(_suite_covex_equiv, 7, 1, 9),
     "el-roundtrip": _Suite(_suite_el_roundtrip, 6, 1000, 20),

@@ -1,13 +1,16 @@
 """The interleaving permutation, graph embedding, and target conditions."""
 
+import os
 import random
 from fractions import Fraction
 from itertools import combinations
+from operator import getitem
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from covex.errors import DimensionMismatchError
+from covex.suites import SuiteConfig, run_suite
 from covex.exactla import (
     ExactMatrix,
     FieldSpec,
@@ -20,7 +23,9 @@ from covex.exactla import (
 from covex.embedding import (
     embed_point,
     embedding_target,
+    fixed_point_bits,
     fixed_point_index,
+    mask_positions,
     target_grass_index,
     target_holds,
     tau_permutation,
@@ -387,6 +392,61 @@ def test_orbit_points_embed_into_the_cell_of_their_representative():
                 assert locate_grass_cell(embed_point(x, data)) == fixed_point_index(u, data)
                 checks += 1
     assert checks == 2 + 2 * 7 + 6 * 34 + 20 * 209
+
+
+# COVEX_CELL_ORACLE_N=5 extends the two elimination oracles below to n = 5
+# (108,220 embeddings; 1.73 M pairs); CI runs it.
+CELL_ORACLE_N = int(os.environ.get("COVEX_CELL_ORACLE_N", "4"))
+
+
+def _tau_classes(n):
+    """One CovexillaryData per tau class of size n, with the w of the class."""
+    classes = {}
+    for w in _covexillary_partials(n):
+        classes.setdefault(covexillary_data(w).tau_order, []).append(w)
+    return [(covexillary_data(ws[0]), ws) for ws in classes.values()]
+
+
+@pytest.mark.parametrize("n", range(1, CELL_ORACLE_N + 1))
+def test_cells_read_off_tau_are_the_cells_located_by_elimination(n):
+    """embed-thm reads the cell of each orbit off tau: at every partial u and
+    every tau class, the bitmask sum(map(getitem, fixed_point_bits(data),
+    u.image)) holds the positions that locate_grass_cell finds by eliminating
+    embed_point(u's 0/1 matrix)."""
+    partials = list(all_partial_permutations(n))
+    classes = _tau_classes(n)
+    for data, _ in classes:
+        bits = fixed_point_bits(data)
+        for u in partials:
+            cell = sum(map(getitem, bits, u.image))
+            located = locate_grass_cell(embed_point(u.matrix(F), data))
+            assert mask_positions(cell) == located.positions, (u, data)
+    checks = {1: 2, 2: 14, 3: 204, 4: 4180, 5: 108220}
+    assert len(partials) * len(classes) == checks[n]
+
+
+@pytest.mark.parametrize("n", range(1, CELL_ORACLE_N + 1))
+def test_embed_thm_reports_equal_elimination_at_every_pair(n):
+    """The embed-thm report, made from one embedding per cell and packed
+    Bruhat masks, equals the report made pair by pair: bruhat_leq(u, w)
+    against target_holds at the embedding of every u, once per tau class."""
+    partials = list(all_partial_permutations(n))
+    expected = {}
+    for data, ws in _tau_classes(n):
+        embedded = [embed_point(u.matrix(F), data) for u in partials]
+        for w in ws:
+            w_data = covexillary_data(w)
+            inside = [bruhat_leq(u, w) for u in partials]
+            holds = [target_holds(V, w_data) for V in embedded]
+            expected[f"n={n}/w={w.one_line()}"] = {
+                "mismatches": sum(a != b for a, b in zip(inside, holds)),
+                "positives": sum(inside),
+                "negatives": len(partials) - sum(inside),
+            }
+    verdicts = run_suite(SuiteConfig("embed-thm", n_max=n))
+    got = {v.case: v.details for v in verdicts if v.case.startswith(f"n={n}/")}
+    assert got == expected
+    assert all(d["mismatches"] == 0 for d in got.values())
 
 
 def test_embedding_depends_on_w_only_through_its_tau_class():

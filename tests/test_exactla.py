@@ -82,6 +82,27 @@ def test_matrix_operations_refuse_operands_over_different_fields(operation, left
     assert operation(a, ExactMatrix.from_rows(left, [[4, 0], [0, 4]])).field == left
 
 
+@pytest.mark.parametrize("left, right", MIXED_FIELDS)
+@pytest.mark.parametrize(
+    "operation, same_field",
+    [(lambda a, b: subspace_sum(a, b).dim, 2), (lambda a, b: a.contains(b), False)],
+    ids=["subspace_sum", "contains"],
+)
+def test_subspace_operations_refuse_operands_over_different_fields(
+    operation, same_field, left, right
+):
+    a = coordinate_subspace(left, 3, [1])
+    b = coordinate_subspace(right, 3, [1, 2])
+    with pytest.raises(FieldError, match="different fields"):
+        operation(a, b)
+    with pytest.raises(FieldError, match="different fields"):
+        operation(b, a)
+    # one field, two ambient dimensions: still a dimension error
+    with pytest.raises(DimensionMismatchError, match="different ambient spaces"):
+        operation(a, coordinate_subspace(left, 4, [1]))
+    assert operation(a, coordinate_subspace(left, 3, [1, 2])) == same_field
+
+
 def test_field_parsing():
     assert FieldSpec.parse("Q") == Q
     assert FieldSpec.parse("p:10007") == F

@@ -18,7 +18,7 @@ import pytest
 
 from covex import conormal, suites
 from covex.cli import main
-from covex.embedding import embed_point
+from covex.embedding import embed_point, fixed_point_index
 from covex.conormal import (
     CotangentMatrixPoint,
     SpringerFlagPoint,
@@ -271,8 +271,9 @@ def test_not_covexillary_is_raised_on_every_call():
 
 
 def test_embed_thm_samples_each_orbit_once(monkeypatch):
-    """embed-thm reads each orbit once, at u's 0/1 matrix: it draws nothing and
-    embeds every partial u once per tau class of each size."""
+    """embed-thm reads each orbit once, at u's 0/1 matrix: it draws nothing,
+    reads u's Schubert cell off tau and embeds one representative per cell
+    of each tau class of each size."""
     counts = {"sample": 0, "random": 0, "rng": 0}
     embedded = {}
 
@@ -295,6 +296,9 @@ def test_embed_thm_samples_each_orbit_once(monkeypatch):
     expected = {}
     for n in (1, 2, 3, 4):
         partials = list(all_partial_permutations(n))
-        classes = {covexillary_data(w).tau_order for w in partials if is_covexillary(w)}
-        expected[n] = len(partials) * len(classes)
-    assert embedded == expected == {1: 2, 2: 14, 3: 204, 4: 4180}
+        classes = {covexillary_data(w).tau_order: covexillary_data(w)
+                   for w in partials if is_covexillary(w)}
+        expected[n] = sum(
+            len({fixed_point_index(u, data) for u in partials}) for data in classes.values()
+        )
+    assert embedded == expected == {1: 2, 2: 11, 3: 95, 4: 959}

@@ -20,6 +20,7 @@ from covex.permcore import (
     diagram,
     essential_set,
     is_covexillary,
+    packed_bruhat,
     rank_matrix,
     random_partial_permutation,
     reconstruct_from_essential,
@@ -248,6 +249,60 @@ def test_packed_dominance_holds_where_entries_reach_n(n):
         assert big.dominates(small) == big.bounds(small.entries) == expected
         outcomes.append(expected)
     assert outcomes.count(True) >= 100 and outcomes.count(False) >= 100
+
+
+def packed_verdicts(us, ws):
+    """[[u <= w for u in us] for w in ws], read off the masks of packed_bruhat."""
+    lanes, below = packed_bruhat(us)
+    assert len(lanes) == len(us)
+    return [[bool(below(w) >> lane & 1) for lane in lanes] for w in ws]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_packed_bruhat_masks_are_bruhat_leq_on_every_pair(n):
+    """One mask per w equals bruhat_leq and the entrywise reference at
+    every pair of partial permutations of size n, and has no stray bits."""
+    perms = list(all_partial_permutations(n))
+    lanes, below = packed_bruhat(perms)
+    everyone = sum(1 << lane for lane in lanes)
+    for w, row in zip(perms, packed_verdicts(perms, perms)):
+        assert below(w) & ~everyone == 0
+        rw = rank_matrix(w)
+        assert row == [bruhat_leq(u, w) for u in perms]
+        assert row == [entrywise_dominates(rw, rank_matrix(u)) for u in perms]
+    assert below(PartialPermutation.longest(n)) == everyone
+    assert below(PartialPermutation.zero(n)) == 1 << lanes[perms.index(PartialPermutation.zero(n))]
+
+
+@pytest.mark.parametrize("n", [5, 6, 7])
+def test_packed_bruhat_masks_hold_where_entries_reach_n(n):
+    """Seeded pairs at the sizes embed-thm reaches, with every permutation
+    among them reaching r(1, n) = n, and sub-patterns of each w so that both
+    verdicts occur often."""
+    rng = random.Random(100 + n)
+    ws = [PartialPermutation.identity(n), PartialPermutation.longest(n), PartialPermutation.zero(n)]
+    ws += [random_partial_permutation(n, rng) for _ in range(40)]
+    perm = list(range(1, n + 1))
+    for _ in range(20):
+        rng.shuffle(perm)
+        ws.append(PartialPermutation(n, tuple(perm)))
+    us = ws + [
+        PartialPermutation(n, tuple(v if rng.random() < 0.7 else 0 for v in w.image)) for w in ws
+    ]
+    assert max(rank_matrix(u).entry(1, n) for u in us) == n
+    verdicts = packed_verdicts(us, ws)
+    for w, row in zip(ws, verdicts):
+        assert row == [bruhat_leq(u, w) for u in us]
+    flat = [v for row in verdicts for v in row]
+    assert flat.count(True) >= 500 and flat.count(False) >= 500
+
+
+def test_packed_bruhat_needs_one_size():
+    with pytest.raises(InputError):
+        packed_bruhat([PartialPermutation.identity(2), PartialPermutation.identity(3)])
+    _, below = packed_bruhat([PartialPermutation.identity(2)])
+    with pytest.raises(InputError):
+        below(PartialPermutation.identity(3))
 
 
 def hat_permutation(w: PartialPermutation) -> PartialPermutation:
