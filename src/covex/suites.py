@@ -323,7 +323,10 @@ def _suite_conormal_matrix(config: SuiteConfig) -> Iterator[Case]:
             rejected_valid += len(rejected)
             if rejected and first_failure is None:
                 point = CotangentMatrixPoint(x, rejected[0])
-                first_failure = conormal_matrix_violations(point, w)[0]
+                # membership may reject at the corner alone; the full
+                # elimination finding nothing is a disagreement, not a crash
+                violations = conormal_matrix_violations(point, w)
+                first_failure = violations[0] if violations else {"kind": "disagreement"}
         members = None
         if fiber_dim < n * n:
             x = sample_cell_point(w, field, rng)

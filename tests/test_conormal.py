@@ -440,6 +440,104 @@ def test_core_ranks_match_big_matrix_on_a_sample_at_n_5_and_6():
                 check_core_against_references(w, field, rng)
 
 
+def integer_cell_point(w, field, rng):
+    """b_l w b_r for upper triangular b_l, b_r with small integer entries and
+    a nonzero diagonal: a point of the open orbit of w over any field."""
+    n = w.n
+
+    def upper():
+        return ExactMatrix.from_rows(
+            field,
+            [
+                [rng.choice((-2, -1, 1, 2)) if b == a else rng.randint(-2, 2) if b > a else 0
+                 for b in range(n)]
+                for a in range(n)
+            ],
+        )
+
+    return upper() @ w.matrix(field) @ upper()
+
+
+def corner_coefficients(x, w):
+    """The corner h y g of the core as n^2 coefficients h[a] g[b], with h the
+    last row of H and g the first column of G, as core_pivots lists them."""
+    rows, cols, _, _ = core_pivots(x, covexillary_data(w))
+    unit = ExactMatrix.identity(x.field, w.n)
+    h = (unit.entries + x.entries)[rows[-1]]  # the rows of [I; x]
+    g = (x.columns + unit.columns)[cols[0]]  # the columns of [x, I]
+    return [x.field.coerce(a * b) for a in h for b in g]
+
+
+def corner_value(corner, y):
+    return y.field.coerce(sum(map(mul, corner, (v for row in y.entries for v in row))))
+
+
+def corner_solved(corner, y):
+    """y with its first coordinate that the corner reads solved so that the corner vanishes."""
+    n = y.rows
+    flat = [v for row in y.entries for v in row]
+    t = next(s for s, c in enumerate(corner) if c)
+    flat[t] = 0
+    flat[t] = Fraction(-sum(map(mul, corner, flat))) / corner[t]
+    solved = ExactMatrix.from_rows(y.field, [flat[a * n : (a + 1) * n] for a in range(n)])
+    assert corner_value(corner, solved) == 0
+    return solved
+
+
+def fiber_combinations(fiber, field, n, rng, count):
+    """The zero covector and count combinations of the fiber's basis with
+    small integer coefficients."""
+    points = [ExactMatrix.zeros(field, n, n)]
+    for _ in range(count if fiber.dim else 0):
+        coeffs = [rng.randint(-3, 3) for _ in fiber.vectors]
+        flat = [sum(map(mul, coeffs, col)) for col in zip(*fiber.vectors)]
+        points.append(ExactMatrix.from_rows(field, [flat[a * n : (a + 1) * n] for a in range(n)]))
+    return points
+
+
+def check_members_agree_with_violations(field, n_max, rng):
+    """conormal_matrix_members against the full elimination of
+    conormal_matrix_violations at a cell point of every covexillary partial
+    w with n <= n_max: uniform covectors (most rejected at the corner),
+    covectors whose corner is solved to vanish (decided by the elimination)
+    and fiber covectors (all members).  Returns how many of each kind were
+    members, out of how many."""
+    tally = defaultdict(lambda: [0, 0])
+    for n in range(1, n_max + 1):
+        for w in all_partial_permutations(n):
+            if not is_covexillary(w):
+                continue
+            x = sample_cell_point(w, field, rng) if field.is_prime else integer_cell_point(w, field, rng)
+            corner = corner_coefficients(x, w)
+            uniform = [random_matrix_over(field, n, rng) for _ in range(3)]
+            kinds = {
+                "uniform": uniform,
+                "solved": [corner_solved(corner, y) for y in uniform],
+                "fiber": fiber_combinations(conormal_fiber_matrix(x, w), field, n, rng, 3),
+            }
+            for kind, ys in kinds.items():
+                expected = [not conormal_matrix_violations(CotangentMatrixPoint(x, y), w) for y in ys]
+                assert conormal_matrix_members(x, w, [y.entries for y in ys]) == expected, (w, kind)
+                tally[kind][0] += sum(expected)
+                tally[kind][1] += len(ys)
+    return dict(tally)
+
+
+@pytest.mark.parametrize("field", [FieldSpec.prime(101), Q], ids=str)
+def test_members_rejecting_at_the_corner_agree_with_the_full_elimination(field):
+    """The corner shortcut of conormal_matrix_members changes no verdict: on
+    all three kinds of covector it agrees with conormal_matrix_violations,
+    which eliminates every covector.  The solved covectors reach the
+    elimination and are rejected there too, and every fiber covector is
+    accepted."""
+    tally = check_members_agree_with_violations(field, 4, random.Random(43))
+    accepted, total = tally["fiber"]
+    assert accepted == total
+    for kind in ("uniform", "solved"):
+        accepted, total = tally[kind]
+        assert 0 < accepted < total / 10, (kind, tally)
+
+
 def test_bound_table_longest_element_forces_zero_section():
     rng = random.Random(1)
     for n in (2, 3):
