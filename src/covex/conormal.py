@@ -25,20 +25,12 @@ Schubert check has already computed.  N itself is never formed either:
 its rows are built and eliminated bottom-up, one at a time, and each bound
 is read as soon as the elimination has passed its row cut, so membership
 stops at the first broken bound.  A unit row of H copies a row of y; only
-a row of x in H costs a product with y.  The bounds are southwest, as
-Fulton's rank conditions are, so every nonempty block a check reads holds
-the corner N[n, 1] = h y g (h the last row of H, g the first column of
-G), one linear form in y.  When a check with bound 0 reads a nonempty
-block, a covector with a nonzero corner is outside the variety, and
-membership rejects it with one dot product, before any elimination.
-What depends on x alone (its size, its Schubert check, the pivots, the
-corner form, and the plan of which rows enter before which checks, with
-G held as n columns) is built once per x: conormal_matrix_members checks
-a batch of covectors over one x, each given by its n rows, and runs for
-each only the corner and, where it vanishes, the elimination;
-in_conormal_matrix passes y.entries.  The diagnostics of
-conormal_matrix_violations eliminate every covector, since they report
-exact ranks.
+a row of x in H costs a product with y.  What depends on x alone (its
+size, its Schubert check, the pivots, and the plan of which rows enter
+before which checks, with G held as n columns) is built once per x:
+conormal_matrix_members checks a batch of covectors over one x, each
+given by its n rows, and runs only the elimination for each;
+in_conormal_matrix and the diagnostics pass y.entries.
 
 The flag form is the matrix form pulled back along GL_n -> Mat_n.  For
 the flag F_q = g E_q, F_q + E_p = g(E_q + g^-1 E_p) and F_q meet E_p =
@@ -58,7 +50,6 @@ from __future__ import annotations
 from bisect import bisect_left, insort
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
 from operator import mul
 from typing import Sequence
 
@@ -220,36 +211,13 @@ def core_pivots(
     return tuple(rows), tuple(cols), tuple(rows_before), tuple(cols_through)
 
 
-def _corner_form(x: ExactMatrix, rows: Sequence[int], cols: Sequence[int]) -> tuple:
-    """The corner N[n, 1] = h y g of the core as a linear form in y.
-
-    h is the last row of H (rows[-1]) and g the first column of G (cols[0]),
-    indexed as core_pivots lists them.  The form is held as its n^2
-    coefficients h[a] g[b], row-major as y's entries are flattened, and
-    reduced mod p (canonical rationals over Q).
-    """
-    n = x.rows
-    k, c = rows[-1], cols[0]
-    h = x.entries[k - n] if k >= n else [int(a == k) for a in range(n)]
-    g = x.columns[c] if c < n else [int(b == c - n) for b in range(n)]
-    p = x.field.p
-    if p is None:
-        return tuple(_rational(a * b) for a in h for b in g)
-    return tuple(a * b % p for a in h for b in g)
-
-
 def _core_plan(x: ExactMatrix, data: CovexillaryData):
-    """The part of _core_violations that x fixes: (p, G, steps, corner), built once per x.
+    """The part of _core_violations that x fixes: (p, G, steps), built once per x.
 
     G holds the n core columns, unit columns included.  For j = m-1 down to
     0, steps holds the rows of H that enter before the checks of j, as
     (k, None) for the unit row e_{k+1} or (k, row of x), and those checks,
     as (position in data.conormal_checks, cols_through[i], bound).
-
-    corner is _corner_form when some check with bound 0 reads a nonempty
-    block, and None otherwise.  Every block a check reads is southwest, so
-    a nonempty one holds the corner N[n, 1]: where that entry is nonzero,
-    the block has rank >= 1 and the check fails.
     """
     n = data.n
     rows, cols, rows_before, cols_through = core_pivots(x, data)
@@ -261,13 +229,7 @@ def _core_plan(x: ExactMatrix, data: CovexillaryData):
     for j in reversed(range(data.m)):
         adds = reversed(rows[rows_before[j] : rows_before[j + 1]])
         steps.append(([(k, x.entries[k - n] if k >= n else None) for k in adds], reads[j]))
-    corner = None
-    if any(
-        bound == 0 and rows_before[j] < n and cols_through[i]
-        for i, j, bound in data.conormal_checks
-    ):
-        corner = _corner_form(x, rows, cols)
-    return x.field.p, G, steps, corner
+    return x.field.p, G, steps
 
 
 def _core_violations(plan, y_rows):
@@ -283,7 +245,7 @@ def _core_violations(plan, y_rows):
     checks of j are read as soon as its rows are in, so a caller that stops
     at the first failure builds no row above it.
     """
-    p, G, steps, _ = plan
+    p, G, steps = plan
     y_cols = None  # read only when H holds a row of x
     basis: dict = {}
     pivots: list[int] = []  # the pivot columns of basis, sorted
@@ -321,11 +283,8 @@ def conormal_matrix_members(
     from draws); a ragged or wrong-size y raises DimensionMismatchError.
     What depends on x alone runs once: covexillary_data(w), the Schubert
     check and the core plan.  If x is outside the matrix Schubert variety
-    every verdict is False.  Otherwise each y first meets the plan's corner
-    form, one dot product: a nonzero corner breaks a bound 0 check, so y is
-    rejected.  Only where the corner vanishes, or the plan has none, does
-    the elimination of _core_violations run, stopping at the first failed
-    bound.
+    every verdict is False; otherwise only the elimination of
+    _core_violations runs per y, stopping at the first failed bound.
     """
     data = _matrix_data(x, w)
     n = data.n
@@ -334,16 +293,7 @@ def conormal_matrix_members(
     if matrix_schubert_violation(x, w) is not None:
         return [False] * len(ys)
     plan = _core_plan(x, data)
-    p, corner = plan[0], plan[-1]
-
-    def member(y) -> bool:
-        if corner is not None:
-            value = sum(map(mul, corner, chain.from_iterable(y)))
-            if value % p if p is not None else value:
-                return False
-        return next(_core_violations(plan, y), None) is None
-
-    return [member(y) for y in ys]
+    return [next(_core_violations(plan, y), None) is None for y in ys]
 
 
 def in_conormal_matrix(pt: CotangentMatrixPoint, w: PartialPermutation) -> bool:

@@ -9,11 +9,12 @@ verdicts sorted by case identifier; verdicts are plain data so reports
 serialize to stable JSON lines.  The suites that sweep covexillary ``w``
 share one case loop, ``_covexillary_cases``, and the three conormal
 calibrations one rejection estimate, ``_rejection``, which reads the
-membership verdicts of the random covectors.  The matrix and flag
-calibrations draw all their covectors in one ``_draws`` call (the same
-numbers, in the same order, as one draw per covector) and check them over
-the sampled point with one ``conormal_matrix_members`` call, so the
-point's fixed work runs once.
+membership verdicts of the covectors that must be rejected.  The matrix
+and flag calibrations take those at w's 0/1 matrix, a smooth point of X_w
+where the conormal variety's fiber is exactly the conormal fiber: one
+covector off the fiber along each coordinate direction that leaves it
+(``_off_fiber_rejection``), checked with one ``conormal_matrix_members``
+call, so the point's fixed work runs once.
 
 embed-thm and rank-lemma draw nothing and ignore ``trials``.  Their
 statements are invariant under the B x B action x -> b_l x b_r, and the
@@ -31,7 +32,7 @@ execution order.
 from __future__ import annotations
 
 import random
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from operator import getitem, itemgetter, mul
 from typing import NamedTuple
@@ -82,10 +83,9 @@ from .permcore import (
     rank_matrix,
     reconstruct_from_essential,
 )
-from .varieties import Flag, sample_cell_point
+from .varieties import sample_cell_point
 from .equivariant import MULTIDEGREE_MAX_N, verify_multidegree
 
-REJECTION_TRIALS = 200
 REJECTION_THRESHOLD = 0.95
 
 Case = tuple[str, bool, dict]
@@ -148,10 +148,10 @@ def _covexillary_cases(
 def _rejection(members: list[bool] | None) -> tuple[float | None, bool]:
     """(rate, rate >= REJECTION_THRESHOLD), rate the share of False verdicts.
 
-    members holds the membership verdicts of the random covectors drawn.
-    Where the fiber is the whole space every covector is valid and there is
-    nothing to reject: then the caller draws nothing, passes None and the
-    estimate is (None, True).
+    members holds the membership verdicts of covectors that must be
+    rejected.  Where the fiber is the whole space every covector is valid
+    and there is nothing to reject: then the caller checks nothing, passes
+    None and the estimate is (None, True).
     """
     if members is None:
         return None, True
@@ -175,18 +175,35 @@ def _fiber_elements(
     return points
 
 
-def _flag_rejection_covectors(inverse: ExactMatrix, draws: list[int], count: int) -> list:
-    """(U @ inverse).entries for count strictly upper U over F_p, drawn row by row."""
-    n, p = inverse.rows, inverse.field.p
-    size = n * (n - 1) // 2
-    # row i of U g^-1 combines the rows of g^-1 after i with the n-1-i draws
-    # from offset i(2n-1-i)/2 of its U: one dot product per column
-    cuts = [(i * (2 * n - 1 - i) // 2, n - 1 - i, [c[i + 1 :] for c in inverse.columns])
-            for i in range(n)]
-    return [
-        [[sum(map(mul, draws[t + a : t + a + k], c)) % p for c in cols] for a, k, cols in cuts]
-        for t in range(0, count * size, size)
-    ]
+def _off_fiber_rejection(
+    w: PartialPermutation, field: FieldSpec, coordinates: Iterable[int], rng: random.Random
+) -> tuple[float | None, bool]:
+    """_rejection over the directions off the fiber at w's 0/1 matrix x.
+
+    x lies in the open orbit of X_w, where X_w is smooth, so the criterion
+    must accept there exactly the conormal fiber, conormal_fiber_matrix(x,
+    w).  One random element of the fiber plus a nonzero multiple of E_k is
+    off it for each k of coordinates (row-major in y) that is not a pivot
+    of the fiber's echelon basis; each such covector must be rejected.
+    Where coordinates holds no such k there is nothing to reject.
+    """
+    x = w.matrix(field)
+    fiber = conormal_fiber_matrix(x, w)
+    pivots = set(fiber.pivots)
+    off = [k for k in coordinates if k not in pivots]
+    if not off:
+        return _rejection(None)
+    n, p = w.n, field.p
+    coeffs = _draws(rng, p, fiber.dim)
+    element = [0] * (n * n)
+    if fiber.dim:
+        element = [sum(map(mul, coeffs, col)) % p for col in zip(*fiber.vectors)]
+    ys = []
+    for k, c in zip(off, _draws(rng, p - 1, len(off))):
+        y = element.copy()
+        y[k] = (y[k] + c + 1) % p
+        ys.append([y[a : a + n] for a in range(0, n * n, n)])
+    return _rejection(conormal_matrix_members(x, w, ys))
 
 
 def _suite_covex_equiv(config: SuiteConfig) -> Iterator[Case]:
@@ -323,21 +340,11 @@ def _suite_conormal_matrix(config: SuiteConfig) -> Iterator[Case]:
             rejected_valid += len(rejected)
             if rejected and first_failure is None:
                 point = CotangentMatrixPoint(x, rejected[0])
-                # membership may reject at the corner alone; the full
-                # elimination finding nothing is a disagreement, not a crash
+                # membership and the diagnostics run one elimination; should
+                # they disagree, the case reports it instead of crashing
                 violations = conormal_matrix_violations(point, w)
                 first_failure = violations[0] if violations else {"kind": "disagreement"}
-        members = None
-        if fiber_dim < n * n:
-            x = sample_cell_point(w, field, rng)
-            # the draws of REJECTION_TRIALS random_matrix calls in one call, cut into rows
-            draws = _draws(rng, field.p, REJECTION_TRIALS * n * n)
-            ys = [
-                [draws[a : a + n] for a in range(t, t + n * n, n)]
-                for t in range(0, REJECTION_TRIALS * n * n, n * n)
-            ]
-            members = conormal_matrix_members(x, w, ys)
-        reject_rate, rejection_ok = _rejection(members)
+        reject_rate, rejection_ok = _off_fiber_rejection(w, field, range(n * n), rng)
         yield case, rejected_valid == 0 and dim_mismatches == 0 and rejection_ok, {
             "rejected_valid": rejected_valid,
             "dim_mismatches": dim_mismatches,
@@ -362,15 +369,10 @@ def _suite_conormal_flag(config: SuiteConfig) -> Iterator[Case]:
             for z in _fiber_elements(fiber, n, field, rng, extra=20):
                 if not in_conormal_flag(SpringerFlagPoint(flag, z), w):
                     rejected_valid += 1
-        members = None
-        if expected_dim < n * (n - 1) // 2:
-            # z = g U g^-1 for a random strictly upper U; (F, z) is the matrix
-            # point (g, g^-1 z) = (g, U g^-1), so neither z nor g^-1 z is formed
-            g = sample_cell_point(w, field, rng)
-            draws = _draws(rng, field.p, REJECTION_TRIALS * (n * (n - 1) // 2))
-            ys = _flag_rejection_covectors(Flag(g).inverse, draws, REJECTION_TRIALS)
-            members = conormal_matrix_members(g, w, ys)
-        reject_rate, rejection_ok = _rejection(members)
+        # the flag covectors over w's flag are the matrix covectors U w^-1, U
+        # strictly upper: entry (i, j) of U sits at row i, column w(j)
+        springer = (i * n + v - 1 for j, v in enumerate(w.image) for i in range(j))
+        reject_rate, rejection_ok = _off_fiber_rejection(w, field, springer, rng)
         yield case, rejected_valid == 0 and dim_mismatches == 0 and rejection_ok, {
             "rejected_valid": rejected_valid,
             "dim_mismatches": dim_mismatches,

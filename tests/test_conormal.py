@@ -60,10 +60,11 @@ from covex.permcore import (
     rank_matrix,
 )
 from covex.suites import (
+    SuiteConfig,
     _chase_to_grass,
     _fiber_elements,
-    _flag_rejection_covectors,
     _springer_fiber_sample,
+    run_suite,
 )
 from covex.varieties import (
     Flag,
@@ -458,32 +459,6 @@ def integer_cell_point(w, field, rng):
     return upper() @ w.matrix(field) @ upper()
 
 
-def corner_coefficients(x, w):
-    """The corner h y g of the core as n^2 coefficients h[a] g[b], with h the
-    last row of H and g the first column of G, as core_pivots lists them."""
-    rows, cols, _, _ = core_pivots(x, covexillary_data(w))
-    unit = ExactMatrix.identity(x.field, w.n)
-    h = (unit.entries + x.entries)[rows[-1]]  # the rows of [I; x]
-    g = (x.columns + unit.columns)[cols[0]]  # the columns of [x, I]
-    return [x.field.coerce(a * b) for a in h for b in g]
-
-
-def corner_value(corner, y):
-    return y.field.coerce(sum(map(mul, corner, (v for row in y.entries for v in row))))
-
-
-def corner_solved(corner, y):
-    """y with its first coordinate that the corner reads solved so that the corner vanishes."""
-    n = y.rows
-    flat = [v for row in y.entries for v in row]
-    t = next(s for s, c in enumerate(corner) if c)
-    flat[t] = 0
-    flat[t] = Fraction(-sum(map(mul, corner, flat))) / corner[t]
-    solved = ExactMatrix.from_rows(y.field, [flat[a * n : (a + 1) * n] for a in range(n)])
-    assert corner_value(corner, solved) == 0
-    return solved
-
-
 def fiber_combinations(fiber, field, n, rng, count):
     """The zero covector and count combinations of the fiber's basis with
     small integer coefficients."""
@@ -496,23 +471,19 @@ def fiber_combinations(fiber, field, n, rng, count):
 
 
 def check_members_agree_with_violations(field, n_max, rng):
-    """conormal_matrix_members against the full elimination of
-    conormal_matrix_violations at a cell point of every covexillary partial
-    w with n <= n_max: uniform covectors (most rejected at the corner),
-    covectors whose corner is solved to vanish (decided by the elimination)
-    and fiber covectors (all members).  Returns how many of each kind were
-    members, out of how many."""
+    """conormal_matrix_members against the diagnostics of
+    conormal_matrix_violations, which read every failed bound, at a cell
+    point of every covexillary partial w with n <= n_max: uniform
+    covectors, of which few may be members, and fiber covectors, all of
+    which must be."""
     tally = defaultdict(lambda: [0, 0])
     for n in range(1, n_max + 1):
         for w in all_partial_permutations(n):
             if not is_covexillary(w):
                 continue
             x = sample_cell_point(w, field, rng) if field.is_prime else integer_cell_point(w, field, rng)
-            corner = corner_coefficients(x, w)
-            uniform = [random_matrix_over(field, n, rng) for _ in range(3)]
             kinds = {
-                "uniform": uniform,
-                "solved": [corner_solved(corner, y) for y in uniform],
+                "uniform": [random_matrix_over(field, n, rng) for _ in range(3)],
                 "fiber": fiber_combinations(conormal_fiber_matrix(x, w), field, n, rng, 3),
             }
             for kind, ys in kinds.items():
@@ -520,22 +491,20 @@ def check_members_agree_with_violations(field, n_max, rng):
                 assert conormal_matrix_members(x, w, [y.entries for y in ys]) == expected, (w, kind)
                 tally[kind][0] += sum(expected)
                 tally[kind][1] += len(ys)
-    return dict(tally)
+    accepted, total = tally["fiber"]
+    assert accepted == total
+    accepted, total = tally["uniform"]
+    assert 0 < accepted < total / 10, tally
 
 
 @pytest.mark.parametrize("field", [FieldSpec.prime(101), Q], ids=str)
 def test_members_rejecting_at_the_corner_agree_with_the_full_elimination(field):
-    """The corner shortcut of conormal_matrix_members changes no verdict: on
-    all three kinds of covector it agrees with conormal_matrix_violations,
-    which eliminates every covector.  The solved covectors reach the
-    elimination and are rejected there too, and every fiber covector is
-    accepted."""
-    tally = check_members_agree_with_violations(field, 4, random.Random(43))
-    accepted, total = tally["fiber"]
-    assert accepted == total
-    for kind in ("uniform", "solved"):
-        accepted, total = tally[kind]
-        assert 0 < accepted < total / 10, (kind, tally)
+    """conormal_matrix_members, which stops at the first failed bound, gives
+    the verdicts of conormal_matrix_violations on uniform and fiber
+    covectors over F_101 and Q; every fiber covector is accepted and few
+    uniform ones are.  (The name is from a shortcut that rejected
+    covectors at the corner of the core; the test id is kept.)"""
+    check_members_agree_with_violations(field, 4, random.Random(43))
 
 
 def test_bound_table_longest_element_forces_zero_section():
@@ -1513,10 +1482,11 @@ def test_matrix_members_outside_the_schubert_variety_empty_batches_and_sizes():
 
 def test_flag_rejection_covectors_are_the_flag_points():
     """The flag calibration checks z = g U g^-1 for a strictly upper U as the
-    matrix point (g, U g^-1): U g^-1 is the covector of the Springer point
-    (F, g U g^-1), and the batched verdicts over g are in_conormal_flag at
-    each of those points, for every covexillary w with n <= 4, at flags from
-    the cell of w and from every other cell u of S_n."""
+    matrix point (g, U g^-1), at g = w's permutation matrix: U g^-1 is the
+    covector of the Springer point (F, g U g^-1), and the batched verdicts
+    over g are in_conormal_flag at each of those points, for every
+    covexillary w with n <= 4, at flags from the cell of w and from every
+    other cell u of S_n."""
     rng = random.Random(59)
     for field in (FieldSpec.prime(2), FieldSpec.prime(3), F, Q):
         for n in (1, 2, 3, 4):
@@ -1534,8 +1504,41 @@ def test_flag_rejection_covectors_are_the_flag_points():
                     assert conormal_matrix_members(g, w, [c.entries for c in covectors]) == expected
 
 
+def test_fibers_at_orbit_representatives_are_coordinate():
+    """The facts the rejection of the matrix and flag calibrations rests on.
+    At u's 0/1 matrix the conormal fiber of O_u is spanned by unit vectors,
+    for every partial u with n <= 4, so a coordinate off its pivots leaves
+    it.  For every permutation w with n <= 5 its pivots lie among the
+    Springer coordinates i n + w(j) - 1 with i < j (where U w^-1 lives, U
+    strictly upper), and exactly l(w) of those are off the fiber."""
+    spanned = 0
+    for n in range(1, 5):
+        for u in all_partial_permutations(n):
+            fiber = conormal_fiber_matrix(u.matrix(F), u)
+            assert all(v.count(1) == 1 and v.count(0) == n * n - 1 for v in fiber.vectors)
+            spanned += 1
+    assert spanned == 252
+    for n in range(1, 6):
+        for w in all_permutations(n):
+            springer = {i * n + v - 1 for j, v in enumerate(w.image) for i in range(j)}
+            pivots = set(conormal_fiber_matrix(w.matrix(F), w).pivots)
+            assert pivots <= springer
+            assert len(springer - pivots) == w.length()
+
+
+@pytest.mark.parametrize("prime", [2, 3])
+@pytest.mark.parametrize("suite, total", [("conormal-matrix", 42), ("conormal-flag", 9)])
+def test_matrix_and_flag_calibrations_pass_over_small_fields(suite, total, prime):
+    """Every direction off the fiber at w's 0/1 matrix is rejected over every
+    field, so the calibrations pass over F_2 and F_3 too (n <= 3), where a
+    uniform covector would lie in the variety by chance."""
+    verdicts = run_suite(SuiteConfig(suite, n_max=3, prime=prime, seed=1))
+    assert len(verdicts) == total
+    assert all(v.passed for v in verdicts), [v for v in verdicts if not v.passed][:3]
+
+
 def test_matrix_members_take_covectors_as_rows():
-    """A covector given as rows, lists cut from draws as the rejection
+    """A covector given as rows, lists cut from a flat list as the rejection
     estimate cuts them or the tuples of ExactMatrix.entries, gets the verdict
     of in_conormal_matrix at the matrix point, on fiber and random covectors
     of every covexillary w with n <= 4 over F_3, F_10007 and F_(10^24+7)."""
@@ -1581,36 +1584,6 @@ def test_matrix_members_refuse_ragged_and_wrong_size_rows():
         for rows in bad:
             with pytest.raises(DimensionMismatchError, match="square of equal size"):
                 conormal_matrix_members(x, w, [good, rows])
-
-
-def old_upper_times_inverse(field, inverse, draws, count):
-    """The flag rejection covectors as first computed: each strictly upper U
-    built as a matrix from the draws, row by row, then U @ g^-1."""
-    n = inverse.rows
-    it = iter(draws)
-    uppers = [
-        ExactMatrix(
-            field, tuple(tuple(next(it) if j > i else 0 for j in range(n)) for i in range(n))
-        )
-        for _ in range(count)
-    ]
-    return [(u @ inverse).entries for u in uppers]
-
-
-def test_flag_rejection_rows_are_the_products_with_the_inverse():
-    """The rows conormal-flag builds from its draws are (U @ g^-1).entries
-    for the same draws, for n <= 5 over F_2, F_3, F_10007 and F_(10^24+7)."""
-    rng = random.Random(67)
-    for field in (FieldSpec.prime(2), FieldSpec.prime(3), F, BIG_PRIME):
-        for n in (2, 3, 4, 5):
-            for _ in range(3):
-                u = PartialPermutation(n, tuple(rng.sample(range(1, n + 1), n)))
-                inverse = Flag(cell_generator(u, field, rng)).inverse
-                count = 7
-                draws = _draws(rng, field.p, count * (n * (n - 1) // 2))
-                rows = _flag_rejection_covectors(inverse, draws, count)
-                expected = old_upper_times_inverse(field, inverse, draws, count)
-                assert [tuple(map(tuple, y)) for y in rows] == expected
 
 
 def old_fiber_elements(fiber, n, field, rng, extra):

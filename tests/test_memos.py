@@ -43,7 +43,6 @@ from covex.permcore import (
 )
 from covex.serialization import matrix_to_json
 from covex.varieties import locate_grass_cell, sample_cell_point, southwest_profile
-from test_conormal import corner_coefficients, corner_solved, corner_value
 from test_varieties import sample_flag
 
 F = FieldSpec.prime()
@@ -132,40 +131,6 @@ def test_one_batch_computes_the_core_pivots_once(monkeypatch):
     monkeypatch.setattr(conormal, "_core_plan", planned)
     assert conormal.conormal_matrix_members(x, w, [y.entries for y in ys]) == expected
     assert calls == plans == [(x, covexillary_data(w))]
-
-
-def test_only_covectors_with_a_vanishing_corner_reach_the_elimination(monkeypatch):
-    """conormal_matrix_members rejects a covector whose core corner is
-    nonzero with one dot product.  Of 200 uniform covectors at p = 10007,
-    ten have their corner solved to vanish: exactla._insert runs for those
-    alone, and every verdict is the full elimination's."""
-    w = PartialPermutation.from_one_line("0 3 1 0")
-    rng = random.Random(5)
-    x = sample_cell_point(w, F, rng)
-    corner = corner_coefficients(x, w)
-    ys = [random_matrix(F, 4, 4, rng) for _ in range(200)]
-    ys[::20] = [corner_solved(corner, y) for y in ys[::20]]
-    vanishing = [y for y in ys if corner_value(corner, y) == 0]
-    assert len(vanishing) == 10
-    expected = [not conormal_matrix_violations(CotangentMatrixPoint(x, y), w) for y in ys]
-    calls = []
-    insert = conormal._insert
-
-    def counted(*args):
-        calls.append(args)
-        return insert(*args)
-
-    monkeypatch.setattr(conormal, "_insert", counted)
-
-    def inserts(batch):
-        calls.clear()
-        members = conormal.conormal_matrix_members(x, w, [y.entries for y in batch])
-        return members, len(calls)
-
-    members, batch_inserts = inserts(ys)
-    assert members == expected
-    assert inserts([y for y in ys if corner_value(corner, y)])[1] == 0
-    assert batch_inserts == inserts(vanishing)[1] > 0
 
 
 def test_one_subspace_builds_its_containment_data_once(monkeypatch):

@@ -10,8 +10,8 @@ import random
 
 import pytest
 
-from covex import conormal, embedding
-from covex.exactla import FieldSpec
+from covex import conormal, embedding, permcore
+from covex.exactla import DEFAULT_PRIME, FieldSpec
 from covex.embedding import check_target_space
 from covex.permcore import all_partial_permutations, covexillary_data, is_covexillary
 from covex.suites import SuiteConfig, run_suite
@@ -67,28 +67,50 @@ def test_loosened_target_fails_embed_thm_at_every_conditioned_w(
     assert len(failed) == flagged
 
 
+def _failures(suite, n_max, **kwargs):
+    """(failed, total) cases of the suite at its acceptance trials."""
+    verdicts = run_suite(SuiteConfig(suite, n_max=n_max, **kwargs))
+    return sum(not v.passed for v in verdicts), len(verdicts)
+
+
 @pytest.mark.parametrize("field", [FieldSpec.prime(101), FieldSpec.rational()], ids=str)
 def test_an_elimination_that_never_fails_breaks_the_agreement_test(monkeypatch, field):
-    """With _core_violations never yielding, membership rejects only at the
-    corner and the diagnostics find nothing.  The suites barely notice (their
-    uniform covectors have nonzero corners); the agreement of
-    conormal_matrix_members with conormal_matrix_violations does."""
+    """With _core_violations never yielding, membership and the diagnostics
+    accept every covector over a point of the matrix Schubert variety.  They
+    still agree, but the agreement test sees uniform covectors accepted, and
+    conormal-matrix and conormal-flag fail at every w with a direction off
+    the fiber at its 0/1 matrix: all but the zero w and the identities."""
     monkeypatch.setattr(conormal, "_core_violations", lambda plan, y_rows: iter(()))
     with pytest.raises(AssertionError):
         check_members_agree_with_violations(field, 2, random.Random(43))
+    prime = field.p or DEFAULT_PRIME
+    assert _failures("conormal-matrix", 3, prime=prime) == (39, 42)
+    assert _failures("conormal-flag", 3, prime=prime) == (6, 9)
 
 
-def test_a_corner_read_off_the_first_row_of_h_fails_conormal_matrix(monkeypatch):
-    """The corner of the core read from the first row of H, not the last,
-    rejects fiber covectors that the full elimination accepts.  conormal-matrix
-    fails at 14 of its 42 cases with n <= 3, each with the disagreement
-    marker as its first failure, and reports it instead of raising."""
-    corner_form = conormal._corner_form
-    monkeypatch.setattr(
-        conormal, "_corner_form", lambda x, rows, cols: corner_form(x, rows[:1], cols)
-    )
-    verdicts = run_suite(SuiteConfig("conormal-matrix", n_max=3))
-    failed = [v for v in verdicts if not v.passed]
-    assert len(verdicts) == 42
-    assert len(failed) == 14
-    assert all(v.details["first_failure"] == {"kind": "disagreement"} for v in failed)
+# permcore.conormal_bounds, the one table both conormal criteria read, broken
+BOUND_MUTANTS = {
+    "every-bound-plus-one": lambda bounds: tuple((i, j, b + 1) for i, j, b in bounds),
+    "last-check-dropped": lambda bounds: bounds[:-1],
+}
+
+
+@pytest.mark.parametrize(
+    "mutant, suite, flagged, total",
+    [
+        ("every-bound-plus-one", "conormal-matrix", 39, 42),
+        ("every-bound-plus-one", "conormal-flag", 6, 9),
+        ("last-check-dropped", "conormal-matrix", 18, 42),
+        ("last-check-dropped", "conormal-flag", 3, 9),
+    ],
+)
+def test_broken_conormal_bounds_fail_the_matrix_and_flag_calibrations(
+    monkeypatch, mutant, suite, flagged, total
+):
+    """A loosened bound accepts some direction off the fiber at w's 0/1
+    matrix, a smooth point of X_w; the suites reject along every such
+    direction, so they fail at these counts with n <= 3."""
+    bounds = permcore.conormal_bounds
+    mutate = BOUND_MUTANTS[mutant]
+    monkeypatch.setattr(permcore, "conormal_bounds", lambda *args: mutate(bounds(*args)))
+    assert _failures(suite, 3) == (flagged, total)
