@@ -32,12 +32,23 @@ conormal_matrix_members checks a batch of covectors over one x, each
 given by its n rows, and runs only the elimination for each;
 in_conormal_matrix and the diagnostics pass y.entries.
 
+The Grassmannian form has the same batch shape.  What V fixes, its
+Schubert verdict and the list of southwest reads (row cut, column, bound),
+is planned once (_grass_plan); conormal_grass_members checks a batch of x
+over one V and reads only x's profile for each, and in_conormal_grass (a
+batch of one) and the diagnostics read the same plan.  Every x still
+becomes a SpringerGrassPoint, whose containments Im(x) in V in ker(x) are
+row dot products against V.containment, built once per subspace.
+
 The flag form is the matrix form pulled back along GL_n -> Mat_n.  For
 the flag F_q = g E_q, F_q + E_p = g(E_q + g^-1 E_p) and F_q meet E_p =
 g(E_q meet g^-1 E_p), so dim(z(F_{q_i} + E_{p_i}) / (F_{q_j} meet E_{p_j}))
 is rank M_ij at the matrix point (x, y) = (g, g^-1 z), which is
 push_iota(g, y) when (F, z) = (g E_bullet, g y g^-1); and F is in the
 Schubert variety exactly when g is in the matrix Schubert variety.
+conormal_flag_members builds the Springer point of each z, so its
+invariant is checked per z, and sends every covector g^-1 z to one
+conormal_matrix_members call over g, so the core is planned once per g.
 
 The ground truth the predicates are calibrated against is the annihilator
 of the orbit tangent space under the trace pairing: over a cell point x the
@@ -64,7 +75,7 @@ from .exactla import (
     FieldSpec,
     Subspace,
     _insert,
-    _rational,
+    _products,
     _span_rows,
     kernel,
 )
@@ -136,15 +147,16 @@ class SpringerFlagPoint:
 class SpringerGrassPoint:
     """A pair (V, x) with Im(x) inside V inside ker(x); in particular x^2 = 0.
 
-    Both containments are matrix products, no elimination.  Let C hold V's
+    Both containments are row dot products, no elimination.  Let C hold V's
     echelon rows c_k (V._basis(): integer rows over Q), each scaled so that
     its pivot entry is L, the lcm of the pivot entries (L = 1 over F_p).
     A vector v lies in V iff L v = sum_k v[pivot_k] c_k, so Im(x) is inside
     V iff L x = C^T x[pivots]; the pivot rows agree by construction, so
-    only the others are compared.  V is inside ker(x) iff x C^T = 0; once
-    x = C^T x[pivots] / L, and C^T has independent columns, that is
-    x[pivots] C^T = 0.  The V side is V.containment, built once per
-    subspace, so only the two products with x run per point.
+    only the others are compared: row a of C^T dotted with each column of
+    x[pivots].  V is inside ker(x) iff x C^T = 0; once x = C^T x[pivots] /
+    L, and C^T has independent columns, that is x[pivots] C^T = 0: each
+    pivot row of x dotted with each c_k.  The V side is V.containment,
+    built once per subspace, so only the dot products with x run per point.
     """
 
     V: Subspace
@@ -161,12 +173,17 @@ class SpringerGrassPoint:
                 raise InvariantError("Im(x) is not contained in V")
             return
         pivots, scale, free, spans, kills = V.containment
-        at_pivots = ExactMatrix(x.field, tuple(x.entries[c] for c in pivots))
+        rows, p = x.entries, x.field.p
+        at_pivots = [rows[c] for c in pivots]
         if free:
-            scaled = tuple(tuple(_rational(scale * v) for v in x.entries[a]) for a in free)
-            if (spans @ at_pivots).entries != scaled:
+            # over F_p, L = 1 and the entries of x are reduced already
+            if scale == 1:
+                wanted = tuple(tuple(rows[a]) for a in free)
+            else:
+                wanted = tuple(tuple(scale * v for v in rows[a]) for a in free)
+            if _products(spans, tuple(zip(*at_pivots)), p) != wanted:
                 raise InvariantError("Im(x) is not contained in V")
-        if not (at_pivots @ kills).is_zero():
+        if any(map(any, _products(at_pivots, kills, p))):
             raise InvariantError("V is not contained in ker(x)")
 
 
@@ -372,55 +389,109 @@ def tangent_orbit_rank(x: ExactMatrix) -> int:
     return ExactMatrix(x.field, tuple(zip(*cols))).rank()
 
 
-def _grass_violations(pt: SpringerGrassPoint, conditions: Sequence[tuple[int, int]]):
-    """Yield each violated condition of (V, x) for the list [(t'_i, c_i)] of Gr_u.
+def _grass_plan(V: Subspace, conditions: Sequence[tuple[int, int]]):
+    """What V fixes for the list [(t'_i, c_i)] of Gr_u: (schubert, reads).
 
-    V must satisfy dim(V + E_{t'}) <= d + c for every condition, as
-    varieties.grass_condition_checks reads it, and x must satisfy
-    dim(x E_{t'_i} / E_{t'_j}) <= b(i, j) of permcore.conormal_bounds, the
-    table the matrix form reads too.  The rank of x E_{t'_i} / E_{t'_j} is
-    the southwest rank of x on rows t'_j+1..N and columns 1..t'_i; an empty
-    block satisfies every bound.  The Schubert violations come first, in
-    the order of the conditions, then the rank violations in the order of
-    the table.  Positions outside 0..N raise DimensionMismatchError.
+    schubert holds each Schubert condition (t, dim(V + E_t), d + c) that V
+    breaks, as varieties.grass_condition_checks reads it, in the order of
+    the conditions.  reads holds (t'_j, t'_i - 1, i, j, b(i, j)) for each
+    bound of permcore.conormal_bounds, the table the matrix form reads too,
+    in its order: the rank of x E_{t'_i} / E_{t'_j} is the southwest rank
+    of x on rows t'_j+1..N and columns 1..t'_i, so profile[t'_j][t'_i - 1].
+    An empty block (t'_j = N or t'_i = 0) satisfies every bound and is not
+    read.  Positions outside 0..N raise DimensionMismatchError.
     """
-    V, x = pt.V, pt.x
-    N, d = V.ambient, V.dim
-    for t, total, bound, ok in grass_condition_checks(V, conditions):
-        if not ok:
-            yield {"kind": "schubert", "condition": (t, total, bound)}
-    profile = southwest_profile(x)
+    N = V.ambient
+    schubert = tuple(
+        (t, total, bound)
+        for t, total, bound, ok in grass_condition_checks(V, conditions)
+        if not ok
+    )
     ts = [0, *(t for t, _ in conditions), N]
-    for i, j, bound in conormal_bounds(conditions, N, d):
-        if ts[j] == N or ts[i] == 0:
-            continue
-        rank = profile[ts[j]][ts[i] - 1]
+    reads = tuple(
+        (ts[j], ts[i] - 1, i, j, bound)
+        for i, j, bound in conormal_bounds(conditions, N, V.dim)
+        if ts[j] != N and ts[i] != 0
+    )
+    return schubert, reads
+
+
+def _grass_violations(plan, x: ExactMatrix):
+    """Yield each violated condition of (V, x), plan = _grass_plan(V, conditions).
+
+    The Schubert violations come first, then the rank violations, each in
+    the order of the plan; x's southwest profile is read only after them.
+    """
+    schubert, reads = plan
+    for condition in schubert:
+        yield {"kind": "schubert", "condition": condition}
+    profile = southwest_profile(x)
+    for row, col, i, j, bound in reads:
+        rank = profile[row][col]
         if rank > bound:
             yield {"kind": "rank", "i": i, "j": j, "rank": rank, "bound": bound}
+
+
+def conormal_grass_members(
+    V: Subspace, conditions: Sequence[tuple[int, int]], xs: Sequence[ExactMatrix]
+) -> list[bool]:
+    """Membership of (V, x) for each x of xs, in order.
+
+    SpringerGrassPoint(V, x) is built for every x, so each (V, x) still has
+    both containments checked (InvariantError otherwise).  What V fixes,
+    its Schubert verdict and the list of southwest reads, is planned once:
+    if V breaks a Schubert condition every verdict is False, otherwise only
+    x's southwest profile is read per x, up to the first broken bound.
+    """
+    points = [SpringerGrassPoint(V, x) for x in xs]
+    plan = _grass_plan(V, conditions)
+    return [next(_grass_violations(plan, pt.x), None) is None for pt in points]
 
 
 def in_conormal_grass(
     pt: SpringerGrassPoint, conditions: Sequence[tuple[int, int]]
 ) -> bool:
     """Membership; stops at the first violated condition."""
-    return next(_grass_violations(pt, conditions), None) is None
+    return conormal_grass_members(pt.V, conditions, (pt.x,))[0]
 
 
 def conormal_grass_violations(
     pt: SpringerGrassPoint, conditions: Sequence[tuple[int, int]]
 ) -> list[dict]:
-    """Every violated condition as a diagnostic; empty list means membership."""
-    return list(_grass_violations(pt, conditions))
+    """Every violated condition as a diagnostic; empty list means membership.
+
+    The Schubert violations come first, in the order of the conditions, then
+    the rank violations in the order of permcore.conormal_bounds.
+    """
+    return list(_grass_violations(_grass_plan(pt.V, conditions), pt.x))
+
+
+def _check_flag_form(flag: Flag, w: PartialPermutation) -> None:
+    covexillary_data(w)  # NotCovexillaryError first, as for the other forms
+    if flag.n != w.n:
+        raise DimensionMismatchError("flag size differs from permutation size")
+    if not w.is_full_rank:
+        raise InputError("flag Schubert membership requires a permutation")
 
 
 def _flag_matrix_point(pt: SpringerFlagPoint, w: PartialPermutation) -> CotangentMatrixPoint:
     """The matrix point (g, g^-1 z) of (F, z); see the module docstring."""
-    covexillary_data(w)  # NotCovexillaryError first, as for the other forms
-    if pt.flag.n != w.n:
-        raise DimensionMismatchError("flag size differs from permutation size")
-    if not w.is_full_rank:
-        raise InputError("flag Schubert membership requires a permutation")
+    _check_flag_form(pt.flag, w)
     return CotangentMatrixPoint(pt.flag.generator, pt.covector)
+
+
+def conormal_flag_members(
+    flag: Flag, w: PartialPermutation, zs: Sequence[ExactMatrix]
+) -> list[bool]:
+    """Membership of (F, z) for each z of zs, in order.
+
+    SpringerFlagPoint(flag, z) is built for every z, so its invariant check
+    runs per z; the covectors g^-1 z then go to one conormal_matrix_members
+    call over the generator g, which plans the core once for all of them.
+    """
+    _check_flag_form(flag, w)
+    points = [SpringerFlagPoint(flag, z) for z in zs]
+    return conormal_matrix_members(flag.generator, w, [pt.covector.entries for pt in points])
 
 
 def in_conormal_flag(pt: SpringerFlagPoint, w: PartialPermutation) -> bool:

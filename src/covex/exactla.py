@@ -241,15 +241,7 @@ class ExactMatrix:
             )
         f = self.field
         f.check_same(other.field)
-        mul = operator.mul
-        bt = list(zip(*other.entries))
-        # list comprehensions: a generator per row costs more than the sums
-        if f.is_prime:
-            p = f.p
-            data = [tuple([sum(map(mul, row, col)) % p for col in bt]) for row in self.entries]
-        else:
-            data = [tuple([_rational(sum(map(mul, row, col))) for col in bt]) for row in self.entries]
-        return ExactMatrix(f, tuple(data))
+        return ExactMatrix(f, _products(self.entries, other.columns, f.p))
 
     def hstack(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.rows != other.rows:
@@ -318,6 +310,18 @@ class ExactMatrix:
     def _check_same_shape(self, other: "ExactMatrix") -> None:
         if self.shape != other.shape:
             raise DimensionMismatchError(f"shape mismatch {self.shape} vs {other.shape}")
+
+
+def _products(
+    rows: Iterable[Sequence[Scalar]], cols: Sequence[Sequence[Scalar]], p: int | None
+) -> tuple[tuple[Scalar, ...], ...]:
+    """Each row dotted with each column: the entries of the product of the
+    rows with the matrix of those columns, reduced mod p or canonical over Q."""
+    mul = operator.mul
+    # list comprehensions: a generator per row costs more than the sums
+    if p is None:
+        return tuple([tuple([_rational(sum(map(mul, row, col))) for col in cols]) for row in rows])
+    return tuple([tuple([sum(map(mul, row, col)) % p for col in cols]) for row in rows])
 
 
 def _insert(basis: dict[int, Sequence[int]], row: Sequence[Scalar], p: int | None) -> int | None:
@@ -477,13 +481,13 @@ class Subspace:
 
     @cached_property
     def containment(self) -> tuple:
-        """(pivots, L, free, C^T on the free rows or None, C^T): see SpringerGrassPoint."""
+        """(pivots, L, free, the rows of C^T at free, the columns of C^T): see SpringerGrassPoint."""
         basis = self._basis()
         scale = lcm(*(row[c] for c, row in basis.items()))
-        c_cols = tuple(zip(*([scale // row[c] * v for v in row] for c, row in basis.items())))
+        c_rows = tuple(tuple(scale // row[c] * v for v in row) for c, row in basis.items())
         free = tuple(a for a in range(self.ambient) if a not in basis)
-        spans = ExactMatrix(self.field, tuple(c_cols[a] for a in free)) if free else None
-        return tuple(basis), scale, free, spans, ExactMatrix(self.field, c_cols)
+        c_cols = tuple(zip(*c_rows))
+        return tuple(basis), scale, free, tuple(c_cols[a] for a in free), c_rows
 
     def contains_vector(self, vector: Sequence) -> bool:
         f = self.field

@@ -14,7 +14,12 @@ and flag calibrations take those at w's 0/1 matrix, a smooth point of X_w
 where the conormal variety's fiber is exactly the conormal fiber: one
 covector off the fiber along each coordinate direction that leaves it
 (``_off_fiber_rejection``), checked with one ``conormal_matrix_members``
-call, so the point's fixed work runs once.
+call, so the point's fixed work runs once.  Every cell point's fiber
+covectors are one batch too, given as rows (``_fiber_elements``):
+conormal-matrix and conormal-flag check them with one members call per
+point, and diagram-chase chases the covectors of each x together
+(``_chase_to_grass``) and checks them with one ``conormal_grass_members``
+call, so each embedded V is planned once.
 
 embed-thm and rank-lemma draw nothing and ignore ``trials``.  Their
 statements are invariant under the B x B action x -> b_l x b_r, and the
@@ -32,22 +37,19 @@ execution order.
 from __future__ import annotations
 
 import random
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from operator import getitem, itemgetter, mul
 from typing import NamedTuple
 
 from .conormal import (
     CotangentMatrixPoint,
-    SpringerFlagPoint,
-    SpringerGrassPoint,
     conormal_fiber_flag,
     conormal_fiber_matrix,
+    conormal_flag_members,
+    conormal_grass_members,
     conormal_matrix_members,
     conormal_matrix_violations,
-    in_conormal_flag,
-    in_conormal_grass,
-    in_conormal_matrix,
     push_iota,
     tangent_orbit_rank,
     vector_to_matrix,
@@ -61,6 +63,7 @@ from .exactla import (
     Subspace,
     _draws,
     _insert,
+    _products,
     random_matrix,
 )
 from .kl import (
@@ -161,17 +164,21 @@ def _rejection(members: list[bool] | None) -> tuple[float | None, bool]:
 
 def _fiber_elements(
     fiber: Subspace, n: int, field: FieldSpec, rng: random.Random, extra: int
-) -> list[ExactMatrix]:
-    """The zero covector, the fiber's basis and extra random combinations of it."""
+) -> list[tuple[tuple, ...]]:
+    """The zero covector, the fiber's basis and extra random combinations of it.
+
+    Each covector is its n rows, as ExactMatrix.entries holds them.
+    """
+    span = range(0, n * n, n)
     # the zero covector (zero section) is always a valid member
-    points = [ExactMatrix.zeros(field, n, n)]
-    points += [vector_to_matrix(field, v, n) for v in fiber.vectors]
+    points = [((0,) * n,) * n]
+    points += [tuple(v[a : a + n] for a in span) for v in fiber.vectors]
     p = field.p
     columns = tuple(zip(*fiber.vectors))  # each entry of a combination is one dot product
     for _ in range(extra if fiber.dim else 0):
         coeffs = _draws(rng, p, fiber.dim)
-        vec = [sum(map(mul, coeffs, col)) % p for col in columns]
-        points.append(vector_to_matrix(field, vec, n))
+        vec = tuple([sum(map(mul, coeffs, col)) % p for col in columns])
+        points.append(tuple(vec[a : a + n] for a in span))
     return points
 
 
@@ -335,11 +342,11 @@ def _suite_conormal_matrix(config: SuiteConfig) -> Iterator[Case]:
             if fiber.dim != n * n - tangent_orbit_rank(x):
                 dim_mismatches += 1
             ys = _fiber_elements(fiber, n, field, rng, extra=20)
-            members = conormal_matrix_members(x, w, [y.entries for y in ys])
+            members = conormal_matrix_members(x, w, ys)
             rejected = [y for y, ok in zip(ys, members) if not ok]
             rejected_valid += len(rejected)
             if rejected and first_failure is None:
-                point = CotangentMatrixPoint(x, rejected[0])
+                point = CotangentMatrixPoint(x, ExactMatrix(field, rejected[0]))
                 # membership and the diagnostics run one elimination; should
                 # they disagree, the case reports it instead of crashing
                 violations = conormal_matrix_violations(point, w)
@@ -366,9 +373,8 @@ def _suite_conormal_flag(config: SuiteConfig) -> Iterator[Case]:
             flag, fiber = conormal_fiber_flag(g, w)
             if fiber.dim != expected_dim:
                 dim_mismatches += 1
-            for z in _fiber_elements(fiber, n, field, rng, extra=20):
-                if not in_conormal_flag(SpringerFlagPoint(flag, z), w):
-                    rejected_valid += 1
+            zs = [ExactMatrix(field, z) for z in _fiber_elements(fiber, n, field, rng, extra=20)]
+            rejected_valid += conormal_flag_members(flag, w, zs).count(False)
         # the flag covectors over w's flag are the matrix covectors U w^-1, U
         # strictly upper: entry (i, j) of U sits at row i, column w(j)
         springer = (i * n + v - 1 for j, v in enumerate(w.image) for i in range(j))
@@ -412,16 +418,15 @@ def _suite_conormal_grass(config: SuiteConfig) -> Iterator[Case]:
     for n in range(1, config.n_max + 1):
         zero = ExactMatrix.zeros(field, 2 * n, 2 * n)
         for cases, cells in _orbit_cells(field, list(all_partial_permutations(n))):
-            # the zero-section point at each cell; its verdict reads V only
-            # through dim(V + E_t), which the cell fixes
-            points = [(SpringerGrassPoint(V, zero), lanes) for V, lanes in cells]
             for w, case, inside in cases:
                 rng = _rng(config, case)
                 data = covexillary_data(w)
                 conditions = data.grass_conditions
+                # the zero-section point at each cell; its verdict reads V
+                # only through dim(V + E_t), which the cell fixes
                 failing = 0
-                for point, lanes in points:
-                    if lanes & inside and not in_conormal_grass(point, conditions):
+                for V, lanes in cells:
+                    if lanes & inside and not conormal_grass_members(V, conditions, (zero,))[0]:
                         failing |= lanes
                 failures = (failing & inside).bit_count()
                 # rejection power over the Springer fiber at a generic cell
@@ -430,13 +435,8 @@ def _suite_conormal_grass(config: SuiteConfig) -> Iterator[Case]:
                 if any(w.image):
                     x = sample_cell_point(w, field, rng)
                     V = embed_point(x, data)
-                    members = [
-                        in_conormal_grass(
-                            SpringerGrassPoint(V, _springer_fiber_sample(V, field, rng)),
-                            conditions,
-                        )
-                        for _ in range(config.trials)
-                    ]
+                    samples = [_springer_fiber_sample(V, field, rng) for _ in range(config.trials)]
+                    members = conormal_grass_members(V, conditions, samples)
                 reject_rate, rejection_ok = _rejection(members)
                 yield case, failures == 0 and rejection_ok, {
                     "zero_section_failures": failures,
@@ -445,16 +445,20 @@ def _suite_conormal_grass(config: SuiteConfig) -> Iterator[Case]:
 
 
 def _chase_to_grass(
-    data: CovexillaryData, V: Subspace, x: ExactMatrix, y: ExactMatrix
-) -> SpringerGrassPoint:
-    """The cotangent point (x, y) pushed along the embedding into T*Gr(n, 2n).
+    data: CovexillaryData, V: Subspace, x: ExactMatrix, ys: Iterable[Sequence[Sequence]]
+) -> list[ExactMatrix]:
+    """The cotangent points (x, y) pushed along the embedding into T*Gr(n, 2n).
 
-    With h1 = ((I, 0), (x, I)) and theta = ((0, y), (0, 0)), the point is
-    (tau h1 E_n, tau M' tau^-1) for M' = h1 theta h1^-1, which is
-    ((-yx, y), (-xyx, xy)).  tau h1 E_n is V = embed_point(x, data), which
-    the caller computes once per x.  Conjugating by the permutation tau
-    moves entry (a, b) of M' to (tau(a), tau(b)), so row a of the result is
-    row tau^-1(a) of M' read in data.tau_order.
+    Each y of ys is its n rows of field elements.  With h1 = ((I, 0), (x, I))
+    and theta = ((0, y), (0, 0)), the point is (tau h1 E_n, tau M' tau^-1)
+    for M' = h1 theta h1^-1, which is ((-yx, y), (-xyx, xy)).  tau h1 E_n
+    is V = embed_point(x, data), which the caller computes once per x; the
+    result holds tau M' tau^-1 for each y, in order, and
+    conormal_grass_members(V, ...) makes each a SpringerGrassPoint.
+    Conjugating by the permutation tau moves entry (a, b) of M' to (tau(a),
+    tau(b)), so row a of the result is row tau^-1(a) of M' read in
+    data.tau_order.  x's rows, the columns of -x and that gather are fixed
+    once for the whole list.
 
     V must be embed_point(x, data).  It is passed in, not recomputed, and
     SpringerGrassPoint checks only the two containments, so the V of another
@@ -463,17 +467,20 @@ def _chase_to_grass(
     """
     if V.dim != data.n:
         raise DimensionMismatchError("V is not an n-dimensional subspace of k^2n")
-    p = x.field.p
-    yx, xy = (y @ x).entries, x @ y
-    xyx = (xy @ x).entries
-    if p is None:
-        negated = [[-v for v in row] for row in yx + xyx]
-    else:
-        negated = [[-v % p for v in row] for row in yx + xyx]
-    right = y.entries + xy.entries
-    in_tau_order = itemgetter(*data.tau_order)
-    moved = tuple(in_tau_order(negated[k] + list(right[k])) for k in data.tau_order)
-    return SpringerGrassPoint(V, ExactMatrix(x.field, moved))
+    field = x.field
+    p = field.p
+    negated = [[-v for v in col] for col in x.columns]  # -yx = y(-x), -xyx = xy(-x)
+    order = data.tau_order
+    in_tau_order = itemgetter(*order)
+    chased = []
+    for y in ys:
+        y = tuple(map(tuple, y))
+        xy = _products(x.entries, tuple(zip(*y)), p)
+        # the rows of M': (-yx, y) for each row of y, then (-xyx, xy)
+        rows = [a + b for a, b in zip(_products(y, negated, p), y)]
+        rows += [a + b for a, b in zip(_products(xy, negated, p), xy)]
+        chased.append(ExactMatrix(field, tuple([in_tau_order(rows[k]) for k in order])))
+    return chased
 
 
 def _suite_diagram_chase(config: SuiteConfig) -> Iterator[Case]:
@@ -487,28 +494,27 @@ def _suite_diagram_chase(config: SuiteConfig) -> Iterator[Case]:
         for _ in range(config.trials):
             x = sample_cell_point(w, field, rng)
             V = embed_point(x, data)
-            fiber = conormal_fiber_matrix(x, w)
-            for y in _fiber_elements(fiber, n, field, rng, extra=5):
-                samples += 1
-                point = _chase_to_grass(data, V, x, y)
-                if not in_conormal_grass(point, conditions):
-                    failures += 1
+            ys = _fiber_elements(conormal_fiber_matrix(x, w), n, field, rng, extra=5)
+            samples += len(ys)
+            members = conormal_grass_members(V, conditions, _chase_to_grass(data, V, x, ys))
+            failures += members.count(False)
         if w.is_full_rank:
             for _ in range(config.trials):
                 g = sample_cell_point(w, field, rng)
-                ginv = g.inverse()
                 V = embed_point(g, data)
-                _, zfiber = conormal_fiber_flag(g, w)
-                for zvec in zfiber.vectors:
-                    samples += 1
-                    z = vector_to_matrix(field, zvec, n)
-                    matrix_point = push_iota(g, ginv @ z @ g)
-                    if not in_conormal_matrix(matrix_point, w):
-                        failures += 1
-                        continue
-                    point = _chase_to_grass(data, V, matrix_point.x, matrix_point.y)
-                    if not in_conormal_grass(point, conditions):
-                        failures += 1
+                flag, zfiber = conormal_fiber_flag(g, w)
+                ginv = flag.inverse
+                # each z of the flag fiber as a matrix covector g^-1 z g, pushed along GL_n
+                pushed = [
+                    push_iota(g, ginv @ vector_to_matrix(field, zvec, n) @ g).y.entries
+                    for zvec in zfiber.vectors
+                ]
+                samples += len(pushed)
+                members = conormal_matrix_members(g, w, pushed)
+                failures += members.count(False)
+                accepted = [y for y, ok in zip(pushed, members) if ok]
+                chased = _chase_to_grass(data, V, g, accepted)
+                failures += conormal_grass_members(V, conditions, chased).count(False)
         yield case, failures == 0, {"failures": failures, "samples": samples}
 
 

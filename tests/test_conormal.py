@@ -16,7 +16,9 @@ from covex.conormal import (
     SpringerGrassPoint,
     conormal_fiber_flag,
     conormal_fiber_matrix,
+    conormal_flag_members,
     conormal_flag_violations,
+    conormal_grass_members,
     conormal_grass_violations,
     conormal_matrix_members,
     conormal_matrix_violations,
@@ -498,12 +500,11 @@ def check_members_agree_with_violations(field, n_max, rng):
 
 
 @pytest.mark.parametrize("field", [FieldSpec.prime(101), Q], ids=str)
-def test_members_rejecting_at_the_corner_agree_with_the_full_elimination(field):
+def test_members_agree_with_the_full_elimination(field):
     """conormal_matrix_members, which stops at the first failed bound, gives
     the verdicts of conormal_matrix_violations on uniform and fiber
     covectors over F_101 and Q; every fiber covector is accepted and few
-    uniform ones are.  (The name is from a shortcut that rejected
-    covectors at the corner of the core; the test id is kept.)"""
+    uniform ones are."""
     check_members_agree_with_violations(field, 4, random.Random(43))
 
 
@@ -611,9 +612,11 @@ def combination(field, basis, coeffs, n):
 
 
 def chase(w, x, y):
-    """_chase_to_grass at (x, y), with V = embed_point(x) as the suite passes it."""
+    """The Springer point of _chase_to_grass at (x, y), a batch of one, with
+    V = embed_point(x) as the suite passes it."""
     data = covexillary_data(w)
-    return _chase_to_grass(data, embed_point(x, data), x, y)
+    V = embed_point(x, data)
+    return SpringerGrassPoint(V, _chase_to_grass(data, V, x, [y.entries])[0])
 
 
 def chased_accepts(w, x, y):
@@ -966,6 +969,117 @@ def test_springer_containments_are_two_products():
     for field in (F, FieldSpec.prime(3), Q):
         for message in (None, "Im(x) is not contained in V", "V is not contained in ker(x)"):
             assert seen[field, message] >= 10, (field, message)
+
+
+def springer_points(V, field, rng):
+    """Springer points (V, x) to check: _springer_fiber_sample draws over
+    F_p, and over Q the points of springer_test_points that satisfy both
+    containments."""
+    if field.is_prime:
+        return [_springer_fiber_sample(V, field, rng) for _ in range(3)]
+    points = springer_test_points(V, field, rng)
+    return [x for x in points if elimination_springer_check(V, x) is None]
+
+
+@pytest.mark.parametrize("field", [FieldSpec.prime(101), Q], ids=str)
+def test_grass_members_are_the_per_point_verdicts(field):
+    """conormal_grass_members(V, conditions, xs) is, point by point, the
+    empty violation list of conormal_grass_violations and the verdict of
+    in_conormal_grass, for every covexillary partial w with n <= 3 over
+    F_101 and Q: at the chased zero, fiber and uniform covectors over a
+    cell point of w, at Springer points over its V, and at a V outside the
+    target (the image of some u not below w), where every verdict is False."""
+    rng = random.Random(79)
+    seen = set()
+    outside = 0
+    for n in (1, 2, 3):
+        partials = list(all_partial_permutations(n))
+        for w in partials:
+            if not is_covexillary(w):
+                continue
+            data = covexillary_data(w)
+            conditions = data.grass_conditions
+            x = sample_cell_point(w, field, rng) if field.is_prime else integer_cell_point(w, field, rng)
+            V = embed_point(x, data)
+            ys = fiber_combinations(conormal_fiber_matrix(x, w), field, n, rng, 3)
+            ys += [random_matrix_over(field, n, rng) for _ in range(3)]
+            batches = [(V, _chase_to_grass(data, V, x, [y.entries for y in ys]), None)]
+            batches.append((V, springer_points(V, field, rng), None))
+            far = next((u for u in partials if not bruhat_leq(u, w)), None)
+            if far is not None:
+                far_V = embed_point(far.matrix(field), data)
+                zero = ExactMatrix.zeros(field, 2 * n, 2 * n)
+                batches.append((far_V, [zero, *springer_points(far_V, field, rng)], False))
+            for subspace, xs, only in batches:
+                points = [SpringerGrassPoint(subspace, chased) for chased in xs]
+                expected = [not conormal_grass_violations(pt, conditions) for pt in points]
+                assert conormal_grass_members(subspace, conditions, xs) == expected, (w, subspace)
+                assert [in_conormal_grass(pt, conditions) for pt in points] == expected
+                if only is not None:
+                    assert set(expected) == {only}
+                    outside += len(xs)
+                seen.update(expected)
+    assert seen == {True, False}
+    assert outside >= 100
+
+
+@pytest.mark.parametrize("field", [FieldSpec.prime(101), Q], ids=str)
+def test_grass_members_check_both_containments_at_every_point(field):
+    """A matrix that breaks either containment raises the InvariantError of
+    SpringerGrassPoint from conormal_grass_members too, with the same
+    message, even after valid points in the batch and at a V that breaks a
+    Schubert condition, where every verdict would be False."""
+    rng = random.Random(83)
+    messages = defaultdict(int)
+    for wstr in ("2143", "0 3 1 0", "1 0"):
+        w = PartialPermutation.from_one_line(wstr)
+        data = covexillary_data(w)
+        x = sample_cell_point(w, field, rng) if field.is_prime else integer_cell_point(w, field, rng)
+        far = embed_point(PartialPermutation.longest(w.n).matrix(field), data)
+        zero = ExactMatrix.zeros(field, far.ambient, far.ambient)
+        assert conormal_grass_members(far, data.grass_conditions, [zero]) == [False]
+        for V in (embed_point(x, data), far):
+            for bad in springer_test_points(V, field, rng):
+                expected = elimination_springer_check(V, bad)
+                if expected is None:
+                    continue
+                assert springer_message(V, bad) == expected
+                with pytest.raises(InvariantError) as err:
+                    conormal_grass_members(V, data.grass_conditions, [zero, bad])
+                assert str(err.value) == expected
+                messages[expected] += 1
+    assert set(messages) == {"Im(x) is not contained in V", "V is not contained in ker(x)"}
+
+
+def test_flag_members_are_the_per_point_verdicts():
+    """conormal_flag_members(flag, w, zs) is in_conormal_flag at each
+    (flag, z), for every covexillary w with n <= 3 over F_101 and Q, at
+    flags from every cell u of S_n, with the zero covector, the flag fiber
+    of u's cell and random Springer covectors g U g^-1 (U strictly upper).
+    A z that breaks the flag invariant raises SpringerFlagPoint's message."""
+    rng = random.Random(89)
+    seen = set()
+    for field in (FieldSpec.prime(101), Q):
+        for n in (1, 2, 3):
+            ws = [w for w in all_permutations(n) if is_covexillary(w)]
+            for u in all_permutations(n):
+                g = cell_generator(u, field, rng)
+                flag, fiber = conormal_fiber_flag(g, u)
+                zs = [ExactMatrix.zeros(field, n, n)]
+                zs += [vector_to_matrix(field, v, n) for v in fiber.vectors]
+                zs += [g @ random_upper(field, n, rng, True) @ flag.inverse for _ in range(3)]
+                for w in ws:
+                    expected = [in_conormal_flag(SpringerFlagPoint(flag, z), w) for z in zs]
+                    assert conormal_flag_members(flag, w, zs) == expected, (w, u)
+                    seen.update(expected)
+                if n > 1:
+                    bad = g @ ExactMatrix.identity(field, n) @ flag.inverse
+                    with pytest.raises(InvariantError) as per_point:
+                        SpringerFlagPoint(flag, bad)
+                    with pytest.raises(InvariantError) as batched:
+                        conormal_flag_members(flag, ws[0], [zs[0], bad])
+                    assert str(batched.value) == str(per_point.value)
+    assert seen == {True, False}
 
 
 def test_flag_conormal_fixtures():
@@ -1373,8 +1487,9 @@ def test_chase_refuses_a_subspace_that_is_not_n_dimensional():
     data = covexillary_data(w)
     x = ExactMatrix.zeros(F, 2, 2)
     short = Subspace.span(F, 4, [embed_point(x, data).vectors[0]])
-    with pytest.raises(DimensionMismatchError, match="n-dimensional"):
-        _chase_to_grass(data, short, x, x)
+    for ys in ([x.entries], []):
+        with pytest.raises(DimensionMismatchError, match="n-dimensional"):
+            _chase_to_grass(data, short, x, ys)
 
 
 def test_springer_forms():
@@ -1603,8 +1718,9 @@ def old_fiber_elements(fiber, n, field, rng, extra):
 
 
 def test_fiber_elements_match_the_accumulating_loop():
-    """The dot-product combinations of _fiber_elements equal the old
-    accumulate-mod-p loop, and leave the generator in the same state, for
+    """The dot-product combinations of _fiber_elements, as rows, equal the
+    entries of the old accumulate-mod-p loop's matrices, and leave the
+    generator in the same state, for
     the fiber at a cell point of every covexillary w with n <= 4 over F_2,
     F_3, F_10007 and F_(10^24+7)."""
     rng = random.Random(73)
@@ -1617,5 +1733,6 @@ def test_fiber_elements_match_the_accumulating_loop():
                 seed = rng.random()
                 new_rng, old_rng = random.Random(seed), random.Random(seed)
                 got = _fiber_elements(fiber, n, field, new_rng, extra=4)
-                assert got == old_fiber_elements(fiber, n, field, old_rng, extra=4)
+                old = old_fiber_elements(fiber, n, field, old_rng, extra=4)
+                assert got == [y.entries for y in old]
                 assert new_rng.getstate() == old_rng.getstate()

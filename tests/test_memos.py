@@ -37,6 +37,7 @@ from covex.exactla import (
 from covex.permcore import (
     PartialPermutation,
     all_partial_permutations,
+    all_permutations,
     covexillary_data,
     is_covexillary,
     rank_matrix,
@@ -135,8 +136,10 @@ def test_one_batch_computes_the_core_pivots_once(monkeypatch):
 
 def test_one_subspace_builds_its_containment_data_once(monkeypatch):
     """SpringerGrassPoint reads V's side of the containment checks off
-    V.containment, built once however many points share V; only the two
-    products with x run per point, and a V holding it is like a fresh one."""
+    V.containment, built once however many points share V.  The checks per
+    point are row dot products: the chase, the batch membership and the
+    points themselves run no ExactMatrix product.  A V holding the data is
+    like a fresh one."""
     built = []
     compute = vars(Subspace)["containment"].func
 
@@ -162,16 +165,64 @@ def test_one_subspace_builds_its_containment_data_once(monkeypatch):
         return matmul(self, other)
 
     monkeypatch.setattr(ExactMatrix, "__matmul__", counted_matmul)
-    points = [suites._chase_to_grass(data, V, x, y) for y in ys]
-    assert len(points) >= 5 and built == [V]
-    products.clear()
-    for point in points:
-        conormal.SpringerGrassPoint(V, point.x)
-    assert built == [V] and len(products) == 2 * len(points)
+    xs = suites._chase_to_grass(data, V, x, ys)
+    assert len(xs) >= 5 and built == [] and products == []
+    assert conormal.conormal_grass_members(V, data.grass_conditions, xs) == [True] * len(xs)
+    assert built == [V] and products == []
+    for chased in xs:
+        conormal.SpringerGrassPoint(V, chased)
+    assert built == [V] and products == []
     fresh = dataclasses.replace(V)
     assert "containment" in vars(V) and "containment" not in vars(fresh)
     assert_like_fresh(V, fresh)
     assert fresh.containment == V.containment
+
+
+def test_diagram_chase_plans_each_subspace_once(monkeypatch):
+    """diagram-chase checks the chased covectors of each cell point in one
+    batch, so it builds one Grassmannian plan, and reads V's Schubert
+    conditions once, per embedded subspace V: 257 at n <= 4 with one
+    trial, one for each of the 225 covexillary w and each of the 32
+    covexillary permutations."""
+    plans = []
+    checks = []
+    plan = conormal._grass_plan
+    condition_checks = conormal.grass_condition_checks
+
+    def planned(V, conditions):
+        plans.append(V)
+        return plan(V, conditions)
+
+    def checked(V, conditions):
+        checks.append(V)
+        return condition_checks(V, conditions)
+
+    monkeypatch.setattr(conormal, "_grass_plan", planned)
+    monkeypatch.setattr(conormal, "grass_condition_checks", checked)
+    verdicts = suites.run_suite(suites.SuiteConfig("diagram-chase", n_max=4, trials=1, seed=1))
+    assert len(verdicts) == 225 and all(v.passed for v in verdicts)
+    assert len(plans) == len(checks) == 257
+    assert len({id(V) for V in plans}) == 257
+
+
+def test_conormal_flag_plans_each_generator_once(monkeypatch):
+    """conormal-flag checks the fiber covectors over each cell generator g
+    in one batch, so it builds one core plan per g, and one more at w's
+    0/1 matrix wherever a direction leaves the fiber there (l(w) > 0)."""
+    points = []
+    plan = conormal._core_plan
+
+    def planned(x, data):
+        points.append(x)
+        return plan(x, data)
+
+    monkeypatch.setattr(conormal, "_core_plan", planned)
+    trials = 2
+    verdicts = suites.run_suite(suites.SuiteConfig("conormal-flag", n_max=4, trials=trials, seed=1))
+    assert len(verdicts) == 32 and all(v.passed for v in verdicts)
+    ws = [w for n in range(1, 5) for w in all_permutations(n) if is_covexillary(w)]
+    expected = trials * len(ws) + sum(w.length() > 0 for w in ws)
+    assert len(points) == len({id(x) for x in points}) == expected == 92
 
 
 def test_subspace_basis_matrix_memo_is_invisible():

@@ -114,3 +114,22 @@ def test_broken_conormal_bounds_fail_the_matrix_and_flag_calibrations(
     mutate = BOUND_MUTANTS[mutant]
     monkeypatch.setattr(permcore, "conormal_bounds", lambda *args: mutate(bounds(*args)))
     assert _failures(suite, 3) == (flagged, total)
+
+
+def test_grassmannian_ranks_read_a_column_right_fail_only_the_diagram_chase(monkeypatch):
+    """Each Grassmannian rank read one column to the right, at t'_i in place
+    of t'_i - 1 (the last column stays where it is), tightens every bound
+    whose block gains a pivot.  The chased fiber covectors then break one at
+    almost every w, so diagram-chase fails; conormal-grass, whose rejection
+    covectors fail their bounds anyway and whose zero-section points have
+    rank 0 everywhere, still passes."""
+    plan = conormal._grass_plan
+
+    def mutant(V, conditions):
+        schubert, reads = plan(V, conditions)
+        last = V.ambient - 1
+        return schubert, tuple((row, min(col + 1, last), i, j, b) for row, col, i, j, b in reads)
+
+    monkeypatch.setattr(conormal, "_grass_plan", mutant)
+    assert _failures("diagram-chase", 3, trials=1, seed=1) == (39, 42)
+    assert _failures("conormal-grass", 3, trials=1, seed=1) == (0, 42)
