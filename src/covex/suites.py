@@ -8,21 +8,23 @@ refuses anything larger before a case runs.  A runner yields
 verdicts sorted by case identifier; verdicts are plain data so reports
 serialize to stable JSON lines.  The suites that sweep covexillary ``w``
 share one case loop, ``_covexillary_cases``, and the three conormal
-calibrations one rejection estimate, ``_rejection``, which reads the
-membership verdicts of the covectors that must be rejected.  The matrix
-and flag calibrations take those at w's 0/1 matrix, a smooth point of X_w
-where the conormal variety's fiber is exactly the conormal fiber: one
-covector off the fiber along each coordinate direction that leaves it
-(``_off_fiber_rejection``), checked with one ``conormal_matrix_members``
-call, so the point's fixed work runs once.  Every cell point's fiber
-covectors are one batch too, given as rows (``_fiber_elements``):
-conormal-matrix and conormal-flag check them with one members call per
-point, and diagram-chase chases the covectors of each x together
-(``_chase_to_grass``) and checks them with one ``conormal_grass_members``
-call, so each embedded V is planned once.
+calibrations one rejection check, ``_off_fiber_rejection``, at a smooth
+point with a coordinate conormal fiber, which is there exactly the
+conormal variety's fiber (Kleiman, "Tangency and duality", 1986): w's 0/1
+matrix for conormal-matrix and conormal-flag, the fixed point E_S of the
+target's open cell for conormal-grass.  One covector off the fiber along
+each candidate coordinate that leaves it must be rejected, and
+conormal-grass adds fiber elements that must be accepted; one members
+call checks them all, so the point's fixed work runs once.  Every cell
+point's fiber covectors are one batch too, given as rows
+(``_fiber_elements``): conormal-matrix and conormal-flag check them with
+one members call per point, and diagram-chase chases the covectors of
+each x together (``_chase_to_grass``) and checks them with one
+``conormal_grass_members`` call, so each embedded V is planned once.
 
-embed-thm and rank-lemma draw nothing and ignore ``trials``.  Their
-statements are invariant under the B x B action x -> b_l x b_r, and the
+conormal-grass, whose checks at E_S decide every verdict, ignores
+``trials``; embed-thm and rank-lemma draw nothing and ignore it too.
+Their statements are invariant under the B x B action x -> b_l x b_r, and the
 orbit O_u of a partial permutation u holds u's 0/1 matrix, so each checks
 every partial u of each size at that matrix: a proof for the size, over
 every field.  embed-thm and the zero-section loop of conormal-grass read
@@ -39,6 +41,8 @@ from __future__ import annotations
 import random
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
+from functools import partial
+from math import isqrt
 from operator import getitem, itemgetter, mul
 from typing import NamedTuple
 
@@ -50,11 +54,10 @@ from .conormal import (
     conormal_grass_members,
     conormal_matrix_members,
     conormal_matrix_violations,
-    push_iota,
     tangent_orbit_rank,
     vector_to_matrix,
 )
-from .embedding import embed_point, fixed_point_bits, target_holds
+from .embedding import embed_point, fixed_point_bits, target_grass_index, target_holds
 from .errors import DimensionMismatchError, InputError
 from .exactla import (
     DEFAULT_PRIME,
@@ -64,7 +67,7 @@ from .exactla import (
     _draws,
     _insert,
     _products,
-    random_matrix,
+    coordinate_subspace,
 )
 from .kl import (
     KL_COVEX_MAX_N,
@@ -148,20 +151,6 @@ def _covexillary_cases(
                 yield n, w, f"n={n}/w={w.one_line()}"
 
 
-def _rejection(members: list[bool] | None) -> tuple[float | None, bool]:
-    """(rate, rate >= REJECTION_THRESHOLD), rate the share of False verdicts.
-
-    members holds the membership verdicts of covectors that must be
-    rejected.  Where the fiber is the whole space every covector is valid
-    and there is nothing to reject: then the caller checks nothing, passes
-    None and the estimate is (None, True).
-    """
-    if members is None:
-        return None, True
-    rate = members.count(False) / len(members)
-    return rate, rate >= REJECTION_THRESHOLD
-
-
 def _fiber_elements(
     fiber: Subspace, n: int, field: FieldSpec, rng: random.Random, extra: int
 ) -> list[tuple[tuple, ...]]:
@@ -183,34 +172,42 @@ def _fiber_elements(
 
 
 def _off_fiber_rejection(
-    w: PartialPermutation, field: FieldSpec, coordinates: Iterable[int], rng: random.Random
-) -> tuple[float | None, bool]:
-    """_rejection over the directions off the fiber at w's 0/1 matrix x.
+    fiber: Subspace,
+    coordinates: Iterable[int],
+    members: Callable[[list], list[bool]],
+    rng: random.Random,
+    valid: Sequence = (),
+) -> tuple[int, float | None, bool]:
+    """(valid rejected, rate, rate >= REJECTION_THRESHOLD) at a smooth point.
 
-    x lies in the open orbit of X_w, where X_w is smooth, so the criterion
-    must accept there exactly the conormal fiber, conormal_fiber_matrix(x,
-    w).  One random element of the fiber plus a nonzero multiple of E_k is
-    off it for each k of coordinates (row-major in y) that is not a pivot
-    of the fiber's echelon basis; each such covector must be rejected.
-    Where coordinates holds no such k there is nothing to reject.
+    There the criterion must accept exactly the conormal fiber, a subspace
+    of F^(N^2) read row-major in the N x N covectors.  members gives the
+    verdicts of a list of covectors, each as its rows, and valid holds
+    covectors to accept.  One random fiber element plus a nonzero multiple
+    of E_k is off the fiber for each k of coordinates off its pivots; rate
+    is the share of those rejected, None when there is no such k.  One
+    members call checks valid and the off-fiber covectors together.
     """
-    x = w.matrix(field)
-    fiber = conormal_fiber_matrix(x, w)
     pivots = set(fiber.pivots)
     off = [k for k in coordinates if k not in pivots]
-    if not off:
-        return _rejection(None)
-    n, p = w.n, field.p
-    coeffs = _draws(rng, p, fiber.dim)
-    element = [0] * (n * n)
-    if fiber.dim:
-        element = [sum(map(mul, coeffs, col)) % p for col in zip(*fiber.vectors)]
     ys = []
-    for k, c in zip(off, _draws(rng, p - 1, len(off))):
-        y = element.copy()
-        y[k] = (y[k] + c + 1) % p
-        ys.append([y[a : a + n] for a in range(0, n * n, n)])
-    return _rejection(conormal_matrix_members(x, w, ys))
+    if off:
+        p, size = fiber.field.p, fiber.ambient
+        N = isqrt(size)
+        coeffs = _draws(rng, p, fiber.dim)
+        element = [0] * size
+        if fiber.dim:
+            element = [sum(map(mul, coeffs, col)) % p for col in zip(*fiber.vectors)]
+        for k, c in zip(off, _draws(rng, p - 1, len(off))):
+            y = element.copy()
+            y[k] = (y[k] + c + 1) % p
+            ys.append(tuple(tuple(y[a : a + N]) for a in range(0, size, N)))
+    verdicts = members([*valid, *ys]) if valid or ys else []
+    rejected_valid = verdicts[: len(valid)].count(False)
+    if not off:
+        return rejected_valid, None, True
+    rate = verdicts[len(valid) :].count(False) / len(off)
+    return rejected_valid, rate, rate >= REJECTION_THRESHOLD
 
 
 def _suite_covex_equiv(config: SuiteConfig) -> Iterator[Case]:
@@ -351,7 +348,10 @@ def _suite_conormal_matrix(config: SuiteConfig) -> Iterator[Case]:
                 # they disagree, the case reports it instead of crashing
                 violations = conormal_matrix_violations(point, w)
                 first_failure = violations[0] if violations else {"kind": "disagreement"}
-        reject_rate, rejection_ok = _off_fiber_rejection(w, field, range(n * n), rng)
+        x = w.matrix(field)
+        _, reject_rate, rejection_ok = _off_fiber_rejection(
+            conormal_fiber_matrix(x, w), range(n * n), partial(conormal_matrix_members, x, w), rng
+        )
         yield case, rejected_valid == 0 and dim_mismatches == 0 and rejection_ok, {
             "rejected_valid": rejected_valid,
             "dim_mismatches": dim_mismatches,
@@ -378,7 +378,10 @@ def _suite_conormal_flag(config: SuiteConfig) -> Iterator[Case]:
         # the flag covectors over w's flag are the matrix covectors U w^-1, U
         # strictly upper: entry (i, j) of U sits at row i, column w(j)
         springer = (i * n + v - 1 for j, v in enumerate(w.image) for i in range(j))
-        reject_rate, rejection_ok = _off_fiber_rejection(w, field, springer, rng)
+        x = w.matrix(field)
+        _, reject_rate, rejection_ok = _off_fiber_rejection(
+            conormal_fiber_matrix(x, w), springer, partial(conormal_matrix_members, x, w), rng
+        )
         yield case, rejected_valid == 0 and dim_mismatches == 0 and rejection_ok, {
             "rejected_valid": rejected_valid,
             "dim_mismatches": dim_mismatches,
@@ -387,36 +390,29 @@ def _suite_conormal_flag(config: SuiteConfig) -> Iterator[Case]:
         }
 
 
-def _springer_fiber_sample(
-    V: Subspace, field: FieldSpec, rng: random.Random
-) -> ExactMatrix:
-    """Uniform x with Im(x) in V and V in ker(x): x = B A P for random A.
+def _grass_fixed_point(
+    data: CovexillaryData, field: FieldSpec
+) -> tuple[Subspace, Subspace, list[int]]:
+    """(E_S, its orbit conormal, its Springer coordinates), S = target_grass_index(data).
 
-    B holds V's reduced echelon basis b_k as columns and P maps F^N onto the
-    coordinates along the non-pivot unit vectors e_c, modulo V.  Each b_k
-    is 1 at its own pivot and 0 at the others, so row c of P is e_c minus
-    b_k[c] at the pivot of each b_k.  When V is 0 or F^N the only such x is 0.
+    E_S is the fixed point of the target's open cell, a smooth point.  The
+    Springer fiber Im(x) in E_S in ker(x) is the x with x_ab != 0 only at
+    a in S, b not in S; the orbit conormal is its part with a < b, the x
+    that annihilate every upper triangular b under the trace.  Coordinates
+    are row-major in x: (a, b), 0-based, is a N + b for N = 2n.
     """
-    N, d = V.ambient, V.dim
-    if d in (0, N):
-        return ExactMatrix.zeros(field, N, N)
-    p = field.p
-    projector = []
-    for c in range(N):
-        if c not in V.pivots:
-            row = [0] * N
-            row[c] = 1
-            for k, b in zip(V.pivots, V.vectors):
-                row[k] = -b[c] % p
-            projector.append(tuple(row))
-    coeffs = random_matrix(field, d, N - d, rng)
-    return V.basis_matrix @ coeffs @ ExactMatrix(field, tuple(projector))
+    N = 2 * data.n
+    S = target_grass_index(data).positions
+    springer = [(a - 1) * N + b for a in S for b in range(N) if b + 1 not in S]
+    fiber = [k + 1 for k in springer if k // N < k % N]
+    return coordinate_subspace(field, N, S), coordinate_subspace(field, N * N, fiber), springer
 
 
 def _suite_conormal_grass(config: SuiteConfig) -> Iterator[Case]:
     field = _field(config)
     for n in range(1, config.n_max + 1):
-        zero = ExactMatrix.zeros(field, 2 * n, 2 * n)
+        N = 2 * n
+        zero = ExactMatrix.zeros(field, N, N)
         for cases, cells in _orbit_cells(field, list(all_partial_permutations(n))):
             for w, case, inside in cases:
                 rng = _rng(config, case)
@@ -429,17 +425,21 @@ def _suite_conormal_grass(config: SuiteConfig) -> Iterator[Case]:
                     if lanes & inside and not conormal_grass_members(V, conditions, (zero,))[0]:
                         failing |= lanes
                 failures = (failing & inside).bit_count()
-                # rejection power over the Springer fiber at a generic cell
-                # image; the fiber is everything exactly when w has no dot
-                members = None
-                if any(w.image):
-                    x = sample_cell_point(w, field, rng)
-                    V = embed_point(x, data)
-                    samples = [_springer_fiber_sample(V, field, rng) for _ in range(config.trials)]
-                    members = conormal_grass_members(V, conditions, samples)
-                reject_rate, rejection_ok = _rejection(members)
-                yield case, failures == 0 and rejection_ok, {
+                # at E_S, a smooth point: the fiber accepted, every Springer
+                # direction off it rejected
+                V, fiber, springer = _grass_fixed_point(data, field)
+                rejected_valid, reject_rate, rejection_ok = _off_fiber_rejection(
+                    fiber,
+                    springer,
+                    lambda xs: conormal_grass_members(
+                        V, conditions, [ExactMatrix(field, x) for x in xs]
+                    ),
+                    rng,
+                    _fiber_elements(fiber, N, field, rng, extra=5),
+                )
+                yield case, failures == 0 and rejected_valid == 0 and rejection_ok, {
                     "zero_section_failures": failures,
+                    "rejected_valid": rejected_valid,
                     "reject_rate": reject_rate,
                 }
 
@@ -504,10 +504,9 @@ def _suite_diagram_chase(config: SuiteConfig) -> Iterator[Case]:
                 V = embed_point(g, data)
                 flag, zfiber = conormal_fiber_flag(g, w)
                 ginv = flag.inverse
-                # each z of the flag fiber as a matrix covector g^-1 z g, pushed along GL_n
+                # each z of the flag fiber pushed along GL_n: the matrix covector g^-1 z
                 pushed = [
-                    push_iota(g, ginv @ vector_to_matrix(field, zvec, n) @ g).y.entries
-                    for zvec in zfiber.vectors
+                    (ginv @ vector_to_matrix(field, zvec, n)).entries for zvec in zfiber.vectors
                 ]
                 samples += len(pushed)
                 members = conormal_matrix_members(g, w, pushed)
@@ -576,7 +575,7 @@ _SUITES: dict[str, _Suite] = {
     "rank-lemma": _Suite(_suite_rank_lemma, 4, 1, 7),
     "conormal-matrix": _Suite(_suite_conormal_matrix, 4, 20, 7),
     "conormal-flag": _Suite(_suite_conormal_flag, 4, 20, 7),
-    "conormal-grass": _Suite(_suite_conormal_grass, 3, 30, 7),
+    "conormal-grass": _Suite(_suite_conormal_grass, 3, 1, 7),
     "diagram-chase": _Suite(_suite_diagram_chase, 4, 5, 7),
     "kl-covex": _Suite(_suite_kl_covex, 4, 1, KL_COVEX_MAX_N),
     "multidegree": _Suite(_suite_multidegree, 3, 1, MULTIDEGREE_MAX_N),

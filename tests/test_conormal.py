@@ -30,7 +30,7 @@ from covex.conormal import (
     tangent_orbit_rank,
     vector_to_matrix,
 )
-from covex.embedding import embed_point, tau_permutation
+from covex.embedding import embed_point, fixed_point_index, tau_permutation
 from covex.errors import (
     CellMembershipError,
     DimensionMismatchError,
@@ -65,11 +65,12 @@ from covex.suites import (
     SuiteConfig,
     _chase_to_grass,
     _fiber_elements,
-    _springer_fiber_sample,
+    _grass_fixed_point,
     run_suite,
 )
 from covex.varieties import (
     Flag,
+    locate_grass_cell,
     matrix_schubert_violation,
     sample_cell_point,
     southwest_profile,
@@ -803,6 +804,30 @@ def test_grass_conormal_fixtures():
     assert not in_conormal_grass(SpringerGrassPoint(off, zero), conditions)
 
 
+def springer_fiber_sample(V: Subspace, field: FieldSpec, rng: random.Random) -> ExactMatrix:
+    """Uniform x with Im(x) in V and V in ker(x): x = B A P for random A.
+
+    B holds V's reduced echelon basis b_k as columns and P maps F^N onto the
+    coordinates along the non-pivot unit vectors e_c, modulo V.  Each b_k
+    is 1 at its own pivot and 0 at the others, so row c of P is e_c minus
+    b_k[c] at the pivot of each b_k.  When V is 0 or F^N the only such x is 0.
+    """
+    N, d = V.ambient, V.dim
+    if d in (0, N):
+        return ExactMatrix.zeros(field, N, N)
+    p = field.p
+    projector = []
+    for c in range(N):
+        if c not in V.pivots:
+            row = [0] * N
+            row[c] = 1
+            for k, b in zip(V.pivots, V.vectors):
+                row[k] = -b[c] % p
+            projector.append(tuple(row))
+    coeffs = random_matrix(field, d, N - d, rng)
+    return V.basis_matrix @ coeffs @ ExactMatrix(field, tuple(projector))
+
+
 def test_grass_verdict_is_the_empty_violation_list():
     """in_conormal_grass, which stops at the first violation, agrees with the
     full list of conormal_grass_violations at zero-section points over every
@@ -821,7 +846,7 @@ def test_grass_verdict_is_the_empty_violation_list():
             for u in all_partial_permutations(n):
                 V = embed_point(sample_cell_point(u, field, rng), data)
                 points.append(SpringerGrassPoint(V, ExactMatrix.zeros(field, 2 * n, 2 * n)))
-                points.append(SpringerGrassPoint(V, _springer_fiber_sample(V, field, rng)))
+                points.append(SpringerGrassPoint(V, springer_fiber_sample(V, field, rng)))
             x = sample_cell_point(w, field, rng)
             ys = [vector_to_matrix(field, v, n) for v in conormal_fiber_matrix(x, w).vectors]
             ys += [random_matrix(field, n, n, rng) for _ in range(3)]
@@ -848,7 +873,7 @@ def test_springer_fiber_sample_at_zero_and_the_whole_space_is_the_zero_matrix():
     field = FieldSpec.prime(7)
     for N in (1, 4):
         for V in (coordinate_subspace(field, N, range(1, N + 1)), Subspace.zero(field, N)):
-            x = _springer_fiber_sample(V, field, random.Random(3))
+            x = springer_fiber_sample(V, field, random.Random(3))
             assert x.shape == (N, N) and x.is_zero()
             assert in_conormal_grass(SpringerGrassPoint(V, x), [])
 
@@ -972,11 +997,11 @@ def test_springer_containments_are_two_products():
 
 
 def springer_points(V, field, rng):
-    """Springer points (V, x) to check: _springer_fiber_sample draws over
+    """Springer points (V, x) to check: springer_fiber_sample draws over
     F_p, and over Q the points of springer_test_points that satisfy both
     containments."""
     if field.is_prime:
-        return [_springer_fiber_sample(V, field, rng) for _ in range(3)]
+        return [springer_fiber_sample(V, field, rng) for _ in range(3)]
     points = springer_test_points(V, field, rng)
     return [x for x in points if elimination_springer_check(V, x) is None]
 
@@ -1639,6 +1664,61 @@ def test_fibers_at_orbit_representatives_are_coordinate():
             pivots = set(conormal_fiber_matrix(w.matrix(F), w).pivots)
             assert pivots <= springer
             assert len(springer - pivots) == w.length()
+
+
+def grass_fiber_oracle(V, field):
+    """The orbit conormal at V = E_S as a kernel: the x in F^(N^2), row-major,
+    with Im(x) in V (phi x = 0 for phi in V's annihilator), V in ker(x)
+    (x v = 0 for v in V) and tr(x b) = 0 for every upper triangular b
+    (x_ji = 0 for i <= j); and the kernel of the two containments alone."""
+    N = V.ambient
+    annihilator = kernel(ExactMatrix(field, V.vectors)).vectors
+    containments = []
+    for j in range(N):
+        for phi in annihilator:
+            row = [0] * (N * N)
+            row[j::N] = phi
+            containments.append(row)
+    for i in range(N):
+        for v in V.vectors:
+            row = [0] * (N * N)
+            row[i * N : (i + 1) * N] = v
+            containments.append(row)
+    trace = [[int(k == j * N + i) for k in range(N * N)] for i in range(N) for j in range(i, N)]
+    return (
+        kernel(ExactMatrix.from_rows(field, containments + trace)),
+        kernel(ExactMatrix.from_rows(field, containments)),
+    )
+
+
+@pytest.mark.parametrize("field", [FieldSpec.prime(2), F], ids=str)
+def test_grass_fiber_at_the_target_fixed_point_is_the_linear_system_kernel(field):
+    """conormal-grass checks at a coordinate point V in the cell of w's
+    embedding, the target's open cell: its fiber there is the kernel of the
+    Springer containments and the trace against upper triangular b, and
+    its Springer coordinates span the kernel of the containments alone,
+    for every covexillary partial w with n <= 3 over F_2 and F_10007.  The
+    directions it must reject, the Springer coordinates off the fiber,
+    number dim X_w: V is a smooth point of the target, which has the
+    dimension of X_w."""
+    cases = 0
+    for n in (1, 2, 3):
+        for w in all_partial_permutations(n):
+            if not is_covexillary(w):
+                continue
+            data = covexillary_data(w)
+            V, fiber, springer = _grass_fixed_point(data, field)
+            N = 2 * n
+            assert V.dim == n and all(v.count(1) == 1 and v.count(0) == N - 1 for v in V.vectors)
+            assert locate_grass_cell(V) == fixed_point_index(w, data)
+            orbit_conormal, springer_space = grass_fiber_oracle(V, field)
+            assert fiber == orbit_conormal
+            assert springer_space == coordinate_subspace(field, N * N, [k + 1 for k in springer])
+            off = [k for k in springer if k not in fiber.pivots]
+            assert len(off) == len(springer) - fiber.dim
+            assert len(off) == tangent_orbit_rank(w.matrix(field))
+            cases += 1
+    assert cases == 42
 
 
 @pytest.mark.parametrize("prime", [2, 3])

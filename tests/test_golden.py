@@ -8,6 +8,7 @@ are chosen so that every command hits at least one violation.
 
 import hashlib
 import json
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -23,7 +24,7 @@ SUITE_DIGESTS = {
     "rank-lemma": "3ce4b8d1562ec549af5fc004f9c3b645cbb401ac2ca0fe2dadeacd8f34f17121",
     "conormal-matrix": "ce0cbf8b832735d64f5599613a90bc095ad194a2060e8e3d3db2098b0c2b8297",
     "conormal-flag": "2886ab7a869c2a310de550b5f7b87871f0225d0fed6c8d20183b1d3fbdbc9460",
-    "conormal-grass": "e4109c970decfa8581f4a358c958b369260582800f33cfa0b9f602518aaba838",
+    "conormal-grass": "39cba23f329628b8441a80bb1a61ba391a7e9dced6878df245e4ca50b9ed5836",
     "diagram-chase": "212585c740b5757b8645b9b67044d8ff8ae458142e7560c1cfc436e3784aa1f7",
     "kl-covex": "a41fd6a95cb1072ea9553fe3943d1dc0ce7456ea9ed57389a265b7f60d48f8f6",
     "multidegree": "f49e862944de536dc216108c3a3486f2201a9805b998078f51e851c3a2d7ece9",
@@ -88,6 +89,19 @@ def test_orbit_representative_suites_draw_nothing(suite, capsys, monkeypatch):
     reports.append(capsys.readouterr().out)
     assert reports[0] == reports[1] == reports[2]
     assert hashlib.sha256(reports[0].encode("utf-8")).hexdigest() == SUITE_DIGESTS[suite]
+
+
+def test_conormal_grass_report_ignores_trials_seed_and_field(capsys):
+    """conormal-grass decides each verdict at the fixed point E_S of the
+    target's open cell: its report is the same at every trials, seed and
+    field, F_2 included, where sampled Springer covectors would lie in the
+    variety by chance."""
+    for prime, trials, seed in product(("2", "3", "101", "10007"), ("1", "30"), ("0", "2")):
+        argv = ["--field", f"p:{prime}", "verify", "conormal-grass", "--nmax", "3"]
+        assert main([*argv, "--trials", trials, "--seed", seed]) == 0
+        out = capsys.readouterr().out
+        digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+        assert digest == SUITE_DIGESTS["conormal-grass"], (prime, trials, seed)
 
 
 @pytest.mark.parametrize("name", sorted(CLI_CASES))

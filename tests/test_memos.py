@@ -339,7 +339,7 @@ def test_embed_thm_samples_each_orbit_once(monkeypatch):
         embedded[x.rows] = embedded.get(x.rows, 0) + 1
         return embed_point(x, data)
 
-    for key, name in (("sample", "sample_cell_point"), ("random", "random_matrix"), ("rng", "_rng")):
+    for key, name in (("sample", "sample_cell_point"), ("random", "_draws"), ("rng", "_rng")):
         monkeypatch.setattr(suites, name, counted(key, getattr(suites, name)))
     monkeypatch.setattr(suites, "embed_point", embed)
     suites.run_suite(suites.SuiteConfig("embed-thm", n_max=4, trials=3))

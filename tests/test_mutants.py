@@ -100,29 +100,39 @@ BOUND_MUTANTS = {
     [
         ("every-bound-plus-one", "conormal-matrix", 39, 42),
         ("every-bound-plus-one", "conormal-flag", 6, 9),
+        ("every-bound-plus-one", "conormal-grass", 39, 42),
         ("last-check-dropped", "conormal-matrix", 18, 42),
         ("last-check-dropped", "conormal-flag", 3, 9),
+        ("last-check-dropped", "conormal-grass", 18, 42),
     ],
 )
 def test_broken_conormal_bounds_fail_the_matrix_and_flag_calibrations(
     monkeypatch, mutant, suite, flagged, total
 ):
-    """A loosened bound accepts some direction off the fiber at w's 0/1
-    matrix, a smooth point of X_w; the suites reject along every such
-    direction, so they fail at these counts with n <= 3."""
+    """A loosened bound accepts some direction off the fiber at a smooth
+    point: w's 0/1 matrix for the matrix and flag forms, the fixed point
+    E_S of the target's open cell for the Grassmannian form.  The suites
+    reject along every such direction, so they fail at these counts with
+    n <= 3.  The matrix form reads the table through permcore, the
+    Grassmannian form through the name conormal imports."""
     bounds = permcore.conormal_bounds
     mutate = BOUND_MUTANTS[mutant]
-    monkeypatch.setattr(permcore, "conormal_bounds", lambda *args: mutate(bounds(*args)))
+
+    def mutant_bounds(*args):
+        return mutate(bounds(*args))
+
+    monkeypatch.setattr(permcore, "conormal_bounds", mutant_bounds)
+    monkeypatch.setattr(conormal, "conormal_bounds", mutant_bounds)
     assert _failures(suite, 3) == (flagged, total)
 
 
-def test_grassmannian_ranks_read_a_column_right_fail_only_the_diagram_chase(monkeypatch):
+def test_grassmannian_ranks_read_a_column_right_fail_both_grassmannian_suites(monkeypatch):
     """Each Grassmannian rank read one column to the right, at t'_i in place
     of t'_i - 1 (the last column stays where it is), tightens every bound
     whose block gains a pivot.  The chased fiber covectors then break one at
-    almost every w, so diagram-chase fails; conormal-grass, whose rejection
-    covectors fail their bounds anyway and whose zero-section points have
-    rank 0 everywhere, still passes."""
+    almost every w, so diagram-chase fails; so does conormal-grass, whose
+    fiber elements at E_S, which must be accepted, break one too.  Its
+    zero-section points have rank 0 everywhere and still pass."""
     plan = conormal._grass_plan
 
     def mutant(V, conditions):
@@ -132,4 +142,4 @@ def test_grassmannian_ranks_read_a_column_right_fail_only_the_diagram_chase(monk
 
     monkeypatch.setattr(conormal, "_grass_plan", mutant)
     assert _failures("diagram-chase", 3, trials=1, seed=1) == (39, 42)
-    assert _failures("conormal-grass", 3, trials=1, seed=1) == (0, 42)
+    assert _failures("conormal-grass", 3, trials=1, seed=1) == (39, 42)
