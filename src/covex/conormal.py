@@ -3,9 +3,10 @@
 Three coordinate forms are covered: pairs (x, y) of n x n matrices for the
 conormal variety of a matrix Schubert variety, Springer pairs (V, x) on the
 Grassmannian side, and Springer pairs (F, z) on the flag side.  The rank
-bounds all come from one table, permcore.conormal_bounds: the Grassmannian
-form reads it on its own conditions, and the matrix form on the pairs
-(t_i, p_i + r_i) that the embedding pulls back (CovexillaryData.conormal_checks).
+bounds all come from one table, permcore.conormal_bounds, read through the
+permcore module by every form: the Grassmannian form on its own conditions
+(_grass_plan), and the matrix form on the pairs (t_i, p_i + r_i) that the
+embedding pulls back (CovexillaryData.conormal_checks).
 
 The matrix and Grassmannian forms read every rank off one southwest
 profile.  The Grassmannian blocks are southwest blocks of x itself.  The
@@ -79,12 +80,8 @@ from .exactla import (
     _span_rows,
     kernel,
 )
-from .permcore import (
-    CovexillaryData,
-    PartialPermutation,
-    conormal_bounds,
-    covexillary_data,
-)
+from . import permcore
+from .permcore import CovexillaryData, PartialPermutation, covexillary_data
 from .varieties import (
     Flag,
     grass_condition_checks,
@@ -373,22 +370,6 @@ def vector_to_matrix(field: FieldSpec, vec: Sequence, n: int) -> ExactMatrix:
     return ExactMatrix(field, tuple(tuple(vec[i * n : (i + 1) * n]) for i in range(n)))
 
 
-def tangent_orbit_rank(x: ExactMatrix) -> int:
-    """Rank of (u, v) -> u x + x v on pairs of upper-triangular matrices."""
-    n = x.rows
-    xs = x.entries
-    cols = []
-    for a in range(n):
-        for b in range(a, n):
-            col = [0] * (n * n)
-            col[a * n : (a + 1) * n] = xs[b]  # (E_{ab} x)_{aj} = x_{bj}
-            cols.append(tuple(col))
-            col = [0] * (n * n)
-            col[b :: n] = [row[a] for row in xs]  # (x E_{ab})_{ib} = x_{ia}
-            cols.append(tuple(col))
-    return ExactMatrix(x.field, tuple(zip(*cols))).rank()
-
-
 def _grass_plan(V: Subspace, conditions: Sequence[tuple[int, int]]):
     """What V fixes for the list [(t'_i, c_i)] of Gr_u: (schubert, reads).
 
@@ -410,7 +391,7 @@ def _grass_plan(V: Subspace, conditions: Sequence[tuple[int, int]]):
     ts = [0, *(t for t, _ in conditions), N]
     reads = tuple(
         (ts[j], ts[i] - 1, i, j, bound)
-        for i, j, bound in conormal_bounds(conditions, N, V.dim)
+        for i, j, bound in permcore.conormal_bounds(conditions, N, V.dim)
         if ts[j] != N and ts[i] != 0
     )
     return schubert, reads

@@ -521,13 +521,19 @@ class Subspace:
 
 
 def coordinate_subspace(field: FieldSpec, ambient: int, indices: Iterable[int]) -> Subspace:
-    """Span of the standard basis vectors e_i for the given 1-based indices."""
-    vecs = []
+    """Span of the standard basis vectors e_i for the given 1-based indices.
+
+    The distinct unit vectors in index order are already a reduced echelon
+    basis, over every field, so no elimination runs.
+    """
+    chosen = set()
     for i in indices:
         if not 1 <= i <= ambient:
             raise DimensionMismatchError(f"coordinate index {i} outside 1..{ambient}")
-        vecs.append(tuple(int(k == i - 1) for k in range(ambient)))
-    return Subspace.span(field, ambient, vecs)
+        chosen.add(i - 1)
+    pivots = tuple(sorted(chosen))
+    vectors = tuple(tuple(int(k == c) for k in range(ambient)) for c in pivots)
+    return Subspace(field, ambient, vectors, pivots)
 
 
 def subspace_sum(a: Subspace, b: Subspace) -> Subspace:

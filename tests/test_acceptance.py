@@ -112,7 +112,7 @@ def test_criterion_08_diagram_chase_and_grass_form():
     _report(
         8,
         "diagram-chase + conormal-grass",
-        f"{chased} pushed samples satisfy the Springer form",
+        f"{chased} chased matrix-fiber samples satisfy the Springer form",
     )
 
 

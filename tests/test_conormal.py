@@ -27,7 +27,6 @@ from covex.conormal import (
     in_conormal_grass,
     in_conormal_matrix,
     push_iota,
-    tangent_orbit_rank,
     vector_to_matrix,
 )
 from covex.embedding import embed_point, fixed_point_index, tau_permutation
@@ -57,6 +56,7 @@ from covex.permcore import (
     all_permutations,
     bruhat_leq,
     covexillary_data,
+    diagram,
     is_covexillary,
     random_partial_permutation,
     rank_matrix,
@@ -568,14 +568,44 @@ def test_fiber_extremes():
         conormal_fiber_matrix(ExactMatrix.zeros(F, 3, 3), w0)
 
 
+def tangent_orbit_rank(x: ExactMatrix) -> int:
+    """Rank of (u, v) -> u x + x v on pairs of upper-triangular matrices.
+
+    This is the dimension of the B x B orbit through x, computed from the
+    orbit's tangent map rather than from the trace-pairing system that
+    conormal_fiber_matrix solves.
+    """
+    n = x.rows
+    xs = x.entries
+    cols = []
+    for a in range(n):
+        for b in range(a, n):
+            col = [0] * (n * n)
+            col[a * n : (a + 1) * n] = xs[b]  # (E_{ab} x)_{aj} = x_{bj}
+            cols.append(tuple(col))
+            col = [0] * (n * n)
+            col[b :: n] = [row[a] for row in xs]  # (x E_{ab})_{ib} = x_{ia}
+            cols.append(tuple(col))
+    return ExactMatrix(x.field, tuple(zip(*cols))).rank()
+
+
 def test_fiber_dimension_equals_orbit_corank():
+    """The conormal fiber has dimension |D(w)|, the codimension of the orbit
+    of w (Fulton 1992), which conormal-matrix and conormal-flag check
+    against; the tangent map of the orbit gives the same number, at a
+    sampled cell point and at w's 0/1 matrix, for every partial w with
+    n <= 4, covexillary or not, over F_2 and F_10007."""
     rng = random.Random(3)
-    for n in (1, 2, 3):
-        for w in all_partial_permutations(n):
-            if not is_covexillary(w):
-                continue
-            x = sample_cell_point(w, F, rng)
-            assert conormal_fiber_matrix(x, w).dim == n * n - tangent_orbit_rank(x)
+    points = 0
+    for field in (FieldSpec.prime(2), F):
+        for n in (1, 2, 3, 4):
+            for w in all_partial_permutations(n):
+                expected = len(diagram(w))
+                for x in (sample_cell_point(w, field, rng), w.matrix(field)):
+                    fiber = conormal_fiber_matrix(x, w)
+                    assert fiber.dim == expected == n * n - tangent_orbit_rank(x)
+                    points += 1
+    assert points == 2 * 2 * 252
 
 
 def test_oracle_soundness_small():

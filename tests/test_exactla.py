@@ -3,6 +3,7 @@
 import pickle
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -158,6 +159,23 @@ def test_rank_invariances():
         rng.shuffle(rows)
         rng.shuffle(cols)
         assert a.submatrix(rows, cols).rank() == a.rank()
+
+
+@pytest.mark.parametrize("field", [FieldSpec.prime(2), F, Q], ids=str)
+def test_coordinate_subspace_is_the_span_of_its_unit_vectors(field):
+    """coordinate_subspace builds its echelon basis without elimination; it
+    equals Subspace.span of the same unit vectors for every tuple of
+    indices with ambient <= 5, repeated and unsorted indices included, and
+    refuses an index outside 1..ambient."""
+    for ambient in range(1, 6):
+        units = [tuple(int(k == i) for k in range(ambient)) for i in range(ambient)]
+        for length in range(ambient + 1):
+            for indices in product(range(1, ambient + 1), repeat=length):
+                expected = Subspace.span(field, ambient, [units[i - 1] for i in indices])
+                assert coordinate_subspace(field, ambient, indices) == expected
+        for bad in (0, ambient + 1):
+            with pytest.raises(DimensionMismatchError, match="outside"):
+                coordinate_subspace(field, ambient, [1, bad])
 
 
 def test_dim_quotient_fixtures():

@@ -25,7 +25,7 @@ SUITE_DIGESTS = {
     "conormal-matrix": "ce0cbf8b832735d64f5599613a90bc095ad194a2060e8e3d3db2098b0c2b8297",
     "conormal-flag": "2886ab7a869c2a310de550b5f7b87871f0225d0fed6c8d20183b1d3fbdbc9460",
     "conormal-grass": "39cba23f329628b8441a80bb1a61ba391a7e9dced6878df245e4ca50b9ed5836",
-    "diagram-chase": "212585c740b5757b8645b9b67044d8ff8ae458142e7560c1cfc436e3784aa1f7",
+    "diagram-chase": "f2ab728f99214aca0632a13b3b78140ef8db86534d0d7ca1afa0496a564b8c27",
     "kl-covex": "a41fd6a95cb1072ea9553fe3943d1dc0ce7456ea9ed57389a265b7f60d48f8f6",
     "multidegree": "f49e862944de536dc216108c3a3486f2201a9805b998078f51e851c3a2d7ece9",
 }

@@ -7,13 +7,19 @@ if a broken predicate makes it fail.
 """
 
 import random
+from itertools import combinations
 
 import pytest
 
-from covex import conormal, embedding, permcore
-from covex.exactla import DEFAULT_PRIME, FieldSpec
+from covex import conormal, embedding, permcore, suites
+from covex.exactla import DEFAULT_PRIME, ExactMatrix, FieldSpec, kernel
 from covex.embedding import check_target_space
-from covex.permcore import all_partial_permutations, covexillary_data, is_covexillary
+from covex.permcore import (
+    RankMatrix,
+    all_partial_permutations,
+    covexillary_data,
+    is_covexillary,
+)
 from covex.suites import SuiteConfig, run_suite
 from covex.varieties import grass_condition_checks
 from test_conormal import check_members_agree_with_violations
@@ -113,8 +119,8 @@ def test_broken_conormal_bounds_fail_the_matrix_and_flag_calibrations(
     point: w's 0/1 matrix for the matrix and flag forms, the fixed point
     E_S of the target's open cell for the Grassmannian form.  The suites
     reject along every such direction, so they fail at these counts with
-    n <= 3.  The matrix form reads the table through permcore, the
-    Grassmannian form through the name conormal imports."""
+    n <= 3.  Every form reads the table through permcore, so patching
+    that one name reaches all three."""
     bounds = permcore.conormal_bounds
     mutate = BOUND_MUTANTS[mutant]
 
@@ -122,7 +128,6 @@ def test_broken_conormal_bounds_fail_the_matrix_and_flag_calibrations(
         return mutate(bounds(*args))
 
     monkeypatch.setattr(permcore, "conormal_bounds", mutant_bounds)
-    monkeypatch.setattr(conormal, "conormal_bounds", mutant_bounds)
     assert _failures(suite, 3) == (flagged, total)
 
 
@@ -143,3 +148,60 @@ def test_grassmannian_ranks_read_a_column_right_fail_both_grassmannian_suites(mo
     monkeypatch.setattr(conormal, "_grass_plan", mutant)
     assert _failures("diagram-chase", 3, trials=1, seed=1) == (39, 42)
     assert _failures("conormal-grass", 3, trials=1, seed=1) == (39, 42)
+
+
+def test_a_fiber_without_its_diagonal_equations_fails_conormal_matrix(monkeypatch):
+    """conormal_fiber_matrix with range(a) in place of range(a + 1) leaves
+    the diagonals of xy and yx free, so its fiber outgrows |D(w)|.  The
+    suite sees that as a dimension mismatch at every w whose fiber at a
+    cell point is not all of Mat_n, 39 of 42 with n <= 3."""
+
+    def without_diagonal(x, w):
+        n, xs = w.n, x.entries
+        rows = [(0,) * (n * n)]  # n = 1 has no entry below the diagonal
+        for a in range(n):
+            for b in range(a):
+                row = [0] * (n * n)
+                row[b::n] = xs[a]
+                rows.append(tuple(row))
+                row = [0] * (n * n)
+                row[a * n : (a + 1) * n] = [xs[k][b] for k in range(n)]
+                rows.append(tuple(row))
+        return kernel(ExactMatrix(x.field, tuple(rows)))
+
+    monkeypatch.setattr(suites, "conormal_fiber_matrix", without_diagonal)
+    verdicts = run_suite(SuiteConfig("conormal-matrix", n_max=3, trials=1, seed=1))
+    failed = [v for v in verdicts if not v.passed]
+    assert (len(failed), len(verdicts)) == (39, 42)
+    assert all(v.details["dim_mismatches"] for v in failed)
+
+
+def test_a_4231_detector_fails_covex_equiv_at_3412_and_4231(monkeypatch):
+    """Covexillary means 3412-avoiding; a detector of the other pattern of
+    vexillary duality, 4231, disagrees with the chain condition exactly at
+    the two permutations with n <= 4 that hold one pattern and not the
+    other."""
+
+    def avoids_4231(w):
+        v = w.image
+        return not any(v[l] < v[j] < v[k] < v[i] for i, j, k, l in combinations(range(w.n), 4))
+
+    monkeypatch.setattr(suites, "avoids_3412", avoids_4231)
+    verdicts = run_suite(SuiteConfig("covex-equiv", n_max=4))
+    failed = [v.case for v in verdicts if not v.passed]
+    assert len(verdicts) == 33
+    assert failed == ["n=4/w=3 4 1 2", "n=4/w=4 2 3 1"]
+
+
+def test_a_rank_read_one_row_off_fails_rank_lemma(monkeypatch):
+    """rank-lemma reading r_u(p + 2, q) in place of r_u(p + 1, q), the rank
+    matrix shifted up by one row with a zero row at the bottom, breaks the
+    equality at 14 of the 29 pairs (p, q) with n <= 3."""
+    ranks = suites.rank_matrix
+
+    def shifted(u):
+        r = ranks(u)
+        return RankMatrix(r.n, r.entries[1:] + ((0,) * r.n,))
+
+    monkeypatch.setattr(suites, "rank_matrix", shifted)
+    assert _failures("rank-lemma", 3) == (14, 29)
