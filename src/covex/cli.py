@@ -62,10 +62,19 @@ def _emit(payload) -> None:
     print(json.dumps(payload, sort_keys=True))
 
 
+# ess and covex build n x n tables: about 100 MB at n = 1,000
+MAX_PERM_N = 64
+# a conormal fiber solves for n^2 unknowns: under 1 s at n = 16, 21 s at n = 32
+MAX_FIBER_N = 16
+
+
 def _perm(text: str | None) -> PartialPermutation:
     if text is None:
         raise InputError("missing partial permutation (pass --w)")
-    return PartialPermutation.from_one_line(text)
+    w = PartialPermutation.from_one_line(text)
+    if w.n > MAX_PERM_N:
+        raise InputError(f"partial permutations are limited to n <= {MAX_PERM_N}; got n = {w.n}")
+    return w
 
 
 def _positions(text: str) -> tuple[int, ...]:
@@ -184,8 +193,11 @@ def _grass_conditions(args, point) -> tuple[tuple[int, int], ...]:
         return data.grass_conditions
     if args.conditions is None:
         raise InputError("provide --w or --conditions t:c,t:c for the grass form")
+    chunks, N = args.conditions.split(","), point.V.ambient
+    if len(chunks) > N:  # each pair of conditions is a bound
+        raise InputError(f"at most {N} conditions in Gr(d, {N}); got {len(chunks)}")
     out = []
-    for chunk in args.conditions.split(","):
+    for chunk in chunks:
         t, _, c = chunk.partition(":")
         try:
             out.append((int(t), int(c)))
@@ -211,6 +223,8 @@ def _cmd_conormal(args, field: FieldSpec) -> int:
     if args.kind == "grass":
         raise InputError("no conormal fiber for the grass form; use matrix or flag")
     w = _perm(args.w)
+    if w.n > MAX_FIBER_N:
+        raise InputError(f"conormal fibers are limited to n <= {MAX_FIBER_N}; got n = {w.n}")
     x = parse_point_file(args.point, "matrix", field)
     if args.kind == "matrix":
         fiber = conormal_fiber_matrix(x, w)

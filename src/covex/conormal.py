@@ -22,16 +22,15 @@ every M_ij is a southwest block of the n x n core N = H y G: its rows are
 the members of H after position t_j, its columns the members of G up to
 position t_i.  The pivots themselves come from the southwest profile of x
 (the span of the first t_i columns is x E_{q_i} + E_{p_i}), which the
-Schubert check has already computed.  N itself is never formed either:
-its rows are built and eliminated bottom-up, one at a time, and each bound
-is read as soon as the elimination has passed its row cut, so membership
-stops at the first broken bound.  A unit row of H copies a row of y; only
-a row of x in H costs a product with y.  What depends on x alone (its
-size, its Schubert check, the pivots, and the plan of which rows enter
-before which checks, with G held as n columns) is built once per x:
-conormal_matrix_members checks a batch of covectors over one x, each
-given by its n rows, and runs only the elimination for each;
-in_conormal_matrix and the diagnostics pass y.entries.
+Schubert check has already computed.  So every bound is one read of the
+southwest profile of N, taken by the kernel that gives x's own profile
+(exactla._southwest_profile), as every Grassmannian bound is one read of
+x's profile.  A unit row of H copies a row of y; only a row of x in H
+costs a product with y.  What depends on x alone (its size, its Schubert
+check, and the flat plan: H as n rows, G as n columns and one read per
+bound) is built once per x: conormal_matrix_members checks a batch of
+covectors over one x, each given by its n rows, and forms N and its
+profile for each; in_conormal_matrix and the diagnostics pass y.entries.
 
 The Grassmannian form has the same batch shape.  What V fixes, its
 Schubert verdict and the list of southwest reads (row cut, column, bound),
@@ -59,7 +58,6 @@ over a flag cell generator g it is {z : z and g^-1 z g strictly upper}.
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
 from dataclasses import dataclass
 from functools import cached_property
 from operator import mul
@@ -75,8 +73,8 @@ from .exactla import (
     ExactMatrix,
     FieldSpec,
     Subspace,
-    _insert,
     _products,
+    _southwest_profile,
     _span_rows,
     kernel,
 )
@@ -226,59 +224,51 @@ def core_pivots(
 
 
 def _core_plan(x: ExactMatrix, data: CovexillaryData):
-    """The part of _core_violations that x fixes: (p, G, steps), built once per x.
+    """The part of _core_violations that x fixes: (p, H, G, reads), built once per x.
 
-    G holds the n core columns, unit columns included.  For j = m-1 down to
-    0, steps holds the rows of H that enter before the checks of j, as
-    (k, None) for the unit row e_{k+1} or (k, row of x), and those checks,
-    as (position in data.conormal_checks, cols_through[i], bound).
+    H holds the n core rows in tau order, as (k, None) for the unit row
+    e_{k+1} or (k, row of x); G holds the n core columns, unit columns
+    included.  reads holds (k, rows_before[j], cols_through[i], bound) for
+    each check k = (i, j, bound) of data.conormal_checks, in that order.
     """
     n = data.n
     rows, cols, rows_before, cols_through = core_pivots(x, data)
+    H = [(k, x.entries[k - n] if k >= n else None) for k in rows]
     G = [x.columns[c] if c < n else tuple(int(c - n == a) for a in range(n)) for c in cols]
-    reads: list[list] = [[] for _ in range(data.m)]
-    for k, (i, j, bound) in enumerate(data.conormal_checks):
-        reads[j].append((k, cols_through[i], bound))
-    steps = []
-    for j in reversed(range(data.m)):
-        adds = reversed(rows[rows_before[j] : rows_before[j + 1]])
-        steps.append(([(k, x.entries[k - n] if k >= n else None) for k in adds], reads[j]))
-    return x.field.p, G, steps
+    reads = [
+        (k, rows_before[j], cols_through[i], bound)
+        for k, (i, j, bound) in enumerate(data.conormal_checks)
+    ]
+    return x.field.p, H, G, reads
 
 
 def _core_violations(plan, y_rows):
-    """Yield (k, rank) for each check k of data.conormal_checks that fails at (x, y).
+    """Yield (k, rank) for each check k of data.conormal_checks that fails at (x, y), in order.
 
-    plan is _core_plan(x, data) and y_rows holds the n rows of y.  Check
-    (i, j, bound) reads the southwest rank of the core N = H y G on the rows
-    from rows_before[j] down and the columns before cols_through[i].  N is
-    never formed: its rows are built one at a time, bottom-up, and go into
-    one echelon basis, so once row a is in, the rank of rows a.., columns
-    ..b is the number of pivots before b.  A row of H y is a row of y or a
-    row of x times y, and its row of N is n dot products with G.  The
-    checks of j are read as soon as its rows are in, so a caller that stops
-    at the first failure builds no row above it.
+    plan is _core_plan(x, data) and y_rows holds the n rows of y.  A row of
+    H y is a row of y or a row of x times y, and its row of the core
+    N = H y G is n dot products with G.  Check k reads the southwest rank
+    of N on the rows from rows_before[j] on and the columns before
+    cols_through[i], off one southwest profile; an empty block has rank 0.
     """
-    p, G, steps = plan
+    p, H, G, reads = plan
     y_cols = None  # read only when H holds a row of x
-    basis: dict = {}
-    pivots: list[int] = []  # the pivot columns of basis, sorted
-    for adds, reads in steps:
-        for k, x_row in adds:
-            if x_row is None:
-                hy = y_rows[k]
-            else:
-                if y_cols is None:
-                    y_cols = tuple(zip(*y_rows))
-                hy = [sum(map(mul, x_row, c)) for c in y_cols]
-            # unreduced: _insert reduces mod p, or scales to integers over Q
-            c = _insert(basis, [sum(map(mul, hy, g)) for g in G], p)
-            if c is not None:
-                insort(pivots, c)
-        for k, cut, bound in reads:
-            rank = bisect_left(pivots, cut)
-            if rank > bound:
-                yield k, rank
+    core = []
+    for k, x_row in H:
+        if x_row is None:
+            hy = y_rows[k]
+        else:
+            if y_cols is None:
+                y_cols = tuple(zip(*y_rows))
+            hy = [sum(map(mul, x_row, c)) for c in y_cols]
+        # unreduced: _southwest_profile reduces mod p, or scales to integers over Q
+        core.append([sum(map(mul, hy, g)) for g in G])
+    profile = _southwest_profile(core, len(G), p)
+    n = len(H)
+    for k, below, through, bound in reads:
+        rank = profile[below][through - 1] if below < n and through else 0
+        if rank > bound:
+            yield k, rank
 
 
 def _matrix_data(x: ExactMatrix, w: PartialPermutation) -> CovexillaryData:
@@ -297,8 +287,8 @@ def conormal_matrix_members(
     from draws); a ragged or wrong-size y raises DimensionMismatchError.
     What depends on x alone runs once: covexillary_data(w), the Schubert
     check and the core plan.  If x is outside the matrix Schubert variety
-    every verdict is False; otherwise only the elimination of
-    _core_violations runs per y, stopping at the first failed bound.
+    every verdict is False; otherwise only _core_violations runs per y: it
+    forms the core and reads its southwest profile.
     """
     data = _matrix_data(x, w)
     n = data.n
@@ -311,7 +301,7 @@ def conormal_matrix_members(
 
 
 def in_conormal_matrix(pt: CotangentMatrixPoint, w: PartialPermutation) -> bool:
-    """Membership; stops at the first failed bound the elimination meets."""
+    """Membership: a batch of one for conormal_matrix_members."""
     return conormal_matrix_members(pt.x, w, (pt.y.entries,))[0]
 
 
@@ -329,7 +319,7 @@ def conormal_matrix_violations(pt: CotangentMatrixPoint, w: PartialPermutation) 
     if base is not None:
         out.append({"kind": "schubert", "condition": base})
     checks = data.conormal_checks
-    for k, rank in sorted(_core_violations(_core_plan(pt.x, data), pt.y.entries)):
+    for k, rank in _core_violations(_core_plan(pt.x, data), pt.y.entries):
         i, j, bound = checks[k]
         out.append({"kind": "rank", "i": i, "j": j, "rank": rank, "bound": bound})
     return out

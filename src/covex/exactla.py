@@ -98,18 +98,19 @@ class FieldSpec:
             raise FieldError(f"operands over different fields: {self} and {other}")
 
     def coerce(self, value) -> Scalar:
+        """An int, or what Fraction reads exactly ("1/3", 2.5 = 5/2), as a field element."""
         p = self.p
         if type(value) is int:
             return value if p is None else value % p
+        try:
+            value = value if type(value) is Fraction else Fraction(value)
+        except (TypeError, ValueError, ArithmeticError) as exc:
+            raise FieldError(f"{value!r} is not a rational number") from exc
         if p is None:
-            return _rational(value if type(value) is Fraction else Fraction(value))
-        if isinstance(value, Fraction):
-            if value.denominator == 1:
-                return value.numerator % p
-            if value.denominator % p == 0:
-                raise FieldError(f"{value} has no image in F_{p}: p divides its denominator")
-            return (value.numerator * pow(value.denominator, -1, p)) % p
-        return int(value) % p
+            return _rational(value)
+        if value.denominator % p == 0:
+            raise FieldError(f"{value} has no image in F_{p}: p divides its denominator")
+        return value.numerator * pow(value.denominator, -1, p) % p
 
 
 def _rational(value: Scalar) -> Scalar:
@@ -279,22 +280,8 @@ class ExactMatrix:
 
     @cached_property
     def southwest_profile(self) -> tuple[tuple[int, ...], ...]:
-        """Every southwest rank, profile[i-1][j-1] = rank of rows i.., columns ..j.
-
-        Computed once per matrix.  Rows are inserted bottom-up into one
-        echelon basis; then the rank of rows i.., columns ..j is the number
-        of pivots <= j.
-        """
-        basis, p = {}, self.field.p
-        is_pivot = [0] * self.cols
-        profile = []
-        for row in reversed(self.entries):
-            c = _insert(basis, row, p)
-            if c is not None:
-                is_pivot[c] = 1
-            profile.append(tuple(accumulate(is_pivot)))
-        profile.reverse()
-        return tuple(profile)
+        """Every southwest rank, profile[i-1][j-1] = rank of rows i.., columns ..j; memoized."""
+        return _southwest_profile(self.entries, self.cols, self.field.p)
 
     def inverse(self) -> "ExactMatrix":
         if not self.is_square():
@@ -359,6 +346,24 @@ def _insert(basis: dict[int, Sequence[int]], row: Sequence[Scalar], p: int | Non
                 return c
             row = [x - a * y for x, y in zip(row, b)]
     return None
+
+
+def _southwest_profile(
+    rows: Sequence[Sequence[Scalar]], cols: int, p: int | None
+) -> tuple[tuple[int, ...], ...]:
+    """profile[i][j] = rank of rows i+1.., columns ..j+1 of the matrix with these rows.
+
+    The rows go bottom-up into one echelon basis, so that rank is the number
+    of pivots <= j.  Like _insert, this takes unreduced rows.
+    """
+    basis, is_pivot, profile = {}, [0] * cols, []
+    for row in reversed(rows):
+        c = _insert(basis, row, p)
+        if c is not None:
+            is_pivot[c] = 1
+        profile.append(tuple(accumulate(is_pivot)))
+    profile.reverse()
+    return tuple(profile)
 
 
 def _reduced(

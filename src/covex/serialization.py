@@ -43,6 +43,10 @@ def scalar_from_json(field: FieldSpec, value) -> Any:
     return field.coerce(value)
 
 
+# twice cli.MAX_PERM_N: a point of Gr(n, 2n) has 2n rows
+MAX_MATRIX_SIZE = 128
+
+
 def matrix_to_json(matrix: ExactMatrix) -> dict:
     return {
         "rows": matrix.rows,
@@ -61,6 +65,8 @@ def matrix_from_json(field: FieldSpec, data: Any, where: str = "matrix") -> Exac
     for name, value, least in (("rows", rows, 1), ("cols", cols, 0)):
         if isinstance(value, bool) or not isinstance(value, int) or value < least:
             raise InputError(f"{where}: {name} must be an integer >= {least}")
+        if value > MAX_MATRIX_SIZE:
+            raise InputError(f"{where}: {name} must be at most {MAX_MATRIX_SIZE}")
     if not isinstance(entries, list) or len(entries) != rows:
         raise InputError(f"{where}: entries must be a list of {rows} rows")
     parsed = []

@@ -4,9 +4,10 @@ Every subcommand, its positionals, their choices and its options come from
 the CLI's own parser.  Their values are drawn from small alphabets of valid,
 partial and malformed permutations, positions, fields, numbers, conditions
 and point files, some of which hold JSON drawn by hypothesis; stray tokens
-are mixed in.  Permutations stay at n <= 4 and `verify` always
-gets `--nmax <= 2`, so no example builds a large table or runs a suite at
-its acceptance scale.
+are mixed in.  Permutations stay at n <= 4, but for one at n = 65 and a
+matrix of 129 rows, both past the CLI's caps, and `verify` always gets
+`--nmax <= 2`, so no example builds a large table or runs a suite at its
+acceptance scale.
 """
 
 import argparse
@@ -35,7 +36,7 @@ SUBPARSERS = _subparsers()
 COMMANDS = sorted(SUBPARSERS)
 PERMS = [
     "21", "132", "2143", "4231", "3412", "4321", "2 0 3 1", "0 1 3 0", "1 2 4 3",
-    "01", "2a43", "11", "5", "", "-1",
+    "01", "2a43", "11", "5", "", "-1", " ".join(map(str, range(65, 0, -1))),
 ]
 POSITIONS = ["1 2 3", "2 4 6", "4 5 6", "1,3", "3 1", "0", "a"]
 FIELDS = ["p:10007", "p:7", "p:4", "p:abc", "Q", "q", "p:", "p:3317044064679887385961990"]
@@ -47,6 +48,7 @@ MALFORMED_JSON = [
     "[]",
     "null",
     '{"rows": 0, "cols": 2, "entries": []}',
+    '{"rows": 129, "cols": 1, "entries": []}',
     '{"rows": 2, "cols": 2, "entries": [[1, "a/0"], [0, 1]]}',
     '{"rows": 2, "cols": 2, "entries": [[1, true], [0, 1]]}',
     '{"flag": {"generator": {"rows": 2, "cols": 2, "entries": [[1, 1], [1, 1]]}}, "z": 3}',

@@ -314,6 +314,47 @@ def test_matrix_from_json_rejects_bad_shapes():
     assert matrix_from_json(F, {"rows": 2, "cols": 0, "entries": [[], []]}).shape == (2, 0)
 
 
+def test_matrix_from_json_refuses_more_than_128_rows_or_columns():
+    for rows, cols in ((129, 1), (1, 129)):
+        with pytest.raises(InputError, match="at most 128"):
+            matrix_from_json(F, {"rows": rows, "cols": cols, "entries": []})
+    square = [[0] * 128 for _ in range(128)]
+    assert matrix_from_json(F, {"rows": 128, "cols": 128, "entries": square}).shape == (128, 128)
+
+
+@pytest.mark.parametrize("command", ["ess", "covex", "tau"])
+def test_cli_refuses_a_permutation_beyond_n_64(capsys, command):
+    """n = 65 is refused before any n x n table is built; n = 64 runs."""
+    identity = list(map(str, range(1, 66)))
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, command, " ".join(identity))
+    assert_one_error_line(code, out, err)
+    assert "limited to n <= 64; got n = 65" in err
+    assert time.perf_counter() - start < 1.0
+    code, out, _ = run_cli(capsys, command, " ".join(identity[:-1]))
+    assert code == 0 and json.loads(out)
+
+
+def test_cli_refuses_a_conormal_fiber_beyond_n_16(capsys, tmp_path):
+    zero = write_json(tmp_path, "x.json", matrix_to_json(ExactMatrix.zeros(F, 17, 17)))
+    code, out, err = run_cli(capsys, "conormal", "fiber", "matrix", zero, "--w", "0 " * 17)
+    assert_one_error_line(code, out, err)
+    assert "conormal fibers are limited to n <= 16; got n = 17" in err
+
+
+def test_cli_refuses_more_grass_conditions_than_the_ambient_dimension(capsys, tmp_path):
+    V = coordinate_subspace(F, 2, [1])
+    x = ExactMatrix.from_rows(F, [[0, 1], [0, 0]])
+    point = write_json(tmp_path, "p.json", {"V": subspace_to_json(V), "x": matrix_to_json(x)})
+    code, out, _ = run_cli(capsys, "conormal", "member", "grass", point, "--conditions", "1:0,1:0")
+    assert code == 0 and json.loads(out)["member"] is True
+    code, out, err = run_cli(
+        capsys, "conormal", "member", "grass", point, "--conditions", ",".join(["1:0"] * 3000)
+    )
+    assert_one_error_line(code, out, err)
+    assert "at most 2 conditions in Gr(d, 2); got 3000" in err
+
+
 def test_cli_large_prime_modulus_is_fast(capsys):
     # trial division used to hang on a 25-digit prime
     start = time.perf_counter()

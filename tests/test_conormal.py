@@ -22,6 +22,7 @@ from covex.conormal import (
     conormal_grass_violations,
     conormal_matrix_members,
     conormal_matrix_violations,
+    _core_plan,
     core_pivots,
     in_conormal_flag,
     in_conormal_grass,
@@ -374,7 +375,7 @@ def core_points(w, field, rng):
 
 def core_matrix(pt, rows, cols):
     """Reference: the whole n x n core N = H y G of M = [I; x] y [x, I] on the
-    pivots of core_pivots, which the predicate builds one row at a time.
+    pivots of core_pivots, built column by column, as the predicate never does.
 
     A unit row of H picks a row of y and a unit column of G picks a column
     of H y; only the rows and columns of x cost a dot product.
@@ -416,19 +417,43 @@ def check_core_against_references(w, field, rng):
 
 
 CORE_FIELDS = (FieldSpec.prime(2), FieldSpec.prime(5), F, Q)
+# COVEX_CORE_N=5 extends the sweep below to every covexillary w with n = 5; CI runs it.
+CORE_N = int(os.environ.get("COVEX_CORE_N", "4"))
 
 
 def test_core_ranks_match_big_matrix_for_n_up_to_4():
     """The n x n core gives every rank M_ij of big_matrix_M, and the
     diagnostics and the verdict, for every covexillary partial w with
-    n <= 4, over F_2, F_5, F_10007 and Q.  (tau_conjugated_M, the second
-    oracle, is checked in test_tau_conjugated_M_is_the_conjugated_big_matrix.)"""
+    n <= 4 (n <= COVEX_CORE_N), over F_2, F_5, F_10007 and Q.
+    (tau_conjugated_M, the second oracle, is checked in
+    test_tau_conjugated_M_is_the_conjugated_big_matrix.)"""
     rng = random.Random(31)
     for field in CORE_FIELDS:
-        for n in (1, 2, 3, 4):
+        for n in range(1, CORE_N + 1):
             for w in all_partial_permutations(n):
                 if is_covexillary(w):
                     check_core_against_references(w, field, rng)
+
+
+def test_core_plan_at_a_0_1_matrix_is_a_permutation():
+    """At every 0/1 matrix u, the flat plan's n rows of H (as vectors of
+    F^n) and its n columns of G are n distinct unit vectors, so its core
+    H y G is y with rows and columns permuted.  Every covexillary w and
+    every partial u with n <= 4: 39,422 pairs."""
+    pairs = 0
+    for n in (1, 2, 3, 4):
+        units = ExactMatrix.identity(F, n).entries
+        xs = [u.matrix(F) for u in all_partial_permutations(n)]
+        for w in all_partial_permutations(n):
+            if not is_covexillary(w):
+                continue
+            data = covexillary_data(w)
+            for x in xs:
+                _, H, G, _ = _core_plan(x, data)
+                rows = [units[k] if x_row is None else x_row for k, x_row in H]
+                assert sorted(rows) == sorted(G) == sorted(units), (w, x)
+                pairs += 1
+    assert pairs == 39_422
 
 
 def test_core_ranks_match_big_matrix_on_a_sample_at_n_5_and_6():
@@ -502,10 +527,10 @@ def check_members_agree_with_violations(field, n_max, rng):
 
 @pytest.mark.parametrize("field", [FieldSpec.prime(101), Q], ids=str)
 def test_members_agree_with_the_full_elimination(field):
-    """conormal_matrix_members, which stops at the first failed bound, gives
-    the verdicts of conormal_matrix_violations on uniform and fiber
-    covectors over F_101 and Q; every fiber covector is accepted and few
-    uniform ones are."""
+    """conormal_matrix_members, which stops at the first failed read of the
+    core's profile, gives the verdicts of conormal_matrix_violations, which
+    list every failed read, on uniform and fiber covectors over F_101 and
+    Q; every fiber covector is accepted and few uniform ones are."""
     check_members_agree_with_violations(field, 4, random.Random(43))
 
 

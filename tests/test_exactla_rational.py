@@ -20,7 +20,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from covex.errors import SingularMatrixError
+from covex.errors import FieldError, SingularMatrixError
 from covex.exactla import ExactMatrix, FieldSpec, Subspace, _insert, kernel
 
 Q = FieldSpec.rational()
@@ -229,6 +229,25 @@ def test_scalars_are_ints_when_integral():
         assert_canonical(entries_of(m.entries))
     half = ExactMatrix.from_rows(Q, [[Fraction(1, 2), 0], [0, 2]])
     assert_canonical(entries_of((half @ half.inverse()).entries))
+
+
+@pytest.mark.parametrize("field", [FieldSpec.prime(7), Q], ids=str)
+def test_coerce_reads_every_value_as_a_fraction(field):
+    """A value other than an int is read exactly by Fraction, then reduced:
+    over F_7, 2.5 = 5/2 is 5 * 4 = 6, not a truncation to 2."""
+    half = 4 if field.p else Fraction(1, 2)
+    assert field.coerce(0.5) == field.coerce("1/2") == field.coerce(Fraction(1, 2)) == half
+    assert field.coerce(2.5) == field.coerce("5/2") == (6 if field.p else Fraction(5, 2))
+    assert ExactMatrix.from_rows(field, [[2.5, 1], [0, 1]]) == ExactMatrix.from_rows(
+        field, [[Fraction(5, 2), 1], [0, 1]]
+    )
+    assert type(field.coerce(4.0)) is int and field.coerce(4.0) == 4
+    for bad in (float("nan"), float("inf"), "abc", "1/0", None):
+        with pytest.raises(FieldError):
+            field.coerce(bad)
+    if field.p:
+        with pytest.raises(FieldError, match="denominator"):
+            field.coerce(Fraction(1, 7))
 
 
 UNREDUCED_FIELDS = tuple(FieldSpec.prime(p) for p in (2, 3, 10007, 10**24 + 7))
