@@ -37,7 +37,7 @@ from operator import getitem
 from typing import NamedTuple
 
 from .embedding import fixed_point_bits, mask_positions, target_grass_index
-from .errors import InputError
+from .errors import InputError, InvariantError
 from .permcore import PartialPermutation, bruhat_leq, covexillary_data
 
 
@@ -186,7 +186,7 @@ class _KLTable:
                 continue
             result = result - self.kl(u, z).scale(mu).shift((lw - lengths[z]) // 2)
         if result.degree > (gap - 1) // 2:
-            raise AssertionError(f"KL degree bound violated at indices ({u}, {w})")
+            raise InvariantError(f"KL degree bound violated at indices ({u}, {w})")
         self._pmemo[key] = result
         return result
 

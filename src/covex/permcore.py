@@ -177,19 +177,6 @@ class RankMatrix:
         flat = itertools.chain.from_iterable
         return all(map(le, flat(ranks), flat(self.entries)))
 
-    @cached_property
-    def _packed(self) -> tuple[int, int]:
-        """(packed, guard): the entries in one int, n.bit_length() bits and a guard bit each."""
-        width = self.n.bit_length() + 1
-        flat = itertools.chain.from_iterable(self.entries)
-        guard = sum(1 << width * f + width - 1 for f in range(self.n * self.n))
-        return sum(v << width * f for f, v in enumerate(flat)), guard
-
-    def dominates(self, other: "RankMatrix") -> bool:
-        """No entry of other exceeds this one's: every guard bit survives, as in kl's leq."""
-        packed, guard = self._packed
-        return (packed + guard - other._packed[0]) & guard == guard
-
 
 @dataclass(frozen=True)
 class EssentialCondition:
@@ -412,7 +399,7 @@ def bruhat_leq(u: PartialPermutation, w: PartialPermutation) -> bool:
     """u <= w iff the rank matrix of u is entrywise dominated by that of w."""
     if u.n != w.n:
         raise InputError("Bruhat comparison requires equal sizes")
-    return rank_matrix(w).dominates(rank_matrix(u))
+    return rank_matrix(w).bounds(rank_matrix(u).entries)
 
 
 def packed_bruhat(
@@ -421,7 +408,7 @@ def packed_bruhat(
     """(lanes, below): u <= w for every u of us at once, one lane per u.
 
     Box by box, one int holds r_u(i, j) of every u in lanes of
-    n.bit_length() + 1 bits, as in RankMatrix._packed, so one guarded
+    n.bit_length() + 1 bits, the top one a guard bit, so one guarded
     subtraction from r_w(i, j) spread over every lane tests that box for
     all u.  below(w) ANDs the boxes and keeps the guard bits: bit lanes[k]
     of it is set iff u_k <= w.  Every u and w has size n.

@@ -6,7 +6,7 @@ from collections import defaultdict
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement, product
-from operator import itemgetter, mul
+from operator import itemgetter, mul, ne
 
 import pytest
 
@@ -47,6 +47,7 @@ from covex.exactla import (
     _draws,
     coordinate_subspace,
     kernel,
+    random_borel,
     random_matrix,
     subspace_sum,
 )
@@ -631,6 +632,36 @@ def test_fiber_dimension_equals_orbit_corank():
                     assert fiber.dim == expected == n * n - tangent_orbit_rank(x)
                     points += 1
     assert points == 2 * 2 * 252
+
+
+@pytest.mark.parametrize("p", [10007, 3])
+def test_matrix_conormal_verdicts_are_borel_equivariant(p):
+    """The criterion is stable under (x, y) -> (b_l x b_r, b_r^-1 y b_l^-1),
+    so a verdict at u's 0/1 matrix holds on all of O_u.  At a sampled cell
+    point x of every covexillary partial w with n <= 4, with sampled upper
+    triangular b_l and b_r, the verdicts on the fiber basis and on uniform
+    covectors stay; the wrong action y -> b_l^-1 y b_r^-1 changes some."""
+    field = FieldSpec.prime(p)
+    rng = random.Random(p)
+    covectors = changed = 0
+    for n in (1, 2, 3, 4):
+        for w in all_partial_permutations(n):
+            if not is_covexillary(w):
+                continue
+            x = sample_cell_point(w, field, rng)
+            b_l, b_r = random_borel(field, n, rng), random_borel(field, n, rng)
+            l_inv, r_inv = b_l.inverse(), b_r.inverse()
+            ys = [vector_to_matrix(field, v, n) for v in conormal_fiber_matrix(x, w).vectors]
+            ys += [random_matrix(field, n, n, rng) for _ in range(2)]
+            verdicts = conormal_matrix_members(x, w, [y.entries for y in ys])
+            moved = b_l @ x @ b_r
+            right = conormal_matrix_members(moved, w, [(r_inv @ y @ l_inv).entries for y in ys])
+            wrong = conormal_matrix_members(moved, w, [(l_inv @ y @ r_inv).entries for y in ys])
+            assert right == verdicts, (w, x, b_l, b_r)
+            covectors += len(ys)
+            changed += sum(map(ne, wrong, verdicts))
+    assert covectors == 1888  # |D(w)| fiber basis vectors plus two uniform covectors per w
+    assert changed > 0
 
 
 def test_oracle_soundness_small():

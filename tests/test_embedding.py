@@ -427,9 +427,10 @@ def test_cells_read_off_tau_are_the_cells_located_by_elimination(n):
 
 @pytest.mark.parametrize("n", range(1, CELL_ORACLE_N + 1))
 def test_embed_thm_reports_equal_elimination_at_every_pair(n):
-    """The embed-thm report, made from one embedding per cell and packed
-    Bruhat masks, equals the report made pair by pair: bruhat_leq(u, w)
-    against target_holds at the embedding of every u, once per tau class."""
+    """The embed-thm report, made from the coordinate point E_S of each
+    cell and packed Bruhat masks, equals the report made pair by pair:
+    bruhat_leq(u, w) against target_holds at the embedding of every u's
+    0/1 matrix, once per tau class."""
     partials = list(all_partial_permutations(n))
     expected = {}
     for data, ws in _tau_classes(n):
@@ -450,7 +451,8 @@ def test_embed_thm_reports_equal_elimination_at_every_pair(n):
 
 
 def test_embedding_depends_on_w_only_through_its_tau_class():
-    """embed-thm embeds each orbit point once for all w with one tau_order."""
+    """embed_point reads w only through its tau class, so the cells that
+    embed-thm reads off tau serve every w with one tau_order."""
     rng = random.Random(23)
     for n in (1, 2, 3, 4):
         classes = {}

@@ -36,8 +36,9 @@ SUITE_DIGESTS_NMAX4 = {
     "multidegree": "4335533c5a61a2f39587dda92fa40146a24ff301ad0522563137fe0e26365fe8",
 }
 
-# seed -> the file of calibrate-scale digests recorded at that seed
-CALIBRATE_DIGESTS = {1: "calibrate_digests.txt", 2: "calibrate_digests_seed2.txt"}
+# calibrate-scale digests at seed 1; they hold at seed 2 and, for the
+# matrix and flag forms, over F_101 too (see the file's header)
+CALIBRATE_DIGESTS = "calibrate_digests.txt"
 
 CLI_CASES = json.loads((GOLDEN_DIR / "cli_stdout.json").read_text(encoding="utf-8"))
 
@@ -58,22 +59,34 @@ def test_suite_report_digest_nmax4(suite, capsys):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == SUITE_DIGESTS_NMAX4[suite]
 
 
-def _recorded(name, suite):
-    """(n_max, sha256) of the suite's line in a calibrate digest file."""
-    for line in (GOLDEN_DIR / name).read_text(encoding="utf-8").splitlines():
+def _recorded(suite):
+    """(n_max, sha256) of the suite's line in the calibrate digest file."""
+    for line in (GOLDEN_DIR / CALIBRATE_DIGESTS).read_text(encoding="utf-8").splitlines():
         fields = line.split()
         if fields and fields[0] == suite:
             return fields[1], fields[2]
-    raise LookupError(f"{suite} has no line in {name}")
+    raise LookupError(f"{suite} has no line in {CALIBRATE_DIGESTS}")
 
 
-@pytest.mark.parametrize("seed", sorted(CALIBRATE_DIGESTS))
-def test_embed_thm_report_matches_the_calibrate_digest(seed, capsys):
-    n_max, digest = _recorded(CALIBRATE_DIGESTS[seed], "embed-thm")
-    code = main(["verify", "embed-thm", "--nmax", n_max, "--trials", "1", "--seed", str(seed)])
+def _check_calibrate_digest(capsys, suite, seed, *field):
+    n_max, digest = _recorded(suite)
+    code = main([*field, "verify", suite, "--nmax", n_max, "--trials", "1", "--seed", str(seed)])
     out = capsys.readouterr().out
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_embed_thm_report_matches_the_calibrate_digest(seed, capsys):
+    _check_calibrate_digest(capsys, "embed-thm", seed)
+
+
+@pytest.mark.parametrize("suite", ["conormal-matrix", "conormal-flag"])
+def test_conormal_reports_over_f101_match_the_calibrate_digest(suite, capsys):
+    """Every direction off the fiber at w's 0/1 matrix is rejected over
+    every field, so at p = 101 and seed 2 each reject_rate still reads 1.0
+    or null and the report is the seed-1 report at the default prime."""
+    _check_calibrate_digest(capsys, suite, 2, "--field", "p:101")
 
 
 @pytest.mark.parametrize("suite", ["embed-thm", "rank-lemma"])

@@ -322,10 +322,11 @@ def test_not_covexillary_is_raised_on_every_call():
 
 def test_embed_thm_samples_each_orbit_once(monkeypatch):
     """embed-thm reads each orbit once, at u's 0/1 matrix: it draws nothing,
-    reads u's Schubert cell off tau and embeds one representative per cell
-    of each tau class of each size."""
-    counts = {"sample": 0, "random": 0, "rng": 0}
-    embedded = {}
+    reads u's Schubert cell off tau and checks the cell at its coordinate
+    point E_S, built once per cell of each size for every tau class.  It
+    embeds no matrix and forms no 0/1 matrix."""
+    counts = {"sample": 0, "random": 0, "rng": 0, "embed": 0, "matrix": 0}
+    built = {}
 
     def counted(key, call):
         def wrapper(*args):
@@ -334,21 +335,30 @@ def test_embed_thm_samples_each_orbit_once(monkeypatch):
 
         return wrapper
 
-    def embed(x, data):
-        embedded[x.rows] = embedded.get(x.rows, 0) + 1
-        return embed_point(x, data)
+    def coordinate(field, ambient, indices):
+        built[ambient // 2] = built.get(ambient // 2, 0) + 1
+        return coordinate_subspace(field, ambient, indices)
 
-    for key, name in (("sample", "sample_cell_point"), ("random", "_draws"), ("rng", "_rng")):
+    for key, name in (
+        ("sample", "sample_cell_point"),
+        ("random", "_draws"),
+        ("rng", "_rng"),
+        ("embed", "embed_point"),
+    ):
         monkeypatch.setattr(suites, name, counted(key, getattr(suites, name)))
-    monkeypatch.setattr(suites, "embed_point", embed)
+    monkeypatch.setattr(
+        PartialPermutation, "matrix", counted("matrix", PartialPermutation.matrix)
+    )
+    monkeypatch.setattr(suites, "coordinate_subspace", coordinate)
     suites.run_suite(suites.SuiteConfig("embed-thm", n_max=4, trials=3))
-    assert counts == {"sample": 0, "random": 0, "rng": 0}
+    assert counts == {"sample": 0, "random": 0, "rng": 0, "embed": 0, "matrix": 0}
     expected = {}
     for n in (1, 2, 3, 4):
         partials = list(all_partial_permutations(n))
         classes = {covexillary_data(w).tau_order: covexillary_data(w)
                    for w in partials if is_covexillary(w)}
-        expected[n] = sum(
-            len({fixed_point_index(u, data) for u in partials}) for data in classes.values()
+        expected[n] = len(
+            {fixed_point_index(u, data) for u in partials for data in classes.values()}
         )
-    assert embedded == expected == {1: 2, 2: 11, 3: 95, 4: 959}
+    # every cell of Gr(n, 2n), C(2n, n) of them
+    assert built == expected == {1: 2, 2: 6, 3: 20, 4: 70}

@@ -6,12 +6,15 @@ failures, at the scale where they must.  A passing suite says something only
 if a broken predicate makes it fail.
 """
 
+import inspect
 import random
+import textwrap
 from itertools import combinations
 
 import pytest
 
-from covex import conormal, embedding, permcore, suites
+from covex import conormal, embedding, equivariant, kl, permcore, suites
+from covex.cli import main
 from covex.exactla import DEFAULT_PRIME, ExactMatrix, FieldSpec, kernel
 from covex.embedding import check_target_space
 from covex.permcore import (
@@ -23,6 +26,18 @@ from covex.permcore import (
 from covex.suites import SuiteConfig, run_suite
 from covex.varieties import grass_condition_checks
 from test_conormal import check_members_agree_with_violations
+
+
+def _rewritten(function, old, new):
+    """function compiled again from its source, its one occurrence of old read as new.
+
+    The copy runs in a copy of its module's namespace; no file or module changes.
+    """
+    source = textwrap.dedent(inspect.getsource(function))
+    assert source.count(old) == 1, old
+    namespace = dict(vars(inspect.getmodule(function)))
+    exec(source.replace(old, new), namespace)
+    return namespace[function.__name__]
 
 
 def _target_violation_with(conditions_of):
@@ -205,3 +220,53 @@ def test_a_rank_read_one_row_off_fails_rank_lemma(monkeypatch):
 
     monkeypatch.setattr(suites, "rank_matrix", shifted)
     assert _failures("rank-lemma", 3) == (14, 29)
+
+
+def test_a_wrong_corner_in_the_reconstruction_fails_el_roundtrip(monkeypatch, capsys):
+    """reconstruct_from_essential with each essential box reaching one row
+    less far up, max(0, c.row - i - 1) in place of max(0, c.row - i),
+    builds a wrong rank matrix; its dots or its essential set then miss w
+    at 29 of the 43 partial permutations with n <= 3.  Each such case fails
+    on its own: the EssentialDataError it raises is a failed case, and the
+    run exits 3, not 2 as for bad input."""
+    mutant = _rewritten(
+        permcore.reconstruct_from_essential, "max(0, c.row - i)", "max(0, c.row - i - 1)"
+    )
+    monkeypatch.setattr(suites, "reconstruct_from_essential", mutant)
+    assert _failures("el-roundtrip", 3) == (29, 43)
+    assert main(["verify", "el-roundtrip", "--nmax", "3"]) == 3
+    assert "error" not in capsys.readouterr().err
+
+
+def test_a_mu_list_without_its_descent_covers_fails_kl_covex(monkeypatch, capsys):
+    """mu_list without the covers of v, where mu(z, v) = 1 (Kazhdan-Lusztig
+    1979, (2.3.e)), leaves out terms of the mu correction on both the S_n
+    and the Grassmannian side.  kl-covex fails 12 of its 32 cases with
+    n <= 4, 5 of them through a broken degree bound, which fails its case
+    and is no traceback; the smoke case, P(1234, 3412) = 1 + q, still
+    passes.  Fresh table memos keep the mutated tables away from every
+    other test."""
+    mutant = _rewritten(kl._KLTable.mu_list, "dict.fromkeys(self._covers(v), 1)", "{}")
+    monkeypatch.setattr(kl, "_TABLES", {})
+    monkeypatch.setattr(kl, "_GRASS_TABLES", {})
+    monkeypatch.setattr(kl._KLTable, "mu_list", mutant)
+    monkeypatch.setattr(kl.SymmetricGroupTable, "mu_list", mutant)
+    verdicts = run_suite(SuiteConfig("kl-covex", n_max=4))
+    failed = [v.case for v in verdicts if not v.passed]
+    assert (len(failed), len(verdicts)) == (12, 32)
+    assert sum("error" in v.details for v in verdicts) == 5
+    assert "smoke/P(1234,3412)" not in failed
+    assert main(["verify", "kl-covex", "--nmax", "4"]) == 3
+
+
+def test_an_excited_move_one_column_too_far_fails_multidegree(monkeypatch):
+    """grass_restriction letting a box slide to (i + 1, j + 1) when only
+    (i + 1, j) lies in the point's diagram, j < outer[i + 1] in place of
+    j + 1 < outer[i + 1], adds excited diagrams that do not fit; the
+    localization side then misses the Schubert side at 6 of the 9
+    covexillary w with n <= 3."""
+    mutant = _rewritten(
+        equivariant.grass_restriction, "j + 1 < outer[i + 1]", "j < outer[i + 1]"
+    )
+    monkeypatch.setattr(equivariant, "grass_restriction", mutant)
+    assert _failures("multidegree", 3) == (6, 9)
