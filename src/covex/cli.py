@@ -4,7 +4,9 @@ All primary output is JSON on stdout (one object, or JSON lines for suite
 reports); human-oriented summaries go to stderr.  Exit codes: 0 when the
 requested computation succeeded (membership verdicts count as success
 regardless of the boolean answer), 2 for input errors and for a reader that
-closes stdout early, 3 for verification failures.
+closes stdout early, 3 for verification failures and for an internal check
+that breaks (InvariantError).  A point file that breaks its structural
+invariants is bad input, so point files are read through ``_point``.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from .equivariant import (
     grass_restriction,
     verify_multidegree,
 )
-from .errors import CovexError, InputError, NotCovexillaryError
+from .errors import CovexError, InputError, InvariantError, NotCovexillaryError
 from .exactla import FieldSpec
 from .kl import covexillary_kl_check, kl_polynomial
 from .permcore import PartialPermutation, covexillary_data, essential_set
@@ -75,6 +77,14 @@ def _perm(text: str | None) -> PartialPermutation:
     if w.n > MAX_PERM_N:
         raise InputError(f"partial permutations are limited to n <= {MAX_PERM_N}; got n = {w.n}")
     return w
+
+
+def _point(path: str, kind: str, field: FieldSpec):
+    """parse_point_file, with a broken point invariant raised as InputError."""
+    try:
+        return parse_point_file(path, kind, field)
+    except InvariantError as exc:
+        raise InputError(str(exc)) from exc
 
 
 def _positions(text: str) -> tuple[int, ...]:
@@ -145,7 +155,7 @@ def _cmd_tau(args, field: FieldSpec) -> int:
 def _cmd_embed(args, field: FieldSpec) -> int:
     w = _perm(args.perm)
     data = covexillary_data(w)
-    x = parse_point_file(args.matrix, "matrix", field)
+    x = _point(args.matrix, "matrix", field)
     point = embed_point(x, data)
     per_condition = [
         dict(zip(("t", "dim", "bound", "ok"), check))
@@ -164,15 +174,15 @@ def _cmd_embed(args, field: FieldSpec) -> int:
 
 def _cmd_member(args, field: FieldSpec) -> int:
     if args.kind == "matrix":
-        x = parse_point_file(args.point, "matrix", field)
+        x = _point(args.point, "matrix", field)
         violation = matrix_schubert_violation(x, _perm(args.index))
         keys = ("i", "j", "dim", "bound")
     elif args.kind == "flag":
-        flag = parse_point_file(args.point, "flag", field)
+        flag = _point(args.point, "flag", field)
         violation = flag_schubert_violation(flag, _perm(args.index))
         keys = ("i", "j", "dim", "bound")
     else:
-        subspace = parse_point_file(args.point, "grass", field)
+        subspace = _point(args.point, "grass", field)
         positions = _positions(args.index)
         idx = GrassIndex(subspace.dim, subspace.ambient, positions)
         violation = grass_schubert_violation(subspace, idx)
@@ -209,13 +219,13 @@ def _grass_conditions(args, point) -> tuple[tuple[int, int], ...]:
 def _cmd_conormal(args, field: FieldSpec) -> int:
     if args.action == "member":
         if args.kind == "matrix":
-            point = parse_point_file(args.point, "cotangent", field)
+            point = _point(args.point, "cotangent", field)
             violations = conormal_matrix_violations(point, _perm(args.w))
         elif args.kind == "flag":
-            point = parse_point_file(args.point, "springer-flag", field)
+            point = _point(args.point, "springer-flag", field)
             violations = conormal_flag_violations(point, _perm(args.w))
         else:
-            point = parse_point_file(args.point, "springer-grass", field)
+            point = _point(args.point, "springer-grass", field)
             violations = conormal_grass_violations(point, _grass_conditions(args, point))
         _emit({"member": not violations, "violations": violations})
         return 0
@@ -225,7 +235,7 @@ def _cmd_conormal(args, field: FieldSpec) -> int:
     w = _perm(args.w)
     if w.n > MAX_FIBER_N:
         raise InputError(f"conormal fibers are limited to n <= {MAX_FIBER_N}; got n = {w.n}")
-    x = parse_point_file(args.point, "matrix", field)
+    x = _point(args.point, "matrix", field)
     if args.kind == "matrix":
         fiber = conormal_fiber_matrix(x, w)
     else:
@@ -414,6 +424,9 @@ def main(argv: list[str] | None = None) -> int:
         code = args.func(args, field)
         sys.stdout.flush()
         return code
+    except InvariantError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
     except CovexError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

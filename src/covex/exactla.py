@@ -81,8 +81,14 @@ class FieldSpec:
         """Parse a CLI field designator: ``Q`` or ``p:<prime>``."""
         if text in ("Q", "q", "rational"):
             return FieldSpec.rational()
-        if text.startswith("p:") and text[2:].isdigit():
-            return FieldSpec.prime(int(text[2:]))
+        digits = text[2:] if text.startswith("p:") else ""
+        if digits.isascii() and digits.isdigit():
+            if len(digits) > len(str(MAX_PRIME_MODULUS)):
+                raise FieldError(
+                    f"modulus of {len(digits)} digits is too large: primality is"
+                    f" decided only below {MAX_PRIME_MODULUS}"
+                )
+            return FieldSpec.prime(int(digits))
         raise FieldError(f"cannot parse field {text!r} (use 'Q' or 'p:10007')")
 
     @property
@@ -556,18 +562,31 @@ def _span_rows(field: FieldSpec, ambient: int, rows: Iterable[Sequence[Scalar]])
 
 
 def kernel(matrix: ExactMatrix) -> Subspace:
-    """Null space of the matrix as a subspace of the column-index space."""
-    f = matrix.field
-    n = matrix.cols
-    rows = _span_rows(f, n, matrix.entries)
+    """Null space of the matrix as a subspace of the column-index space.
+
+    The rows are eliminated with their columns reversed, so each row r of the
+    reduced form has its pivot q at its last nonzero entry, and the other
+    rows vanish at q.  For each free column c, e_c minus r[c] e_q summed
+    over the rows is then in the kernel, and r[c] is nonzero only when
+    q > c: these vectors are already the reduced echelon basis.
+    """
+    f, n, p = matrix.field, matrix.cols, matrix.field.p
+    basis = {}
+    for row in matrix.entries:
+        _insert(basis, row[::-1], p)
+    pivots, rows = _reduced(basis, p)
+    last = [n - 1 - c for c in pivots]
+    free = tuple(sorted(set(range(n)) - set(last)))
     vectors = []
-    for free in sorted(set(range(n)) - set(rows.pivots)):
+    for c in free:
         vec = [0] * n
-        vec[free] = 1
-        for row, pivot in zip(rows.vectors, rows.pivots):
-            vec[pivot] = -row[free]  # unreduced over F_p: _span_rows reduces it
-        vectors.append(vec)
-    return _span_rows(f, n, vectors)
+        vec[c] = 1
+        for q, row in zip(last, rows):
+            a = row[n - 1 - c]
+            if a:
+                vec[q] = -a if p is None else p - a
+        vectors.append(tuple(vec))
+    return Subspace(f, n, tuple(vectors), free)
 
 
 def _draws(rng: random.Random, bound: int, count: int) -> list[int]:

@@ -55,6 +55,14 @@ def matrix_to_json(matrix: ExactMatrix) -> dict:
     }
 
 
+def _check_size(where: str, name: str, value: Any, least: int) -> None:
+    """InputError unless value is an int (not a bool) in least..MAX_MATRIX_SIZE."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        raise InputError(f"{where}: {name} must be an integer >= {least}")
+    if value > MAX_MATRIX_SIZE:
+        raise InputError(f"{where}: {name} must be at most {MAX_MATRIX_SIZE}")
+
+
 def matrix_from_json(field: FieldSpec, data: Any, where: str = "matrix") -> ExactMatrix:
     if not isinstance(data, dict):
         raise InputError(f"{where}: expected an object with rows/cols/entries")
@@ -62,11 +70,8 @@ def matrix_from_json(field: FieldSpec, data: Any, where: str = "matrix") -> Exac
         rows, cols, entries = data["rows"], data["cols"], data["entries"]
     except KeyError as exc:
         raise InputError(f"{where}: missing field {exc}") from exc
-    for name, value, least in (("rows", rows, 1), ("cols", cols, 0)):
-        if isinstance(value, bool) or not isinstance(value, int) or value < least:
-            raise InputError(f"{where}: {name} must be an integer >= {least}")
-        if value > MAX_MATRIX_SIZE:
-            raise InputError(f"{where}: {name} must be at most {MAX_MATRIX_SIZE}")
+    _check_size(where, "rows", rows, 1)
+    _check_size(where, "cols", cols, 0)
     if not isinstance(entries, list) or len(entries) != rows:
         raise InputError(f"{where}: entries must be a list of {rows} rows")
     parsed = []
@@ -87,8 +92,9 @@ def subspace_to_json(subspace: Subspace) -> dict:
 def subspace_from_json(field: FieldSpec, data: Any, where: str = "subspace") -> Subspace:
     if not isinstance(data, dict) or "ambient" not in data or "basis" not in data:
         raise InputError(f"{where}: expected an object with ambient and basis")
+    ambient = data["ambient"]
+    _check_size(where, "ambient", ambient, 1)
     basis = matrix_from_json(field, data["basis"], f"{where}.basis")
-    ambient = int(data["ambient"])
     if basis.rows != ambient:
         raise InputError(f"{where}: basis rows differ from ambient dimension")
     span = Subspace.column_span(basis)
@@ -103,7 +109,9 @@ def flag_from_json(field: FieldSpec, data: Any, where: str = "flag") -> Flag:
     generator = matrix_from_json(field, data["generator"], f"{where}.generator")
     if not generator.is_square():
         raise InputError(f"{where}: generator must be square")
-    if "n" in data and int(data["n"]) != generator.rows:
+    n = data.get("n", generator.rows)
+    _check_size(where, "n", n, 1)
+    if n != generator.rows:
         raise InputError(f"{where}: declared n differs from generator size")
     flag = Flag(generator)
     if generator.rank() != generator.rows:

@@ -383,12 +383,16 @@ def _suite_conormal_flag(config: SuiteConfig) -> Iterator[Case]:
                 dim_mismatches += 1
             zs = [ExactMatrix(field, z) for z in _fiber_elements(fiber, n, field, rng, extra=20)]
             rejected_valid += conormal_flag_members(flag, w, zs).count(False)
-        # the flag covectors over w's flag are the matrix covectors U w^-1, U
-        # strictly upper: entry (i, j) of U sits at row i, column w(j)
-        springer = (i * n + v - 1 for j, v in enumerate(w.image) for i in range(j))
-        x = w.matrix(field)
+        # the Springer fiber over w's flag is z = W U W^-1, U strictly upper:
+        # entry (i, j) of U sits at row w(i), column w(j)
+        v = w.image
+        springer = ((v[i] - 1) * n + v[j] - 1 for j in range(n) for i in range(j))
+        flag, fiber = conormal_fiber_flag(w.matrix(field), w)
         _, reject_rate, rejection_ok = _off_fiber_rejection(
-            conormal_fiber_matrix(x, w), springer, partial(conormal_matrix_members, x, w), rng
+            fiber,
+            springer,
+            lambda zs: conormal_flag_members(flag, w, [ExactMatrix(field, z) for z in zs]),
+            rng,
         )
         yield case, rejected_valid == 0 and dim_mismatches == 0 and rejection_ok, {
             "rejected_valid": rejected_valid,

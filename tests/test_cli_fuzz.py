@@ -39,7 +39,10 @@ PERMS = [
     "01", "2a43", "11", "5", "", "-1", " ".join(map(str, range(65, 0, -1))),
 ]
 POSITIONS = ["1 2 3", "2 4 6", "4 5 6", "1,3", "3 1", "0", "a"]
-FIELDS = ["p:10007", "p:7", "p:4", "p:abc", "Q", "q", "p:", "p:3317044064679887385961990"]
+FIELDS = [
+    "p:10007", "p:7", "p:4", "p:abc", "Q", "q", "p:", "p:3317044064679887385961990",
+    "p:\u00b2", "p:" + "7" * 5000,
+]
 NUMBERS = ["0", "1", "2", "-1", "x"]
 CONDITIONS = ["4:1", "2:1,4:1,6:3", "0:0,3:2,8:4", "4", "a:b", ":"]
 GOLDEN_FILES = sorted(str(p) for p in GOLDEN_DIR.glob("*.json") if p.name != "cli_stdout.json")
@@ -54,6 +57,9 @@ MALFORMED_JSON = [
     '{"flag": {"generator": {"rows": 2, "cols": 2, "entries": [[1, 1], [1, 1]]}}, "z": 3}',
     '{"V": {"ambient": 2, "basis": {"rows": 2, "cols": 1, "entries": [[0], [0]]}}, "x": {}}',
     '{"x": {"rows": 1, "cols": 1, "entries": [[1]]}, "y": {"rows": 1, "cols": 1, "entries": [["1/2"]]}}',
+    '{"ambient": "abc", "basis": {"rows": 2, "cols": 1, "entries": [[1], [0]]}}',
+    '{"ambient": 2.7, "basis": {"rows": 2, "cols": 1, "entries": [[1], [0]]}}',
+    '{"n": [2], "generator": {"rows": 2, "cols": 2, "entries": [[1, 0], [0, 1]]}}',
 ]
 
 scalars = st.one_of(

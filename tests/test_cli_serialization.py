@@ -251,6 +251,40 @@ def test_cli_bad_compact_permutation(capsys):
     assert_one_error_line(*run_cli(capsys, "ess", "2a43"))
 
 
+IDENTITY_2 = {"rows": 2, "cols": 2, "entries": [[1, 0], [0, 1]]}
+E1_IN_F2 = {"rows": 2, "cols": 1, "entries": [[1], [0]]}
+
+
+@pytest.mark.parametrize(
+    "field, command, payload",
+    [
+        ("p:\u00b2", ["ess", "21"], None),  # a superscript two, a digit to str.isdigit
+        ("p:" + "7" * 5000, ["ess", "21"], None),  # past int()'s 4,300-digit limit
+        ("p:10007", ["member", "grass", "POINT", "1"], {"ambient": "abc", "basis": E1_IN_F2}),
+        ("p:10007", ["member", "grass", "POINT", "1"], {"ambient": 2.7, "basis": E1_IN_F2}),
+        ("p:10007", ["member", "flag", "POINT", "21"], {"n": [2], "generator": IDENTITY_2}),
+    ],
+    ids=["superscript-digit", "5000-digits", "ambient-text", "ambient-float", "n-list"],
+)
+def test_cli_malformed_field_and_point_sizes(capsys, tmp_path, field, command, payload):
+    """A modulus or a point size that is not a plain integer is bad input."""
+    if payload is not None:
+        path = write_json(tmp_path, "point.json", payload)
+        command = [path if a == "POINT" else a for a in command]
+    assert_one_error_line(*run_cli(capsys, "--field", field, *command))
+
+
+def test_cli_springer_grass_file_outside_its_invariant_is_bad_input(capsys, tmp_path):
+    """Im(x) not inside V breaks SpringerGrassPoint's invariant while the
+    file is read: bad input, exit 2, although an InvariantError raised
+    anywhere else is a broken internal check and exits 3."""
+    x = {"rows": 2, "cols": 2, "entries": [[0, 0], [1, 0]]}
+    path = write_json(tmp_path, "springer.json", {"V": {"ambient": 2, "basis": E1_IN_F2}, "x": x})
+    code, out, err = run_cli(capsys, "conormal", "member", "grass", path, "--conditions", "1:0")
+    assert_one_error_line(code, out, err)
+    assert "Im(x) is not contained in V" in err
+
+
 def test_cli_unparsable_field_modulus(capsys):
     assert_one_error_line(*run_cli(capsys, "--field", "p:abc", "ess", "2143"))
 

@@ -4,12 +4,19 @@ Each mutant is a deliberately broken function, swapped in with monkeypatch
 (no file is edited), and names the suites or tests that must then report
 failures, at the scale where they must.  A passing suite says something only
 if a broken predicate makes it fail.
+
+Not every mutant can fail.  tau with the two runs of each block in the
+other order, e_{n+p_{i-1}+1}..e_{n+p_i} before e_{q_{i-1}+1}..e_{q_i}, is
+an equivalent mutant: the target reads a point only through the E_{t_i},
+and the preimage of E_{t_i}, <e_1..e_{q_i}, e_{n+1}..e_{n+p_i}>, is the
+same under both orders.  Every suite passes it, and every pinned report
+with --nmax <= 4 stays byte-identical, so it is not pinned here.
 """
 
 import inspect
 import random
 import textwrap
-from itertools import combinations
+from itertools import chain, combinations
 
 import pytest
 
@@ -18,6 +25,8 @@ from covex.cli import main
 from covex.exactla import DEFAULT_PRIME, ExactMatrix, FieldSpec, kernel
 from covex.embedding import check_target_space
 from covex.permcore import (
+    CovexillaryData,
+    PartialPermutation,
     RankMatrix,
     all_partial_permutations,
     covexillary_data,
@@ -257,6 +266,8 @@ def test_a_mu_list_without_its_descent_covers_fails_kl_covex(monkeypatch, capsys
     assert sum("error" in v.details for v in verdicts) == 5
     assert "smoke/P(1234,3412)" not in failed
     assert main(["verify", "kl-covex", "--nmax", "4"]) == 3
+    # outside a suite the broken degree bound is a broken internal check, not bad input
+    assert main(["kl", "covex-check", "2341"]) == 3
 
 
 def test_an_excited_move_one_column_too_far_fails_multidegree(monkeypatch):
@@ -270,3 +281,73 @@ def test_an_excited_move_one_column_too_far_fails_multidegree(monkeypatch):
     )
     monkeypatch.setattr(equivariant, "grass_restriction", mutant)
     assert _failures("multidegree", 3) == (6, 9)
+
+
+def test_a_bruhat_guard_one_bit_narrow_fails_embed_thm(monkeypatch):
+    """packed_bruhat with lanes of n.bit_length() bits, one too few for a
+    rank and its guard bit, reads some u <= w wrong where suites read it:
+    embed-thm fails 26 of 42 with n <= 3.  conormal-grass reads the same
+    lanes only to pick the orbit cells of each w, where every zero section
+    is accepted, so it still passes."""
+    mutant = _rewritten(
+        permcore.packed_bruhat, "width = n.bit_length() + 1", "width = n.bit_length()"
+    )
+    monkeypatch.setattr(suites, "packed_bruhat", mutant)
+    assert _failures("embed-thm", 3) == (26, 42)
+    assert _failures("conormal-grass", 3) == (0, 42)
+
+
+def test_strict_rank_bounds_fail_kl_covex_at_its_smoke_case(monkeypatch):
+    """RankMatrix.bounds with < in place of <= denies u <= w at any equal
+    rank, and two permutations of one size share r(1, n) = n, so
+    bruhat_leq(1234, 3412) is False and kl_polynomial answers 0 for
+    P(1234, 3412) = 1 + q: kl-covex fails that one case of 32 with n <= 4.
+    The other suites pass, since matrix_schubert_violation falls back to
+    its cell loop and the KL tables compare packed ranks."""
+    flat = chain.from_iterable
+    monkeypatch.setattr(kl, "_TABLES", {})
+    monkeypatch.setattr(kl, "_GRASS_TABLES", {})
+    monkeypatch.setattr(
+        RankMatrix,
+        "bounds",
+        lambda self, ranks: all(a < b for a, b in zip(flat(ranks), flat(self.entries))),
+    )
+    verdicts = run_suite(SuiteConfig("kl-covex", n_max=4))
+    assert [v.case for v in verdicts if not v.passed] == ["smoke/P(1234,3412)"]
+    assert len(verdicts) == 32
+
+
+def _tau_p_and_q_swapped(data):
+    """tau with block i sending e_{p_{i-1}+1}..e_{p_i}, then e_{n+q_{i-1}+1}..e_{n+q_i}."""
+    n, image, target = data.n, [0] * (2 * data.n), 1
+    for i in range(1, data.m + 1):
+        for j in chain(
+            range(data.p_at(i - 1) + 1, data.p_at(i) + 1),
+            range(n + data.q_at(i - 1) + 1, n + data.q_at(i) + 1),
+        ):
+            image[j - 1] = target
+            target += 1
+    return PartialPermutation(2 * n, tuple(image))
+
+
+@pytest.mark.parametrize(
+    "suite, n_max, kwargs, flagged, total",
+    [
+        ("embed-thm", 3, {}, 35, 42),
+        ("conormal-grass", 3, {}, 35, 42),
+        ("diagram-chase", 3, {"trials": 1, "seed": 1}, 35, 42),
+        ("multidegree", 3, {}, 2, 9),
+        ("kl-covex", 4, {}, 16, 32),
+    ],
+)
+def test_tau_with_p_and_q_swapped_fails_every_suite_that_reads_it(
+    monkeypatch, suite, n_max, kwargs, flagged, total
+):
+    """The interleaving permutation built on the columns of p and the rows of
+    q sends the graph of x to the wrong point of Gr(n, 2n), unless p = q.
+    Every suite that goes through the embedding then fails: embed-thm,
+    conormal-grass and diagram-chase at 35 of 42 w with n <= 3, multidegree
+    at 2 of 9 and kl-covex at 16 of 32 with n <= 4.  Each CovexillaryData is
+    new in every run, so no tau built here outlives the patch."""
+    monkeypatch.setattr(CovexillaryData, "tau", property(_tau_p_and_q_swapped))
+    assert _failures(suite, n_max, **kwargs) == (flagged, total)
