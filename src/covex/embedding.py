@@ -116,8 +116,9 @@ def target_grass_index(data: CovexillaryData) -> GrassIndex:
 
     Each condition (t, p + r) pins position t - c = q - r of the sequence
     to at most t; the sequence is the componentwise-largest one obeying the
-    pins.  This derived conversion is validated against cell location of
-    sampled maximal points.
+    pins.  test_fixed_point_index_of_w_is_the_target_index checks it
+    against the cell of w read off tau, for every covexillary partial w
+    with n <= 5.
     """
     n = data.n
     positions = [n + i for i in range(1, n + 1)]

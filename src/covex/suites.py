@@ -3,7 +3,8 @@
 Each suite maps to one acceptance criterion.  ``_SUITES``, the one table at
 the end of the module, gives each suite its runner, its acceptance
 ``(n_max, trials)`` and the largest ``n_max`` it accepts; ``resolved()``
-refuses anything larger before a case runs.  A runner yields
+refuses anything larger, and any ``trials`` above ``MAX_TRIALS``, before a
+case runs.  A runner yields
 ``(case, passed, details)`` per case and ``run_suite`` turns them into
 verdicts sorted by case identifier; verdicts are plain data so reports
 serialize to stable JSON lines.  The suites that sweep covexillary ``w``
@@ -123,6 +124,8 @@ class SuiteConfig:
             raise InputError("n_max must be at least 1")
         if trials < 1:
             raise InputError("trials must be at least 1")
+        if trials > MAX_TRIALS:
+            raise InputError(f"trials is limited to {MAX_TRIALS:,}; got {trials}")
         if n_max > suite.limit:
             raise InputError(f"{self.suite} is limited to n <= {suite.limit}; got n = {n_max}")
         FieldSpec.prime(self.prime)  # validates primality
@@ -558,6 +561,10 @@ class _Suite(NamedTuple):
     limit: int  # the largest n_max accepted
 
 
+# A suite that draws runs in time linear in --trials; el-roundtrip's
+# default is this cap.
+MAX_TRIALS = 1000
+
 # The limits keep every run bounded in time and memory.  The five suites
 # that walk every partial permutation of each size stop at n = 7: there are
 # sum_k C(n, k)^2 k! of them, 130,922 at n = 7, 1.44 M at n = 8 and 17.6 M
@@ -566,7 +573,7 @@ class _Suite(NamedTuple):
 # kl-covex does, and S_8 holds 15,767 covexillary w; el-roundtrip takes
 # 35-40 s at its limit and rank-lemma about 50 s.  embed-thm compares every
 # orbit with every covexillary w of a size, cell by cell at each cell's
-# coordinate point: the 97 M pairs of n = 6 take about 28 s and 54 MB, and
+# coordinate point: the 97 M pairs of n = 6 take about 21 s and 53 MB, and
 # n = 7 (6.5 G pairs, 49,626 w against up to 3,432 cells each) is out of
 # reach.
 _SUITES: dict[str, _Suite] = {

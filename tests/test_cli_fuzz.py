@@ -4,10 +4,10 @@ Every subcommand, its positionals, their choices and its options come from
 the CLI's own parser.  Their values are drawn from small alphabets of valid,
 partial and malformed permutations, positions, fields, numbers, conditions
 and point files, some of which hold JSON drawn by hypothesis; stray tokens
-are mixed in.  Permutations stay at n <= 4, but for one at n = 65 and a
-matrix of 129 rows, both past the CLI's caps, and `verify` always gets
-`--nmax <= 2`, so no example builds a large table or runs a suite at its
-acceptance scale.
+are mixed in.  Permutations stay at n <= 4, but for one at n = 65, a
+matrix of 129 rows and a `--trials` one past MAX_TRIALS, all past the
+CLI's caps, and `verify` always gets `--nmax <= 2`, so no example builds a
+large table or runs a suite at its acceptance scale.
 """
 
 import argparse
@@ -21,7 +21,7 @@ from pathlib import Path
 from hypothesis import given, settings, strategies as st
 
 from covex.cli import build_parser, main
-from covex.suites import SUITE_NAMES
+from covex.suites import MAX_TRIALS, SUITE_NAMES
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -111,7 +111,12 @@ POSITIONAL_VALUES = {
     "args": PERMS + ["covex-check"],
     "suite": list(SUITE_NAMES) + ["bogus"],
 }
-OPTION_VALUES = {"--w": PERMS, "--conditions": CONDITIONS, "--field": FIELDS}
+OPTION_VALUES = {
+    "--w": PERMS,
+    "--conditions": CONDITIONS,
+    "--field": FIELDS,
+    "--trials": NUMBERS + [str(MAX_TRIALS + 1)],
+}
 
 
 @st.composite

@@ -485,6 +485,25 @@ def test_cli_refuses_partial_permutation_enumeration_beyond_n_7(capsys, monkeypa
     assert suites.SuiteConfig(suite, n_max=limit).resolved().n_max == limit
 
 
+def test_cli_refuses_trials_past_the_cap(capsys, monkeypatch):
+    """--trials past MAX_TRIALS exits 2 before any case runs; the cap itself
+    is accepted."""
+
+    def refuse(*_):
+        raise AssertionError("el-roundtrip started its cases")
+
+    for name in ("all_partial_permutations", "_rng"):
+        monkeypatch.setattr(suites, name, refuse)
+    cap = suites.MAX_TRIALS
+    assert cap >= 1000
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "verify", "el-roundtrip", "--trials", str(cap + 1))
+    assert_one_error_line(code, out, err)
+    assert f"trials is limited to {cap:,}; got {cap + 1}" in err
+    assert time.perf_counter() - start < 1.0
+    assert suites.SuiteConfig("el-roundtrip", trials=cap).resolved().trials == cap
+
+
 def _cap_address_space():
     # a regression would expand a 484,912-term polynomial; fail fast instead
     resource.setrlimit(resource.RLIMIT_AS, (2_000_000_000, 2_000_000_000))

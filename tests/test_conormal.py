@@ -6,7 +6,7 @@ from collections import defaultdict
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement, product
-from operator import itemgetter, mul, ne
+from operator import mul, ne
 
 import pytest
 
@@ -182,23 +182,6 @@ def mij_ranks(m, data):
     }
 
 
-def tau_order(data):
-    """tau^-1(1), ..., tau^-1(2n), 0-based: listing the rows and columns of a
-    2n x 2n matrix M in this order gives tau M tau^-1."""
-    return tuple(c - 1 for c in data.tau.inverse().image)
-
-
-def tau_conjugated_M(pt, data):
-    """Reference: tau M tau^-1 assembled in tau order straight from the rows
-    of yx, y, xyx and xy, without materialising M."""
-    x, y = pt.x, pt.y
-    yx = y @ x
-    top = [a + b for a, b in zip(yx.entries, y.entries)]
-    bottom = [a + b for a, b in zip((x @ yx).entries, (x @ y).entries)]
-    in_order = itemgetter(*tau_order(data))
-    return ExactMatrix(x.field, tuple(map(in_order, in_order(top + bottom))))
-
-
 def diagnostics(x, w, ranks):
     """conormal_matrix_violations spelled out from rank M_ij by pair and the bound table."""
     data = covexillary_data(w)
@@ -212,11 +195,6 @@ def diagnostics(x, w, ranks):
         if ranks[i, j] > bound:
             out.append({"kind": "rank", "i": i, "j": j, "rank": ranks[i, j], "bound": bound})
     return out
-
-
-def reference_violations(pt, w):
-    """The diagnostics read off big_matrix_M."""
-    return diagnostics(pt.x, w, mij_ranks(big_matrix_M(pt), covexillary_data(w)))
 
 
 def springer_flag(g, y):
@@ -297,47 +275,6 @@ def rational_matrix(rng, n):
     )
 
 
-def test_tau_conjugated_M_is_the_conjugated_big_matrix():
-    """The directly built tau M tau^-1 equals M on the tau^-1 order, and the
-    predicate's diagnostics equal the ones read off M itself.
-
-    Every covexillary partial w with n <= 4, over F_10007 and Q, with the
-    zero covector, a fiber covector and random points.
-    """
-    rng = random.Random(29)
-    for n in (1, 2, 3, 4):
-        for w in all_partial_permutations(n):
-            if not is_covexillary(w):
-                continue
-            data = covexillary_data(w)
-            table = bound_table(data)
-            assert list(data.conormal_checks) == [
-                (i, j, table.bound(i, j)) for i, j in table.pairs()
-            ]
-            order = tau_permutation(data).inverse().image
-            x = sample_cell_point(w, F, rng)
-            fiber = fiber_matrices(conormal_fiber_matrix(x, w), n)
-            points = [(x, ExactMatrix.zeros(F, n, n)), (x, random_matrix(F, n, n, rng))]
-            points += [(x, y) for y in fiber[-1:]]
-            points.append((random_matrix(F, n, n, rng), random_matrix(F, n, n, rng)))
-            xq = w.matrix(Q)
-            points += [(xq, ExactMatrix.zeros(Q, n, n)), (xq, rational_matrix(rng, n))]
-            points.append((rational_matrix(rng, n), rational_matrix(rng, n)))
-            for px, py in points:
-                pt = CotangentMatrixPoint(px, py)
-                m = big_matrix_M(pt)
-                direct = tau_conjugated_M(pt, data)
-                assert direct == m.submatrix(order, order)
-                assert southwest_profile(direct) == southwest_profile(m.submatrix(order, order))
-                ranks = mij_ranks(m, data)
-                for i, j, _ in data.conormal_checks:
-                    row, col = data.t_at(j), data.t_at(i) - 1
-                    assert southwest_profile(direct)[row][col] == ranks[i, j]
-                expected = reference_violations(pt, w)
-                assert conormal_matrix_violations(pt, w) == expected
-                assert in_conormal_matrix(pt, w) == (not expected)
-
-
 def matrix_of_rank(field, n, r, rng):
     """An n x n matrix of rank exactly r: a product n x r by r x n, redrawn
     until the rank is r (integer entries in -3..3 over Q)."""
@@ -357,7 +294,8 @@ def matrix_of_rank(field, n, r, rng):
 def core_points(w, field, rng):
     """(x, y) pairs for w: x of every rank 0..n and a cell point of w, each
     with a random covector; the cell point also with the zero covector and,
-    over F_p, a fiber covector."""
+    over F_p, a fiber covector; over Q also an x and a y with Fraction
+    entries."""
     n = w.n
     if field.is_prime:
         cell = sample_cell_point(w, field, rng)
@@ -371,6 +309,8 @@ def core_points(w, field, rng):
         fiber = conormal_fiber_matrix(cell, w)
         if fiber.dim:
             points.append((cell, vector_to_matrix(field, fiber.vectors[-1], n)))
+    else:
+        points.append((rational_matrix(rng, n), random_y()))
     return points
 
 
@@ -400,6 +340,8 @@ def core_matrix(pt, rows, cols):
 def check_core_against_references(w, field, rng):
     data = covexillary_data(w)
     n = w.n
+    table = bound_table(data)
+    assert list(data.conormal_checks) == [(i, j, table.bound(i, j)) for i, j in table.pairs()]
     for x, y in core_points(w, field, rng):
         rows, cols, rows_before, cols_through = core_pivots(x, data)
         assert len(rows) == len(cols) == n
@@ -425,9 +367,8 @@ CORE_N = int(os.environ.get("COVEX_CORE_N", "4"))
 def test_core_ranks_match_big_matrix_for_n_up_to_4():
     """The n x n core gives every rank M_ij of big_matrix_M, and the
     diagnostics and the verdict, for every covexillary partial w with
-    n <= 4 (n <= COVEX_CORE_N), over F_2, F_5, F_10007 and Q.
-    (tau_conjugated_M, the second oracle, is checked in
-    test_tau_conjugated_M_is_the_conjugated_big_matrix.)"""
+    n <= 4 (n <= COVEX_CORE_N), over F_2, F_5, F_10007 and Q, and the
+    checks of covexillary_data against the bound table."""
     rng = random.Random(31)
     for field in CORE_FIELDS:
         for n in range(1, CORE_N + 1):
@@ -1163,11 +1104,12 @@ def test_grass_members_check_both_containments_at_every_point(field):
 
 
 def test_flag_members_are_the_per_point_verdicts():
-    """conormal_flag_members(flag, w, zs) is in_conormal_flag at each
-    (flag, z), for every covexillary w with n <= 3 over F_101 and Q, at
-    flags from every cell u of S_n, with the zero covector, the flag fiber
-    of u's cell and random Springer covectors g U g^-1 (U strictly upper).
-    A z that breaks the flag invariant raises SpringerFlagPoint's message."""
+    """conormal_flag_members(flag, w, zs) is the verdict of the subspace
+    reference at each (flag, z), for every covexillary w with n <= 3 over
+    F_101 and Q, at flags from every cell u of S_n, with the zero covector,
+    the flag fiber of u's cell and random Springer covectors g U g^-1 (U
+    strictly upper).  A z that breaks the flag invariant raises
+    SpringerFlagPoint's message."""
     rng = random.Random(89)
     seen = set()
     for field in (FieldSpec.prime(101), Q):
@@ -1179,8 +1121,7 @@ def test_flag_members_are_the_per_point_verdicts():
                 zs = [ExactMatrix.zeros(field, n, n)]
                 zs += [vector_to_matrix(field, v, n) for v in fiber.vectors]
                 zs += [g @ random_upper(field, n, rng, True) @ flag.inverse for _ in range(3)]
-                for w in ws:
-                    expected = [in_conormal_flag(SpringerFlagPoint(flag, z), w) for z in zs]
+                for w, expected in reference_flag_verdicts(flag, zs, ws).items():
                     assert conormal_flag_members(flag, w, zs) == expected, (w, u)
                     seen.update(expected)
                 if n > 1:
@@ -1331,6 +1272,17 @@ def reference_flag_violations(pt, w):
         if got > bound:
             out.append(("rank", i, j, got, bound))
     return out
+
+
+def reference_flag_verdicts(flag, zs, ws):
+    """{w: [the subspace reference's verdict at (flag, z) for z in zs]},
+    point by point, so that subspace_dims computes each point once."""
+    verdicts = {w: [] for w in ws}
+    for z in zs:
+        pt = SpringerFlagPoint(flag, z)
+        for w in ws:
+            verdicts[w].append(not reference_flag_violations(pt, w))
+    return verdicts
 
 
 def diagnostic_tuples(violations):
@@ -1661,29 +1613,16 @@ def member_batch(w, field, rng):
     return x, [ExactMatrix.zeros(field, n, n), *ys]
 
 
-def test_matrix_members_are_the_per_point_verdicts():
-    """conormal_matrix_members(x, w, ys) is in_conormal_matrix at each (x, y),
-    for every covexillary w with n <= 4 over F_2, F_3, F_10007, F_(10^24+7)
-    and Q, at a cell point of w and at a random x, which often lies outside
-    the matrix Schubert variety."""
-    rng = random.Random(53)
-    for field in MEMBER_FIELDS:
-        for n in (1, 2, 3, 4):
-            for w in all_partial_permutations(n):
-                if not is_covexillary(w):
-                    continue
-                x, ys = member_batch(w, field, rng)
-                other = rational_matrix(rng, n) if field is Q else random_matrix(field, n, n, rng)
-                for point in (x, other):
-                    expected = [in_conormal_matrix(CotangentMatrixPoint(point, y), w) for y in ys]
-                    assert conormal_matrix_members(point, w, [y.entries for y in ys]) == expected
-
-
 def test_matrix_members_outside_the_schubert_variety_empty_batches_and_sizes():
     w = PartialPermutation.identity(4)
+    rng = random.Random(5)
+    for field in MEMBER_FIELDS:
+        outside = PartialPermutation.longest(4).matrix(field)
+        assert matrix_schubert_violation(outside, w) is not None
+        _, batch = member_batch(w, field, rng)
+        assert conormal_matrix_members(outside, w, [y.entries for y in batch]) == [False] * len(batch)
     x = PartialPermutation.longest(4).matrix(F)
-    assert matrix_schubert_violation(x, w) is not None
-    y = random_matrix(F, 4, 4, random.Random(5))
+    y = random_matrix(F, 4, 4, rng)
     ys = [ExactMatrix.zeros(F, 4, 4), unit_matrix(4, 1, 2), y]
     assert conormal_matrix_members(x, w, [y.entries for y in ys]) == [False] * 3
     assert conormal_matrix_members(x, w, []) == []
@@ -1710,7 +1649,7 @@ def test_flag_rejection_covectors_are_the_flag_points():
     """The flag calibration checks z = g U g^-1 for a strictly upper U as the
     matrix point (g, U g^-1), at g = w's permutation matrix: U g^-1 is the
     covector of the Springer point (F, g U g^-1), and the batched verdicts
-    over g are in_conormal_flag at each of those points, for every
+    over g are the subspace reference's at each of those points, for every
     covexillary w with n <= 4, at flags from the cell of w and from every
     other cell u of S_n."""
     rng = random.Random(59)
@@ -1722,11 +1661,10 @@ def test_flag_rejection_covectors_are_the_flag_points():
                 flag = Flag(g)
                 uppers = [random_upper(field, n, rng, True) for _ in range(3)]
                 covectors = [upper @ flag.inverse for upper in uppers]
-                points = [SpringerFlagPoint(flag, g @ upper @ flag.inverse) for upper in uppers]
-                for covector, pt in zip(covectors, points):
-                    assert covector.entries == pt.covector.entries
-                for w in ws:
-                    expected = [in_conormal_flag(pt, w) for pt in points]
+                zs = [g @ upper @ flag.inverse for upper in uppers]
+                for covector, z in zip(covectors, zs):
+                    assert covector.entries == SpringerFlagPoint(flag, z).covector.entries
+                for w, expected in reference_flag_verdicts(flag, zs, ws).items():
                     assert conormal_matrix_members(g, w, [c.entries for c in covectors]) == expected
 
 
@@ -1821,11 +1759,12 @@ def test_matrix_and_flag_calibrations_pass_over_small_fields(suite, total, prime
 def test_matrix_members_take_covectors_as_rows():
     """A covector given as rows, lists cut from a flat list as the rejection
     estimate cuts them or the tuples of ExactMatrix.entries, gets the verdict
-    of in_conormal_matrix at the matrix point, on fiber and random covectors
-    of every covexillary w with n <= 4 over F_3, F_10007 and F_(10^24+7)."""
+    of conormal_matrix_violations at the matrix point, on fiber and random
+    covectors of every covexillary w with n <= 4 over F_2, F_3, F_10007 and
+    F_(10^24+7)."""
     rng = random.Random(61)
     verdicts = set()
-    for field in (FieldSpec.prime(3), F, BIG_PRIME):
+    for field in (FieldSpec.prime(2), FieldSpec.prime(3), F, BIG_PRIME):
         for n in (1, 2, 3, 4):
             for w in all_partial_permutations(n):
                 if not is_covexillary(w):
@@ -1839,7 +1778,7 @@ def test_matrix_members_take_covectors_as_rows():
                 ]
                 as_rows = [y.entries for y in ys] + cut
                 ys += [ExactMatrix(field, tuple(map(tuple, rows))) for rows in cut]
-                expected = [in_conormal_matrix(CotangentMatrixPoint(x, y), w) for y in ys]
+                expected = [not conormal_matrix_violations(CotangentMatrixPoint(x, y), w) for y in ys]
                 assert conormal_matrix_members(x, w, as_rows) == expected
                 as_lists = [list(map(list, y.entries)) for y in ys]
                 assert conormal_matrix_members(x, w, as_lists) == expected
@@ -1860,8 +1799,8 @@ def test_matrix_members_refuse_ragged_and_wrong_size_rows():
         [],
     ]
     for x in (w.matrix(F), PartialPermutation.identity(4).matrix(F)):
-        zero = CotangentMatrixPoint(x, ExactMatrix.zeros(F, 4, 4))
-        assert conormal_matrix_members(x, w, [good]) == [in_conormal_matrix(zero, w)]
+        # the zero covector is a member exactly over the matrix Schubert variety
+        assert conormal_matrix_members(x, w, [good]) == [matrix_schubert_violation(x, w) is None]
         for rows in bad:
             with pytest.raises(DimensionMismatchError, match="square of equal size"):
                 conormal_matrix_members(x, w, [good, rows])
