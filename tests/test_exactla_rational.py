@@ -141,16 +141,26 @@ def matrices(draw, max_rows=8, max_cols=16, square=False):
 
 @settings(max_examples=EXAMPLES, deadline=None)
 @given(matrices())
-def test_rank_profile_spans_and_kernel_match_fraction_elimination(x):
+def test_rank_and_profile_match_fraction_elimination(x):
     assert_canonical(entries_of(x.entries), x.field)
     assert x.rank() == len(reference_row_echelon(x.entries, x.field)[1])
     assert x.southwest_profile == reference_profile(x)
+
+
+@settings(max_examples=EXAMPLES, deadline=None)
+@given(matrices())
+def test_spans_match_fraction_elimination(x):
     span = Subspace.span(x.field, x.cols, x.entries)
     assert (span.vectors, span.pivots) == reference_span(x.entries, x.field)
     assert_canonical(entries_of(span.vectors), x.field)
     columns = Subspace.column_span(x)
     assert (columns.vectors, columns.pivots) == reference_span(zip(*x.entries), x.field)
     assert_canonical(entries_of(columns.vectors), x.field)
+
+
+@settings(max_examples=EXAMPLES, deadline=None)
+@given(matrices())
+def test_kernel_matches_fraction_elimination(x):
     ker = kernel(x)
     assert (ker.vectors, ker.pivots) == reference_kernel(x)
     assert_canonical(entries_of(ker.vectors), x.field)
