@@ -29,15 +29,13 @@ from .conormal import (
 from .embedding import (
     check_target_space,
     embed_point,
-    fixed_point_index,
     target_grass_index,
     weight_map,
 )
 from .equivariant import (
-    apply_weight_map,
     check_multidegree_size,
     double_schubert,
-    grass_restriction,
+    origin_restriction,
     verify_multidegree,
 )
 from .errors import CovexError, InputError, InvariantError, NotCovexillaryError
@@ -288,15 +286,12 @@ def _cmd_schubert(args, field: FieldSpec) -> int:
         return 0
     if args.action == "localize":
         check_multidegree_size(w.n)
-        data = covexillary_data(w)
-        v_hat = target_grass_index(data)
-        origin = fixed_point_index(PartialPermutation.zero(w.n), data)
-        localized = grass_restriction(v_hat, origin)
+        origin, in_t, in_xy = origin_restriction(covexillary_data(w))
         _emit(
             {
                 "point": list(origin.positions),
-                "t_polynomial": str(localized),
-                "xy_polynomial": str(apply_weight_map(localized, weight_map(data), w.n)),
+                "t_polynomial": str(in_t),
+                "xy_polynomial": str(in_xy),
             }
         )
         return 0

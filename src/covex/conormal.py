@@ -101,10 +101,6 @@ class CotangentMatrixPoint:
             raise DimensionMismatchError("x and y must be square of equal size")
         self.x.field.check_same(self.y.field)
 
-    @property
-    def n(self) -> int:
-        return self.x.rows
-
 
 @dataclass(frozen=True)
 class SpringerFlagPoint:

@@ -27,7 +27,7 @@ from functools import lru_cache
 
 from .embedding import fixed_point_index, target_grass_index, weight_map
 from .errors import InputError
-from .permcore import PartialPermutation, covexillary_data
+from .permcore import CovexillaryData, PartialPermutation, covexillary_data
 from .varieties import GrassIndex
 
 
@@ -279,6 +279,16 @@ def apply_weight_map(
     return poly_t._relabel(ring, images)
 
 
+def origin_restriction(
+    data: CovexillaryData,
+) -> tuple[GrassIndex, MultivariatePolynomial, MultivariatePolynomial]:
+    """The image of the origin, the target class restricted there, and that
+    restriction in x and y through the embedding's weight dictionary."""
+    origin = fixed_point_index(PartialPermutation.zero(data.n), data)
+    in_t = grass_restriction(target_grass_index(data), origin)
+    return origin, in_t, apply_weight_map(in_t, weight_map(data), data.n)
+
+
 # At n = 7 the localization of 1234567 alone has 484,912 terms, about
 # 45 MB as printed by `covex schubert localize`, and the multidegree suite
 # would run 2,761 cases.  `covex schubert` shares the limit.
@@ -316,9 +326,7 @@ def verify_multidegree(w: PartialPermutation) -> MultidegreeReport:
     n = w.n
     w0 = PartialPermutation.longest(n)
     lhs = double_schubert(w0.compose(w))
-    v_hat = target_grass_index(data)
-    origin = fixed_point_index(PartialPermutation.zero(n), data)
-    in_xy = apply_weight_map(grass_restriction(v_hat, origin), weight_map(data), n)
+    _, _, in_xy = origin_restriction(data)
     renames = {f"x{i}": f"y{n + 1 - i}" for i in range(1, n + 1)}
     renames.update({f"y{i}": f"x{i}" for i in range(1, n + 1)})
     rhs = in_xy.rename(renames).sign_by_degree()

@@ -114,7 +114,8 @@ def flag_from_json(field: FieldSpec, data: Any, where: str = "flag") -> Flag:
     if n != generator.rows:
         raise InputError(f"{where}: declared n differs from generator size")
     flag = Flag(generator)
-    if generator.rank() != generator.rows:
+    # the whole rank, read off the cached profile that the flag predicates reuse
+    if generator.southwest_profile[0][-1] != generator.rows:
         raise InputError(f"{where}: generator is singular, dim F_i would be wrong")
     return flag
 

@@ -90,10 +90,6 @@ def southwest_profile(x: ExactMatrix) -> tuple[tuple[int, ...], ...]:
     return x.southwest_profile
 
 
-def in_matrix_schubert(x: ExactMatrix, w: PartialPermutation) -> bool:
-    return matrix_schubert_violation(x, w) is None
-
-
 def matrix_schubert_violation(
     x: ExactMatrix, w: PartialPermutation
 ) -> tuple[int, int, int, int] | None:

@@ -1,6 +1,5 @@
 """Conormal predicates against the trace-pairing fiber oracles."""
 
-import os
 import random
 from collections import defaultdict
 from fractions import Fraction
@@ -77,6 +76,7 @@ from covex.varieties import (
     sample_cell_point,
     southwest_profile,
 )
+from scale import sized
 from test_exactla import dim_quotient, standard_subspace, subspace_intersect
 from test_varieties import sample_flag
 
@@ -322,7 +322,7 @@ def core_matrix(pt, rows, cols):
     of H y; only the rows and columns of x cost a dot product.
     """
     field = pt.x.field
-    n = pt.n
+    n = pt.x.rows
     x, y = pt.x.entries, pt.y.entries
 
     def products(vectors, columns):
@@ -360,14 +360,14 @@ def check_core_against_references(w, field, rng):
 
 
 CORE_FIELDS = (FieldSpec.prime(2), FieldSpec.prime(5), F, Q)
-# COVEX_CORE_N=5 extends the sweep below to every covexillary w with n = 5; CI runs it.
-CORE_N = int(os.environ.get("COVEX_CORE_N", "4"))
+# CI extends the sweep below to every covexillary w with n = 5.
+CORE_N = sized(4, 5)
 
 
 def test_core_ranks_match_big_matrix_for_n_up_to_4():
     """The n x n core gives every rank M_ij of big_matrix_M, and the
     diagnostics and the verdict, for every covexillary partial w with
-    n <= 4 (n <= COVEX_CORE_N), over F_2, F_5, F_10007 and Q, and the
+    n <= 4 (n <= 5 in CI), over F_2, F_5, F_10007 and Q, and the
     checks of covexillary_data against the bound table."""
     rng = random.Random(31)
     for field in CORE_FIELDS:
@@ -671,13 +671,8 @@ def test_boundary_point_of_310_accepts_only_the_chased_covectors():
     assert matrix == chased
 
 
-# COVEX_AGREEMENT_SWEEP_N=3 adds n = 3 over F_2 (197,120 points); CI runs it.
-AGREEMENT_SWEEP_N = int(os.environ.get("COVEX_AGREEMENT_SWEEP_N", "2"))
-
-
-@pytest.mark.parametrize(
-    "p, n_max", [(2, max(2, AGREEMENT_SWEEP_N)), (3, 2)], ids=["F2", "F3"]
-)
+# CI adds n = 3 over F_2 (197,120 points).
+@pytest.mark.parametrize("p, n_max", [(2, sized(2, 3)), (3, 2)], ids=["F2", "F3"])
 def test_matrix_and_chased_criteria_agree_at_boundary_fixed_points(p, n_max):
     """in_conormal_matrix and the chased Grassmannian criterion give the same
     verdict at every covector y over every boundary torus-fixed point u < w,
@@ -1479,7 +1474,7 @@ def push_graph(pt: CotangentMatrixPoint) -> tuple[ExactMatrix, ExactMatrix]:
     Returns the pair (h1(x), theta(y)) with h1(x) = ((I, 0), (x, I)) and
     theta(y) = ((0, y), (0, 0)), both of size 2n.
     """
-    n = pt.n
+    n = pt.x.rows
     field = pt.x.field
     ident = ExactMatrix.identity(field, n)
     zero = ExactMatrix.zeros(field, n, n)

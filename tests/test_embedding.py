@@ -1,6 +1,5 @@
 """The interleaving permutation, graph embedding, and target conditions."""
 
-import os
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -40,11 +39,12 @@ from covex.permcore import (
     rank_matrix,
 )
 from covex.varieties import (
-    in_matrix_schubert,
     in_matrix_schubert_cell,
     locate_grass_cell,
+    matrix_schubert_violation,
     sample_cell_point,
 )
+from scale import sized
 from test_exactla import standard_subspace
 from test_varieties import in_grass_schubert
 
@@ -154,7 +154,8 @@ def test_embedding_theorem_randomized():
             data = covexillary_data(w)
             for _ in range(40):
                 x = random_matrix(F, n, n, rng)
-                assert in_matrix_schubert(x, w) == target_holds(embed_point(x, data), data)
+                inside = matrix_schubert_violation(x, w) is None
+                assert inside == target_holds(embed_point(x, data), data)
 
 
 def test_negative_control_rejects_random_matrices():
@@ -371,9 +372,9 @@ def test_orbit_points_embed_into_the_cell_of_their_representative():
     assert checks == 2 + 2 * 7 + 6 * 34 + 20 * 209
 
 
-# COVEX_CELL_ORACLE_N=5 extends the two elimination oracles below to n = 5
-# (108,220 embeddings; 1.73 M pairs); CI runs it.
-CELL_ORACLE_N = int(os.environ.get("COVEX_CELL_ORACLE_N", "4"))
+# CI extends the two elimination oracles below to n = 5 (108,220
+# embeddings; 1.73 M pairs).
+CELL_ORACLE_N = sized(4, 5)
 
 
 def _tau_classes(n):

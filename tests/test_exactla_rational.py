@@ -14,7 +14,6 @@ reference rank and profile.
 """
 
 import itertools
-import os
 from fractions import Fraction
 
 import pytest
@@ -22,6 +21,8 @@ from hypothesis import given, settings, strategies as st
 
 from covex.errors import FieldError, SingularMatrixError
 from covex.exactla import ExactMatrix, FieldSpec, Subspace, _insert, kernel
+
+from scale import sized
 
 Q = FieldSpec.rational()
 FIELDS = (Q, FieldSpec.prime(2), FieldSpec.prime(5), FieldSpec.prime())
@@ -181,11 +182,10 @@ def test_inverse_matches_fraction_elimination(x):
     assert inverse @ x == ExactMatrix.identity(x.field, x.rows)
 
 
-# COVEX_F2_SWEEP_N=4 sweeps every 4 x 4 matrix over F_2 (65,536) instead; CI runs it.
-F2_SWEEP_N = int(os.environ.get("COVEX_F2_SWEEP_N", "3"))
-
-
-@pytest.mark.parametrize("p, m, n", [(2, F2_SWEEP_N, F2_SWEEP_N), (3, 2, 3)])
+# CI adds every 4 x 4 matrix over F_2 (65,536).
+@pytest.mark.parametrize(
+    "p, m, n", sized([(2, 3, 3), (3, 2, 3)], [(2, 3, 3), (2, 4, 4), (3, 2, 3)])
+)
 def test_exhaustive_small_matrices_match_reference(p, m, n):
     """Every m x n matrix over F_p, and every vector against its row span."""
     field = FieldSpec.prime(p)

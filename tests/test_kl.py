@@ -3,7 +3,6 @@
 import functools
 import itertools
 import operator
-import os
 import random
 from dataclasses import dataclass
 
@@ -29,6 +28,8 @@ from covex.permcore import (
     is_covexillary,
 )
 from covex.varieties import GrassIndex, locate_grass_cell
+
+from scale import sized
 
 ONE = PolynomialQ.one()
 
@@ -495,8 +496,8 @@ def test_u_hat_below_v_hat():
             assert GrassIndex(3, 6, row.u_hat).leq(v_hat)
 
 
-# COVEX_KL_ORACLE_N=8 extends the sweep to N = 8 (12,870 pairs); CI runs it.
-ORACLE_N = int(os.environ.get("COVEX_KL_ORACLE_N", "7"))
+# CI extends the sweep to N = 8 (12,870 pairs).
+ORACLE_N = sized(7, 8)
 
 
 @pytest.mark.parametrize("N", range(ORACLE_N + 1))

@@ -28,9 +28,9 @@ from covex.varieties import (
     flag_schubert_violation,
     grass_condition_checks,
     grass_schubert_violation,
-    in_matrix_schubert,
     in_matrix_schubert_cell,
     locate_grass_cell,
+    matrix_schubert_violation,
     sample_cell_point,
     southwest_profile,
 )
@@ -79,20 +79,20 @@ def standard_flag(field, n):
 def test_matrix_membership_fixtures():
     rng = random.Random(1)
     w = PartialPermutation.from_one_line("2143")
-    assert in_matrix_schubert(w.matrix(F), w)
+    assert matrix_schubert_violation(w.matrix(F), w) is None
     # n = 2 identity: membership is exactly x_21 = 0
     e2 = PartialPermutation.identity(2)
     for _ in range(20):
         x = random_matrix(F, 2, 2, rng)
-        assert in_matrix_schubert(x, e2) == (x.entry(2, 1) == 0)
+        assert (matrix_schubert_violation(x, e2) is None) == (x.entry(2, 1) == 0)
     w0 = PartialPermutation.longest(3)
     for _ in range(10):
-        assert in_matrix_schubert(random_matrix(F, 3, 3, rng), w0)
+        assert matrix_schubert_violation(random_matrix(F, 3, 3, rng), w0) is None
 
 
 def test_matrix_membership_size_check():
     with pytest.raises(DimensionMismatchError):
-        in_matrix_schubert(ExactMatrix.zeros(F, 2, 2), PartialPermutation.identity(3))
+        matrix_schubert_violation(ExactMatrix.zeros(F, 2, 2), PartialPermutation.identity(3))
 
 
 def test_essential_only_agrees_with_full():
@@ -107,7 +107,7 @@ def test_essential_only_agrees_with_full():
                 essential_only = all(
                     profile[c.row - 1][c.col - 1] <= c.rank for c in essential
                 )
-                assert in_matrix_schubert(x, w) == essential_only
+                assert (matrix_schubert_violation(x, w) is None) == essential_only
 
 
 def test_flag_membership_fixtures():
@@ -264,7 +264,7 @@ def test_bruhat_monotone_sampling():
         for u in perms:
             x = sample_cell_point(u, F, rng)
             for w in perms:
-                assert in_matrix_schubert(x, w) == bruhat_leq(u, w)
+                assert (matrix_schubert_violation(x, w) is None) == bruhat_leq(u, w)
 
 
 def test_invertible_samples_match_flag_membership():
@@ -273,7 +273,7 @@ def test_invertible_samples_match_flag_membership():
         for w in all_permutations(n):
             for u in all_permutations(n):
                 x = sample_cell_point(u, F, rng)
-                assert in_matrix_schubert(x, w) == in_flag_schubert(Flag(x), w)
+                assert (matrix_schubert_violation(x, w) is None) == in_flag_schubert(Flag(x), w)
 
 
 def test_membership_over_the_rationals():
@@ -281,10 +281,10 @@ def test_membership_over_the_rationals():
 
     Q = FieldSpec.rational()
     x = ExactMatrix.from_rows(Q, [[Fraction(1, 2), 3], [0, Fraction(-2, 7)]])
-    assert in_matrix_schubert(x, PartialPermutation.identity(2))
+    assert matrix_schubert_violation(x, PartialPermutation.identity(2)) is None
     assert locate_flag_cell(Flag(x)) == PartialPermutation.identity(2)
     y = ExactMatrix.from_rows(Q, [[0, 1], [Fraction(5, 3), 0]])
-    assert not in_matrix_schubert(y, PartialPermutation.identity(2))
-    assert in_matrix_schubert(y, PartialPermutation.longest(2))
+    assert matrix_schubert_violation(y, PartialPermutation.identity(2)) is not None
+    assert matrix_schubert_violation(y, PartialPermutation.longest(2)) is None
     v = Subspace.span(Q, 4, [(1, 0, Fraction(1, 3), 0), (0, 1, 0, 0)])
     assert locate_grass_cell(v).positions == (2, 3)
