@@ -127,7 +127,7 @@ def _cmd_covex(args, field: FieldSpec) -> int:
             "p": list(data.p),
             "q": list(data.q),
             "r": list(data.r),
-            "t": [data.t_at(i) for i in range(1, data.m + 1)],
+            "t": [p + q for p, q, _ in data.chain[1:]],
             "w": w.one_line(),
         }
     )

@@ -60,6 +60,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import pairwise
 from operator import mul
 from typing import Sequence
 
@@ -204,11 +205,10 @@ def core_pivots(
     # sw[p][q] = rank x[p+1.., ..q], zero on the empty blocks p = n and q = 0
     sw = [(0,) + row for row in southwest_profile(x)]
     sw.append((0,) * (n + 1))
-    ps, qs = (0,) + data.p + (n,), (0,) + data.q + (n,)
     rows: list[int] = []
     cols: list[int] = []
     rows_before, cols_through = [0], [0]
-    for p0, q0, p1, q1 in zip(ps, qs, ps[1:], qs[1:]):
+    for (p0, q0, _), (p1, q1, _) in pairwise(data.chain):
         ranks = sw[p0]
         for c in range(q0 + 1, q1 + 1):
             (cols if ranks[c] > ranks[c - 1] else rows).append(c - 1)

@@ -258,8 +258,8 @@ def avoids_3412(w: PartialPermutation) -> bool:
 class CovexillaryData:
     """Essential-set triples (p_i, q_i, r_i) of a covexillary partial permutation.
 
-    There are m-1 triples and t_i = p_i + q_i.  The accessors supply the
-    padding (p_0, q_0, r_0) = (0, 0, 0) and (p_m, q_m, r_m) = (n, n, 0).
+    There are m-1 triples and t_i = p_i + q_i.  chain adds the padding
+    (p_0, q_0, r_0) = (0, 0, 0) and (p_m, q_m, r_m) = (n, n, 0).
     """
 
     n: int
@@ -286,29 +286,10 @@ class CovexillaryData:
     def m(self) -> int:
         return len(self.p) + 1
 
-    def p_at(self, i: int) -> int:
-        """p_i with the padding p_0 = 0 and p_m = n."""
-        if i == 0:
-            return 0
-        if i == self.m:
-            return self.n
-        return self.p[i - 1]
-
-    def q_at(self, i: int) -> int:
-        if i == 0:
-            return 0
-        if i == self.m:
-            return self.n
-        return self.q[i - 1]
-
-    def r_at(self, i: int) -> int:
-        """r_i with the padding r_0 = r_m = 0: the rank of an empty block."""
-        if i == 0 or i == self.m:
-            return 0
-        return self.r[i - 1]
-
-    def t_at(self, i: int) -> int:
-        return self.p_at(i) + self.q_at(i)
+    @cached_property
+    def chain(self) -> tuple[tuple[int, int, int], ...]:
+        """(p_i, q_i, r_i) for i = 0..m; r_0 = r_m = 0 is the rank of an empty block."""
+        return ((0, 0, 0), *zip(self.p, self.q, self.r), (self.n, self.n, 0))
 
     @cached_property
     def tau(self) -> PartialPermutation:
@@ -321,11 +302,11 @@ class CovexillaryData:
         n = self.n
         image = [0] * (2 * n)
         next_target = 1
-        for i in range(1, self.m + 1):
-            for j in range(self.q_at(i - 1) + 1, self.q_at(i) + 1):
+        for (p0, q0, _), (p1, q1, _) in itertools.pairwise(self.chain):
+            for j in range(q0 + 1, q1 + 1):
                 image[j - 1] = next_target
                 next_target += 1
-            for j in range(n + self.p_at(i - 1) + 1, n + self.p_at(i) + 1):
+            for j in range(n + p0 + 1, n + p1 + 1):
                 image[j - 1] = next_target
                 next_target += 1
         return PartialPermutation(2 * n, tuple(image))
@@ -342,9 +323,7 @@ class CovexillaryData:
     @cached_property
     def grass_conditions(self) -> tuple[tuple[int, int], ...]:
         """The pairs (t_i, p_i + r_i) for i = 1..m-1: the embedding target in Gr(n, 2n)."""
-        return tuple(
-            (self.t_at(i), self.p_at(i) + self.r_at(i)) for i in range(1, self.m)
-        )
+        return tuple((p + q, p + r) for p, q, r in self.chain[1:-1])
 
     @cached_property
     def conormal_checks(self) -> tuple[tuple[int, int, int], ...]:

@@ -67,6 +67,7 @@ from covex.suites import (
     _chase_to_grass,
     _fiber_elements,
     _grass_fixed_point,
+    _off_fiber_rejection,
     run_suite,
 )
 from covex.varieties import (
@@ -155,11 +156,9 @@ def big_matrix_M(pt: CotangentMatrixPoint) -> ExactMatrix:
 def mij_rows_cols(data, i, j):
     """The explicit index sets of M_ij: rows {q_j+1..n, n+p_j+1..2n},
     columns {1..q_i, n+1..n+p_i}."""
-    n = data.n
-    rows = list(range(data.q_at(j) + 1, n + 1)) + list(
-        range(n + data.p_at(j) + 1, 2 * n + 1)
-    )
-    cols = list(range(1, data.q_at(i) + 1)) + list(range(n + 1, n + data.p_at(i) + 1))
+    n, (pj, qj, _), (pi, qi, _) = data.n, data.chain[j], data.chain[i]
+    rows = list(range(qj + 1, n + 1)) + list(range(n + pj + 1, 2 * n + 1))
+    cols = list(range(1, qi + 1)) + list(range(n + 1, n + pi + 1))
     return rows, cols
 
 
@@ -175,8 +174,9 @@ def mij_ranks(m, data):
     southwest profile of big_matrix_M conjugated by an explicit submatrix."""
     order = tau_permutation(data).inverse().image
     profile = southwest_profile(m.submatrix(order, order))
+    t = [p + q for p, q, _ in data.chain]
     return {
-        (i, j): profile[data.t_at(j)][data.t_at(i) - 1]
+        (i, j): profile[t[j]][t[i] - 1]
         for i in range(1, data.m + 1)
         for j in range(i)
     }
@@ -1257,10 +1257,11 @@ def reference_flag_violations(pt, w):
             out.append(("schubert", i, j, got, bound))
             break
     for i, j, bound in data.conormal_checks:
-        source = (data.q_at(i), data.p_at(i))
+        (pi, qi, _), (pj, qj, _) = data.chain[i], data.chain[j]
+        source = (qi, pi)
         if bound < 0 and moved[source].dim == 0:
             continue
-        target = (data.q_at(j), data.p_at(j))
+        target = (qj, pj)
         if source + target not in quotients:
             quotients[source + target] = dim_quotient(moved[source], meets[target])
         got = quotients[source + target]
@@ -1836,3 +1837,22 @@ def test_fiber_elements_match_the_accumulating_loop():
                 old = old_fiber_elements(fiber, n, field, old_rng, extra=4)
                 assert got == [y.entries for y in old]
                 assert new_rng.getstate() == old_rng.getstate()
+
+
+def test_one_direction_accepted_off_the_fiber_is_counted():
+    """Around the zero fiber in F^25 every coordinate is a direction off
+    the fiber, one covector each, cut into 5 rows.  A members that accepts
+    only the last of the 25 gives one accepted off-fiber covector, so the
+    case fails; a rejection rate of 24/25 = 0.96 would have passed 0.95."""
+    batches = []
+
+    def members(ys):
+        batches.append(ys)
+        return [False] * (len(ys) - 1) + [True]
+
+    zero = Subspace.zero(F, 25)
+    assert _off_fiber_rejection(zero, range(25), members, random.Random(5)) == (0, 1)
+    [ys] = batches
+    assert all(len(y) == 5 and all(len(row) == 5 for row in y) for y in ys)
+    support = [[k for k, v in enumerate(entry for row in y for entry in row) if v] for y in ys]
+    assert support == [[k] for k in range(25)]

@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, pairwise
 from operator import getitem
 
 import pytest
@@ -89,8 +89,8 @@ def test_tau_preserves_block_order():
         for w in _covexillary_partials(n):
             tau = tau_permutation(covexillary_data(w))
             data = covexillary_data(w)
-            for i in range(1, data.m + 1):
-                block = [tau(j) for j in range(data.q_at(i - 1) + 1, data.q_at(i) + 1)]
+            for (_, q0, _), (_, q1, _) in pairwise(data.chain):
+                block = [tau(j) for j in range(q0 + 1, q1 + 1)]
                 assert block == sorted(block)
 
 
@@ -105,13 +105,10 @@ def test_tau_inverse_standard_subspaces():
                 continue
             data = covexillary_data(w)
             tau_inv = tau_permutation(data).matrix(F).inverse()
-            for i in range(1, data.m + 1):
-                pre = standard_subspace(F, 2 * n, data.t_at(i)).apply(tau_inv)
+            for p, q, _ in data.chain[1:]:
+                pre = standard_subspace(F, 2 * n, p + q).apply(tau_inv)
                 expected = coordinate_subspace(
-                    F,
-                    2 * n,
-                    list(range(1, data.q_at(i) + 1))
-                    + list(range(n + 1, n + data.p_at(i) + 1)),
+                    F, 2 * n, list(range(1, q + 1)) + list(range(n + 1, n + p + 1))
                 )
                 assert pre == expected
 

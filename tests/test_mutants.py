@@ -16,7 +16,7 @@ with --nmax <= 4 stays byte-identical, so it is not pinned here.
 import inspect
 import random
 import textwrap
-from itertools import chain, combinations
+from itertools import chain, combinations, pairwise
 
 import pytest
 
@@ -34,6 +34,7 @@ from covex.permcore import (
 )
 from covex.suites import SuiteConfig, run_suite
 from covex.varieties import grass_condition_checks
+from scale import sized
 from test_conormal import check_members_agree_with_violations
 
 
@@ -116,6 +117,30 @@ def test_an_elimination_that_never_fails_breaks_the_agreement_test(monkeypatch, 
     prime = field.p or DEFAULT_PRIME
     assert _failures("conormal-matrix", 3, prime=prime) == (39, 42)
     assert _failures("conormal-flag", 3, prime=prime) == (6, 9)
+
+
+@pytest.mark.parametrize(
+    "n_max, flagged, total", sized([(4, 221, 225)], [(4, 221, 225), (5, 1338, 1343)])
+)
+def test_one_direction_accepted_off_the_fiber_fails_conormal_matrix(
+    monkeypatch, n_max, flagged, total
+):
+    """conormal_matrix_members that, at w's 0/1 matrix, accepts the last
+    covector of its batch, one off the fiber, fails every w with a direction
+    off the fiber there: all but the zero w of each size.  The suite counts
+    the accepted off-fiber covectors, so one fails the case also at the
+    n = 5 points with 20 or more such directions, which a rejection rate of
+    at least 0.95 let through (1,237 failures of 1,343)."""
+    members = suites.conormal_matrix_members
+
+    def last_accepted(x, w, ys):
+        verdicts = members(x, w, ys)
+        if x == w.matrix(x.field):
+            verdicts[-1] = True
+        return verdicts
+
+    monkeypatch.setattr(suites, "conormal_matrix_members", last_accepted)
+    assert _failures("conormal-matrix", n_max, trials=1) == (flagged, total)
 
 
 # permcore.conormal_bounds, the one table both conormal criteria read, broken
@@ -320,11 +345,8 @@ def test_strict_rank_bounds_fail_kl_covex_at_its_smoke_case(monkeypatch):
 def _tau_p_and_q_swapped(data):
     """tau with block i sending e_{p_{i-1}+1}..e_{p_i}, then e_{n+q_{i-1}+1}..e_{n+q_i}."""
     n, image, target = data.n, [0] * (2 * data.n), 1
-    for i in range(1, data.m + 1):
-        for j in chain(
-            range(data.p_at(i - 1) + 1, data.p_at(i) + 1),
-            range(n + data.q_at(i - 1) + 1, n + data.q_at(i) + 1),
-        ):
+    for (p0, q0, _), (p1, q1, _) in pairwise(data.chain):
+        for j in chain(range(p0 + 1, p1 + 1), range(n + q0 + 1, n + q1 + 1)):
             image[j - 1] = target
             target += 1
     return PartialPermutation(2 * n, tuple(image))

@@ -158,9 +158,9 @@ def test_avoids_3412_matches_generic_scan(image):
 
 def test_covexillary_data_fixtures():
     data = covexillary_data(PartialPermutation.from_one_line("2143"))
-    assert (data.m, triples(data), data.t_at(1)) == (2, ((2, 2, 0),), 4)
+    assert (data.m, triples(data), sum(data.chain[1][:2])) == (2, ((2, 2, 0),), 4)
     # padding (p, q, r) = (0, 0, 0) at 0 and (n, n, 0) at m
-    assert [(data.p_at(i), data.q_at(i), data.r_at(i)) for i in (0, 2)] == [(0, 0, 0), (4, 4, 0)]
+    assert [data.chain[i] for i in (0, 2)] == [(0, 0, 0), (4, 4, 0)]
     assert data.grass_conditions == ((4, 2),)
     with pytest.raises(NotCovexillaryError) as err:
         covexillary_data(PartialPermutation.from_one_line("351642"))
