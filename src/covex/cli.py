@@ -64,8 +64,8 @@ def _emit(payload) -> None:
 
 # ess and covex build n x n tables: about 100 MB at n = 1,000
 MAX_PERM_N = 64
-# a conormal fiber solves for n^2 unknowns: under 1 s at n = 16, 21 s at n = 32
-MAX_FIBER_N = 16
+# a conormal fiber spans up to n^2 vectors of n^2 entries: about 1 s at n = 32
+MAX_FIBER_N = 32
 
 
 def _perm(text: str | None) -> PartialPermutation:

@@ -1,4 +1,4 @@
-"""Conormal-variety membership predicates and their independent oracles.
+"""Conormal-variety membership predicates, and conormal fibers by transport.
 
 Three coordinate forms are covered: pairs (x, y) of n x n matrices for the
 conormal variety of a matrix Schubert variety, Springer pairs (V, x) on the
@@ -54,11 +54,18 @@ The ground truth the predicates are calibrated against is the annihilator
 of the orbit tangent space under the trace pairing: over a cell point x the
 conormal fiber is exactly {y : xy and yx strictly upper triangular}, and
 over a flag cell generator g it is {z : z and g^-1 z g strictly upper}.
+conormal_fiber_matrix and conormal_fiber_flag compute it by transport and
+solve nothing: at w's 0/1 matrix the fiber is a coordinate subspace N_w,
+and the point factors as P x Q = w with P and Q upper triangular, which
+carries N_w to the fiber at x.  The trace-pairing linear systems are the
+independent oracles of the tests (reference_matrix_fiber and
+reference_flag_fiber in tests/test_conormal.py).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 from itertools import pairwise
 from operator import mul
@@ -74,17 +81,17 @@ from .exactla import (
     ExactMatrix,
     FieldSpec,
     Subspace,
+    _insert,
+    _integer_row,
     _products,
+    _reduced,
     _southwest_profile,
-    _span_rows,
-    kernel,
 )
 from . import permcore
 from .permcore import CovexillaryData, PartialPermutation, covexillary_data
 from .varieties import (
     Flag,
     grass_condition_checks,
-    in_matrix_schubert_cell,
     matrix_schubert_violation,
     southwest_profile,
 )
@@ -321,30 +328,124 @@ def conormal_matrix_violations(pt: CotangentMatrixPoint, w: PartialPermutation) 
     return out
 
 
-def conormal_fiber_matrix(x: ExactMatrix, w: PartialPermutation) -> Subspace:
-    """The conormal fiber over a cell point, as a subspace of flattened matrices.
+def _orbit_transport(x: ExactMatrix, w: PartialPermutation):
+    """(P, Q) with P x Q = w's 0/1 matrix: P as its rows, Q as its columns.
 
-    Solves the linear system {y : xy and yx strictly upper triangular}; this
-    is the annihilator of the tangent space of the orbit through x, and is
-    the oracle every conormal predicate is measured against.  The caller
-    must supply x in the open cell of w.
+    One pass over the columns of x, left to right, in O(n^3): the pivot of
+    column j is its lowest nonzero entry, at row i; adding multiples of
+    column j to the later columns clears row i right of it, adding
+    multiples of row i to the rows above clears column j over it, and row
+    i is scaled to 1 at the pivot.  A row operation only adds a lower row
+    to a higher one and a column operation only an earlier column to a
+    later one, so P and Q are invertible upper triangular.  A row
+    operation changes only column j, which no later step reads, so it
+    acts on P alone.  The pass ends at the one partial permutation matrix
+    in the B x B orbit of x, which is w's exactly when x lies in the open
+    cell of w; a pivot off w (or a column of w without one) raises
+    CellMembershipError.
     """
     n = w.n
     if x.shape != (n, n):
         raise DimensionMismatchError("matrix size differs from permutation size")
-    if not in_matrix_schubert_cell(x, w):
-        raise CellMembershipError("x does not have the rank profile of the open cell")
-    xs = x.entries
-    rows = []
-    for a in range(n):
-        for b in range(a + 1):  # entries on or below the diagonal must vanish
-            row = [0] * (n * n)
-            row[b :: n] = xs[a]  # (xy)_{ab} = sum_k x_{ak} y_{kb}
-            rows.append(tuple(row))
-            row = [0] * (n * n)
-            row[a * n : (a + 1) * n] = [xs[k][b] for k in range(n)]  # (yx)_{ab}
-            rows.append(tuple(row))
-    return kernel(ExactMatrix(x.field, tuple(rows)))
+    p = x.field.p
+    if p is None:
+        A = [list(col) for col in x.columns]
+    else:
+        A = [[v % p for v in col] for col in x.columns]
+    P = [[int(a == b) for b in range(n)] for a in range(n)]
+    Q = [[int(a == b) for b in range(n)] for a in range(n)]
+    for j, v in enumerate(w.image):
+        col = A[j]
+        i = n - 1
+        while i >= 0 and not col[i]:
+            i -= 1
+        if i != v - 1:
+            raise CellMembershipError("x does not have the rank profile of the open cell")
+        if not v:
+            continue
+        inv = Fraction(1, col[i]) if p is None else pow(col[i], -1, p)
+        q, row = Q[j], P[i]
+        for k in range(j + 1, n):
+            if A[k][i]:
+                c = A[k][i] * inv
+                A[k] = _axpy(A[k], c, col, p)
+                Q[k] = _axpy(Q[k], c, q, p)
+        for a in range(i):
+            if col[a]:
+                P[a] = _axpy(P[a], col[a] * inv, row, p)
+        P[i] = [e * inv for e in row] if p is None else [e * inv % p for e in row]
+    return P, Q
+
+
+def _axpy(a: list, c, b: list, p: int | None) -> list:
+    """a - c b, reduced mod p over F_p."""
+    if p is None:
+        return [s - c * t for s, t in zip(a, b)]
+    return [(s - c * t) % p for s, t in zip(a, b)]
+
+
+def _orbit_fiber(field: FieldSpec, lefts, rights, w: PartialPermutation) -> Subspace:
+    """The span of the outer products of lefts[a] and rights[b] over the entries (a, b) of N_w.
+
+    N_w = {y : Wy and yW strictly upper}, W the 0/1 matrix of w, is the
+    coordinate subspace of the y whose entry (a, b), 1-based, may be
+    nonzero only when w(a) < b and a < w^-1(b), with w(a) = 0 for an empty
+    column and w^-1(b) past n for an empty row; there are |D(w)| of them.
+    Each outer product is flattened row-major.  rights must be the rows of
+    an invertible upper triangular matrix R; the lefts may be any basis.
+
+    Let L hold the lefts as columns.  The span is (L N_w) R, and L N_w is
+    the direct sum over the columns b of the y whose column b lies in
+    S_b, the span of the lefts[a] with (a, b) in N_w.  The reduced echelon
+    basis of S_b, placed in column b, is an echelon basis of that sum, its
+    leading entries at (pivot, b), row-major.  Multiplying a matrix on the
+    right by R keeps the first nonzero entry of each of its rows where it
+    is, so s placed in column b, times R, the outer product of s and
+    rights[b], keeps its leading entry at (pivot, b): these products are
+    an echelon basis of the span, and one back-substitution (_reduced)
+    turns them into its reduced echelon basis.  _reduced takes each row
+    scaled to 1 at its leading entry over F_p, which scaling rights[b] to
+    1 at b gives, and as a primitive integer row over Q, which rights[b]
+    scaled to integers keeps small.
+    """
+    n, p = w.n, field.p
+    inverse = w.inverse().image
+    basis = {}
+    for b in range(n):
+        column = {}
+        for a in range(n):
+            if w.image[a] <= b and not 0 < inverse[b] <= a + 1:  # (a+1, b+1) in N_w
+                _insert(column, lefts[a], p)
+        if not column:
+            continue
+        if p is None:
+            right = _integer_row(rights[b])
+        else:
+            inv = pow(rights[b][b], -1, p)
+            right = [v * inv % p for v in rights[b]]
+        for c, s in zip(*_reduced(column, p)):
+            row = [e * t for e in s for t in right]
+            basis[c * n + b] = _integer_row(row) if p is None else [v % p for v in row]
+    pivots, vectors = _reduced(basis, p)
+    return Subspace(field, n * n, vectors, pivots)
+
+
+def conormal_fiber_matrix(x: ExactMatrix, w: PartialPermutation) -> Subspace:
+    """The conormal fiber over a cell point, as a subspace of flattened matrices.
+
+    This is {y : xy and yx strictly upper triangular}, the annihilator of
+    the tangent space of the orbit through x under the trace pairing.  With
+    P x Q = U, w's 0/1 matrix (_orbit_transport), y lies in it iff
+    Q^-1 y P^-1 lies in N_w = {y : Uy and yU strictly upper}: conjugating by
+    an upper triangular matrix keeps a matrix strictly upper.  So the fiber
+    is Q N_w P, spanned by the outer products of the columns of Q and the
+    rows of P over the coordinates of N_w (_orbit_fiber); no linear system
+    is solved.  The trace-pairing system itself is the oracle of the tests
+    (tests/test_conormal.py, reference_matrix_fiber).  The caller must
+    supply x in the open cell of w.
+    """
+    P, Q = _orbit_transport(x, w)
+    return _orbit_fiber(x.field, Q, P, w)
 
 
 def vector_to_matrix(field: FieldSpec, vec: Sequence, n: int) -> ExactMatrix:
@@ -476,20 +577,18 @@ def conormal_fiber_flag(
     """Flag-side conormal fiber over a cell generator g.
 
     The fiber {z : z and g^-1 z g strictly upper} is g times the matrix
-    fiber {y : gy and yg strictly upper} at x = g; each solution pairs with
-    the flag generated by g as a Springer flag point.  w must be a
-    permutation and g must lie in its open cell, so g is invertible: the
-    cell fixes the rank of g at r_w(1, n) = n.
+    fiber {y : gy and yg strictly upper} at x = g, so with P g Q = U it is
+    gQ N_w P: the outer products of the columns of gQ and the rows of P
+    over the coordinates of N_w.  Each solution pairs with the flag
+    generated by g as a Springer flag point.  w must be a permutation and g
+    must lie in its open cell, so g is invertible: the cell fixes the rank
+    of g at r_w(1, n) = n.
     """
     if not w.is_full_rank:
         raise InputError("flag Schubert membership requires a permutation")
-    n = w.n
-    field = g.field
-    moved = (
-        [e for row in (g @ vector_to_matrix(field, v, n)).entries for e in row]
-        for v in conormal_fiber_matrix(g, w).vectors
-    )
-    return Flag(g), _span_rows(field, n * n, moved)
+    P, Q = _orbit_transport(g, w)
+    moved = list(zip(*_products(g.entries, Q, g.field.p)))
+    return Flag(g), _orbit_fiber(g.field, moved, P, w)
 
 
 def push_iota(g: ExactMatrix, y: ExactMatrix) -> CotangentMatrixPoint:

@@ -34,10 +34,12 @@ Their statements are invariant under the B x B action x -> b_l x b_r, and the
 orbit O_u of a partial permutation u holds u's 0/1 matrix, so each checks
 every partial u of each size at that matrix: a proof for the size, over
 every field.  embed-thm and the zero-section loop of conormal-grass read
-each u's Schubert cell off tau and check the cell at its coordinate
-point E_S, built once per cell of each size; the u <= w of every u come
-from one packed comparison per w, and the verdicts are popcounts of lane
-masks (``_orbit_cells``).  All
+each u's Schubert cell off tau (``_orbit_cells``); the u <= w of every u
+come from one packed comparison per w, and the verdicts are popcounts of
+lane masks.  embed-thm reads the target at every cell of a tau class off
+one packed table (``coordinate_target_table``), with no elimination, and
+conormal-grass checks each cell at its coordinate point E_S, built once
+per cell of each size.  All
 randomness is drawn from per-case generators seeded by (seed, suite,
 case), so reports are byte-identical across reruns and independent of
 execution order.
@@ -48,7 +50,7 @@ from __future__ import annotations
 import random
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from math import isqrt
 from operator import getitem, itemgetter, mul
 from typing import NamedTuple
@@ -63,7 +65,12 @@ from .conormal import (
     conormal_matrix_violations,
 )
 from .embedding import (
-    embed_point, fixed_point_bits, mask_positions, target_grass_index, target_holds
+    coordinate_target_lanes,
+    coordinate_target_table,
+    embed_point,
+    fixed_point_bits,
+    mask_positions,
+    target_grass_index,
 )
 from .errors import DimensionMismatchError, EssentialDataError, InputError, InvariantError
 from .exactla import (
@@ -161,32 +168,42 @@ def _covexillary_cases(
 
 def _rows(vector: Sequence[int], n: int) -> tuple[tuple[int, ...], ...]:
     """A flattened n x n covector cut into its n rows, as ExactMatrix.entries holds them."""
-    return tuple(tuple(vector[a : a + n]) for a in range(0, n * n, n))
+    return tuple([tuple(vector[a : a + n]) for a in range(0, n * n, n)])
 
 
 def _random_elements(fiber: Subspace, rng: random.Random, count: int) -> list[list[int]]:
     """count random elements of the fiber, flattened, each from fiber.dim draws of rng.
 
-    Each is a combination of the fiber's basis, and each of its entries one
-    dot product of the coefficients with a column of the basis; the zero
-    fiber gives zero vectors and draws nothing.
+    Each is a combination of the fiber's basis.  The basis is reduced
+    echelon, so at its k-th pivot an element holds the k-th coefficient;
+    every other entry is one dot product of the coefficients with a column
+    of the basis, or 0 on a zero column.  The zero fiber gives zero vectors
+    and draws nothing.
     """
-    p = fiber.field.p
-    columns = list(zip(*fiber.vectors)) if fiber.dim else [()] * fiber.ambient
+    p, d = fiber.field.p, fiber.dim
+    pivots = dict(zip(fiber.pivots, range(d)))
+    dots = [
+        (j, col) for j, col in enumerate(zip(*fiber.vectors)) if j not in pivots and any(col)
+    ]
     elements = []
     for _ in range(count):
-        coeffs = _draws(rng, p, fiber.dim)
-        elements.append([sum(map(mul, coeffs, col)) % p for col in columns])
+        coeffs = _draws(rng, p, d)
+        element = [0] * fiber.ambient
+        for j, k in pivots.items():
+            element[j] = coeffs[k]
+        for j, col in dots:
+            element[j] = sum(map(mul, coeffs, col)) % p
+        elements.append(element)
     return elements
 
 
-def _fiber_elements(
-    fiber: Subspace, n: int, field: FieldSpec, rng: random.Random, extra: int
-) -> list[tuple[tuple, ...]]:
+def _fiber_elements(fiber: Subspace, rng: random.Random, extra: int) -> list[tuple[tuple, ...]]:
     """The zero covector, the fiber's basis and extra random combinations of it.
 
-    Each covector is its n rows, as ExactMatrix.entries holds them.
+    The fiber lives in F^(n^2); each covector is its n rows, as
+    ExactMatrix.entries holds them.
     """
+    n = isqrt(fiber.ambient)
     # the zero covector (zero section) is always a valid member
     points = [((0,) * n,) * n]
     points += [_rows(v, n) for v in fiber.vectors]
@@ -256,51 +273,41 @@ def _suite_el_roundtrip(config: SuiteConfig) -> Iterator[Case]:
         yield case, not failures, {"trials": config.trials, "failures": failures[:5]}
 
 
-def _orbit_cells(
-    field: FieldSpec, partials: list[PartialPermutation]
-) -> Iterator[tuple[Iterator, list]]:
+def _orbit_cells(partials: list[PartialPermutation]) -> Iterator[tuple[Iterator, list]]:
     """Per tau class of the size of partials: its w and the Schubert cells of its orbits.
 
     The iterator gives (w, case id, inside) for each covexillary w of the
     class, inside the mask of the u <= w in the lanes of packed_bruhat.  The
-    list holds (E_S, lanes) for each cell S that the 0/1 matrices of the u
-    embed into, read off tau (fixed_point_bits): lanes masks those u, and
-    E_S, the cell's coordinate point, stands for them all, as the target
-    conditions read a point only through dim(V + E_t).  Each E_S is built
-    once and serves every tau class.
+    list holds (S, lanes) for each cell S that the 0/1 matrices of the u
+    embed into, read off tau (fixed_point_bits) as a bitmask of positions:
+    lanes masks those u, and the cell's coordinate point E_S stands for
+    them all, as the target conditions read a point only through
+    dim(V + E_t).
     """
     n = partials[0].n
     positions, below = packed_bruhat(partials)
     classes: dict[tuple[int, ...], list[tuple[PartialPermutation, str]]] = {}
     for _, w, case in _covexillary_cases(lambda _: partials, n, start=n):
         classes.setdefault(covexillary_data(w).tau_order, []).append((w, case))
-    points: dict[int, Subspace] = {}
     for cases in classes.values():
         bits = fixed_point_bits(covexillary_data(cases[0][0]))
         lanes: dict[int, int] = {}
         for u, position in zip(partials, positions):
             cell = sum(map(getitem, bits, u.image))
             lanes[cell] = lanes.get(cell, 0) | 1 << position
-        for cell in lanes.keys() - points.keys():
-            points[cell] = coordinate_subspace(field, 2 * n, mask_positions(cell))
-        cells = [(points[cell], mask) for cell, mask in lanes.items()]
-        yield ((w, case, below(w)) for w, case in cases), cells
+        yield ((w, case, below(w)) for w, case in cases), list(lanes.items())
 
 
 def _suite_embed_thm(config: SuiteConfig) -> Iterator[Case]:
     # x -> b_l x b_r keeps embed_point(x) in its Schubert cell; X_w is a
     # union of orbits O_u and the target a union of cells, so the theorem
     # holds on all of Mat_n iff it holds at every 0/1 representative u
-    field = _field(config)
     for n in range(1, config.n_max + 1):
         partials = list(all_partial_permutations(n))
-        for cases, cells in _orbit_cells(field, partials):
+        for cases, cells in _orbit_cells(partials):
+            at_most = coordinate_target_table(cells, n)
             for w, case, inside in cases:
-                data = covexillary_data(w)
-                holds = 0
-                for V, lanes in cells:
-                    if target_holds(V, data):
-                        holds |= lanes
+                holds = coordinate_target_lanes(at_most, covexillary_data(w))
                 mismatches = (inside ^ holds).bit_count()
                 positives = inside.bit_count()
                 yield case, mismatches == 0, {
@@ -357,7 +364,7 @@ def _suite_conormal_matrix(config: SuiteConfig) -> Iterator[Case]:
             fiber_dim = fiber.dim
             if fiber.dim != expected_dim:
                 dim_mismatches += 1
-            ys = _fiber_elements(fiber, n, field, rng, extra=20)
+            ys = _fiber_elements(fiber, rng, extra=20)
             members = conormal_matrix_members(x, w, ys)
             rejected = [y for y, ok in zip(ys, members) if not ok]
             rejected_valid += len(rejected)
@@ -392,7 +399,7 @@ def _suite_conormal_flag(config: SuiteConfig) -> Iterator[Case]:
             flag, fiber = conormal_fiber_flag(g, w)
             if fiber.dim != expected_dim:
                 dim_mismatches += 1
-            zs = [ExactMatrix(field, z) for z in _fiber_elements(fiber, n, field, rng, extra=20)]
+            zs = [ExactMatrix(field, z) for z in _fiber_elements(fiber, rng, extra=20)]
             rejected_valid += conormal_flag_members(flag, w, zs).count(False)
         # the Springer fiber over w's flag is z = W U W^-1, U strictly upper:
         # entry (i, j) of U sits at row w(i), column w(j)
@@ -436,7 +443,9 @@ def _suite_conormal_grass(config: SuiteConfig) -> Iterator[Case]:
     for n in range(1, config.n_max + 1):
         N = 2 * n
         zero = ExactMatrix.zeros(field, N, N)
-        for cases, cells in _orbit_cells(field, list(all_partial_permutations(n))):
+        # each cell's coordinate point is built once and serves every tau class
+        point = cache(lambda cell: coordinate_subspace(field, N, mask_positions(cell)))
+        for cases, cells in _orbit_cells(list(all_partial_permutations(n))):
             for w, case, inside in cases:
                 rng = _rng(config, case)
                 data = covexillary_data(w)
@@ -444,8 +453,10 @@ def _suite_conormal_grass(config: SuiteConfig) -> Iterator[Case]:
                 # the zero-section point at each cell; its verdict reads V
                 # only through dim(V + E_t), which the cell fixes
                 failing = 0
-                for V, lanes in cells:
-                    if lanes & inside and not conormal_grass_members(V, conditions, (zero,))[0]:
+                for cell, lanes in cells:
+                    if lanes & inside and not conormal_grass_members(
+                        point(cell), conditions, (zero,)
+                    )[0]:
                         failing |= lanes
                 failures = (failing & inside).bit_count()
                 # at E_S, a smooth point: the fiber accepted, every Springer
@@ -458,7 +469,7 @@ def _suite_conormal_grass(config: SuiteConfig) -> Iterator[Case]:
                         V, conditions, [ExactMatrix(field, x) for x in xs]
                     ),
                     rng,
-                    _fiber_elements(fiber, N, field, rng, extra=5),
+                    _fiber_elements(fiber, rng, extra=5),
                 )
                 yield case, failures == 0 and rejected_valid == 0 and accepted_off == 0, {
                     "zero_section_failures": failures,
@@ -517,7 +528,7 @@ def _suite_diagram_chase(config: SuiteConfig) -> Iterator[Case]:
         for _ in range(config.trials):
             x = sample_cell_point(w, field, rng)
             V = embed_point(x, data)
-            ys = _fiber_elements(conormal_fiber_matrix(x, w), n, field, rng, extra=5)
+            ys = _fiber_elements(conormal_fiber_matrix(x, w), rng, extra=5)
             samples += len(ys)
             members = conormal_grass_members(V, conditions, _chase_to_grass(data, V, x, ys))
             failures += members.count(False)
@@ -580,10 +591,11 @@ MAX_TRIALS = 1000
 # (38 s and 178 MB at n = 9 on a 2-core Xeon); conormal-flag walks S_n as
 # kl-covex does, and S_8 holds 15,767 covexillary w; el-roundtrip takes
 # 35-40 s at its limit and rank-lemma about 50 s.  embed-thm compares every
-# orbit with every covexillary w of a size, cell by cell at each cell's
-# coordinate point: the 97 M pairs of n = 6 take about 21 s and 53 MB, and
-# n = 7 (6.5 G pairs, 49,626 w against up to 3,432 cells each) is out of
-# reach.
+# orbit with every covexillary w of a size, reading each w's target off one
+# packed table of cells per tau class: the 97 M pairs of n = 6 take about
+# 7.4 s and 55 MB (0.4 s at n = 5), most of it sorting the orbits into
+# cells once per class, and n = 7 (6.5 G pairs, 49,626 w against up to
+# 3,432 cells each) is out of reach.
 _SUITES: dict[str, _Suite] = {
     "covex-equiv": _Suite(_suite_covex_equiv, 7, 1, 9),
     "el-roundtrip": _Suite(_suite_el_roundtrip, 6, 1000, 20),

@@ -369,11 +369,16 @@ def test_cli_refuses_a_permutation_beyond_n_64(capsys, command):
     assert code == 0 and json.loads(out)
 
 
-def test_cli_refuses_a_conormal_fiber_beyond_n_16(capsys, tmp_path):
-    zero = write_json(tmp_path, "x.json", matrix_to_json(ExactMatrix.zeros(F, 17, 17)))
-    code, out, err = run_cli(capsys, "conormal", "fiber", "matrix", zero, "--w", "0 " * 17)
+def test_cli_refuses_a_conormal_fiber_beyond_n_32(capsys, tmp_path):
+    """n = 33 is refused before the point is read; n = 32 answers."""
+    zero = write_json(tmp_path, "x.json", matrix_to_json(ExactMatrix.zeros(F, 33, 33)))
+    code, out, err = run_cli(capsys, "conormal", "fiber", "matrix", zero, "--w", "0 " * 33)
     assert_one_error_line(code, out, err)
-    assert "conormal fibers are limited to n <= 16; got n = 17" in err
+    assert "conormal fibers are limited to n <= 32; got n = 33" in err
+    w0 = PartialPermutation.longest(32)
+    point = write_json(tmp_path, "w0.json", matrix_to_json(w0.matrix(F)))
+    code, out, _ = run_cli(capsys, "conormal", "fiber", "matrix", point, "--w", w0.one_line())
+    assert code == 0 and json.loads(out) == {"dimension": 0, "basis": []}
 
 
 def test_cli_refuses_more_grass_conditions_than_the_ambient_dimension(capsys, tmp_path):

@@ -535,12 +535,55 @@ def test_fiber_extremes():
         conormal_fiber_matrix(ExactMatrix.zeros(F, 3, 3), w0)
 
 
+def reference_matrix_fiber(x):
+    """Oracle: {y : xy and yx strictly upper triangular} as the kernel of its
+    trace-pairing system, n(n+1) equations in the n^2 entries of y."""
+    n, xs = x.rows, x.entries
+    rows = []
+    for a in range(n):
+        for b in range(a + 1):  # entries on or below the diagonal must vanish
+            row = [0] * (n * n)
+            row[b::n] = xs[a]  # (xy)_{ab} = sum_k x_{ak} y_{kb}
+            rows.append(tuple(row))
+            row = [0] * (n * n)
+            row[a * n : (a + 1) * n] = [xs[k][b] for k in range(n)]  # (yx)_{ab}
+            rows.append(tuple(row))
+    return kernel(ExactMatrix(x.field, tuple(rows)))
+
+
+# CI checks the transported fibers at n = 5 too (1,546 partial w).
+FIBER_ORACLE_N = sized(4, 5)
+
+
+def test_transported_fibers_equal_the_linear_system():
+    """conormal_fiber_matrix moves the coordinate fiber N_w at w's 0/1 matrix
+    to x = P^-1 w Q^-1 as Q N_w P, and solves nothing.  It equals the
+    trace-pairing kernel, basis for basis, at a sampled cell point and at
+    the 0/1 matrix of every partial w with n <= 4 over F_2, F_3 and
+    F_10007, and at a cell point with fractions over Q for n <= 3.  CI
+    takes the F_p sweep to n = 5.  test_flag_fiber_matches_the_linear_system
+    pins the flag form."""
+    rng = random.Random(97)
+    points = 0
+    for field in (FieldSpec.prime(2), FieldSpec.prime(3), F):
+        for n in range(1, FIBER_ORACLE_N + 1):
+            for w in all_partial_permutations(n):
+                for x in (sample_cell_point(w, field, rng), w.matrix(field)):
+                    assert conormal_fiber_matrix(x, w) == reference_matrix_fiber(x), (w, x)
+                    points += 1
+    for n in (1, 2, 3):
+        for w in all_partial_permutations(n):
+            x = cell_generator(w, Q, rng)
+            assert conormal_fiber_matrix(x, w) == reference_matrix_fiber(x), (w, x)
+    assert points == 3 * 2 * {4: 252, 5: 1798}[FIBER_ORACLE_N]
+
+
 def tangent_orbit_rank(x: ExactMatrix) -> int:
     """Rank of (u, v) -> u x + x v on pairs of upper-triangular matrices.
 
     This is the dimension of the B x B orbit through x, computed from the
-    orbit's tangent map rather than from the trace-pairing system that
-    conormal_fiber_matrix solves.
+    orbit's tangent map rather than from the trace-pairing system of
+    reference_matrix_fiber or the transport of conormal_fiber_matrix.
     """
     n = x.rows
     xs = x.entries
@@ -1205,18 +1248,17 @@ def reference_flag_fiber(g):
 
 
 def test_flag_fiber_matches_the_linear_system():
-    """conormal_fiber_flag, the g-translate of the matrix fiber at g, equals
-    the linear-system oracle at a cell generator of every covexillary w in
-    S_n: n <= 5 over F_2, F_3 and F_10007, n <= 4 over Q."""
+    """conormal_fiber_flag, gQ N_w P for the transport P g Q = w, equals
+    the linear-system oracle at a cell generator of every w in S_n,
+    covexillary or not: n <= 5 over F_2, F_3 and F_10007, n <= 4 over Q."""
     rng = random.Random(53)
     for field, n_max in ((FieldSpec.prime(2), 5), (FieldSpec.prime(3), 5), (F, 5), (Q, 4)):
         for n in range(1, n_max + 1):
             for w in all_permutations(n):
-                if is_covexillary(w):
-                    g = cell_generator(w, field, rng)
-                    flag, fiber = conormal_fiber_flag(g, w)
-                    assert flag == Flag(g)
-                    assert fiber == reference_flag_fiber(g)
+                g = cell_generator(w, field, rng)
+                flag, fiber = conormal_fiber_flag(g, w)
+                assert flag == Flag(g)
+                assert fiber == reference_flag_fiber(g)
 
 
 def flag_subspaces(flag):
@@ -1833,7 +1875,7 @@ def test_fiber_elements_match_the_accumulating_loop():
                 fiber = conormal_fiber_matrix(sample_cell_point(w, field, rng), w)
                 seed = rng.random()
                 new_rng, old_rng = random.Random(seed), random.Random(seed)
-                got = _fiber_elements(fiber, n, field, new_rng, extra=4)
+                got = _fiber_elements(fiber, new_rng, extra=4)
                 old = old_fiber_elements(fiber, n, field, old_rng, extra=4)
                 assert got == [y.entries for y in old]
                 assert new_rng.getstate() == old_rng.getstate()

@@ -8,7 +8,7 @@ from operator import getitem
 import pytest
 
 from covex.errors import DimensionMismatchError
-from covex.suites import SuiteConfig, run_suite
+from covex.suites import SuiteConfig, _orbit_cells, run_suite
 from covex.exactla import (
     ExactMatrix,
     FieldSpec,
@@ -19,6 +19,8 @@ from covex.exactla import (
     subspace_sum,
 )
 from covex.embedding import (
+    coordinate_target_lanes,
+    coordinate_target_table,
     embed_point,
     embedding_target,
     fixed_point_bits,
@@ -423,6 +425,30 @@ def test_embed_thm_reports_equal_elimination_at_every_pair(n):
     got = {v.case: v.details for v in verdicts if v.case.startswith(f"n={n}/")}
     assert got == expected
     assert all(d["mismatches"] == 0 for d in got.values())
+
+
+@pytest.mark.parametrize("n", range(1, CELL_ORACLE_N + 1))
+def test_packed_target_verdicts_are_the_per_cell_verdicts(n):
+    """embed-thm reads the target of each w off one packed table per tau
+    class: for every covexillary w, coordinate_target_lanes gives exactly
+    the union of the lanes of the cells whose coordinate point E_S passes
+    target_holds, the target read through dim(E_S + E_t) by elimination."""
+    points = {}
+    classes = 0
+    for cases, cells in _orbit_cells(list(all_partial_permutations(n))):
+        at_most = coordinate_target_table(cells, n)
+        for mask, _ in cells:
+            if mask not in points:
+                points[mask] = coordinate_subspace(F, 2 * n, mask_positions(mask))
+        for w, case, _ in cases:
+            data = covexillary_data(w)
+            expected = 0
+            for mask, lanes in cells:
+                if target_holds(points[mask], data):
+                    expected |= lanes
+            assert coordinate_target_lanes(at_most, data) == expected, case
+        classes += 1
+    assert classes == {1: 1, 2: 2, 3: 6, 4: 20, 5: 70}[n]
 
 
 def test_embedding_depends_on_w_only_through_its_tau_class():

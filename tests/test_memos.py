@@ -18,7 +18,7 @@ import pytest
 
 from covex import conormal, suites
 from covex.cli import main
-from covex.embedding import embed_point, fixed_point_index
+from covex.embedding import coordinate_target_table, embed_point, fixed_point_index
 from covex.conormal import (
     CotangentMatrixPoint,
     SpringerFlagPoint,
@@ -156,7 +156,7 @@ def test_one_subspace_builds_its_containment_data_once(monkeypatch):
     x = sample_cell_point(w, F, rng)
     V = embed_point(x, data)
     fiber = conormal.conormal_fiber_matrix(x, w)
-    ys = suites._fiber_elements(fiber, 4, F, rng, extra=5)
+    ys = suites._fiber_elements(fiber, rng, extra=5)
     products = []
     matmul = ExactMatrix.__matmul__
 
@@ -322,11 +322,13 @@ def test_not_covexillary_is_raised_on_every_call():
 
 def test_embed_thm_samples_each_orbit_once(monkeypatch):
     """embed-thm reads each orbit once, at u's 0/1 matrix: it draws nothing,
-    reads u's Schubert cell off tau and checks the cell at its coordinate
-    point E_S, built once per cell of each size for every tau class.  It
-    embeds no matrix and forms no 0/1 matrix."""
+    reads u's Schubert cell off tau and packs the cells of each tau class
+    into one target table, once per class, so it builds no coordinate
+    point E_S.  It embeds no matrix and forms no 0/1 matrix.  The tables of
+    each size see every cell of Gr(n, 2n)."""
     counts = {"sample": 0, "random": 0, "rng": 0, "embed": 0, "matrix": 0}
     built = {}
+    tables = {}
 
     def counted(key, call):
         def wrapper(*args):
@@ -339,6 +341,10 @@ def test_embed_thm_samples_each_orbit_once(monkeypatch):
         built[ambient // 2] = built.get(ambient // 2, 0) + 1
         return coordinate_subspace(field, ambient, indices)
 
+    def table(cells, n):
+        tables.setdefault(n, []).append({mask for mask, _ in cells})
+        return coordinate_target_table(cells, n)
+
     for key, name in (
         ("sample", "sample_cell_point"),
         ("random", "_draws"),
@@ -350,15 +356,20 @@ def test_embed_thm_samples_each_orbit_once(monkeypatch):
         PartialPermutation, "matrix", counted("matrix", PartialPermutation.matrix)
     )
     monkeypatch.setattr(suites, "coordinate_subspace", coordinate)
+    monkeypatch.setattr(suites, "coordinate_target_table", table)
     suites.run_suite(suites.SuiteConfig("embed-thm", n_max=4, trials=3))
     assert counts == {"sample": 0, "random": 0, "rng": 0, "embed": 0, "matrix": 0}
-    expected = {}
+    assert built == {}
     for n in (1, 2, 3, 4):
         partials = list(all_partial_permutations(n))
         classes = {covexillary_data(w).tau_order: covexillary_data(w)
                    for w in partials if is_covexillary(w)}
-        expected[n] = len(
-            {fixed_point_index(u, data) for u in partials for data in classes.values()}
-        )
-    # every cell of Gr(n, 2n), C(2n, n) of them
-    assert built == expected == {1: 2, 2: 6, 3: 20, 4: 70}
+        expected = {
+            sum(1 << s for s in fixed_point_index(u, data).positions)
+            for u in partials
+            for data in classes.values()
+        }
+        assert len(tables[n]) == len(classes)
+        assert set().union(*tables[n]) == expected
+        # every cell of Gr(n, 2n), C(2n, n) of them
+        assert len(expected) == {1: 2, 2: 6, 3: 20, 4: 70}[n]

@@ -23,7 +23,6 @@ import pytest
 from covex import conormal, embedding, equivariant, kl, permcore, suites
 from covex.cli import main
 from covex.exactla import DEFAULT_PRIME, ExactMatrix, FieldSpec, kernel
-from covex.embedding import check_target_space
 from covex.permcore import (
     CovexillaryData,
     PartialPermutation,
@@ -33,34 +32,21 @@ from covex.permcore import (
     is_covexillary,
 )
 from covex.suites import SuiteConfig, run_suite
-from covex.varieties import grass_condition_checks
 from scale import sized
 from test_conormal import check_members_agree_with_violations
 
 
-def _rewritten(function, old, new):
+def _rewritten(function, old, new, **names):
     """function compiled again from its source, its one occurrence of old read as new.
 
-    The copy runs in a copy of its module's namespace; no file or module changes.
+    The copy runs in a copy of its module's namespace, with names added to
+    it; no file or module changes.
     """
     source = textwrap.dedent(inspect.getsource(function))
     assert source.count(old) == 1, old
-    namespace = dict(vars(inspect.getmodule(function)))
+    namespace = dict(vars(inspect.getmodule(function)), **names)
     exec(source.replace(old, new), namespace)
     return namespace[function.__name__]
-
-
-def _target_violation_with(conditions_of):
-    """target_violation reading conditions_of(data) in place of data.grass_conditions."""
-
-    def mutant(subspace, data):
-        check_target_space(subspace, data)
-        for t, total, bound, ok in grass_condition_checks(subspace, conditions_of(data)):
-            if not ok:
-                return (t, total, bound)
-        return None
-
-    return mutant
 
 
 # (a) the embedding target loosened at its last condition
@@ -87,10 +73,17 @@ def test_loosened_target_fails_embed_thm_at_every_conditioned_w(
     monkeypatch, mutant, n_max, flagged, total
 ):
     """Every w with a target condition has a u outside X_w that the loosened
-    target accepts; the w without conditions (X_w = Mat_n) cannot change."""
-    monkeypatch.setattr(
-        embedding, "target_violation", _target_violation_with(TARGET_MUTANTS[mutant])
+    target accepts; the w without conditions (X_w = Mat_n) cannot change.
+    embed-thm reads the target of each w off its tau class's packed table,
+    through coordinate_target_lanes, so the mutant is that reader with the
+    loosened conditions."""
+    loosened = _rewritten(
+        embedding.coordinate_target_lanes,
+        "data.grass_conditions",
+        "conditions_of(data)",
+        conditions_of=TARGET_MUTANTS[mutant],
     )
+    monkeypatch.setattr(suites, "coordinate_target_lanes", loosened)
     verdicts = run_suite(SuiteConfig("embed-thm", n_max=n_max))
     failed = {v.case for v in verdicts if not v.passed}
     assert len(verdicts) == total
