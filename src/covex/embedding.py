@@ -25,7 +25,7 @@ from operator import getitem, itemgetter, or_
 from .errors import DimensionMismatchError
 from .exactla import ExactMatrix, Subspace, _span_rows
 from .permcore import CovexillaryData, PartialPermutation
-from .varieties import GrassIndex, grass_condition_checks
+from .varieties import GrassIndex
 
 
 def tau_permutation(data: CovexillaryData) -> PartialPermutation:
@@ -133,21 +133,6 @@ def check_target_space(subspace: Subspace, data: CovexillaryData) -> None:
     """DimensionMismatchError unless the subspace is a point of Gr(n, 2n)."""
     if (subspace.ambient, subspace.dim) != (2 * data.n, data.n):
         raise DimensionMismatchError("point does not live in Gr(n, 2n)")
-
-
-def target_violation(
-    subspace: Subspace, data: CovexillaryData
-) -> tuple[int, int, int] | None:
-    """First violated target condition (t_i, dim, n + p_i + r_i), else None."""
-    check_target_space(subspace, data)
-    for t, total, bound, ok in grass_condition_checks(subspace, data.grass_conditions):
-        if not ok:
-            return (t, total, bound)
-    return None
-
-
-def target_holds(subspace: Subspace, data: CovexillaryData) -> bool:
-    return target_violation(subspace, data) is None
 
 
 def target_grass_index(data: CovexillaryData) -> GrassIndex:

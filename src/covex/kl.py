@@ -167,8 +167,6 @@ class _KLTable:
         u = self._canonical(u, w)
         lu, lw = lengths[u], lengths[w]
         gap = lw - lu
-        if gap <= 2:
-            return _ONE
         key = (u, w)
         cached = self._pmemo.get(key)
         if cached is not None:

@@ -106,13 +106,6 @@ def matrix_schubert_violation(
             return (i, j, got, bound)
 
 
-def in_matrix_schubert_cell(x: ExactMatrix, w: PartialPermutation) -> bool:
-    """True iff x has exactly the rank profile of w (the open B x B orbit)."""
-    if x.shape != (w.n, w.n):
-        raise DimensionMismatchError("matrix size differs from permutation size")
-    return southwest_profile(x) == rank_matrix(w).entries
-
-
 def flag_schubert_violation(
     flag: Flag, w: PartialPermutation
 ) -> tuple[int, int, int, int] | None:

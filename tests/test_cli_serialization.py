@@ -21,7 +21,7 @@ from covex.serialization import (
     point_from_json,
     subspace_to_json,
 )
-from covex.permcore import PartialPermutation
+from covex.permcore import PartialPermutation, diagram
 from covex.varieties import Flag
 
 F = FieldSpec.prime()
@@ -251,6 +251,37 @@ def test_cli_bad_compact_permutation(capsys):
     assert_one_error_line(*run_cli(capsys, "ess", "2a43"))
 
 
+GRASS_POINT = "tests/golden/springer_cell.json"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["member", "grass", "tests/golden/grass_random.json", "1 a 3"], "bad index positions"),
+        (["conormal", "member", "grass", GRASS_POINT], "provide --w or --conditions"),
+        (["conormal", "member", "grass", GRASS_POINT, "--conditions", "2:1,x"], "bad condition 'x'"),
+        (["conormal", "member", "grass", GRASS_POINT, "--conditions", "2:1,4"], "bad condition '4'"),
+        (["kl", "covex-check", "2143", "1234"], "usage: kl covex-check <w>"),
+        (["--field", "Q", "verify", "embed-thm", "--nmax", "1"], "run over a prime field"),
+        (["verify", "embed-thm", "--nmax", "0"], "n_max must be at least 1"),
+    ],
+    ids=[
+        "bad-positions",
+        "grass-without-conditions",
+        "bad-condition",
+        "condition-without-colon",
+        "covex-check-two-args",
+        "verify-over-q",
+        "verify-nmax-0",
+    ],
+)
+def test_cli_input_errors(capsys, monkeypatch, argv, message):
+    monkeypatch.chdir(Path(__file__).resolve().parents[1])
+    code, out, err = run_cli(capsys, *argv)
+    assert_one_error_line(code, out, err)
+    assert message in err
+
+
 IDENTITY_2 = {"rows": 2, "cols": 2, "entries": [[1, 0], [0, 1]]}
 E1_IN_F2 = {"rows": 2, "cols": 1, "entries": [[1], [0]]}
 
@@ -370,7 +401,9 @@ def test_cli_refuses_a_permutation_beyond_n_64(capsys, command):
 
 
 def test_cli_refuses_a_conormal_fiber_beyond_n_32(capsys, tmp_path):
-    """n = 33 is refused before the point is read; n = 32 answers."""
+    """n = 33 is refused before the point is read; n = 32 answers, at w0
+    and at golden/fiber_cell_32.json, b_l w b_r over F_10007 for the w
+    below, whose fiber has dimension |D(w)| = 196."""
     zero = write_json(tmp_path, "x.json", matrix_to_json(ExactMatrix.zeros(F, 33, 33)))
     code, out, err = run_cli(capsys, "conormal", "fiber", "matrix", zero, "--w", "0 " * 33)
     assert_one_error_line(code, out, err)
@@ -379,6 +412,11 @@ def test_cli_refuses_a_conormal_fiber_beyond_n_32(capsys, tmp_path):
     point = write_json(tmp_path, "w0.json", matrix_to_json(w0.matrix(F)))
     code, out, _ = run_cli(capsys, "conormal", "fiber", "matrix", point, "--w", w0.one_line())
     assert code == 0 and json.loads(out) == {"dimension": 0, "basis": []}
+    w = "29 14 22 31 19 18 15 26 13 12 3 9 24 28 6 25 20 27 21 17 11 4 2 1 16 8 23 10 32 7 30 5"
+    point = str(Path(__file__).parent / "golden" / "fiber_cell_32.json")
+    code, out, _ = run_cli(capsys, "conormal", "fiber", "matrix", point, "--w", w)
+    assert code == 0
+    assert json.loads(out)["dimension"] == 196 == len(diagram(PartialPermutation.from_one_line(w)))
 
 
 def test_cli_refuses_more_grass_conditions_than_the_ambient_dimension(capsys, tmp_path):

@@ -1,16 +1,21 @@
 """Golden reports: suite stdout digests and exact CLI diagnostics.
 
 Every pinned suite report has one line in ``golden/suite_reports.txt``: its
-sha256 and the runs that must print it.  The runs with ``--nmax`` at most
-TIER1_NMAX are made here, the others in CI.  The digests and the expected
-CLI output were recorded from the reference implementation; any change to a
-verdict, a suite detail or a ``dim``/``rank`` diagnostic shows up here as a
-mismatch.  The point files under ``golden/`` are chosen so that every
-command hits at least one violation.
+sha256 and the runs that must print it.  The runs with ``--nmax`` at most 4
+are made in process at every scale.  The larger runs are the frontier of
+each suite; at the CI scale of tests/scale.py each is made in a fresh
+``python -m covex.cli`` process, as a user would run it.  The digests and the
+expected CLI output were recorded from the reference implementation; any
+change to a verdict, a suite detail or a ``dim``/``rank`` diagnostic shows
+up here as a mismatch.  The point files under ``golden/`` are chosen so that
+every command hits at least one violation.
 """
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from itertools import product
 from pathlib import Path
 
@@ -18,11 +23,10 @@ import pytest
 
 from covex import suites
 from covex.cli import main
+from scale import sized
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
-
-# the largest --nmax of a pinned run that tier-1 makes; CI makes the rest
-TIER1_NMAX = 4
+SRC_DIR = Path(__file__).resolve().parents[1] / "src"
 
 
 def _pinned_reports():
@@ -33,8 +37,12 @@ def _pinned_reports():
             yield digest, [tuple(run.split()) for run in runs.split(";")]
 
 
+def _nmax(argv) -> int:
+    return int(argv[argv.index("--nmax") + 1])
+
+
 PINNED = {argv: digest for digest, runs in _pinned_reports() for argv in runs}
-TIER1_RUNS = [argv for argv in PINNED if int(argv[argv.index("--nmax") + 1]) <= TIER1_NMAX]
+IN_PROCESS_RUNS = [argv for argv in PINNED if _nmax(argv) <= 4]
 
 CLI_CASES = json.loads((GOLDEN_DIR / "cli_stdout.json").read_text(encoding="utf-8"))
 
@@ -55,10 +63,34 @@ def _run_id(argv) -> str:
     return run.replace("--nmax ", "n").replace("--trials ", "t").replace("--seed ", "s")
 
 
-@pytest.mark.parametrize("argv", TIER1_RUNS, ids=_run_id)
+@pytest.mark.parametrize("argv", IN_PROCESS_RUNS, ids=_run_id)
 def test_suite_report_digest(argv, capsys):
     assert main(list(argv)) == 0
     assert _digest(capsys.readouterr().out) == PINNED[argv]
+
+
+# one rational query, pinned in cli_stdout.json, and at CI scale also every
+# frontier run: argv -> sha256 of the stdout it must print, exiting 0
+_QUERY = CLI_CASES["member_grass_rational"]
+FRESH_PROCESS_PINS = {tuple(_QUERY["argv"]): _digest(_QUERY["stdout"])} | sized(
+    {}, {argv: digest for argv, digest in PINNED.items() if _nmax(argv) > 4}
+)
+
+
+@pytest.mark.parametrize("argv", list(FRESH_PROCESS_PINS), ids=_run_id)
+def test_report_digest_in_a_fresh_process(argv):
+    """Each run in its own `python -m covex.cli` process, stdin from
+    /dev/null and cwd golden/, compared on the bytes of its stdout."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "covex.cli", *argv],
+        stdin=subprocess.DEVNULL,
+        capture_output=True,
+        cwd=GOLDEN_DIR,
+        env=dict(os.environ, PYTHONPATH=str(SRC_DIR)),
+        timeout=600,
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert hashlib.sha256(proc.stdout).hexdigest() == FRESH_PROCESS_PINS[argv]
 
 
 @pytest.mark.parametrize("suite", ["embed-thm", "rank-lemma"])

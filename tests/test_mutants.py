@@ -22,7 +22,7 @@ import pytest
 
 from covex import conormal, embedding, equivariant, kl, permcore, suites
 from covex.cli import main
-from covex.exactla import DEFAULT_PRIME, ExactMatrix, FieldSpec, kernel
+from covex.exactla import DEFAULT_PRIME, ExactMatrix, FieldSpec, Subspace, kernel
 from covex.permcore import (
     CovexillaryData,
     PartialPermutation,
@@ -216,6 +216,25 @@ def test_a_fiber_without_its_diagonal_equations_fails_conormal_matrix(monkeypatc
     failed = [v for v in verdicts if not v.passed]
     assert (len(failed), len(verdicts)) == (39, 42)
     assert all(v.details["dim_mismatches"] for v in failed)
+
+
+def test_a_flag_fiber_short_of_its_last_vector_fails_conormal_flag(monkeypatch):
+    """conormal_fiber_flag without the last vector of its basis has one
+    dimension fewer than |D(w)|.  Each trial sees that as a dimension
+    mismatch, at the 6 of 9 w with n <= 3 whose fiber is not zero (28 of 32
+    with n <= 4), and the passing cases, the longest w of each size, have
+    none."""
+    fiber_flag = suites.conormal_fiber_flag
+
+    def short_of_one(g, w):
+        flag, fiber = fiber_flag(g, w)
+        return flag, Subspace.span(fiber.field, fiber.ambient, fiber.vectors[:-1])
+
+    monkeypatch.setattr(suites, "conormal_fiber_flag", short_of_one)
+    verdicts = run_suite(SuiteConfig("conormal-flag", n_max=3, trials=1, seed=1))
+    failed = [v for v in verdicts if not v.passed]
+    assert (len(failed), len(verdicts)) == (6, 9)
+    assert [v.details["dim_mismatches"] for v in verdicts] == [int(not v.passed) for v in verdicts]
 
 
 def test_a_4231_detector_fails_covex_equiv_at_3412_and_4231(monkeypatch):

@@ -28,7 +28,6 @@ from covex.varieties import (
     flag_schubert_violation,
     grass_condition_checks,
     grass_schubert_violation,
-    in_matrix_schubert_cell,
     locate_grass_cell,
     matrix_schubert_violation,
     sample_cell_point,
@@ -238,7 +237,6 @@ def test_sample_cell_point():
     # samples have exactly the rank profile of the orbit
     for w in all_partial_permutations(2):
         x = sample_cell_point(w, F, rng)
-        assert in_matrix_schubert_cell(x, w)
         assert southwest_profile(x) == rank_matrix(w).entries
 
 
