@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import os
 import sys
@@ -60,6 +61,36 @@ from .varieties import (
 
 def _emit(payload) -> None:
     print(json.dumps(payload, sort_keys=True))
+
+
+# terms per write of `schubert double`: a chunk of n = 7 terms is under 1 MB
+_TERMS_PER_CHUNK = 4096
+
+
+def _emit_double_schubert(poly) -> None:
+    """Print what _emit prints for {"variables", "monomials", "text"} of poly,
+    a chunk of terms at a time.
+
+    At n = 7 that JSON is about 55 MB, so neither the list of monomials nor
+    the text is built whole: each chunk goes through json.dumps alone, and
+    the pieces are joined as json.dumps joins them (sorted keys, ", " and
+    ": ").  A JSON string escapes character by character, so the text's
+    chunks concatenate to its whole encoding.
+    """
+    write = sys.stdout.write
+    terms = poly.terms
+    write('{"monomials": [')
+    for start in range(0, len(terms), _TERMS_PER_CHUNK):
+        chunk = [
+            {"coeff": c, "exponents": list(exps)}
+            for exps, c in terms[start : start + _TERMS_PER_CHUNK]
+        ]
+        write((", " if start else "") + json.dumps(chunk, sort_keys=True)[1:-1])
+    write('], "text": "')
+    pieces = poly._text_pieces()
+    while text := "".join(itertools.islice(pieces, _TERMS_PER_CHUNK)):
+        write(json.dumps(text)[1:-1])
+    write('", "variables": ' + json.dumps(list(poly.variables)) + "}\n")
 
 
 # ess and covex build n x n tables: about 100 MB at n = 1,000
@@ -273,16 +304,7 @@ def _cmd_kl(args, field: FieldSpec) -> int:
 def _cmd_schubert(args, field: FieldSpec) -> int:
     w = _perm(args.perm)
     if args.action == "double":
-        poly = double_schubert(w)
-        _emit(
-            {
-                "variables": list(poly.variables),
-                "monomials": [
-                    {"exponents": list(exps), "coeff": c} for exps, c in poly.terms
-                ],
-                "text": str(poly),
-            }
-        )
+        _emit_double_schubert(double_schubert(w))
         return 0
     if args.action == "localize":
         check_multidegree_size(w.n)

@@ -9,9 +9,10 @@ permcore module by every form: the Grassmannian form on its own conditions
 embedding pulls back (CovexillaryData.conormal_checks).
 
 The matrix and Grassmannian forms read every rank off one southwest
-profile.  The Grassmannian blocks are southwest blocks of x itself.  The
-blocks M_ij of the big matrix M = ((yx, y), (xyx, xy)) are the southwest
-blocks of tau M tau^-1 on rows t_j+1..2n and columns 1..t_i (tau is the
+profile of a small matrix.  The Grassmannian blocks are southwest blocks
+of x, read off its d rows at V's cell positions (below).  The blocks M_ij
+of the big matrix M = ((yx, y), (xyx, xy)) are the southwest blocks of
+tau M tau^-1 on rows t_j+1..2n and columns 1..t_i (tau is the
 interleaving permutation of the embedding), but that 2n x 2n matrix is
 never formed.  M factors as [I; x] y [x, I], so its rank is at most n,
 and a southwest block of A y B has the rank of A' y B', where A' holds the
@@ -24,21 +25,27 @@ position t_i.  The pivots themselves come from the southwest profile of x
 (the span of the first t_i columns is x E_{q_i} + E_{p_i}), which the
 Schubert check has already computed.  So every bound is one read of the
 southwest profile of N, taken by the kernel that gives x's own profile
-(exactla._southwest_profile), as every Grassmannian bound is one read of
-x's profile.  A unit row of H copies a row of y; only a row of x in H
-costs a product with y.  What depends on x alone (its size, its Schubert
-check, and the flat plan: H as n rows, G as n columns and one read per
-bound) is built once per x: conormal_matrix_members checks a batch of
-covectors over one x, each given by its n rows, and forms N and its
-profile for each; in_conormal_matrix and the diagnostics pass y.entries.
+(exactla._southwest_profile).  A unit row of H copies a row of y and a
+unit column of G an entry of a row of H y; only a row of x in H costs a
+product with y, and only a column of x in G a dot product.  What depends
+on x alone (its size, its Schubert check, and the flat plan: H as n rows,
+G as n columns and one read per bound) is built once per x:
+conormal_matrix_members checks a batch of covectors over one x, each
+given by its n rows, and forms N and its profile for each;
+in_conormal_matrix and the diagnostics pass y.entries.
 
 The Grassmannian form has the same batch shape.  What V fixes, its
-Schubert verdict and the list of southwest reads (row cut, column, bound),
-is planned once (_grass_plan); conormal_grass_members checks a batch of x
-over one V and reads only x's profile for each, and in_conormal_grass (a
-batch of one) and the diagnostics read the same plan.  Every x still
-becomes a SpringerGrassPoint, whose containments Im(x) in V in ker(x) are
-row dot products against V.containment, built once per subspace.
+Schubert verdict, its cell positions S (the t where dim(V + E_t) does not
+jump) and the list of southwest reads (row cut, column, bound), is planned
+once (_grass_plan).  Every x becomes a SpringerGrassPoint, whose
+containments Im(x) in V in ker(x) are row dot products against
+V.containment, built once per subspace.  Once Im(x) lies in V, x is B x[S]
+for the basis B of V with B[S] = I, and each bound is one read of the
+southwest profile of the d rows x[S], not of all N rows of x
+(_grass_violations): at the embedding target, half of them.
+conormal_grass_members checks a batch of x over one V, eliminating x[S]
+for each, and in_conormal_grass (a batch of one) and the diagnostics read
+the same plan.
 
 The flag form is the matrix form pulled back along GL_n -> Mat_n.  For
 the flag F_q = g E_q, F_q + E_p = g(E_q + g^-1 E_p) and F_q meet E_p =
@@ -64,6 +71,7 @@ reference_flag_fiber in tests/test_conormal.py).
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -230,14 +238,15 @@ def _core_plan(x: ExactMatrix, data: CovexillaryData):
     """The part of _core_violations that x fixes: (p, H, G, reads), built once per x.
 
     H holds the n core rows in tau order, as (k, None) for the unit row
-    e_{k+1} or (k, row of x); G holds the n core columns, unit columns
-    included.  reads holds (k, rows_before[j], cols_through[i], bound) for
+    e_{k+1} or (k, row of x); G holds the n core columns in tau order, a
+    column of x as its entries and the unit column e_{a+1} as the index a.
+    reads holds (k, rows_before[j], cols_through[i], bound) for
     each check k = (i, j, bound) of data.conormal_checks, in that order.
     """
     n = data.n
     rows, cols, rows_before, cols_through = core_pivots(x, data)
     H = [(k, x.entries[k - n] if k >= n else None) for k in rows]
-    G = [x.columns[c] if c < n else tuple(int(c - n == a) for a in range(n)) for c in cols]
+    G = [x.columns[c] if c < n else c - n for c in cols]
     reads = [
         (k, rows_before[j], cols_through[i], bound)
         for k, (i, j, bound) in enumerate(data.conormal_checks)
@@ -249,8 +258,9 @@ def _core_violations(plan, y_rows):
     """Yield (k, rank) for each check k of data.conormal_checks that fails at (x, y), in order.
 
     plan is _core_plan(x, data) and y_rows holds the n rows of y.  A row of
-    H y is a row of y or a row of x times y, and its row of the core
-    N = H y G is n dot products with G.  Check k reads the southwest rank
+    H y is a row of y or a row of x times y.  Its row of the core N = H y G
+    takes entry a of it at a unit column e_{a+1} of G, and a dot product
+    at a column of x.  Check k reads the southwest rank
     of N on the rows from rows_before[j] on and the columns before
     cols_through[i], off one southwest profile; an empty block has rank 0.
     """
@@ -265,7 +275,7 @@ def _core_violations(plan, y_rows):
                 y_cols = tuple(zip(*y_rows))
             hy = [sum(map(mul, x_row, c)) for c in y_cols]
         # unreduced: _southwest_profile reduces mod p, or scales to integers over Q
-        core.append([sum(map(mul, hy, g)) for g in G])
+        core.append([hy[g] if type(g) is int else sum(map(mul, hy, g)) for g in G])
     profile = _southwest_profile(core, len(G), p)
     n = len(H)
     for k, below, through, bound in reads:
@@ -458,16 +468,20 @@ def vector_to_matrix(field: FieldSpec, vec: Sequence, n: int) -> ExactMatrix:
 
 
 def _grass_plan(V: Subspace, conditions: Sequence[tuple[int, int]]):
-    """What V fixes for the list [(t'_i, c_i)] of Gr_u: (schubert, reads).
+    """What V fixes for the list [(t'_i, c_i)] of Gr_u: (schubert, cells, reads).
 
     schubert holds each Schubert condition (t, dim(V + E_t), d + c) that V
     breaks, as varieties.grass_condition_checks reads it, in the order of
-    the conditions.  reads holds (t'_j, t'_i - 1, i, j, b(i, j)) for each
-    bound of permcore.conormal_bounds, the table the matrix form reads too,
-    in its order: the rank of x E_{t'_i} / E_{t'_j} is the southwest rank
-    of x on rows t'_j+1..N and columns 1..t'_i, so profile[t'_j][t'_i - 1].
-    An empty block (t'_j = N or t'_i = 0) satisfies every bound and is not
-    read.  Positions outside 0..N raise DimensionMismatchError.
+    the conditions.  cells holds V's cell positions S, 0-based and
+    ascending: the s where dim(V + E_{s+1}) does not jump, read off the
+    V.sum_dims of that check.  reads holds (below, t'_i - 1, i, j, b(i, j))
+    for each bound of permcore.conormal_bounds, the table the matrix form
+    reads too, in its order: the rank of x E_{t'_i} / E_{t'_j} is the
+    southwest rank of x on rows t'_j+1..N and columns 1..t'_i, which is the
+    southwest rank of x[S] on its rows from below = #{s in S : s < t'_j}
+    on (see _grass_violations).  An empty block (t'_j = N or t'_i = 0)
+    satisfies every bound and is not read.  Positions outside 0..N raise
+    DimensionMismatchError.
     """
     N = V.ambient
     schubert = tuple(
@@ -475,27 +489,39 @@ def _grass_plan(V: Subspace, conditions: Sequence[tuple[int, int]]):
         for t, total, bound, ok in grass_condition_checks(V, conditions)
         if not ok
     )
+    dims = V.sum_dims
+    cells = tuple(s for s in range(N) if dims[s + 1] == dims[s])
     ts = [0, *(t for t, _ in conditions), N]
     reads = tuple(
-        (ts[j], ts[i] - 1, i, j, bound)
+        (bisect_left(cells, ts[j]), ts[i] - 1, i, j, bound)
         for i, j, bound in permcore.conormal_bounds(conditions, N, V.dim)
         if ts[j] != N and ts[i] != 0
     )
-    return schubert, reads
+    return schubert, cells, reads
 
 
 def _grass_violations(plan, x: ExactMatrix):
     """Yield each violated condition of (V, x), plan = _grass_plan(V, conditions).
 
     The Schubert violations come first, then the rank violations, each in
-    the order of the plan; x's southwest profile is read only after them.
+    the order of the plan.  The ranks are read off the southwest profile of
+    the d rows x[S] of x at V's cell positions S, eliminated only after the
+    Schubert violations.  This needs Im(x) in V, which SpringerGrassPoint
+    has checked: the basis B of V with B[S] = I has, in its column for s,
+    a last nonzero entry at s (V's echelon basis by last nonzero entries,
+    times an upper triangular matrix), so the rows of B from row r on span
+    exactly the unit vectors of the s in S with s >= r.  As x = B x[S],
+    the rank of x on rows r.. and columns ..c is the rank of x[S] on the
+    rows of those s and the same columns; no such s leaves rank 0.
     """
-    schubert, reads = plan
+    schubert, cells, reads = plan
     for condition in schubert:
         yield {"kind": "schubert", "condition": condition}
-    profile = southwest_profile(x)
-    for row, col, i, j, bound in reads:
-        rank = profile[row][col]
+    rows = x.entries
+    profile = _southwest_profile([rows[s] for s in cells], x.cols, x.field.p)
+    d = len(cells)
+    for below, col, i, j, bound in reads:
+        rank = profile[below][col] if below < d else 0
         if rank > bound:
             yield {"kind": "rank", "i": i, "j": j, "rank": rank, "bound": bound}
 

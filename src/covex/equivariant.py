@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Iterator
 
 from .embedding import fixed_point_index, target_grass_index, weight_map
 from .errors import InputError
@@ -127,24 +128,31 @@ class MultivariatePolynomial:
         )
 
     def __str__(self) -> str:
+        return "".join(self._text_pieces())
+
+    def _text_pieces(self) -> Iterator[str]:
+        """str(self) in pieces, one per term: each term after the first
+        comes with the " + " or " - " that joins it to the one before."""
         if self.is_zero:
-            return "0"
-        parts = []
-        for exps, c in self.terms:
+            yield "0"
+            return
+        for k, (exps, c) in enumerate(self.terms):
             mono = "*".join(
                 (name if e == 1 else f"{name}^{e}")
                 for name, e in zip(self.variables, exps)
                 if e
             )
             if not mono:
-                parts.append(str(c))
+                text = str(c)
             elif c == 1:
-                parts.append(mono)
+                text = mono
             elif c == -1:
-                parts.append(f"-{mono}")
+                text = f"-{mono}"
             else:
-                parts.append(f"{c}*{mono}")
-        return " + ".join(parts).replace("+ -", "- ")
+                text = f"{c}*{mono}"
+            if k:
+                text = f" - {text[1:]}" if text[0] == "-" else f" + {text}"
+            yield text
 
     def _check(self, other: "MultivariatePolynomial") -> None:
         if self.variables != other.variables:

@@ -36,7 +36,7 @@ import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import accumulate
 from math import gcd, lcm
 from typing import Iterable, Sequence, Union
@@ -132,6 +132,9 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 MAX_PRIME_MODULUS = 3_317_044_064_679_887_385_961_981
 
 
+# memoized: every FieldSpec checks its modulus, and a process makes many of
+# them over the same few primes (one per CLI query, each suite case)
+@lru_cache(maxsize=64)
 def _is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin for n < MAX_PRIME_MODULUS."""
     if n >= MAX_PRIME_MODULUS:

@@ -223,15 +223,30 @@ def diagram(w: PartialPermutation) -> frozenset[tuple[int, int]]:
 
 
 def essential_set(w: PartialPermutation) -> tuple[EssentialCondition, ...]:
-    """Northeast corners of the diagram with their rank bounds, sorted by (row, col)."""
-    boxes = diagram(w)
-    rm = rank_matrix(w)
-    essential = [
-        EssentialCondition(i, j, rm.entry(i, j))
-        for (i, j) in boxes
-        if (i - 1, j) not in boxes and (i, j + 1) not in boxes and (i - 1, j + 1) not in boxes
-    ]
-    essential.sort(key=lambda e: (e.row, e.col))
+    """Northeast corners of the diagram with their rank bounds, sorted by (row, col).
+
+    One pass over the rows, without building the diagram: row i of D(w) is
+    the set of columns j < w^-1(i) with w(j) < i (w(j) = 0 for an empty
+    column, w^-1(i) = n + 1 for an empty row).  A box (i, j) of D(w) is a
+    corner when (i, j + 1), (i - 1, j) and (i - 1, j + 1) are not in D(w),
+    so each row is checked against the row above; the corners come out in
+    (row, col) order.
+    """
+    n, image = w.n, w.image
+    ends = [n + 1] * (n + 1)  # ends[i] = w^-1(i); ends[0] is never read
+    for j, v in enumerate(image, 1):
+        ends[v] = j
+    entries = rank_matrix(w).entries
+    above = [False] * (n + 2)  # row i - 1 of D(w) by column, padded at 0 and n + 1
+    essential = []
+    for i in range(1, n + 1):
+        end = ends[i]
+        row = [False] * (n + 2)
+        row[1:end] = [v < i for v in image[: end - 1]]
+        for j in range(1, end):
+            if row[j] and not (row[j + 1] or above[j] or above[j + 1]):
+                essential.append(EssentialCondition(i, j, entries[i - 1][j - 1]))
+        above = row
     return tuple(essential)
 
 

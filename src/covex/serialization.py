@@ -10,6 +10,7 @@ the offending field in the error message.
 from __future__ import annotations
 
 import json
+import sys
 from fractions import Fraction
 from pathlib import Path
 from typing import Any
@@ -29,8 +30,6 @@ def scalar_to_json(value) -> Any:
 
 
 def scalar_from_json(field: FieldSpec, value) -> Any:
-    if type(value) is int:
-        return field.coerce(value)
     if isinstance(value, str):
         try:
             num, _, den = value.partition("/")
@@ -74,11 +73,21 @@ def matrix_from_json(field: FieldSpec, data: Any, where: str = "matrix") -> Exac
     _check_size(where, "cols", cols, 0)
     if not isinstance(entries, list) or len(entries) != rows:
         raise InputError(f"{where}: entries must be a list of {rows} rows")
+    # a plain int is a field element once reduced mod p (as it is over Q);
+    # only strings and other values go through scalar_from_json
+    p = field.p
     parsed = []
     for i, row in enumerate(entries, start=1):
         if not isinstance(row, list) or len(row) != cols:
             raise InputError(f"{where}: row {i} must have {cols} entries")
-        parsed.append(tuple([scalar_from_json(field, v) for v in row]))
+        if p is None:
+            parsed.append(
+                tuple([v if type(v) is int else scalar_from_json(field, v) for v in row])
+            )
+        else:
+            parsed.append(
+                tuple([v % p if type(v) is int else scalar_from_json(field, v) for v in row])
+            )
     return ExactMatrix(field, tuple(parsed))
 
 
@@ -156,13 +165,30 @@ def point_from_json(field: FieldSpec, kind: str, data: Any):
 
 
 def parse_point_file(path: str | Path, kind: str, field: FieldSpec):
-    """Load a typed point from a JSON file, enforcing invariants at parse time."""
+    """Load a typed point from a JSON file, enforcing invariants at parse time.
+
+    Every way the file can fail to be JSON raises InputError: unreadable,
+    not UTF-8, malformed, nested past the recursion limit, or holding an
+    integer literal longer than the interpreter converts (4,300 digits by
+    default).
+    """
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as handle:
+            text = handle.read()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise InputError(f"{path}: invalid JSON: nested too deeply") from exc
+    except ValueError as exc:
+        # json.loads raises a plain ValueError only for an over-long integer literal
+        raise InputError(
+            f"{path}: invalid JSON: an integer has more than"
+            f" {sys.get_int_max_str_digits()} digits"
+        ) from exc
     return point_from_json(field, kind, data)

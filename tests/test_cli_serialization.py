@@ -1,5 +1,6 @@
 """File formats, invariant-checking parsers, and the CLI surface."""
 
+import hashlib
 import json
 import os
 import resource
@@ -10,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from covex import equivariant, kl, suites
+from covex import cli, equivariant, kl, suites
 from covex.cli import main
 from covex.errors import InputError, InvariantError
 from covex.exactla import ExactMatrix, FieldSpec, coordinate_subspace
@@ -21,8 +22,9 @@ from covex.serialization import (
     point_from_json,
     subspace_to_json,
 )
-from covex.permcore import PartialPermutation, diagram
+from covex.permcore import PartialPermutation, all_permutations, diagram
 from covex.varieties import Flag
+from scale import sized
 
 F = FieldSpec.prime()
 Q = FieldSpec.rational()
@@ -566,6 +568,106 @@ def test_cli_schubert_refuses_n_7_without_traceback(action):
     assert "Traceback" not in proc.stderr
     assert_one_error_line(proc.returncode, proc.stdout, proc.stderr)
     assert "multidegree is limited to n <= 6" in proc.stderr
+
+
+SRC_DIR = Path(__file__).resolve().parents[1] / "src"
+
+
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        (b"\xff\xfe{", "not UTF-8 text"),
+        (b"[" * 200_000, "nested too deeply"),
+        (b'{"rows": 1, "cols": 1, "entries": [[' + b"7" * 4_301 + b"]]}", "more than"),
+    ],
+    ids=["not-utf8", "deep-nesting", "long-integer"],
+)
+def test_cli_point_file_that_is_not_json_is_bad_input(tmp_path, payload, message):
+    """Bytes that are not UTF-8, nesting past the recursion limit and an
+    integer literal past the interpreter's digit limit each make json
+    fail with an exception that is not JSONDecodeError.  In a fresh
+    process, as a user runs it: exit 2, one error line, no traceback."""
+    path = tmp_path / "point.json"
+    path.write_bytes(payload)
+    proc = subprocess.run(
+        [sys.executable, "-m", "covex.cli", "member", "matrix", str(path), "1"],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(SRC_DIR)),
+        timeout=60,
+    )
+    assert "Traceback" not in proc.stderr
+    assert_one_error_line(proc.returncode, proc.stdout, proc.stderr)
+    assert message in proc.stderr
+
+
+def reference_double_payload(poly) -> str:
+    """What `schubert double` printed in one piece: the payload built whole,
+    its text by joining every term with " + " and reading "+ -" as "- "."""
+    parts = []
+    for exps, c in poly.terms:
+        mono = "*".join(
+            (name if e == 1 else f"{name}^{e}") for name, e in zip(poly.variables, exps) if e
+        )
+        if not mono:
+            parts.append(str(c))
+        elif c in (1, -1):
+            parts.append(mono if c == 1 else f"-{mono}")
+        else:
+            parts.append(f"{c}*{mono}")
+    text = " + ".join(parts).replace("+ -", "- ") if parts else "0"
+    payload = {
+        "variables": list(poly.variables),
+        "monomials": [{"exponents": list(exps), "coeff": c} for exps, c in poly.terms],
+        "text": text,
+    }
+    return json.dumps(payload, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("chunk", [1, cli._TERMS_PER_CHUNK])
+def test_cli_schubert_double_streams_the_whole_payload(capsys, monkeypatch, chunk):
+    """`schubert double` writes its JSON a chunk of terms at a time; stdout
+    is byte-identical to the payload printed whole, for every w in S_5 and
+    at chunks of one term, which split every polynomial with more."""
+    monkeypatch.setattr(cli, "_TERMS_PER_CHUNK", chunk)
+    for w in all_permutations(5):
+        code, out, _ = run_cli(capsys, "schubert", "double", w.one_line())
+        assert code == 0
+        assert out == reference_double_payload(equivariant.double_schubert(w)), w
+
+
+# sha256 of the stdout of `schubert double`, recorded from the whole-payload print
+DOUBLE_SCHUBERT_DIGESTS = sized(
+    {"654321": "955347752caddebeb8e6daa5529df12b77dc938a7413c5f19061f8c04430cd8e"},
+    {"7654321": "8b128e3a8086f42108a0cfc01fa0b36960a18c673791352069eb9cb6e730366b"},
+)
+
+
+@pytest.mark.parametrize("w", sorted(DOUBLE_SCHUBERT_DIGESTS))
+def test_cli_schubert_double_in_a_fresh_process_stays_under_300_mb(w):
+    """The largest double Schubert polynomial the CLI prints, 7654321 at CI
+    scale (about 55 MB of JSON), in a fresh process: the same bytes as the
+    whole-payload print, a peak RSS of at most 300 MB and at most 11 s of
+    wall time.  Building the polynomial alone peaks near 240 MB."""
+    digest = hashlib.sha256()
+    start = time.perf_counter()
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "covex.cli", "schubert", "double", w],
+        stdin=subprocess.DEVNULL,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.DEVNULL,
+        env=dict(os.environ, PYTHONPATH=str(SRC_DIR)),
+    )
+    with proc.stdout:
+        while chunk := proc.stdout.read(1 << 20):
+            digest.update(chunk)
+    _, status, usage = os.wait4(proc.pid, 0)
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    wall = time.perf_counter() - start
+    assert proc.returncode == 0
+    assert digest.hexdigest() == DOUBLE_SCHUBERT_DIGESTS[w]
+    assert usage.ru_maxrss / 1024 <= 300, usage.ru_maxrss
+    assert wall <= 11, wall
 
 
 def test_cli_fraction_with_denominator_divisible_by_p(capsys, tmp_path):

@@ -22,6 +22,7 @@ from covex.conormal import (
     conormal_matrix_members,
     conormal_matrix_violations,
     _core_plan,
+    _grass_plan,
     core_pivots,
     in_conormal_flag,
     in_conormal_grass,
@@ -44,6 +45,7 @@ from covex.exactla import (
     FieldSpec,
     Subspace,
     _draws,
+    _southwest_profile,
     coordinate_subspace,
     kernel,
     random_borel,
@@ -56,6 +58,7 @@ from covex.permcore import (
     all_partial_permutations,
     all_permutations,
     bruhat_leq,
+    conormal_bounds,
     covexillary_data,
     diagram,
     is_covexillary,
@@ -72,6 +75,7 @@ from covex.suites import (
 )
 from covex.varieties import (
     Flag,
+    grass_condition_checks,
     locate_grass_cell,
     matrix_schubert_violation,
     sample_cell_point,
@@ -393,7 +397,8 @@ def test_core_plan_at_a_0_1_matrix_is_a_permutation():
             for x in xs:
                 _, H, G, _ = _core_plan(x, data)
                 rows = [units[k] if x_row is None else x_row for k, x_row in H]
-                assert sorted(rows) == sorted(G) == sorted(units), (w, x)
+                cols = [units[g] if isinstance(g, int) else g for g in G]
+                assert sorted(rows) == sorted(cols) == sorted(units), (w, x)
                 pairs += 1
     assert pairs == 39_422
 
@@ -1139,6 +1144,85 @@ def test_grass_members_check_both_containments_at_every_point(field):
                 assert str(err.value) == expected
                 messages[expected] += 1
     assert set(messages) == {"Im(x) is not contained in V", "V is not contained in ker(x)"}
+
+
+def reference_grass_violations(pt, conditions):
+    """conormal_grass_violations read off the whole southwest profile of x:
+    each bound at rows t'_j+1..N and columns 1..t'_i of x itself, the
+    empty blocks (t'_j = N or t'_i = 0) unread."""
+    V, N = pt.V, pt.V.ambient
+    out = [
+        {"kind": "schubert", "condition": (t, total, bound)}
+        for t, total, bound, ok in grass_condition_checks(V, conditions)
+        if not ok
+    ]
+    profile = southwest_profile(pt.x)
+    ts = [0, *(t for t, _ in conditions), N]
+    for i, j, bound in conormal_bounds(conditions, N, V.dim):
+        if ts[j] != N and ts[i] != 0 and profile[ts[j]][ts[i] - 1] > bound:
+            out.append(
+                {"kind": "rank", "i": i, "j": j, "rank": profile[ts[j]][ts[i] - 1], "bound": bound}
+            )
+    return out
+
+
+GRASS_CELL_ORACLE_N = sized(3, 4)
+
+
+@pytest.mark.parametrize(
+    "field", [FieldSpec.prime(2), FieldSpec.prime(3), F, Q], ids=str
+)
+def test_grass_ranks_of_the_cell_rows_are_the_whole_profile(field):
+    """At a Springer point (V, x), x = B x[S] for V's cell positions S, so
+    each southwest rank of x is one of the d rows x[S]: the plan's cells
+    are locate_grass_cell's positions, the profile of x[S] gives x's whole
+    southwest profile at every (row, col), and conormal_grass_violations
+    equals the reading of the whole profile.  Chased points over a cell
+    point x of w, and Springer points over its V, over the V of a random u
+    and over that of a u not below w, for every covexillary w with n <= 3
+    (n <= 4 at CI scale)."""
+    rng = random.Random(97)
+    kinds = set()
+    for n in range(1, GRASS_CELL_ORACLE_N + 1):
+        partials = list(all_partial_permutations(n))
+
+        def cell_point(u):
+            if field.is_prime:
+                return sample_cell_point(u, field, rng)
+            return integer_cell_point(u, field, rng)
+
+        for w in partials:
+            if not is_covexillary(w):
+                continue
+            data = covexillary_data(w)
+            conditions = data.grass_conditions
+            x = cell_point(w)
+            V = embed_point(x, data)
+            ys = fiber_combinations(conormal_fiber_matrix(x, w), field, n, rng, 3)
+            ys.append(random_matrix_over(field, n, rng))
+            chased = _chase_to_grass(data, V, x, [y.entries for y in ys])
+            points = [SpringerGrassPoint(V, chase) for chase in chased]
+            others = [V, embed_point(cell_point(rng.choice(partials)), data)]
+            far = next((u for u in partials if not bruhat_leq(u, w)), None)
+            if far is not None:
+                others.append(embed_point(cell_point(far), data))
+            for other in others:
+                points += [SpringerGrassPoint(other, s) for s in springer_points(other, field, rng)]
+            for pt in points:
+                N, rows = pt.V.ambient, pt.x.entries
+                cells = tuple(s - 1 for s in locate_grass_cell(pt.V).positions)
+                assert _grass_plan(pt.V, conditions)[1] == cells
+                profile = _southwest_profile([rows[s] for s in cells], N, field.p)
+                whole = southwest_profile(pt.x)
+                for r in range(N):
+                    below = sum(s < r for s in cells)
+                    for c in range(N):
+                        rank = profile[below][c] if below < len(cells) else 0
+                        assert rank == whole[r][c], (w, pt, r, c)
+                violations = conormal_grass_violations(pt, conditions)
+                assert violations == reference_grass_violations(pt, conditions), (w, pt)
+                kinds.update(v["kind"] for v in violations)
+    assert kinds == {"schubert", "rank"}
 
 
 def test_flag_members_are_the_per_point_verdicts():

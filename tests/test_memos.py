@@ -13,10 +13,11 @@ import json
 import pickle
 import random
 from functools import cached_property
+from pathlib import Path
 
 import pytest
 
-from covex import conormal, suites
+from covex import conormal, exactla, suites
 from covex.cli import main
 from covex.embedding import coordinate_target_table, embed_point, fixed_point_index
 from covex.conormal import (
@@ -42,11 +43,12 @@ from covex.permcore import (
     is_covexillary,
     rank_matrix,
 )
-from covex.serialization import matrix_to_json
+from covex.serialization import matrix_to_json, parse_point_file
 from covex.varieties import locate_grass_cell, sample_cell_point, southwest_profile
 from test_varieties import sample_flag
 
 F = FieldSpec.prime()
+GOLDEN_DIR = Path(__file__).parent / "golden"
 
 
 def assert_like_fresh(obj, fresh):
@@ -373,3 +375,37 @@ def test_embed_thm_samples_each_orbit_once(monkeypatch):
         assert set().union(*tables[n]) == expected
         # every cell of Gr(n, 2n), C(2n, n) of them
         assert len(expected) == {1: 2, 2: 6, 3: 20, 4: 70}[n]
+
+
+def test_fifty_queries_decide_the_modulus_once(capsys):
+    """FieldSpec checks its modulus with the memoized _is_prime, so 50
+    queries in one process at --field p:10007 run Miller-Rabin once."""
+    exactla._is_prime.cache_clear()
+    point = str(GOLDEN_DIR / "embed_cell.json")
+    for _ in range(50):
+        assert main(["--field", "p:10007", "member", "matrix", point, "2 0 3 1"]) == 0
+    capsys.readouterr()
+    info = exactla._is_prime.cache_info()
+    assert (info.misses, info.hits) == (1, 49)
+
+
+def test_a_grass_conormal_query_eliminates_only_the_cell_rows_of_x(capsys, monkeypatch):
+    """`conormal member grass` at the embedding target Gr(n, 2n) reads every
+    rank off the n rows x[S] at V's cell positions: the one southwest
+    profile it eliminates, through either name of the kernel, has n rows,
+    each a row of x."""
+    point = GOLDEN_DIR / "springer_cell.json"
+    x = parse_point_file(point, "springer-grass", F).x
+    calls = []
+    profile = exactla._southwest_profile
+
+    def counted(rows, cols, p):
+        calls.append([tuple(row) for row in rows])
+        return profile(rows, cols, p)
+
+    monkeypatch.setattr(exactla, "_southwest_profile", counted)
+    monkeypatch.setattr(conormal, "_southwest_profile", counted)
+    assert main(["conormal", "member", "grass", str(point), "--w", "2 0 3 1"]) == 0
+    assert "member" in json.loads(capsys.readouterr().out)
+    assert len(calls) == 1 and len(calls[0]) == 4 and x.rows == 8
+    assert set(calls[0]) <= set(x.entries)

@@ -183,9 +183,11 @@ def test_grassmannian_ranks_read_a_column_right_fail_both_grassmannian_suites(mo
     plan = conormal._grass_plan
 
     def mutant(V, conditions):
-        schubert, reads = plan(V, conditions)
+        schubert, cells, reads = plan(V, conditions)
         last = V.ambient - 1
-        return schubert, tuple((row, min(col + 1, last), i, j, b) for row, col, i, j, b in reads)
+        return schubert, cells, tuple(
+            (row, min(col + 1, last), i, j, b) for row, col, i, j, b in reads
+        )
 
     monkeypatch.setattr(conormal, "_grass_plan", mutant)
     assert _failures("diagram-chase", 3, trials=1, seed=1) == (39, 42)
