@@ -1159,10 +1159,11 @@ def reference_grass_violations(pt, conditions):
     profile = southwest_profile(pt.x)
     ts = [0, *(t for t, _ in conditions), N]
     for i, j, bound in conormal_bounds(conditions, N, V.dim):
-        if ts[j] != N and ts[i] != 0 and profile[ts[j]][ts[i] - 1] > bound:
-            out.append(
-                {"kind": "rank", "i": i, "j": j, "rank": profile[ts[j]][ts[i] - 1], "bound": bound}
-            )
+        if ts[j] == N or ts[i] == 0:
+            continue
+        rank = profile[ts[j]][ts[i] - 1]
+        if rank > bound:
+            out.append({"kind": "rank", "i": i, "j": j, "rank": rank, "bound": bound})
     return out
 
 
@@ -1182,15 +1183,15 @@ def test_grass_ranks_of_the_cell_rows_are_the_whole_profile(field):
     and over that of a u not below w, for every covexillary w with n <= 3
     (n <= 4 at CI scale)."""
     rng = random.Random(97)
+
+    def cell_point(u):
+        if field.is_prime:
+            return sample_cell_point(u, field, rng)
+        return integer_cell_point(u, field, rng)
+
     kinds = set()
     for n in range(1, GRASS_CELL_ORACLE_N + 1):
         partials = list(all_partial_permutations(n))
-
-        def cell_point(u):
-            if field.is_prime:
-                return sample_cell_point(u, field, rng)
-            return integer_cell_point(u, field, rng)
-
         for w in partials:
             if not is_covexillary(w):
                 continue
