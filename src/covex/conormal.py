@@ -24,28 +24,24 @@ the members of H after position t_j, its columns the members of G up to
 position t_i.  The pivots themselves come from the southwest profile of x
 (the span of the first t_i columns is x E_{q_i} + E_{p_i}), which the
 Schubert check has already computed.  So every bound is one read of the
-southwest profile of N, taken by the kernel that gives x's own profile
-(exactla._southwest_profile).  A unit row of H copies a row of y and a
-unit column of G an entry of a row of H y; only a row of x in H costs a
-product with y, and only a column of x in G a dot product.  What depends
-on x alone (its size, its Schubert check, and the flat plan: H as n rows,
-G as n columns and one read per bound) is built once per x:
-conormal_matrix_members checks a batch of covectors over one x, each
-given by its n rows, and forms N and its profile for each;
-in_conormal_matrix and the diagnostics pass y.entries.
+southwest profile of N.  What x alone fixes (its Schubert check, H, G, a
+read per bound) is planned once per x (_core_plan); conormal_matrix_members
+checks a batch of covectors y, each given by its n rows, over one x.  Over
+F_p the rows of G are packed (exactla._pack): a row of y G, or of x y G, is
+one sum of products, and exactla._packed_profile takes N's profile, its
+lanes below n^2 (p-1)^3 + n (p-1)^2.  Over Q the rows are lists.
 
 The Grassmannian form has the same batch shape.  What V fixes, its
 Schubert verdict, its cell positions S (the t where dim(V + E_t) does not
 jump) and the list of southwest reads (row cut, column, bound), is planned
 once (_grass_plan).  Every x becomes a SpringerGrassPoint, whose
-containments Im(x) in V in ker(x) are row dot products against
-V.containment, built once per subspace.  Once Im(x) lies in V, x is B x[S]
-for the basis B of V with B[S] = I, and each bound is one read of the
-southwest profile of the d rows x[S], not of all N rows of x
-(_grass_violations): at the embedding target, half of them.
-conormal_grass_members checks a batch of x over one V, eliminating x[S]
-for each, and in_conormal_grass (a batch of one) and the diagnostics read
-the same plan.
+containments Im(x) in V in ker(x) are products with V.containment, built
+once per subspace.  Once Im(x) lies in V, x is B x[S] for the basis B of
+V with B[S] = I, and each bound is one read of the southwest profile of
+the d rows x[S], not of all N rows of x (_grass_violations): at the
+embedding target, half of them.  conormal_grass_members checks a batch of
+x over one V, eliminating x[S] for each, and in_conormal_grass (a batch of
+one) and the diagnostics read the same plan.
 
 The flag form is the matrix form pulled back along GL_n -> Mat_n.  For
 the flag F_q = g E_q, F_q + E_p = g(E_q + g^-1 E_p) and F_q meet E_p =
@@ -91,8 +87,12 @@ from .exactla import (
     Subspace,
     _insert,
     _integer_row,
+    _lane_bits,
+    _pack,
+    _packed_profile,
     _products,
     _reduced,
+    _residues,
     _southwest_profile,
 )
 from . import permcore
@@ -154,7 +154,7 @@ class SpringerFlagPoint:
 class SpringerGrassPoint:
     """A pair (V, x) with Im(x) inside V inside ker(x); in particular x^2 = 0.
 
-    Both containments are row dot products, no elimination.  Let C hold V's
+    Both containments are products, no elimination.  Let C hold V's
     echelon rows c_k (V._basis(): integer rows over Q), each scaled so that
     its pivot entry is L, the lcm of the pivot entries (L = 1 over F_p).
     A vector v lies in V iff L v = sum_k v[pivot_k] c_k, so Im(x) is inside
@@ -163,7 +163,9 @@ class SpringerGrassPoint:
     x[pivots].  V is inside ker(x) iff x C^T = 0; once x = C^T x[pivots] /
     L, and C^T has independent columns, that is x[pivots] C^T = 0: each
     pivot row of x dotted with each c_k.  The V side is V.containment,
-    built once per subspace, so only the dot products with x run per point.
+    built once per subspace.  Over F_p (x reduced) Im(x) in V is K x = 0 for
+    the kill rows K = e_a - C^T[a] (a free), and with K and C^T packed the
+    two checks are N + d sums whose lanes, below N (p-1)^2, must be 0 mod p.
     """
 
     V: Subspace
@@ -179,17 +181,19 @@ class SpringerGrassPoint:
             if not x.is_zero():
                 raise InvariantError("Im(x) is not contained in V")
             return
-        pivots, scale, free, spans, kills = V.containment
         rows, p = x.entries, x.field.p
-        at_pivots = [rows[c] for c in pivots]
-        if free:
-            # over F_p, L = 1 and the entries of x are reduced already
-            if scale == 1:
-                wanted = tuple(tuple(rows[a]) for a in free)
-            else:
-                wanted = tuple(tuple(scale * v for v in rows[a]) for a in free)
-            if _products(spans, tuple(zip(*at_pivots)), p) != wanted:
+        if p is not None:
+            pivots, B, kill, c_t = V.containment
+            if any(_residues([sum(map(mul, c, kill)) for c in zip(*rows)], B, N - len(pivots), p)):
                 raise InvariantError("Im(x) is not contained in V")
+            if any(_residues([sum(map(mul, rows[c], c_t)) for c in pivots], B, len(pivots), p)):
+                raise InvariantError("V is not contained in ker(x)")
+            return
+        pivots, scale, free, spans, kills = V.containment
+        at_pivots = [rows[c] for c in pivots]
+        wanted = tuple(tuple(scale * v for v in rows[a]) for a in free)
+        if free and _products(spans, tuple(zip(*at_pivots)), p) != wanted:
+            raise InvariantError("Im(x) is not contained in V")
         if any(map(any, _products(at_pivots, kills, p))):
             raise InvariantError("V is not contained in ker(x)")
 
@@ -235,49 +239,48 @@ def core_pivots(
 
 
 def _core_plan(x: ExactMatrix, data: CovexillaryData):
-    """The part of _core_violations that x fixes: (p, H, G, reads), built once per x.
+    """The part of _core_violations that x fixes: (p, B, H, G, reads), built once per x.
 
-    H holds the n core rows in tau order, as (k, None) for the unit row
-    e_{k+1} or (k, row of x); G holds the n core columns in tau order, a
-    column of x as its entries and the unit column e_{a+1} as the index a.
-    reads holds (k, rows_before[j], cols_through[i], bound) for
-    each check k = (i, j, bound) of data.conormal_checks, in that order.
+    H holds the n core rows in tau order: (k, None), the unit row e_{k+1},
+    or (k, row of x), reduced over F_p.  G holds the n core columns, over Q
+    a column of x as itself and e_{a+1} as a, over F_p the packed rows of
+    their matrix (lanes of B bits).  reads holds (k, rows_before[j],
+    cols_through[i], bound) for each check (i, j, bound) of conormal_checks.
     """
-    n = data.n
+    n, p = data.n, x.field.p
     rows, cols, rows_before, cols_through = core_pivots(x, data)
-    H = [(k, x.entries[k - n] if k >= n else None) for k in rows]
-    G = [x.columns[c] if c < n else c - n for c in cols]
+    x_rows = x.entries if p is None else [[v % p for v in row] for row in x.entries]
+    H = [(k, x_rows[k - n] if k >= n else None) for k in rows]
     reads = [
         (k, rows_before[j], cols_through[i], bound)
         for k, (i, j, bound) in enumerate(data.conormal_checks)
     ]
-    return x.field.p, H, G, reads
+    if p is None:
+        return p, None, H, [x.columns[c] if c < n else c - n for c in cols], reads
+    B = _lane_bits(n * n * (p - 1) ** 3 + n * (p - 1) ** 2)
+    G = [_pack([x_rows[r][c] if c < n else int(c - n == r) for c in cols], B) for r in range(n)]
+    return p, B, H, G, reads
 
 
 def _core_violations(plan, y_rows):
     """Yield (k, rank) for each check k of data.conormal_checks that fails at (x, y), in order.
 
-    plan is _core_plan(x, data) and y_rows holds the n rows of y.  A row of
-    H y is a row of y or a row of x times y.  Its row of the core N = H y G
-    takes entry a of it at a unit column e_{a+1} of G, and a dot product
-    at a column of x.  Check k reads the southwest rank
-    of N on the rows from rows_before[j] on and the columns before
-    cols_through[i], off one southwest profile; an empty block has rank 0.
+    plan is _core_plan(x, data) and y_rows holds the n rows of y, reduced
+    over F_p (a negative entry would borrow from the next lane).  A row of
+    the core N = H y G is a row of y G or a row of x times y G.  Check k
+    reads the southwest rank of N on the rows from rows_before[j] on and the
+    columns before cols_through[i]; an empty block has rank 0.
     """
-    p, H, G, reads = plan
-    y_cols = None  # read only when H holds a row of x
-    core = []
-    for k, x_row in H:
-        if x_row is None:
-            hy = y_rows[k]
-        else:
-            if y_cols is None:
-                y_cols = tuple(zip(*y_rows))
-            hy = [sum(map(mul, x_row, c)) for c in y_cols]
-        # unreduced: _southwest_profile reduces mod p, or scales to integers over Q
-        core.append([hy[g] if type(g) is int else sum(map(mul, hy, g)) for g in G])
-    profile = _southwest_profile(core, len(G), p)
+    p, B, H, G, reads = plan
     n = len(H)
+    if p is None:
+        yg = [[row[g] if type(g) is int else sum(map(mul, row, g)) for g in G] for row in y_rows]
+        core = [yg[k] if r is None else [sum(map(mul, r, c)) for c in zip(*yg)] for k, r in H]
+        profile = _southwest_profile(core, n, p)
+    else:
+        yg = [sum(map(mul, [v % p for v in row], G)) for row in y_rows]
+        core = [yg[k] if x_row is None else sum(map(mul, x_row, yg)) for k, x_row in H]
+        profile = _packed_profile(core, n, p, B)
     for k, below, through, bound in reads:
         rank = profile[below][through - 1] if below < n and through else 0
         if rank > bound:

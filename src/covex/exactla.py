@@ -8,14 +8,14 @@ floating point anywhere.  Subspaces are stored in reduced echelon form, so
 equal subspaces have identical representations and can be compared with
 `==`.
 
-All elimination is one row insertion, `_insert`: a row is reduced against an
-echelon basis {pivot column: row} and whatever is left joins the basis at a
-new pivot.  A rank is the size of the basis once every row is in; the
-southwest profile inserts rows bottom-up and counts pivots; membership
-inserts into a copy of a subspace's basis and asks for no new pivot; spans,
-kernels and inverses back-substitute the basis to reduced echelon form
-(`_reduced`).  An inverse is the reduced form of [A | I], and A is singular
-exactly when a pivot lands in the identity half.
+All elimination of rows given as lists is one row insertion, `_insert`: a
+row is reduced against an echelon basis {pivot column: row} and whatever is
+left joins the basis at a new pivot.  A rank is the size of the basis once
+every row is in; the southwest profile inserts rows bottom-up and counts
+pivots; membership inserts into a copy of a subspace's basis and asks for
+no new pivot; spans, kernels and inverses back-substitute the basis to
+reduced echelon form (`_reduced`).  An inverse is the reduced form of
+[A | I], and A is singular exactly when a pivot lands in the identity half.
 
 Over F_p the insertion reduces only what it reads.  A row may come in with
 unreduced integers; each entry is taken mod p where the scan reads it as a
@@ -23,6 +23,13 @@ pivot candidate, a clearing subtracts a multiple of a basis row without
 reducing the rest, and the row is reduced and scaled to 1 at its pivot only
 when it joins the basis.  So stored rows are canonical, and a caller may
 hand in sums of products without reducing them first.
+
+Over F_p a row may also be packed into one int, entry j in lane j of B
+bits (_pack), so that a row times a fixed matrix is one sum of products.
+_packed_profile reads only lane 0 mod p, clears it by row += (p - a) * b
+with a basis row b kept from its pivot on (reduced, and scaled to 1 there,
+when first used), shifts it out, and stops at a zero rest.  As a clearing
+adds at most (p-1)^2 to a lane, lanes handed in stay below 2^B - width (p-1)^2.
 
 Over Q the basis holds primitive integer rows: a row is cleared against a
 pivot row r at column c as a * row - b * r with a : b = r[c] : row[c] in
@@ -34,10 +41,11 @@ from __future__ import annotations
 
 import operator
 import random
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import accumulate
+from itertools import accumulate, count
 from math import gcd, lcm
 from typing import Iterable, Sequence, Union
 
@@ -375,6 +383,44 @@ def _southwest_profile(
     return tuple(profile)
 
 
+def _packed_profile(rows: Sequence[int], width: int, p: int, B: int) -> tuple[tuple[int, ...], ...]:
+    """_southwest_profile over F_p of rows packed in lanes of B bits (module docstring)."""
+    low, basis, profile, ranks = (1 << B) - 1, [None] * width, [], (0,) * width
+    for row in reversed(rows):
+        c = 0
+        while row:
+            a = (row & low) % p
+            if a and basis[c] is None:
+                basis[c] = -row  # negated: unreduced until a clearing first uses it
+                ranks = ranks[:c] + tuple(map((1).__add__, ranks[c:]))  # one more from c on
+                break
+            if a and basis[c] < 0:
+                b, inv = -basis[c], pow(-basis[c] & low, -1, p)
+                basis[c] = _pack([(b >> s & low) * inv % p for s in range(0, b.bit_length(), B)], B)
+            row = (row + (p - a) * basis[c] if a else row) >> B
+            c += 1
+        profile.append(ranks)
+    return tuple(profile[::-1])
+
+
+def _pack(entries: Iterable[int], B: int) -> int:
+    """One int holding the entries, entry j in lane j of B bits; each must lie in 0..2^B-1."""
+    return sum(map(operator.lshift, entries, count(0, B)))
+
+
+def _lane_bits(bound: int) -> int:
+    """A lane width B that holds 0..bound, at least the 64-bit word that _residues reads in C."""
+    return max(64, bound.bit_length())
+
+
+def _residues(rows: Sequence[int], B: int, width: int, p: int) -> list[int]:
+    """The width lanes of B bits of each packed row, row after row, reduced mod p."""
+    row, width = _pack(rows, width * B), width * len(rows)
+    if B == 64 and sys.byteorder == "little":
+        return list(map(p.__rmod__, memoryview(row.to_bytes(8 * width, "little")).cast("Q")))
+    return [(row >> s & (1 << B) - 1) % p for s in range(0, width * B, B)]
+
+
 def _reduced(
     basis: dict[int, Sequence[int]], p: int | None
 ) -> tuple[tuple[int, ...], tuple[tuple[Scalar, ...], ...]]:
@@ -495,11 +541,16 @@ class Subspace:
 
     @cached_property
     def containment(self) -> tuple:
-        """(pivots, L, free, the rows of C^T at free, the columns of C^T): see SpringerGrassPoint."""
-        basis = self._basis()
+        """V's side of SpringerGrassPoint's checks: (pivots, L, free, the rows of C^T at
+        free, the rows of C) over Q, (pivots, B, K^T, C^T) by packed rows over F_p."""
+        basis, N, p = self._basis(), self.ambient, self.field.p
+        free = tuple(a for a in range(N) if a not in basis)
+        if p is not None:  # row r of K^T and of C^T, packed; a lane is a sum of N products
+            B = _lane_bits(N * (p - 1) ** 2)
+            K = [[-basis[r][a] % p if r in basis else int(r == a) for a in free] for r in range(N)]
+            return tuple(basis), B, *([_pack(c, B) for c in m] for m in (K, zip(*basis.values())))
         scale = lcm(*(row[c] for c, row in basis.items()))
         c_rows = tuple(tuple(scale // row[c] * v for v in row) for c, row in basis.items())
-        free = tuple(a for a in range(self.ambient) if a not in basis)
         c_cols = tuple(zip(*c_rows))
         return tuple(basis), scale, free, tuple(c_cols[a] for a in free), c_rows
 

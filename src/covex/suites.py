@@ -52,7 +52,7 @@ from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from functools import cache, partial
 from math import isqrt
-from operator import getitem, itemgetter, mul
+from operator import getitem, mul
 from typing import NamedTuple
 
 from .conormal import (
@@ -80,7 +80,10 @@ from .exactla import (
     Subspace,
     _draws,
     _insert,
+    _lane_bits,
+    _pack,
     _products,
+    _residues,
     coordinate_subspace,
 )
 from .kl import (
@@ -485,14 +488,13 @@ def _chase_to_grass(
 
     Each y of ys is its n rows of field elements.  With h1 = ((I, 0), (x, I))
     and theta = ((0, y), (0, 0)), the point is (tau h1 E_n, tau M' tau^-1)
-    for M' = h1 theta h1^-1, which is ((-yx, y), (-xyx, xy)).  tau h1 E_n
-    is V = embed_point(x, data), which the caller computes once per x; the
-    result holds tau M' tau^-1 for each y, in order, and
+    for M' = h1 theta h1^-1 = ((-yx, y), (-xyx, xy)) = [y; xy] [-x | I].
+    tau h1 E_n is V = embed_point(x, data), which the caller computes once
+    per x; the result holds tau M' tau^-1 for each y, in order, and
     conormal_grass_members(V, ...) makes each a SpringerGrassPoint.
     Conjugating by the permutation tau moves entry (a, b) of M' to (tau(a),
-    tau(b)), so row a of the result is row tau^-1(a) of M' read in
-    data.tau_order.  x's rows, the columns of -x and that gather are fixed
-    once for the whole list.
+    tau(b)): row a of the result is row tau^-1(a) of M' in data.tau_order,
+    the order of [-x | I]'s columns, whose rows are packed over F_p once.
 
     V must be embed_point(x, data).  It is passed in, not recomputed, and
     SpringerGrassPoint checks only the two containments, so the V of another
@@ -501,19 +503,23 @@ def _chase_to_grass(
     """
     if V.dim != data.n:
         raise DimensionMismatchError("V is not an n-dimensional subspace of k^2n")
-    field = x.field
-    p = field.p
-    negated = [[-v for v in col] for col in x.columns]  # -yx = y(-x), -xyx = xy(-x)
-    order = data.tau_order
-    in_tau_order = itemgetter(*order)
+    field, p, n, order = x.field, x.field.p, data.n, data.tau_order
+    cols = [[-v for v in c] for c in x.columns] + list(ExactMatrix.identity(field, n).entries)
+    cols = [cols[b] for b in order]  # the columns of [-x | I] in tau order
     chased = []
+    if p is None:
+        for y in ys:
+            top = _products(y, cols, p)
+            rows = top + _products(x.entries, tuple(zip(*top)), p)
+            chased.append(ExactMatrix(field, tuple([rows[k] for k in order])))
+        return chased
+    B = _lane_bits(n * n * (p - 1) ** 3)  # a lane is at most n^2 (p-1)^3
+    packed = [_pack([col[r] % p for col in cols], B) for r in range(n)]
     for y in ys:
-        y = tuple(map(tuple, y))
-        xy = _products(x.entries, tuple(zip(*y)), p)
-        # the rows of M': (-yx, y) for each row of y, then (-xyx, xy)
-        rows = [a + b for a, b in zip(_products(y, negated, p), y)]
-        rows += [a + b for a, b in zip(_products(xy, negated, p), xy)]
-        chased.append(ExactMatrix(field, tuple([in_tau_order(rows[k]) for k in order])))
+        top = [sum(map(mul, row, packed)) for row in y]
+        rows = top + [sum(map(mul, row, top)) for row in x.entries]
+        entries = iter(_residues([rows[k] for k in order], B, 2 * n, p))
+        chased.append(ExactMatrix(field, tuple(zip(*[entries] * (2 * n)))))  # rows of 2n
     return chased
 
 

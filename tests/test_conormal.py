@@ -45,6 +45,7 @@ from covex.exactla import (
     FieldSpec,
     Subspace,
     _draws,
+    _residues,
     _southwest_profile,
     coordinate_subspace,
     kernel,
@@ -363,19 +364,24 @@ def check_core_against_references(w, field, rng):
         assert in_conormal_matrix(pt, w) == (not expected)
 
 
-CORE_FIELDS = (FieldSpec.prime(2), FieldSpec.prime(5), F, Q)
-# CI extends the sweep below to every covexillary w with n = 5.
+# the largest prime below MAX_PRIME_MODULUS: the widest lanes of the packed core
+TOP = FieldSpec.prime(3_317_044_064_679_887_385_961_813)
+CORE_FIELDS = (FieldSpec.prime(2), FieldSpec.prime(5), F, Q, TOP)
+# CI extends the sweep below to every covexillary w with n = 5, and over
+# F_TOP from n = 3 to n = 5.
 CORE_N = sized(4, 5)
+TOP_CORE_N = sized(3, 5)
 
 
 def test_core_ranks_match_big_matrix_for_n_up_to_4():
     """The n x n core gives every rank M_ij of big_matrix_M, and the
     diagnostics and the verdict, for every covexillary partial w with
-    n <= 4 (n <= 5 in CI), over F_2, F_5, F_10007 and Q, and the
-    checks of covexillary_data against the bound table."""
+    n <= 4 (n <= 5 in CI), over F_2, F_5, F_10007 and Q, and n <= 3 (n <= 5
+    in CI) over F_TOP, and the checks of covexillary_data against the
+    bound table."""
     rng = random.Random(31)
     for field in CORE_FIELDS:
-        for n in range(1, CORE_N + 1):
+        for n in range(1, (TOP_CORE_N if field == TOP else CORE_N) + 1):
             for w in all_partial_permutations(n):
                 if is_covexillary(w):
                     check_core_against_references(w, field, rng)
@@ -385,7 +391,8 @@ def test_core_plan_at_a_0_1_matrix_is_a_permutation():
     """At every 0/1 matrix u, the flat plan's n rows of H (as vectors of
     F^n) and its n columns of G are n distinct unit vectors, so its core
     H y G is y with rows and columns permuted.  Every covexillary w and
-    every partial u with n <= 4: 39,422 pairs."""
+    every partial u with n <= 4: 39,422 pairs.  Over F_p the plan holds
+    the rows of G packed; their lanes are the entries."""
     pairs = 0
     for n in (1, 2, 3, 4):
         units = ExactMatrix.identity(F, n).entries
@@ -395,9 +402,9 @@ def test_core_plan_at_a_0_1_matrix_is_a_permutation():
                 continue
             data = covexillary_data(w)
             for x in xs:
-                _, H, G, _ = _core_plan(x, data)
-                rows = [units[k] if x_row is None else x_row for k, x_row in H]
-                cols = [units[g] if isinstance(g, int) else g for g in G]
+                _, B, H, G, _ = _core_plan(x, data)
+                rows = [units[k] if x_row is None else tuple(x_row) for k, x_row in H]
+                cols = list(zip(*(_residues([g], B, n, F.p) for g in G)))
                 assert sorted(rows) == sorted(cols) == sorted(units), (w, x)
                 pairs += 1
     assert pairs == 39_422
@@ -414,6 +421,86 @@ def test_core_ranks_match_big_matrix_on_a_sample_at_n_5_and_6():
             drawn += 1
             for field in CORE_FIELDS:
                 check_core_against_references(w, field, rng)
+
+
+# CI takes the sweep below to n = 4.
+WIDEST_LANES_N = sized(3, 4)
+
+
+@pytest.mark.parametrize("p", [2, 3, 10007, TOP.p])
+def test_core_ranks_at_the_widest_lanes(p):
+    """x and y with entries p - 1 take the lanes of the packed core to their
+    bound n^2 (p-1)^3 + n (p-1)^2: at x and y of all p - 1, or p - 1 on and
+    above the antidiagonal, the diagnostics are those of big_matrix_M for
+    every covexillary partial w with n <= 3 (n <= 4 in CI)."""
+    field = FieldSpec.prime(p)
+    for n in range(1, WIDEST_LANES_N + 1):
+        full = ExactMatrix(field, ((p - 1,) * n,) * n)
+        corner = ExactMatrix(
+            field, tuple(tuple(p - 1 if a + b < n else 0 for b in range(n)) for a in range(n))
+        )
+        for w in all_partial_permutations(n):
+            if not is_covexillary(w):
+                continue
+            for x, y in product((full, corner), repeat=2):
+                pt = CotangentMatrixPoint(x, y)
+                expected = diagnostics(x, w, mij_ranks(big_matrix_M(pt), covexillary_data(w)))
+                assert conormal_matrix_violations(pt, w) == expected, (w, x, y)
+
+
+def shifted_by_multiples_of_p(a, rng):
+    """a + pK as a raw ExactMatrix, entries not reduced: K is a random
+    integer matrix in -4..2 with at least one negative entry."""
+    p = a.field.p
+    K = [[rng.randint(-4, 2) for _ in row] for row in a.entries]
+    K[rng.randrange(len(K))][0] = -rng.randint(1, 4)
+    rows = tuple(tuple(v + p * k for v, k in zip(row, krow)) for row, krow in zip(a.entries, K))
+    return ExactMatrix(a.field, rows)
+
+
+@pytest.mark.parametrize("field", [FieldSpec.prime(2), F, TOP], ids=str)
+def test_covectors_congruent_mod_p_get_the_same_verdicts(field):
+    """The matrix form reduces each row of x and of y before it packs it, so
+    (x, y), (x, y + pK) and (x + pK', y + pK) give equal verdicts and equal
+    conormal_matrix_violations, K and K' integer matrices with negative
+    entries, at the points of core_points for every covexillary partial w
+    with n <= 3; and so do z and z + pK in the flag form, at Springer points
+    g U g^-1 (U strictly upper) over cell points g of every permutation u
+    with n <= 3."""
+    rng = random.Random(83)
+    verdicts = set()
+    for n in (1, 2, 3):
+        for w in all_partial_permutations(n):
+            if not is_covexillary(w):
+                continue
+            for x, y in core_points(w, field, rng):
+                shifted_x, shifted = (shifted_by_multiples_of_p(a, rng) for a in (x, y))
+                members = conormal_matrix_members(x, w, [y.entries, shifted.entries])
+                members += conormal_matrix_members(shifted_x, w, [shifted.entries])
+                assert members == [members[0]] * 3, (w, x, y, shifted_x, shifted)
+                expected = conormal_matrix_violations(CotangentMatrixPoint(x, y), w)
+                for point in (
+                    CotangentMatrixPoint(x, shifted), CotangentMatrixPoint(shifted_x, shifted)
+                ):
+                    assert conormal_matrix_violations(point, w) == expected, (w, point)
+                verdicts.add(("matrix", members[0]))
+            if not w.is_full_rank:
+                continue
+            for u in all_permutations(n):
+                g = sample_cell_point(u, field, rng)
+                upper = ExactMatrix.from_rows(
+                    field,
+                    [[rng.randrange(field.p) if b > a else 0 for b in range(n)] for a in range(n)],
+                )
+                z = g @ upper @ g.inverse()
+                flag, shifted = Flag(g), shifted_by_multiples_of_p(z, rng)
+                members = conormal_flag_members(flag, w, [z, shifted])
+                assert members[0] == members[1], (w, g, z, shifted)
+                assert conormal_flag_violations(
+                    SpringerFlagPoint(flag, shifted), w
+                ) == conormal_flag_violations(SpringerFlagPoint(flag, z), w)
+                verdicts.add(("flag", members[0]))
+    assert verdicts == {("matrix", True), ("matrix", False), ("flag", True), ("flag", False)}
 
 
 def integer_cell_point(w, field, rng):
@@ -1045,10 +1132,10 @@ def test_springer_containments_are_two_products():
     """SpringerGrassPoint checks Im(x) in V in ker(x) with two products; it
     raises exactly what the elimination check finds first, over F_10007, F_3
     and Q, at V the image of a point of every covexillary partial w with
-    n <= 3, at V = 0 and V = F^N."""
+    n <= 3, at V = 0 and V = F^N; and over F_TOP, whose lanes are widest."""
     rng = random.Random(71)
     seen = defaultdict(int)
-    for field in (F, FieldSpec.prime(3), Q):
+    for field in (F, FieldSpec.prime(3), Q, TOP):
         for n in (1, 2, 3):
             N = 2 * n
             spaces = [Subspace.zero(field, N), standard_subspace(field, N, N)]
@@ -1061,7 +1148,7 @@ def test_springer_containments_are_two_products():
                     expected = elimination_springer_check(V, x)
                     assert springer_message(V, x) == expected, (field, V, x)
                     seen[field, expected] += 1
-    for field in (F, FieldSpec.prime(3), Q):
+    for field in (F, FieldSpec.prime(3), Q, TOP):
         for message in (None, "Im(x) is not contained in V", "V is not contained in ker(x)"):
             assert seen[field, message] >= 10, (field, message)
 
@@ -1651,11 +1738,12 @@ def test_springer_consistency_identity():
 
 def test_chase_equals_the_springer_coordinates_of_the_pushed_graph():
     """_chase_to_grass places h1 theta h1^-1 by tau and spans embed_point(x);
-    the generic route inverts tau h1 and spans its first n columns."""
+    the generic route inverts tau h1 and spans its first n columns.  Over
+    F_2, F_10007, F_TOP (the widest lanes of the packed rows) and Q."""
     rng = random.Random(30)
     cases = [w for n in (1, 2, 3, 4) for w in all_partial_permutations(n) if is_covexillary(w)]
     assert len(cases) == 225
-    for field in (F, FieldSpec.prime(2), Q):
+    for field in (F, FieldSpec.prime(2), Q, TOP):
         for w in cases:
             tau_mat = tau_permutation(covexillary_data(w)).matrix(field)
             if field.is_prime:

@@ -10,11 +10,17 @@ from hypothesis import given, settings, strategies as st
 
 from covex.errors import DimensionMismatchError, FieldError, SingularMatrixError
 from covex.exactla import (
+    MAX_PRIME_MODULUS,
     ExactMatrix,
     FieldSpec,
     Subspace,
     _draws,
     _is_prime,
+    _lane_bits,
+    _pack,
+    _packed_profile,
+    _residues,
+    _southwest_profile,
     coordinate_subspace,
     kernel,
     random_borel,
@@ -385,3 +391,77 @@ def test_moduli_beyond_the_deterministic_range_are_refused():
     # 2^89 - 1 is prime, but above 3.3 * 10^24 the 13 bases do not decide it
     with pytest.raises(FieldError, match="too large"):
         FieldSpec.prime(2**89 - 1)
+
+
+# the largest prime below MAX_PRIME_MODULUS, the widest lanes the packed kernels see
+TOP_PRIME = 3_317_044_064_679_887_385_961_813
+
+
+def test_top_prime_is_the_largest_accepted_prime():
+    assert _is_prime(TOP_PRIME)
+    assert not any(_is_prime(n) for n in range(TOP_PRIME + 1, MAX_PRIME_MODULUS))
+
+
+def test_residues_unpack_what_pack_packed():
+    """_residues reads back the lanes _pack wrote, row after row and reduced
+    mod p, on the 64-bit words it reads in C and on other widths; and
+    _lane_bits gives 64 bits up to 2^64 - 1, the bit length beyond."""
+    rng = random.Random(5)
+    assert [_lane_bits(b) for b in (0, 1, 2**64 - 1, 2**64, 2**200)] == [64, 64, 64, 65, 201]
+    for B in (1, 2, 7, 30, 63, 64, 65, 200):
+        for width in (0, 1, 5, 16):
+            for p in (2, 10007, TOP_PRIME):
+                rows = [[rng.randrange(1 << B) for _ in range(width)] for _ in range(3)]
+                expected = [v % p for row in rows for v in row]
+                assert _residues([_pack(row, B) for row in rows], B, width, p) == expected
+
+
+def kernel_test_rows(p, width, rng):
+    """A matrix over F_p, built bottom-up: uniform rows, zero rows, rows of
+    all p - 1 and random combinations of the rows below (in their span)."""
+    rows = []
+    for _ in range(rng.randint(1, width + 3)):
+        kind = rng.randrange(4)
+        if kind == 0:
+            row = [rng.randrange(p) for _ in range(width)]
+        elif kind == 1:
+            row = [0] * width
+        elif kind == 2:
+            row = [p - 1] * width
+        else:
+            row = [0] * width
+            for below in rows:
+                c = rng.randrange(p)
+                row = [(a + c * b) % p for a, b in zip(row, below)]
+        rows.append(row)
+    return rows[::-1]
+
+
+@pytest.mark.parametrize("p", [2, 3, 10007, TOP_PRIME])
+def test_packed_profile_is_the_southwest_profile(p):
+    """_packed_profile equals the list kernel _southwest_profile on matrices
+    of widths 1..16 over F_p, with the rows handed in reduced, and
+    unreduced by up to `width` multiples of p (rows of all p - 1 at the
+    largest such entry), each packed at the smallest lane width B the
+    kernel's bound allows: entries below E need E + width (p-1)^2 <= 2^B."""
+    rng = random.Random(p % 997)
+    ranks = set()
+    for width in range(1, 17):
+        for _ in range(20):
+            rows = kernel_test_rows(p, width, rng)
+            expected = _southwest_profile(rows, width, p)
+            ranks.add((expected[0][-1] == width, expected[0][-1] < len(rows)))
+            for spread in (1, width + 1):
+                E = spread * p
+                B = (E - 1 + width * (p - 1) ** 2).bit_length()
+                assert E + width * (p - 1) ** 2 <= 1 << B < 2 * (E + width * (p - 1) ** 2)
+                top = E - p
+                unreduced = [
+                    [v + top if row.count(p - 1) == width else v + p * rng.randrange(spread)
+                     for v in row]
+                    for row in rows
+                ]
+                packed = [_pack(row, B) for row in unreduced]
+                assert _packed_profile(packed, width, p, B) == expected, (width, rows)
+    # full and deficient ranks, with and without dependent rows
+    assert len(ranks) >= 3
