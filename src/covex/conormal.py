@@ -71,7 +71,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import pairwise
+from itertools import chain, pairwise
 from operator import mul
 from typing import Sequence
 
@@ -163,9 +163,10 @@ class SpringerGrassPoint:
     x[pivots].  V is inside ker(x) iff x C^T = 0; once x = C^T x[pivots] /
     L, and C^T has independent columns, that is x[pivots] C^T = 0: each
     pivot row of x dotted with each c_k.  The V side is V.containment,
-    built once per subspace.  Over F_p (x reduced) Im(x) in V is K x = 0 for
-    the kill rows K = e_a - C^T[a] (a free), and with K and C^T packed the
-    two checks are N + d sums whose lanes, below N (p-1)^2, must be 0 mod p.
+    built once per subspace.  Over F_p (x reduced first) Im(x) in V is K x
+    = 0 for the kill rows K = e_a - C^T[a] (a free), and with K and C^T
+    packed the two checks are N + d sums whose lanes, below N (p-1)^2, must
+    be 0 mod p.
     """
 
     V: Subspace
@@ -177,11 +178,15 @@ class SpringerGrassPoint:
         if x.shape != (N, N):
             raise DimensionMismatchError("x size differs from ambient dimension")
         V.field.check_same(x.field)
+        rows, p = x.entries, x.field.p
+        if p is not None:  # ExactMatrix takes any ints
+            flat = [*chain.from_iterable(rows)]
+            if not 0 <= min(flat, default=0) <= max(flat, default=0) < p:
+                rows = tuple([tuple([v % p for v in row]) for row in rows])
         if not V.vectors:
-            if not x.is_zero():
+            if any(map(any, rows)):
                 raise InvariantError("Im(x) is not contained in V")
             return
-        rows, p = x.entries, x.field.p
         if p is not None:
             pivots, B, kill, c_t = V.containment
             if any(_residues([sum(map(mul, c, kill)) for c in zip(*rows)], B, N - len(pivots), p)):

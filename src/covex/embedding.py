@@ -12,19 +12,18 @@ increasing-sequence form is target_grass_index.  The map is
 torus-equivariant, so it sends the matrix of a partial permutation to a
 coordinate point, whose Schubert cell is read off tau (fixed_point_bits,
 fixed_point_index).  At a coordinate point the target conditions need no
-elimination, so the verdicts of many cells are read off one packed table
-(coordinate_target_table, coordinate_target_lanes).
+elimination: target_lanes reads them for every partial permutation of a
+size at once, off the packed counts of a permcore.OrbitTable.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from itertools import accumulate
-from operator import getitem, itemgetter, or_
+from operator import getitem, itemgetter
 
 from .errors import DimensionMismatchError
 from .exactla import ExactMatrix, Subspace, _span_rows
-from .permcore import CovexillaryData, PartialPermutation
+from .permcore import CovexillaryData, OrbitTable, PartialPermutation
 from .varieties import GrassIndex
 
 
@@ -94,39 +93,19 @@ def fixed_point_index(u: PartialPermutation, data: CovexillaryData) -> GrassInde
     return GrassIndex(n, 2 * n, mask_positions(mask))
 
 
-def coordinate_target_table(
-    cells: Sequence[tuple[int, int]], n: int
-) -> tuple[tuple[int, ...], ...]:
-    """at_most[t][k]: the union of the lanes of the cells S with at most k positions past t.
+def target_lanes(orbits: OrbitTable, past: Sequence[int], data: CovexillaryData) -> int:
+    """The guard bits of the u of orbits whose coordinate point E_S lies in the target.
 
-    cells holds (S, lanes) for cells of Gr(n, 2n), S as the bitmask of its
-    positions (bit s for position s, as fixed_point_bits sets them) and
-    lanes as any int mask; t runs over 0..2n and k over 0..n.  The cells
-    are packed once per t by that count, and each row is a prefix union.
-    """
-    table = []
-    for t in range(2 * n + 1):
-        exact = [0] * (n + 1)
-        for mask, lanes in cells:
-            exact[(mask >> t + 1).bit_count()] |= lanes
-        table.append(tuple(accumulate(exact, or_)))
-    return tuple(table)
-
-
-def coordinate_target_lanes(at_most: tuple[tuple[int, ...], ...], data: CovexillaryData) -> int:
-    """The lanes of the cells whose coordinate point E_S lies in the target.
-
-    at_most is coordinate_target_table of the cells.  dim(E_S + E_t) is t
-    plus the number of positions of S past t, so the target condition
-    (t, c), dim <= n + c, holds at E_S iff that number is at most n + c - t:
-    each condition is one read of the table, and the target is their AND.
+    past is orbits.past(fixed_point_bits(data)).  dim(E_S + E_t) is t plus
+    the number of positions of S past t, so the target condition (t, c),
+    dim <= n + c, holds at E_S iff that number is at most n + c - t: each
+    condition is one guarded subtraction, and the target is their AND.
     """
     n = data.n
-    holds = at_most[0][n]
+    lanes = orbits.guard
     for t, c in data.grass_conditions:
-        k = n + c - t
-        holds &= at_most[t][min(k, n)] if k >= 0 else 0
-    return holds
+        lanes &= orbits.at_most(past[t], n + c - t)
+    return lanes
 
 
 def check_target_space(subspace: Subspace, data: CovexillaryData) -> None:

@@ -17,8 +17,8 @@ import itertools
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from operator import le
-from typing import Callable, Iterable, Iterator, Sequence
+from operator import getitem, le, sub
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     EssentialDataError,
@@ -396,41 +396,66 @@ def bruhat_leq(u: PartialPermutation, w: PartialPermutation) -> bool:
     return rank_matrix(w).bounds(rank_matrix(u).entries)
 
 
-def packed_bruhat(
-    us: Sequence[PartialPermutation],
-) -> tuple[range, Callable[[PartialPermutation], int]]:
-    """(lanes, below): u <= w for every u of us at once, one lane per u.
+class OrbitTable:
+    """The partial permutations u of size n, each in one lane of a few packed ints.
 
-    Box by box, one int holds r_u(i, j) of every u in lanes of
-    n.bit_length() + 1 bits, the top one a guard bit, so one guarded
-    subtraction from r_w(i, j) spread over every lane tests that box for
-    all u.  below(w) ANDs the boxes and keeps the guard bits: bit lanes[k]
-    of it is set iff u_k <= w.  Every u and w has size n.
+    A lane has n.bit_length() + 1 bits, the top one a guard, and holds a
+    value of 0..n; lanes holds the guard bit of each u, partials[0] lowest.
+    columns[j][v] holds 1 in the lane of each u with u(j + 1) = v, built
+    from binary digits (summing shifted ints would be quadratic), and
+    boxes[i-1][j-1] holds r_u(i, j), the sum of the columns[k][v] with
+    k < j and v >= i.
     """
-    n = us[0].n
-    if any(u.n != n for u in us):
-        raise InputError("Bruhat comparison requires equal sizes")
-    width = n.bit_length() + 1
-    lanes = range(width - 1, width * len(us), width)
-    # every int is built from its binary digits, lane 0 the lowest
-    digits = [format(r, f"0{width}b") for r in range(n + 1)]
-    guard = int(format(1 << width - 1, "b") * len(us), 2)
-    spread = [r * (guard >> width - 1) + guard for r in range(n + 1)]
-    flat = itertools.chain.from_iterable
-    boxes = [
-        int("".join(map(digits.__getitem__, reversed(box))), 2)
-        for box in zip(*(tuple(flat(rank_matrix(u).entries)) for u in us))
-    ]
 
-    def below(w: PartialPermutation) -> int:
-        if w.n != n:
+    def __init__(self, n: int):
+        self.n = n
+        self.partials = list(all_partial_permutations(n))
+        width = n.bit_length() + 1
+        self.lanes = range(width - 1, width * len(self.partials), width)
+        self.guard = int(format(1 << width - 1, "b") * len(self.partials), 2)
+        self._spread = [r * (self.guard >> width - 1) + self.guard for r in range(n + 1)]
+        one, zero = format(1, f"0{width}b"), "0" * width
+        self.columns = tuple(
+            tuple(int("".join([one if x == v else zero for x in column]), 2) for v in range(n + 1))
+            for column in zip(*(u.image for u in reversed(self.partials)))
+        )
+        self.boxes = tuple(
+            tuple(itertools.accumulate(sum(column[i:]) for column in self.columns))
+            for i in range(1, n + 1)
+        )
+
+    def at_most(self, packed: int, k: int) -> int:
+        """The guard bits of the lanes of packed whose value is at most k."""
+        return self._spread[min(k, self.n)] - packed & self.guard if k >= 0 else 0
+
+    def below(self, w: PartialPermutation) -> int:
+        """The guard bits of the u <= w: r_u <= r_w at w's essential boxes (Fulton 1992)."""
+        if w.n != self.n:
             raise InputError("Bruhat comparison requires equal sizes")
-        acc = guard
-        for r, box in zip(flat(rank_matrix(w).entries), boxes):
-            acc &= spread[r] - box
-        return acc & guard
+        lanes = self.guard
+        for e in essential_set(w):
+            lanes &= self.at_most(self.boxes[e.row - 1][e.col - 1], e.rank)
+        return lanes
 
-    return lanes, below
+    def past(self, bits: Sequence[Sequence[int]]) -> list[int]:
+        """past[t], t = 0..2n: #{j : bits[j][u(j + 1)] > 1 << t} in the lane of each u.
+
+        bits[j][v] is a power 1 << s, 1 <= s <= 2n.  past[0] is n in every
+        lane, and each columns[j][v] leaves the count at t = s.
+        """
+        at = [0] * (2 * self.n + 1)
+        for column, row in zip(self.columns, bits):
+            for ones, bit in zip(column, row):
+                at[bit.bit_length() - 1] += ones
+        return list(itertools.accumulate(at[1:], sub, initial=self._spread[self.n] - self.guard))
+
+    def cells(self, bits: Sequence[Sequence[int]]) -> list[tuple[int, int]]:
+        """(S, the guard bits of its u) for each sum S of the bits[j][u(j + 1)]: a loop over u."""
+        cells: dict[int, int] = {}
+        for u, lane in zip(self.partials, self.lanes):
+            cell = sum(map(getitem, bits, u.image))
+            cells[cell] = cells.get(cell, 0) | 1 << lane
+        return list(cells.items())
 
 
 def reconstruct_from_essential(

@@ -33,16 +33,17 @@ conormal-grass, whose checks at E_S decide every verdict, ignores
 Their statements are invariant under the B x B action x -> b_l x b_r, and the
 orbit O_u of a partial permutation u holds u's 0/1 matrix, so each checks
 every partial u of each size at that matrix: a proof for the size, over
-every field.  embed-thm and the zero-section loop of conormal-grass read
-each u's Schubert cell off tau (``_orbit_cells``); the u <= w of every u
-come from one packed comparison per w, and the verdicts are popcounts of
-lane masks.  embed-thm reads the target at every cell of a tau class off
-one packed table (``coordinate_target_table``), with no elimination, and
-conormal-grass checks each cell at its coordinate point E_S, built once
-per cell of each size.  All
-randomness is drawn from per-case generators seeded by (seed, suite,
-case), so reports are byte-identical across reruns and independent of
-execution order.
+every field.  embed-thm and conormal-grass walk one ``OrbitTable`` per
+size, which packs every u of the size into lanes of one int: the u <= w
+of every u come from one guarded subtraction per essential box of w, and
+the verdicts are popcounts of lane masks.  embed-thm reads the target of
+every u off the counts #{s in S : s > t} of each tau class, packed for
+every u at once (``target_lanes``), with no elimination and no loop over
+u.  The zero-section loop of conormal-grass sorts the u into Schubert
+cells (``OrbitTable.cells``) and checks each cell at its coordinate point
+E_S, built once per cell of each size.  All randomness is drawn from
+per-case generators seeded by (seed, suite, case), so reports are
+byte-identical across reruns and independent of execution order.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from functools import cache, partial
 from math import isqrt
-from operator import getitem, mul
+from operator import mul
 from typing import NamedTuple
 
 from .conormal import (
@@ -65,12 +66,11 @@ from .conormal import (
     conormal_matrix_violations,
 )
 from .embedding import (
-    coordinate_target_lanes,
-    coordinate_target_table,
     embed_point,
     fixed_point_bits,
     mask_positions,
     target_grass_index,
+    target_lanes,
 )
 from .errors import DimensionMismatchError, EssentialDataError, InputError, InvariantError
 from .exactla import (
@@ -94,6 +94,7 @@ from .kl import (
 )
 from .permcore import (
     CovexillaryData,
+    OrbitTable,
     PartialPermutation,
     all_partial_permutations,
     all_permutations,
@@ -102,7 +103,6 @@ from .permcore import (
     diagram,
     essential_set,
     is_covexillary,
-    packed_bruhat,
     random_partial_permutation,
     rank_matrix,
     reconstruct_from_essential,
@@ -276,29 +276,12 @@ def _suite_el_roundtrip(config: SuiteConfig) -> Iterator[Case]:
         yield case, not failures, {"trials": config.trials, "failures": failures[:5]}
 
 
-def _orbit_cells(partials: list[PartialPermutation]) -> Iterator[tuple[Iterator, list]]:
-    """Per tau class of the size of partials: its w and the Schubert cells of its orbits.
-
-    The iterator gives (w, case id, inside) for each covexillary w of the
-    class, inside the mask of the u <= w in the lanes of packed_bruhat.  The
-    list holds (S, lanes) for each cell S that the 0/1 matrices of the u
-    embed into, read off tau (fixed_point_bits) as a bitmask of positions:
-    lanes masks those u, and the cell's coordinate point E_S stands for
-    them all, as the target conditions read a point only through
-    dim(V + E_t).
-    """
-    n = partials[0].n
-    positions, below = packed_bruhat(partials)
+def _tau_classes(orbits: OrbitTable) -> Iterable[list[tuple[PartialPermutation, str]]]:
+    """The covexillary w among orbits.partials with their case ids, one list per tau class."""
     classes: dict[tuple[int, ...], list[tuple[PartialPermutation, str]]] = {}
-    for _, w, case in _covexillary_cases(lambda _: partials, n, start=n):
+    for _, w, case in _covexillary_cases(lambda _: orbits.partials, orbits.n, start=orbits.n):
         classes.setdefault(covexillary_data(w).tau_order, []).append((w, case))
-    for cases in classes.values():
-        bits = fixed_point_bits(covexillary_data(cases[0][0]))
-        lanes: dict[int, int] = {}
-        for u, position in zip(partials, positions):
-            cell = sum(map(getitem, bits, u.image))
-            lanes[cell] = lanes.get(cell, 0) | 1 << position
-        yield ((w, case, below(w)) for w, case in cases), list(lanes.items())
+    return classes.values()
 
 
 def _suite_embed_thm(config: SuiteConfig) -> Iterator[Case]:
@@ -306,17 +289,17 @@ def _suite_embed_thm(config: SuiteConfig) -> Iterator[Case]:
     # union of orbits O_u and the target a union of cells, so the theorem
     # holds on all of Mat_n iff it holds at every 0/1 representative u
     for n in range(1, config.n_max + 1):
-        partials = list(all_partial_permutations(n))
-        for cases, cells in _orbit_cells(partials):
-            at_most = coordinate_target_table(cells, n)
-            for w, case, inside in cases:
-                holds = coordinate_target_lanes(at_most, covexillary_data(w))
-                mismatches = (inside ^ holds).bit_count()
+        orbits = OrbitTable(n)
+        for cases in _tau_classes(orbits):
+            past = orbits.past(fixed_point_bits(covexillary_data(cases[0][0])))
+            for w, case in cases:
+                inside = orbits.below(w)
+                mismatches = (inside ^ target_lanes(orbits, past, covexillary_data(w))).bit_count()
                 positives = inside.bit_count()
                 yield case, mismatches == 0, {
                     "mismatches": mismatches,
                     "positives": positives,
-                    "negatives": len(partials) - positives,
+                    "negatives": len(orbits.partials) - positives,
                 }
 
 
@@ -448,8 +431,11 @@ def _suite_conormal_grass(config: SuiteConfig) -> Iterator[Case]:
         zero = ExactMatrix.zeros(field, N, N)
         # each cell's coordinate point is built once and serves every tau class
         point = cache(lambda cell: coordinate_subspace(field, N, mask_positions(cell)))
-        for cases, cells in _orbit_cells(list(all_partial_permutations(n))):
-            for w, case, inside in cases:
+        orbits = OrbitTable(n)
+        for cases in _tau_classes(orbits):
+            cells = orbits.cells(fixed_point_bits(covexillary_data(cases[0][0])))
+            for w, case in cases:
+                inside = orbits.below(w)
                 rng = _rng(config, case)
                 data = covexillary_data(w)
                 conditions = data.grass_conditions
@@ -590,18 +576,18 @@ class _Suite(NamedTuple):
 # default is this cap.
 MAX_TRIALS = 1000
 
-# The limits keep every run bounded in time and memory.  The five suites
-# that walk every partial permutation of each size stop at n = 7: there are
-# sum_k C(n, k)^2 k! of them, 130,922 at n = 7, 1.44 M at n = 8 and 17.6 M
-# at n = 9.  covex-equiv keeps a verdict for each of the n! permutations
-# (38 s and 178 MB at n = 9 on a 2-core Xeon); conormal-flag walks S_n as
-# kl-covex does, and S_8 holds 15,767 covexillary w; el-roundtrip takes
-# 35-40 s at its limit and rank-lemma about 50 s.  embed-thm compares every
-# orbit with every covexillary w of a size, reading each w's target off one
-# packed table of cells per tau class: the 97 M pairs of n = 6 take about
-# 7.4 s and 55 MB (0.4 s at n = 5), most of it sorting the orbits into
-# cells once per class, and n = 7 (6.5 G pairs, 49,626 w against up to
-# 3,432 cells each) is out of reach.
+# The limits keep every run bounded in time and memory.  The suites that
+# walk every partial permutation of each size stop at n = 7 or before:
+# there are sum_k C(n, k)^2 k! of them, 130,922 at n = 7, 1.44 M at n = 8
+# and 17.6 M at n = 9.  covex-equiv keeps a verdict for each of the n!
+# permutations (38 s and 178 MB at n = 9 on a 2-core Xeon); conormal-flag
+# walks S_n as kl-covex does, and S_8 holds 15,767 covexillary w;
+# el-roundtrip takes 35-40 s at its limit and rank-lemma about 50 s.
+# embed-thm compares every orbit with every covexillary w of a size: 97 M
+# pairs at n = 6 take 1.4 s and 46 MB, and n = 7 (6.5 G pairs, 49,626 w)
+# about 25 s and 290 MB in all.  conormal-grass checks the zero section at
+# every orbit cell of each w, one members call each: --nmax 5 takes about
+# 6 s, --nmax 6 about 2 min and 60 MB, and n = 7 would make 10^8 calls.
 _SUITES: dict[str, _Suite] = {
     "covex-equiv": _Suite(_suite_covex_equiv, 7, 1, 9),
     "el-roundtrip": _Suite(_suite_el_roundtrip, 6, 1000, 20),
@@ -609,7 +595,7 @@ _SUITES: dict[str, _Suite] = {
     "rank-lemma": _Suite(_suite_rank_lemma, 4, 1, 7),
     "conormal-matrix": _Suite(_suite_conormal_matrix, 4, 20, 7),
     "conormal-flag": _Suite(_suite_conormal_flag, 4, 20, 7),
-    "conormal-grass": _Suite(_suite_conormal_grass, 3, 1, 7),
+    "conormal-grass": _Suite(_suite_conormal_grass, 3, 1, 6),
     "diagram-chase": _Suite(_suite_diagram_chase, 4, 5, 7),
     "kl-covex": _Suite(_suite_kl_covex, 4, 1, KL_COVEX_MAX_N),
     "multidegree": _Suite(_suite_multidegree, 3, 1, MULTIDEGREE_MAX_N),

@@ -1153,6 +1153,37 @@ def test_springer_containments_are_two_products():
             assert seen[field, message] >= 10, (field, message)
 
 
+def test_springer_containments_read_x_mod_p():
+    """ExactMatrix takes any ints, so x and x mod p get one verdict.  Over
+    F_7, at V = span(e1 + e3, e2 + 2 e4), x = v w^T with v = (1, 0, 1, 0)
+    and w = (6, 0, 1, 0) is a Springer point; each entry moved by k p,
+    1 <= |k| <= 3, leaves the same point, where the packed containments
+    once raised OverflowError or rejected Im(x) in V.  Two points that
+    break one containment each, and a multiple of p over V = 0, keep their
+    verdicts too."""
+    F7 = FieldSpec.prime(7)
+    V = Subspace.span(F7, 4, [(1, 0, 1, 0), (0, 1, 0, 2)])
+    x = [[a * b for b in (6, 0, 1, 0)] for a in (1, 0, 1, 0)]
+    off_V = [row.copy() for row in x]
+    off_V[1][1] = 1
+    off_ker = [[a * b for b in (1, 0, 0, 0)] for a in (1, 0, 1, 0)]
+    conditions = ((2, 1),)
+    matrix = lambda rows: ExactMatrix(F7, tuple(map(tuple, rows)))
+    assert springer_message(Subspace.zero(F7, 4), matrix([[7, 0, 0, 0]] + [[0] * 4] * 3)) is None
+    for rows in (x, off_V, off_ker):
+        expected = springer_message(V, matrix(rows))
+        for a, b, k in product(range(4), range(4), (-3, -2, -1, 1, 2, 3)):
+            moved = [row.copy() for row in rows]
+            moved[a][b] += k * 7
+            assert springer_message(V, matrix(moved)) == expected, moved
+            if expected is None:
+                assert conormal_grass_members(V, conditions, [matrix(moved)]) == (
+                    conormal_grass_members(V, conditions, [matrix(rows)])
+                )
+    assert springer_message(V, matrix(off_V)) == "Im(x) is not contained in V"
+    assert springer_message(V, matrix(off_ker)) == "V is not contained in ker(x)"
+
+
 def springer_points(V, field, rng):
     """Springer points (V, x) to check: springer_fiber_sample draws over
     F_p, and over Q the points of springer_test_points that satisfy both

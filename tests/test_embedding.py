@@ -8,7 +8,7 @@ from operator import getitem
 import pytest
 
 from covex.errors import DimensionMismatchError
-from covex.suites import SuiteConfig, _orbit_cells, run_suite
+from covex.suites import SuiteConfig, run_suite
 from covex.exactla import (
     ExactMatrix,
     FieldSpec,
@@ -20,18 +20,18 @@ from covex.exactla import (
 )
 from covex.embedding import (
     check_target_space,
-    coordinate_target_lanes,
-    coordinate_target_table,
     embed_point,
     embedding_target,
     fixed_point_bits,
     fixed_point_index,
     mask_positions,
     target_grass_index,
+    target_lanes,
     tau_permutation,
     weight_map,
 )
 from covex.permcore import (
+    OrbitTable,
     PartialPermutation,
     all_partial_permutations,
     all_permutations,
@@ -436,26 +436,30 @@ def test_embed_thm_reports_equal_elimination_at_every_pair(n):
 
 @pytest.mark.parametrize("n", range(1, CELL_ORACLE_N + 1))
 def test_packed_target_verdicts_are_the_per_cell_verdicts(n):
-    """embed-thm reads the target of each w off one packed table per tau
-    class: for every covexillary w, coordinate_target_lanes gives exactly
-    the union of the lanes of the cells whose coordinate point E_S passes
-    target_holds, the target read through dim(E_S + E_t) by elimination."""
+    """embed-thm reads the target of each w off the packed counts of its tau
+    class: for every covexillary w, target_lanes gives exactly the lanes of
+    the u whose cell's coordinate point E_S passes target_holds, the target
+    read through dim(E_S + E_t) by elimination."""
+    orbits = OrbitTable(n)
     points = {}
-    classes = 0
-    for cases, cells in _orbit_cells(list(all_partial_permutations(n))):
-        at_most = coordinate_target_table(cells, n)
-        for mask, _ in cells:
+    classes = _tau_classes(n)
+    for data, ws in classes:
+        bits = fixed_point_bits(data)
+        past = orbits.past(bits)
+        cells = {}
+        for u, lane in zip(orbits.partials, orbits.lanes):
+            mask = sum(map(getitem, bits, u.image))
+            cells[mask] = cells.get(mask, 0) | 1 << lane
             if mask not in points:
                 points[mask] = coordinate_subspace(F, 2 * n, mask_positions(mask))
-        for w, case, _ in cases:
-            data = covexillary_data(w)
+        for w in ws:
+            w_data = covexillary_data(w)
             expected = 0
-            for mask, lanes in cells:
-                if target_holds(points[mask], data):
+            for mask, lanes in cells.items():
+                if target_holds(points[mask], w_data):
                     expected |= lanes
-            assert coordinate_target_lanes(at_most, data) == expected, case
-        classes += 1
-    assert classes == {1: 1, 2: 2, 3: 6, 4: 20, 5: 70}[n]
+            assert target_lanes(orbits, past, w_data) == expected, w
+    assert len(classes) == {1: 1, 2: 2, 3: 6, 4: 20, 5: 70}[n]
 
 
 def test_embedding_depends_on_w_only_through_its_tau_class():

@@ -19,7 +19,7 @@ import pytest
 
 from covex import conormal, exactla, suites
 from covex.cli import main
-from covex.embedding import coordinate_target_table, embed_point, fixed_point_index
+from covex.embedding import embed_point, fixed_point_bits
 from covex.conormal import (
     CotangentMatrixPoint,
     SpringerFlagPoint,
@@ -36,6 +36,7 @@ from covex.exactla import (
     subspace_sum,
 )
 from covex.permcore import (
+    OrbitTable,
     PartialPermutation,
     all_partial_permutations,
     all_permutations,
@@ -324,13 +325,14 @@ def test_not_covexillary_is_raised_on_every_call():
 
 def test_embed_thm_samples_each_orbit_once(monkeypatch):
     """embed-thm reads each orbit once, at u's 0/1 matrix: it draws nothing,
-    reads u's Schubert cell off tau and packs the cells of each tau class
-    into one target table, once per class, so it builds no coordinate
-    point E_S.  It embeds no matrix and forms no 0/1 matrix.  The tables of
-    each size see every cell of Gr(n, 2n)."""
-    counts = {"sample": 0, "random": 0, "rng": 0, "embed": 0, "matrix": 0}
+    builds one OrbitTable per size and reads the counts of each tau class
+    off it, once per class, with no loop over u (OrbitTable.cells), so it
+    builds no coordinate point E_S.  It embeds no matrix and forms no 0/1
+    matrix."""
+    counts = {"sample": 0, "random": 0, "rng": 0, "embed": 0, "matrix": 0, "cells": 0}
     built = {}
-    tables = {}
+    tables = []
+    passes = {}
 
     def counted(key, call):
         def wrapper(*args):
@@ -343,9 +345,14 @@ def test_embed_thm_samples_each_orbit_once(monkeypatch):
         built[ambient // 2] = built.get(ambient // 2, 0) + 1
         return coordinate_subspace(field, ambient, indices)
 
-    def table(cells, n):
-        tables.setdefault(n, []).append({mask for mask, _ in cells})
-        return coordinate_target_table(cells, n)
+    class Counted(OrbitTable):
+        def __init__(self, n):
+            tables.append(n)
+            super().__init__(n)
+
+        def past(self, bits):
+            passes.setdefault(self.n, []).append(bits)
+            return super().past(bits)
 
     for key, name in (
         ("sample", "sample_cell_point"),
@@ -357,24 +364,21 @@ def test_embed_thm_samples_each_orbit_once(monkeypatch):
     monkeypatch.setattr(
         PartialPermutation, "matrix", counted("matrix", PartialPermutation.matrix)
     )
+    monkeypatch.setattr(OrbitTable, "cells", counted("cells", OrbitTable.cells))
     monkeypatch.setattr(suites, "coordinate_subspace", coordinate)
-    monkeypatch.setattr(suites, "coordinate_target_table", table)
+    monkeypatch.setattr(suites, "OrbitTable", Counted)
     suites.run_suite(suites.SuiteConfig("embed-thm", n_max=4, trials=3))
-    assert counts == {"sample": 0, "random": 0, "rng": 0, "embed": 0, "matrix": 0}
+    assert counts == {"sample": 0, "random": 0, "rng": 0, "embed": 0, "matrix": 0, "cells": 0}
     assert built == {}
+    assert tables == [1, 2, 3, 4]
     for n in (1, 2, 3, 4):
-        partials = list(all_partial_permutations(n))
-        classes = {covexillary_data(w).tau_order: covexillary_data(w)
-                   for w in partials if is_covexillary(w)}
-        expected = {
-            sum(1 << s for s in fixed_point_index(u, data).positions)
-            for u in partials
-            for data in classes.values()
+        classes = {
+            covexillary_data(w).tau_order: fixed_point_bits(covexillary_data(w))
+            for w in all_partial_permutations(n)
+            if is_covexillary(w)
         }
-        assert len(tables[n]) == len(classes)
-        assert set().union(*tables[n]) == expected
-        # every cell of Gr(n, 2n), C(2n, n) of them
-        assert len(expected) == {1: 2, 2: 6, 3: 20, 4: 70}[n]
+        assert sorted(passes[n]) == sorted(classes.values())
+        assert len(passes[n]) == {1: 1, 2: 2, 3: 6, 4: 20}[n]
 
 
 def test_fifty_queries_decide_the_modulus_once(capsys):

@@ -34,6 +34,7 @@ from covex.permcore import (
 from covex.suites import SuiteConfig, run_suite
 from scale import sized
 from test_conormal import check_members_agree_with_violations
+from test_permcore import essential_box_mismatches
 
 
 def _rewritten(function, old, new, **names):
@@ -74,16 +75,16 @@ def test_loosened_target_fails_embed_thm_at_every_conditioned_w(
 ):
     """Every w with a target condition has a u outside X_w that the loosened
     target accepts; the w without conditions (X_w = Mat_n) cannot change.
-    embed-thm reads the target of each w off its tau class's packed table,
-    through coordinate_target_lanes, so the mutant is that reader with the
-    loosened conditions."""
+    embed-thm reads the target of each w off its tau class's packed counts,
+    through target_lanes, so the mutant is that reader with the loosened
+    conditions."""
     loosened = _rewritten(
-        embedding.coordinate_target_lanes,
+        embedding.target_lanes,
         "data.grass_conditions",
         "conditions_of(data)",
         conditions_of=TARGET_MUTANTS[mutant],
     )
-    monkeypatch.setattr(suites, "coordinate_target_lanes", loosened)
+    monkeypatch.setattr(suites, "target_lanes", loosened)
     verdicts = run_suite(SuiteConfig("embed-thm", n_max=n_max))
     failed = {v.case for v in verdicts if not v.passed}
     assert len(verdicts) == total
@@ -322,18 +323,52 @@ def test_an_excited_move_one_column_too_far_fails_multidegree(monkeypatch):
     assert _failures("multidegree", 3) == (6, 9)
 
 
-def test_a_bruhat_guard_one_bit_narrow_fails_embed_thm(monkeypatch):
-    """packed_bruhat with lanes of n.bit_length() bits, one too few for a
-    rank and its guard bit, reads some u <= w wrong where suites read it:
-    embed-thm fails 26 of 42 with n <= 3.  conormal-grass reads the same
-    lanes only to pick the orbit cells of each w, where every zero section
-    is accepted, so it still passes."""
+def test_a_guard_one_bit_narrow_breaks_the_bruhat_masks(monkeypatch):
+    """OrbitTable with lanes of n.bit_length() bits, one too few for a
+    value of 0..n and its guard bit, lets a guarded subtraction carry or
+    borrow across lanes: at n = 3, below misreads 25 pairs u <= w, and the
+    embed-thm report moves its positives at 2 of the 42 w with n <= 3, so
+    its pinned digest fails.  Its verdicts cannot fail: by the rank lemma,
+    past[t] - (n + c - t) equals r_u - r_w at the essential box of each
+    condition, lane by lane, so below and target_lanes subtract equal
+    packed ints and err alike.  conormal-grass picks an orbit cell outside
+    the target for the zero w and fails that one case of 42."""
+    good = {v.case: v.details for v in run_suite(SuiteConfig("embed-thm", n_max=3))}
     mutant = _rewritten(
-        permcore.packed_bruhat, "width = n.bit_length() + 1", "width = n.bit_length()"
+        permcore.OrbitTable, "width = n.bit_length() + 1", "width = n.bit_length()"
     )
-    monkeypatch.setattr(suites, "packed_bruhat", mutant)
-    assert _failures("embed-thm", 3) == (26, 42)
-    assert _failures("conormal-grass", 3) == (0, 42)
+    orbits = mutant(3)
+    wrong = [
+        (u, w)
+        for w in orbits.partials
+        for u, lane in zip(orbits.partials, orbits.lanes)
+        if bool(orbits.below(w) >> lane & 1) != permcore.bruhat_leq(u, w)
+    ]
+    assert len(wrong) == 25
+    monkeypatch.setattr(suites, "OrbitTable", mutant)
+    verdicts = run_suite(SuiteConfig("embed-thm", n_max=3))
+    moved = {v.case for v in verdicts if v.details != good[v.case]}
+    assert moved == {"n=3/w=0 0 0", "n=3/w=3 2 0"}
+    assert all(v.passed for v in verdicts) and len(verdicts) == 42
+    assert _failures("conormal-grass", 3) == (1, 42)
+
+
+def test_an_essential_set_without_its_last_box_breaks_the_full_box_pin(monkeypatch):
+    """OrbitTable.below reads only w's essential boxes, as the target's
+    conditions do, so a box dropped from essential_set would loosen both
+    sides of embed-thm alike.  The full-box pin of test_permcore sees the
+    mask grow at every covexillary w with an essential box: 221 of the 225
+    with n <= 4, all but the longest permutations."""
+    ws = [w for n in range(1, 5) for w in all_partial_permutations(n) if is_covexillary(w)]
+    essential = permcore.essential_set
+    monkeypatch.setattr(permcore, "essential_set", lambda w: essential(w)[:-1])
+    grown = [
+        w
+        for n in range(1, 5)
+        for w in essential_box_mismatches(permcore.OrbitTable(n), [w for w in ws if w.n == n])
+    ]
+    assert len(grown) == 221 and len(ws) == 225
+    assert set(ws) - set(grown) == {PartialPermutation.longest(n) for n in range(1, 5)}
 
 
 def test_strict_rank_bounds_fail_kl_covex_at_its_smoke_case(monkeypatch):

@@ -10,6 +10,7 @@ from covex.errors import EssentialDataError, InputError, NotCovexillaryError
 from covex.permcore import (
     CovexillaryData,
     EssentialCondition,
+    OrbitTable,
     PartialPermutation,
     RankMatrix,
     all_partial_permutations,
@@ -20,7 +21,6 @@ from covex.permcore import (
     diagram,
     essential_set,
     is_covexillary,
-    packed_bruhat,
     rank_matrix,
     random_partial_permutation,
     reconstruct_from_essential,
@@ -262,27 +262,48 @@ def test_packed_dominance_holds_where_entries_reach_n(n):
     assert outcomes.count(True) >= 100 and outcomes.count(False) >= 100
 
 
-def packed_verdicts(us, ws):
-    """[[u <= w for u in us] for w in ws], read off the masks of packed_bruhat."""
-    lanes, below = packed_bruhat(us)
-    assert len(lanes) == len(us)
-    return [[bool(below(w) >> lane & 1) for lane in lanes] for w in ws]
+def packed_verdicts(orbits, us, ws):
+    """[[u <= w for u in us] for w in ws], read off the masks of orbits.below."""
+    lane = dict(zip(orbits.partials, orbits.lanes))
+    return [[bool(orbits.below(w) >> lane[u] & 1) for u in us] for w in ws]
+
+
+def full_box_below(orbits, w):
+    """The guard bits of the u <= w, u's rank at most w's at every one of the n^2 boxes.
+
+    The reference for OrbitTable.below, which reads only w's essential boxes.
+    """
+    lanes = orbits.guard
+    for box_row, rank_row in zip(orbits.boxes, rank_matrix(w).entries):
+        for box, r in zip(box_row, rank_row):
+            lanes &= orbits.at_most(box, r)
+    return lanes
+
+
+def essential_box_mismatches(orbits, ws):
+    """The w of ws whose essential-box mask differs from the full-box mask."""
+    return [w for w in ws if orbits.below(w) != full_box_below(orbits, w)]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_packed_bruhat_masks_are_bruhat_leq_on_every_pair(n):
     """One mask per w equals bruhat_leq and the entrywise reference at
-    every pair of partial permutations of size n, and has no stray bits."""
-    perms = list(all_partial_permutations(n))
-    lanes, below = packed_bruhat(perms)
-    everyone = sum(1 << lane for lane in lanes)
-    for w, row in zip(perms, packed_verdicts(perms, perms)):
-        assert below(w) & ~everyone == 0
+    every pair of partial permutations of size n, and has no stray bits;
+    so does the full-box mask."""
+    orbits = OrbitTable(n)
+    perms = orbits.partials
+    assert perms == list(all_partial_permutations(n)) and len(orbits.lanes) == len(perms)
+    everyone = sum(1 << lane for lane in orbits.lanes)
+    assert orbits.guard == everyone
+    for w, row in zip(perms, packed_verdicts(orbits, perms, perms)):
+        assert orbits.below(w) & ~everyone == 0
+        assert full_box_below(orbits, w) == orbits.below(w)
         rw = rank_matrix(w)
         assert row == [bruhat_leq(u, w) for u in perms]
         assert row == [entrywise_dominates(rw, rank_matrix(u)) for u in perms]
-    assert below(PartialPermutation.longest(n)) == everyone
-    assert below(PartialPermutation.zero(n)) == 1 << lanes[perms.index(PartialPermutation.zero(n))]
+    assert orbits.below(PartialPermutation.longest(n)) == everyone
+    zero = PartialPermutation.zero(n)
+    assert orbits.below(zero) == 1 << orbits.lanes[perms.index(zero)]
 
 
 @pytest.mark.parametrize("n", [5, 6, 7])
@@ -301,19 +322,30 @@ def test_packed_bruhat_masks_hold_where_entries_reach_n(n):
         PartialPermutation(n, tuple(v if rng.random() < 0.7 else 0 for v in w.image)) for w in ws
     ]
     assert max(rank_matrix(u).entry(1, n) for u in us) == n
-    verdicts = packed_verdicts(us, ws)
+    verdicts = packed_verdicts(OrbitTable(n), us, ws)
     for w, row in zip(ws, verdicts):
         assert row == [bruhat_leq(u, w) for u in us]
     flat = [v for row in verdicts for v in row]
     assert flat.count(True) >= 500 and flat.count(False) >= 500
 
 
+@pytest.mark.parametrize("n", range(1, sized(5, 6) + 1))
+def test_essential_box_masks_are_the_full_box_masks(n):
+    """below(w) reads only w's essential boxes (Fulton 1992), and so do the
+    target's conditions; the n^2-box AND keeps it independent of
+    essential_set at every covexillary w of the size."""
+    orbits = OrbitTable(n)
+    ws = [w for w in orbits.partials if is_covexillary(w)]
+    assert essential_box_mismatches(orbits, ws) == []
+    assert len(ws) == {1: 2, 2: 7, 3: 33, 4: 183, 5: 1118, 6: 7281}[n]
+
+
 def test_packed_bruhat_needs_one_size():
+    orbits = OrbitTable(2)
     with pytest.raises(InputError):
-        packed_bruhat([PartialPermutation.identity(2), PartialPermutation.identity(3)])
-    _, below = packed_bruhat([PartialPermutation.identity(2)])
+        orbits.below(PartialPermutation.identity(3))
     with pytest.raises(InputError):
-        below(PartialPermutation.identity(3))
+        OrbitTable(0)
 
 
 def hat_permutation(w: PartialPermutation) -> PartialPermutation:
