@@ -17,7 +17,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from operator import getitem, le, sub
+from operator import le, sub
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -400,7 +400,7 @@ class OrbitTable:
     """The partial permutations u of size n, each in one lane of a few packed ints.
 
     A lane has n.bit_length() + 1 bits, the top one a guard, and holds a
-    value of 0..n; lanes holds the guard bit of each u, partials[0] lowest.
+    value of 0..n; lanes gives each u's guard bit, partials[0] lowest.
     columns[j][v] holds 1 in the lane of each u with u(j + 1) = v, built
     from binary digits (summing shifted ints would be quadratic), and
     boxes[i-1][j-1] holds r_u(i, j), the sum of the columns[k][v] with
@@ -448,14 +448,6 @@ class OrbitTable:
             for ones, bit in zip(column, row):
                 at[bit.bit_length() - 1] += ones
         return list(itertools.accumulate(at[1:], sub, initial=self._spread[self.n] - self.guard))
-
-    def cells(self, bits: Sequence[Sequence[int]]) -> list[tuple[int, int]]:
-        """(S, the guard bits of its u) for each sum S of the bits[j][u(j + 1)]: a loop over u."""
-        cells: dict[int, int] = {}
-        for u, lane in zip(self.partials, self.lanes):
-            cell = sum(map(getitem, bits, u.image))
-            cells[cell] = cells.get(cell, 0) | 1 << lane
-        return list(cells.items())
 
 
 def reconstruct_from_essential(

@@ -30,20 +30,18 @@ call, so each embedded V is planned once.
 
 conormal-grass, whose checks at E_S decide every verdict, ignores
 ``trials``; embed-thm and rank-lemma draw nothing and ignore it too.
-Their statements are invariant under the B x B action x -> b_l x b_r, and the
-orbit O_u of a partial permutation u holds u's 0/1 matrix, so each checks
-every partial u of each size at that matrix: a proof for the size, over
-every field.  embed-thm and conormal-grass walk one ``OrbitTable`` per
-size, which packs every u of the size into lanes of one int: the u <= w
-of every u come from one guarded subtraction per essential box of w, and
-the verdicts are popcounts of lane masks.  embed-thm reads the target of
-every u off the counts #{s in S : s > t} of each tau class, packed for
-every u at once (``target_lanes``), with no elimination and no loop over
-u.  The zero-section loop of conormal-grass sorts the u into Schubert
-cells (``OrbitTable.cells``) and checks each cell at its coordinate point
-E_S, built once per cell of each size.  All randomness is drawn from
-per-case generators seeded by (seed, suite, case), so reports are
-byte-identical across reruns and independent of execution order.
+Their statements are invariant under the B x B action x -> b_l x b_r, and
+the orbit O_u of a partial permutation u holds u's 0/1 matrix, so each
+checks every partial u of each size at that matrix: a proof for the
+size, over every field.  embed-thm walks one ``OrbitTable`` per size,
+which packs every u of the size into lanes of one int: the u <= w of
+every u come from one guarded subtraction per essential box of w, the
+target of every u from the counts #{s in S : s > t} of each tau class,
+packed for every u at once (``target_lanes``), with no elimination and
+no loop over u, and the verdicts are popcounts of lane masks.  All
+randomness is drawn from per-case generators seeded by (seed, suite,
+case), so reports are byte-identical across reruns and independent of
+execution order.
 """
 
 from __future__ import annotations
@@ -51,7 +49,7 @@ from __future__ import annotations
 import random
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
-from functools import cache, partial
+from functools import partial
 from math import isqrt
 from operator import mul
 from typing import NamedTuple
@@ -65,13 +63,7 @@ from .conormal import (
     conormal_matrix_members,
     conormal_matrix_violations,
 )
-from .embedding import (
-    embed_point,
-    fixed_point_bits,
-    mask_positions,
-    target_grass_index,
-    target_lanes,
-)
+from .embedding import embed_point, fixed_point_bits, target_grass_index, target_lanes
 from .errors import DimensionMismatchError, EssentialDataError, InputError, InvariantError
 from .exactla import (
     DEFAULT_PRIME,
@@ -276,10 +268,14 @@ def _suite_el_roundtrip(config: SuiteConfig) -> Iterator[Case]:
         yield case, not failures, {"trials": config.trials, "failures": failures[:5]}
 
 
-def _tau_classes(orbits: OrbitTable) -> Iterable[list[tuple[PartialPermutation, str]]]:
-    """The covexillary w among orbits.partials with their case ids, one list per tau class."""
+def _tau_classes(n: int) -> Iterable[list[tuple[PartialPermutation, str]]]:
+    """The covexillary partial w of size n with their case ids, one list per tau class.
+
+    The scan makes its own partials, so the others, and what is_covexillary
+    cached on them, are freed once it ends.
+    """
     classes: dict[tuple[int, ...], list[tuple[PartialPermutation, str]]] = {}
-    for _, w, case in _covexillary_cases(lambda _: orbits.partials, orbits.n, start=orbits.n):
+    for _, w, case in _covexillary_cases(all_partial_permutations, n, start=n):
         classes.setdefault(covexillary_data(w).tau_order, []).append((w, case))
     return classes.values()
 
@@ -290,7 +286,7 @@ def _suite_embed_thm(config: SuiteConfig) -> Iterator[Case]:
     # holds on all of Mat_n iff it holds at every 0/1 representative u
     for n in range(1, config.n_max + 1):
         orbits = OrbitTable(n)
-        for cases in _tau_classes(orbits):
+        for cases in _tau_classes(n):
             past = orbits.past(fixed_point_bits(covexillary_data(cases[0][0])))
             for w, case in cases:
                 inside = orbits.below(w)
@@ -426,45 +422,24 @@ def _grass_fixed_point(
 
 def _suite_conormal_grass(config: SuiteConfig) -> Iterator[Case]:
     field = _field(config)
-    for n in range(1, config.n_max + 1):
-        N = 2 * n
-        zero = ExactMatrix.zeros(field, N, N)
-        # each cell's coordinate point is built once and serves every tau class
-        point = cache(lambda cell: coordinate_subspace(field, N, mask_positions(cell)))
-        orbits = OrbitTable(n)
-        for cases in _tau_classes(orbits):
-            cells = orbits.cells(fixed_point_bits(covexillary_data(cases[0][0])))
-            for w, case in cases:
-                inside = orbits.below(w)
-                rng = _rng(config, case)
-                data = covexillary_data(w)
-                conditions = data.grass_conditions
-                # the zero-section point at each cell; its verdict reads V
-                # only through dim(V + E_t), which the cell fixes
-                failing = 0
-                for cell, lanes in cells:
-                    if lanes & inside and not conormal_grass_members(
-                        point(cell), conditions, (zero,)
-                    )[0]:
-                        failing |= lanes
-                failures = (failing & inside).bit_count()
-                # at E_S, a smooth point: the fiber accepted, every Springer
-                # direction off it rejected
-                V, fiber, springer = _grass_fixed_point(data, field)
-                rejected_valid, accepted_off = _off_fiber_rejection(
-                    fiber,
-                    springer,
-                    lambda xs: conormal_grass_members(
-                        V, conditions, [ExactMatrix(field, x) for x in xs]
-                    ),
-                    rng,
-                    _fiber_elements(fiber, rng, extra=5),
-                )
-                yield case, failures == 0 and rejected_valid == 0 and accepted_off == 0, {
-                    "zero_section_failures": failures,
-                    "rejected_valid": rejected_valid,
-                    "accepted_off": accepted_off,
-                }
+    for _, w, case in _covexillary_cases(all_partial_permutations, config.n_max):
+        rng = _rng(config, case)
+        data = covexillary_data(w)
+        conditions = data.grass_conditions
+        # at E_S, a smooth point: the fiber accepted, every Springer
+        # direction off it rejected
+        V, fiber, springer = _grass_fixed_point(data, field)
+        rejected_valid, accepted_off = _off_fiber_rejection(
+            fiber,
+            springer,
+            lambda xs: conormal_grass_members(V, conditions, [ExactMatrix(field, x) for x in xs]),
+            rng,
+            _fiber_elements(fiber, rng, extra=5),
+        )
+        yield case, rejected_valid == 0 and accepted_off == 0, {
+            "rejected_valid": rejected_valid,
+            "accepted_off": accepted_off,
+        }
 
 
 def _chase_to_grass(
@@ -585,9 +560,9 @@ MAX_TRIALS = 1000
 # el-roundtrip takes 35-40 s at its limit and rank-lemma about 50 s.
 # embed-thm compares every orbit with every covexillary w of a size: 97 M
 # pairs at n = 6 take 1.4 s and 46 MB, and n = 7 (6.5 G pairs, 49,626 w)
-# about 25 s and 290 MB in all.  conormal-grass checks the zero section at
-# every orbit cell of each w, one members call each: --nmax 5 takes about
-# 6 s, --nmax 6 about 2 min and 60 MB, and n = 7 would make 10^8 calls.
+# about 22 s and 215 MB in all.  conormal-grass makes one members call per
+# w: --nmax 5 takes about 2 s and --nmax 6 about 25 s and 23 MB; n = 7, at
+# about 4 ms for each of its 49,626 w, would take 3-4 min.
 _SUITES: dict[str, _Suite] = {
     "covex-equiv": _Suite(_suite_covex_equiv, 7, 1, 9),
     "el-roundtrip": _Suite(_suite_el_roundtrip, 6, 1000, 20),

@@ -503,7 +503,7 @@ SUITE_LIMITS = {
     "rank-lemma": 7,
     "conormal-matrix": 7,
     "conormal-flag": 7,
-    "conormal-grass": 6,  # its zero-section loop would take hours at n = 7
+    "conormal-grass": 6,  # n = 7, one members call at each of 49,626 w, takes 3-4 min
     "diagram-chase": 7,
     "kl-covex": 7,
     "multidegree": 6,

@@ -4,7 +4,7 @@ import random
 from collections import defaultdict
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations_with_replacement, product
+from itertools import combinations, combinations_with_replacement, product
 from operator import mul, ne
 
 import pytest
@@ -1985,6 +1985,36 @@ def test_grass_fiber_at_the_target_fixed_point_is_the_linear_system_kernel(field
             assert len(off) == tangent_orbit_rank(w.matrix(field))
             cases += 1
     assert cases == 42
+
+
+ZERO_SECTION_N = sized(4, 5)
+
+
+def test_zero_section_at_a_coordinate_point_is_its_target_verdict():
+    """Every conormal bound of embedding data is >= 0, so at x = 0, where
+    every rank read is 0, (E_S, 0) lies in the Grassmannian conormal
+    variety exactly when E_S lies in the target: checked at every
+    coordinate point E_S of Gr(n, 2n), every cell, for every covexillary
+    partial w with n <= 4.  Hence conormal-grass, which checks at the
+    fixed point E_S of the target's open cell only, loses nothing by not
+    checking the zero section at the other cells; embed-thm checks that
+    E_S lies in the target at every orbit."""
+    cases = 0
+    for n in range(1, ZERO_SECTION_N + 1):
+        N = 2 * n
+        zero = ExactMatrix.zeros(F, N, N)
+        points = [coordinate_subspace(F, N, S) for S in combinations(range(1, N + 1), n)]
+        for w in all_partial_permutations(n):
+            if not is_covexillary(w):
+                continue
+            data = covexillary_data(w)
+            assert all(bound >= 0 for _, _, bound in data.conormal_checks), w
+            conditions = data.grass_conditions
+            for V in points:
+                inside = all(ok for *_, ok in grass_condition_checks(V, conditions))
+                assert conormal_grass_members(V, conditions, [zero]) == [inside], (w, V)
+            cases += 1
+    assert cases == {4: 225, 5: 1343}[ZERO_SECTION_N]
 
 
 @pytest.mark.parametrize("prime", [2, 3])

@@ -326,10 +326,9 @@ def test_not_covexillary_is_raised_on_every_call():
 def test_embed_thm_samples_each_orbit_once(monkeypatch):
     """embed-thm reads each orbit once, at u's 0/1 matrix: it draws nothing,
     builds one OrbitTable per size and reads the counts of each tau class
-    off it, once per class, with no loop over u (OrbitTable.cells), so it
-    builds no coordinate point E_S.  It embeds no matrix and forms no 0/1
-    matrix."""
-    counts = {"sample": 0, "random": 0, "rng": 0, "embed": 0, "matrix": 0, "cells": 0}
+    off it, once per class, so it builds no coordinate point E_S.  It
+    embeds no matrix and forms no 0/1 matrix."""
+    counts = {"sample": 0, "random": 0, "rng": 0, "embed": 0, "matrix": 0}
     built = {}
     tables = []
     passes = {}
@@ -364,11 +363,10 @@ def test_embed_thm_samples_each_orbit_once(monkeypatch):
     monkeypatch.setattr(
         PartialPermutation, "matrix", counted("matrix", PartialPermutation.matrix)
     )
-    monkeypatch.setattr(OrbitTable, "cells", counted("cells", OrbitTable.cells))
     monkeypatch.setattr(suites, "coordinate_subspace", coordinate)
     monkeypatch.setattr(suites, "OrbitTable", Counted)
     suites.run_suite(suites.SuiteConfig("embed-thm", n_max=4, trials=3))
-    assert counts == {"sample": 0, "random": 0, "rng": 0, "embed": 0, "matrix": 0, "cells": 0}
+    assert counts == {"sample": 0, "random": 0, "rng": 0, "embed": 0, "matrix": 0}
     assert built == {}
     assert tables == [1, 2, 3, 4]
     for n in (1, 2, 3, 4):
