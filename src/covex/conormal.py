@@ -68,7 +68,6 @@ reference_flag_fiber in tests/test_conormal.py).
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, pairwise
@@ -95,6 +94,7 @@ from .exactla import (
     _residues,
     _southwest_profile,
 )
+from .frozen import Frozen
 from . import permcore
 from .permcore import CovexillaryData, PartialPermutation, covexillary_data
 from .varieties import (
@@ -105,21 +105,20 @@ from .varieties import (
 )
 
 
-@dataclass(frozen=True)
-class CotangentMatrixPoint:
+class CotangentMatrixPoint(Frozen):
     """A point (x, y) of T*g = g x g*, with y representing tr(y . )."""
 
-    x: ExactMatrix
-    y: ExactMatrix
+    _fields = ("x", "y")
 
-    def __post_init__(self):
+    def __init__(self, x: ExactMatrix, y: ExactMatrix):
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
         if self.x.shape != self.y.shape or not self.x.is_square():
             raise DimensionMismatchError("x and y must be square of equal size")
         self.x.field.check_same(self.y.field)
 
 
-@dataclass(frozen=True)
-class SpringerFlagPoint:
+class SpringerFlagPoint(Frozen):
     """A pair (F, z) with z F_i inside F_{i-1} for every i.
 
     With F_i = g E_i for the flag generator g, the condition says that
@@ -128,10 +127,11 @@ class SpringerFlagPoint:
     or below the diagonal.
     """
 
-    flag: Flag
-    z: ExactMatrix
+    _fields = ("flag", "z")
 
-    def __post_init__(self):
+    def __init__(self, flag: Flag, z: ExactMatrix):
+        object.__setattr__(self, "flag", flag)
+        object.__setattr__(self, "z", z)
         n = self.flag.n
         if self.z.shape != (n, n):
             raise DimensionMismatchError("z size differs from flag size")
@@ -150,8 +150,7 @@ class SpringerFlagPoint:
         return self.flag.inverse @ self.z
 
 
-@dataclass(frozen=True)
-class SpringerGrassPoint:
+class SpringerGrassPoint(Frozen):
     """A pair (V, x) with Im(x) inside V inside ker(x); in particular x^2 = 0.
 
     Both containments are products, no elimination.  Let C hold V's
@@ -169,11 +168,11 @@ class SpringerGrassPoint:
     be 0 mod p.
     """
 
-    V: Subspace
-    x: ExactMatrix
+    _fields = ("V", "x")
 
-    def __post_init__(self):
-        V, x = self.V, self.x
+    def __init__(self, V: Subspace, x: ExactMatrix):
+        object.__setattr__(self, "V", V)
+        object.__setattr__(self, "x", x)
         N = V.ambient
         if x.shape != (N, N):
             raise DimensionMismatchError("x size differs from ambient dimension")

@@ -22,22 +22,24 @@ convention artifact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
 
 from .embedding import fixed_point_index, target_grass_index, weight_map
 from .errors import InputError
+from .frozen import Frozen
 from .permcore import CovexillaryData, PartialPermutation, covexillary_data
 from .varieties import GrassIndex
 
 
-@dataclass(frozen=True)
-class MultivariatePolynomial:
+class MultivariatePolynomial(Frozen):
     """Exact integer polynomial over a fixed, ordered variable tuple."""
 
-    variables: tuple[str, ...]
-    terms: tuple[tuple[tuple[int, ...], int], ...]  # sorted (exponents, coeff)
+    _fields = ("variables", "terms")
+
+    def __init__(self, variables: tuple[str, ...], terms: tuple[tuple[tuple[int, ...], int], ...]):
+        object.__setattr__(self, "variables", variables)
+        object.__setattr__(self, "terms", terms)  # sorted (exponents, coeff)
 
     @staticmethod
     def make(variables: tuple[str, ...], data: dict[tuple[int, ...], int]) -> "MultivariatePolynomial":
@@ -309,11 +311,14 @@ def check_multidegree_size(n: int) -> None:
         raise InputError(f"multidegree is limited to n <= {MULTIDEGREE_MAX_N}; got n = {n}")
 
 
-@dataclass(frozen=True)
-class MultidegreeReport:
-    w: PartialPermutation
-    schubert_side: MultivariatePolynomial
-    localization_side: MultivariatePolynomial
+class MultidegreeReport(Frozen):
+    _fields = ("w", "schubert_side", "localization_side")
+
+    def __init__(self, w: PartialPermutation, schubert_side: MultivariatePolynomial,
+                 localization_side: MultivariatePolynomial):
+        object.__setattr__(self, "w", w)
+        object.__setattr__(self, "schubert_side", schubert_side)
+        object.__setattr__(self, "localization_side", localization_side)
 
     @property
     def matched(self) -> bool:

@@ -46,3 +46,7 @@ class InvariantError(CovexError, ValueError):
 
 class InputError(CovexError, ValueError):
     """Malformed or inconsistent user-supplied input (file or CLI)."""
+
+
+class FrozenInstanceError(AttributeError):
+    """Assignment to, or deletion of, a field of a frozen value."""

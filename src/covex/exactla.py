@@ -42,7 +42,6 @@ from __future__ import annotations
 import operator
 import random
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import accumulate, count
@@ -54,23 +53,24 @@ from .errors import (
     FieldError,
     SingularMatrixError,
 )
+from .frozen import Frozen
 
 Scalar = Union[int, Fraction]
 
 DEFAULT_PRIME = 10007
 
 
-@dataclass(frozen=True)
-class FieldSpec:
+class FieldSpec(Frozen):
     """A coefficient field: F_p for a prime p, or the rationals when p is None.
 
     The default prime 10007 is large enough that random matrices behave
     generically in all the randomized sweeps.
     """
 
-    p: int | None
+    _fields = ("p",)
 
-    def __post_init__(self):
+    def __init__(self, p: int | None):
+        object.__setattr__(self, "p", p)
         if self.p is not None and (self.p < 2 or not _is_prime(self.p)):
             raise FieldError(f"modulus {self.p} is not prime")
 
@@ -171,18 +171,18 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class ExactMatrix:
+class ExactMatrix(Frozen):
     """An immutable matrix with exact entries in a fixed field.
 
     Row/column indices are 1-based at every public accessor, matching the
     conventions of the rank conditions everywhere else in the package.
     """
 
-    field: FieldSpec
-    entries: tuple[tuple[Scalar, ...], ...]
+    _fields = ("field", "entries")
 
-    def __post_init__(self):
+    def __init__(self, field: FieldSpec, entries: tuple[tuple[Scalar, ...], ...]):
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "entries", entries)
         if len(set(map(len, self.entries))) > 1:
             raise DimensionMismatchError("ragged rows in matrix")
 
@@ -477,20 +477,23 @@ def _primitive(row: Sequence[int]) -> Sequence[int]:
     return [v // g for v in row] if g > 1 else row
 
 
-@dataclass(frozen=True)
-class Subspace:
+class Subspace(Frozen):
     """A linear subspace stored by a canonical reduced-echelon basis.
 
     ``vectors`` are the basis vectors, each of length ``ambient``; as rows
     they form a reduced row-echelon matrix with pivot columns ``pivots``
     (0-based).  Two equal subspaces always have identical ``vectors``, so
-    dataclass equality is subspace equality.
+    equality of the fields is subspace equality.
     """
 
-    field: FieldSpec
-    ambient: int
-    vectors: tuple[tuple[Scalar, ...], ...]
-    pivots: tuple[int, ...]
+    _fields = ("field", "ambient", "vectors", "pivots")
+
+    def __init__(self, field: FieldSpec, ambient: int,
+                 vectors: tuple[tuple[Scalar, ...], ...], pivots: tuple[int, ...]):
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "ambient", ambient)
+        object.__setattr__(self, "vectors", vectors)
+        object.__setattr__(self, "pivots", pivots)
 
     @staticmethod
     def span(field: FieldSpec, ambient: int, vectors: Iterable[Sequence]) -> "Subspace":

@@ -32,20 +32,22 @@ of those representatives.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from operator import getitem
 from typing import NamedTuple
 
 from .embedding import fixed_point_bits, mask_positions, target_grass_index
 from .errors import InputError, InvariantError
+from .frozen import Frozen
 from .permcore import PartialPermutation, bruhat_leq, covexillary_data
 
 
-@dataclass(frozen=True)
-class PolynomialQ:
+class PolynomialQ(Frozen):
     """Integer-coefficient polynomial in q; trailing zeros trimmed."""
 
-    coeffs: tuple[int, ...]
+    _fields = ("coeffs",)
+
+    def __init__(self, coeffs: tuple[int, ...]):
+        object.__setattr__(self, "coeffs", coeffs)
 
     @staticmethod
     def from_coeffs(coeffs) -> "PolynomialQ":

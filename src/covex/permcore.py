@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 from functools import cached_property
 from operator import le, sub
 from typing import Iterable, Iterator, Sequence
@@ -26,16 +25,17 @@ from .errors import (
     NotCovexillaryError,
 )
 from .exactla import ExactMatrix, FieldSpec
+from .frozen import Frozen
 
 
-@dataclass(frozen=True)
-class PartialPermutation:
+class PartialPermutation(Frozen):
     """A size-n {0,1} matrix with at most one nonzero per row and column."""
 
-    n: int
-    image: tuple[int, ...]  # image[j-1] = row of the dot in column j, 0 if none
+    _fields = ("n", "image")
 
-    def __post_init__(self):
+    def __init__(self, n: int, image: tuple[int, ...]):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "image", image)  # image[j-1]: row of column j's dot, 0 if none
         if self.n < 1 or len(self.image) != self.n:
             raise InputError(f"image must have length n={self.n}")
         seen = set()
@@ -120,8 +120,8 @@ class PartialPermutation:
         return PartialPermutation(self.n, tuple(self.image[v - 1] for v in other.image))
 
     # Derived data, computed at most once per instance.  cached_property
-    # stores it in the instance __dict__, which the frozen dataclass's
-    # __eq__, __hash__, __repr__ and replace() never look at.
+    # stores it in the instance __dict__, which __eq__, __hash__ and
+    # __repr__ never look at: they read the fields alone (see frozen.py).
 
     @cached_property
     def _rank_matrix(self) -> "RankMatrix":
@@ -153,12 +153,14 @@ class PartialPermutation:
         )
 
 
-@dataclass(frozen=True)
-class RankMatrix:
+class RankMatrix(Frozen):
     """Southwest rank counts: entries[i-1][j-1] = #dots in rows i..n, cols 1..j."""
 
-    n: int
-    entries: tuple[tuple[int, ...], ...]
+    _fields = ("n", "entries")
+
+    def __init__(self, n: int, entries: tuple[tuple[int, ...], ...]):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "entries", entries)
 
     def entry(self, i: int, j: int) -> int:
         return self.entries[i - 1][j - 1]
@@ -178,13 +180,15 @@ class RankMatrix:
         return all(map(le, flat(ranks), flat(self.entries)))
 
 
-@dataclass(frozen=True)
-class EssentialCondition:
+class EssentialCondition(Frozen):
     """A rank bound at one essential box: dim(x E_col / E_{row-1}) <= rank."""
 
-    row: int
-    col: int
-    rank: int
+    _fields = ("row", "col", "rank")
+
+    def __init__(self, row: int, col: int, rank: int):
+        object.__setattr__(self, "row", row)
+        object.__setattr__(self, "col", col)
+        object.__setattr__(self, "rank", rank)
 
 
 def rank_matrix(w: PartialPermutation) -> RankMatrix:
@@ -269,20 +273,20 @@ def avoids_3412(w: PartialPermutation) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class CovexillaryData:
+class CovexillaryData(Frozen):
     """Essential-set triples (p_i, q_i, r_i) of a covexillary partial permutation.
 
     There are m-1 triples and t_i = p_i + q_i.  chain adds the padding
     (p_0, q_0, r_0) = (0, 0, 0) and (p_m, q_m, r_m) = (n, n, 0).
     """
 
-    n: int
-    p: tuple[int, ...]
-    q: tuple[int, ...]
-    r: tuple[int, ...]
+    _fields = ("n", "p", "q", "r")
 
-    def __post_init__(self):
+    def __init__(self, n: int, p: tuple[int, ...], q: tuple[int, ...], r: tuple[int, ...]):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "r", r)
         k = len(self.p)
         if len(self.q) != k or len(self.r) != k:
             raise EssentialDataError("p, q, r must have equal lengths")

@@ -48,7 +48,6 @@ from __future__ import annotations
 
 import random
 from collections.abc import Callable, Iterable, Iterator, Sequence
-from dataclasses import dataclass
 from functools import partial
 from math import isqrt
 from operator import mul
@@ -78,6 +77,7 @@ from .exactla import (
     _residues,
     coordinate_subspace,
 )
+from .frozen import Frozen
 from .kl import (
     KL_COVEX_MAX_N,
     PolynomialQ,
@@ -105,15 +105,18 @@ from .equivariant import MULTIDEGREE_MAX_N, verify_multidegree
 Case = tuple[str, bool, dict]
 
 
-@dataclass(frozen=True)
-class SuiteConfig:
+class SuiteConfig(Frozen):
     """Knobs of a verification run; None picks the acceptance default."""
 
-    suite: str
-    n_max: int | None = None
-    trials: int | None = None
-    prime: int = DEFAULT_PRIME
-    seed: int = 0
+    _fields = ("suite", "n_max", "trials", "prime", "seed")
+
+    def __init__(self, suite: str, n_max: int | None = None, trials: int | None = None,
+                 prime: int = DEFAULT_PRIME, seed: int = 0):
+        object.__setattr__(self, "suite", suite)
+        object.__setattr__(self, "n_max", n_max)
+        object.__setattr__(self, "trials", trials)
+        object.__setattr__(self, "prime", prime)
+        object.__setattr__(self, "seed", seed)
 
     def resolved(self) -> "SuiteConfig":
         suite = _SUITES.get(self.suite)
@@ -135,12 +138,14 @@ class SuiteConfig:
         return SuiteConfig(self.suite, n_max, trials, self.prime, self.seed)
 
 
-@dataclass(frozen=True)
-class Verdict:
-    suite: str
-    case: str
-    passed: bool
-    details: dict
+class Verdict(Frozen):
+    _fields = ("suite", "case", "passed", "details")
+
+    def __init__(self, suite: str, case: str, passed: bool, details: dict):
+        object.__setattr__(self, "suite", suite)
+        object.__setattr__(self, "case", case)
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "details", details)
 
 
 def _rng(config: SuiteConfig, case: str) -> random.Random:

@@ -14,7 +14,6 @@ pivots before position t.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
@@ -25,19 +24,20 @@ from .exactla import (
     Subspace,
     random_borel,
 )
+from .frozen import Frozen
 from .permcore import PartialPermutation, rank_matrix
 
 
-@dataclass(frozen=True)
-class Flag:
+class Flag(Frozen):
     """A complete flag stored by an invertible generator matrix.
 
     F_i is the span of the first i columns of the generator.
     """
 
-    generator: ExactMatrix
+    _fields = ("generator",)
 
-    def __post_init__(self):
+    def __init__(self, generator: ExactMatrix):
+        object.__setattr__(self, "generator", generator)
         if not self.generator.is_square():
             raise DimensionMismatchError("flag generator must be square")
 
@@ -55,15 +55,15 @@ class Flag:
         return self.generator.inverse()
 
 
-@dataclass(frozen=True)
-class GrassIndex:
+class GrassIndex(Frozen):
     """A Schubert index for Gr(d, N): a strictly increasing d-sequence in 1..N."""
 
-    d: int
-    N: int
-    positions: tuple[int, ...]
+    _fields = ("d", "N", "positions")
 
-    def __post_init__(self):
+    def __init__(self, d: int, N: int, positions: tuple[int, ...]):
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "N", N)
+        object.__setattr__(self, "positions", positions)
         if len(self.positions) != self.d:
             raise InputError("index length differs from d")
         prev = 0

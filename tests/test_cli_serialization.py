@@ -695,14 +695,19 @@ def test_cli_kl_covex_check_builds_only_the_flag_side_table(capsys, monkeypatch)
     assert err == f"{len(lines)} pairs, 0 mismatches\n"
 
 
-def test_import_cli_leaves_numpy_unloaded():
+def test_import_cli_loads_no_numpy_dataclasses_or_inspect():
+    """The startup floor of every covex invocation: `import dataclasses`
+    alone loads inspect, ast, dis and tokenize, and numpy far more."""
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
-    probe = "import sys, covex.cli; print('numpy' in sys.modules)"
+    probe = (
+        "import sys, covex.cli; "
+        "print(sorted({'numpy', 'dataclasses', 'inspect'} & sys.modules.keys()))"
+    )
     proc = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "False\n"
+    assert proc.stdout == "[]\n"
 
 
 def test_cli_closed_stdout_pipe_exits_2_without_traceback():

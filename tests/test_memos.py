@@ -5,10 +5,9 @@ southwest profile of a matrix and its columns, the basis matrix, the
 dimensions dim(V + E_t) and the containment data of a subspace, the
 inverse of a flag generator and the covector g^-1 z of a Springer flag
 point are stored on the frozen instance they belong to.  An instance that holds them must still compare,
-hash, print, replace and pickle exactly like a fresh one.
+hash, print, rebuild and pickle exactly like a fresh one.
 """
 
-import dataclasses
 import json
 import pickle
 import random
@@ -52,12 +51,18 @@ F = FieldSpec.prime()
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
 
+def rebuild(obj):
+    """A new instance made from obj's fields by the public constructor, so
+    it carries none of obj's memos."""
+    return type(obj)(*(getattr(obj, name) for name in obj._fields))
+
+
 def assert_like_fresh(obj, fresh):
     assert obj == fresh and fresh == obj
     assert hash(obj) == hash(fresh)
     assert repr(obj) == repr(fresh)
-    replaced = dataclasses.replace(obj)
-    assert replaced == fresh and repr(replaced) == repr(fresh)
+    rebuilt = rebuild(obj)
+    assert rebuilt == fresh and repr(rebuilt) == repr(fresh)
     back = pickle.loads(pickle.dumps(obj))
     assert back == fresh and hash(back) == hash(fresh) and repr(back) == repr(fresh)
 
@@ -81,7 +86,7 @@ def test_covexillary_data_memos_are_invisible():
     order = data.tau_order
     assert data.tau is tau and data.grass_conditions is pairs and data.conormal_checks is checks
     assert data.tau_order is order and order == tuple(k - 1 for k in tau.inverse().image)
-    fresh = dataclasses.replace(covexillary_data(PartialPermutation.from_one_line("2143")))
+    fresh = rebuild(covexillary_data(PartialPermutation.from_one_line("2143")))
     assert "tau" not in vars(fresh) and "tau_order" not in vars(fresh)
     assert_like_fresh(data, fresh)
     assert (fresh.tau, fresh.grass_conditions, fresh.conormal_checks) == (tau, pairs, checks)
@@ -92,7 +97,7 @@ def test_matrix_profile_memo_is_invisible():
     x = random_matrix(F, 4, 4, random.Random(3))
     profile = southwest_profile(x)
     assert southwest_profile(x) is profile
-    fresh = dataclasses.replace(x)
+    fresh = rebuild(x)
     assert "southwest_profile" not in vars(fresh)
     assert_like_fresh(x, fresh)
     assert southwest_profile(fresh) == profile
@@ -102,7 +107,7 @@ def test_matrix_columns_memo_is_invisible():
     x = random_matrix(F, 3, 4, random.Random(8))
     columns = x.columns
     assert x.columns is columns and columns == tuple(x.column(j) for j in range(1, 5))
-    fresh = dataclasses.replace(x)
+    fresh = rebuild(x)
     assert "columns" not in vars(fresh)
     assert_like_fresh(x, fresh)
     assert fresh.columns == columns
@@ -175,7 +180,7 @@ def test_one_subspace_builds_its_containment_data_once(monkeypatch):
     for chased in xs:
         conormal.SpringerGrassPoint(V, chased)
     assert built == [V] and products == []
-    fresh = dataclasses.replace(V)
+    fresh = rebuild(V)
     assert "containment" in vars(V) and "containment" not in vars(fresh)
     assert_like_fresh(V, fresh)
     assert fresh.containment == V.containment
@@ -235,7 +240,7 @@ def test_subspace_basis_matrix_memo_is_invisible():
     assert v.sum_dims is dims and "sum_dims" in vars(v)
     assert "southwest_profile" not in vars(basis)
     assert locate_grass_cell(v).positions == (4, 5) and v.sum_dims is dims
-    fresh = dataclasses.replace(v)
+    fresh = rebuild(v)
     assert "basis_matrix" not in vars(fresh) and "sum_dims" not in vars(fresh)
     assert_like_fresh(v, fresh)
     assert fresh.basis_matrix == basis and fresh.sum_dims == dims
@@ -261,7 +266,7 @@ def test_subspace_sum_dims_memo_is_invisible(field):
             for t in range(N + 1)
         )
         assert dims == expected
-        fresh = dataclasses.replace(v)
+        fresh = rebuild(v)
         assert "sum_dims" not in vars(fresh)
         assert_like_fresh(v, fresh)
         assert fresh.sum_dims == dims
@@ -301,10 +306,10 @@ def test_flag_inverse_and_covector_memos_are_invisible():
     point = SpringerFlagPoint(flag, flag.generator @ upper @ inverse)
     covector = point.covector
     assert point.covector is covector and covector == upper @ inverse
-    fresh_flag = dataclasses.replace(flag)
+    fresh_flag = rebuild(flag)
     assert "inverse" not in vars(fresh_flag)
     assert_like_fresh(flag, fresh_flag)
-    fresh = SpringerFlagPoint(fresh_flag, dataclasses.replace(point.z))
+    fresh = SpringerFlagPoint(fresh_flag, rebuild(point.z))
     assert_like_fresh(point, fresh)
     assert fresh_flag.inverse == inverse and fresh.covector == covector
     back = pickle.loads(pickle.dumps(point))
