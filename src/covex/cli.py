@@ -7,16 +7,23 @@ regardless of the boolean answer), 2 for input errors and for a reader that
 closes stdout early, 3 for verification failures and for an internal check
 that breaks (InvariantError).  A point file that breaks its structural
 invariants is bad input, so point files are read through ``_point``.
+
+Two parsers read one grammar, the ``_COMMANDS`` table.  A plain run of it
+(exact option names, each value apart from its option and not starting with
+"-", valid choices and ints, the right positionals) is parsed in one pass by
+``_parse``, without importing argparse.  Every other argv goes to argparse:
+-h, --version, abbreviations, --opt=value, --, negative values and every
+usage error, so help, errors and exit codes are argparse's own.
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
 import itertools
 import json
 import os
 import sys
+import types
 
 from . import __version__
 from .conormal import (
@@ -357,77 +364,106 @@ def _cmd_verify(args, field: FieldSpec) -> int:
     return 0 if failures == 0 else 3
 
 
+# The grammar, declared once: _parse reads it on the hot path and build_parser
+# hands it to argparse.  A command is (help, function, positionals, options),
+# each argument a name and its add_argument keywords; an option without a
+# default sets nothing unless it is given (argparse.SUPPRESS).
+_GLOBALS = [
+    ("--field", {"default": "p:10007", "help": "coefficient field: p:<prime> or Q (default p:10007)"}),
+    ("--seed", {"type": int, "default": 0, "help": "base seed for suites"}),
+    ("--trials", {"type": int, "default": None, "help": "suite trial override"}),
+    ("--nmax", {"type": int, "default": None, "help": "suite size override"}),
+]
+_PERM = [("perm", {})]
+_KIND = ("kind", {"choices": ("matrix", "flag", "grass")})
+_POINT = ("point", {"help": "JSON point file"})
+_COMMANDS = {
+    "ess": ("essential set of a partial permutation", _cmd_ess, _PERM, []),
+    "covex": ("covexillary data or the violating boxes", _cmd_covex, _PERM, []),
+    "tau": ("interleaving permutation and target conditions", _cmd_tau, _PERM, []),
+    "embed": ("embed a matrix and test the target conditions", _cmd_embed,
+              [*_PERM, ("matrix", {"help": "JSON matrix file"})], []),
+    "member": ("Schubert variety membership", _cmd_member,
+               [_KIND, _POINT, ("index", {"help": "permutation one-line, or positions for grass"})],
+               []),
+    "conormal": ("conormal membership and fibers", _cmd_conormal,
+                 [("action", {"choices": ("member", "fiber")}), _KIND, _POINT],
+                 [("--w", {"default": None, "help": "partial permutation one-line"}),
+                  ("--conditions", {"default": None, "help": "grass conditions t:c,t:c"})]),
+    "kl": ("Kazhdan-Lusztig polynomials", _cmd_kl,
+           [("args", {"nargs": "+", "metavar": "u w | covex-check w"})], []),
+    "schubert": ("double Schubert polynomials and localization", _cmd_schubert,
+                 [("action", {"choices": ("double", "localize", "verify")}), *_PERM], []),
+    # verify accepts the global options in trailing position as well
+    "verify": ("run a verification suite", _cmd_verify, [("suite", {})],
+               [(flag, {"type": kw.get("type")}) for flag, kw in _GLOBALS]),
+}
+
+
+def _parse(argv: list[str]) -> types.SimpleNamespace | None:
+    """What build_parser().parse_args(argv) returns, in one pass over argv;
+    None unless every option is an exact one of its scope, with a value that
+    does not start with "-", every choice and int is valid and the count of
+    positionals is right."""
+    values = {flag[2:]: kw["default"] for flag, kw in _GLOBALS}
+    scope, positionals, words = dict(_GLOBALS), None, []
+    tokens = iter(argv)
+    for token in tokens:
+        if token.startswith("-"):
+            kw, value = scope.get(token), next(tokens, "-")
+            if kw is None or value.startswith("-"):
+                return None
+            try:
+                values[token[2:]] = (kw.get("type") or str)(value)
+            except ValueError:
+                return None
+        elif positionals is None:
+            if token not in _COMMANDS:
+                return None
+            _, func, positionals, options = _COMMANDS[token]
+            values.update(command=token, func=func)
+            values.update((flag[2:], kw["default"]) for flag, kw in options if "default" in kw)
+            scope = dict(options)
+        else:
+            words.append(token)
+    if positionals is None or len(words) < len(positionals):
+        return None
+    if positionals[-1][1].get("nargs") == "+":
+        words[len(positionals) - 1 :] = [words[len(positionals) - 1 :]]
+    if len(words) != len(positionals):
+        return None
+    for (dest, kw), word in zip(positionals, words):
+        if word not in kw.get("choices", (word,)):
+            return None
+        values[dest] = word
+    return types.SimpleNamespace(**values)
+
+
 def build_parser() -> argparse.ArgumentParser:
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="covex",
         description="Exact verification toolkit for covexillary Schubert varieties.",
     )
     parser.add_argument("--version", action="version", version=f"covex {__version__}")
-    parser.add_argument(
-        "--field",
-        default="p:10007",
-        help="coefficient field: p:<prime> or Q (default p:10007)",
-    )
-    parser.add_argument("--seed", type=int, default=0, help="base seed for suites")
-    parser.add_argument("--trials", type=int, default=None, help="suite trial override")
-    parser.add_argument("--nmax", type=int, default=None, help="suite size override")
+    for flag, kw in _GLOBALS:
+        parser.add_argument(flag, **kw)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("ess", help="essential set of a partial permutation")
-    p.add_argument("perm")
-    p.set_defaults(func=_cmd_ess)
-
-    p = sub.add_parser("covex", help="covexillary data or the violating boxes")
-    p.add_argument("perm")
-    p.set_defaults(func=_cmd_covex)
-
-    p = sub.add_parser("tau", help="interleaving permutation and target conditions")
-    p.add_argument("perm")
-    p.set_defaults(func=_cmd_tau)
-
-    p = sub.add_parser("embed", help="embed a matrix and test the target conditions")
-    p.add_argument("perm")
-    p.add_argument("matrix", help="JSON matrix file")
-    p.set_defaults(func=_cmd_embed)
-
-    p = sub.add_parser("member", help="Schubert variety membership")
-    p.add_argument("kind", choices=["matrix", "flag", "grass"])
-    p.add_argument("point", help="JSON point file")
-    p.add_argument("index", help="permutation one-line, or positions for grass")
-    p.set_defaults(func=_cmd_member)
-
-    p = sub.add_parser("conormal", help="conormal membership and fibers")
-    p.add_argument("action", choices=["member", "fiber"])
-    p.add_argument("kind", choices=["matrix", "flag", "grass"])
-    p.add_argument("point", help="JSON point file")
-    p.add_argument("--w", default=None, help="partial permutation one-line")
-    p.add_argument("--conditions", default=None, help="grass conditions t:c,t:c")
-    p.set_defaults(func=_cmd_conormal)
-
-    p = sub.add_parser("kl", help="Kazhdan-Lusztig polynomials")
-    p.add_argument("args", nargs="+", metavar="u w | covex-check w")
-    p.set_defaults(func=_cmd_kl)
-
-    p = sub.add_parser("schubert", help="double Schubert polynomials and localization")
-    p.add_argument("action", choices=["double", "localize", "verify"])
-    p.add_argument("perm")
-    p.set_defaults(func=_cmd_schubert)
-
-    p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument("suite")
-    # accept the global knobs in trailing position as well
-    p.add_argument("--field", default=argparse.SUPPRESS)
-    p.add_argument("--seed", type=int, default=argparse.SUPPRESS)
-    p.add_argument("--trials", type=int, default=argparse.SUPPRESS)
-    p.add_argument("--nmax", type=int, default=argparse.SUPPRESS)
-    p.set_defaults(func=_cmd_verify)
-
+    for name, (text, func, positionals, options) in _COMMANDS.items():
+        p = sub.add_parser(name, help=text)
+        for dest, kw in positionals:
+            p.add_argument(dest, **kw)
+        for flag, kw in options:
+            p.add_argument(flag, **{"default": argparse.SUPPRESS, **kw})
+        p.set_defaults(func=func)
     return parser
 
 
 @functools.cache
 def _shared_parser() -> argparse.ArgumentParser:
-    """The parser main uses, built on its first call and reused after.
+    """The argparse parser main falls back on, built on its first call and
+    reused after.
 
     Parsing leaves no state on an ArgumentParser, so one serves every call.
     """
@@ -435,7 +471,9 @@ def _shared_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _shared_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _parse(argv) or _shared_parser().parse_args(argv)
     try:
         field = FieldSpec.parse(args.field)
         code = args.func(args, field)

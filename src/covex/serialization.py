@@ -10,9 +10,9 @@ the offending field in the error message.
 from __future__ import annotations
 
 import json
+import os
 import sys
 from fractions import Fraction
-from pathlib import Path
 from typing import Any
 
 from .conormal import CotangentMatrixPoint, SpringerFlagPoint, SpringerGrassPoint
@@ -164,7 +164,7 @@ def point_from_json(field: FieldSpec, kind: str, data: Any):
     raise InputError(f"unknown point kind {kind!r} (one of {', '.join(POINT_KINDS)})")
 
 
-def parse_point_file(path: str | Path, kind: str, field: FieldSpec):
+def parse_point_file(path: str | os.PathLike[str], kind: str, field: FieldSpec):
     """Load a typed point from a JSON file, enforcing invariants at parse time.
 
     Every way the file can fail to be JSON raises InputError: unreadable,

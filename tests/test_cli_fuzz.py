@@ -7,7 +7,8 @@ and point files, some of which hold JSON drawn by hypothesis; stray tokens
 are mixed in.  Permutations stay at n <= 4, but for one at n = 65, a
 matrix of 129 rows and a `--trials` one past MAX_TRIALS, all past the
 CLI's caps, and `verify` always gets `--nmax <= 2`, so no example builds a
-large table or runs a suite at its acceptance scale.
+large table or runs a suite at its acceptance scale.  Whenever the CLI's
+table parser accepts an argv, it must return what argparse returns.
 """
 
 import argparse
@@ -22,6 +23,7 @@ from hypothesis import given, settings, strategies as st
 
 from covex.cli import build_parser, main
 from covex.suites import MAX_TRIALS, SUITE_NAMES
+from test_cli_parser import declines_or_agrees
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -45,7 +47,9 @@ FIELDS = [
 ]
 NUMBERS = ["0", "1", "2", "-1", "x"]
 CONDITIONS = ["4:1", "2:1,4:1,6:3", "0:0,3:2,8:4", "4", "a:b", ":"]
-GOLDEN_FILES = sorted(str(p) for p in GOLDEN_DIR.glob("*.json") if p.name != "cli_stdout.json")
+GOLDEN_FILES = sorted(
+    str(p) for p in GOLDEN_DIR.glob("*.json") if p.name not in ("cli_stdout.json", "cli_usage.json")
+)
 MALFORMED_JSON = [
     "{",
     "[]",
@@ -132,7 +136,8 @@ def invocations(draw):
     )
     argv = []
     if draw(st.booleans()):
-        argv += ["--field", draw(st.sampled_from(FIELDS))]
+        flag = draw(st.sampled_from(["--field", "--seed", "--trials", "--nmax"]))
+        argv += [flag, draw(st.sampled_from(OPTION_VALUES.get(flag, NUMBERS)))]
     command = draw(st.sampled_from(COMMANDS))
     argv.append(command)
     for action in SUBPARSERS[command]._actions:
@@ -177,6 +182,7 @@ def test_cli_exit_codes_and_stderr(invocation):
             path.write_text(text, encoding="utf-8")
             paths[name] = str(path)
         argv = [paths.get(token, token) for token in argv]
+        assert declines_or_agrees(argv), argv
         code, stderr = _run(argv)
     assert code in (0, 2, 3), (argv, code, stderr)
     assert "Traceback" not in stderr
