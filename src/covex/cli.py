@@ -325,13 +325,8 @@ def _cmd_schubert(args, field: FieldSpec) -> int:
         )
         return 0
     report = verify_multidegree(w)
-    _emit(
-        {
-            "matched": report.matched,
-            "schubert": str(report.schubert_side),
-            "localization": str(report.localization_side),
-        }
-    )
+    schubert, localization = report.texts()
+    _emit({"matched": report.matched, "schubert": schubert, "localization": localization})
     return 0 if report.matched else 3
 
 

@@ -6,7 +6,10 @@ tuple, so equality is literal.  The localization of an equivariant
 Grassmannian Schubert class at a torus-fixed point is the excited Young
 diagram sum of Ikeda and Naruse (grass_restriction): a sum of products of
 positive roots t_b - t_a, one product per diagram, with no reduced words and
-no permutations.  Variable renamings move exponents instead of multiplying.
+no permutations.  Each linear factor v_a - v_b, there and at the longest
+element, is two exponent bumps per term into one dictionary, sorted once per
+polynomial; variable renamings likewise move exponents instead of
+multiplying.
 
 The variable dictionary relating the two sides of the multidegree identity
 is fixed: after mapping torus characters through the embedding's weight
@@ -23,6 +26,7 @@ convention artifact.
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import itemgetter
 from typing import Iterator
 
 from .embedding import fixed_point_index, target_grass_index, weight_map
@@ -102,31 +106,33 @@ class MultivariatePolynomial(Frozen):
     def _relabel(
         self, target_variables: tuple[str, ...], images: dict[str, str]
     ) -> "MultivariatePolynomial":
-        """Ring map sending each variable to a variable of the target ring.
+        """Ring map sending distinct variables to distinct variables of the
+        target ring.
 
-        Moves exponents instead of multiplying once per variable occurrence;
-        the tests compare it with the general ring map.
+        Moves exponents instead of multiplying once per variable occurrence:
+        each term's exponents are gathered into their new slots in one
+        itemgetter call.  The tests compare it with the general ring map.
         """
-        slots = [
-            target_variables.index(images[name]) if name in images else None
-            for name in self.variables
-        ]
-        data: dict[tuple[int, ...], int] = {}
-        for exps, c in self.terms:
-            out = [0] * len(target_variables)
-            for name, slot, e in zip(self.variables, slots, exps):
-                if e:
-                    if slot is None:
-                        raise InputError(f"no image for variable {name}")
-                    out[slot] += e
-            key = tuple(out)
-            data[key] = data.get(key, 0) + c
-        return MultivariatePolynomial.make(target_variables, data)
+        width = len(self.variables)
+        source = [width] * len(target_variables)  # slot `width` reads an appended 0
+        for k, name in enumerate(self.variables):
+            if name not in images:
+                if any(exps[k] for exps, _ in self.terms):
+                    raise InputError(f"no image for variable {name}")
+                continue
+            slot = target_variables.index(images[name])
+            if source[slot] != width:
+                raise InputError(f"two variables have the image {images[name]}")
+            source[slot] = k
+        gather = itemgetter(*source, width)  # the extra read keeps one slot a tuple
+        return MultivariatePolynomial.make(
+            target_variables, {gather(exps + (0,))[:-1]: c for exps, c in self.terms}
+        )
 
     def sign_by_degree(self) -> "MultivariatePolynomial":
-        return MultivariatePolynomial.make(
+        return MultivariatePolynomial(
             self.variables,
-            {exps: (-1) ** sum(exps) * c for exps, c in self.terms},
+            tuple((exps, -c if sum(exps) & 1 else c) for exps, c in self.terms),
         )
 
     def __str__(self) -> str:
@@ -138,12 +144,13 @@ class MultivariatePolynomial(Frozen):
         if self.is_zero:
             yield "0"
             return
+        # powers[v][e] is variable v to the power e, "" at e = 0
+        top = max(max(exps, default=0) for exps, _ in self.terms)
+        powers = [
+            ["", name] + [f"{name}^{e}" for e in range(2, top + 1)] for name in self.variables
+        ]
         for k, (exps, c) in enumerate(self.terms):
-            mono = "*".join(
-                (name if e == 1 else f"{name}^{e}")
-                for name, e in zip(self.variables, exps)
-                if e
-            )
+            mono = "*".join(filter(None, map(list.__getitem__, powers, exps)))
             if not mono:
                 text = str(c)
             elif c == 1:
@@ -159,6 +166,21 @@ class MultivariatePolynomial(Frozen):
     def _check(self, other: "MultivariatePolynomial") -> None:
         if self.variables != other.variables:
             raise InputError("polynomials live in different rings")
+
+
+def _times_difference(data: dict[tuple[int, ...], int], plus: int, minus: int) -> dict[tuple[int, ...], int]:
+    """The terms of data times v_plus - v_minus: two exponent bumps per term."""
+    out: dict[tuple[int, ...], int] = {}
+    for exps, c in data.items():
+        bumped = list(exps)
+        bumped[plus] += 1
+        key = tuple(bumped)
+        out[key] = out.get(key, 0) + c
+        bumped[plus] -= 1
+        bumped[minus] += 1
+        key = tuple(bumped)
+        out[key] = out.get(key, 0) - c
+    return out
 
 
 def xy_ring(n: int) -> tuple[str, ...]:
@@ -202,14 +224,11 @@ def _double_schubert_cached(image: tuple[int, ...]) -> MultivariatePolynomial:
     ring = xy_ring(n)
     w0 = tuple(range(n, 0, -1))
     if image == w0:
-        result = MultivariatePolynomial.constant(ring, 1)
+        data = {(0,) * len(ring): 1}
         for i in range(1, n + 1):
-            for j in range(1, n + 1):
-                if i + j <= n:
-                    result = result * MultivariatePolynomial.linear(
-                        ring, {f"x{i}": 1, f"y{j}": -1}
-                    )
-        return result
+            for j in range(1, n + 1 - i):
+                data = _times_difference(data, i - 1, n + j - 1)  # x_i - y_j
+        return MultivariatePolynomial.make(ring, data)
     i = next(k for k in range(1, n) if image[k - 1] < image[k])
     longer = list(image)
     longer[i - 1], longer[i] = longer[i], longer[i - 1]
@@ -270,14 +289,14 @@ def grass_restriction(v_idx: GrassIndex, point: GrassIndex) -> MultivariatePolyn
                 if moved not in reached:
                     reached.add(moved)
                     stack.append(moved)
-    total = MultivariatePolynomial.zero(ring)
+    total: dict[tuple[int, ...], int] = {}
     for diagram in reached:
-        term = MultivariatePolynomial.constant(ring, 1)
+        term = {(0,) * N: 1}
         for i, j in diagram:
-            weight = {f"t{cols[j]}": 1, f"t{rows[i]}": -1}
-            term = term * MultivariatePolynomial.linear(ring, weight)
-        total = total + term
-    return total
+            term = _times_difference(term, cols[j] - 1, rows[i] - 1)  # t_col - t_row
+        for exps, c in term.items():
+            total[exps] = total.get(exps, 0) + c
+    return MultivariatePolynomial.make(ring, total)
 
 
 def apply_weight_map(
@@ -299,9 +318,11 @@ def origin_restriction(
     return origin, in_t, apply_weight_map(in_t, weight_map(data), data.n)
 
 
-# At n = 7 the localization of 1234567 alone has 484,912 terms, about
-# 45 MB as printed by `covex schubert localize`, and the multidegree suite
-# would run 2,761 cases.  `covex schubert` shares the limit.
+# At n = 6 the multidegree suite's 648 cases take about 9 s and 245 MB, most
+# of it the memoized double Schubert polynomials.  At n = 7 the localization
+# of 1234567 alone has 484,912 terms, about 45 MB as printed by `covex
+# schubert localize`, and the suite would run 2,761 cases.  `covex schubert`
+# shares the limit.
 MULTIDEGREE_MAX_N = 6
 
 
@@ -324,6 +345,12 @@ class MultidegreeReport(Frozen):
     def matched(self) -> bool:
         return self.schubert_side == self.localization_side
 
+    def texts(self) -> tuple[str, str]:
+        """str of each side; equal polynomials print the same bytes, so a
+        matched report formats its polynomial once."""
+        schubert = str(self.schubert_side)
+        return schubert, schubert if self.matched else str(self.localization_side)
+
 
 def verify_multidegree(w: PartialPermutation) -> MultidegreeReport:
     """Compare the double Schubert polynomial of w0 w with the localization.
@@ -337,10 +364,14 @@ def verify_multidegree(w: PartialPermutation) -> MultidegreeReport:
     if not w.is_full_rank:
         raise InputError("the multidegree identity is stated for permutations")
     n = w.n
-    w0 = PartialPermutation.longest(n)
-    lhs = double_schubert(w0.compose(w))
-    _, _, in_xy = origin_restriction(data)
-    renames = {f"x{i}": f"y{n + 1 - i}" for i in range(1, n + 1)}
-    renames.update({f"y{i}": f"x{i}" for i in range(1, n + 1)})
-    rhs = in_xy.rename(renames).sign_by_degree()
+    lhs = double_schubert(PartialPermutation.longest(n).compose(w))
+    in_t = grass_restriction(
+        target_grass_index(data), fixed_point_index(PartialPermutation.zero(n), data)
+    )
+    # apply_weight_map, then x_i -> y_{n+1-i} and y_i -> x_i, as one relabel
+    images = {
+        f"t{k}": f"y{n + 1 - i}" if sym == "x" else f"x{i}"
+        for k, (sym, i) in weight_map(data).items()
+    }
+    rhs = in_t._relabel(xy_ring(n), images).sign_by_degree()
     return MultidegreeReport(w, lhs, rhs)

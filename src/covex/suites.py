@@ -539,10 +539,8 @@ def _suite_kl_covex(config: SuiteConfig) -> Iterator[Case]:
 def _suite_multidegree(config: SuiteConfig) -> Iterator[Case]:
     for _, w, case in _covexillary_cases(all_permutations, config.n_max):
         report = verify_multidegree(w)
-        yield case, report.matched, {
-            "schubert": str(report.schubert_side),
-            "localization": str(report.localization_side),
-        }
+        schubert, localization = report.texts()
+        yield case, report.matched, {"schubert": schubert, "localization": localization}
 
 
 class _Suite(NamedTuple):

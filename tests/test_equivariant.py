@@ -1,18 +1,25 @@
 """Divided differences, localization anchors, and the multidegree identity."""
 
 import itertools
+import json
 import random
 
+import pytest
+
+from covex import equivariant
+from covex.cli import main
 from covex.equivariant import (
     MultivariatePolynomial,
     apply_weight_map,
     divided_difference,
     double_schubert,
     grass_restriction,
+    origin_restriction,
     t_ring,
     verify_multidegree,
     xy_ring,
 )
+from covex.errors import InputError
 from covex.embedding import (
     fixed_point_index,
     target_grass_index,
@@ -27,6 +34,7 @@ from covex.permcore import (
     is_covexillary,
 )
 from covex.varieties import GrassIndex
+from scale import sized
 from test_kl import CosetData
 from test_permcore import triples
 
@@ -52,6 +60,36 @@ def substitute(f, target_ring, mapping):
                 term = term * mapping[name]
         result = result + term
     return result
+
+
+def check_bumps_by_mul(monkeypatch):
+    """Swap in an equivariant._times_difference that checks each of its
+    products against __mul__ by the linear factor v_plus - v_minus; the
+    list returned grows by one per product checked."""
+    bumps, checks = equivariant._times_difference, []
+
+    def checked(data, plus, minus):
+        out = bumps(data, plus, minus)
+        checks.append((plus, minus))
+        ring = tuple(f"v{k}" for k in range(len(next(iter(data)))))
+        factor = lin(ring, {ring[plus]: 1, ring[minus]: -1})
+        assert MultivariatePolynomial.make(ring, out) == MultivariatePolynomial.make(ring, data) * factor
+        return out
+
+    monkeypatch.setattr(equivariant, "_times_difference", checked)
+    return checks
+
+
+def test_longest_element_product_by_bumps_matches_linear_factors():
+    """double_schubert(w0) equals the product of x_i - y_j over i + j <= n
+    under the generic __mul__, for every n <= 5."""
+    for n in range(1, 6):
+        ring = xy_ring(n)
+        expected = MultivariatePolynomial.constant(ring, 1)
+        for i in range(1, n + 1):
+            for j in range(1, n + 1 - i):
+                expected = expected * lin(ring, {f"x{i}": 1, f"y{j}": -1})
+        assert double_schubert(PartialPermutation.longest(n)) == expected
 
 
 def test_double_schubert_fixtures():
@@ -278,6 +316,20 @@ def test_renaming_matches_substitution():
         assert apply_weight_map(t_poly, weights, 3) == substitute(t_poly, ring, as_ring_map)
 
 
+def test_relabel_refuses_a_variable_without_image_or_two_with_one():
+    """A relabel moves exponents, so it is refused where that is no ring map
+    onto variables: two variables sent to one, or an occurring variable with
+    no image.  A variable that occurs in no term needs no image."""
+    f = MultivariatePolynomial.make(("a", "b", "c"), {(1, 1, 0): 1})
+    with pytest.raises(InputError, match="two variables"):
+        f.rename({"a": "b"})
+    with pytest.raises(InputError, match="no image for variable b"):
+        f._relabel(("u", "v"), {"a": "u"})
+    assert f._relabel(("u", "v"), {"a": "v", "b": "u"}) == MultivariatePolynomial.make(
+        ("u", "v"), {(1, 1): 1}
+    )
+
+
 def test_weight_map_substitution():
     data = covexillary_data(PartialPermutation.longest(2))
     ring = t_ring(4)
@@ -419,9 +471,11 @@ def billey_restriction(v_idx, point, rep):
     return billey_subword_sum(N, class_perm.image, point_perm.image).rename(reverse)
 
 
-def test_restriction_matches_billey_on_grassmannians():
+def test_restriction_matches_billey_on_grassmannians(monkeypatch):
     """The excited-diagram sum equals the subword oracle on every pair of
-    the same Grassmannian with N <= 6, at both representatives of the point."""
+    the same Grassmannian with N <= 6, at both representatives of the point,
+    and each product by a box weight equals its product under __mul__."""
+    checks = check_bumps_by_mul(monkeypatch)
     for N in range(1, 7):
         for d in range(N + 1):
             indices = [
@@ -433,9 +487,11 @@ def test_restriction_matches_billey_on_grassmannians():
                     got = grass_restriction(v_idx, point)
                     for rep in ("min", "max"):
                         assert got == billey_restriction(v_idx, point, rep), (v_idx, point, rep)
+    assert checks
 
 
-def test_restriction_matches_billey_at_origin_points():
+def test_restriction_matches_billey_at_origin_points(monkeypatch):
+    checks = check_bumps_by_mul(monkeypatch)
     for n in range(1, 5):
         for w in all_permutations(n):
             if not is_covexillary(w):
@@ -444,6 +500,7 @@ def test_restriction_matches_billey_at_origin_points():
             v_hat = target_grass_index(data)
             origin = fixed_point_index(PartialPermutation.zero(n), data)
             assert grass_restriction(v_hat, origin) == billey_restriction(v_hat, origin, "min")
+    assert checks
 
 
 def test_verify_multidegree_s5_sample():
@@ -451,3 +508,67 @@ def test_verify_multidegree_s5_sample():
     sample = random.Random(5).sample(covexillary, 16) + [PartialPermutation.longest(5)]
     for w in sample:
         assert verify_multidegree(w).matched
+
+
+def test_one_relabel_matches_weight_map_then_rename(monkeypatch):
+    """verify_multidegree relabels the localization once; that equals
+    apply_weight_map followed by the x/y rename of the module docstring, at
+    every covexillary permutation with n <= 5 (n <= 6 at CI scale).  The
+    Schubert side, not read here, is stubbed out, so no double Schubert
+    polynomial is built or memoized."""
+    monkeypatch.setattr(equivariant, "double_schubert", lambda w: MultivariatePolynomial.zero(xy_ring(w.n)))
+    for n in range(1, sized(5, 6) + 1):
+        renames = {f"x{i}": f"y{n + 1 - i}" for i in range(1, n + 1)}
+        renames.update({f"y{i}": f"x{i}" for i in range(1, n + 1)})
+        for w in all_permutations(n):
+            if is_covexillary(w):
+                _, _, in_xy = origin_restriction(covexillary_data(w))
+                expected = in_xy.rename(renames).sign_by_degree()
+                assert verify_multidegree(w).localization_side == expected, w
+
+
+def test_a_mismatched_report_prints_each_side(monkeypatch, capsys):
+    """A matched report formats its polynomial once for both sides; with the
+    localization doubled, the suite report and `covex schubert verify` print
+    each side's own text, and the sides differ."""
+    restriction = equivariant.grass_restriction
+    monkeypatch.setattr(equivariant, "grass_restriction", lambda v, p: restriction(v, p).scale(2))
+    w = PartialPermutation.from_one_line("21")
+    report = verify_multidegree(w)
+    sides = {"schubert": str(report.schubert_side), "localization": str(report.localization_side)}
+    assert sides == {"schubert": "1", "localization": "2"}
+    assert main(["verify", "multidegree", "--nmax", "2"]) == 3
+    rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert [row["details"] for row in rows if row["case"] == "n=2/w=2 1"] == [sides]
+    assert not any(row["passed"] for row in rows)
+    assert main(["schubert", "verify", "21"]) == 3
+    assert json.loads(capsys.readouterr().out) == dict(sides, matched=False)
+
+
+def reference_text(f):
+    """str(f) built term by term, each monomial from its variables' names."""
+    if f.is_zero:
+        return "0"
+    text = ""
+    for k, (exps, c) in enumerate(f.terms):
+        mono = "*".join(name if e == 1 else f"{name}^{e}" for name, e in zip(f.variables, exps) if e)
+        term = str(c) if not mono else mono if c == 1 else f"-{mono}" if c == -1 else f"{c}*{mono}"
+        text += term if not k else f" - {term[1:]}" if term[0] == "-" else f" + {term}"
+    return text
+
+
+def test_text_reads_the_power_table_as_term_by_term_formatting():
+    """str through the table of power strings equals the term-by-term text,
+    on random polynomials with exponents up to 12 and in the ring without
+    variables."""
+    rng = random.Random(47)
+    ring = xy_ring(3)
+    for _ in range(200):
+        data = {
+            tuple(rng.choice((0, 0, 1, 2, 12)) for _ in ring): rng.randrange(-3, 4)
+            for _ in range(rng.randrange(5))
+        }
+        f = MultivariatePolynomial.make(ring, data)
+        assert str(f) == reference_text(f)
+    for c in (0, 1, -1, 7):
+        assert str(MultivariatePolynomial.constant((), c)) == str(c)

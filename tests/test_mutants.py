@@ -322,6 +322,19 @@ def test_an_excited_move_one_column_too_far_fails_multidegree(monkeypatch):
     assert _failures("multidegree", 3) == (6, 9)
 
 
+def test_a_box_weight_with_both_bumps_positive_fails_multidegree(monkeypatch):
+    """grass_restriction multiplying by t_col + t_row in place of
+    t_col - t_row, the bump of t_row carrying +c and not -c: the
+    localization side misses the Schubert side at 6 of the 9 covexillary w
+    with n <= 3, every w but the three whose localization is 1."""
+    plus = _rewritten(equivariant._times_difference, "out.get(key, 0) - c", "out.get(key, 0) + c")
+    mutant = _rewritten(
+        equivariant.grass_restriction, "_times_difference(", "_times_plus(", _times_plus=plus
+    )
+    monkeypatch.setattr(equivariant, "grass_restriction", mutant)
+    assert _failures("multidegree", 3) == (6, 9)
+
+
 def test_a_guard_one_bit_narrow_breaks_the_bruhat_masks(monkeypatch):
     """OrbitTable with lanes of n.bit_length() bits, one too few for a
     value of 0..n and its guard bit, lets a guarded subtraction carry or
