@@ -40,15 +40,15 @@ once per subspace.  Once Im(x) lies in V, x is B x[S] for the basis B of
 V with B[S] = I, and each bound is one read of the southwest profile of
 the d rows x[S], not of all N rows of x (_grass_violations): at the
 embedding target, half of them.  conormal_grass_members checks a batch of
-x over one V, eliminating x[S] for each, and in_conormal_grass (a batch of
-one) and the diagnostics read the same plan.
+x over one V, eliminating x[S] for each, and the diagnostics read the same
+plan; a single point is a batch of one.
 
 The flag form is the matrix form pulled back along GL_n -> Mat_n.  For
 the flag F_q = g E_q, F_q + E_p = g(E_q + g^-1 E_p) and F_q meet E_p =
 g(E_q meet g^-1 E_p), so dim(z(F_{q_i} + E_{p_i}) / (F_{q_j} meet E_{p_j}))
-is rank M_ij at the matrix point (x, y) = (g, g^-1 z), which is
-push_iota(g, y) when (F, z) = (g E_bullet, g y g^-1); and F is in the
-Schubert variety exactly when g is in the matrix Schubert variety.
+is rank M_ij at the matrix point (x, y) = (g, g^-1 z), the pull-back of
+(F, z) with F = g E_bullet; and F is in the Schubert variety exactly when
+g is in the matrix Schubert variety.
 conormal_flag_members builds the Springer point of each z, so its
 invariant is checked per z, and sends every covector g^-1 z to one
 conormal_matrix_members call over g, so the core is planned once per g.
@@ -320,11 +320,6 @@ def conormal_matrix_members(
     return [next(_core_violations(plan, y), None) is None for y in ys]
 
 
-def in_conormal_matrix(pt: CotangentMatrixPoint, w: PartialPermutation) -> bool:
-    """Membership: a batch of one for conormal_matrix_members."""
-    return conormal_matrix_members(pt.x, w, (pt.y.entries,))[0]
-
-
 def conormal_matrix_violations(pt: CotangentMatrixPoint, w: PartialPermutation) -> list[dict]:
     """Violated conditions as diagnostics; empty list means membership.
 
@@ -549,13 +544,6 @@ def conormal_grass_members(
     return [next(_grass_violations(plan, pt.x), None) is None for pt in points]
 
 
-def in_conormal_grass(
-    pt: SpringerGrassPoint, conditions: Sequence[tuple[int, int]]
-) -> bool:
-    """Membership; stops at the first violated condition."""
-    return conormal_grass_members(pt.V, conditions, (pt.x,))[0]
-
-
 def conormal_grass_violations(
     pt: SpringerGrassPoint, conditions: Sequence[tuple[int, int]]
 ) -> list[dict]:
@@ -595,10 +583,6 @@ def conormal_flag_members(
     return conormal_matrix_members(flag.generator, w, [pt.covector.entries for pt in points])
 
 
-def in_conormal_flag(pt: SpringerFlagPoint, w: PartialPermutation) -> bool:
-    return in_conormal_matrix(_flag_matrix_point(pt, w), w)
-
-
 def conormal_flag_violations(pt: SpringerFlagPoint, w: PartialPermutation) -> list[dict]:
     """Check (F, z) as the matrix point (g, g^-1 z), with the same diagnostics."""
     return conormal_matrix_violations(_flag_matrix_point(pt, w), w)
@@ -622,8 +606,3 @@ def conormal_fiber_flag(
     P, Q = _orbit_transport(g, w)
     moved = list(zip(*_products(g.entries, Q, g.field.p)))
     return Flag(g), _orbit_fiber(g.field, moved, P, w)
-
-
-def push_iota(g: ExactMatrix, y: ExactMatrix) -> CotangentMatrixPoint:
-    """Cotangent transport along the inclusion of GL_n: (g, y) -> (g, y g^-1)."""
-    return CotangentMatrixPoint(g, y @ g.inverse())

@@ -54,19 +54,6 @@ class MultivariatePolynomial(Frozen):
     def zero(variables: tuple[str, ...]) -> "MultivariatePolynomial":
         return MultivariatePolynomial(variables, ())
 
-    @staticmethod
-    def constant(variables: tuple[str, ...], c: int) -> "MultivariatePolynomial":
-        return MultivariatePolynomial.make(variables, {(0,) * len(variables): c})
-
-    @staticmethod
-    def linear(variables: tuple[str, ...], coeffs: dict[str, int]) -> "MultivariatePolynomial":
-        data: dict[tuple[int, ...], int] = {}
-        for name, c in coeffs.items():
-            exps = [0] * len(variables)
-            exps[variables.index(name)] = 1
-            data[tuple(exps)] = data.get(tuple(exps), 0) + c
-        return MultivariatePolynomial.make(variables, data)
-
     @property
     def is_zero(self) -> bool:
         return not self.terms
@@ -97,11 +84,6 @@ class MultivariatePolynomial(Frozen):
                 key = tuple(a + b for a, b in zip(e1, e2))
                 data[key] = data.get(key, 0) + c1 * c2
         return MultivariatePolynomial.make(self.variables, data)
-
-    def rename(self, permutation: dict[str, str]) -> "MultivariatePolynomial":
-        """Relabel variables bijectively within the same ring."""
-        images = {name: permutation.get(name, name) for name in self.variables}
-        return self._relabel(self.variables, images)
 
     def _relabel(
         self, target_variables: tuple[str, ...], images: dict[str, str]

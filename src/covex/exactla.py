@@ -13,9 +13,9 @@ row is reduced against an echelon basis {pivot column: row} and whatever is
 left joins the basis at a new pivot.  A rank is the size of the basis once
 every row is in; the southwest profile inserts rows bottom-up and counts
 pivots; membership inserts into a copy of a subspace's basis and asks for
-no new pivot; spans, kernels and inverses back-substitute the basis to
-reduced echelon form (`_reduced`).  An inverse is the reduced form of
-[A | I], and A is singular exactly when a pivot lands in the identity half.
+no new pivot; spans and inverses back-substitute the basis to reduced
+echelon form (`_reduced`).  An inverse is the reduced form of [A | I], and
+A is singular exactly when a pivot lands in the identity half.
 
 Over F_p the insertion reduces only what it reads.  A row may come in with
 unreduced integers; each entry is taken mod p where the scan reads it as a
@@ -172,11 +172,7 @@ def _is_prime(n: int) -> bool:
 
 
 class ExactMatrix(Frozen):
-    """An immutable matrix with exact entries in a fixed field.
-
-    Row/column indices are 1-based at every public accessor, matching the
-    conventions of the rank conditions everywhere else in the package.
-    """
+    """An immutable matrix with exact entries in a fixed field."""
 
     _fields = ("field", "entries")
 
@@ -211,16 +207,6 @@ class ExactMatrix(Frozen):
     def shape(self) -> tuple[int, int]:
         entries = self.entries
         return (len(entries), len(entries[0]) if entries else 0)
-
-    def entry(self, i: int, j: int) -> Scalar:
-        """Entry in row i, column j (1-based)."""
-        return self.entries[i - 1][j - 1]
-
-    def column(self, j: int) -> tuple[Scalar, ...]:
-        return tuple(row[j - 1] for row in self.entries)
-
-    def is_zero(self) -> bool:
-        return not any(v for row in self.entries for v in row)
 
     def is_square(self) -> bool:
         return self.rows == self.cols
@@ -260,29 +246,6 @@ class ExactMatrix(Frozen):
         f = self.field
         f.check_same(other.field)
         return ExactMatrix(f, _products(self.entries, other.columns, f.p))
-
-    def hstack(self, other: "ExactMatrix") -> "ExactMatrix":
-        if self.rows != other.rows:
-            raise DimensionMismatchError("hstack row mismatch")
-        self.field.check_same(other.field)
-        return ExactMatrix(
-            self.field, tuple(ra + rb for ra, rb in zip(self.entries, other.entries))
-        )
-
-    def vstack(self, other: "ExactMatrix") -> "ExactMatrix":
-        if self.cols != other.cols:
-            raise DimensionMismatchError("vstack column mismatch")
-        self.field.check_same(other.field)
-        return ExactMatrix(self.field, self.entries + other.entries)
-
-    def submatrix(self, row_indices: Sequence[int], col_indices: Sequence[int]) -> "ExactMatrix":
-        """Submatrix on the given 1-based row and column index sequences."""
-        return ExactMatrix(
-            self.field,
-            tuple(
-                tuple(self.entries[i - 1][j - 1] for j in col_indices) for i in row_indices
-            ),
-        )
 
     def rank(self) -> int:
         basis, p = {}, self.field.p
@@ -604,11 +567,6 @@ def coordinate_subspace(field: FieldSpec, ambient: int, indices: Iterable[int]) 
     return Subspace(field, ambient, vectors, pivots)
 
 
-def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
-    a._check_compatible(b)
-    return _span_rows(a.field, a.ambient, a.vectors + b.vectors)
-
-
 def _span_rows(field: FieldSpec, ambient: int, rows: Iterable[Sequence[Scalar]]) -> Subspace:
     """Span of vectors whose entries are already elements of the field."""
     basis, p = {}, field.p
@@ -616,34 +574,6 @@ def _span_rows(field: FieldSpec, ambient: int, rows: Iterable[Sequence[Scalar]])
         _insert(basis, row, p)
     pivots, vectors = _reduced(basis, p)
     return Subspace(field, ambient, vectors, pivots)
-
-
-def kernel(matrix: ExactMatrix) -> Subspace:
-    """Null space of the matrix as a subspace of the column-index space.
-
-    The rows are eliminated with their columns reversed, so each row r of the
-    reduced form has its pivot q at its last nonzero entry, and the other
-    rows vanish at q.  For each free column c, e_c minus r[c] e_q summed
-    over the rows is then in the kernel, and r[c] is nonzero only when
-    q > c: these vectors are already the reduced echelon basis.
-    """
-    f, n, p = matrix.field, matrix.cols, matrix.field.p
-    basis = {}
-    for row in matrix.entries:
-        _insert(basis, row[::-1], p)
-    pivots, rows = _reduced(basis, p)
-    last = [n - 1 - c for c in pivots]
-    free = tuple(sorted(set(range(n)) - set(last)))
-    vectors = []
-    for c in free:
-        vec = [0] * n
-        vec[c] = 1
-        for q, row in zip(last, rows):
-            a = row[n - 1 - c]
-            if a:
-                vec[q] = -a if p is None else p - a
-        vectors.append(tuple(vec))
-    return Subspace(f, n, tuple(vectors), free)
 
 
 def _draws(rng: random.Random, bound: int, count: int) -> list[int]:
@@ -663,16 +593,6 @@ def _draws(rng: random.Random, bound: int, count: int) -> list[int]:
             r = getrandbits(k)
         out.append(r)
     return out
-
-
-def random_matrix(field: FieldSpec, rows: int, cols: int, rng: random.Random) -> ExactMatrix:
-    """Uniform random matrix over F_p, drawn row by row.  Sampling over Q is not supported."""
-    if not field.is_prime:
-        raise FieldError("random sampling requires a prime field")
-    entries = _draws(rng, field.p, rows * cols)
-    return ExactMatrix(
-        field, tuple(tuple(entries[i * cols : (i + 1) * cols]) for i in range(rows))
-    )
 
 
 def random_borel(field: FieldSpec, n: int, rng: random.Random) -> ExactMatrix:

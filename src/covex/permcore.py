@@ -101,18 +101,6 @@ class PartialPermutation(Frozen):
     def one_line(self) -> str:
         return " ".join(str(v) for v in self.image)
 
-    def length(self) -> int:
-        """Number of inversions (full-rank only)."""
-        if not self.is_full_rank:
-            raise InputError("length is defined for permutations only")
-        img = self.image
-        return sum(
-            1
-            for i in range(self.n)
-            for j in range(i + 1, self.n)
-            if img[i] > img[j]
-        )
-
     def compose(self, other: "PartialPermutation") -> "PartialPermutation":
         """Composition self o other of full-rank permutations."""
         if not (self.is_full_rank and other.is_full_rank) or self.n != other.n:
@@ -162,9 +150,6 @@ class RankMatrix(Frozen):
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "entries", entries)
 
-    def entry(self, i: int, j: int) -> int:
-        return self.entries[i - 1][j - 1]
-
     @cached_property
     def cells(self) -> tuple[tuple[int, int, int], ...]:
         """(i, j, r(i, j)) for every box, row by row; built once per instance."""
@@ -201,45 +186,37 @@ def rank_matrix(w: PartialPermutation) -> RankMatrix:
     return w._rank_matrix
 
 
-def _shaded_grid(w: PartialPermutation) -> list[list[bool]]:
-    """True at boxes strictly above or strictly to the right of some dot."""
-    n = w.n
-    shaded = [[False] * (n + 1) for _ in range(n + 1)]
-    for r, c in w.dots():
-        for i in range(1, r):
-            shaded[i][c] = True
-        for j in range(c + 1, n + 1):
-            shaded[r][j] = True
-    return shaded
+def _row_ends(w: PartialPermutation) -> list[int]:
+    """ends[i] = w^-1(i) for i = 1..n, n + 1 at an empty row; ends[0] is never read."""
+    ends = [w.n + 1] * (w.n + 1)
+    for j, v in enumerate(w.image, 1):
+        ends[v] = j
+    return ends
 
 
 def diagram(w: PartialPermutation) -> frozenset[tuple[int, int]]:
-    """Unshaded non-dot boxes (row, col).  For a permutation, |D(w)| = l(w0 w)."""
-    n = w.n
-    shaded = _shaded_grid(w)
-    dots = set(w.dots())
+    """Unshaded non-dot boxes (row, col).  For a permutation, |D(w)| = l(w0 w).
+
+    Row i of D(w) is the set of columns j < w^-1(i) with w(j) < i (w(j) = 0
+    for an empty column): the box is left of row i's dot and below column
+    j's (Fulton, Duke Math. J. 65, 1992).
+    """
+    ends, image = _row_ends(w), w.image
     return frozenset(
-        (i, j)
-        for i in range(1, n + 1)
-        for j in range(1, n + 1)
-        if not shaded[i][j] and (i, j) not in dots
+        (i, j) for i in range(1, w.n + 1) for j in range(1, ends[i]) if image[j - 1] < i
     )
 
 
 def essential_set(w: PartialPermutation) -> tuple[EssentialCondition, ...]:
     """Northeast corners of the diagram with their rank bounds, sorted by (row, col).
 
-    One pass over the rows, without building the diagram: row i of D(w) is
-    the set of columns j < w^-1(i) with w(j) < i (w(j) = 0 for an empty
-    column, w^-1(i) = n + 1 for an empty row).  A box (i, j) of D(w) is a
-    corner when (i, j + 1), (i - 1, j) and (i - 1, j + 1) are not in D(w),
-    so each row is checked against the row above; the corners come out in
-    (row, col) order.
+    One pass over the rows, without building the diagram, by diagram's row
+    rule.  A box (i, j) of D(w) is a corner when (i, j + 1), (i - 1, j) and
+    (i - 1, j + 1) are not in D(w), so each row is checked against the row
+    above; the corners come out in (row, col) order.
     """
     n, image = w.n, w.image
-    ends = [n + 1] * (n + 1)  # ends[i] = w^-1(i); ends[0] is never read
-    for j, v in enumerate(image, 1):
-        ends[v] = j
+    ends = _row_ends(w)
     entries = rank_matrix(w).entries
     above = [False] * (n + 2)  # row i - 1 of D(w) by column, padded at 0 and n + 1
     essential = []
@@ -258,19 +235,7 @@ def avoids_3412(w: PartialPermutation) -> bool:
     """No i<j<k<l with w(k) < w(l) < w(i) < w(j)."""
     if not w.is_full_rank:
         raise InputError("3412-avoidance is defined for permutations only")
-    img = w.image
-    n = w.n
-    for i in range(n):
-        for j in range(i + 1, n):
-            if img[j] <= img[i]:
-                continue
-            for k in range(j + 1, n):
-                if img[k] >= img[i]:
-                    continue
-                for l in range(k + 1, n):
-                    if img[k] < img[l] < img[i]:
-                        return False
-    return True
+    return not any(c < d < a < b for a, b, c, d in itertools.combinations(w.image, 4))
 
 
 class CovexillaryData(Frozen):

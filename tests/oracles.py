@@ -1,0 +1,154 @@
+"""Reference code that the tests compare the package against.
+
+Nothing in the package or the benchmark reads these: null spaces, sums of
+subspaces, block matrices and submatrices, uniform random matrices,
+permutation lengths, constant and linear polynomials, and the single-point
+conormal predicates, each a batch of one for the package's batch form.
+Random matrices draw through exactla._draws, so a seeded generator yields
+the matrices it yielded when random_matrix lived in the package.
+"""
+
+from __future__ import annotations
+
+import random
+from typing import Sequence
+
+from covex.conormal import (
+    CotangentMatrixPoint,
+    SpringerFlagPoint,
+    SpringerGrassPoint,
+    _flag_matrix_point,
+    conormal_grass_members,
+    conormal_matrix_members,
+)
+from covex.equivariant import MultivariatePolynomial
+from covex.errors import DimensionMismatchError, FieldError, InputError
+from covex.exactla import (
+    ExactMatrix,
+    FieldSpec,
+    Subspace,
+    _draws,
+    _insert,
+    _reduced,
+    _span_rows,
+)
+from covex.permcore import PartialPermutation
+
+
+def kernel(matrix: ExactMatrix) -> Subspace:
+    """Null space of the matrix as a subspace of the column-index space.
+
+    The rows are eliminated with their columns reversed, so each row r of the
+    reduced form has its pivot q at its last nonzero entry, and the other
+    rows vanish at q.  For each free column c, e_c minus r[c] e_q summed
+    over the rows is then in the kernel, and r[c] is nonzero only when
+    q > c: these vectors are already the reduced echelon basis.
+    """
+    f, n, p = matrix.field, matrix.cols, matrix.field.p
+    basis = {}
+    for row in matrix.entries:
+        _insert(basis, row[::-1], p)
+    pivots, rows = _reduced(basis, p)
+    last = [n - 1 - c for c in pivots]
+    free = tuple(sorted(set(range(n)) - set(last)))
+    vectors = []
+    for c in free:
+        vec = [0] * n
+        vec[c] = 1
+        for q, row in zip(last, rows):
+            a = row[n - 1 - c]
+            if a:
+                vec[q] = -a if p is None else p - a
+        vectors.append(tuple(vec))
+    return Subspace(f, n, tuple(vectors), free)
+
+
+def random_matrix(field: FieldSpec, rows: int, cols: int, rng: random.Random) -> ExactMatrix:
+    """Uniform random matrix over F_p, drawn row by row.  Sampling over Q is not supported."""
+    if not field.is_prime:
+        raise FieldError("random sampling requires a prime field")
+    entries = _draws(rng, field.p, rows * cols)
+    return ExactMatrix(
+        field, tuple(tuple(entries[i * cols : (i + 1) * cols]) for i in range(rows))
+    )
+
+
+def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
+    a._check_compatible(b)
+    return _span_rows(a.field, a.ambient, a.vectors + b.vectors)
+
+
+def blocks(grid: Sequence[Sequence[ExactMatrix]]) -> ExactMatrix:
+    """The block matrix with these rows of blocks, as blocks([[a, b], [c, d]]).
+
+    The blocks of a row stand side by side and must have equal row counts;
+    the rows stack and must have equal column counts.  Every block lies over
+    the field of the first.
+    """
+    field, entries, widths = grid[0][0].field, (), set()
+    for row in grid:
+        for block in row:
+            if block.rows != row[0].rows:
+                raise DimensionMismatchError("hstack row mismatch")
+            field.check_same(block.field)
+        widths.add(sum(block.cols for block in row))
+        if len(widths) > 1:
+            raise DimensionMismatchError("vstack column mismatch")
+        entries += tuple(sum(parts, ()) for parts in zip(*(block.entries for block in row)))
+    return ExactMatrix(field, entries)
+
+
+def submatrix(
+    m: ExactMatrix, row_indices: Sequence[int], col_indices: Sequence[int]
+) -> ExactMatrix:
+    """Submatrix on the given 1-based row and column index sequences."""
+    return ExactMatrix(
+        m.field,
+        tuple(
+            tuple(m.entries[i - 1][j - 1] for j in col_indices) for i in row_indices
+        ),
+    )
+
+
+def is_zero(m: ExactMatrix) -> bool:
+    return not any(v for row in m.entries for v in row)
+
+
+def length(w: PartialPermutation) -> int:
+    """Number of inversions (full-rank only)."""
+    if not w.is_full_rank:
+        raise InputError("length is defined for permutations only")
+    img = w.image
+    return sum(
+        1
+        for i in range(w.n)
+        for j in range(i + 1, w.n)
+        if img[i] > img[j]
+    )
+
+
+def constant(variables: tuple[str, ...], c: int) -> MultivariatePolynomial:
+    return MultivariatePolynomial.make(variables, {(0,) * len(variables): c})
+
+
+def linear(variables: tuple[str, ...], coeffs: dict[str, int]) -> MultivariatePolynomial:
+    data: dict[tuple[int, ...], int] = {}
+    for name, c in coeffs.items():
+        exps = [0] * len(variables)
+        exps[variables.index(name)] = 1
+        data[tuple(exps)] = data.get(tuple(exps), 0) + c
+    return MultivariatePolynomial.make(variables, data)
+
+
+def in_conormal_matrix(pt: CotangentMatrixPoint, w: PartialPermutation) -> bool:
+    """Membership: a batch of one for conormal_matrix_members."""
+    return conormal_matrix_members(pt.x, w, (pt.y.entries,))[0]
+
+
+def in_conormal_grass(pt: SpringerGrassPoint, conditions: Sequence[tuple[int, int]]) -> bool:
+    """Membership; stops at the first violated condition."""
+    return conormal_grass_members(pt.V, conditions, (pt.x,))[0]
+
+
+def in_conormal_flag(pt: SpringerFlagPoint, w: PartialPermutation) -> bool:
+    return in_conormal_matrix(_flag_matrix_point(pt, w), w)

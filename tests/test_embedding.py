@@ -15,8 +15,6 @@ from covex.exactla import (
     Subspace,
     coordinate_subspace,
     random_borel,
-    random_matrix,
-    subspace_sum,
 )
 from covex.embedding import (
     check_target_space,
@@ -47,6 +45,7 @@ from covex.varieties import (
     sample_cell_point,
     southwest_profile,
 )
+from oracles import blocks, random_matrix, submatrix, subspace_sum
 from scale import sized
 from test_exactla import standard_subspace
 from test_varieties import in_grass_schubert
@@ -74,12 +73,12 @@ def permute_rows(w, matrix):
 
 def graph_embed(x):
     """Column span of (I over x): the graph of x as a point of Gr(n, 2n)."""
-    return Subspace.column_span(ExactMatrix.identity(x.field, x.rows).vstack(x))
+    return Subspace.column_span(blocks([[ExactMatrix.identity(x.field, x.rows)], [x]]))
 
 
 def reference_embed_point(x, data):
     """The column span of tau (I over x), with tau applied as a row move."""
-    stacked = ExactMatrix.identity(x.field, x.rows).vstack(x)
+    stacked = blocks([[ExactMatrix.identity(x.field, x.rows)], [x]])
     return Subspace.column_span(permute_rows(data.tau, stacked))
 
 
@@ -194,7 +193,7 @@ def rank_lemma_sides(x, p, q, r):
     the equality form at every partial permutation; this checks it at any x.
     """
     n = x.rows
-    left = (x.submatrix(range(p + 1, n + 1), range(1, q + 1)).rank() if q else 0) <= r
+    left = (submatrix(x, range(p + 1, n + 1), range(1, q + 1)).rank() if q else 0) <= r
     indices = list(range(1, q + 1)) + list(range(n + 1, n + p + 1))
     v = coordinate_subspace(x.field, 2 * n, indices)
     return left, subspace_sum(graph_embed(x), v).dim <= n + p + r
@@ -342,7 +341,7 @@ def test_embed_point_matches_the_stacked_construction():
         for x in points:
             assert embed_point(x, data) == reference_embed_point(x, data)
         for x in (points[4], points[-1]):  # a random point over F_p and one over Q
-            stacked = ExactMatrix.identity(x.field, n).vstack(x)
+            stacked = blocks([[ExactMatrix.identity(x.field, n)], [x]])
             assert permute_rows(data.tau, stacked) == data.tau.matrix(x.field) @ stacked
     data = covexillary_data(PartialPermutation.from_one_line("2143"))
     for shape in ((4, 3), (3, 3), (5, 5)):

@@ -31,8 +31,6 @@ from covex.exactla import (
     FieldSpec,
     Subspace,
     coordinate_subspace,
-    random_matrix,
-    subspace_sum,
 )
 from covex.permcore import (
     OrbitTable,
@@ -45,6 +43,7 @@ from covex.permcore import (
 )
 from covex.serialization import matrix_to_json, parse_point_file
 from covex.varieties import locate_grass_cell, sample_cell_point, southwest_profile
+from oracles import length, random_matrix, subspace_sum
 from test_varieties import sample_flag
 
 F = FieldSpec.prime()
@@ -106,7 +105,7 @@ def test_matrix_profile_memo_is_invisible():
 def test_matrix_columns_memo_is_invisible():
     x = random_matrix(F, 3, 4, random.Random(8))
     columns = x.columns
-    assert x.columns is columns and columns == tuple(x.column(j) for j in range(1, 5))
+    assert x.columns is columns and columns == tuple(tuple(row[j] for row in x.entries) for j in range(4))
     fresh = rebuild(x)
     assert "columns" not in vars(fresh)
     assert_like_fresh(x, fresh)
@@ -228,7 +227,7 @@ def test_conormal_flag_plans_each_generator_once(monkeypatch):
     verdicts = suites.run_suite(suites.SuiteConfig("conormal-flag", n_max=4, trials=trials, seed=1))
     assert len(verdicts) == 32 and all(v.passed for v in verdicts)
     ws = [w for n in range(1, 5) for w in all_permutations(n) if is_covexillary(w)]
-    expected = trials * len(ws) + sum(w.length() > 0 for w in ws)
+    expected = trials * len(ws) + sum(length(w) > 0 for w in ws)
     assert len(points) == len({id(x) for x in points}) == expected == 92
 
 

@@ -22,7 +22,7 @@ import pytest
 
 from covex import conormal, embedding, equivariant, kl, permcore, suites
 from covex.cli import main
-from covex.exactla import DEFAULT_PRIME, ExactMatrix, FieldSpec, Subspace, kernel
+from covex.exactla import DEFAULT_PRIME, ExactMatrix, FieldSpec, Subspace
 from covex.permcore import (
     CovexillaryData,
     PartialPermutation,
@@ -32,6 +32,7 @@ from covex.permcore import (
     is_covexillary,
 )
 from covex.suites import SuiteConfig, run_suite
+from oracles import kernel
 from scale import sized
 from test_conormal import check_members_agree_with_violations
 from test_permcore import essential_box_mismatches
@@ -218,6 +219,22 @@ def test_a_fiber_without_its_diagonal_equations_fails_conormal_matrix(monkeypatc
     failed = [v for v in verdicts if not v.passed]
     assert (len(failed), len(verdicts)) == (39, 42)
     assert all(v.details["dim_mismatches"] for v in failed)
+
+
+def test_a_diagram_row_one_column_short_fails_both_fiber_calibrations(monkeypatch):
+    """diagram with each row stopping one column short of its dot,
+    range(1, ends[i] - 1) in place of range(1, ends[i]), loses the last box
+    of every row that reaches the dot's column.  The suites compare the
+    fiber dimension with |D(w)|, so conormal-matrix fails at 39 of 42 w and
+    conormal-flag at 6 of 9 with n <= 3: all but the longest permutation of
+    each size, whose diagram is empty.  w(j) <= i for w(j) < i, or j <=
+    w^-1(i) for j < w^-1(i), are equivalent mutants and not pinned: the one
+    box either would add is row i's dot, which the other half of the rule
+    still excludes."""
+    short = _rewritten(permcore.diagram, "range(1, ends[i])", "range(1, ends[i] - 1)")
+    monkeypatch.setattr(suites, "diagram", short)
+    assert _failures("conormal-matrix", 3, trials=1, seed=1) == (39, 42)
+    assert _failures("conormal-flag", 3, trials=1, seed=1) == (6, 9)
 
 
 def test_a_flag_fiber_short_of_its_last_vector_fails_conormal_flag(monkeypatch):

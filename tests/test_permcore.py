@@ -25,6 +25,7 @@ from covex.permcore import (
     random_partial_permutation,
     reconstruct_from_essential,
 )
+from oracles import length
 from scale import sized
 
 
@@ -57,7 +58,7 @@ def reference_essential_set(w: PartialPermutation) -> tuple[EssentialCondition, 
     boxes = diagram(w)
     rm = rank_matrix(w)
     out = [
-        EssentialCondition(i, j, rm.entry(i, j))
+        EssentialCondition(i, j, rm.entries[i - 1][j - 1])
         for (i, j) in boxes
         if (i - 1, j) not in boxes and (i, j + 1) not in boxes and (i - 1, j + 1) not in boxes
     ]
@@ -87,7 +88,7 @@ def test_rank_matrix_identity_and_zero():
         rm = rank_matrix(PartialPermutation.identity(n))
         for i in range(1, n + 1):
             for j in range(1, n + 1):
-                assert rm.entry(i, j) == max(0, j - i + 1)
+                assert rm.entries[i - 1][j - 1] == max(0, j - i + 1)
         assert all(v == 0 for row in rank_matrix(PartialPermutation.zero(n)).entries for v in row)
 
 
@@ -103,14 +104,18 @@ def test_diagram_fixtures():
 
 
 def test_diagram_matches_oracle_and_length():
-    w0 = {2: PartialPermutation.longest(2)}
-    for n in (1, 2, 3, 4):
+    """diagram's row rule is the shade-and-scan definition at every partial
+    permutation with n <= 5 (1,798 of them), n <= 6 at CI scale (15,125)."""
+    count = 0
+    for n in range(1, sized(5, 6) + 1):
         for w in all_partial_permutations(n):
-            assert diagram(w) == oracle_diagram(w)
+            assert diagram(w) == oracle_diagram(w), w
+            count += 1
+    assert count == sized(1_798, 15_125)
     for n in (2, 3, 4, 5):
         longest = PartialPermutation.longest(n)
         for w in all_permutations(n):
-            assert len(diagram(w)) == longest.compose(w).length()
+            assert len(diagram(w)) == length(longest.compose(w))
 
 
 def test_essential_fixtures():
@@ -252,7 +257,7 @@ def test_packed_dominance_holds_where_entries_reach_n(n):
         pairs.append((rank_matrix(w), rank_matrix(u)))
         pairs.append((rank_matrix(u), rank_matrix(w)))
     full = rank_matrix(PartialPermutation.longest(n))
-    assert full.entry(1, n) == n
+    assert full.entries[0][n - 1] == n
     pairs.append((full, rank_matrix(PartialPermutation.identity(n))))
     outcomes = []
     for big, small in pairs:
@@ -321,7 +326,7 @@ def test_packed_bruhat_masks_hold_where_entries_reach_n(n):
     us = ws + [
         PartialPermutation(n, tuple(v if rng.random() < 0.7 else 0 for v in w.image)) for w in ws
     ]
-    assert max(rank_matrix(u).entry(1, n) for u in us) == n
+    assert max(rank_matrix(u).entries[0][n - 1] for u in us) == n
     verdicts = packed_verdicts(OrbitTable(n), us, ws)
     for w, row in zip(ws, verdicts):
         assert row == [bruhat_leq(u, w) for u in us]

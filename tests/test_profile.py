@@ -13,9 +13,9 @@ from covex.exactla import (
     ExactMatrix,
     FieldSpec,
     Subspace,
-    subspace_sum,
 )
 from covex.varieties import southwest_profile
+from oracles import subspace_sum
 from test_exactla import standard_subspace
 from test_exactla_rational import reference_profile
 
