@@ -256,13 +256,14 @@ def _cmd_conormal(args, field: FieldSpec) -> int:
     if args.action == "member":
         if args.kind == "matrix":
             point = _point(args.point, "cotangent", field)
-            violations = conormal_matrix_violations(point, _perm(args.w))
+            [violations] = conormal_matrix_violations(point.x, _perm(args.w), [point.y.entries])
         elif args.kind == "flag":
             point = _point(args.point, "springer-flag", field)
-            violations = conormal_flag_violations(point, _perm(args.w))
+            [violations] = conormal_flag_violations(point.flag, _perm(args.w), [point])
         else:
             point = _point(args.point, "springer-grass", field)
-            violations = conormal_grass_violations(point, _grass_conditions(args, point))
+            conditions = _grass_conditions(args, point)
+            [violations] = conormal_grass_violations(point.V, conditions, [point])
         _emit({"member": not violations, "violations": violations})
         return 0
     # fiber

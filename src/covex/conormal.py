@@ -25,33 +25,35 @@ position t_i.  The pivots themselves come from the southwest profile of x
 (the span of the first t_i columns is x E_{q_i} + E_{p_i}), which the
 Schubert check has already computed.  So every bound is one read of the
 southwest profile of N.  What x alone fixes (its Schubert check, H, G, a
-read per bound) is planned once per x (_core_plan); conormal_matrix_members
-checks a batch of covectors y, each given by its n rows, over one x.  Over
-F_p the rows of G are packed (exactla._pack): a row of y G, or of x y G, is
-one sum of products, and exactla._packed_profile takes N's profile, its
-lanes below n^2 (p-1)^3 + n (p-1)^2.  Over Q the rows are lists.
+read per bound) is planned once per x (_core_plan).  Over F_p the rows of
+G are packed (exactla._pack): a row of y G, or of x y G, is one sum of
+products, and exactla._packed_profile takes N's profile, its lanes below
+n^2 (p-1)^3 + n (p-1)^2.  Over Q the rows are lists.
 
-The Grassmannian form has the same batch shape.  What V fixes, its
-Schubert verdict, its cell positions S (the t where dim(V + E_t) does not
-jump) and the list of southwest reads (row cut, column, bound), is planned
-once (_grass_plan).  Every x becomes a SpringerGrassPoint, whose
-containments Im(x) in V in ker(x) are products with V.containment, built
-once per subspace.  Once Im(x) lies in V, x is B x[S] for the basis B of
-V with B[S] = I, and each bound is one read of the southwest profile of
-the d rows x[S], not of all N rows of x (_grass_violations): at the
-embedding target, half of them.  conormal_grass_members checks a batch of
-x over one V, eliminating x[S] for each, and the diagnostics read the same
-plan; a single point is a batch of one.
+Each form has one check, and it takes a batch over one x, V or flag:
+conormal_matrix_violations takes covectors as rows, the other two Springer
+points, built by the caller so that each invariant is checked once (a point
+over another V or flag raises InputError).  Each returns one diagnostic
+list per point, in order: Schubert violations, then failed rank bounds; an
+empty list means membership, and a single point is a batch of one.
+
+What V fixes, its Schubert verdict, its cell positions S (the t where
+dim(V + E_t) does not jump) and the list of southwest reads (row cut,
+column, bound), is planned once per batch (_grass_plan).  Each
+SpringerGrassPoint has its containments Im(x) in V in ker(x) checked by
+products with V.containment, built once per subspace.  Once Im(x) lies in
+V, x is B x[S] for the basis B of V with B[S] = I, and each bound is one
+read of the southwest profile of the d rows x[S], not of all N rows of x
+(_grass_violations): at the embedding target, half of them.
 
 The flag form is the matrix form pulled back along GL_n -> Mat_n.  For
 the flag F_q = g E_q, F_q + E_p = g(E_q + g^-1 E_p) and F_q meet E_p =
 g(E_q meet g^-1 E_p), so dim(z(F_{q_i} + E_{p_i}) / (F_{q_j} meet E_{p_j}))
 is rank M_ij at the matrix point (x, y) = (g, g^-1 z), the pull-back of
 (F, z) with F = g E_bullet; and F is in the Schubert variety exactly when
-g is in the matrix Schubert variety.
-conormal_flag_members builds the Springer point of each z, so its
-invariant is checked per z, and sends every covector g^-1 z to one
-conormal_matrix_members call over g, so the core is planned once per g.
+g is in the matrix Schubert variety.  conormal_flag_violations sends the
+covectors g^-1 z of its points to one conormal_matrix_violations call
+over g, so the core is planned once per g.
 
 The ground truth the predicates are calibrated against is the annihilator
 of the orbit tangent space under the trace pairing: over a cell point x the
@@ -100,6 +102,7 @@ from .permcore import CovexillaryData, PartialPermutation, covexillary_data
 from .varieties import (
     Flag,
     grass_condition_checks,
+    locate_grass_cell,
     matrix_schubert_violation,
     southwest_profile,
 )
@@ -248,16 +251,16 @@ def _core_plan(x: ExactMatrix, data: CovexillaryData):
     H holds the n core rows in tau order: (k, None), the unit row e_{k+1},
     or (k, row of x), reduced over F_p.  G holds the n core columns, over Q
     a column of x as itself and e_{a+1} as a, over F_p the packed rows of
-    their matrix (lanes of B bits).  reads holds (k, rows_before[j],
-    cols_through[i], bound) for each check (i, j, bound) of conormal_checks.
+    their matrix (lanes of B bits).  reads holds (rows_before[j],
+    cols_through[i], i, j, bound) for each check (i, j, bound) of
+    conormal_checks, in order.
     """
     n, p = data.n, x.field.p
     rows, cols, rows_before, cols_through = core_pivots(x, data)
     x_rows = x.entries if p is None else [[v % p for v in row] for row in x.entries]
     H = [(k, x_rows[k - n] if k >= n else None) for k in rows]
     reads = [
-        (k, rows_before[j], cols_through[i], bound)
-        for k, (i, j, bound) in enumerate(data.conormal_checks)
+        (rows_before[j], cols_through[i], i, j, bound) for i, j, bound in data.conormal_checks
     ]
     if p is None:
         return p, None, H, [x.columns[c] if c < n else c - n for c in cols], reads
@@ -267,13 +270,13 @@ def _core_plan(x: ExactMatrix, data: CovexillaryData):
 
 
 def _core_violations(plan, y_rows):
-    """Yield (k, rank) for each check k of data.conormal_checks that fails at (x, y), in order.
+    """Yield each check of data.conormal_checks failing at (x, y), as _grass_violations does.
 
     plan is _core_plan(x, data) and y_rows holds the n rows of y, reduced
     over F_p (a negative entry would borrow from the next lane).  A row of
-    the core N = H y G is a row of y G or a row of x times y G.  Check k
-    reads the southwest rank of N on the rows from rows_before[j] on and the
-    columns before cols_through[i]; an empty block has rank 0.
+    the core N = H y G is a row of y G or a row of x times y G.  Check (i,
+    j) reads the southwest rank of N on the rows from rows_before[j] on and
+    the columns before cols_through[i]; an empty block has rank 0.
     """
     p, B, H, G, reads = plan
     n = len(H)
@@ -285,59 +288,35 @@ def _core_violations(plan, y_rows):
         yg = [sum(map(mul, [v % p for v in row], G)) for row in y_rows]
         core = [yg[k] if x_row is None else sum(map(mul, x_row, yg)) for k, x_row in H]
         profile = _packed_profile(core, n, p, B)
-    for k, below, through, bound in reads:
+    for below, through, i, j, bound in reads:
         rank = profile[below][through - 1] if below < n and through else 0
         if rank > bound:
-            yield k, rank
+            yield {"kind": "rank", "i": i, "j": j, "rank": rank, "bound": bound}
 
 
-def _matrix_data(x: ExactMatrix, w: PartialPermutation) -> CovexillaryData:
-    data = covexillary_data(w)
-    if x.shape != (w.n, w.n):
-        raise DimensionMismatchError("point size differs from permutation size")
-    return data
-
-
-def conormal_matrix_members(
+def conormal_matrix_violations(
     x: ExactMatrix, w: PartialPermutation, ys: Sequence[Sequence[Sequence]]
-) -> list[bool]:
-    """Membership of (x, y) for each covector y of ys, in order.
+) -> list[list[dict]]:
+    """The violated conditions of (x, y) for each covector y of ys, in order.
 
     Each y is its n rows of n entries in x's field (y.entries, or rows cut
     from draws); a ragged or wrong-size y raises DimensionMismatchError.
-    What depends on x alone runs once: covexillary_data(w), the Schubert
-    check and the core plan.  If x is outside the matrix Schubert variety
-    every verdict is False; otherwise only _core_violations runs per y: it
-    forms the core and reads its southwest profile.
+    Each list holds the Schubert violation of x, then the failed rank bounds
+    in the order of data.conormal_checks.  What depends on x alone runs
+    once: covexillary_data(w) (NotCovexillaryError), the Schubert check and
+    the core plan, built even when x fails its Schubert check.  Per y only
+    _core_violations runs: it forms the core and reads its profile.
     """
-    data = _matrix_data(x, w)
+    data = covexillary_data(w)
     n = data.n
+    if x.shape != (n, n):
+        raise DimensionMismatchError("point size differs from permutation size")
     if any(len(y) != n for y in ys) or {len(row) for y in ys for row in y} - {n}:
         raise DimensionMismatchError("x and y must be square of equal size")
-    if matrix_schubert_violation(x, w) is not None:
-        return [False] * len(ys)
+    base = matrix_schubert_violation(x, w)
+    schubert = [] if base is None else [{"kind": "schubert", "condition": base}]
     plan = _core_plan(x, data)
-    return [next(_core_violations(plan, y), None) is None for y in ys]
-
-
-def conormal_matrix_violations(pt: CotangentMatrixPoint, w: PartialPermutation) -> list[dict]:
-    """Violated conditions as diagnostics; empty list means membership.
-
-    The Schubert violation comes first, then the failed rank bounds in the
-    order of data.conormal_checks.
-
-    Raises NotCovexillaryError when w is not covexillary.
-    """
-    data = _matrix_data(pt.x, w)
-    out: list[dict] = []
-    base = matrix_schubert_violation(pt.x, w)
-    if base is not None:
-        out.append({"kind": "schubert", "condition": base})
-    checks = data.conormal_checks
-    for k, rank in _core_violations(_core_plan(pt.x, data), pt.y.entries):
-        i, j, bound = checks[k]
-        out.append({"kind": "rank", "i": i, "j": j, "rank": rank, "bound": bound})
-    return out
+    return [[*schubert, *_core_violations(plan, y)] for y in ys]
 
 
 def _orbit_transport(x: ExactMatrix, w: PartialPermutation):
@@ -475,8 +454,8 @@ def _grass_plan(V: Subspace, conditions: Sequence[tuple[int, int]]):
     schubert holds each Schubert condition (t, dim(V + E_t), d + c) that V
     breaks, as varieties.grass_condition_checks reads it, in the order of
     the conditions.  cells holds V's cell positions S, 0-based and
-    ascending: the s where dim(V + E_{s+1}) does not jump, read off the
-    V.sum_dims of that check.  reads holds (below, t'_i - 1, i, j, b(i, j))
+    ascending: varieties.locate_grass_cell(V), the t where dim(V + E_t)
+    does not jump, less one.  reads holds (below, t'_i - 1, i, j, b(i, j))
     for each bound of permcore.conormal_bounds, the table the matrix form
     reads too, in its order: the rank of x E_{t'_i} / E_{t'_j} is the
     southwest rank of x on rows t'_j+1..N and columns 1..t'_i, which is the
@@ -491,8 +470,7 @@ def _grass_plan(V: Subspace, conditions: Sequence[tuple[int, int]]):
         for t, total, bound, ok in grass_condition_checks(V, conditions)
         if not ok
     )
-    dims = V.sum_dims
-    cells = tuple(s for s in range(N) if dims[s + 1] == dims[s])
+    cells = tuple(t - 1 for t in locate_grass_cell(V).positions)
     ts = [0, *(t for t, _ in conditions), N]
     reads = tuple(
         (bisect_left(cells, ts[j]), ts[i] - 1, i, j, bound)
@@ -528,64 +506,40 @@ def _grass_violations(plan, x: ExactMatrix):
             yield {"kind": "rank", "i": i, "j": j, "rank": rank, "bound": bound}
 
 
-def conormal_grass_members(
-    V: Subspace, conditions: Sequence[tuple[int, int]], xs: Sequence[ExactMatrix]
-) -> list[bool]:
-    """Membership of (V, x) for each x of xs, in order.
-
-    SpringerGrassPoint(V, x) is built for every x, so each (V, x) still has
-    both containments checked (InvariantError otherwise).  What V fixes,
-    its Schubert verdict and the list of southwest reads, is planned once:
-    if V breaks a Schubert condition every verdict is False, otherwise only
-    x's southwest profile is read per x, up to the first broken bound.
-    """
-    points = [SpringerGrassPoint(V, x) for x in xs]
-    plan = _grass_plan(V, conditions)
-    return [next(_grass_violations(plan, pt.x), None) is None for pt in points]
-
-
 def conormal_grass_violations(
-    pt: SpringerGrassPoint, conditions: Sequence[tuple[int, int]]
-) -> list[dict]:
-    """Every violated condition as a diagnostic; empty list means membership.
+    V: Subspace, conditions: Sequence[tuple[int, int]], points: Sequence[SpringerGrassPoint]
+) -> list[list[dict]]:
+    """The violated conditions of each Springer point (V, x) of points, in order.
 
-    The Schubert violations come first, in the order of the conditions, then
-    the rank violations in the order of permcore.conormal_bounds.
+    Each list holds the Schubert violations of V, in the order of the
+    conditions, then the rank violations in the order of
+    permcore.conormal_bounds.  A point over another subspace than V raises
+    InputError.  What V fixes is planned once; per point only the southwest
+    profile of x[S] is read.
     """
-    return list(_grass_violations(_grass_plan(pt.V, conditions), pt.x))
+    if any(pt.V != V for pt in points):
+        raise InputError("every point of the batch must lie over V")
+    plan = _grass_plan(V, conditions)
+    return [list(_grass_violations(plan, pt.x)) for pt in points]
 
 
-def _check_flag_form(flag: Flag, w: PartialPermutation) -> None:
+def conormal_flag_violations(
+    flag: Flag, w: PartialPermutation, points: Sequence[SpringerFlagPoint]
+) -> list[list[dict]]:
+    """Each Springer point (F, z) of points checked as the matrix point (g, g^-1 z).
+
+    The covectors g^-1 z go to one conormal_matrix_violations call over the
+    generator g, with its diagnostics; a point over another flag raises
+    InputError.
+    """
     covexillary_data(w)  # NotCovexillaryError first, as for the other forms
     if flag.n != w.n:
         raise DimensionMismatchError("flag size differs from permutation size")
     if not w.is_full_rank:
         raise InputError("flag Schubert membership requires a permutation")
-
-
-def _flag_matrix_point(pt: SpringerFlagPoint, w: PartialPermutation) -> CotangentMatrixPoint:
-    """The matrix point (g, g^-1 z) of (F, z); see the module docstring."""
-    _check_flag_form(pt.flag, w)
-    return CotangentMatrixPoint(pt.flag.generator, pt.covector)
-
-
-def conormal_flag_members(
-    flag: Flag, w: PartialPermutation, zs: Sequence[ExactMatrix]
-) -> list[bool]:
-    """Membership of (F, z) for each z of zs, in order.
-
-    SpringerFlagPoint(flag, z) is built for every z, so its invariant check
-    runs per z; the covectors g^-1 z then go to one conormal_matrix_members
-    call over the generator g, which plans the core once for all of them.
-    """
-    _check_flag_form(flag, w)
-    points = [SpringerFlagPoint(flag, z) for z in zs]
-    return conormal_matrix_members(flag.generator, w, [pt.covector.entries for pt in points])
-
-
-def conormal_flag_violations(pt: SpringerFlagPoint, w: PartialPermutation) -> list[dict]:
-    """Check (F, z) as the matrix point (g, g^-1 z), with the same diagnostics."""
-    return conormal_matrix_violations(_flag_matrix_point(pt, w), w)
+    if any(pt.flag != flag for pt in points):
+        raise InputError("every point of the batch must lie over the flag")
+    return conormal_matrix_violations(flag.generator, w, [pt.covector.entries for pt in points])
 
 
 def conormal_fiber_flag(

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from operator import itemgetter
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .embedding import fixed_point_index, target_grass_index, weight_map
 from .errors import InputError
@@ -85,32 +85,6 @@ class MultivariatePolynomial(Frozen):
                 data[key] = data.get(key, 0) + c1 * c2
         return MultivariatePolynomial.make(self.variables, data)
 
-    def _relabel(
-        self, target_variables: tuple[str, ...], images: dict[str, str]
-    ) -> "MultivariatePolynomial":
-        """Ring map sending distinct variables to distinct variables of the
-        target ring.
-
-        Moves exponents instead of multiplying once per variable occurrence:
-        each term's exponents are gathered into their new slots in one
-        itemgetter call.  The tests compare it with the general ring map.
-        """
-        width = len(self.variables)
-        source = [width] * len(target_variables)  # slot `width` reads an appended 0
-        for k, name in enumerate(self.variables):
-            if name not in images:
-                if any(exps[k] for exps, _ in self.terms):
-                    raise InputError(f"no image for variable {name}")
-                continue
-            slot = target_variables.index(images[name])
-            if source[slot] != width:
-                raise InputError(f"two variables have the image {images[name]}")
-            source[slot] = k
-        gather = itemgetter(*source, width)  # the extra read keeps one slot a tuple
-        return MultivariatePolynomial.make(
-            target_variables, {gather(exps + (0,))[:-1]: c for exps, c in self.terms}
-        )
-
     def sign_by_degree(self) -> "MultivariatePolynomial":
         return MultivariatePolynomial(
             self.variables,
@@ -148,6 +122,33 @@ class MultivariatePolynomial(Frozen):
     def _check(self, other: "MultivariatePolynomial") -> None:
         if self.variables != other.variables:
             raise InputError("polynomials live in different rings")
+
+
+def _relabel(variables: tuple[str, ...], terms: Iterable, target_variables: tuple[str, ...],
+             images: dict[str, str]) -> MultivariatePolynomial:
+    """Ring map sending distinct variables to distinct variables of the
+    target ring, on the (exponents, coefficient) terms over variables, in
+    any order (a polynomial's terms, or the items of a dictionary).
+
+    Moves exponents instead of multiplying once per variable occurrence:
+    each term's exponents are gathered into their new slots in one
+    itemgetter call.  The tests compare it with the general ring map.
+    """
+    width = len(variables)
+    source = [width] * len(target_variables)  # slot `width` reads an appended 0
+    for k, name in enumerate(variables):
+        if name not in images:
+            if any(exps[k] for exps, _ in terms):
+                raise InputError(f"no image for variable {name}")
+            continue
+        slot = target_variables.index(images[name])
+        if source[slot] != width:
+            raise InputError(f"two variables have the image {images[name]}")
+        source[slot] = k
+    gather = itemgetter(*source, width)  # the extra read keeps one slot a tuple
+    return MultivariatePolynomial.make(
+        target_variables, {gather(exps + (0,))[:-1]: c for exps, c in terms}
+    )
 
 
 def _times_difference(data: dict[tuple[int, ...], int], plus: int, minus: int) -> dict[tuple[int, ...], int]:
@@ -249,13 +250,17 @@ def grass_restriction(v_idx: GrassIndex, point: GrassIndex) -> MultivariatePolyn
     sum over the reachable diagrams of the product of their box weights, and
     0 when v's diagram does not fit inside the point's.
     """
+    return MultivariatePolynomial.make(t_ring(v_idx.N), _excited_terms(v_idx, point))
+
+
+def _excited_terms(v_idx: GrassIndex, point: GrassIndex) -> dict[tuple[int, ...], int]:
+    """The terms of grass_restriction(v_idx, point) over t_1..t_N, unsorted."""
     if (v_idx.d, v_idx.N) != (point.d, point.N):
         raise InputError("variety and point live in different Grassmannians")
     N = v_idx.N
-    ring = t_ring(N)
     inner, outer = _diagram(v_idx.positions, N), _diagram(point.positions, N)
     if any(a > b for a, b in zip(inner, outer)):
-        return MultivariatePolynomial.zero(ring)
+        return {}
     rows = point.positions
     cols = [b for b in range(N, 0, -1) if b not in rows]
     start = frozenset((i, j) for i, length in enumerate(inner) for j in range(length))
@@ -278,7 +283,7 @@ def grass_restriction(v_idx: GrassIndex, point: GrassIndex) -> MultivariatePolyn
             term = _times_difference(term, cols[j] - 1, rows[i] - 1)  # t_col - t_row
         for exps, c in term.items():
             total[exps] = total.get(exps, 0) + c
-    return MultivariatePolynomial.make(ring, total)
+    return total
 
 
 def apply_weight_map(
@@ -287,7 +292,7 @@ def apply_weight_map(
     """Substitute t_k by the x/y variable given by the embedding's dictionary."""
     ring = xy_ring(n)
     images = {f"t{k}": f"{sym}{idx}" for k, (sym, idx) in mapping.items()}
-    return poly_t._relabel(ring, images)
+    return _relabel(poly_t.variables, poly_t.terms, ring, images)
 
 
 def origin_restriction(
@@ -295,9 +300,14 @@ def origin_restriction(
 ) -> tuple[GrassIndex, MultivariatePolynomial, MultivariatePolynomial]:
     """The image of the origin, the target class restricted there, and that
     restriction in x and y through the embedding's weight dictionary."""
-    origin = fixed_point_index(PartialPermutation.zero(data.n), data)
-    in_t = grass_restriction(target_grass_index(data), origin)
+    target, origin = _origin(data)
+    in_t = grass_restriction(target, origin)
     return origin, in_t, apply_weight_map(in_t, weight_map(data), data.n)
+
+
+def _origin(data: CovexillaryData) -> tuple[GrassIndex, GrassIndex]:
+    """The target's index and the image of the origin, where both sides localize it."""
+    return target_grass_index(data), fixed_point_index(PartialPermutation.zero(data.n), data)
 
 
 # At n = 6 the multidegree suite's 648 cases take about 9 s and 245 MB, most
@@ -347,13 +357,11 @@ def verify_multidegree(w: PartialPermutation) -> MultidegreeReport:
         raise InputError("the multidegree identity is stated for permutations")
     n = w.n
     lhs = double_schubert(PartialPermutation.longest(n).compose(w))
-    in_t = grass_restriction(
-        target_grass_index(data), fixed_point_index(PartialPermutation.zero(n), data)
-    )
-    # apply_weight_map, then x_i -> y_{n+1-i} and y_i -> x_i, as one relabel
+    # apply_weight_map, then x_i -> y_{n+1-i} and y_i -> x_i: one relabel, one sort
     images = {
         f"t{k}": f"y{n + 1 - i}" if sym == "x" else f"x{i}"
         for k, (sym, i) in weight_map(data).items()
     }
-    rhs = in_t._relabel(xy_ring(n), images).sign_by_degree()
+    terms = _excited_terms(*_origin(data)).items()
+    rhs = _relabel(t_ring(2 * n), terms, xy_ring(n), images).sign_by_degree()
     return MultidegreeReport(w, lhs, rhs)

@@ -15,18 +15,20 @@ conormal variety's fiber (Kleiman, "Tangency and duality", 1986): w's 0/1
 matrix for conormal-matrix and conormal-flag, the fixed point E_S of the
 target's open cell for conormal-grass.  One covector off the fiber along
 each candidate coordinate that leaves it must be rejected, and
-conormal-grass adds fiber elements that must be accepted; one members
-call checks them all, so the point's fixed work runs once.  The check
-counts the off-fiber covectors accepted and the fiber elements rejected,
-and a case passes only when both counts are 0.  Every cell point's fiber
-covectors are one batch too, given as rows (``_fiber_elements``; both
-draw fiber elements with ``_random_elements`` and cut covectors into
-rows with ``_rows``): conormal-matrix and conormal-flag check them with
-one members call per point, and the fiber's dimension against |D(w)|,
-the codimension of w's orbit (Fulton, Duke Math. J. 65, 1992), read once
-per w.  diagram-chase chases the sampled matrix fiber of each x together
-(``_chase_to_grass``) and checks it with one ``conormal_grass_members``
-call, so each embedded V is planned once.
+conormal-grass adds fiber elements that must be accepted; one call of the
+form's violations check takes them all, so the point's fixed work runs
+once.  The check counts the off-fiber covectors with an empty diagnostic
+list and the fiber elements with a nonempty one, and a case passes only
+when both counts are 0.  Every cell point's fiber covectors are one batch
+too, given as rows (``_fiber_elements``; both draw fiber elements with
+``_random_elements`` and cut covectors into rows with ``_rows``):
+conormal-matrix and conormal-flag check them with one violations call
+per point, and the fiber's dimension against |D(w)|, the codimension of
+w's orbit (Fulton, Duke Math. J. 65, 1992), read once per w.
+diagram-chase chases the sampled matrix fiber of each x together
+(``_chase_to_grass``) and checks it with one ``conormal_grass_violations``
+call, so each embedded V is planned once.  The suites build the Springer
+points they check.
 
 conormal-grass, whose checks at E_S decide every verdict, ignores
 ``trials``; embed-thm and rank-lemma draw nothing and ignore it too.
@@ -54,12 +56,12 @@ from operator import mul
 from typing import NamedTuple
 
 from .conormal import (
-    CotangentMatrixPoint,
+    SpringerFlagPoint,
+    SpringerGrassPoint,
     conormal_fiber_flag,
     conormal_fiber_matrix,
-    conormal_flag_members,
-    conormal_grass_members,
-    conormal_matrix_members,
+    conormal_flag_violations,
+    conormal_grass_violations,
     conormal_matrix_violations,
 )
 from .embedding import embed_point, fixed_point_bits, target_grass_index, target_lanes
@@ -214,7 +216,7 @@ def _fiber_elements(fiber: Subspace, rng: random.Random, extra: int) -> list[tup
 def _off_fiber_rejection(
     fiber: Subspace,
     coordinates: Iterable[int],
-    members: Callable[[list], list[bool]],
+    violations: Callable[[list], list[list]],
     rng: random.Random,
     valid: Sequence = (),
 ) -> tuple[int, int]:
@@ -222,11 +224,11 @@ def _off_fiber_rejection(
 
     There the criterion must accept exactly the conormal fiber, a subspace
     of F^(N^2) read row-major in the N x N covectors, so a case passes only
-    when both counts are 0.  members gives the verdicts of a list of
-    covectors, each as its rows, and valid holds covectors to accept.  One
-    random fiber element plus a nonzero multiple of E_k is off the fiber
-    for each k of coordinates off its pivots.  One members call checks
-    valid and the off-fiber covectors together.
+    when both counts are 0.  violations gives the diagnostic lists of a
+    list of covectors, each as its rows, [] for a member, and valid holds
+    covectors to accept.  One random fiber element plus a nonzero multiple
+    of E_k is off the fiber for each k of coordinates off its pivots.  One
+    violations call checks valid and the off-fiber covectors together.
     """
     pivots = set(fiber.pivots)
     off = [k for k in coordinates if k not in pivots]
@@ -238,8 +240,8 @@ def _off_fiber_rejection(
             y = element.copy()
             y[k] = (y[k] + c + 1) % p
             ys.append(_rows(y, N))
-    verdicts = members([*valid, *ys]) if valid or ys else []
-    return verdicts[: len(valid)].count(False), verdicts[len(valid) :].count(True)
+    found = violations([*valid, *ys]) if valid or ys else []
+    return sum(map(bool, found[: len(valid)])), found[len(valid) :].count([])
 
 
 def _suite_covex_equiv(config: SuiteConfig) -> Iterator[Case]:
@@ -352,19 +354,13 @@ def _suite_conormal_matrix(config: SuiteConfig) -> Iterator[Case]:
             if fiber.dim != expected_dim:
                 dim_mismatches += 1
             ys = _fiber_elements(fiber, rng, extra=20)
-            members = conormal_matrix_members(x, w, ys)
-            rejected = [y for y, ok in zip(ys, members) if not ok]
+            rejected = [found for found in conormal_matrix_violations(x, w, ys) if found]
             rejected_valid += len(rejected)
             if rejected and first_failure is None:
-                point = CotangentMatrixPoint(x, ExactMatrix(field, rejected[0]))
-                # membership and the diagnostics run one elimination; should
-                # they disagree, the case reports it instead of crashing
-                violations = conormal_matrix_violations(point, w)
-                first_failure = violations[0] if violations else {"kind": "disagreement"}
+                first_failure = rejected[0][0]
         x = w.matrix(field)
-        _, accepted_off = _off_fiber_rejection(
-            conormal_fiber_matrix(x, w), range(n * n), partial(conormal_matrix_members, x, w), rng
-        )
+        fiber, violations = conormal_fiber_matrix(x, w), partial(conormal_matrix_violations, x, w)
+        _, accepted_off = _off_fiber_rejection(fiber, range(n * n), violations, rng)
         yield case, rejected_valid == 0 and dim_mismatches == 0 and accepted_off == 0, {
             "rejected_valid": rejected_valid,
             "dim_mismatches": dim_mismatches,
@@ -386,8 +382,9 @@ def _suite_conormal_flag(config: SuiteConfig) -> Iterator[Case]:
             flag, fiber = conormal_fiber_flag(g, w)
             if fiber.dim != expected_dim:
                 dim_mismatches += 1
-            zs = [ExactMatrix(field, z) for z in _fiber_elements(fiber, rng, extra=20)]
-            rejected_valid += conormal_flag_members(flag, w, zs).count(False)
+            zs = _fiber_elements(fiber, rng, extra=20)
+            points = [SpringerFlagPoint(flag, ExactMatrix(field, z)) for z in zs]
+            rejected_valid += sum(map(bool, conormal_flag_violations(flag, w, points)))
         # the Springer fiber over w's flag is z = W U W^-1, U strictly upper:
         # entry (i, j) of U sits at row w(i), column w(j)
         v = w.image
@@ -396,7 +393,9 @@ def _suite_conormal_flag(config: SuiteConfig) -> Iterator[Case]:
         _, accepted_off = _off_fiber_rejection(
             fiber,
             springer,
-            lambda zs: conormal_flag_members(flag, w, [ExactMatrix(field, z) for z in zs]),
+            lambda zs: conormal_flag_violations(
+                flag, w, [SpringerFlagPoint(flag, ExactMatrix(field, z)) for z in zs]
+            ),
             rng,
         )
         yield case, rejected_valid == 0 and dim_mismatches == 0 and accepted_off == 0, {
@@ -437,7 +436,9 @@ def _suite_conormal_grass(config: SuiteConfig) -> Iterator[Case]:
         rejected_valid, accepted_off = _off_fiber_rejection(
             fiber,
             springer,
-            lambda xs: conormal_grass_members(V, conditions, [ExactMatrix(field, x) for x in xs]),
+            lambda xs: conormal_grass_violations(
+                V, conditions, [SpringerGrassPoint(V, ExactMatrix(field, x)) for x in xs]
+            ),
             rng,
             _fiber_elements(fiber, rng, extra=5),
         )
@@ -456,8 +457,8 @@ def _chase_to_grass(
     and theta = ((0, y), (0, 0)), the point is (tau h1 E_n, tau M' tau^-1)
     for M' = h1 theta h1^-1 = ((-yx, y), (-xyx, xy)) = [y; xy] [-x | I].
     tau h1 E_n is V = embed_point(x, data), which the caller computes once
-    per x; the result holds tau M' tau^-1 for each y, in order, and
-    conormal_grass_members(V, ...) makes each a SpringerGrassPoint.
+    per x; the result holds tau M' tau^-1 for each y, in order, for the
+    caller to make each a SpringerGrassPoint over V.
     Conjugating by the permutation tau moves entry (a, b) of M' to (tau(a),
     tau(b)): row a of the result is row tau^-1(a) of M' in data.tau_order,
     the order of [-x | I]'s columns, whose rows are packed over F_p once.
@@ -502,8 +503,8 @@ def _suite_diagram_chase(config: SuiteConfig) -> Iterator[Case]:
             V = embed_point(x, data)
             ys = _fiber_elements(conormal_fiber_matrix(x, w), rng, extra=5)
             samples += len(ys)
-            members = conormal_grass_members(V, conditions, _chase_to_grass(data, V, x, ys))
-            failures += members.count(False)
+            points = [SpringerGrassPoint(V, chased) for chased in _chase_to_grass(data, V, x, ys)]
+            failures += sum(map(bool, conormal_grass_violations(V, conditions, points)))
         yield case, failures == 0, {"failures": failures, "samples": samples}
 
 

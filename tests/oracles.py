@@ -17,9 +17,9 @@ from covex.conormal import (
     CotangentMatrixPoint,
     SpringerFlagPoint,
     SpringerGrassPoint,
-    _flag_matrix_point,
-    conormal_grass_members,
-    conormal_matrix_members,
+    conormal_flag_violations,
+    conormal_grass_violations,
+    conormal_matrix_violations,
 )
 from covex.equivariant import MultivariatePolynomial
 from covex.errors import DimensionMismatchError, FieldError, InputError
@@ -141,14 +141,13 @@ def linear(variables: tuple[str, ...], coeffs: dict[str, int]) -> MultivariatePo
 
 
 def in_conormal_matrix(pt: CotangentMatrixPoint, w: PartialPermutation) -> bool:
-    """Membership: a batch of one for conormal_matrix_members."""
-    return conormal_matrix_members(pt.x, w, (pt.y.entries,))[0]
+    """Membership: an empty diagnostic list for a batch of one."""
+    return not conormal_matrix_violations(pt.x, w, (pt.y.entries,))[0]
 
 
 def in_conormal_grass(pt: SpringerGrassPoint, conditions: Sequence[tuple[int, int]]) -> bool:
-    """Membership; stops at the first violated condition."""
-    return conormal_grass_members(pt.V, conditions, (pt.x,))[0]
+    return not conormal_grass_violations(pt.V, conditions, (pt,))[0]
 
 
 def in_conormal_flag(pt: SpringerFlagPoint, w: PartialPermutation) -> bool:
-    return in_conormal_matrix(_flag_matrix_point(pt, w), w)
+    return not conormal_flag_violations(pt.flag, w, (pt,))[0]

@@ -15,11 +15,8 @@ from covex.conormal import (
     SpringerGrassPoint,
     conormal_fiber_flag,
     conormal_fiber_matrix,
-    conormal_flag_members,
     conormal_flag_violations,
-    conormal_grass_members,
     conormal_grass_violations,
-    conormal_matrix_members,
     conormal_matrix_violations,
     _core_plan,
     _grass_plan,
@@ -363,7 +360,7 @@ def check_core_against_references(w, field, rng):
             a, b = rows_before[j], cols_through[i]
             assert (profile[a][b - 1] if a < n and b else 0) == ranks[i, j]
         expected = diagnostics(x, w, ranks)
-        assert conormal_matrix_violations(pt, w) == expected
+        assert conormal_matrix_violations(x, w, [y.entries]) == [expected]
         assert in_conormal_matrix(pt, w) == (not expected)
 
 
@@ -448,7 +445,7 @@ def test_core_ranks_at_the_widest_lanes(p):
             for x, y in product((full, corner), repeat=2):
                 pt = CotangentMatrixPoint(x, y)
                 expected = diagnostics(x, w, mij_ranks(big_matrix_M(pt), covexillary_data(w)))
-                assert conormal_matrix_violations(pt, w) == expected, (w, x, y)
+                assert conormal_matrix_violations(x, w, [y.entries]) == [expected], (w, x, y)
 
 
 def shifted_by_multiples_of_p(a, rng):
@@ -464,9 +461,8 @@ def shifted_by_multiples_of_p(a, rng):
 @pytest.mark.parametrize("field", [FieldSpec.prime(2), F, TOP], ids=str)
 def test_covectors_congruent_mod_p_get_the_same_verdicts(field):
     """The matrix form reduces each row of x and of y before it packs it, so
-    (x, y), (x, y + pK) and (x + pK', y + pK) give equal verdicts and equal
-    conormal_matrix_violations, K and K' integer matrices with negative
-    entries, at the points of core_points for every covexillary partial w
+    (x, y), (x, y + pK) and (x + pK', y + pK) give equal diagnostics, K and
+    K' integer matrices with negative entries, at the points of core_points for every covexillary partial w
     with n <= 3; and so do z and z + pK in the flag form, at Springer points
     g U g^-1 (U strictly upper) over cell points g of every permutation u
     with n <= 3."""
@@ -478,15 +474,10 @@ def test_covectors_congruent_mod_p_get_the_same_verdicts(field):
                 continue
             for x, y in core_points(w, field, rng):
                 shifted_x, shifted = (shifted_by_multiples_of_p(a, rng) for a in (x, y))
-                members = conormal_matrix_members(x, w, [y.entries, shifted.entries])
-                members += conormal_matrix_members(shifted_x, w, [shifted.entries])
-                assert members == [members[0]] * 3, (w, x, y, shifted_x, shifted)
-                expected = conormal_matrix_violations(CotangentMatrixPoint(x, y), w)
-                for point in (
-                    CotangentMatrixPoint(x, shifted), CotangentMatrixPoint(shifted_x, shifted)
-                ):
-                    assert conormal_matrix_violations(point, w) == expected, (w, point)
-                verdicts.add(("matrix", members[0]))
+                found = conormal_matrix_violations(x, w, [y.entries, shifted.entries])
+                found += conormal_matrix_violations(shifted_x, w, [shifted.entries])
+                assert found == [found[0]] * 3, (w, x, y, shifted_x, shifted)
+                verdicts.add(("matrix", not found[0]))
             if not w.is_full_rank:
                 continue
             for u in all_permutations(n):
@@ -497,12 +488,10 @@ def test_covectors_congruent_mod_p_get_the_same_verdicts(field):
                 )
                 z = g @ upper @ g.inverse()
                 flag, shifted = Flag(g), shifted_by_multiples_of_p(z, rng)
-                members = conormal_flag_members(flag, w, [z, shifted])
-                assert members[0] == members[1], (w, g, z, shifted)
-                assert conormal_flag_violations(
-                    SpringerFlagPoint(flag, shifted), w
-                ) == conormal_flag_violations(SpringerFlagPoint(flag, z), w)
-                verdicts.add(("flag", members[0]))
+                points = [SpringerFlagPoint(flag, z), SpringerFlagPoint(flag, shifted)]
+                found = conormal_flag_violations(flag, w, points)
+                assert found[0] == found[1], (w, g, z, shifted)
+                verdicts.add(("flag", not found[0]))
     assert verdicts == {("matrix", True), ("matrix", False), ("flag", True), ("flag", False)}
 
 
@@ -535,27 +524,40 @@ def fiber_combinations(fiber, field, n, rng, count):
     return points
 
 
-def check_members_agree_with_violations(field, n_max, rng):
-    """conormal_matrix_members against the diagnostics of
-    conormal_matrix_violations, which read every failed bound, at a cell
-    point of every covexillary partial w with n <= n_max: uniform
-    covectors, of which few may be members, and fiber covectors, all of
-    which must be."""
+def check_matrix_batches(field, n_max, rng):
+    """conormal_matrix_violations on one batch per point against its batches
+    of one and against the rank-by-pair diagnostics, at a cell point x of
+    every covexillary partial w with n <= n_max: uniform covectors, of
+    which few may be members, and fiber covectors, all of which must be.
+    At the 0/1 matrix of the longest element, wherever it breaks a
+    Schubert condition of w, every list opens with that Schubert
+    diagnostic."""
     tally = defaultdict(lambda: [0, 0])
     for n in range(1, n_max + 1):
+        far = PartialPermutation.longest(n).matrix(field)
         for w in all_partial_permutations(n):
             if not is_covexillary(w):
                 continue
+            data = covexillary_data(w)
             x = sample_cell_point(w, field, rng) if field.is_prime else integer_cell_point(w, field, rng)
             kinds = {
                 "uniform": [random_matrix_over(field, n, rng) for _ in range(3)],
                 "fiber": fiber_combinations(conormal_fiber_matrix(x, w), field, n, rng, 3),
             }
             for kind, ys in kinds.items():
-                expected = [not conormal_matrix_violations(CotangentMatrixPoint(x, y), w) for y in ys]
-                assert conormal_matrix_members(x, w, [y.entries for y in ys]) == expected, (w, kind)
-                tally[kind][0] += sum(expected)
+                found = conormal_matrix_violations(x, w, [y.entries for y in ys])
+                assert found == [conormal_matrix_violations(x, w, [y.entries])[0] for y in ys]
+                expected = [
+                    diagnostics(x, w, mij_ranks(big_matrix_M(CotangentMatrixPoint(x, y)), data))
+                    for y in ys
+                ]
+                assert found == expected, (w, kind)
+                tally[kind][0] += found.count([])
                 tally[kind][1] += len(ys)
+            base = matrix_schubert_violation(far, w)
+            if base is not None:
+                found = conormal_matrix_violations(far, w, [y.entries for y in kinds["fiber"]])
+                assert [f[0] for f in found] == [{"kind": "schubert", "condition": base}] * len(found)
     accepted, total = tally["fiber"]
     assert accepted == total
     accepted, total = tally["uniform"]
@@ -564,11 +566,12 @@ def check_members_agree_with_violations(field, n_max, rng):
 
 @pytest.mark.parametrize("field", [FieldSpec.prime(101), Q], ids=str)
 def test_members_agree_with_the_full_elimination(field):
-    """conormal_matrix_members, which stops at the first failed read of the
-    core's profile, gives the verdicts of conormal_matrix_violations, which
-    list every failed read, on uniform and fiber covectors over F_101 and
-    Q; every fiber covector is accepted and few uniform ones are."""
-    check_members_agree_with_violations(field, 4, random.Random(43))
+    """A batch of covectors over one x gets, point by point, the diagnostics
+    of its batches of one and of the full elimination, rank M_ij by pair of
+    the big matrix M, on uniform and fiber
+    covectors over F_101 and Q; every fiber covector is accepted and few
+    uniform ones are."""
+    check_matrix_batches(field, 4, random.Random(43))
 
 
 def test_bound_table_longest_element_forces_zero_section():
@@ -732,10 +735,13 @@ def test_matrix_conormal_verdicts_are_borel_equivariant(p):
             l_inv, r_inv = b_l.inverse(), b_r.inverse()
             ys = [vector_to_matrix(field, v, n) for v in conormal_fiber_matrix(x, w).vectors]
             ys += [random_matrix(field, n, n, rng) for _ in range(2)]
-            verdicts = conormal_matrix_members(x, w, [y.entries for y in ys])
+            def members(x, ys):
+                return [not found for found in conormal_matrix_violations(x, w, ys)]
+
+            verdicts = members(x, [y.entries for y in ys])
             moved = b_l @ x @ b_r
-            right = conormal_matrix_members(moved, w, [(r_inv @ y @ l_inv).entries for y in ys])
-            wrong = conormal_matrix_members(moved, w, [(l_inv @ y @ r_inv).entries for y in ys])
+            right = members(moved, [(r_inv @ y @ l_inv).entries for y in ys])
+            wrong = members(moved, [(l_inv @ y @ r_inv).entries for y in ys])
             assert right == verdicts, (w, x, b_l, b_r)
             covectors += len(ys)
             changed += sum(map(ne, wrong, verdicts))
@@ -1012,7 +1018,7 @@ def test_grass_verdict_is_the_empty_violation_list():
             ys += [random_matrix(field, n, n, rng) for _ in range(3)]
             points += [chase(w, x, y) for y in ys]
             for pt in points:
-                violations = conormal_grass_violations(pt, conditions)
+                [violations] = conormal_grass_violations(pt.V, conditions, [pt])
                 assert in_conormal_grass(pt, conditions) == (not violations)
                 kinds = [v["kind"] for v in violations]
                 assert kinds == sorted(kinds, key=("schubert", "rank").index)
@@ -1180,9 +1186,9 @@ def test_springer_containments_read_x_mod_p():
             moved[a][b] += k * 7
             assert springer_message(V, matrix(moved)) == expected, moved
             if expected is None:
-                assert conormal_grass_members(V, conditions, [matrix(moved)]) == (
-                    conormal_grass_members(V, conditions, [matrix(rows)])
-                )
+                points = [SpringerGrassPoint(V, matrix(m)) for m in (moved, rows)]
+                found = conormal_grass_violations(V, conditions, points)
+                assert found[0] == found[1]
     assert springer_message(V, matrix(off_V)) == "Im(x) is not contained in V"
     assert springer_message(V, matrix(off_ker)) == "V is not contained in ker(x)"
 
@@ -1199,12 +1205,14 @@ def springer_points(V, field, rng):
 
 @pytest.mark.parametrize("field", [FieldSpec.prime(101), Q], ids=str)
 def test_grass_members_are_the_per_point_verdicts(field):
-    """conormal_grass_members(V, conditions, xs) is, point by point, the
-    empty violation list of conormal_grass_violations and the verdict of
-    in_conormal_grass, for every covexillary partial w with n <= 3 over
-    F_101 and Q: at the chased zero, fiber and uniform covectors over a
-    cell point of w, at Springer points over its V, and at a V outside the
-    target (the image of some u not below w), where every verdict is False."""
+    """conormal_grass_violations(V, conditions, points) is, point by point,
+    its batches of one, the whole-profile reference_grass_violations and the
+    verdict of in_conormal_grass, for every covexillary partial w with
+    n <= 3 over F_101 and Q: at the chased zero, fiber and uniform
+    covectors over a cell point of w, at Springer points over its V, and
+    at a V outside the target (the image of some u not below w), where
+    every list opens with a Schubert diagnostic.  A batch that mixes two
+    subspaces raises InputError."""
     rng = random.Random(79)
     seen = set()
     outside = 0
@@ -1228,12 +1236,18 @@ def test_grass_members_are_the_per_point_verdicts(field):
                 batches.append((far_V, [zero, *springer_points(far_V, field, rng)], False))
             for subspace, xs, only in batches:
                 points = [SpringerGrassPoint(subspace, chased) for chased in xs]
-                expected = [not conormal_grass_violations(pt, conditions) for pt in points]
-                assert conormal_grass_members(subspace, conditions, xs) == expected, (w, subspace)
+                found = conormal_grass_violations(subspace, conditions, points)
+                alone = [conormal_grass_violations(subspace, conditions, [pt])[0] for pt in points]
+                assert found == alone, (w, subspace)
+                assert found == [reference_grass_violations(pt, conditions) for pt in points]
+                expected = [not f for f in found]
                 assert [in_conormal_grass(pt, conditions) for pt in points] == expected
                 if only is not None:
-                    assert set(expected) == {only}
+                    assert {f[0]["kind"] for f in found} == {"schubert"}
                     outside += len(xs)
+                    mixed = [*points, SpringerGrassPoint(V, ExactMatrix.zeros(field, 2 * n, 2 * n))]
+                    with pytest.raises(InputError, match="over V"):
+                        conormal_grass_violations(subspace, conditions, mixed)
                 seen.update(expected)
     assert seen == {True, False}
     assert outside >= 100
@@ -1242,9 +1256,10 @@ def test_grass_members_are_the_per_point_verdicts(field):
 @pytest.mark.parametrize("field", [FieldSpec.prime(101), Q], ids=str)
 def test_grass_members_check_both_containments_at_every_point(field):
     """A matrix that breaks either containment raises the InvariantError of
-    SpringerGrassPoint from conormal_grass_members too, with the same
-    message, even after valid points in the batch and at a V that breaks a
-    Schubert condition, where every verdict would be False."""
+    SpringerGrassPoint, the message of the elimination, at a V in the target
+    and at a V that breaks a Schubert condition, where the zero point gets
+    a Schubert diagnostic: the point is refused before any batch reads
+    it."""
     rng = random.Random(83)
     messages = defaultdict(int)
     for wstr in ("2143", "0 3 1 0", "1 0"):
@@ -1253,7 +1268,8 @@ def test_grass_members_check_both_containments_at_every_point(field):
         x = sample_cell_point(w, field, rng) if field.is_prime else integer_cell_point(w, field, rng)
         far = embed_point(PartialPermutation.longest(w.n).matrix(field), data)
         zero = ExactMatrix.zeros(field, far.ambient, far.ambient)
-        assert conormal_grass_members(far, data.grass_conditions, [zero]) == [False]
+        [found] = conormal_grass_violations(far, data.grass_conditions, [SpringerGrassPoint(far, zero)])
+        assert found[0]["kind"] == "schubert"
         for V in (embed_point(x, data), far):
             for bad in springer_test_points(V, field, rng):
                 expected = elimination_springer_check(V, bad)
@@ -1261,7 +1277,7 @@ def test_grass_members_check_both_containments_at_every_point(field):
                     continue
                 assert springer_message(V, bad) == expected
                 with pytest.raises(InvariantError) as err:
-                    conormal_grass_members(V, data.grass_conditions, [zero, bad])
+                    SpringerGrassPoint(V, bad)
                 assert str(err.value) == expected
                 messages[expected] += 1
     assert set(messages) == {"Im(x) is not contained in V", "V is not contained in ker(x)"}
@@ -1341,21 +1357,23 @@ def test_grass_ranks_of_the_cell_rows_are_the_whole_profile(field):
                     for c in range(N):
                         rank = profile[below][c] if below < len(cells) else 0
                         assert rank == whole[r][c], (w, pt, r, c)
-                violations = conormal_grass_violations(pt, conditions)
+                [violations] = conormal_grass_violations(pt.V, conditions, [pt])
                 assert violations == reference_grass_violations(pt, conditions), (w, pt)
                 kinds.update(v["kind"] for v in violations)
     assert kinds == {"schubert", "rank"}
 
 
 def test_flag_members_are_the_per_point_verdicts():
-    """conormal_flag_members(flag, w, zs) is the verdict of the subspace
-    reference at each (flag, z), for every covexillary w with n <= 3 over
-    F_101 and Q, at flags from every cell u of S_n, with the zero covector,
-    the flag fiber of u's cell and random Springer covectors g U g^-1 (U
-    strictly upper).  A z that breaks the flag invariant raises
-    SpringerFlagPoint's message."""
+    """conormal_flag_violations(flag, w, points) is, point by point, its
+    batches of one and the subspace reference, for every covexillary w with
+    n <= 3 over F_101 and Q, at flags from every cell u of S_n, with the
+    zero covector, the flag fiber of u's cell and random Springer
+    covectors g U g^-1 (U strictly upper).  At a flag outside the Schubert
+    variety of w every list opens with the Schubert diagnostic, and a
+    batch that mixes two flags raises InputError."""
     rng = random.Random(89)
     seen = set()
+    outside = 0
     for field in (FieldSpec.prime(101), Q):
         for n in (1, 2, 3):
             ws = [w for w in all_permutations(n) if is_covexillary(w)]
@@ -1365,17 +1383,24 @@ def test_flag_members_are_the_per_point_verdicts():
                 zs = [ExactMatrix.zeros(field, n, n)]
                 zs += [vector_to_matrix(field, v, n) for v in fiber.vectors]
                 zs += [g @ random_upper(field, n, rng, True) @ flag.inverse for _ in range(3)]
-                for w, expected in reference_flag_verdicts(flag, zs, ws).items():
-                    assert conormal_flag_members(flag, w, zs) == expected, (w, u)
-                    seen.update(expected)
-                if n > 1:
-                    bad = g @ ExactMatrix.identity(field, n) @ flag.inverse
-                    with pytest.raises(InvariantError) as per_point:
-                        SpringerFlagPoint(flag, bad)
-                    with pytest.raises(InvariantError) as batched:
-                        conormal_flag_members(flag, ws[0], [zs[0], bad])
-                    assert str(batched.value) == str(per_point.value)
+                points = [SpringerFlagPoint(flag, z) for z in zs]
+                for w in ws:
+                    found = conormal_flag_violations(flag, w, points)
+                    alone = [conormal_flag_violations(flag, w, [pt])[0] for pt in points]
+                    assert found == alone, (w, u)
+                    expected = [reference_flag_violations(pt, w) for pt in points]
+                    assert [diagnostic_tuples(f) for f in found] == expected, (w, u)
+                    if expected[0] and expected[0][0][0] == "schubert":
+                        assert {f[0]["kind"] for f in found} == {"schubert"}
+                        outside += 1
+                    seen.update(not f for f in found)
+                if n > 1:  # F_1 moves from g e_1 to g e_2
+                    swap = PartialPermutation.from_one_line(" ".join(map(str, [2, 1, *range(3, n + 1)])))
+                    other = SpringerFlagPoint(Flag(g @ swap.matrix(field)), zs[0])
+                    with pytest.raises(InputError, match="over the flag"):
+                        conormal_flag_violations(flag, ws[0], [*points, other])
     assert seen == {True, False}
+    assert outside > 0
 
 
 def test_flag_conormal_fixtures():
@@ -1586,19 +1611,24 @@ def test_flag_predicate_matches_subspace_reference():
                     pt = SpringerFlagPoint(flag, z)
                     for w in ws:
                         expected = reference_flag_violations(pt, w)
-                        assert diagnostic_tuples(conormal_flag_violations(pt, w)) == expected
+                        [found] = conormal_flag_violations(flag, w, [pt])
+                        assert diagnostic_tuples(found) == expected
                         assert in_conormal_flag(pt, w) == (not expected)
 
 
 def test_flag_predicate_errors_keep_their_order():
     flag = Flag(ExactMatrix.identity(F, 4))
     pt = SpringerFlagPoint(flag, ExactMatrix.zeros(F, 4, 4))
-    with pytest.raises(NotCovexillaryError):
-        conormal_flag_violations(pt, PartialPermutation.from_one_line("34512"))
-    with pytest.raises(DimensionMismatchError, match="flag size differs"):
-        conormal_flag_violations(pt, PartialPermutation.from_one_line("21"))
-    with pytest.raises(InputError, match="requires a permutation"):
-        conormal_flag_violations(pt, PartialPermutation.from_one_line("0 1 3 0"))
+    other = SpringerFlagPoint(Flag(PartialPermutation.longest(4).matrix(F)), pt.z)
+    for points in ([pt], [pt, other]):
+        with pytest.raises(NotCovexillaryError):
+            conormal_flag_violations(flag, PartialPermutation.from_one_line("34512"), points)
+        with pytest.raises(DimensionMismatchError, match="flag size differs"):
+            conormal_flag_violations(flag, PartialPermutation.from_one_line("21"), points)
+        with pytest.raises(InputError, match="requires a permutation"):
+            conormal_flag_violations(flag, PartialPermutation.from_one_line("0 1 3 0"), points)
+    with pytest.raises(InputError, match="over the flag"):
+        conormal_flag_violations(flag, PartialPermutation.identity(4), [pt, other])
 
 
 def reference_invariant_failure(flag, z):
@@ -1847,35 +1877,46 @@ def member_batch(w, field, rng):
 
 
 def test_matrix_members_outside_the_schubert_variety_empty_batches_and_sizes():
+    """Outside the matrix Schubert variety every diagnostic list opens with
+    the Schubert violation of x, followed by the rank bounds that y breaks;
+    an empty batch gives no list, and a wrong size raises before any list."""
     w = PartialPermutation.identity(4)
     rng = random.Random(5)
     for field in MEMBER_FIELDS:
         outside = PartialPermutation.longest(4).matrix(field)
-        assert matrix_schubert_violation(outside, w) is not None
+        base = matrix_schubert_violation(outside, w)
+        assert base is not None
         _, batch = member_batch(w, field, rng)
-        assert conormal_matrix_members(outside, w, [y.entries for y in batch]) == [False] * len(batch)
+        found = conormal_matrix_violations(outside, w, [y.entries for y in batch])
+        assert [f[0] for f in found] == [{"kind": "schubert", "condition": base}] * len(batch)
     x = PartialPermutation.longest(4).matrix(F)
     y = random_matrix(F, 4, 4, rng)
     ys = [ExactMatrix.zeros(F, 4, 4), unit_matrix(4, 1, 2), y]
-    assert conormal_matrix_members(x, w, [y.entries for y in ys]) == [False] * 3
-    assert conormal_matrix_members(x, w, []) == []
-    assert conormal_matrix_members(w.matrix(F), w, ()) == []
+    found = conormal_matrix_violations(x, w, [y.entries for y in ys])
+    schubert = {"kind": "schubert", "condition": matrix_schubert_violation(x, w)}
+    data = covexillary_data(w)
+    pairs = [mij_ranks(big_matrix_M(CotangentMatrixPoint(x, y)), data) for y in ys]
+    assert found == [diagnostics(x, w, ranks) for ranks in pairs]
+    assert [f[0] for f in found] == [schubert] * 3
+    assert found[0] == [schubert]  # the zero covector breaks no rank bound
+    assert conormal_matrix_violations(x, w, []) == []
+    assert conormal_matrix_violations(w.matrix(F), w, ()) == []
     small = ExactMatrix.zeros(F, 3, 3)
     with pytest.raises(DimensionMismatchError, match="point size differs") as per_point:
         in_conormal_matrix(CotangentMatrixPoint(small, small), w)
     for batch in ([], [small.entries], [y.entries for y in ys]):
         with pytest.raises(DimensionMismatchError) as batched:
-            conormal_matrix_members(small, w, batch)
+            conormal_matrix_violations(small, w, batch)
         assert str(batched.value) == str(per_point.value)
     with pytest.raises(DimensionMismatchError):
-        conormal_matrix_members(ExactMatrix.zeros(F, 4, 3), w, [])
-    # a covector of the wrong size raises as CotangentMatrixPoint does, even
-    # when x alone already decides every verdict
+        conormal_matrix_violations(ExactMatrix.zeros(F, 4, 3), w, [])
+    # a covector of the wrong size raises as CotangentMatrixPoint does, on
+    # and off the matrix Schubert variety
     for point in (x, w.matrix(F)):
         with pytest.raises(DimensionMismatchError, match="square of equal size"):
-            conormal_matrix_members(point, w, [ys[0].entries, small.entries])
+            conormal_matrix_violations(point, w, [ys[0].entries, small.entries])
     with pytest.raises(NotCovexillaryError):
-        conormal_matrix_members(x, PartialPermutation.from_one_line("3412"), [])
+        conormal_matrix_violations(x, PartialPermutation.from_one_line("3412"), [])
 
 
 def test_flag_rejection_covectors_are_the_flag_points():
@@ -1898,7 +1939,8 @@ def test_flag_rejection_covectors_are_the_flag_points():
                 for covector, z in zip(covectors, zs):
                     assert covector.entries == SpringerFlagPoint(flag, z).covector.entries
                 for w, expected in reference_flag_verdicts(flag, zs, ws).items():
-                    assert conormal_matrix_members(g, w, [c.entries for c in covectors]) == expected
+                    found = conormal_matrix_violations(g, w, [c.entries for c in covectors])
+                    assert [not f for f in found] == expected
 
 
 def test_fibers_at_orbit_representatives_are_coordinate():
@@ -2003,7 +2045,8 @@ def test_zero_section_at_a_coordinate_point_is_its_target_verdict():
             conditions = data.grass_conditions
             for V in points:
                 inside = all(ok for *_, ok in grass_condition_checks(V, conditions))
-                assert conormal_grass_members(V, conditions, [zero]) == [inside], (w, V)
+                [found] = conormal_grass_violations(V, conditions, [SpringerGrassPoint(V, zero)])
+                assert (not found) == inside, (w, V)
             cases += 1
     assert cases == {4: 225, 5: 1343}[ZERO_SECTION_N]
 
@@ -2021,10 +2064,10 @@ def test_matrix_and_flag_calibrations_pass_over_small_fields(suite, total, prime
 
 def test_matrix_members_take_covectors_as_rows():
     """A covector given as rows, lists cut from a flat list as the rejection
-    estimate cuts them or the tuples of ExactMatrix.entries, gets the verdict
-    of conormal_matrix_violations at the matrix point, on fiber and random
-    covectors of every covexillary w with n <= 4 over F_2, F_3, F_10007 and
-    F_(10^24+7)."""
+    estimate cuts them or the tuples of ExactMatrix.entries, gets the
+    diagnostics of its ExactMatrix alone in a batch of one, on fiber and
+    random covectors of every covexillary w with n <= 4 over F_2, F_3,
+    F_10007 and F_(10^24+7)."""
     rng = random.Random(61)
     verdicts = set()
     for field in (FieldSpec.prime(2), FieldSpec.prime(3), F, BIG_PRIME):
@@ -2041,11 +2084,11 @@ def test_matrix_members_take_covectors_as_rows():
                 ]
                 as_rows = [y.entries for y in ys] + cut
                 ys += [ExactMatrix(field, tuple(map(tuple, rows))) for rows in cut]
-                expected = [not conormal_matrix_violations(CotangentMatrixPoint(x, y), w) for y in ys]
-                assert conormal_matrix_members(x, w, as_rows) == expected
+                expected = [conormal_matrix_violations(x, w, [y.entries])[0] for y in ys]
+                assert conormal_matrix_violations(x, w, as_rows) == expected
                 as_lists = [list(map(list, y.entries)) for y in ys]
-                assert conormal_matrix_members(x, w, as_lists) == expected
-                verdicts.update(expected)
+                assert conormal_matrix_violations(x, w, as_lists) == expected
+                verdicts.update(not e for e in expected)
     assert verdicts == {True, False}
 
 
@@ -2063,10 +2106,11 @@ def test_matrix_members_refuse_ragged_and_wrong_size_rows():
     ]
     for x in (w.matrix(F), PartialPermutation.identity(4).matrix(F)):
         # the zero covector is a member exactly over the matrix Schubert variety
-        assert conormal_matrix_members(x, w, [good]) == [matrix_schubert_violation(x, w) is None]
+        [found] = conormal_matrix_violations(x, w, [good])
+        assert (not found) == (matrix_schubert_violation(x, w) is None)
         for rows in bad:
             with pytest.raises(DimensionMismatchError, match="square of equal size"):
-                conormal_matrix_members(x, w, [good, rows])
+                conormal_matrix_violations(x, w, [good, rows])
 
 
 def old_fiber_elements(fiber, n, field, rng, extra):
@@ -2108,17 +2152,18 @@ def test_fiber_elements_match_the_accumulating_loop():
 
 def test_one_direction_accepted_off_the_fiber_is_counted():
     """Around the zero fiber in F^25 every coordinate is a direction off
-    the fiber, one covector each, cut into 5 rows.  A members that accepts
-    only the last of the 25 gives one accepted off-fiber covector, so the
-    case fails; a rejection rate of 24/25 = 0.96 would have passed 0.95."""
+    the fiber, one covector each, cut into 5 rows.  A violations check that
+    gives an empty list only to the last of the 25 gives one accepted
+    off-fiber covector, so the case fails; a rejection rate of 24/25 = 0.96
+    would have passed 0.95."""
     batches = []
 
-    def members(ys):
+    def violations(ys):
         batches.append(ys)
-        return [False] * (len(ys) - 1) + [True]
+        return [[{"kind": "rank"}]] * (len(ys) - 1) + [[]]
 
     zero = Subspace.zero(F, 25)
-    assert _off_fiber_rejection(zero, range(25), members, random.Random(5)) == (0, 1)
+    assert _off_fiber_rejection(zero, range(25), violations, random.Random(5)) == (0, 1)
     [ys] = batches
     assert all(len(y) == 5 and all(len(row) == 5 for row in y) for y in ys)
     support = [[k for k, v in enumerate(entry for row in y for entry in row) if v] for y in ys]

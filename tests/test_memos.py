@@ -20,7 +20,6 @@ from covex import conormal, exactla, suites
 from covex.cli import main
 from covex.embedding import embed_point, fixed_point_bits
 from covex.conormal import (
-    CotangentMatrixPoint,
     SpringerFlagPoint,
     conormal_matrix_violations,
     core_pivots,
@@ -114,14 +113,15 @@ def test_matrix_columns_memo_is_invisible():
 
 
 def test_one_batch_computes_the_core_pivots_once(monkeypatch):
-    """conormal_matrix_members computes core_pivots once for its x; the
-    elimination of every covector of the batch reads that one result."""
+    """conormal_matrix_violations computes core_pivots once for its x; the
+    elimination of every covector of the batch reads that one result, so a
+    batch gives the diagnostics of its batches of one."""
     w = PartialPermutation.from_one_line("0 3 1 0")
     rng = random.Random(4)
     x = sample_cell_point(w, F, rng)
     ys = [ExactMatrix.zeros(F, 4, 4)] + [random_matrix(F, 4, 4, rng) for _ in range(4)]
-    expected = [not conormal_matrix_violations(CotangentMatrixPoint(x, y), w) for y in ys]
-    assert expected[0] and not all(expected)
+    expected = [conormal_matrix_violations(x, w, [y.entries])[0] for y in ys]
+    assert not expected[0] and all(expected[1:])
     calls = []
 
     def counted(*args):
@@ -137,7 +137,7 @@ def test_one_batch_computes_the_core_pivots_once(monkeypatch):
     plan = conormal._core_plan
     monkeypatch.setattr(conormal, "core_pivots", counted)
     monkeypatch.setattr(conormal, "_core_plan", planned)
-    assert conormal.conormal_matrix_members(x, w, [y.entries for y in ys]) == expected
+    assert conormal.conormal_matrix_violations(x, w, [y.entries for y in ys]) == expected
     assert calls == plans == [(x, covexillary_data(w))]
 
 
@@ -174,8 +174,9 @@ def test_one_subspace_builds_its_containment_data_once(monkeypatch):
     monkeypatch.setattr(ExactMatrix, "__matmul__", counted_matmul)
     xs = suites._chase_to_grass(data, V, x, ys)
     assert len(xs) >= 5 and built == [] and products == []
-    assert conormal.conormal_grass_members(V, data.grass_conditions, xs) == [True] * len(xs)
+    points = [conormal.SpringerGrassPoint(V, chased) for chased in xs]
     assert built == [V] and products == []
+    assert conormal.conormal_grass_violations(V, data.grass_conditions, points) == [[]] * len(xs)
     for chased in xs:
         conormal.SpringerGrassPoint(V, chased)
     assert built == [V] and products == []

@@ -34,7 +34,7 @@ from covex.permcore import (
 from covex.suites import SuiteConfig, run_suite
 from oracles import kernel
 from scale import sized
-from test_conormal import check_members_agree_with_violations
+from test_conormal import check_matrix_batches
 from test_permcore import essential_box_mismatches
 
 
@@ -101,14 +101,15 @@ def _failures(suite, n_max, **kwargs):
 
 @pytest.mark.parametrize("field", [FieldSpec.prime(101), FieldSpec.rational()], ids=str)
 def test_an_elimination_that_never_fails_breaks_the_agreement_test(monkeypatch, field):
-    """With _core_violations never yielding, membership and the diagnostics
-    accept every covector over a point of the matrix Schubert variety.  They
-    still agree, but the agreement test sees uniform covectors accepted, and
-    conormal-matrix and conormal-flag fail at every w with a direction off
-    the fiber at its 0/1 matrix: all but the zero w and the identities."""
+    """With _core_violations never yielding, the matrix form accepts every
+    covector over a point of the matrix Schubert variety.  A batch still
+    equals its batches of one, but the batch check sees lists that miss the
+    rank-by-pair diagnostics, and conormal-matrix and conormal-flag fail at
+    every w with a direction off the fiber at its 0/1 matrix: all but the
+    zero w and the identities."""
     monkeypatch.setattr(conormal, "_core_violations", lambda plan, y_rows: iter(()))
     with pytest.raises(AssertionError):
-        check_members_agree_with_violations(field, 2, random.Random(43))
+        check_matrix_batches(field, 2, random.Random(43))
     prime = field.p or DEFAULT_PRIME
     assert _failures("conormal-matrix", 3, prime=prime) == (39, 42)
     assert _failures("conormal-flag", 3, prime=prime) == (6, 9)
@@ -120,21 +121,21 @@ def test_an_elimination_that_never_fails_breaks_the_agreement_test(monkeypatch, 
 def test_one_direction_accepted_off_the_fiber_fails_conormal_matrix(
     monkeypatch, n_max, flagged, total
 ):
-    """conormal_matrix_members that, at w's 0/1 matrix, accepts the last
-    covector of its batch, one off the fiber, fails every w with a direction
-    off the fiber there: all but the zero w of each size.  The suite counts
-    the accepted off-fiber covectors, so one fails the case also at the
-    n = 5 points with 20 or more such directions, which a rejection rate of
-    at least 0.95 let through (1,237 failures of 1,343)."""
-    members = suites.conormal_matrix_members
+    """conormal_matrix_violations that, at w's 0/1 matrix, gives the last
+    covector of its batch, one off the fiber, an empty list fails every w
+    with a direction off the fiber there: all but the zero w of each size.
+    The suite counts the accepted off-fiber covectors, so one fails the
+    case also at the n = 5 points with 20 or more such directions, which a
+    rejection rate of at least 0.95 let through (1,237 failures of 1,343)."""
+    violations = suites.conormal_matrix_violations
 
     def last_accepted(x, w, ys):
-        verdicts = members(x, w, ys)
+        found = violations(x, w, ys)
         if x == w.matrix(x.field):
-            verdicts[-1] = True
-        return verdicts
+            found[-1] = []
+        return found
 
-    monkeypatch.setattr(suites, "conormal_matrix_members", last_accepted)
+    monkeypatch.setattr(suites, "conormal_matrix_violations", last_accepted)
     assert _failures("conormal-matrix", n_max, trials=1) == (flagged, total)
 
 
@@ -327,28 +328,28 @@ def test_a_mu_list_without_its_descent_covers_fails_kl_covex(monkeypatch, capsys
 
 
 def test_an_excited_move_one_column_too_far_fails_multidegree(monkeypatch):
-    """grass_restriction letting a box slide to (i + 1, j + 1) when only
-    (i + 1, j) lies in the point's diagram, j < outer[i + 1] in place of
-    j + 1 < outer[i + 1], adds excited diagrams that do not fit; the
-    localization side then misses the Schubert side at 6 of the 9
+    """The excited Young diagram sum letting a box slide to (i + 1, j + 1)
+    when only (i + 1, j) lies in the point's diagram, j < outer[i + 1] in
+    place of j + 1 < outer[i + 1], adds excited diagrams that do not fit;
+    the localization side then misses the Schubert side at 6 of the 9
     covexillary w with n <= 3."""
     mutant = _rewritten(
-        equivariant.grass_restriction, "j + 1 < outer[i + 1]", "j < outer[i + 1]"
+        equivariant._excited_terms, "j + 1 < outer[i + 1]", "j < outer[i + 1]"
     )
-    monkeypatch.setattr(equivariant, "grass_restriction", mutant)
+    monkeypatch.setattr(equivariant, "_excited_terms", mutant)
     assert _failures("multidegree", 3) == (6, 9)
 
 
 def test_a_box_weight_with_both_bumps_positive_fails_multidegree(monkeypatch):
-    """grass_restriction multiplying by t_col + t_row in place of
-    t_col - t_row, the bump of t_row carrying +c and not -c: the
+    """The excited Young diagram sum multiplying by t_col + t_row in place
+    of t_col - t_row, the bump of t_row carrying +c and not -c: the
     localization side misses the Schubert side at 6 of the 9 covexillary w
     with n <= 3, every w but the three whose localization is 1."""
     plus = _rewritten(equivariant._times_difference, "out.get(key, 0) - c", "out.get(key, 0) + c")
     mutant = _rewritten(
-        equivariant.grass_restriction, "_times_difference(", "_times_plus(", _times_plus=plus
+        equivariant._excited_terms, "_times_difference(", "_times_plus(", _times_plus=plus
     )
-    monkeypatch.setattr(equivariant, "grass_restriction", mutant)
+    monkeypatch.setattr(equivariant, "_excited_terms", mutant)
     assert _failures("multidegree", 3) == (6, 9)
 
 

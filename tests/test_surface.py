@@ -7,12 +7,20 @@ src/covex spells it.  Matching by name is deliberately coarse: a member
 that shares its name with a live one passes, but a live member is never
 flagged.  The benchmark's tracer wraps methods by name, so the members it
 reads stay in the package, named in PERFBENCH_READS, until it stops
-reading them.
+reading them.  Its tracer groups name the functions they time; a name the
+package no longer defines times nothing, so each such name is listed in
+TRACER_STALE_NAMES until the benchmark drops it.
 """
 
 import ast
 import importlib
 import importlib.util
+import inspect
+import json
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -27,6 +35,22 @@ PERFBENCH_READS = {
     "contains_vector",
     "contains",
     "apply",
+}
+
+# Names in the tracer's GROUPS that nothing in the package defines.
+TRACER_STALE_NAMES = {
+    "in_matrix_schubert",
+    "in_matrix_schubert_cell",
+    "in_flag_schubert",
+    "locate_flag_cell",
+    "in_grass_schubert",
+    "target_holds",
+    "target_violation",
+    "in_conormal_matrix",
+    "in_conormal_grass",
+    "in_conormal_flag",
+    "schubert_class_restriction",
+    "localize_grass_class",
 }
 
 
@@ -90,13 +114,19 @@ def test_perfbench_reads_names_only_members_that_the_benchmark_reads():
     assert not PERFBENCH_READS & READ_IN_SRC
 
 
+def _tracer():
+    """perfbench/tracer.py, loaded without installing it."""
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", PERFBENCH / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return tracer
+
+
 def test_the_tracer_finds_every_layer_and_heavy_method():
     """perfbench/tracer.py, loaded without installing it: every layer
     imports, and every heavy method it wraps is in its class's own
     __dict__, where Tracer.install looks it up."""
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", PERFBENCH / "tracer.py")
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
+    tracer = _tracer()
     modules = {layer: importlib.import_module(f"covex.{layer}") for layer in tracer.LAYERS}
     missing = [
         f"{layer}.{cls}.{method}"
@@ -106,6 +136,68 @@ def test_the_tracer_finds_every_layer_and_heavy_method():
         if method not in vars(getattr(modules[layer], cls))
     ]
     assert missing == []
+
+
+def _wrapped_by_the_tracer(module, name):
+    """Whether Tracer.install times name in module: a public function
+    defined there and not a generator, or a method in its class's own
+    __dict__."""
+    cls_name, _, method = name.rpartition(".")
+    if cls_name:
+        cls = vars(module).get(cls_name)
+        return inspect.isclass(cls) and method in vars(cls)
+    obj = vars(module).get(name)
+    return (
+        inspect.isfunction(obj)
+        and obj.__module__ == module.__name__
+        and not inspect.isgeneratorfunction(obj)
+    )
+
+
+def test_every_tracer_group_name_resolves_in_its_layer():
+    """Each name of a tracer group is a function the tracer wraps in the
+    group's layer, except the stale names, which no file of src/covex
+    spells: a name the package stops defining must join the set, and one
+    the benchmark drops must leave it."""
+    tracer = _tracer()
+    unresolved = {
+        name
+        for layer, names in tracer.GROUPS.values()
+        for name in names
+        if not _wrapped_by_the_tracer(importlib.import_module(f"covex.{layer}"), name)
+    }
+    assert unresolved == TRACER_STALE_NAMES
+    sources = "\n".join(path.read_text() for path in sorted(SRC.glob("*.py")))
+    assert [name for name in sorted(TRACER_STALE_NAMES) if re.search(rf"\b{name}\b", sources)] == []
+
+
+def test_a_traced_conormal_matrix_run_counts_its_predicate_calls():
+    """In a fresh interpreter with the tracer installed, `covex verify
+    conormal-matrix --nmax 2` reaches the conormal.predicate group: the
+    suite's checks go through the functions that group names."""
+    script = (
+        "import contextlib, io, json, sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "from tracer import Tracer\n"
+        "tracer = Tracer()\n"
+        "tracer.install()\n"
+        "from covex.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = main(['verify', 'conormal-matrix', '--nmax', '2'])\n"
+        "print(json.dumps([code, tracer.metrics()['conormal.predicate_calls'][0]]))\n"
+    )
+    path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(PERFBENCH)],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": path},
+        check=True,
+    )
+    code, calls = json.loads(proc.stdout.splitlines()[-1])
+    assert code == 0
+    assert calls > 0
 
 
 def test_no_import_in_the_package_goes_unused():
