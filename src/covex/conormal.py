@@ -70,7 +70,6 @@ reference_flag_fiber in tests/test_conormal.py).
 from __future__ import annotations
 
 from bisect import bisect_left
-from fractions import Fraction
 from functools import cached_property
 from itertools import chain, pairwise
 from operator import mul
@@ -86,6 +85,7 @@ from .exactla import (
     ExactMatrix,
     FieldSpec,
     Subspace,
+    _fraction_class,
     _insert,
     _integer_row,
     _lane_bits,
@@ -340,6 +340,7 @@ def _orbit_transport(x: ExactMatrix, w: PartialPermutation):
         raise DimensionMismatchError("matrix size differs from permutation size")
     p = x.field.p
     if p is None:
+        Fraction = _fraction_class()
         A = [list(col) for col in x.columns]
     else:
         A = [[v % p for v in col] for col in x.columns]

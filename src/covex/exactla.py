@@ -3,10 +3,12 @@
 Everything here is exact: prime-field scalars are Python ints reduced mod p.
 A rational scalar is a plain int when it is integral and a
 `fractions.Fraction` only when its denominator is not 1; `Fraction(3) == 3`
-and both hash alike, so the two forms never disagree under `==`.  No
-floating point anywhere.  Subspaces are stored in reduced echelon form, so
-equal subspaces have identical representations and can be compared with
-`==`.
+and both hash alike, so the two forms never disagree under `==`.
+`fractions` is imported only when a rational is first built
+(_fraction_class), so work over F_p never loads it, nor `decimal` and
+`numbers` with it.  No floating point anywhere.  Subspaces are stored in
+reduced echelon form, so equal subspaces have identical representations
+and can be compared with `==`.
 
 All elimination of rows given as lists is one row insertion, `_insert`: a
 row is reduced against an echelon basis {pivot column: row} and whatever is
@@ -42,11 +44,10 @@ from __future__ import annotations
 import operator
 import random
 import sys
-from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import accumulate, count
 from math import gcd, lcm
-from typing import Iterable, Sequence, Union
+from typing import TYPE_CHECKING, Iterable, Sequence, Union
 
 from .errors import (
     DimensionMismatchError,
@@ -55,7 +56,10 @@ from .errors import (
 )
 from .frozen import Frozen
 
-Scalar = Union[int, Fraction]
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+Scalar = Union[int, "Fraction"]
 
 DEFAULT_PRIME = 10007
 
@@ -116,6 +120,7 @@ class FieldSpec(Frozen):
         p = self.p
         if type(value) is int:
             return value if p is None else value % p
+        Fraction = _fraction_class()
         try:
             value = value if type(value) is Fraction else Fraction(value)
         except (TypeError, ValueError, ArithmeticError) as exc:
@@ -125,6 +130,18 @@ class FieldSpec(Frozen):
         if value.denominator % p == 0:
             raise FieldError(f"{value} has no image in F_{p}: p divides its denominator")
         return value.numerator * pow(value.denominator, -1, p) % p
+
+
+@lru_cache(maxsize=None)
+def _fraction_class() -> type:
+    """fractions.Fraction, imported at the first call: no F_p path calls this.
+
+    A call costs about 40 ns against about 1.3 us for an import statement,
+    so per-entry code such as FieldSpec.coerce can make it.
+    """
+    from fractions import Fraction
+
+    return Fraction
 
 
 def _rational(value: Scalar) -> Scalar:
@@ -399,6 +416,8 @@ def _reduced(
         for d in pivots[:k]:
             if basis[d][c]:
                 basis[d] = _cleared(basis[d], c, basis[c], p)
+    if p is None:
+        Fraction = _fraction_class()
     rows = []
     for c in pivots:
         row = basis[c]

@@ -12,25 +12,26 @@ from __future__ import annotations
 import json
 import os
 import sys
-from fractions import Fraction
 from typing import Any
 
 from .conormal import CotangentMatrixPoint, SpringerFlagPoint, SpringerGrassPoint
 from .errors import InputError
-from .exactla import ExactMatrix, FieldSpec, Subspace
+from .exactla import ExactMatrix, FieldSpec, Subspace, _fraction_class
 from .varieties import Flag
 
 
 def scalar_to_json(value) -> Any:
-    if isinstance(value, Fraction):
-        if value.denominator == 1:
-            return int(value)
-        return f"{value.numerator}/{value.denominator}"
-    return int(value)
+    """An int as itself; any other scalar is a rational, read as an int or "a/b"."""
+    if type(value) is int:
+        return value
+    if value.denominator == 1:
+        return int(value.numerator)
+    return f"{value.numerator}/{value.denominator}"
 
 
 def scalar_from_json(field: FieldSpec, value) -> Any:
     if isinstance(value, str):
+        Fraction = _fraction_class()
         try:
             num, _, den = value.partition("/")
             parsed = Fraction(int(num), int(den)) if den else Fraction(int(num))

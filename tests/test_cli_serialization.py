@@ -7,6 +7,7 @@ import resource
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -20,6 +21,7 @@ from covex.serialization import (
     matrix_to_json,
     parse_point_file,
     point_from_json,
+    scalar_to_json,
     subspace_to_json,
 )
 from covex.permcore import PartialPermutation, all_permutations, diagram
@@ -723,6 +725,95 @@ def test_import_cli_loads_no_numpy_dataclasses_or_inspect():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+# Run in a fresh interpreter from golden/: every F_p query kind and every
+# suite, then the one rational query of cli_stdout.json.  Prints, as JSON
+# lines, each run's exit code and stdout, then the rational modules loaded.
+F_P_PROBE = """
+import contextlib, io, json, sys
+import covex.cli
+from covex.suites import SUITE_NAMES
+runs = [
+    ["member", "matrix", "embed_cell.json", "0 1 3 0"],
+    ["embed", "0 1 3 0", "embed_cell.json"],
+    ["conormal", "member", "grass", "springer_cell.json", "--w", "2 0 3 1"],
+    ["conormal", "member", "flag", "springer_flag_cell.json", "--w", "3142"],
+    *(["verify", suite, "--nmax", "3"] for suite in SUITE_NAMES),
+    json.loads(sys.argv[1]),
+]
+for argv in runs:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = covex.cli.main(argv)
+    loaded = [name for name in ("fractions", "decimal", "numbers") if name in sys.modules]
+    print(json.dumps([argv, code, out.getvalue(), loaded]))
+"""
+
+
+def test_f_p_commands_and_suites_never_load_fractions():
+    """Over F_p no scalar is rational: `import covex.cli`, the F_p member,
+    embed and conormal queries and every suite leave fractions, decimal and
+    numbers unloaded.  A `--field Q` query loads fractions on its first
+    rational and prints its pinned stdout."""
+    golden = Path(__file__).parent / "golden"
+    rational = json.loads((golden / "cli_stdout.json").read_text())["member_grass_rational"]
+    env = dict(os.environ, PYTHONPATH=str(SRC_DIR))
+    proc = subprocess.run(
+        [sys.executable, "-c", F_P_PROBE, json.dumps(rational["argv"])],
+        capture_output=True,
+        text=True,
+        cwd=golden,
+        env=env,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    *f_p_runs, (argv, code, out, loaded) = map(json.loads, proc.stdout.splitlines())
+    assert len(f_p_runs) == 4 + len(suites.SUITE_NAMES)
+    for f_p_argv, f_p_code, f_p_out, f_p_loaded in f_p_runs:
+        assert (f_p_code, f_p_loaded) == (0, []), f_p_argv
+        assert f_p_out, f_p_argv
+    assert argv == rational["argv"]
+    assert (code, out) == (rational["exit"], rational["stdout"])
+    assert "fractions" in loaded
+
+
+@pytest.mark.parametrize(
+    "call, printed",
+    [
+        ("FieldSpec.prime().coerce('1/3')", "3336"),
+        ("FieldSpec.prime().coerce(2.5)", "5006"),
+        ("scalar_from_json(FieldSpec.rational(), '2/4')", "Fraction(1, 2)"),
+    ],
+)
+def test_the_first_rational_scalar_imports_fractions(call, printed):
+    """FieldSpec.coerce and scalar_from_json load fractions (through
+    exactla._fraction_class) only in the branch that reads a rational; run
+    in a fresh interpreter, the call is the one that imports it."""
+    probe = (
+        "import sys\n"
+        "from covex.exactla import FieldSpec\n"
+        "from covex.serialization import scalar_from_json\n"
+        "before = 'fractions' in sys.modules\n"
+        f"print(repr({call}), before, 'fractions' in sys.modules)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(SRC_DIR)),
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"{printed} False True\n"
+
+
+def test_scalar_to_json_reads_ints_and_rationals():
+    assert scalar_to_json(7) == 7 and type(scalar_to_json(7)) is int
+    assert scalar_to_json(True) == 1 and type(scalar_to_json(True)) is int
+    assert scalar_to_json(-12) == -12
+    assert scalar_to_json(Fraction(4, 2)) == 2 and type(scalar_to_json(Fraction(4, 2))) is int
+    assert scalar_to_json(Fraction(-1, 3)) == "-1/3"
 
 
 def test_cli_closed_stdout_pipe_exits_2_without_traceback():

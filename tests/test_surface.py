@@ -213,3 +213,34 @@ def test_no_import_in_the_package_goes_unused():
                     if bound not in read:
                         unused.append(f"{module}: {bound}")
     assert unused == []
+
+
+def _import_time_statements(body):
+    """The statements of body that run at import: function bodies and the
+    `if TYPE_CHECKING:` branch are left out, class bodies and the other
+    branches of if, try and with are walked into."""
+    for node in body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        yield node
+        if isinstance(node, ast.If) and ast.unparse(node.test) == "TYPE_CHECKING":
+            yield from _import_time_statements(node.orelse)
+            continue
+        for field in ("body", "orelse", "finalbody", "handlers"):
+            yield from _import_time_statements(getattr(node, field, []))
+
+
+def test_no_module_imports_fractions_or_decimal_at_import_time():
+    """Work over F_p builds no rational, so fractions (and decimal and
+    numbers with it) is imported only in the branches that build one."""
+    found = []
+    for module, tree in SRC_TREES.items():
+        for node in _import_time_statements(tree.body):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            found += [f"{module}: {name}" for name in names if name in ("fractions", "decimal")]
+    assert found == []

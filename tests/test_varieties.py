@@ -19,6 +19,7 @@ from covex.permcore import (
     all_permutations,
     bruhat_leq,
     essential_set,
+    random_partial_permutation,
     rank_matrix,
 )
 from covex.varieties import (
@@ -94,6 +95,17 @@ def test_matrix_membership_size_check():
         matrix_schubert_violation(ExactMatrix.zeros(F, 2, 2), PartialPermutation.identity(3))
 
 
+def reference_matrix_schubert_violation(x, w):
+    """The full-table rule: the first box (i, j) in row order with
+    dim(x E_j / E_{i-1}) > r_w(i, j), read off the whole rank matrix of w."""
+    profile = southwest_profile(x)
+    for i, row in enumerate(rank_matrix(w).entries, 1):
+        for j, bound in enumerate(row, 1):
+            if profile[i - 1][j - 1] > bound:
+                return (i, j, profile[i - 1][j - 1], bound)
+    return None
+
+
 def test_essential_only_agrees_with_full():
     """The essential-set conditions alone cut out the matrix Schubert variety."""
     rng = random.Random(2)
@@ -106,7 +118,32 @@ def test_essential_only_agrees_with_full():
                 essential_only = all(
                     profile[c.row - 1][c.col - 1] <= c.rank for c in essential
                 )
+                assert (reference_matrix_schubert_violation(x, w) is None) == essential_only
                 assert (matrix_schubert_violation(x, w) is None) == essential_only
+
+
+def test_essential_box_verdicts_are_the_full_table_verdicts():
+    """matrix_schubert_violation decides at w's essential boxes and reads the
+    rank table only to name the first violated box.  Its verdict and
+    diagnostic are the full-table rule's at 12 x over each of F_2 and F_3
+    for every partial permutation w with n <= 4, 6,048 pairs: 6 uniform x,
+    and 6 points of the open orbit of a random u, inside exactly when u <= w;
+    4,499 of them lie outside."""
+    rng = random.Random(50)
+    outside = pairs = 0
+    for field in (FieldSpec.prime(2), FieldSpec.prime(3)):
+        for n in range(1, 5):
+            for w in all_partial_permutations(n):
+                xs = [random_matrix(field, n, n, rng) for _ in range(6)]
+                us = [random_partial_permutation(n, rng) for _ in range(6)]
+                xs += [sample_cell_point(u, field, rng) for u in us]
+                for x in xs:
+                    expected = reference_matrix_schubert_violation(x, w)
+                    assert matrix_schubert_violation(x, w) == expected, (x, w)
+                    outside += expected is not None
+                    pairs += 1
+    assert pairs == 6048
+    assert outside == 4499
 
 
 def test_flag_membership_fixtures():
