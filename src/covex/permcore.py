@@ -127,32 +127,6 @@ class PartialPermutation(Frozen):
         return RankMatrix(n, tuple(tuple(row) for row in entries))
 
     @cached_property
-    def _essential(self) -> "tuple[EssentialCondition, ...]":
-        """essential_set in one pass over the rows, without building the diagram.
-
-        By diagram's row rule, a box (i, j) of D(w) is a corner when
-        (i, j + 1), (i - 1, j) and (i - 1, j + 1) are not in D(w), so each
-        row is checked against the row above; the corners come out in
-        (row, col) order.  The same row gives the rank at a corner:
-        r_w(i, j) = j - #{k <= j : w(k) < i}.
-        """
-        n, image = self.n, self.image
-        ends = _row_ends(self)
-        above = [False] * (n + 2)  # row i - 1 of D(w) by column, padded at 0 and n + 1
-        essential = []
-        for i in range(1, n + 1):
-            end = ends[i]
-            row = [False] * (n + 2)
-            row[1:end] = [v < i for v in image[: end - 1]]
-            below = 0  # #{k <= j : w(k) < i}
-            for j in range(1, end):
-                below += row[j]
-                if row[j] and not (row[j + 1] or above[j] or above[j + 1]):
-                    essential.append(EssentialCondition(i, j, j - below))
-            above = row
-        return tuple(essential)
-
-    @cached_property
     def _covexillary(self) -> "CovexillaryData | tuple[tuple[int, int], tuple[int, int]]":
         """The essential triples, or the two essential boxes that break the chain."""
         conditions = essential_set(self)
@@ -236,9 +210,27 @@ def diagram(w: PartialPermutation) -> frozenset[tuple[int, int]]:
 def essential_set(w: PartialPermutation) -> tuple[EssentialCondition, ...]:
     """Northeast corners of the diagram with their rank bounds, sorted by (row, col).
 
-    Computed once per instance of w (PartialPermutation._essential).
+    One pass over the rows, without building the diagram, by diagram's row
+    rule.  A box (i, j) of D(w) is a corner when (i, j + 1), (i - 1, j) and
+    (i - 1, j + 1) are not in D(w), so each row is checked against the row
+    above; the corners come out in (row, col) order.  The same row gives the
+    rank at a corner: r_w(i, j) = j - #{k <= j : w(k) < i}.
     """
-    return w._essential
+    n, image = w.n, w.image
+    ends = _row_ends(w)
+    above = [False] * (n + 2)  # row i - 1 of D(w) by column, padded at 0 and n + 1
+    essential = []
+    for i in range(1, n + 1):
+        end = ends[i]
+        row = [False] * (n + 2)
+        row[1:end] = [v < i for v in image[: end - 1]]
+        below = 0  # #{k <= j : w(k) < i}
+        for j in range(1, end):
+            below += row[j]
+            if row[j] and not (row[j + 1] or above[j] or above[j + 1]):
+                essential.append(EssentialCondition(i, j, j - below))
+        above = row
+    return tuple(essential)
 
 
 def avoids_3412(w: PartialPermutation) -> bool:

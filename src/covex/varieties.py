@@ -25,7 +25,7 @@ from .exactla import (
     random_borel,
 )
 from .frozen import Frozen
-from .permcore import PartialPermutation, essential_set, rank_matrix
+from .permcore import PartialPermutation, rank_matrix
 
 
 class Flag(Frozen):
@@ -93,18 +93,14 @@ def southwest_profile(x: ExactMatrix) -> tuple[tuple[int, ...], ...]:
 def matrix_schubert_violation(
     x: ExactMatrix, w: PartialPermutation
 ) -> tuple[int, int, int, int] | None:
-    """First violated condition (i, j, dim, bound), or None if x lies in g_w.
-
-    Membership is decided at w's essential boxes, which cut out the matrix
-    Schubert variety (Fulton, Duke Math. J. 65, 1992); the rank table of w
-    is read only when one fails, to name the first violated box in row order.
-    """
+    """First violated condition (i, j, dim, bound), or None if x lies in g_w."""
     if x.shape != (w.n, w.n):
         raise DimensionMismatchError("matrix size differs from permutation size")
     profile = southwest_profile(x)
-    if all(profile[e.row - 1][e.col - 1] <= e.rank for e in essential_set(w)):
+    ranks = rank_matrix(w)
+    if ranks.bounds(profile):
         return None
-    for i, j, bound in rank_matrix(w).cells:
+    for i, j, bound in ranks.cells:
         got = profile[i - 1][j - 1]
         if got > bound:
             return (i, j, got, bound)

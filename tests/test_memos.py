@@ -1,6 +1,6 @@
 """Derived data is computed once per instance and is invisible from outside.
 
-rank_matrix, essential_set, covexillary_data, the tau data of CovexillaryData, the
+rank_matrix, covexillary_data, the tau data of CovexillaryData, the
 southwest profile of a matrix and its columns, the basis matrix, the
 dimensions dim(V + E_t) and the containment data of a subspace, the
 inverse of a flag generator and the covector g^-1 z of a Springer flag
@@ -37,7 +37,6 @@ from covex.permcore import (
     all_partial_permutations,
     all_permutations,
     covexillary_data,
-    essential_set,
     is_covexillary,
     rank_matrix,
 )
@@ -70,16 +69,13 @@ def test_permutation_memos_are_invisible():
     w = PartialPermutation.from_one_line("0 3 1 0")
     rm = rank_matrix(w)
     data = covexillary_data(w)
-    essential = essential_set(w)
-    assert rank_matrix(w) is rm and covexillary_data(w) is data and essential_set(w) is essential
-    assert {"_rank_matrix", "_covexillary", "_essential"} <= set(vars(w))
+    assert rank_matrix(w) is rm and covexillary_data(w) is data
+    assert {"_rank_matrix", "_covexillary"} <= set(vars(w))
     fresh = PartialPermutation(4, (0, 3, 1, 0))
     assert_like_fresh(w, fresh)
     assert rank_matrix(fresh) == rm and covexillary_data(fresh) == data
-    assert essential_set(fresh) == essential
     back = pickle.loads(pickle.dumps(w))
     assert rank_matrix(back) == rm and covexillary_data(back) == data
-    assert essential_set(back) == essential
 
 
 def test_covexillary_data_memos_are_invisible():

@@ -404,8 +404,8 @@ def test_strict_rank_bounds_fail_kl_covex_at_its_smoke_case(monkeypatch):
     rank, and two permutations of one size share r(1, n) = n, so
     bruhat_leq(1234, 3412) is False and kl_polynomial answers 0 for
     P(1234, 3412) = 1 + q: kl-covex fails that one case of 32 with n <= 4.
-    The other suites pass, since matrix_schubert_violation decides at the
-    essential boxes and the KL tables compare packed ranks."""
+    The other suites pass, since matrix_schubert_violation falls back to
+    its cell loop and the KL tables compare packed ranks."""
     flat = chain.from_iterable
     monkeypatch.setattr(kl, "_TABLES", {})
     monkeypatch.setattr(kl, "_GRASS_TABLES", {})
