@@ -32,7 +32,7 @@ from .conormal import (
     conormal_flag_violations,
     conormal_grass_violations,
     conormal_matrix_violations,
-    vector_to_matrix,
+    vector_rows,
 )
 from .embedding import (
     check_target_space,
@@ -47,7 +47,7 @@ from .equivariant import (
     verify_multidegree,
 )
 from .errors import CovexError, InputError, InvariantError, NotCovexillaryError
-from .exactla import FieldSpec
+from .exactla import ExactMatrix, FieldSpec
 from .kl import covexillary_kl_check, kl_polynomial
 from .permcore import PartialPermutation, covexillary_data, essential_set
 from .serialization import (
@@ -277,7 +277,7 @@ def _cmd_conormal(args, field: FieldSpec) -> int:
         fiber = conormal_fiber_matrix(x, w)
     else:
         _, fiber = conormal_fiber_flag(x, w)
-    basis = [matrix_to_json(vector_to_matrix(field, v, w.n)) for v in fiber.vectors]
+    basis = [matrix_to_json(ExactMatrix(field, vector_rows(v, w.n))) for v in fiber.vectors]
     _emit({"dimension": fiber.dim, "basis": basis})
     return 0
 

@@ -440,13 +440,14 @@ def conormal_fiber_matrix(x: ExactMatrix, w: PartialPermutation) -> Subspace:
     return _orbit_fiber(x.field, Q, P, w)
 
 
-def vector_to_matrix(field: FieldSpec, vec: Sequence, n: int) -> ExactMatrix:
-    """Unflatten a length-n^2 vector (row-major) into an n x n matrix.
+def vector_rows(vec: Sequence, n: int) -> tuple[tuple, ...]:
+    """A flattened n x n covector (row-major) cut into its n rows, as
+    ExactMatrix.entries holds them.
 
     The entries must already be field elements (reduced mod p, or canonical
     rationals over Q), as the vectors of a Subspace are; they are not coerced.
     """
-    return ExactMatrix(field, tuple(tuple(vec[i * n : (i + 1) * n]) for i in range(n)))
+    return tuple([tuple(vec[a : a + n]) for a in range(0, n * n, n)])
 
 
 def _grass_plan(V: Subspace, conditions: Sequence[tuple[int, int]]):

@@ -58,24 +58,6 @@ class MultivariatePolynomial(Frozen):
     def is_zero(self) -> bool:
         return not self.terms
 
-    def _dict(self) -> dict[tuple[int, ...], int]:
-        return dict(self.terms)
-
-    def __add__(self, other: "MultivariatePolynomial") -> "MultivariatePolynomial":
-        self._check(other)
-        data = self._dict()
-        for exps, c in other.terms:
-            data[exps] = data.get(exps, 0) + c
-        return MultivariatePolynomial.make(self.variables, data)
-
-    def __sub__(self, other: "MultivariatePolynomial") -> "MultivariatePolynomial":
-        return self + other.scale(-1)
-
-    def scale(self, c: int) -> "MultivariatePolynomial":
-        return MultivariatePolynomial.make(
-            self.variables, {exps: c * v for exps, v in self.terms}
-        )
-
     def __mul__(self, other: "MultivariatePolynomial") -> "MultivariatePolynomial":
         self._check(other)
         data: dict[tuple[int, ...], int] = {}
@@ -257,10 +239,10 @@ def _excited_terms(v_idx: GrassIndex, point: GrassIndex) -> dict[tuple[int, ...]
     """The terms of grass_restriction(v_idx, point) over t_1..t_N, unsorted."""
     if (v_idx.d, v_idx.N) != (point.d, point.N):
         raise InputError("variety and point live in different Grassmannians")
+    if not point.leq(v_idx):  # v's diagram does not fit inside the point's
+        return {}
     N = v_idx.N
     inner, outer = _diagram(v_idx.positions, N), _diagram(point.positions, N)
-    if any(a > b for a, b in zip(inner, outer)):
-        return {}
     rows = point.positions
     cols = [b for b in range(N, 0, -1) if b not in rows]
     start = frozenset((i, j) for i, length in enumerate(inner) for j in range(length))

@@ -228,28 +228,6 @@ class ExactMatrix(Frozen):
     def is_square(self) -> bool:
         return self.rows == self.cols
 
-    def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
-        return self._entrywise(operator.add, other)
-
-    def __sub__(self, other: "ExactMatrix") -> "ExactMatrix":
-        return self._entrywise(operator.sub, other)
-
-    def __neg__(self) -> "ExactMatrix":
-        return self._entrywise(operator.neg)
-
-    def _entrywise(self, op, *others: "ExactMatrix") -> "ExactMatrix":
-        """op applied entry by entry to this matrix and others of its shape."""
-        for other in others:
-            self._check_same_shape(other)
-            self.field.check_same(other.field)
-        p = self.field.p
-        rows = zip(self.entries, *(other.entries for other in others))
-        if p is None:
-            data = tuple(tuple(_rational(op(*vs)) for vs in zip(*rs)) for rs in rows)
-        else:
-            data = tuple(tuple(op(*vs) % p for vs in zip(*rs)) for rs in rows)
-        return ExactMatrix(self.field, data)
-
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.cols != other.rows:
             raise DimensionMismatchError(
@@ -290,10 +268,6 @@ class ExactMatrix(Frozen):
                 raise SingularMatrixError("matrix is singular")
         _, rows = _reduced(basis, p)
         return ExactMatrix(self.field, tuple(row[n:] for row in rows))
-
-    def _check_same_shape(self, other: "ExactMatrix") -> None:
-        if self.shape != other.shape:
-            raise DimensionMismatchError(f"shape mismatch {self.shape} vs {other.shape}")
 
 
 def _products(

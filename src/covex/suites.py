@@ -21,7 +21,7 @@ once.  The check counts the off-fiber covectors with an empty diagnostic
 list and the fiber elements with a nonempty one, and a case passes only
 when both counts are 0.  Every cell point's fiber covectors are one batch
 too, given as rows (``_fiber_elements``; both draw fiber elements with
-``_random_elements`` and cut covectors into rows with ``_rows``):
+``_random_elements`` and cut covectors into rows with ``vector_rows``):
 conormal-matrix and conormal-flag check them with one violations call
 per point, and the fiber's dimension against |D(w)|, the codimension of
 w's orbit (Fulton, Duke Math. J. 65, 1992), read once per w.
@@ -63,6 +63,7 @@ from .conormal import (
     conormal_flag_violations,
     conormal_grass_violations,
     conormal_matrix_violations,
+    vector_rows,
 )
 from .embedding import embed_point, fixed_point_bits, target_grass_index, target_lanes
 from .errors import DimensionMismatchError, EssentialDataError, InputError, InvariantError
@@ -75,7 +76,6 @@ from .exactla import (
     _insert,
     _lane_bits,
     _pack,
-    _products,
     _residues,
     coordinate_subspace,
 )
@@ -168,11 +168,6 @@ def _covexillary_cases(
                 yield n, w, f"n={n}/w={w.one_line()}"
 
 
-def _rows(vector: Sequence[int], n: int) -> tuple[tuple[int, ...], ...]:
-    """A flattened n x n covector cut into its n rows, as ExactMatrix.entries holds them."""
-    return tuple([tuple(vector[a : a + n]) for a in range(0, n * n, n)])
-
-
 def _random_elements(fiber: Subspace, rng: random.Random, count: int) -> list[list[int]]:
     """count random elements of the fiber, flattened, each from fiber.dim draws of rng.
 
@@ -208,8 +203,8 @@ def _fiber_elements(fiber: Subspace, rng: random.Random, extra: int) -> list[tup
     n = isqrt(fiber.ambient)
     # the zero covector (zero section) is always a valid member
     points = [((0,) * n,) * n]
-    points += [_rows(v, n) for v in fiber.vectors]
-    points += [_rows(v, n) for v in _random_elements(fiber, rng, extra if fiber.dim else 0)]
+    points += [vector_rows(v, n) for v in fiber.vectors]
+    points += [vector_rows(v, n) for v in _random_elements(fiber, rng, extra if fiber.dim else 0)]
     return points
 
 
@@ -239,7 +234,7 @@ def _off_fiber_rejection(
         for k, c in zip(off, _draws(rng, p - 1, len(off))):
             y = element.copy()
             y[k] = (y[k] + c + 1) % p
-            ys.append(_rows(y, N))
+            ys.append(vector_rows(y, N))
     found = violations([*valid, *ys]) if valid or ys else []
     return sum(map(bool, found[: len(valid)])), found[len(valid) :].count([])
 
@@ -453,7 +448,8 @@ def _chase_to_grass(
 ) -> list[ExactMatrix]:
     """The cotangent points (x, y) pushed along the embedding into T*Gr(n, 2n).
 
-    Each y of ys is its n rows of field elements.  With h1 = ((I, 0), (x, I))
+    x lies over F_p, the only field the suites run over, and each y of ys
+    is its n rows of elements of F_p.  With h1 = ((I, 0), (x, I))
     and theta = ((0, y), (0, 0)), the point is (tau h1 E_n, tau M' tau^-1)
     for M' = h1 theta h1^-1 = ((-yx, y), (-xyx, xy)) = [y; xy] [-x | I].
     tau h1 E_n is V = embed_point(x, data), which the caller computes once
@@ -461,7 +457,8 @@ def _chase_to_grass(
     caller to make each a SpringerGrassPoint over V.
     Conjugating by the permutation tau moves entry (a, b) of M' to (tau(a),
     tau(b)): row a of the result is row tau^-1(a) of M' in data.tau_order,
-    the order of [-x | I]'s columns, whose rows are packed over F_p once.
+    the order of [-x | I]'s columns, whose rows are packed once
+    (tests/oracles.py holds the same chase by list products, over any field).
 
     V must be embed_point(x, data).  It is passed in, not recomputed, and
     SpringerGrassPoint checks only the two containments, so the V of another
@@ -474,12 +471,6 @@ def _chase_to_grass(
     cols = [[-v for v in c] for c in x.columns] + list(ExactMatrix.identity(field, n).entries)
     cols = [cols[b] for b in order]  # the columns of [-x | I] in tau order
     chased = []
-    if p is None:
-        for y in ys:
-            top = _products(y, cols, p)
-            rows = top + _products(x.entries, tuple(zip(*top)), p)
-            chased.append(ExactMatrix(field, tuple([rows[k] for k in order])))
-        return chased
     B = _lane_bits(n * n * (p - 1) ** 3)  # a lane is at most n^2 (p-1)^3
     packed = [_pack([col[r] % p for col in cols], B) for r in range(n)]
     for y in ys:

@@ -1,17 +1,21 @@
 """Reference code that the tests compare the package against.
 
 Nothing in the package or the benchmark reads these: null spaces, sums of
-subspaces, block matrices and submatrices, uniform random matrices,
-permutation lengths, constant and linear polynomials, and the single-point
-conormal predicates, each a batch of one for the package's batch form.
-Random matrices draw through exactla._draws, so a seeded generator yields
-the matrices it yielded when random_matrix lived in the package.
+subspaces, block matrices and submatrices, matrix sums, differences and
+negations, uniform random matrices, permutation lengths, constant and
+linear polynomials, polynomial sums and scalar multiples, the single-point
+conormal predicates, each a batch of one for the package's batch form, and
+the cotangent chase into T*Gr(n, 2n) by list products over any field, the
+reference for the suites' packed chase over F_p.  Random matrices draw
+through exactla._draws, so a seeded generator yields the matrices it
+yielded when random_matrix lived in the package.
 """
 
 from __future__ import annotations
 
+import operator
 import random
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from covex.conormal import (
     CotangentMatrixPoint,
@@ -29,10 +33,11 @@ from covex.exactla import (
     Subspace,
     _draws,
     _insert,
+    _products,
     _reduced,
     _span_rows,
 )
-from covex.permcore import PartialPermutation
+from covex.permcore import CovexillaryData, PartialPermutation
 
 
 def kernel(matrix: ExactMatrix) -> Subspace:
@@ -110,6 +115,29 @@ def submatrix(
     )
 
 
+def _entrywise(op, *matrices: ExactMatrix) -> ExactMatrix:
+    """op applied entry by entry to matrices of one shape over one field."""
+    first = matrices[0]
+    for m in matrices:
+        first.field.check_same(m.field)
+        if m.shape != first.shape:
+            raise DimensionMismatchError(f"shape mismatch {first.shape} vs {m.shape}")
+    rows = zip(*(m.entries for m in matrices))
+    return ExactMatrix.from_rows(first.field, ([op(*vs) for vs in zip(*rs)] for rs in rows))
+
+
+def matrix_sum(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
+    return _entrywise(operator.add, a, b)
+
+
+def matrix_difference(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
+    return _entrywise(operator.sub, a, b)
+
+
+def matrix_negation(a: ExactMatrix) -> ExactMatrix:
+    return _entrywise(operator.neg, a)
+
+
 def is_zero(m: ExactMatrix) -> bool:
     return not any(v for row in m.entries for v in row)
 
@@ -138,6 +166,38 @@ def linear(variables: tuple[str, ...], coeffs: dict[str, int]) -> MultivariatePo
         exps[variables.index(name)] = 1
         data[tuple(exps)] = data.get(tuple(exps), 0) + c
     return MultivariatePolynomial.make(variables, data)
+
+
+def polynomial_sum(f: MultivariatePolynomial, g: MultivariatePolynomial) -> MultivariatePolynomial:
+    f._check(g)
+    data = dict(f.terms)
+    for exps, c in g.terms:
+        data[exps] = data.get(exps, 0) + c
+    return MultivariatePolynomial.make(f.variables, data)
+
+
+def polynomial_scale(f: MultivariatePolynomial, c: int) -> MultivariatePolynomial:
+    return MultivariatePolynomial.make(f.variables, {exps: c * v for exps, v in f.terms})
+
+
+def chase_to_grass(
+    data: CovexillaryData, x: ExactMatrix, ys: Iterable[Sequence[Sequence]]
+) -> list[ExactMatrix]:
+    """tau M' tau^-1 with M' = [y; xy] [-x | I] for each y of ys, given as its
+    rows: suites._chase_to_grass by list products, over F_p or Q.
+
+    Row a of the result is row tau^-1(a) of M', in data.tau_order, which is
+    also the order of the columns of [-x | I] that M' keeps.
+    """
+    field, n, order = x.field, data.n, data.tau_order
+    cols = [[-v for v in c] for c in x.columns] + list(ExactMatrix.identity(field, n).entries)
+    cols = [cols[b] for b in order]
+    chased = []
+    for y in ys:
+        top = _products(y, cols, field.p)
+        rows = top + _products(x.entries, tuple(zip(*top)), field.p)
+        chased.append(ExactMatrix(field, tuple([rows[k] for k in order])))
+    return chased
 
 
 def in_conormal_matrix(pt: CotangentMatrixPoint, w: PartialPermutation) -> bool:

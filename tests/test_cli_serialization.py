@@ -309,6 +309,78 @@ def test_cli_malformed_field_and_point_sizes(capsys, tmp_path, field, command, p
     assert_one_error_line(*run_cli(capsys, "--field", field, *command))
 
 
+ZERO_3 = {"rows": 3, "cols": 3, "entries": [[0] * 3] * 3}
+E12_IN_F3 = {"rows": 3, "cols": 2, "entries": [[1, 0], [0, 1], [0, 0]]}
+
+
+@pytest.mark.parametrize(
+    "command, payload, message",
+    [
+        (["member", "matrix", "POINT", "1"], {"rows": 1, "cols": 1, "entries": [[True]]},
+         "bad scalar True: expected integer or 'a/b'"),
+        (["member", "matrix", "POINT", "1"], {"rows": 1, "cols": 1, "entries": [[1.5]]},
+         "bad scalar 1.5: expected integer or 'a/b'"),
+        (["member", "matrix", "POINT", "1"], {"rows": 1, "cols": 1, "entries": [[None]]},
+         "bad scalar None: expected integer or 'a/b'"),
+        (["member", "matrix", "POINT", "12"], [[1, 0], [0, 1]],
+         "matrix: expected an object with rows/cols/entries"),
+        (["member", "matrix", "POINT", "12"], {"rows": 2, "cols": 2, "entries": [[1, 0]]},
+         "matrix: entries must be a list of 2 rows"),
+        (["member", "grass", "POINT", "1"], {"ambient": 2},
+         "subspace: expected an object with ambient and basis"),
+        (["member", "grass", "POINT", "1"], {"ambient": 3, "basis": E1_IN_F2},
+         "subspace: basis rows differ from ambient dimension"),
+        (["member", "flag", "POINT", "12"], {"n": 2},
+         "flag: expected an object with a generator matrix"),
+        (["member", "flag", "POINT", "12"], {"generator": E1_IN_F2},
+         "flag: generator must be square"),
+        (["member", "flag", "POINT", "12"], {"n": 3, "generator": IDENTITY_2},
+         "flag: declared n differs from generator size"),
+        (["conormal", "member", "matrix", "POINT", "--w", "12"], {"x": IDENTITY_2, "y": ZERO_3},
+         "x and y must be square of equal size"),
+        (["conormal", "member", "flag", "POINT", "--w", "12"],
+         {"flag": {"generator": IDENTITY_2}, "z": ZERO_3}, "z size differs from flag size"),
+        (["conormal", "member", "grass", "POINT", "--conditions", "1:0"],
+         {"V": {"ambient": 2, "basis": E1_IN_F2}, "x": ZERO_3},
+         "x size differs from ambient dimension"),
+        (["conormal", "fiber", "matrix", "POINT", "--w", "12"], ZERO_3,
+         "matrix size differs from permutation size"),
+        (["member", "grass", "POINT", "1 2"], {"ambient": 2, "basis": E1_IN_F2},
+         "index length differs from d"),
+        (["member", "grass", "POINT", "2 1"], {"ambient": 3, "basis": E12_IN_F3},
+         "positions must strictly increase within 1..3"),
+        (["member", "flag", "POINT", "2 0"], {"generator": IDENTITY_2},
+         "flag Schubert membership requires a permutation"),
+    ],
+    ids=[
+        "entry-true",
+        "entry-float",
+        "entry-null",
+        "matrix-not-an-object",
+        "entries-short",
+        "subspace-without-basis",
+        "basis-rows-not-ambient",
+        "flag-without-generator",
+        "generator-not-square",
+        "declared-n-differs",
+        "cotangent-shapes",
+        "springer-flag-z-size",
+        "springer-grass-x-size",
+        "fiber-matrix-size",
+        "grass-index-length",
+        "grass-index-order",
+        "flag-partial-w",
+    ],
+)
+def test_cli_refused_point_files_print_their_message(capsys, tmp_path, command, payload, message):
+    """A point file the parsers refuse, or a point of the wrong shape for
+    its command, exits 2 with the message as its one line of stderr, and
+    no traceback."""
+    path = write_json(tmp_path, "point.json", payload)
+    code, out, err = run_cli(capsys, *[path if a == "POINT" else a for a in command])
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_cli_springer_grass_file_outside_its_invariant_is_bad_input(capsys, tmp_path):
     """Im(x) not inside V breaks SpringerGrassPoint's invariant while the
     file is read: bad input, exit 2, although an InvariantError raised

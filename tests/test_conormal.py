@@ -21,7 +21,7 @@ from covex.conormal import (
     _core_plan,
     _grass_plan,
     core_pivots,
-    vector_to_matrix,
+    vector_rows,
 )
 from covex.embedding import embed_point, fixed_point_index, tau_permutation
 from covex.errors import (
@@ -74,12 +74,15 @@ from covex.varieties import (
 )
 from oracles import (
     blocks,
+    chase_to_grass,
     in_conormal_flag,
     in_conormal_grass,
     in_conormal_matrix,
     is_zero,
     kernel,
     length,
+    matrix_negation,
+    matrix_sum,
     random_matrix,
     submatrix,
     subspace_sum,
@@ -113,7 +116,7 @@ def unit_matrix(n, i, j):
 
 
 def fiber_matrices(fiber, n):
-    return [vector_to_matrix(F, v, n) for v in fiber.vectors]
+    return [ExactMatrix(F, vector_rows(v, n)) for v in fiber.vectors]
 
 
 class ConormalBoundTable:
@@ -224,7 +227,7 @@ def test_big_matrix_fixtures():
 
 def test_big_matrix_support_for_2143():
     w = PartialPermutation.from_one_line("2143")
-    y = unit_matrix(4, 1, 3) + unit_matrix(4, 2, 4)
+    y = matrix_sum(unit_matrix(4, 1, 3), unit_matrix(4, 2, 4))
     m = big_matrix_M(CotangentMatrixPoint(w.matrix(F), y))
     support_rows = {1, 2, 5, 6}
     support_cols = {3, 4, 7, 8}
@@ -313,7 +316,7 @@ def core_points(w, field, rng):
     if field.is_prime:
         fiber = conormal_fiber_matrix(cell, w)
         if fiber.dim:
-            points.append((cell, vector_to_matrix(field, fiber.vectors[-1], n)))
+            points.append((cell, ExactMatrix(field, vector_rows(fiber.vectors[-1], n))))
     else:
         points.append((rational_matrix(rng, n), random_y()))
     return points
@@ -733,7 +736,8 @@ def test_matrix_conormal_verdicts_are_borel_equivariant(p):
             x = sample_cell_point(w, field, rng)
             b_l, b_r = random_borel(field, n, rng), random_borel(field, n, rng)
             l_inv, r_inv = b_l.inverse(), b_r.inverse()
-            ys = [vector_to_matrix(field, v, n) for v in conormal_fiber_matrix(x, w).vectors]
+            fiber = conormal_fiber_matrix(x, w)
+            ys = [ExactMatrix(field, vector_rows(v, n)) for v in fiber.vectors]
             ys += [random_matrix(field, n, n, rng) for _ in range(2)]
             def members(x, ys):
                 return [not found for found in conormal_matrix_violations(x, w, ys)]
@@ -780,15 +784,24 @@ def all_matrices(field, n):
 def combination(field, basis, coeffs, n):
     """The n x n matrix sum of coeffs[k] * basis[k] over the prime field."""
     flat = [sum(map(mul, coeffs, col)) % field.p for col in zip(*basis)] or [0] * (n * n)
-    return vector_to_matrix(field, flat, n)
+    return ExactMatrix(field, vector_rows(flat, n))
+
+
+def chase_batch(data, V, x, ys):
+    """The chase of the matrices ys at x: the suites' packed chase over F_p,
+    and over Q, where no suite runs, the list-based chase of the oracles."""
+    rows = [y.entries for y in ys]
+    if x.field.is_prime:
+        return _chase_to_grass(data, V, x, rows)
+    return chase_to_grass(data, x, rows)
 
 
 def chase(w, x, y):
-    """The Springer point of _chase_to_grass at (x, y), a batch of one, with
+    """The Springer point of the chase at (x, y), a batch of one, with
     V = embed_point(x) as the suite passes it."""
     data = covexillary_data(w)
     V = embed_point(x, data)
-    return SpringerGrassPoint(V, _chase_to_grass(data, V, x, [y.entries])[0])
+    return SpringerGrassPoint(V, chase_batch(data, V, x, [y])[0])
 
 
 def chased_accepts(w, x, y):
@@ -947,7 +960,7 @@ def test_signed_and_unsigned_submatrices_have_equal_ranks():
             y = random_matrix(F, n, n, rng)
             yx, xy = y @ x, x @ y
             unsigned = blocks([[yx, y], [x @ yx, xy]])
-            signed = blocks([[-yx, y], [-(x @ yx), xy]])
+            signed = blocks([[matrix_negation(yx), y], [matrix_negation(x @ yx), xy]])
             for i, j in bound_table(data).pairs():
                 assert (
                     submatrix_mij(unsigned, data, i, j).rank()
@@ -1014,7 +1027,8 @@ def test_grass_verdict_is_the_empty_violation_list():
                 points.append(SpringerGrassPoint(V, ExactMatrix.zeros(field, 2 * n, 2 * n)))
                 points.append(SpringerGrassPoint(V, springer_fiber_sample(V, field, rng)))
             x = sample_cell_point(w, field, rng)
-            ys = [vector_to_matrix(field, v, n) for v in conormal_fiber_matrix(x, w).vectors]
+            fiber = conormal_fiber_matrix(x, w)
+            ys = [ExactMatrix(field, vector_rows(v, n)) for v in fiber.vectors]
             ys += [random_matrix(field, n, n, rng) for _ in range(3)]
             points += [chase(w, x, y) for y in ys]
             for pt in points:
@@ -1227,7 +1241,7 @@ def test_grass_members_are_the_per_point_verdicts(field):
             V = embed_point(x, data)
             ys = fiber_combinations(conormal_fiber_matrix(x, w), field, n, rng, 3)
             ys += [random_matrix_over(field, n, rng) for _ in range(3)]
-            batches = [(V, _chase_to_grass(data, V, x, [y.entries for y in ys]), None)]
+            batches = [(V, chase_batch(data, V, x, ys), None)]
             batches.append((V, springer_points(V, field, rng), None))
             far = next((u for u in partials if not bruhat_leq(u, w)), None)
             if far is not None:
@@ -1338,8 +1352,7 @@ def test_grass_ranks_of_the_cell_rows_are_the_whole_profile(field):
             V = embed_point(x, data)
             ys = fiber_combinations(conormal_fiber_matrix(x, w), field, n, rng, 3)
             ys.append(random_matrix_over(field, n, rng))
-            chased = _chase_to_grass(data, V, x, [y.entries for y in ys])
-            points = [SpringerGrassPoint(V, chase) for chase in chased]
+            points = [SpringerGrassPoint(V, chase) for chase in chase_batch(data, V, x, ys)]
             others = [V, embed_point(cell_point(rng.choice(partials)), data)]
             far = next((u for u in partials if not bruhat_leq(u, w)), None)
             if far is not None:
@@ -1381,7 +1394,7 @@ def test_flag_members_are_the_per_point_verdicts():
                 g = cell_generator(u, field, rng)
                 flag, fiber = conormal_fiber_flag(g, u)
                 zs = [ExactMatrix.zeros(field, n, n)]
-                zs += [vector_to_matrix(field, v, n) for v in fiber.vectors]
+                zs += [ExactMatrix(field, vector_rows(v, n)) for v in fiber.vectors]
                 zs += [g @ random_upper(field, n, rng, True) @ flag.inverse for _ in range(3)]
                 points = [SpringerFlagPoint(flag, z) for z in zs]
                 for w in ws:
@@ -1606,7 +1619,7 @@ def test_flag_predicate_matches_subspace_reference():
                 springer = g @ random_upper(field, n, rng, True) @ flag.inverse
                 zs = [ExactMatrix.zeros(field, n, n), springer]
                 if fiber.dim:
-                    zs.append(vector_to_matrix(field, fiber.vectors[-1], n))
+                    zs.append(ExactMatrix(field, vector_rows(fiber.vectors[-1], n)))
                 for z in zs:
                     pt = SpringerFlagPoint(flag, z)
                     for w in ws:
@@ -1681,7 +1694,7 @@ def test_springer_flag_invariant_matches_containment_on_samples():
                 col = rng.randrange(n)
                 bump = [[0] * n for _ in range(n)]
                 bump[rng.randrange(col, n)][col] = rng.randrange(1, field.p)
-                bumped = upper + ExactMatrix.from_rows(field, bump)
+                bumped = matrix_sum(upper, ExactMatrix.from_rows(field, bump))
                 not_springer = g @ bumped @ flag.inverse
                 for z in (random_matrix(field, n, n, rng), g @ upper @ flag.inverse, not_springer):
                     assert invariant_failure(flag, z) == reference_invariant_failure(flag, z)
@@ -1721,7 +1734,7 @@ def test_springer_flag_lower_triangle_matches_the_full_product():
                         if i < n and rng.random() < 0.5:
                             col = rng.randint(i + 1, n)
                             bump[rng.randint(col, n) - 1][col - 1] = 1
-                        bumped = upper + ExactMatrix.from_rows(field, bump)
+                        bumped = matrix_sum(upper, ExactMatrix.from_rows(field, bump))
                         z = g @ bumped @ flag.inverse
                         assert product_invariant_failure(flag, z) == i
                         zs.append(z)
@@ -1783,7 +1796,7 @@ def test_springer_consistency_identity():
         h1, theta = push_graph(CotangentMatrixPoint(x, y))
         point = springer_grass(tau_mat @ h1, theta, 4)
         yx, xy = y @ x, x @ y
-        signed = blocks([[-yx, y], [-(x @ yx), xy]])
+        signed = blocks([[matrix_negation(yx), y], [matrix_negation(x @ yx), xy]])
         assert point.x == tau_mat @ signed @ tau_mat.inverse()
         assert point.V == embed_point(x, data)
         assert is_zero(point.x @ point.x)
@@ -1792,7 +1805,9 @@ def test_springer_consistency_identity():
 def test_chase_equals_the_springer_coordinates_of_the_pushed_graph():
     """_chase_to_grass places h1 theta h1^-1 by tau and spans embed_point(x);
     the generic route inverts tau h1 and spans its first n columns.  Over
-    F_2, F_10007, F_TOP (the widest lanes of the packed rows) and Q."""
+    F_2, F_10007, F_TOP (the widest lanes of the packed rows) and Q, where
+    the list-based chase stands in; over F_p the packed chase is also the
+    list-based one."""
     rng = random.Random(30)
     cases = [w for n in (1, 2, 3, 4) for w in all_partial_permutations(n) if is_covexillary(w)]
     assert len(cases) == 225
@@ -1804,7 +1819,30 @@ def test_chase_equals_the_springer_coordinates_of_the_pushed_graph():
             else:
                 x, y = rational_matrix(rng, w.n), rational_matrix(rng, w.n)
             h1, theta = push_graph(CotangentMatrixPoint(x, y))
-            assert chase(w, x, y) == springer_grass(tau_mat @ h1, theta, w.n)
+            point = chase(w, x, y)
+            assert point == springer_grass(tau_mat @ h1, theta, w.n)
+            assert chase_to_grass(covexillary_data(w), x, [y.entries]) == [point.x]
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: CotangentMatrixPoint(ExactMatrix.zeros(F, 2, 2), ExactMatrix.zeros(F, 3, 3)),
+         "x and y must be square of equal size"),
+        (lambda: SpringerFlagPoint(Flag(ExactMatrix.identity(F, 2)), ExactMatrix.zeros(F, 3, 3)),
+         "z size differs from flag size"),
+        (lambda: SpringerGrassPoint(coordinate_subspace(F, 2, [1]), ExactMatrix.zeros(F, 3, 3)),
+         "x size differs from ambient dimension"),
+        (lambda: conormal_fiber_matrix(
+            ExactMatrix.zeros(F, 3, 3), PartialPermutation.from_one_line("12")
+        ), "matrix size differs from permutation size"),
+    ],
+    ids=["cotangent-shapes", "springer-flag-z-size", "springer-grass-x-size", "fiber-matrix-size"],
+)
+def test_points_and_fibers_of_the_wrong_size_are_refused(call, message):
+    with pytest.raises(DimensionMismatchError) as raised:
+        call()
+    assert str(raised.value) == message
 
 
 def test_chase_refuses_a_subspace_that_is_not_n_dimensional():
@@ -1867,7 +1905,7 @@ def member_batch(w, field, rng):
     n = w.n
     if field.is_prime:
         x = sample_cell_point(w, field, rng)
-        ys = [vector_to_matrix(field, v, n) for v in conormal_fiber_matrix(x, w).vectors]
+        ys = [ExactMatrix(field, vector_rows(v, n)) for v in conormal_fiber_matrix(x, w).vectors]
         ys += [random_matrix(field, n, n, rng) for _ in range(3)]
     else:
         x = w.matrix(field)
@@ -2117,7 +2155,7 @@ def old_fiber_elements(fiber, n, field, rng, extra):
     """_fiber_elements as first written: each combination accumulated basis
     vector by basis vector, reduced mod p after every step."""
     points = [ExactMatrix.zeros(field, n, n)]
-    points += [vector_to_matrix(field, v, n) for v in fiber.vectors]
+    points += [ExactMatrix(field, vector_rows(v, n)) for v in fiber.vectors]
     p = field.p
     for _ in range(extra if fiber.dim else 0):
         coeffs = _draws(rng, p, fiber.dim)
@@ -2125,7 +2163,7 @@ def old_fiber_elements(fiber, n, field, rng, extra):
         for c, basis_vec in zip(coeffs, fiber.vectors):
             if c:
                 vec = [(a + c * b) % p for a, b in zip(vec, basis_vec)]
-        points.append(vector_to_matrix(field, vec, n))
+        points.append(ExactMatrix(field, vector_rows(vec, n)))
     return points
 
 

@@ -35,7 +35,7 @@ from covex.permcore import (
     is_covexillary,
 )
 from covex.varieties import GrassIndex
-from oracles import constant, linear
+from oracles import constant, linear, polynomial_scale, polynomial_sum
 from scale import sized
 from test_kl import CosetData
 from test_permcore import triples
@@ -60,7 +60,7 @@ def substitute(f, target_ring, mapping):
         for name, e in zip(f.variables, exps):
             for _ in range(e):
                 term = term * mapping[name]
-        result = result + term
+        result = polynomial_sum(result, term)
     return result
 
 
@@ -145,7 +145,7 @@ def divide_linear_difference(g, pos_a, pos_b):
     terms; the production divided difference maps each term to its closed
     form instead.
     """
-    data = g._dict()
+    data = dict(g.terms)
     quotient = {}
 
     def lead_key(exps):
@@ -179,7 +179,9 @@ def test_divided_difference_matches_long_division():
     for w in all_permutations(5):
         f = double_schubert(w)
         for i in range(1, 5):
-            expected = divide_linear_difference(f - swap_x(f, i), i - 1, i)
+            expected = divide_linear_difference(
+                polynomial_sum(f, polynomial_scale(swap_x(f, i), -1)), i - 1, i
+            )
             assert divided_difference(f, 5, i) == expected
     rng = random.Random(21)
     ring = xy_ring(3)
@@ -190,7 +192,9 @@ def test_divided_difference_matches_long_division():
             data[exps] = rng.randrange(-4, 5)
         f = MultivariatePolynomial.make(ring, data)
         for i in (1, 2):
-            expected = divide_linear_difference(f - swap_x(f, i), i - 1, i)
+            expected = divide_linear_difference(
+                polynomial_sum(f, polynomial_scale(swap_x(f, i), -1)), i - 1, i
+            )
             assert divided_difference(f, 3, i) == expected
 
 
@@ -440,7 +444,7 @@ def billey_subword_sum(N, class_perm, point_perm):
                 term = constant(ring, 1)
                 for k in chosen:
                     term = term * roots[k]
-                total = total + term
+                total = polynomial_sum(total, term)
             return
         if L - pos < target_len - len(chosen):
             return

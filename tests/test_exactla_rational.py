@@ -22,7 +22,7 @@ from hypothesis import given, settings, strategies as st
 from covex.errors import FieldError, SingularMatrixError
 from covex.exactla import ExactMatrix, FieldSpec, Subspace, _insert
 
-from oracles import kernel
+from oracles import kernel, matrix_difference, matrix_negation, matrix_sum
 from scale import sized
 
 Q = FieldSpec.rational()
@@ -225,8 +225,9 @@ def test_scalars_are_ints_when_integral():
     assert type(Q.coerce(Fraction(6, 3))) is int and Q.coerce(Fraction(6, 3)) == 2
     assert type(Q.coerce(Fraction(1, 3))) is Fraction
     halves = ExactMatrix.from_rows(Q, [[Fraction(1, 2), Fraction(-1, 3)]])
-    assert (halves + halves).entries == ((1, Fraction(-2, 3)),)
-    for m in (halves + halves, halves - halves, -(halves + halves)):
+    twice = matrix_sum(halves, halves)
+    assert twice.entries == ((1, Fraction(-2, 3)),)
+    for m in (twice, matrix_difference(halves, halves), matrix_negation(twice)):
         assert_canonical(entries_of(m.entries))
     half = ExactMatrix.from_rows(Q, [[Fraction(1, 2), 0], [0, 2]])
     assert_canonical(entries_of((half @ half.inverse()).entries))

@@ -97,6 +97,44 @@ def test_every_public_member_is_read_by_the_package_or_the_benchmark():
     assert unread == [], "move these into tests/oracles.py or delete them"
 
 
+# Every binary, reflected, in-place and unary arithmetic dunder.
+ARITHMETIC_DUNDERS = {
+    f"__{prefix}{op}__"
+    for op in (
+        "add", "sub", "mul", "matmul", "truediv", "floordiv", "mod", "divmod", "pow",
+        "lshift", "rshift", "and", "xor", "or",
+    )
+    for prefix in ("", "r", "i")
+} | {"__neg__", "__pos__", "__abs__", "__invert__"}
+
+
+def test_classes_define_only_the_operators_that_the_package_uses():
+    """The surface check above skips names that start with "_", so it
+    cannot see an operator that only the tests use; the tests build sums,
+    differences and negations with tests/oracles.py instead.  ExactMatrix
+    multiplies, MultivariatePolynomial multiplies (the tracer wraps its
+    __mul__), and PolynomialQ adds and subtracts in the KL recursion."""
+    defined = {}
+    for module, tree in SRC_TREES.items():
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef):
+                names = {item.name for item in node.body if isinstance(item, ast.FunctionDef)}
+                names |= {
+                    target.id
+                    for item in node.body
+                    if isinstance(item, ast.Assign)
+                    for target in item.targets
+                    if isinstance(target, ast.Name)
+                }
+                if names & ARITHMETIC_DUNDERS:
+                    defined[f"{module}.{node.name}"] = names & ARITHMETIC_DUNDERS
+    assert defined == {
+        "exactla.ExactMatrix": {"__matmul__"},
+        "equivariant.MultivariatePolynomial": {"__mul__"},
+        "kl.PolynomialQ": {"__add__", "__sub__"},
+    }
+
+
 def test_perfbench_reads_names_only_members_that_the_benchmark_reads():
     """Each exempt name is a public member of the package that perfbench/
     spells and the package itself does not: a name the benchmark stops

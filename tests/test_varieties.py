@@ -5,7 +5,7 @@ from itertools import combinations
 
 import pytest
 
-from covex.errors import DimensionMismatchError
+from covex.errors import DimensionMismatchError, InputError
 from covex.exactla import (
     ExactMatrix,
     FieldSpec,
@@ -93,6 +93,38 @@ def test_matrix_membership_fixtures():
 def test_matrix_membership_size_check():
     with pytest.raises(DimensionMismatchError):
         matrix_schubert_violation(ExactMatrix.zeros(F, 2, 2), PartialPermutation.identity(3))
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: Flag(ExactMatrix.zeros(F, 2, 3)), DimensionMismatchError,
+         "flag generator must be square"),
+        (lambda: GrassIndex(2, 3, (1,)), InputError, "index length differs from d"),
+        (lambda: GrassIndex(2, 3, (2, 1)), InputError,
+         "positions must strictly increase within 1..3"),
+        (lambda: flag_schubert_violation(
+            Flag(ExactMatrix.identity(F, 2)), PartialPermutation(2, (2, 0))
+        ), InputError, "flag Schubert membership requires a permutation"),
+        (lambda: grass_schubert_violation(coordinate_subspace(F, 2, [1]), GrassIndex(1, 3, (1,))),
+         DimensionMismatchError, "ambient dimension differs from N"),
+        (lambda: grass_schubert_violation(
+            coordinate_subspace(F, 2, [1]), GrassIndex(2, 2, (1, 2))
+        ), DimensionMismatchError, "subspace dimension 1 is not d=2"),
+    ],
+    ids=[
+        "flag-not-square",
+        "index-length",
+        "index-order",
+        "flag-partial-w",
+        "grass-ambient",
+        "grass-dimension",
+    ],
+)
+def test_shape_and_argument_guards_raise_their_errors(call, error, message):
+    with pytest.raises(error) as raised:
+        call()
+    assert str(raised.value) == message
 
 
 def test_essential_only_agrees_with_full():
