@@ -319,21 +319,13 @@ def symmetric_group_table(N: int) -> SymmetricGroupTable:
     return table
 
 
-def _as_tuple(w) -> tuple[int, ...]:
-    if isinstance(w, PartialPermutation):
-        if not w.is_full_rank:
-            raise InputError("Kazhdan-Lusztig polynomials need full permutations")
-        return w.image
-    return tuple(w)
-
-
 def _avoids_3412_and_4231(image: tuple[int, ...]) -> bool:
     return not any(
         c < d < a < b or d < b < c < a for a, b, c, d in itertools.combinations(image, 4)
     )
 
 
-def kl_polynomial(u, w) -> PolynomialQ:
+def kl_polynomial(u: PartialPermutation, w: PartialPermutation) -> PolynomialQ:
     """P_{u,w}(q); the zero polynomial when u is not below w.
 
     Two cases build no table.  P_{u,w} is zero unless u <= w.  When w
@@ -341,22 +333,22 @@ def kl_polynomial(u, w) -> PolynomialQ:
     and Sandhya, 1990), so P_{u,w} = 1 for every u <= w (Kazhdan and
     Lusztig, 1979).  tests/test_kl.py checks both against the S_5 table.
     """
-    ut, wt = _as_tuple(u), _as_tuple(w)
-    n = len(ut)
-    if len(wt) != n:
+    if not (u.is_full_rank and w.is_full_rank):
+        raise InputError("Kazhdan-Lusztig polynomials need full permutations")
+    n = u.n
+    if w.n != n:
         raise InputError("permutations have different sizes")
     if n > KL_MAX_N:
         raise InputError(
             f"Kazhdan-Lusztig polynomials need the table of S_{n}; "
             f"the largest that fits is S_{KL_MAX_N}"
         )
-    # S_0 holds only the empty permutation, which PartialPermutation cannot hold
-    if n and not bruhat_leq(PartialPermutation(n, ut), PartialPermutation(n, wt)):
+    if not bruhat_leq(u, w):
         return _ZERO
-    if _avoids_3412_and_4231(wt):
+    if _avoids_3412_and_4231(w.image):
         return _ONE
     table = symmetric_group_table(n)
-    return table.kl(table.index[ut], table.index[wt])
+    return table.kl(table.index[u.image], table.index[w.image])
 
 
 class GrassmannianTable(_KLTable):

@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 import random
 from functools import cached_property
-from operator import le, sub
+from operator import ge, le, sub
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -112,19 +112,16 @@ class PartialPermutation(Frozen):
     # __repr__ never look at: they read the fields alone (see frozen.py).
 
     @cached_property
-    def _rank_matrix(self) -> "RankMatrix":
-        n = self.n
-        grid = [[0] * (n + 1) for _ in range(n + 2)]
-        for r, c in self.dots():
-            grid[r][c] = 1
-        # suffix sum over rows, prefix sum over columns
-        entries = [[0] * n for _ in range(n)]
-        for i in range(n, 0, -1):
-            acc = 0
-            for j in range(1, n + 1):
-                acc += grid[i][j]
-                entries[i - 1][j - 1] = acc + (entries[i][j - 1] if i < n else 0)
-        return RankMatrix(n, tuple(tuple(row) for row in entries))
+    def _rank_matrix(self) -> tuple[tuple[int, ...], ...]:
+        """r_w(i, j) = #{k <= j : w(k) >= i} at [i-1][j-1], by the row rule.
+
+        initial=0 makes every sum an int, the first column's included.
+        """
+        image = self.image
+        return tuple(
+            tuple(itertools.accumulate(map(ge, image, itertools.repeat(i)), initial=0))[1:]
+            for i in range(1, self.n + 1)
+        )
 
     @cached_property
     def _covexillary(self) -> "CovexillaryData | tuple[tuple[int, int], tuple[int, int]]":
@@ -141,30 +138,6 @@ class PartialPermutation(Frozen):
         )
 
 
-class RankMatrix(Frozen):
-    """Southwest rank counts: entries[i-1][j-1] = #dots in rows i..n, cols 1..j."""
-
-    _fields = ("n", "entries")
-
-    def __init__(self, n: int, entries: tuple[tuple[int, ...], ...]):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "entries", entries)
-
-    @cached_property
-    def cells(self) -> tuple[tuple[int, int, int], ...]:
-        """(i, j, r(i, j)) for every box, row by row; built once per instance."""
-        return tuple(
-            (i, j, r)
-            for i, row in enumerate(self.entries, 1)
-            for j, r in enumerate(row, 1)
-        )
-
-    def bounds(self, ranks: Sequence[Sequence[int]]) -> bool:
-        """True iff every entry of ranks (an n x n table) is at most this one's."""
-        flat = itertools.chain.from_iterable
-        return all(map(le, flat(ranks), flat(self.entries)))
-
-
 class EssentialCondition(Frozen):
     """A rank bound at one essential box: dim(x E_col / E_{row-1}) <= rank."""
 
@@ -176,14 +149,21 @@ class EssentialCondition(Frozen):
         object.__setattr__(self, "rank", rank)
 
 
-def rank_matrix(w: PartialPermutation) -> RankMatrix:
-    """Rank matrix of w: entry (i, j) counts dots in rows i..n, columns 1..j.
+def rank_matrix(w: PartialPermutation) -> tuple[tuple[int, ...], ...]:
+    """Rank matrix of w: [i-1][j-1] counts dots in rows i..n, columns 1..j.
 
-    Computed once per instance of w.  This pass-through stays because the
-    benchmark tracer hooks it by name (permcore.rank_matrix) to count the
-    distinct w whose rank matrix is read.
+    This is the southwest profile of w's 0/1 matrix, in the same row-tuple
+    table, computed once per instance of w.  This pass-through stays
+    because the benchmark tracer hooks it by name (permcore.rank_matrix) to
+    count the distinct w whose rank matrix is read.
     """
     return w._rank_matrix
+
+
+def dominated(ranks: Sequence[Sequence[int]], bounds: Sequence[Sequence[int]]) -> bool:
+    """True iff every entry of the table ranks is at most the entry of bounds at its box."""
+    flat = itertools.chain.from_iterable
+    return all(map(le, flat(ranks), flat(bounds)))
 
 
 def _row_ends(w: PartialPermutation) -> list[int]:
@@ -353,18 +333,14 @@ def covexillary_data(w: PartialPermutation) -> CovexillaryData:
 
 
 def is_covexillary(w: PartialPermutation) -> bool:
-    try:
-        covexillary_data(w)
-    except NotCovexillaryError:
-        return False
-    return True
+    return isinstance(w._covexillary, CovexillaryData)
 
 
 def bruhat_leq(u: PartialPermutation, w: PartialPermutation) -> bool:
     """u <= w iff the rank matrix of u is entrywise dominated by that of w."""
     if u.n != w.n:
         raise InputError("Bruhat comparison requires equal sizes")
-    return rank_matrix(w).bounds(rank_matrix(u).entries)
+    return dominated(rank_matrix(u), rank_matrix(w))
 
 
 class OrbitTable:

@@ -313,7 +313,7 @@ def _suite_rank_lemma(config: SuiteConfig) -> Iterator[Case]:
         unit = [tuple(int(k == i) for k in range(2 * n)) for i in range(2 * n)]
         disagreements = [[0] * (n + 1) for _ in range(n + 1)]
         for u in all_partial_permutations(n):
-            ranks = rank_matrix(u).entries
+            ranks = rank_matrix(u)
             # graph(u), then e_{n+1}..e_{n+p}, then e_1..e_n in one echelon
             # basis: its dimension after e_q is the sum for (p, q)
             graph_and_e: dict = {}

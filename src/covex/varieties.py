@@ -25,7 +25,7 @@ from .exactla import (
     random_borel,
 )
 from .frozen import Frozen
-from .permcore import PartialPermutation, rank_matrix
+from .permcore import PartialPermutation, dominated, rank_matrix
 
 
 class Flag(Frozen):
@@ -98,12 +98,12 @@ def matrix_schubert_violation(
         raise DimensionMismatchError("matrix size differs from permutation size")
     profile = southwest_profile(x)
     ranks = rank_matrix(w)
-    if ranks.bounds(profile):
+    if dominated(profile, ranks):
         return None
-    for i, j, bound in ranks.cells:
-        got = profile[i - 1][j - 1]
-        if got > bound:
-            return (i, j, got, bound)
+    for i, (got_row, bound_row) in enumerate(zip(profile, ranks), 1):
+        for j, (got, bound) in enumerate(zip(got_row, bound_row), 1):
+            if got > bound:
+                return (i, j, got, bound)
 
 
 def flag_schubert_violation(

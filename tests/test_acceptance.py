@@ -46,7 +46,7 @@ def test_criterion_02_rank_matrix_fixture():
         (0, 1, 1, 2, 2, 2),
         (0, 0, 0, 1, 1, 1),
     )
-    got = rank_matrix(PartialPermutation.from_one_line("351642")).entries
+    got = rank_matrix(PartialPermutation.from_one_line("351642"))
     assert got == expected
     _report(2, "rank-matrix fixture", "[351642] reproduces the 6x6 matrix exactly")
 

@@ -1537,7 +1537,10 @@ def reference_flag_violations(pt, w):
     data = covexillary_data(w)
     schubert, moved, meets, quotients = subspace_dims(pt)
     out = []
-    for i, j, bound in rank_matrix(w).cells:
+    cells = (
+        (i, j, bound) for i, row in enumerate(rank_matrix(w), 1) for j, bound in enumerate(row, 1)
+    )
+    for i, j, bound in cells:
         got = schubert[j, i - 1]
         if got > bound:
             out.append(("schubert", i, j, got, bound))

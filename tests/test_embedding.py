@@ -368,10 +368,15 @@ def test_orbit_points_embed_into_the_cell_of_their_representative():
         classes = {covexillary_data(w).tau_order: covexillary_data(w)
                    for w in _covexillary_partials(n)}
         for u in all_partial_permutations(n):
-            assert u.matrix(F).southwest_profile == rank_matrix(u).entries
+            # rank_matrix is the profile of u's 0/1 matrix over every field,
+            # with int entries (a bool would print as true in a diagnostic)
+            ranks = rank_matrix(u)
+            assert all(type(r) is int for row in ranks for r in row)
+            for exact in (F, FieldSpec.prime(2), FieldSpec.rational()):
+                assert u.matrix(exact).southwest_profile == ranks
             for data in classes.values():
                 x = sample_cell_point(u, field, rng)
-                assert southwest_profile(x) == rank_matrix(u).entries
+                assert southwest_profile(x) == ranks
                 assert locate_grass_cell(embed_point(x, data)) == fixed_point_index(u, data)
                 checks += 1
     assert checks == 2 + 2 * 7 + 6 * 34 + 20 * 209

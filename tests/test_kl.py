@@ -77,9 +77,10 @@ def test_smooth_and_incomparable_pairs_need_no_table(monkeypatch, capsys):
     table = symmetric_group_table(5)
     e = table.index[(1, 2, 3, 4, 5)]
     shortcut = []
-    for wi, w in enumerate(table.perms):
+    perms = [PartialPermutation(5, image) for image in table.perms]
+    for wi, w in enumerate(perms):
         smooth = table.kl(e, wi) == ONE
-        for ui, u in enumerate(table.perms):
+        for ui, u in enumerate(perms):
             assert kl_polynomial(u, w) == table.kl(ui, wi), (u, w)
             if smooth or not table.leq(ui, wi):
                 shortcut.append((u, w, table.kl(ui, wi)))
@@ -101,6 +102,9 @@ def test_reflexivity_and_incomparability():
     assert kl_polynomial(w, w) == ONE
     u = PartialPermutation.from_one_line("54321")
     assert kl_polynomial(u, w) == PolynomialQ.zero()
+    partial, full = PartialPermutation.from_one_line("0 1"), PartialPermutation.from_one_line("21")
+    with pytest.raises(InputError, match="need full permutations"):
+        kl_polynomial(partial, full)
 
 
 def test_s3_all_one():
@@ -512,7 +516,13 @@ def test_grassmannian_kl_matches_coset_route(N):
         reps = [CosetData.from_index(idx).maximal for idx in indices]
         for x, x_rep in zip(indices, reps):
             for y, y_rep in zip(indices, reps):
-                assert grassmannian_kl(x, y) == kl_polynomial(x_rep, y_rep), (x, y)
+                # S_0 holds only the empty permutation, which PartialPermutation cannot hold
+                expected = (
+                    kl_polynomial(PartialPermutation(N, x_rep), PartialPermutation(N, y_rep))
+                    if N
+                    else ONE
+                )
+                assert grassmannian_kl(x, y) == expected, (x, y)
 
 
 @pytest.mark.parametrize("n", range(1, ORACLE_N - 1))

@@ -20,13 +20,12 @@ from itertools import chain, combinations, pairwise
 
 import pytest
 
-from covex import conormal, embedding, equivariant, kl, permcore, suites
+from covex import conormal, embedding, equivariant, kl, permcore, suites, varieties
 from covex.cli import main
 from covex.exactla import DEFAULT_PRIME, ExactMatrix, FieldSpec, Subspace
 from covex.permcore import (
     CovexillaryData,
     PartialPermutation,
-    RankMatrix,
     all_partial_permutations,
     covexillary_data,
     is_covexillary,
@@ -282,7 +281,7 @@ def test_a_rank_read_one_row_off_fails_rank_lemma(monkeypatch):
 
     def shifted(u):
         r = ranks(u)
-        return RankMatrix(r.n, r.entries[1:] + ((0,) * r.n,))
+        return r[1:] + ((0,) * u.n,)
 
     monkeypatch.setattr(suites, "rank_matrix", shifted)
     assert _failures("rank-lemma", 3) == (14, 29)
@@ -400,20 +399,22 @@ def test_an_essential_set_without_its_last_box_breaks_the_full_box_pin(monkeypat
 
 
 def test_strict_rank_bounds_fail_kl_covex_at_its_smoke_case(monkeypatch):
-    """RankMatrix.bounds with < in place of <= denies u <= w at any equal
+    """permcore.dominated with < in place of <= denies u <= w at any equal
     rank, and two permutations of one size share r(1, n) = n, so
     bruhat_leq(1234, 3412) is False and kl_polynomial answers 0 for
     P(1234, 3412) = 1 + q: kl-covex fails that one case of 32 with n <= 4.
-    The other suites pass, since matrix_schubert_violation falls back to
-    its cell loop and the KL tables compare packed ranks."""
+    The other suites pass, since matrix_schubert_violation, which reads the
+    mutant through its own binding, falls back to its row-by-row scan, and
+    the KL tables compare packed ranks."""
     flat = chain.from_iterable
+
+    def strict(ranks, bounds):
+        return all(a < b for a, b in zip(flat(ranks), flat(bounds)))
+
     monkeypatch.setattr(kl, "_TABLES", {})
     monkeypatch.setattr(kl, "_GRASS_TABLES", {})
-    monkeypatch.setattr(
-        RankMatrix,
-        "bounds",
-        lambda self, ranks: all(a < b for a, b in zip(flat(ranks), flat(self.entries))),
-    )
+    monkeypatch.setattr(permcore, "dominated", strict)
+    monkeypatch.setattr(varieties, "dominated", strict)
     verdicts = run_suite(SuiteConfig("kl-covex", n_max=4))
     assert [v.case for v in verdicts if not v.passed] == ["smoke/P(1234,3412)"]
     assert len(verdicts) == 32

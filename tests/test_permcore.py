@@ -12,13 +12,13 @@ from covex.permcore import (
     EssentialCondition,
     OrbitTable,
     PartialPermutation,
-    RankMatrix,
     all_partial_permutations,
     all_permutations,
     avoids_3412,
     bruhat_leq,
     covexillary_data,
     diagram,
+    dominated,
     essential_set,
     is_covexillary,
     rank_matrix,
@@ -58,7 +58,7 @@ def reference_essential_set(w: PartialPermutation) -> tuple[EssentialCondition, 
     boxes = diagram(w)
     rm = rank_matrix(w)
     out = [
-        EssentialCondition(i, j, rm.entries[i - 1][j - 1])
+        EssentialCondition(i, j, rm[i - 1][j - 1])
         for (i, j) in boxes
         if (i - 1, j) not in boxes and (i, j + 1) not in boxes and (i - 1, j + 1) not in boxes
     ]
@@ -80,7 +80,7 @@ PAPER_RANK_351642 = (
 
 def test_rank_matrix_paper_example():
     w = PartialPermutation.from_one_line("351642")
-    assert rank_matrix(w).entries == PAPER_RANK_351642
+    assert rank_matrix(w) == PAPER_RANK_351642
 
 
 def test_rank_matrix_identity_and_zero():
@@ -88,8 +88,8 @@ def test_rank_matrix_identity_and_zero():
         rm = rank_matrix(PartialPermutation.identity(n))
         for i in range(1, n + 1):
             for j in range(1, n + 1):
-                assert rm.entries[i - 1][j - 1] == max(0, j - i + 1)
-        assert all(v == 0 for row in rank_matrix(PartialPermutation.zero(n)).entries for v in row)
+                assert rm[i - 1][j - 1] == max(0, j - i + 1)
+        assert all(v == 0 for row in rank_matrix(PartialPermutation.zero(n)) for v in row)
 
 
 def test_diagram_fixtures():
@@ -207,22 +207,22 @@ def test_bruhat_fixtures():
     )
 
 
-def entrywise_dominates(big: RankMatrix, small: RankMatrix) -> bool:
-    """The reference comparison: every entry of small is at most big's."""
-    return all(b >= a for rb, ra in zip(big.entries, small.entries) for b, a in zip(rb, ra))
+def entrywise_dominates(big, small) -> bool:
+    """The reference comparison: every entry of the table small is at most big's."""
+    return all(b >= a for rb, ra in zip(big, small) for b, a in zip(rb, ra))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_packed_dominance_is_entrywise_on_every_pair(n):
-    """RankMatrix.bounds is the entrywise reference on every pair of
-    partial permutations of size n, and bruhat_leq reads it."""
+    """dominated is the entrywise reference on the rank matrices of every
+    pair of partial permutations of size n, and bruhat_leq reads it."""
     perms = list(all_partial_permutations(n))
     ranks = [rank_matrix(w) for w in perms]
     seen = set()
     for u, ru in zip(perms, ranks):
         for w, rw in zip(perms, ranks):
             expected = entrywise_dominates(rw, ru)
-            assert rw.bounds(ru.entries) == expected, (u, w)
+            assert dominated(ru, rw) == expected, (u, w)
             assert bruhat_leq(u, w) == expected
             seen.add(expected)
     assert seen == {True, False}
@@ -231,14 +231,14 @@ def test_packed_dominance_is_entrywise_on_every_pair(n):
 @pytest.mark.parametrize("n", [7, 8])
 def test_packed_dominance_holds_where_entries_reach_n(n):
     """At the suite limits the entries of a rank matrix reach n:
-    RankMatrix.bounds still equals the entrywise reference on tables with every entry in
+    dominated still equals the entrywise reference on tables with every entry in
     0..n, including a gap of n at a single box in each direction, and on
     rank matrices of random partial permutations and their sub-patterns."""
     rng = random.Random(n)
     boxes = n * n
 
     def table(values):
-        return RankMatrix(n, tuple(tuple(values[i * n : (i + 1) * n]) for i in range(n)))
+        return tuple(tuple(values[i * n : (i + 1) * n]) for i in range(n))
 
     pairs = [(table([n] * boxes), table([0] * boxes)), (table([n] * boxes), table([n] * boxes))]
     for f in range(boxes):
@@ -257,12 +257,12 @@ def test_packed_dominance_holds_where_entries_reach_n(n):
         pairs.append((rank_matrix(w), rank_matrix(u)))
         pairs.append((rank_matrix(u), rank_matrix(w)))
     full = rank_matrix(PartialPermutation.longest(n))
-    assert full.entries[0][n - 1] == n
+    assert full[0][n - 1] == n
     pairs.append((full, rank_matrix(PartialPermutation.identity(n))))
     outcomes = []
     for big, small in pairs:
         expected = entrywise_dominates(big, small)
-        assert big.bounds(small.entries) == expected
+        assert dominated(small, big) == expected
         outcomes.append(expected)
     assert outcomes.count(True) >= 100 and outcomes.count(False) >= 100
 
@@ -279,7 +279,7 @@ def full_box_below(orbits, w):
     The reference for OrbitTable.below, which reads only w's essential boxes.
     """
     lanes = orbits.guard
-    for box_row, rank_row in zip(orbits.boxes, rank_matrix(w).entries):
+    for box_row, rank_row in zip(orbits.boxes, rank_matrix(w)):
         for box, r in zip(box_row, rank_row):
             lanes &= orbits.at_most(box, r)
     return lanes
@@ -326,7 +326,7 @@ def test_packed_bruhat_masks_hold_where_entries_reach_n(n):
     us = ws + [
         PartialPermutation(n, tuple(v if rng.random() < 0.7 else 0 for v in w.image)) for w in ws
     ]
-    assert max(rank_matrix(u).entries[0][n - 1] for u in us) == n
+    assert max(rank_matrix(u)[0][n - 1] for u in us) == n
     verdicts = packed_verdicts(OrbitTable(n), us, ws)
     for w, row in zip(ws, verdicts):
         assert row == [bruhat_leq(u, w) for u in us]
@@ -454,7 +454,7 @@ def test_rank_matrix_injective():
     for n in (1, 2, 3):
         seen = {}
         for w in all_partial_permutations(n):
-            key = rank_matrix(w).entries
+            key = rank_matrix(w)
             assert key not in seen
             seen[key] = w
 

@@ -212,7 +212,10 @@ def test_every_tracer_group_name_resolves_in_its_layer():
 def test_a_traced_conormal_matrix_run_counts_its_predicate_calls():
     """In a fresh interpreter with the tracer installed, `covex verify
     conormal-matrix --nmax 2` reaches the conormal.predicate group: the
-    suite's checks go through the functions that group names."""
+    suite's checks go through the functions that group names.  Every read
+    of a rank matrix goes through the hooked permcore.rank_matrix: a
+    `member matrix` query reads it once, for its one w, and `kl 1234 3412`
+    twice, for u and w in bruhat_leq."""
     script = (
         "import contextlib, io, json, sys\n"
         "sys.path.insert(0, sys.argv[1])\n"
@@ -221,21 +224,33 @@ def test_a_traced_conormal_matrix_run_counts_its_predicate_calls():
         "tracer.install()\n"
         "from covex.cli import main\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    code = main(['verify', 'conormal-matrix', '--nmax', '2'])\n"
-        "print(json.dumps([code, tracer.metrics()['conormal.predicate_calls'][0]]))\n"
+        "    code = main(json.loads(sys.argv[2]))\n"
+        "metrics = tracer.metrics()\n"
+        "names = ('conormal.predicate_calls', 'permcore.rank_matrix_calls', 'permcore.distinct_w')\n"
+        "print(json.dumps([code, *(metrics[name][0] for name in names)]))\n"
     )
     path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", script, str(PERFBENCH)],
-        capture_output=True,
-        text=True,
-        timeout=120,
-        env={**os.environ, "PYTHONPATH": path},
-        check=True,
-    )
-    code, calls = json.loads(proc.stdout.splitlines()[-1])
+    point = str(ROOT / "tests" / "golden" / "embed_random.json")
+    counts = []
+    for argv in (
+        ["verify", "conormal-matrix", "--nmax", "2"],
+        ["member", "matrix", point, "2 0 3 1"],
+        ["kl", "1234", "3412"],
+    ):
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(PERFBENCH), json.dumps(argv)],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env={**os.environ, "PYTHONPATH": path},
+            check=True,
+        )
+        counts.append(json.loads(proc.stdout.splitlines()[-1]))
+    (code, calls, _, _), member, kl = counts
     assert code == 0
     assert calls > 0
+    assert member == [0, 0, 1, 1]
+    assert kl == [0, 0, 2, 2]
 
 
 def test_no_import_in_the_package_goes_unused():
