@@ -272,8 +272,9 @@ def _core_plan(x: ExactMatrix, data: CovexillaryData):
 def _core_violations(plan, y_rows):
     """Yield each check of data.conormal_checks failing at (x, y), as _grass_violations does.
 
-    plan is _core_plan(x, data) and y_rows holds the n rows of y, reduced
-    over F_p (a negative entry would borrow from the next lane).  A row of
+    plan is _core_plan(x, data) and y_rows holds the n rows of y, of any
+    integers over F_p: each row is reduced mod p before it is packed, since
+    a negative entry would borrow from the next lane.  A row of
     the core N = H y G is a row of y G or a row of x times y G.  Check (i,
     j) reads the southwest rank of N on the rows from rows_before[j] on and
     the columns before cols_through[i]; an empty block has rank 0.

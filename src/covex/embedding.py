@@ -93,18 +93,25 @@ def fixed_point_index(u: PartialPermutation, data: CovexillaryData) -> GrassInde
     return GrassIndex(n, 2 * n, mask_positions(mask))
 
 
-def target_lanes(orbits: OrbitTable, past: Sequence[int], data: CovexillaryData) -> int:
+def target_lanes(
+    orbits: OrbitTable, past: Sequence[int], data: CovexillaryData, reads: dict
+) -> int:
     """The guard bits of the u of orbits whose coordinate point E_S lies in the target.
 
     past is orbits.past(fixed_point_bits(data)).  dim(E_S + E_t) is t plus
     the number of positions of S past t, so the target condition (t, c),
     dim <= n + c, holds at E_S iff that number is at most n + c - t: each
     condition is one guarded subtraction, and the target is their AND.
+    reads keeps each subtraction by (t, n + c - t); it belongs to this past
+    alone, and the w of one tau class share it.
     """
     n = data.n
     lanes = orbits.guard
     for t, c in data.grass_conditions:
-        lanes &= orbits.at_most(past[t], n + c - t)
+        k = n + c - t
+        if (mask := reads.get((t, k))) is None:
+            mask = reads[t, k] = orbits.at_most(past[t], k)
+        lanes &= mask
     return lanes
 
 

@@ -351,7 +351,8 @@ class OrbitTable:
     columns[j][v] holds 1 in the lane of each u with u(j + 1) = v, built
     from binary digits (summing shifted ints would be quadratic), and
     boxes[i-1][j-1] holds r_u(i, j), the sum of the columns[k][v] with
-    k < j and v >= i.
+    k < j and v >= i.  below keeps the mask of each (box, rank) it reads,
+    at most n^2 (n + 1) of them.
     """
 
     def __init__(self, n: int):
@@ -370,6 +371,7 @@ class OrbitTable:
             tuple(itertools.accumulate(sum(column[i:]) for column in self.columns))
             for i in range(1, n + 1)
         )
+        self._below: dict[tuple[int, int, int], int] = {}
 
     def at_most(self, packed: int, k: int) -> int:
         """The guard bits of the lanes of packed whose value is at most k."""
@@ -381,7 +383,10 @@ class OrbitTable:
             raise InputError("Bruhat comparison requires equal sizes")
         lanes = self.guard
         for e in essential_set(w):
-            lanes &= self.at_most(self.boxes[e.row - 1][e.col - 1], e.rank)
+            key = (e.row, e.col, e.rank)
+            if (mask := self._below.get(key)) is None:
+                mask = self._below[key] = self.at_most(self.boxes[e.row - 1][e.col - 1], e.rank)
+            lanes &= mask
         return lanes
 
     def past(self, bits: Sequence[Sequence[int]]) -> list[int]:

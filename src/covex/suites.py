@@ -19,16 +19,16 @@ conormal-grass adds fiber elements that must be accepted; one call of the
 form's violations check takes them all, so the point's fixed work runs
 once.  The check counts the off-fiber covectors with an empty diagnostic
 list and the fiber elements with a nonempty one, and a case passes only
-when both counts are 0.  Every cell point's fiber covectors are one batch
-too, given as rows (``_fiber_elements``; both draw fiber elements with
-``_random_elements`` and cut covectors into rows with ``vector_rows``):
-conormal-matrix and conormal-flag check them with one violations call
-per point, and the fiber's dimension against |D(w)|, the codimension of
-w's orbit (Fulton, Duke Math. J. 65, 1992), read once per w.
-diagram-chase chases the sampled matrix fiber of each x together
-(``_chase_to_grass``) and checks it with one ``conormal_grass_violations``
-call, so each embedded V is planned once.  The suites build the Springer
-points they check.
+when both counts are 0.  conormal-matrix and conormal-flag share one loop,
+``_calibration``, given each form's fiber and check: a cell point's fiber
+covectors are one batch of rows (``_fiber_elements``; it and the rejection
+check draw with ``_random_elements`` and cut rows with ``vector_rows``)
+for one violations call, and the fiber's dimension is compared with
+|D(w)|, the codimension of w's orbit (Fulton, Duke Math. J. 65, 1992),
+read once per w.  diagram-chase chases the sampled matrix fiber of each x
+together (``_chase_to_grass``) and checks it with one
+``conormal_grass_violations`` call, so each embedded V is planned once.
+The suites build the Springer points they check.
 
 conormal-grass, whose checks at E_S decide every verdict, ignores
 ``trials``; embed-thm and rank-lemma draw nothing and ignore it too.
@@ -290,9 +290,11 @@ def _suite_embed_thm(config: SuiteConfig) -> Iterator[Case]:
         orbits = OrbitTable(n)
         for cases in _tau_classes(n):
             past = orbits.past(fixed_point_bits(covexillary_data(cases[0][0])))
+            reads: dict = {}  # the class's target reads, freed with it
             for w, case in cases:
                 inside = orbits.below(w)
-                mismatches = (inside ^ target_lanes(orbits, past, covexillary_data(w))).bit_count()
+                target = target_lanes(orbits, past, covexillary_data(w), reads)
+                mismatches = (inside ^ target).bit_count()
                 positives = inside.bit_count()
                 yield case, mismatches == 0, {
                     "mismatches": mismatches,
@@ -333,72 +335,64 @@ def _suite_rank_lemma(config: SuiteConfig) -> Iterator[Case]:
                 yield f"n={n}/p={p}/q={q}", bad == 0, {"disagreements": bad}
 
 
-def _suite_conormal_matrix(config: SuiteConfig) -> Iterator[Case]:
+def _calibration(
+    config: SuiteConfig,
+    enumerate_: Callable[[int], Iterator[PartialPermutation]],
+    at: Callable[[ExactMatrix, PartialPermutation], tuple[Subspace, Callable[[list], list]]],
+    off: Callable[[PartialPermutation], Iterable[int]],
+    reported: Sequence[str],
+) -> Iterator[Case]:
+    """conormal-matrix or conormal-flag, at(point, w) giving the form's fiber and check.
+
+    check gives the diagnostic lists of a batch of covector rows; off(w) holds
+    the coordinates to leave the fiber along at w's 0/1 matrix.
+    """
     field = _field(config)
-    for n, w, case in _covexillary_cases(all_partial_permutations, config.n_max):
+    for _, w, case in _covexillary_cases(enumerate_, config.n_max):
         rng = _rng(config, case)
         expected_dim = len(diagram(w))
-        rejected_valid = 0
-        dim_mismatches = 0
-        fiber_dim = None
+        rejected_valid = dim_mismatches = 0
         first_failure = None
         for _ in range(config.trials):
-            x = sample_cell_point(w, field, rng)
-            fiber = conormal_fiber_matrix(x, w)
-            fiber_dim = fiber.dim
-            if fiber.dim != expected_dim:
-                dim_mismatches += 1
-            ys = _fiber_elements(fiber, rng, extra=20)
-            rejected = [found for found in conormal_matrix_violations(x, w, ys) if found]
+            fiber, check = at(sample_cell_point(w, field, rng), w)
+            dim_mismatches += fiber.dim != expected_dim
+            rejected = [found for found in check(_fiber_elements(fiber, rng, extra=20)) if found]
             rejected_valid += len(rejected)
             if rejected and first_failure is None:
                 first_failure = rejected[0][0]
-        x = w.matrix(field)
-        fiber, violations = conormal_fiber_matrix(x, w), partial(conormal_matrix_violations, x, w)
-        _, accepted_off = _off_fiber_rejection(fiber, range(n * n), violations, rng)
-        yield case, rejected_valid == 0 and dim_mismatches == 0 and accepted_off == 0, {
+        fixed, violations = at(w.matrix(field), w)
+        _, accepted_off = _off_fiber_rejection(fixed, off(w), violations, rng)
+        counts = {
             "rejected_valid": rejected_valid,
             "dim_mismatches": dim_mismatches,
-            "fiber_dim": fiber_dim,
             "accepted_off": accepted_off,
-            "first_failure": first_failure,
         }
+        details = dict(fiber_dim=fiber.dim, expected_dim=expected_dim, first_failure=first_failure)
+        yield case, not any(counts.values()), counts | {key: details[key] for key in reported}
+
+
+def _suite_conormal_matrix(config: SuiteConfig) -> Iterator[Case]:
+    def at(x, w):
+        return conormal_fiber_matrix(x, w), partial(conormal_matrix_violations, x, w)
+
+    every = lambda w: range(w.n * w.n)  # every coordinate of an n x n covector
+    return _calibration(config, all_partial_permutations, at, every, ("fiber_dim", "first_failure"))
 
 
 def _suite_conormal_flag(config: SuiteConfig) -> Iterator[Case]:
-    field = _field(config)
-    for n, w, case in _covexillary_cases(all_permutations, config.n_max):
-        rng = _rng(config, case)
-        expected_dim = len(diagram(w))
-        rejected_valid = 0
-        dim_mismatches = 0
-        for _ in range(config.trials):
-            g = sample_cell_point(w, field, rng)
-            flag, fiber = conormal_fiber_flag(g, w)
-            if fiber.dim != expected_dim:
-                dim_mismatches += 1
-            zs = _fiber_elements(fiber, rng, extra=20)
-            points = [SpringerFlagPoint(flag, ExactMatrix(field, z)) for z in zs]
-            rejected_valid += sum(map(bool, conormal_flag_violations(flag, w, points)))
+    def at(g, w):
+        flag, fiber = conormal_fiber_flag(g, w)
+        return fiber, lambda zs: conormal_flag_violations(
+            flag, w, [SpringerFlagPoint(flag, ExactMatrix(g.field, z)) for z in zs]
+        )
+
+    def springer(w):
         # the Springer fiber over w's flag is z = W U W^-1, U strictly upper:
         # entry (i, j) of U sits at row w(i), column w(j)
-        v = w.image
-        springer = ((v[i] - 1) * n + v[j] - 1 for j in range(n) for i in range(j))
-        flag, fiber = conormal_fiber_flag(w.matrix(field), w)
-        _, accepted_off = _off_fiber_rejection(
-            fiber,
-            springer,
-            lambda zs: conormal_flag_violations(
-                flag, w, [SpringerFlagPoint(flag, ExactMatrix(field, z)) for z in zs]
-            ),
-            rng,
-        )
-        yield case, rejected_valid == 0 and dim_mismatches == 0 and accepted_off == 0, {
-            "rejected_valid": rejected_valid,
-            "dim_mismatches": dim_mismatches,
-            "expected_dim": expected_dim,
-            "accepted_off": accepted_off,
-        }
+        v, n = w.image, w.n
+        return ((v[i] - 1) * n + v[j] - 1 for j in range(n) for i in range(j))
+
+    return _calibration(config, all_permutations, at, springer, ("expected_dim",))
 
 
 def _grass_fixed_point(
@@ -555,7 +549,7 @@ MAX_TRIALS = 1000
 # el-roundtrip takes 35-40 s at its limit and rank-lemma about 50 s.
 # embed-thm compares every orbit with every covexillary w of a size: 97 M
 # pairs at n = 6 take 1.4 s and 46 MB, and n = 7 (6.5 G pairs, 49,626 w)
-# about 22 s and 215 MB in all.  conormal-grass makes one members call per
+# about 10-13 s and 182 MB in all.  conormal-grass makes one members call per
 # w: --nmax 5 takes about 2 s and --nmax 6 about 25 s and 23 MB; n = 7, at
 # about 4 ms for each of its 49,626 w, would take 3-4 min.
 _SUITES: dict[str, _Suite] = {

@@ -441,15 +441,17 @@ def test_embed_thm_reports_equal_elimination_at_every_pair(n):
 @pytest.mark.parametrize("n", range(1, CELL_ORACLE_N + 1))
 def test_packed_target_verdicts_are_the_per_cell_verdicts(n):
     """embed-thm reads the target of each w off the packed counts of its tau
-    class: for every covexillary w, target_lanes gives exactly the lanes of
-    the u whose cell's coordinate point E_S passes target_holds, the target
-    read through dim(E_S + E_t) by elimination."""
+    class: for every covexillary w, target_lanes, with one memo of reads
+    for the class, gives exactly the lanes of the u whose cell's coordinate
+    point E_S passes target_holds, the target read through dim(E_S + E_t)
+    by elimination."""
     orbits = OrbitTable(n)
     points = {}
     classes = _tau_classes(n)
     for data, ws in classes:
         bits = fixed_point_bits(data)
         past = orbits.past(bits)
+        reads = {}
         cells = {}
         for u, lane in zip(orbits.partials, orbits.lanes):
             mask = sum(map(getitem, bits, u.image))
@@ -462,7 +464,7 @@ def test_packed_target_verdicts_are_the_per_cell_verdicts(n):
             for mask, lanes in cells.items():
                 if target_holds(points[mask], w_data):
                     expected |= lanes
-            assert target_lanes(orbits, past, w_data) == expected, w
+            assert target_lanes(orbits, past, w_data, reads) == expected, w
     assert len(classes) == {1: 1, 2: 2, 3: 6, 4: 20, 5: 70}[n]
 
 

@@ -23,7 +23,10 @@ import pytest
 
 from covex import suites
 from covex.cli import main
+from covex.conormal import conormal_flag_violations, conormal_matrix_violations
+from covex.suites import SuiteConfig, run_suite
 from scale import sized
+from test_cli_serialization import _PEAK_RSS_LAUNCHER
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 SRC_DIR = Path(__file__).resolve().parents[1] / "src"
@@ -93,6 +96,27 @@ def test_report_digest_in_a_fresh_process(argv):
     assert hashlib.sha256(proc.stdout).hexdigest() == FRESH_PROCESS_PINS[argv]
 
 
+@pytest.mark.parametrize("n", [sized("6", "7")])
+def test_embed_thm_in_a_fresh_process_stays_under_220_mb(n):
+    """embed-thm at n = 7, its limit, at CI scale (n = 6 in tier-1), in a
+    fresh process: its pinned report and a peak RSS of at most 220 MB.
+    OrbitTable keeps the mask of each box it reads, and each tau class its
+    target reads until the class ends; class memos kept past their class
+    would break this bound at n = 7."""
+    argv = ("verify", "embed-thm", "--nmax", n)
+    proc = subprocess.run(
+        [sys.executable, "-c", _PEAK_RSS_LAUNCHER, sys.executable, "-m", "covex.cli", *argv],
+        stdin=subprocess.DEVNULL,
+        capture_output=True,
+        env=dict(os.environ, PYTHONPATH=str(SRC_DIR)),
+        timeout=600,
+    )
+    assert proc.returncode == 0
+    assert hashlib.sha256(proc.stdout).hexdigest() == PINNED[argv]
+    peak_kb = int(proc.stderr)
+    assert peak_kb / 1024 <= 220, peak_kb
+
+
 @pytest.mark.parametrize("suite", ["embed-thm", "rank-lemma"])
 def test_orbit_representative_suites_draw_nothing(suite, capsys, monkeypatch):
     """embed-thm and rank-lemma check every orbit at its 0/1 representative:
@@ -119,6 +143,38 @@ def test_conormal_grass_report_ignores_trials_seed_and_field(capsys):
         argv = ["--field", f"p:{prime}", "verify", "conormal-grass", "--nmax", "3"]
         assert main([*argv, "--trials", trials, "--seed", seed]) == 0
         assert _digest(capsys.readouterr().out) == pinned, (prime, trials, seed)
+
+
+# sha256 of every batch that conormal-matrix and conormal-flag check at
+# --nmax 3 --trials 2 --seed 7 (test_conormal_calibration_batches_are_pinned)
+CONORMAL_BATCHES = "0a088dcf8edbcffb6fa71e175fa17e34885f43121b2580ea913258ebd3231bbe"
+
+
+def test_conormal_calibration_batches_are_pinned(monkeypatch):
+    """No detail of the conormal-matrix and conormal-flag reports depends on
+    the draws, so their digests would pass a reordered draw.  This pins what
+    the two suites hand to their checks, in call order: the form, the point
+    (x, or the flag's generator), w, and each covector of the batch as its
+    rows (z for a Springer flag point)."""
+    digest = hashlib.sha256()
+
+    def record(form, point, w, batch):
+        digest.update(repr((form, point.entries, w.one_line(), batch)).encode())
+
+    def matrix_check(x, w, ys):
+        record("matrix", x, w, [tuple(map(tuple, y)) for y in ys])
+        return conormal_matrix_violations(x, w, ys)
+
+    def flag_check(flag, w, points):
+        record("flag", flag.generator, w, [pt.z.entries for pt in points])
+        return conormal_flag_violations(flag, w, points)
+
+    monkeypatch.setattr(suites, "conormal_matrix_violations", matrix_check)
+    monkeypatch.setattr(suites, "conormal_flag_violations", flag_check)
+    for suite in ("conormal-matrix", "conormal-flag"):
+        verdicts = run_suite(SuiteConfig(suite, n_max=3, trials=2, seed=7))
+        assert all(v.passed for v in verdicts), suite
+    assert digest.hexdigest() == CONORMAL_BATCHES
 
 
 @pytest.mark.parametrize("name", sorted(CLI_CASES))
