@@ -49,7 +49,7 @@ from .equivariant import (
 from .errors import CovexError, InputError, InvariantError, NotCovexillaryError
 from .exactla import ExactMatrix, FieldSpec
 from .kl import covexillary_kl_check, kl_polynomial
-from .permcore import PartialPermutation, covexillary_data, essential_set
+from .permcore import PartialPermutation, covexillary_data, essential_corners
 from .serialization import (
     matrix_to_json,
     parse_point_file,
@@ -132,16 +132,8 @@ def _positions(text: str) -> tuple[int, ...]:
 
 def _cmd_ess(args, field: FieldSpec) -> int:
     w = _perm(args.perm)
-    conditions = essential_set(w)
-    _emit(
-        {
-            "n": w.n,
-            "w": w.one_line(),
-            "essential": [
-                {"row": c.row, "col": c.col, "rank": c.rank} for c in conditions
-            ],
-        }
-    )
+    corners = [dict(zip(("row", "col", "rank"), corner)) for corner in essential_corners(w.image)]
+    _emit({"n": w.n, "w": w.one_line(), "essential": corners})
     return 0
 
 

@@ -37,10 +37,7 @@ def tau_permutation(data: CovexillaryData) -> PartialPermutation:
 
 
 def embedding_target(data: CovexillaryData) -> CovexillaryData:
-    """The embedding target: the data itself, whose grass_conditions cut it out.
-
-    perfbench/queries.py still reads the target through this name.
-    """
+    """The embedding target, the data itself; perfbench/queries.py reads it by this name."""
     return data
 
 
@@ -101,18 +98,12 @@ def target_lanes(
     past is orbits.past(fixed_point_bits(data)).  dim(E_S + E_t) is t plus
     the number of positions of S past t, so the target condition (t, c),
     dim <= n + c, holds at E_S iff that number is at most n + c - t: each
-    condition is one guarded subtraction, and the target is their AND.
-    reads keeps each subtraction by (t, n + c - t); it belongs to this past
+    condition is one guarded read of past[t], and the target is their AND.
+    reads keeps each read's mask by (t, n + c - t); it belongs to this past
     alone, and the w of one tau class share it.
     """
     n = data.n
-    lanes = orbits.guard
-    for t, c in data.grass_conditions:
-        k = n + c - t
-        if (mask := reads.get((t, k))) is None:
-            mask = reads[t, k] = orbits.at_most(past[t], k)
-        lanes &= mask
-    return lanes
+    return orbits.meet(past, [(t, n + c - t) for t, c in data.grass_conditions], reads)
 
 
 def check_target_space(subspace: Subspace, data: CovexillaryData) -> None:

@@ -126,16 +126,7 @@ class PartialPermutation(Frozen):
     @cached_property
     def _covexillary(self) -> "CovexillaryData | tuple[tuple[int, int], tuple[int, int]]":
         """The essential triples, or the two essential boxes that break the chain."""
-        conditions = essential_set(self)
-        for prev, cond in zip(conditions, conditions[1:]):
-            if cond.col < prev.col:
-                return ((prev.row, prev.col), (cond.row, cond.col))
-        return CovexillaryData(
-            self.n,
-            tuple(c.row - 1 for c in conditions),
-            tuple(c.col for c in conditions),
-            tuple(c.rank for c in conditions),
-        )
+        return _chain(self.image)
 
 
 class EssentialCondition(Frozen):
@@ -166,14 +157,6 @@ def dominated(ranks: Sequence[Sequence[int]], bounds: Sequence[Sequence[int]]) -
     return all(map(le, flat(ranks), flat(bounds)))
 
 
-def _row_ends(w: PartialPermutation) -> list[int]:
-    """ends[i] = w^-1(i) for i = 1..n, n + 1 at an empty row; ends[0] is never read."""
-    ends = [w.n + 1] * (w.n + 1)
-    for j, v in enumerate(w.image, 1):
-        ends[v] = j
-    return ends
-
-
 def diagram(w: PartialPermutation) -> frozenset[tuple[int, int]]:
     """Unshaded non-dot boxes (row, col).  For a permutation, |D(w)| = l(w0 w).
 
@@ -181,36 +164,52 @@ def diagram(w: PartialPermutation) -> frozenset[tuple[int, int]]:
     for an empty column): the box is left of row i's dot and below column
     j's (Fulton, Duke Math. J. 65, 1992).
     """
-    ends, image = _row_ends(w), w.image
+    ends, image = [w.n + 1] * (w.n + 1), w.image  # ends[i] = w^-1(i), n + 1 at an empty row
+    for j, v in enumerate(image, 1):
+        ends[v] = j
     return frozenset(
         (i, j) for i in range(1, w.n + 1) for j in range(1, ends[i]) if image[j - 1] < i
     )
 
 
-def essential_set(w: PartialPermutation) -> tuple[EssentialCondition, ...]:
-    """Northeast corners of the diagram with their rank bounds, sorted by (row, col).
+def essential_corners(image: Sequence[int]) -> Iterator[tuple[int, int, int]]:
+    """(row, col, rank) at each northeast corner of D(w), in (row, col) order, w by its images.
 
-    One pass over the rows, without building the diagram, by diagram's row
-    rule.  A box (i, j) of D(w) is a corner when (i, j + 1), (i - 1, j) and
-    (i - 1, j + 1) are not in D(w), so each row is checked against the row
-    above; the corners come out in (row, col) order.  The same row gives the
-    rank at a corner: r_w(i, j) = j - #{k <= j : w(k) < i}.
+    One pass over the rows by diagram's row rule, each row a bitmask (bit j
+    for column j): (i, j) is a corner when (i, j + 1), (i - 1, j) and
+    (i - 1, j + 1) are not in D(w), and r_w(i, j) = j - #{k <= j : w(k) < i}.
     """
-    n, image = w.n, w.image
-    ends = _row_ends(w)
-    above = [False] * (n + 2)  # row i - 1 of D(w) by column, padded at 0 and n + 1
-    essential = []
+    n = len(image)
+    at = [0] * (n + 1)  # at[v]: the columns j with w(j) = v
+    for j, v in enumerate(image, 1):
+        at[v] |= 1 << j
+    smaller = above = 0  # the columns j with w(j) < i; row i - 1 of D(w)
     for i in range(1, n + 1):
-        end = ends[i]
-        row = [False] * (n + 2)
-        row[1:end] = [v < i for v in image[: end - 1]]
-        below = 0  # #{k <= j : w(k) < i}
-        for j in range(1, end):
-            below += row[j]
-            if row[j] and not (row[j + 1] or above[j] or above[j + 1]):
-                essential.append(EssentialCondition(i, j, j - below))
+        smaller |= at[i - 1]
+        row = smaller & (at[i] or 1 << n + 1) - 1
+        corners = row & ~(row >> 1 | above | above >> 1)
+        while corners:
+            low = corners & -corners
+            corners ^= low
+            j = low.bit_length() - 1
+            yield i, j, j - (smaller & (low << 1) - 1).bit_count()
         above = row
-    return tuple(essential)
+
+
+def essential_set(w: PartialPermutation) -> tuple[EssentialCondition, ...]:
+    """Northeast corners of the diagram with their rank bounds, sorted by (row, col)."""
+    return tuple(EssentialCondition(*corner) for corner in essential_corners(w.image))
+
+
+def _chain(image: Sequence[int]) -> "CovexillaryData | tuple[tuple[int, int], tuple[int, int]]":
+    """w's essential triples, or the first two corners that break the chain: a column drops."""
+    boxes: list[tuple[int, int, int]] = []
+    for box in essential_corners(image):
+        if boxes and box[1] < boxes[-1][1]:
+            return boxes[-1][:2], box[:2]
+        boxes.append(box)
+    rows, q, r = tuple(zip(*boxes)) or ((), (), ())
+    return CovexillaryData(len(image), tuple(i - 1 for i in rows), q, r)
 
 
 def avoids_3412(w: PartialPermutation) -> bool:
@@ -279,12 +278,17 @@ class CovexillaryData(Frozen):
 
     @cached_property
     def tau_order(self) -> tuple[int, ...]:
-        """tau^-1(t) - 1 for t = 1..2n, built once per instance.
+        """tau^-1(t) - 1 for t = 1..2n, read off the chain, built once per instance.
 
-        Reading a vector's entries in this order applies tau to it: the
-        entry at index k moves to position tau(k + 1).
+        Block i holds the 0-based columns q_{i-1}..q_i - 1, then the rows
+        n + p_{i-1}..n + p_i - 1, as tau's block step i.  Reading a vector's
+        entries in this order applies tau: index k moves to tau(k + 1).
         """
-        return tuple(k - 1 for k in self.tau.inverse().image)
+        n, order = self.n, []
+        for (p0, q0, _), (p1, q1, _) in itertools.pairwise(self.chain):
+            order += range(q0, q1)
+            order += range(n + p0, n + p1)
+        return tuple(order)
 
     @cached_property
     def grass_conditions(self) -> tuple[tuple[int, int], ...]:
@@ -336,6 +340,18 @@ def is_covexillary(w: PartialPermutation) -> bool:
     return isinstance(w._covexillary, CovexillaryData)
 
 
+def covexillary_sweep(
+    images: Iterable[tuple[int, ...]]
+) -> Iterator[tuple[PartialPermutation, CovexillaryData]]:
+    """(w, its essential triples) for each covexillary w of images, in order.
+
+    One corner pass per image, stopped where the chain breaks; nothing is built for the others.
+    """
+    for image in images:
+        if isinstance(data := _chain(image), CovexillaryData):
+            yield PartialPermutation(len(image), image), data
+
+
 def bruhat_leq(u: PartialPermutation, w: PartialPermutation) -> bool:
     """u <= w iff the rank matrix of u is entrywise dominated by that of w."""
     if u.n != w.n:
@@ -346,48 +362,53 @@ def bruhat_leq(u: PartialPermutation, w: PartialPermutation) -> bool:
 class OrbitTable:
     """The partial permutations u of size n, each in one lane of a few packed ints.
 
-    A lane has n.bit_length() + 1 bits, the top one a guard, and holds a
-    value of 0..n; lanes gives each u's guard bit, partials[0] lowest.
-    columns[j][v] holds 1 in the lane of each u with u(j + 1) = v, built
-    from binary digits (summing shifted ints would be quadratic), and
-    boxes[i-1][j-1] holds r_u(i, j), the sum of the columns[k][v] with
-    k < j and v >= i.  below keeps the mask of each (box, rank) it reads,
-    at most n^2 (n + 1) of them.
+    images holds the u by their column images, as partial_images(n) gives
+    them.  A lane has n.bit_length() + 1 bits, the top one a guard, and
+    holds a value of 0..n; guard holds every lane's guard bit, images[0]
+    lowest.  columns[j][v] holds 1 in the lane of each u with u(j + 1) = v,
+    built from binary digits (summing shifted ints would be quadratic), and
+    boxes[(i-1) n + j-1] holds r_u(i, j), the sum of the columns[k][v] with
+    k < j and v >= i; below keeps at most n^2 (n + 1) masks, one per (box, rank).
     """
 
     def __init__(self, n: int):
+        if n < 1:
+            raise InputError(f"partial permutations have size at least 1; got {n}")
         self.n = n
-        self.partials = list(all_partial_permutations(n))
+        self.images = list(partial_images(n))
         width = n.bit_length() + 1
-        self.lanes = range(width - 1, width * len(self.partials), width)
-        self.guard = int(format(1 << width - 1, "b") * len(self.partials), 2)
+        self.guard = int(format(1 << width - 1, "b") * len(self.images), 2)
         self._spread = [r * (self.guard >> width - 1) + self.guard for r in range(n + 1)]
         one, zero = format(1, f"0{width}b"), "0" * width
         self.columns = tuple(
             tuple(int("".join([one if x == v else zero for x in column]), 2) for v in range(n + 1))
-            for column in zip(*(u.image for u in reversed(self.partials)))
+            for column in zip(*reversed(self.images))
         )
-        self.boxes = tuple(
-            tuple(itertools.accumulate(sum(column[i:]) for column in self.columns))
-            for i in range(1, n + 1)
-        )
-        self._below: dict[tuple[int, int, int], int] = {}
+        self.boxes = [
+            box for i in range(1, n + 1)
+            for box in itertools.accumulate(sum(column[i:]) for column in self.columns)
+        ]
+        self._below: dict[tuple[int, int], int] = {}
 
     def at_most(self, packed: int, k: int) -> int:
         """The guard bits of the lanes of packed whose value is at most k."""
         return self._spread[min(k, self.n)] - packed & self.guard if k >= 0 else 0
 
+    def meet(self, packed: Sequence[int], reads: Iterable[tuple[int, int]], memo: dict) -> int:
+        """The guard bits where packed[k] <= bound at each read (k, bound); memo keeps the masks."""
+        lanes = self.guard
+        for read in reads:
+            if (mask := memo.get(read)) is None:
+                mask = memo[read] = self.at_most(packed[read[0]], read[1])
+            lanes &= mask
+        return lanes
+
     def below(self, w: PartialPermutation) -> int:
         """The guard bits of the u <= w: r_u <= r_w at w's essential boxes (Fulton 1992)."""
         if w.n != self.n:
             raise InputError("Bruhat comparison requires equal sizes")
-        lanes = self.guard
-        for e in essential_set(w):
-            key = (e.row, e.col, e.rank)
-            if (mask := self._below.get(key)) is None:
-                mask = self._below[key] = self.at_most(self.boxes[e.row - 1][e.col - 1], e.rank)
-            lanes &= mask
-        return lanes
+        reads = (((i - 1) * self.n + j - 1, r) for i, j, r in essential_corners(w.image))
+        return self.meet(self.boxes, reads, self._below)
 
     def past(self, bits: Sequence[Sequence[int]]) -> list[int]:
         """past[t], t = 0..2n: #{j : bits[j][u(j + 1)] > 1 << t} in the lane of each u.
@@ -446,12 +467,20 @@ def reconstruct_from_essential(
 
 
 def all_permutations(n: int) -> Iterator[PartialPermutation]:
-    for image in itertools.permutations(range(1, n + 1)):
-        yield PartialPermutation(n, image)
+    return (PartialPermutation(n, image) for image in permutation_images(n))
+
+
+def permutation_images(n: int) -> Iterator[tuple[int, ...]]:
+    return itertools.permutations(range(1, n + 1))
 
 
 def all_partial_permutations(n: int) -> Iterator[PartialPermutation]:
-    """All partial permutations of size n, in a deterministic order."""
+    """All partial permutations of size n, in the order of partial_images(n)."""
+    return (PartialPermutation(n, image) for image in partial_images(n))
+
+
+def partial_images(n: int) -> Iterator[tuple[int, ...]]:
+    """The column images of all partial permutations of size n, in a deterministic order."""
     rows = list(range(1, n + 1))
     for k in range(n + 1):
         for cols in itertools.combinations(range(n), k):
@@ -459,7 +488,7 @@ def all_partial_permutations(n: int) -> Iterator[PartialPermutation]:
                 image = [0] * n
                 for col, row in zip(cols, chosen):
                     image[col] = row
-                yield PartialPermutation(n, tuple(image))
+                yield tuple(image)
 
 
 def random_partial_permutation(n: int, rng: random.Random) -> PartialPermutation:

@@ -1,49 +1,41 @@
 """Seeded verification suites: every theorem gets a runnable, deterministic check.
 
-Each suite maps to one acceptance criterion.  ``_SUITES``, the one table at
-the end of the module, gives each suite its runner, its acceptance
+Each suite maps to one acceptance criterion.  ``_SUITES``, the table at the
+end of the module, gives each suite its runner, its acceptance
 ``(n_max, trials)`` and the largest ``n_max`` it accepts; ``resolved()``
 refuses anything larger, and any ``trials`` above ``MAX_TRIALS``, before a
-case runs.  A runner yields
-``(case, passed, details)`` per case and ``run_suite`` turns them into
-verdicts sorted by case identifier; verdicts are plain data so reports
-serialize to stable JSON lines.  The suites that sweep covexillary ``w``
-share one case loop, ``_covexillary_cases``, and the three conormal
-calibrations one rejection check, ``_off_fiber_rejection``, at a smooth
-point with a coordinate conormal fiber, which is there exactly the
-conormal variety's fiber (Kleiman, "Tangency and duality", 1986): w's 0/1
-matrix for conormal-matrix and conormal-flag, the fixed point E_S of the
-target's open cell for conormal-grass.  One covector off the fiber along
-each candidate coordinate that leaves it must be rejected, and
-conormal-grass adds fiber elements that must be accepted; one call of the
-form's violations check takes them all, so the point's fixed work runs
-once.  The check counts the off-fiber covectors with an empty diagnostic
-list and the fiber elements with a nonempty one, and a case passes only
-when both counts are 0.  conormal-matrix and conormal-flag share one loop,
-``_calibration``, given each form's fiber and check: a cell point's fiber
-covectors are one batch of rows (``_fiber_elements``; it and the rejection
-check draw with ``_random_elements`` and cut rows with ``vector_rows``)
-for one violations call, and the fiber's dimension is compared with
-|D(w)|, the codimension of w's orbit (Fulton, Duke Math. J. 65, 1992),
-read once per w.  diagram-chase chases the sampled matrix fiber of each x
-together (``_chase_to_grass``) and checks it with one
-``conormal_grass_violations`` call, so each embedded V is planned once.
-The suites build the Springer points they check.
+case runs.  A runner yields ``(case, passed, details)`` per case and
+``run_suite`` turns them into verdicts sorted by case id, plain data that
+serializes to stable JSON lines.  All randomness is drawn from per-case
+generators seeded by (seed, suite, case), so reports are byte-identical
+across reruns and independent of execution order.
+
+The suites that sweep covexillary ``w`` share one case loop,
+``_covexillary_cases``, over ``permcore.covexillary_sweep``: one corner
+pass per bare image, and w and its triples are built only when the
+corners form a chain.  The conormal calibrations share one rejection
+check, ``_off_fiber_rejection``, at a smooth point whose conormal fiber is
+coordinate (Kleiman, "Tangency and duality", 1986): w's 0/1 matrix for
+conormal-matrix and conormal-flag, which share one loop, ``_calibration``,
+and the fixed point E_S of the target's open cell for conormal-grass.
+Each batch of covectors goes to one violations call: a cell point's fiber
+elements (``_fiber_elements``), whose dimension is compared with |D(w)|,
+the codimension of w's orbit (Fulton, Duke Math. J. 65, 1992), the
+off-fiber covectors at the smooth point, and for diagram-chase the
+sampled matrix fiber of each x chased into T*Gr(n, 2n)
+(``_chase_to_grass``).
 
 conormal-grass, whose checks at E_S decide every verdict, ignores
 ``trials``; embed-thm and rank-lemma draw nothing and ignore it too.
-Their statements are invariant under the B x B action x -> b_l x b_r, and
-the orbit O_u of a partial permutation u holds u's 0/1 matrix, so each
-checks every partial u of each size at that matrix: a proof for the
-size, over every field.  embed-thm walks one ``OrbitTable`` per size,
-which packs every u of the size into lanes of one int: the u <= w of
-every u come from one guarded subtraction per essential box of w, the
-target of every u from the counts #{s in S : s > t} of each tau class,
-packed for every u at once (``target_lanes``), with no elimination and
-no loop over u, and the verdicts are popcounts of lane masks.  All
-randomness is drawn from per-case generators seeded by (seed, suite,
-case), so reports are byte-identical across reruns and independent of
-execution order.
+Their statements are invariant under x -> b_l x b_r, and the orbit O_u of
+a partial permutation u holds u's 0/1 matrix, so each checks every
+partial u of each size there: a proof for the size, over every field.
+embed-thm groups the covexillary w of a size by tau class and walks one
+``OrbitTable``, which packs every u into lanes of one int: the u <= w and
+the u in w's target are each an AND of memoized guarded reads
+(``OrbitTable.meet``), of w's essential boxes and of the class's counts
+#{s in S : s > t} (``target_lanes``), with no elimination and no loop
+over u; the verdicts are popcounts of lane masks.
 """
 
 from __future__ import annotations
@@ -93,10 +85,12 @@ from .permcore import (
     all_partial_permutations,
     all_permutations,
     avoids_3412,
-    covexillary_data,
+    covexillary_sweep,
     diagram,
     essential_set,
     is_covexillary,
+    partial_images,
+    permutation_images,
     random_partial_permutation,
     rank_matrix,
     reconstruct_from_essential,
@@ -159,13 +153,12 @@ def _field(config: SuiteConfig) -> FieldSpec:
 
 
 def _covexillary_cases(
-    enumerate_: Callable[[int], Iterator[PartialPermutation]], n_max: int, start: int = 1
-) -> Iterator[tuple[int, PartialPermutation, str]]:
-    """(n, w, case id) for every covexillary w that enumerate_(n) yields, n = start..n_max."""
+    images: Callable[[int], Iterable[tuple[int, ...]]], n_max: int, start: int = 1
+) -> Iterator[tuple[PartialPermutation, CovexillaryData, str]]:
+    """(w, its essential triples, case id) per covexillary w of images(n), n = start..n_max."""
     for n in range(start, n_max + 1):
-        for w in enumerate_(n):
-            if is_covexillary(w):
-                yield n, w, f"n={n}/w={w.one_line()}"
+        for w, data in covexillary_sweep(images(n)):
+            yield w, data, f"n={n}/w={w.one_line()}"
 
 
 def _random_elements(fiber: Subspace, rng: random.Random, count: int) -> list[list[int]]:
@@ -270,15 +263,11 @@ def _suite_el_roundtrip(config: SuiteConfig) -> Iterator[Case]:
         yield case, not failures, {"trials": config.trials, "failures": failures[:5]}
 
 
-def _tau_classes(n: int) -> Iterable[list[tuple[PartialPermutation, str]]]:
-    """The covexillary partial w of size n with their case ids, one list per tau class.
-
-    The scan makes its own partials, so the others, and what is_covexillary
-    cached on them, are freed once it ends.
-    """
-    classes: dict[tuple[int, ...], list[tuple[PartialPermutation, str]]] = {}
-    for _, w, case in _covexillary_cases(all_partial_permutations, n, start=n):
-        classes.setdefault(covexillary_data(w).tau_order, []).append((w, case))
+def _tau_classes(n: int) -> Iterable[list[tuple[PartialPermutation, CovexillaryData, str]]]:
+    """(w, its triples, case id) for the covexillary partial w of size n, a list per tau class."""
+    classes: dict[tuple[int, ...], list] = {}
+    for w, data, case in _covexillary_cases(partial_images, n, start=n):
+        classes.setdefault(data.tau_order, []).append((w, data, case))
     return classes.values()
 
 
@@ -289,17 +278,17 @@ def _suite_embed_thm(config: SuiteConfig) -> Iterator[Case]:
     for n in range(1, config.n_max + 1):
         orbits = OrbitTable(n)
         for cases in _tau_classes(n):
-            past = orbits.past(fixed_point_bits(covexillary_data(cases[0][0])))
+            past = orbits.past(fixed_point_bits(cases[0][1]))
             reads: dict = {}  # the class's target reads, freed with it
-            for w, case in cases:
+            for w, data, case in cases:
                 inside = orbits.below(w)
-                target = target_lanes(orbits, past, covexillary_data(w), reads)
+                target = target_lanes(orbits, past, data, reads)
                 mismatches = (inside ^ target).bit_count()
                 positives = inside.bit_count()
                 yield case, mismatches == 0, {
                     "mismatches": mismatches,
                     "positives": positives,
-                    "negatives": len(orbits.partials) - positives,
+                    "negatives": len(orbits.images) - positives,
                 }
 
 
@@ -337,7 +326,7 @@ def _suite_rank_lemma(config: SuiteConfig) -> Iterator[Case]:
 
 def _calibration(
     config: SuiteConfig,
-    enumerate_: Callable[[int], Iterator[PartialPermutation]],
+    images: Callable[[int], Iterable[tuple[int, ...]]],
     at: Callable[[ExactMatrix, PartialPermutation], tuple[Subspace, Callable[[list], list]]],
     off: Callable[[PartialPermutation], Iterable[int]],
     reported: Sequence[str],
@@ -348,7 +337,7 @@ def _calibration(
     the coordinates to leave the fiber along at w's 0/1 matrix.
     """
     field = _field(config)
-    for _, w, case in _covexillary_cases(enumerate_, config.n_max):
+    for w, _, case in _covexillary_cases(images, config.n_max):
         rng = _rng(config, case)
         expected_dim = len(diagram(w))
         rejected_valid = dim_mismatches = 0
@@ -376,7 +365,7 @@ def _suite_conormal_matrix(config: SuiteConfig) -> Iterator[Case]:
         return conormal_fiber_matrix(x, w), partial(conormal_matrix_violations, x, w)
 
     every = lambda w: range(w.n * w.n)  # every coordinate of an n x n covector
-    return _calibration(config, all_partial_permutations, at, every, ("fiber_dim", "first_failure"))
+    return _calibration(config, partial_images, at, every, ("fiber_dim", "first_failure"))
 
 
 def _suite_conormal_flag(config: SuiteConfig) -> Iterator[Case]:
@@ -392,7 +381,7 @@ def _suite_conormal_flag(config: SuiteConfig) -> Iterator[Case]:
         v, n = w.image, w.n
         return ((v[i] - 1) * n + v[j] - 1 for j in range(n) for i in range(j))
 
-    return _calibration(config, all_permutations, at, springer, ("expected_dim",))
+    return _calibration(config, permutation_images, at, springer, ("expected_dim",))
 
 
 def _grass_fixed_point(
@@ -415,9 +404,8 @@ def _grass_fixed_point(
 
 def _suite_conormal_grass(config: SuiteConfig) -> Iterator[Case]:
     field = _field(config)
-    for _, w, case in _covexillary_cases(all_partial_permutations, config.n_max):
+    for _, data, case in _covexillary_cases(partial_images, config.n_max):
         rng = _rng(config, case)
-        data = covexillary_data(w)
         conditions = data.grass_conditions
         # at E_S, a smooth point: the fiber accepted, every Springer
         # direction off it rejected
@@ -477,9 +465,8 @@ def _chase_to_grass(
 
 def _suite_diagram_chase(config: SuiteConfig) -> Iterator[Case]:
     field = _field(config)
-    for n, w, case in _covexillary_cases(all_partial_permutations, config.n_max):
+    for w, data, case in _covexillary_cases(partial_images, config.n_max):
         rng = _rng(config, case)
-        data = covexillary_data(w)
         conditions = data.grass_conditions
         failures = 0
         samples = 0
@@ -500,7 +487,7 @@ def _suite_kl_covex(config: SuiteConfig) -> Iterator[Case]:
     yield "smoke/P(1234,3412)", smoke == PolynomialQ((1, 1)), {"value": str(smoke)}
     one = PolynomialQ.one()
     # the report has no n = 1 case
-    for _, w, case in _covexillary_cases(all_permutations, config.n_max, start=2):
+    for w, _, case in _covexillary_cases(permutation_images, config.n_max, start=2):
         try:
             rows = covexillary_kl_check(w)
         except InvariantError as exc:  # a KL polynomial past its degree bound
@@ -523,7 +510,7 @@ def _suite_kl_covex(config: SuiteConfig) -> Iterator[Case]:
 
 
 def _suite_multidegree(config: SuiteConfig) -> Iterator[Case]:
-    for _, w, case in _covexillary_cases(all_permutations, config.n_max):
+    for w, _, case in _covexillary_cases(permutation_images, config.n_max):
         report = verify_multidegree(w)
         schubert, localization = report.texts()
         yield case, report.matched, {"schubert": schubert, "localization": localization}
@@ -548,8 +535,8 @@ MAX_TRIALS = 1000
 # walks S_n as kl-covex does, and S_8 holds 15,767 covexillary w;
 # el-roundtrip takes 35-40 s at its limit and rank-lemma about 50 s.
 # embed-thm compares every orbit with every covexillary w of a size: 97 M
-# pairs at n = 6 take 1.4 s and 46 MB, and n = 7 (6.5 G pairs, 49,626 w)
-# about 10-13 s and 182 MB in all.  conormal-grass makes one members call per
+# pairs at n = 6 take 1.1-1.3 s and 31 MB, and n = 7 (6.5 G pairs, 49,626 w)
+# about 8-12 s and 152 MB in all.  conormal-grass makes one members call per
 # w: --nmax 5 takes about 2 s and --nmax 6 about 25 s and 23 MB; n = 7, at
 # about 4 ms for each of its 49,626 w, would take 3-4 min.
 _SUITES: dict[str, _Suite] = {

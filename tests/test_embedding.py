@@ -48,6 +48,7 @@ from covex.varieties import (
 from oracles import blocks, random_matrix, submatrix, subspace_sum
 from scale import sized
 from test_exactla import standard_subspace
+from test_permcore import lanes
 from test_varieties import in_grass_schubert
 
 F = FieldSpec.prime()
@@ -453,17 +454,17 @@ def test_packed_target_verdicts_are_the_per_cell_verdicts(n):
         past = orbits.past(bits)
         reads = {}
         cells = {}
-        for u, lane in zip(orbits.partials, orbits.lanes):
-            mask = sum(map(getitem, bits, u.image))
+        for image, lane in zip(orbits.images, lanes(orbits)):
+            mask = sum(map(getitem, bits, image))
             cells[mask] = cells.get(mask, 0) | 1 << lane
             if mask not in points:
                 points[mask] = coordinate_subspace(F, 2 * n, mask_positions(mask))
         for w in ws:
             w_data = covexillary_data(w)
             expected = 0
-            for mask, lanes in cells.items():
+            for mask, found in cells.items():
                 if target_holds(points[mask], w_data):
-                    expected |= lanes
+                    expected |= found
             assert target_lanes(orbits, past, w_data, reads) == expected, w
     assert len(classes) == {1: 1, 2: 2, 3: 6, 4: 20, 5: 70}[n]
 

@@ -97,12 +97,13 @@ def test_report_digest_in_a_fresh_process(argv):
 
 
 @pytest.mark.parametrize("n", [sized("6", "7")])
-def test_embed_thm_in_a_fresh_process_stays_under_220_mb(n):
+def test_embed_thm_in_a_fresh_process_stays_under_170_mb(n):
     """embed-thm at n = 7, its limit, at CI scale (n = 6 in tier-1), in a
-    fresh process: its pinned report and a peak RSS of at most 220 MB.
-    OrbitTable keeps the mask of each box it reads, and each tau class its
-    target reads until the class ends; class memos kept past their class
-    would break this bound at n = 7."""
+    fresh process: its pinned report and a peak RSS of at most 170 MB, the
+    151.6 MB measured at n = 7 plus 10%, rounded up to 10 MB.  OrbitTable
+    keeps the mask of each box it reads and each tau class its target reads
+    until the class ends; the table and the sweep read bare images, and the
+    sweep builds nothing for a partial that is not covexillary."""
     argv = ("verify", "embed-thm", "--nmax", n)
     proc = subprocess.run(
         [sys.executable, "-c", _PEAK_RSS_LAUNCHER, sys.executable, "-m", "covex.cli", *argv],
@@ -114,7 +115,7 @@ def test_embed_thm_in_a_fresh_process_stays_under_220_mb(n):
     assert proc.returncode == 0
     assert hashlib.sha256(proc.stdout).hexdigest() == PINNED[argv]
     peak_kb = int(proc.stderr)
-    assert peak_kb / 1024 <= 220, peak_kb
+    assert peak_kb / 1024 <= 170, peak_kb
 
 
 @pytest.mark.parametrize("suite", ["embed-thm", "rank-lemma"])

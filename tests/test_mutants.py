@@ -34,7 +34,7 @@ from covex.suites import SuiteConfig, run_suite
 from oracles import kernel
 from scale import sized
 from test_conormal import check_matrix_batches
-from test_permcore import essential_box_mismatches
+from test_permcore import essential_box_mismatches, lanes
 
 
 def _rewritten(function, old, new, **names):
@@ -365,11 +365,11 @@ def test_a_guard_one_bit_narrow_breaks_the_bruhat_masks(monkeypatch):
     mutant = _rewritten(
         permcore.OrbitTable, "width = n.bit_length() + 1", "width = n.bit_length()"
     )
-    orbits = mutant(3)
+    orbits, partials = mutant(3), list(all_partial_permutations(3))
     wrong = [
         (u, w)
-        for w in orbits.partials
-        for u, lane in zip(orbits.partials, orbits.lanes)
+        for w in partials
+        for u, lane in zip(partials, lanes(orbits))
         if bool(orbits.below(w) >> lane & 1) != permcore.bruhat_leq(u, w)
     ]
     assert len(wrong) == 25
@@ -382,13 +382,13 @@ def test_a_guard_one_bit_narrow_breaks_the_bruhat_masks(monkeypatch):
 
 def test_an_essential_set_without_its_last_box_breaks_the_full_box_pin(monkeypatch):
     """OrbitTable.below reads only w's essential boxes, as the target's
-    conditions do, so a box dropped from essential_set would loosen both
-    sides of embed-thm alike.  The full-box pin of test_permcore sees the
+    conditions do, so a box dropped from the essential corners would loosen
+    both sides of embed-thm alike.  The full-box pin of test_permcore sees the
     mask grow at every covexillary w with an essential box: 221 of the 225
     with n <= 4, all but the longest permutations."""
     ws = [w for n in range(1, 5) for w in all_partial_permutations(n) if is_covexillary(w)]
-    essential = permcore.essential_set
-    monkeypatch.setattr(permcore, "essential_set", lambda w: essential(w)[:-1])
+    corners = permcore.essential_corners
+    monkeypatch.setattr(permcore, "essential_corners", lambda image: list(corners(image))[:-1])
     grown = [
         w
         for n in range(1, 5)
@@ -447,8 +447,11 @@ def test_tau_with_p_and_q_swapped_fails_every_suite_that_reads_it(
     Every suite that goes through the embedding then fails: embed-thm and
     diagram-chase at 35 of 42 w with n <= 3, multidegree at 2 of 9 and
     kl-covex at 16 of 32 with n <= 4.  conormal-grass does not read tau:
-    its fixed point E_S comes from target_grass_index.  Each
-    CovexillaryData is new in every run, so no tau built here outlives the
-    patch."""
+    its fixed point E_S comes from target_grass_index.  tau_order, which
+    embed_point and the chase read, is built off the chain apart from tau,
+    so it is patched to the swapped tau's inverse.  Each CovexillaryData is
+    new in every run, so no tau built here outlives the patch."""
     monkeypatch.setattr(CovexillaryData, "tau", property(_tau_p_and_q_swapped))
+    swapped_order = property(lambda data: tuple(k - 1 for k in data.tau.inverse().image))
+    monkeypatch.setattr(CovexillaryData, "tau_order", swapped_order)
     assert _failures(suite, n_max, **kwargs) == (flagged, total)

@@ -17,10 +17,13 @@ from covex.permcore import (
     avoids_3412,
     bruhat_leq,
     covexillary_data,
+    covexillary_sweep,
     diagram,
     dominated,
     essential_set,
     is_covexillary,
+    partial_images,
+    permutation_images,
     rank_matrix,
     random_partial_permutation,
     reconstruct_from_essential,
@@ -191,6 +194,41 @@ def test_covexillary_equivalence_small():
             assert is_covexillary(w) == avoids_3412(w)
 
 
+@pytest.mark.parametrize("n", range(1, sized(5, 6) + 1))
+def test_sweep_yields_the_partials_whose_reference_essential_set_is_a_chain(n):
+    """The image sweep, in all_partial_permutations order, against the
+    diagram-corner oracle: exactly the partials whose essential columns never
+    drop, each with the oracle's boxes as its triples."""
+    chains = {}
+    for w in all_partial_permutations(n):
+        boxes = reference_essential_set(w)
+        if all(a.col <= b.col for a, b in zip(boxes, boxes[1:])):
+            chains[w] = tuple((e.row - 1, e.col, e.rank) for e in boxes)
+    swept = list(covexillary_sweep(partial_images(n)))
+    assert [w for w, _ in swept] == list(chains)
+    assert all(triples(data) == chains[w] for w, data in swept)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_sweep_of_s_n_yields_the_3412_avoiders(n):
+    swept = [w for w, _ in covexillary_sweep(permutation_images(n))]
+    assert swept == [w for w in all_permutations(n) if avoids_3412(w)]
+
+
+@pytest.mark.parametrize("n", range(1, sized(6, 7) + 1))
+def test_sweep_counts_the_covexillary_partials(n):
+    count = sum(1 for _ in covexillary_sweep(partial_images(n)))
+    assert count == {1: 2, 2: 7, 3: 33, 4: 183, 5: 1118, 6: 7281, 7: 49626}[n]
+
+
+def test_tau_order_read_off_the_chain_is_the_inverse_of_tau():
+    """tau_order is read block by block off the chain, apart from tau; at
+    every covexillary partial with n <= 5 it is tau^-1, 0-based."""
+    for n in range(1, 6):
+        for w, data in covexillary_sweep(partial_images(n)):
+            assert data.tau_order == tuple(k - 1 for k in data.tau.inverse().image), w
+
+
 def test_covexillary_data_validation():
     with pytest.raises(EssentialDataError):
         CovexillaryData(3, (1, 0), (1, 2), (0, 0))  # p not increasing
@@ -267,10 +305,15 @@ def test_packed_dominance_holds_where_entries_reach_n(n):
     assert outcomes.count(True) >= 100 and outcomes.count(False) >= 100
 
 
+def lanes(orbits):
+    """The guard bit of each u of orbits, images[0] lowest: the set bits of orbits.guard."""
+    return [t for t in range(orbits.guard.bit_length()) if orbits.guard >> t & 1]
+
+
 def packed_verdicts(orbits, us, ws):
     """[[u <= w for u in us] for w in ws], read off the masks of orbits.below."""
-    lane = dict(zip(orbits.partials, orbits.lanes))
-    return [[bool(orbits.below(w) >> lane[u] & 1) for u in us] for w in ws]
+    lane = dict(zip(orbits.images, lanes(orbits)))
+    return [[bool(orbits.below(w) >> lane[u.image] & 1) for u in us] for w in ws]
 
 
 def full_box_below(orbits, w):
@@ -278,11 +321,10 @@ def full_box_below(orbits, w):
 
     The reference for OrbitTable.below, which reads only w's essential boxes.
     """
-    lanes = orbits.guard
-    for box_row, rank_row in zip(orbits.boxes, rank_matrix(w)):
-        for box, r in zip(box_row, rank_row):
-            lanes &= orbits.at_most(box, r)
-    return lanes
+    found = orbits.guard
+    for box, r in zip(orbits.boxes, itertools.chain.from_iterable(rank_matrix(w))):
+        found &= orbits.at_most(box, r)
+    return found
 
 
 def essential_box_mismatches(orbits, ws):
@@ -296,10 +338,11 @@ def test_packed_bruhat_masks_are_bruhat_leq_on_every_pair(n):
     every pair of partial permutations of size n, and has no stray bits;
     so does the full-box mask."""
     orbits = OrbitTable(n)
-    perms = orbits.partials
-    assert perms == list(all_partial_permutations(n)) and len(orbits.lanes) == len(perms)
-    everyone = sum(1 << lane for lane in orbits.lanes)
-    assert orbits.guard == everyone
+    perms = list(all_partial_permutations(n))
+    width = n.bit_length() + 1
+    assert orbits.images == [u.image for u in perms]
+    assert lanes(orbits) == list(range(width - 1, width * len(perms), width))
+    everyone = orbits.guard
     for w, row in zip(perms, packed_verdicts(orbits, perms, perms)):
         assert orbits.below(w) & ~everyone == 0
         assert full_box_below(orbits, w) == orbits.below(w)
@@ -308,7 +351,7 @@ def test_packed_bruhat_masks_are_bruhat_leq_on_every_pair(n):
         assert row == [entrywise_dominates(rw, rank_matrix(u)) for u in perms]
     assert orbits.below(PartialPermutation.longest(n)) == everyone
     zero = PartialPermutation.zero(n)
-    assert orbits.below(zero) == 1 << orbits.lanes[perms.index(zero)]
+    assert orbits.below(zero) == 1 << lanes(orbits)[perms.index(zero)]
 
 
 @pytest.mark.parametrize("n", [5, 6, 7])
@@ -340,7 +383,7 @@ def test_essential_box_masks_are_the_full_box_masks(n):
     target's conditions; the n^2-box AND keeps it independent of
     essential_set at every covexillary w of the size."""
     orbits = OrbitTable(n)
-    ws = [w for w in orbits.partials if is_covexillary(w)]
+    ws = [w for w in all_partial_permutations(n) if is_covexillary(w)]
     assert essential_box_mismatches(orbits, ws) == []
     assert len(ws) == {1: 2, 2: 7, 3: 33, 4: 183, 5: 1118, 6: 7281}[n]
 
